@@ -16,7 +16,7 @@ inline constexpr Addr kTcMetaBase = 0x0380'0000'0000ull;   // segregated metadat
 inline constexpr Addr kMiHeapBase = 0x0400'0000'0000ull;
 inline constexpr Addr kNgxHeapBase = 0x0500'0000'0000ull;  // NextGen server heap
 inline constexpr Addr kNgxMetaBase = 0x0580'0000'0000ull;  // NextGen segregated metadata
-inline constexpr Addr kNgxFreeBufBase = 0x0680'0000'0000ull;  // per-(client, shard) free buffers
+inline constexpr Addr kNgxFreeBufBase = 0x0680'0000'0000ull;  // unmapped; frees stage in rings
 inline constexpr Addr kChannelBase = 0x0700'0000'0000ull;  // offload mailboxes/rings
 inline constexpr Addr kWorkloadBase = 0x0800'0000'0000ull; // workload-private globals
 inline constexpr Addr kGpuHeapBase = 0x0900'0000'0000ull;  // simulated device memory

@@ -81,12 +81,13 @@ struct NgxConfig {
   bool hugepage_packing = false;
 
   // Hugepage-backed fabric metadata (DESIGN.md §16): back the per-(client,
-  // shard) channel blocks, the free-batch buffers, the stash cache lines and
-  // the segregated metadata window with PageKind::kHuge2M mappings so
-  // client-side acquire-reads and server-side carve walks stop taking 4-KiB
-  // dTLB walks -- the paper's Table-1 dTLB argument carried into the fabric's
-  // own structures. False (the default) keeps every metadata region on 4-KiB
-  // pages, bit-identical to pre-knob builds.
+  // shard) channel blocks (whose rings also hold staged free batches), the
+  // stash cache lines and the segregated metadata window with
+  // PageKind::kHuge2M mappings so client-side acquire-reads and server-side
+  // carve walks stop taking 4-KiB dTLB walks -- the paper's Table-1 dTLB
+  // argument carried into the fabric's own structures. False (the default)
+  // keeps every metadata region on 4-KiB pages, bit-identical to pre-knob
+  // builds.
   bool hugepage_metadata = false;
 
   // Section 3.3.2: server-side run prediction + batch preallocation into a
@@ -119,9 +120,11 @@ struct NgxConfig {
   std::uint32_t ring_capacity = 64;
 
   // Elastic heap fabric (span-granular ownership; see DESIGN.md §7).
-  // Remote frees buffered per (client, shard) and flushed `free_batch`
-  // entries per ring doorbell. 1 = unbuffered (byte-for-byte the historical
-  // path). Must not exceed ring_capacity.
+  // Remote frees per ring doorbell: each free is stored straight into its
+  // (client, shard) ring and every `free_batch`-th publishes the batch with
+  // one head release-store, which kicks the shard's background drain. 1 =
+  // the unbatched path, one doorbell per free and no kick. Must not exceed
+  // ring_capacity.
   std::uint32_t free_batch = 1;
   // A shard whose partition runs dry requests whole free spans from the
   // donor with the most free spans via OffloadOp::kDonateSpan (needs

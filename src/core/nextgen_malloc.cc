@@ -144,18 +144,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   }
   NGX_CHECK(config.free_batch >= 1 && config.free_batch <= config.ring_capacity,
             "free_batch must fit in one async ring");
-  if (config.offload && max_free_batch_ > 1) {
-    // Slots sized by the deepest tenant batch: per-core capacities bound how
-    // much of a slot each core uses, never where slots live.
-    freebuf_slot_ = AlignUp(IndexStack::FootprintBytes(max_free_batch_), 64);
-    freebuf_stride_ =
-        AlignUp(freebuf_slot_ * static_cast<std::uint64_t>(nshards), kSmallPageBytes);
-    freebuf_provider_ = std::make_unique<PageProvider>(kNgxFreeBufBase, kHeapWindow,
-                                                       "ngx-freebuf");
-    freebuf_base_ = freebuf_provider_->MapAtStartup(
-        machine, freebuf_stride_ * static_cast<std::uint64_t>(machine.num_cores()),
-        config.hugepage_metadata ? PageKind::kHuge2M : PageKind::kSmall4K);
-  }
   if (rebalance_) {
     // Two tick paths into the same guard: the engines' post-drain hooks
     // cover busy shards (every sync request and DrainAll ends in a tick),
@@ -347,7 +335,6 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
   shard_low_mark_.assign(static_cast<std::size_t>(nshards), config_.span_low_mark);
   shard_high_mark_.assign(static_cast<std::size_t>(nshards), config_.span_high_mark);
   max_stash_cap_ = config_.stash_capacity;
-  max_free_batch_ = config_.free_batch;
   NGX_CHECK(!config_.qos_lanes || config_.lane_quantum > 0,
             "qos_lanes needs a nonzero lane_quantum");
   if (config_.tenants.empty()) {
@@ -455,7 +442,6 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
         mark_owner[hs] = t_idx;
       }
       max_stash_cap_ = std::max(max_stash_cap_, core_stash_cap_[ci]);
-      max_free_batch_ = std::max(max_free_batch_, core_free_batch_[ci]);
     }
   }
 }
@@ -481,7 +467,6 @@ void NgxAllocator::BindInstruments() {
   c_free_local_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "local"}});
   c_free_remote_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "remote"}});
   c_free_unknown_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "unknown"}});
-  h_flush_occupancy_ = &m.GetHistogram("ngx.free_flush_occupancy", {{"alloc", "nextgen"}});
   c_donated_spans_ = &m.GetCounter("ngx.donated_spans", {{"alloc", "nextgen"}});
   c_rebalance_moves_ = &m.GetCounter("ngx.rebalance_moves", {{"alloc", "nextgen"}});
   c_returned_spans_ = &m.GetCounter("ngx.returned_spans", {{"alloc", "nextgen"}});
@@ -627,15 +612,11 @@ void NgxAllocator::Free(Env& env, Addr addr) {
     frec->matrix().NoteFree(env.core_id(), shard);
   }
   if (config_.async_free) {
-    if (core_free_batch_[static_cast<std::size_t>(env.core_id())] > 1) {
-      // Buffer locally; one ring doorbell per this tenant's free_batch.
-      IndexStack buf = FreeBuf(env.core_id(), shard);
-      if (!buf.Push(env, addr)) {
-        FlushFreeBuf(env, shard);
-        [[maybe_unused]] const bool pushed = buf.Push(env, addr);
-        assert(pushed && "a flushed free buffer must have room");
-      }
-      ++buffered_frees_;
+    const std::uint32_t batch = core_free_batch_[static_cast<std::size_t>(env.core_id())];
+    if (batch > 1) {
+      // Staged straight into the ring; every batch-th free of this tenant
+      // publishes the batch with one doorbell (DESIGN.md §7).
+      fabric_->StageFree(env, shard, addr, batch);
     } else {
       fabric_->AsyncRequest(env, shard, OffloadOp::kFree, addr);
     }
@@ -901,29 +882,6 @@ std::uint64_t NgxAllocator::HandleRefillStash(Env& server_env, int shard, int cl
   return 0;
 }
 
-void NgxAllocator::FlushFreeBuf(Env& env, int shard) {
-  IndexStack buf = FreeBuf(env.core_id(), shard);
-  std::uint64_t addrs[kMaxRingCapacity];
-  std::uint32_t n = 0;
-  std::uint64_t addr = 0;
-  while (buf.Pop(env, &addr)) {
-    addrs[n++] = addr;
-  }
-  if (n == 0) {
-    return;
-  }
-  const std::uint64_t t0 = env.now();
-  fabric_->AsyncRequestBatch(env, shard, addrs, n);
-  ++free_flushes_;
-  if (Recording()) {
-    h_flush_occupancy_->Record(n);
-    Telemetry& tel = machine_->telemetry();
-    if (tel.tracing()) {
-      tel.tracer().Complete("free_flush", env.core_id(), t0, env.now() - t0);
-    }
-  }
-}
-
 std::uint64_t NgxAllocator::UsableSize(Env& env, Addr addr) {
   ClientOpScope op_scope(Recorder(), env);
   if (!config_.offload) {
@@ -937,9 +895,13 @@ void NgxAllocator::Flush(Env& env) {
   if (!config_.offload) {
     return;
   }
-  // Push pending async frees through, and return any stashed blocks so
-  // footprint accounting settles. Stashed blocks may have been batched by
-  // any shard; each goes back to its owner.
+  // Teardown must not lose staged remote frees: publish every partial batch
+  // first (they precede this Flush in program order), then return any
+  // stashed blocks so footprint accounting settles. Stashed blocks may have
+  // been batched by any shard; each goes back to its owner.
+  for (int s = 0; s < fabric_->num_shards(); ++s) {
+    fabric_->PublishStaged(env, s);
+  }
   if (config_.prediction) {
     for (std::uint32_t cls = 0; cls < classes_.num_classes(); ++cls) {
       std::uint64_t block = 0;
@@ -978,13 +940,6 @@ void NgxAllocator::Flush(Env& env) {
           fabric_->AsyncRequest(env, ShardOfAddr(block), OffloadOp::kFree, block);
         }
       }
-    }
-  }
-  // Teardown must not lose buffered remote frees: drain this core's
-  // per-shard free buffers (partial batches ride a smaller doorbell).
-  if (core_free_batch_[static_cast<std::size_t>(env.core_id())] > 1) {
-    for (int s = 0; s < fabric_->num_shards(); ++s) {
-      FlushFreeBuf(env, s);
     }
   }
   for (int s = 0; s < fabric_->num_shards(); ++s) {

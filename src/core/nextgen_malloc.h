@@ -24,8 +24,9 @@
 //    above the high mark return fully-recycled away spans to their home
 //    slice (kReturnSpan) and offer surplus to starved peers (kOfferSpans),
 //    so inline kDonateSpan on the malloc path becomes the rare fallback.
-//    With config.free_batch > 1, remote frees accumulate in per-(client,
-//    shard) buffers and flush free_batch entries per ring doorbell.
+//    With config.free_batch > 1, each remote free is stored straight into
+//    its (client, shard) ring and every free_batch-th publishes the batch
+//    with one doorbell, which kicks the shard's background drain.
 //
 // With config.stash_pipeline (DESIGN.md §9), each (core, class) stash splits
 // into two single-cache-line halves whose header word doubles as a
@@ -192,9 +193,14 @@ class NgxAllocator : public Allocator {
   // Mallocs that failed because the shard's partition was exhausted and
   // donation could not (or was not allowed to) refill it.
   std::uint64_t partition_oom_failures() const { return partition_ooms_; }
-  // Remote frees buffered and later flushed in a batch (0 with free_batch=1).
-  std::uint64_t buffered_frees() const { return buffered_frees_; }
-  std::uint64_t free_flushes() const { return free_flushes_; }
+  // Remote frees staged in a ring, and the batches that published them (both
+  // 0 with free_batch = 1).
+  std::uint64_t buffered_frees() const {
+    return fabric_ != nullptr ? fabric_->TotalStats().staged_frees : 0;
+  }
+  std::uint64_t free_flushes() const {
+    return fabric_ != nullptr ? fabric_->TotalStats().free_batches : 0;
+  }
   // Watermark rebalancing (config.span_low_mark > 0): background transfers
   // performed (refills + offers + returns), and mallocs that still entered
   // the inline donation fallback because a request arrived before the
@@ -350,15 +356,6 @@ class NgxAllocator : public Allocator {
     return size <= classes_.max_size() ? classes_.ClassOf(size) : classes_.num_classes();
   }
 
-  IndexStack FreeBuf(int core, int shard) const {
-    return IndexStack(freebuf_base_ + freebuf_stride_ * static_cast<std::uint64_t>(core) +
-                          freebuf_slot_ * static_cast<std::uint64_t>(shard),
-                      core_free_batch_[static_cast<std::size_t>(core)]);
-  }
-  // Drains `core`'s free buffer for `shard` into one multi-entry ring
-  // doorbell (no-op when empty).
-  void FlushFreeBuf(Env& env, int shard);
-
   // Grant sizing: spans are donated in whole map units so the recipient's
   // provider can satisfy its next Map from the grafted range.
   std::uint64_t NeededGrantSpans(std::uint64_t size) const;
@@ -496,8 +493,7 @@ class NgxAllocator : public Allocator {
   std::vector<HeapKind> shard_heap_kind_;       // per shard carve layout
   std::vector<std::uint64_t> shard_low_mark_;   // per shard watermark
   std::vector<std::uint64_t> shard_high_mark_;  // per shard watermark
-  std::uint32_t max_stash_cap_ = 0;   // layout-sizing maxima across cores
-  std::uint32_t max_free_batch_ = 1;
+  std::uint32_t max_stash_cap_ = 0;   // layout-sizing maximum across cores
   std::vector<StashPipe> pipes_;     // (core, class) pipeline state
   std::uint64_t stash_refills_ = 0;
   std::uint64_t refill_blocks_ = 0;
@@ -506,12 +502,6 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_starvation_stalls_ = 0;
   std::uint64_t recycled_frees_ = 0;
   std::uint64_t stash_local_flips_ = 0;
-  std::unique_ptr<PageProvider> freebuf_provider_;  // free_batch > 1 only
-  Addr freebuf_base_ = 0;
-  std::uint64_t freebuf_stride_ = 0;  // per client core
-  std::uint64_t freebuf_slot_ = 0;    // per shard within a core's block
-  std::uint64_t buffered_frees_ = 0;
-  std::uint64_t free_flushes_ = 0;
   // Flight-recorder host mirrors. stash_shard_ tracks which shard last
   // stocked each (core, class) stash; the frag mirrors accumulate requested
   // vs carved block bytes per shard for the internal-fragmentation report
@@ -529,7 +519,6 @@ class NgxAllocator : public Allocator {
   Counter* c_free_local_ = nullptr;
   Counter* c_free_remote_ = nullptr;
   Counter* c_free_unknown_ = nullptr;
-  Histogram* h_flush_occupancy_ = nullptr;  // entries per remote-free flush
   Counter* c_donated_spans_ = nullptr;
   Counter* c_rebalance_moves_ = nullptr;
   Counter* c_returned_spans_ = nullptr;

@@ -13,18 +13,17 @@ SpanDirectory::SpanDirectory(Addr heap_base, std::uint64_t window_bytes,
   const std::uint64_t nspans = window_bytes / span_bytes;
   NGX_CHECK(nspans % static_cast<std::uint64_t>(num_shards) == 0,
             "initial slices must be equal span counts");
-  owner_.resize(nspans);
-  state_.assign(nspans, State::kUngranted);
-  const std::uint64_t per_shard = nspans / static_cast<std::uint64_t>(num_shards);
-  for (std::uint64_t s = 0; s < nspans; ++s) {
-    owner_[s] = static_cast<std::int16_t>(s / per_shard);
+  per_shard_ = nspans / static_cast<std::uint64_t>(num_shards);
+  owner_.reserve(nspans);
+  for (int shard = 0; shard < num_shards; ++shard) {
+    owner_.insert(owner_.end(), per_shard_, static_cast<std::int16_t>(shard));
   }
-  home_ = owner_;
+  state_.assign(nspans, State::kUngranted);
   recycled_.resize(static_cast<std::size_t>(num_shards));
   take_cursor_.assign(static_cast<std::size_t>(num_shards), 0);
-  free_spans_.assign(static_cast<std::size_t>(num_shards), per_shard);
+  free_spans_.assign(static_cast<std::size_t>(num_shards), per_shard_);
   away_spans_.assign(static_cast<std::size_t>(num_shards), 0);
-  owned_spans_.assign(static_cast<std::size_t>(num_shards), per_shard);
+  owned_spans_.assign(static_cast<std::size_t>(num_shards), per_shard_);
   donated_out_.assign(static_cast<std::size_t>(num_shards), 0);
   donated_in_.assign(static_cast<std::size_t>(num_shards), 0);
   returned_out_.assign(static_cast<std::size_t>(num_shards), 0);
@@ -43,8 +42,8 @@ int SpanDirectory::OwnerOfSpan(std::uint64_t span) const {
 }
 
 int SpanDirectory::HomeOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < home_.size(), "span index outside the heap window");
-  return home_[span];
+  NGX_CHECK(span < owner_.size(), "span index outside the heap window");
+  return Home(span);
 }
 
 SpanDirectory::SpanState SpanDirectory::StateOfSpan(std::uint64_t span) const {
@@ -170,10 +169,10 @@ void SpanDirectory::MoveFreeRun(std::uint64_t first, std::uint64_t count, int fr
       state_[s] = State::kUngranted;
     }
     owner_[s] = static_cast<std::int16_t>(to);
-    if (home_[s] != from) {
+    if (Home(s) != from) {
       --away_spans_[static_cast<std::size_t>(from)];
     }
-    if (home_[s] != to) {
+    if (Home(s) != to) {
       ++away_spans_[static_cast<std::size_t>(to)];
     }
   }
@@ -194,12 +193,12 @@ int SpanDirectory::ReturnRange(Addr base, std::uint64_t nspans, int from) {
   NGX_CHECK(nspans > 0, "cannot return zero spans");
   const std::uint64_t first = SpanOfAddr(base);
   NGX_CHECK(first + nspans <= owner_.size(), "returned range exceeds the heap window");
-  const int home = home_[first];
+  const int home = Home(first);
   NGX_CHECK(home != from, "span is already home (double return?)");
   for (std::uint64_t s = first; s < first + nspans; ++s) {
     NGX_CHECK(owner_[s] == from,
               "span return from a shard that does not own it (double return?)");
-    NGX_CHECK(home_[s] == home, "a returned run must share one home shard");
+    NGX_CHECK(Home(s) == home, "a returned run must share one home shard");
     NGX_CHECK(state_[s] == State::kRecycled,
               "only fully-recycled spans can be returned home");
   }
@@ -224,13 +223,13 @@ Addr SpanDirectory::FindRecycledAwayRun(int shard, std::uint64_t unit_spans,
     const std::uint64_t end = r.first + r.count;
     for (; first + unit_spans <= end; first += unit_spans) {
       // A returnable unit must be wholly owned by one foreign home.
-      const int h = home_[first];
+      const int h = Home(first);
       if (h == shard) {
         continue;
       }
       bool uniform = true;
       for (std::uint64_t s = first + 1; s < first + unit_spans; ++s) {
-        if (home_[s] != h) {
+        if (Home(s) != h) {
           uniform = false;
           break;
         }
@@ -243,7 +242,7 @@ Addr SpanDirectory::FindRecycledAwayRun(int shard, std::uint64_t unit_spans,
       while (n / unit_spans < max_units && first + n + unit_spans <= end) {
         bool extend = true;
         for (std::uint64_t s = first + n; s < first + n + unit_spans; ++s) {
-          if (home_[s] != h) {
+          if (Home(s) != h) {
             extend = false;
             break;
           }

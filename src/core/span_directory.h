@@ -141,6 +141,9 @@ class SpanDirectory {
  private:
   using State = SpanState;
 
+  // Initial slices are equal, so a span's home is a divide.
+  int Home(std::uint64_t span) const { return static_cast<int>(span / per_shard_); }
+
   // Removes [first, first+count) from shard's recycled runs (must be fully
   // recycled there).
   void RemoveRecycledRun(int shard, std::uint64_t first, std::uint64_t count);
@@ -156,8 +159,8 @@ class SpanDirectory {
   Addr heap_base_;
   std::uint64_t span_bytes_;
   int num_shards_;
+  std::uint64_t per_shard_ = 0;      // spans per initial slice
   std::vector<std::int16_t> owner_;  // per span
-  std::vector<std::int16_t> home_;   // per span; fixed at construction
   std::vector<State> state_;         // per span
   std::vector<std::vector<SpanRun>> recycled_;  // per shard, coalesced runs
   std::vector<std::size_t> take_cursor_;        // per shard, next-fit resume index

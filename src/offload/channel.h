@@ -104,30 +104,20 @@ class Channel {
     env.AtomicStore(base_ + kRingHeadOff, head + 1);
   }
 
-  // Multi-entry enqueue: n entry stores, ONE release-store of the head (one
-  // doorbell line transfer amortized over the whole batch). Caller must have
-  // checked RingSpace >= n.
-  void RingPushN(Env& env, const std::uint64_t* values, std::uint32_t n) {
-    assert(n > 0 && n <= ring_capacity_);
-    const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      env.Store<std::uint64_t>(EntryAddr(head + i), values[i]);
-    }
-    env.AtomicStore(base_ + kRingHeadOff, head + n);
+  // Enqueue for a producer that keeps its own head index in a register (the
+  // standard SPSC producer idiom, DESIGN.md §9): one store into slot `index`,
+  // no index loads at all. The entry stays invisible to the server until
+  // RingPublish moves the head past it, so several stores can share one
+  // doorbell (DESIGN.md §7). Caller owns the head (it is the ring's only
+  // writer) and must have checked space against its cached view of the tail.
+  void RingStore(Env& env, std::uint64_t index, std::uint64_t value) {
+    env.Store<std::uint64_t>(EntryAddr(index), value);
   }
 
-  // Enqueue for a producer that keeps its own head index in a register (the
-  // standard SPSC producer idiom, DESIGN.md §9): n entry stores plus the
-  // release-store of the advanced head, no index loads at all. Caller owns
-  // the head (it is the ring's only writer) and must have checked space
-  // against its cached view of the tail.
-  void RingPushAt(Env& env, std::uint64_t head, const std::uint64_t* values,
-                  std::uint32_t n) {
-    assert(n > 0 && n <= ring_capacity_);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      env.Store<std::uint64_t>(EntryAddr(head + i), values[i]);
-    }
-    env.AtomicStore(base_ + kRingHeadOff, head + n);
+  // Release-store of the producer's head: publishes every entry below it in
+  // one doorbell line transfer.
+  void RingPublish(Env& env, std::uint64_t head) {
+    env.AtomicStore(base_ + kRingHeadOff, head);
   }
 
   // Consumer index alone: a cached-index producer re-reads the tail line

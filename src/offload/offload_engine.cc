@@ -1,5 +1,6 @@
 #include "src/offload/offload_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -103,6 +104,7 @@ void OffloadEngine::BindInstruments() {
   h_queue_wait_ = &m.GetHistogram("offload.sync_queue_wait", {{"shard", shard}});
   h_drain_batch_ = &m.GetHistogram("offload.drain_batch", {{"shard", shard}});
   h_ring_occupancy_ = &m.GetHistogram("offload.ring_occupancy", {{"shard", shard}});
+  h_free_batch_ = &m.GetHistogram("offload.free_batch", {{"shard", shard}});
   c_sync_requests_ = &m.GetCounter("offload.sync_requests", {{"shard", shard}});
   c_async_ops_ = &m.GetCounter("offload.async_ops", {{"shard", shard}});
   c_ring_full_ = &m.GetCounter("offload.ring_full_stalls", {{"shard", shard}});
@@ -273,6 +275,51 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   return out;
 }
 
+std::uint64_t OffloadEngine::Kick(Env& client_env, int client, std::uint32_t max_entries) {
+  machine_->core(server_core_).AdvanceTo(client_env.now());
+  Env server_env = ServerEnv();
+  server_env.Work(poll_work_);
+  DrainRing(server_env, client, max_entries);
+  if (post_drain_hook_) {
+    post_drain_hook_(server_env);
+  }
+  return server_env.now();
+}
+
+std::uint64_t OffloadEngine::PushEntry(Env& client_env, int client, std::uint64_t entry) {
+  // Staged frees sit in the very slots past the head this push would write:
+  // publish them first, so nothing is overwritten and ring order is program
+  // order.
+  PublishStaged(client_env);
+  Channel& ch = channels_[client];
+  ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
+  std::uint64_t occupancy;
+  if (producer_cache_) {
+    CachedPushReserve(client_env, client, 1);
+    // The eager-drain policy is the SERVER noticing its ring filling during
+    // its poll loop, so it keys off the true occupancy -- an untimed host
+    // read standing in for the server's own polling (whose timed reads
+    // happen inside DrainRing) -- not the producer's deliberately stale view.
+    occupancy = pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff);
+    ch.RingStore(client_env, pc.head, entry);
+    ch.RingPublish(client_env, pc.head + 1);
+  } else {
+    const std::uint64_t space = ch.RingSpace(client_env);
+    occupancy = ch.ring_capacity() - space;
+    if (space == 0) {
+      StallOnFullRing(client_env, client);
+    }
+    ch.RingPush(client_env, entry);
+  }
+  ++pc.head;
+  ++stats_.ring_doorbells;
+  ++stats_.async_enqueued;
+  if (Recording()) {
+    h_ring_occupancy_->Record(occupancy);
+  }
+  return occupancy;
+}
+
 void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0) {
   assert(server_ != nullptr);
   assert(op == OffloadOp::kFree && "only frees are fire-and-forget");
@@ -280,91 +327,62 @@ void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t ar
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, 1);
   }
-  Channel& ch = channels_[client];
-  std::uint64_t occupancy;
-  if (producer_cache_) {
-    CachedPushReserve(client_env, client, 1);
-    ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-    // The eager-drain policy below is the SERVER noticing its ring filling
-    // during its poll loop, so it keys off the true occupancy -- an untimed
-    // host read standing in for the server's own polling (whose timed reads
-    // happen inside DrainRing) -- not the producer's deliberately stale view.
-    occupancy = pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff);
-    ch.RingPushAt(client_env, pc.head, &arg0, 1);
-    ++pc.head;
-  } else {
-    const std::uint64_t space = ch.RingSpace(client_env);
-    occupancy = ch.ring_capacity() - space;
-    if (space == 0) {
-      StallOnFullRing(client_env, client);
-    }
-    ch.RingPush(client_env, arg0);
-  }
-  if (Recording()) {
-    h_ring_occupancy_->Record(occupancy);
-  }
-  ++stats_.ring_doorbells;
+  const std::uint64_t occupancy = PushEntry(client_env, client, arg0);
   if (eager_drain_at_ > 0 && occupancy + 1 >= eager_drain_at_) {
     // The spinning server notices the filling ring and drains it in the
-    // background on its own clock -- the client walks away after the push.
-    // A bulk-lane client's eager window is admitted in lane quanta
-    // (EagerCap); correctness does not need a full drain here, the ring-full
-    // stall is still the backstop.
-    Core& server = machine_->core(server_core_);
-    server.AdvanceTo(client_env.now());
-    Env server_env = ServerEnv();
-    server_env.Work(poll_work_);
-    DrainRing(server_env, client, EagerCap(client));
-    if (post_drain_hook_) {
-      post_drain_hook_(server_env);
-    }
+    // background -- the client walks away after the push. A bulk-lane
+    // client's eager window is admitted in lane quanta (EagerCap);
+    // correctness does not need a full drain here, the ring-full stall is
+    // still the backstop.
+    Kick(client_env, client, EagerCap(client));
   }
 }
 
-void OffloadEngine::AsyncRequestBatch(Env& client_env, const std::uint64_t* addrs,
-                                      std::uint32_t n) {
+std::uint32_t OffloadEngine::StageFree(Env& client_env, std::uint64_t addr,
+                                       std::uint32_t batch) {
   assert(server_ != nullptr);
-  NGX_CHECK(n > 0 && n <= channels_[0].ring_capacity(),
-            "async batch cannot exceed the ring capacity");
+  assert((addr & ~kRingArgMask) == 0 && "a staged free is a raw (tag 0) address");
+  NGX_CHECK(batch > 0 && batch <= channels_[0].ring_capacity(),
+            "a staged free batch must fit in one ring");
   const int client = client_env.core_id();
+  ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
+  // The slot past the staged run must be free. A full ring stalls on the
+  // published entries; the staged ones (at most batch - 1) always fit after
+  // that drain.
+  CachedPushReserve(client_env, client, pc.staged + 1);
+  channels_[client].RingStore(client_env, pc.head + pc.staged, addr);
+  ++pc.staged;
+  ++stats_.staged_frees;
+  return pc.staged == batch ? PublishStaged(client_env) : 0;
+}
+
+std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
+  const int client = client_env.core_id();
+  ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
+  const std::uint32_t n = pc.staged;
+  if (n == 0) {
+    return 0;
+  }
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, n);
   }
   Channel& ch = channels_[client];
-  std::uint64_t occupancy;
-  if (producer_cache_) {
-    CachedPushReserve(client_env, client, n);
-    ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-    occupancy = pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff);
-    ch.RingPushAt(client_env, pc.head, addrs, n);
-    pc.head += n;
-  } else {
-    const std::uint64_t space = ch.RingSpace(client_env);
-    occupancy = ch.ring_capacity() - space;
-    if (space < n) {
-      // A stall fully drains this client's ring, so one round always frees
-      // enough slots (n <= capacity).
-      StallOnFullRing(client_env, client);
-    }
-    ch.RingPushN(client_env, addrs, n);
-  }
   if (Recording()) {
-    h_ring_occupancy_->Record(occupancy);
+    h_ring_occupancy_->Record(
+        pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff));
+    h_free_batch_->Record(n);
   }
+  pc.head += n;
+  pc.staged = 0;
+  ch.RingPublish(client_env, pc.head);
   ++stats_.ring_doorbells;
-  if (eager_drain_at_ > 0 && occupancy + n >= eager_drain_at_) {
-    Core& server = machine_->core(server_core_);
-    server.AdvanceTo(client_env.now());
-    Env server_env = ServerEnv();
-    server_env.Work(poll_work_);
-    // Bulk-lane batches are the QoS lanes' reason to exist: unbounded, this
-    // drain runs the shared server clock ahead by the whole batch right
-    // before a latency tenant's next sync request.
-    DrainRing(server_env, client, EagerCap(client));
-    if (post_drain_hook_) {
-      post_drain_hook_(server_env);
-    }
-  }
+  ++stats_.free_batches;
+  stats_.async_enqueued += n;
+  // The doorbell kicks the drain: the batch is served in the server's next
+  // poll window instead of waiting for this client's next sync request, so
+  // the ring never fills between them.
+  Kick(client_env, client, EagerCap(client));
+  return n;
 }
 
 std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
@@ -375,48 +393,19 @@ std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, 1);
   }
-  Channel& ch = channels_[client];
-  std::uint64_t occupancy;
-  if (producer_cache_) {
-    occupancy = CachedPushReserve(client_env, client, 1);
-    ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-    const std::uint64_t entry = RingEntryWord(op, arg);
-    ch.RingPushAt(client_env, pc.head, &entry, 1);
-    ++pc.head;
-  } else {
-    const std::uint64_t space = ch.RingSpace(client_env);
-    occupancy = ch.ring_capacity() - space;
-    if (space == 0) {
-      StallOnFullRing(client_env, client);
-    }
-    ch.RingPush(client_env, RingEntryWord(op, arg));
-  }
-  if (Recording()) {
-    h_ring_occupancy_->Record(occupancy);
-  }
-  ++stats_.ring_doorbells;
-  // The kick: the server consumes the doorbell in its drain window on its
-  // own clock. Service starts no earlier than the doorbell store, but the
-  // client is NOT advanced to the server's finish -- the whole service
-  // overlaps with the client's subsequent work, which is the point of the
-  // stash pipeline.
-  Core& server = machine_->core(server_core_);
-  server.AdvanceTo(client_env.now());
-  Env server_env = ServerEnv();
-  const std::uint64_t kick0 = server_env.now();
-  server_env.Work(poll_work_);
-  DrainRing(server_env, client);
-  if (post_drain_hook_) {
-    post_drain_hook_(server_env);
-  }
+  PushEntry(client_env, client, RingEntryWord(op, arg));
+  // The kick: the whole service overlaps with the client's subsequent work,
+  // which is the point of the stash pipeline.
+  const std::uint64_t kick0 =
+      std::max(machine_->core(server_core_).now(), client_env.now());
+  std::uint64_t ready = Kick(client_env, client, 0);
   // Priority admission, same rule as SyncRequest: a latency tenant's kicked
   // refill is served against the shadow no-bulk schedule, so its stash half
   // is ready without standing behind a throughput tenant's deferred
   // backlog. Normal-lane windows advance the shadow without observing it.
-  std::uint64_t ready = server_env.now();
   if (lane_quantum_ > 0 &&
       lanes_[static_cast<std::size_t>(client)] != QosLane::kBulk) {
-    const std::uint64_t window = server_env.now() - kick0;
+    const std::uint64_t window = ready - kick0;
     shadow_now_ =
         std::min(std::max(shadow_now_, client_env.now()) + window, ready);
     if (lanes_[static_cast<std::size_t>(client)] == QosLane::kLatency) {
@@ -436,22 +425,15 @@ void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
       tel.tracer().Instant("ring_full", client, client_env.now());
     }
   }
-  Core& server = machine_->core(server_core_);
-  server.AdvanceTo(client_env.now());
-  Env server_env = ServerEnv();
-  server_env.Work(poll_work_);
-  DrainRing(server_env, client);
-  if (post_drain_hook_) {
-    post_drain_hook_(server_env);
-  }
+  const std::uint64_t done = Kick(client_env, client, 0);
   if (FlightRecorder* rec = Recorder()) {
     // The backpressure cost the client is about to pay: its clock jump to
     // the drain's finish.
-    if (rec->InClientOp(client) && server_env.now() > client_env.now()) {
-      rec->AddCycles(FlightRecorder::kRingWait, server_env.now() - client_env.now());
+    if (rec->InClientOp(client) && done > client_env.now()) {
+      rec->AddCycles(FlightRecorder::kRingWait, done - client_env.now());
     }
   }
-  machine_->core(client).AdvanceTo(server_env.now());
+  machine_->core(client).AdvanceTo(done);
 }
 
 void OffloadEngine::DrainAll() {

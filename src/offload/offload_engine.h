@@ -5,9 +5,9 @@
 // request starts service at max(server-free-time, client-send-time); the
 // client then waits until the response is published. Async frees ride a
 // per-client ring and are drained whenever the server runs (before each sync
-// request and on explicit Drain), so clients only stall on a full ring.
-// Queueing among multiple clients emerges from the shared server clock
-// (Section 3.1.1's granularity concern made concrete).
+// request, on a doorbell kick and on explicit Drain), so clients only stall
+// on a full ring. Queueing among multiple clients emerges from the shared
+// server clock (Section 3.1.1's granularity concern made concrete).
 #ifndef NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 #define NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 
@@ -36,9 +36,16 @@ struct OffloadEngineStats {
   std::uint64_t async_ops = 0;
   std::uint64_t ring_full_stalls = 0;
   std::uint64_t server_busy_waits = 0;  // requests that queued behind the server
-  // Release-stores of a ring head (one per RingPush / per RingPushN batch):
+  // Release-stores of a ring head (one per push / per published free batch):
   // the cache-line transfers batched frees exist to amortize.
   std::uint64_t ring_doorbells = 0;
+  // Entries made visible on the rings (a staged free counts when its batch
+  // publishes); async_enqueued - async_ops is the undrained backlog.
+  std::uint64_t async_enqueued = 0;
+  // Batched remote frees (StageFree): entries staged, and the batches that
+  // published them -- one doorbell each.
+  std::uint64_t staged_frees = 0;
+  std::uint64_t free_batches = 0;
   // Tagged kRefillStash entries served out of drained rings (the stash
   // pipeline's background refills; a subset of async_ops).
   std::uint64_t refill_ops = 0;
@@ -66,9 +73,19 @@ class OffloadEngine {
   // Fire-and-forget (used for free). Stalls only when the ring is full.
   void AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0);
 
-  // Batched fire-and-forget frees: all entries ride one ring doorbell
-  // (RingPushN). Stalls like AsyncRequest when the ring lacks space.
-  void AsyncRequestBatch(Env& client_env, const std::uint64_t* addrs, std::uint32_t n);
+  // Batched fire-and-forget free (DESIGN.md §7): stores `addr` straight into
+  // the next slot of the client's ring, past its register-held head, without
+  // publishing it. The `batch`-th staged entry publishes the batch
+  // (PublishStaged). Stalls like AsyncRequest only when the slot is still
+  // occupied. Returns the entries this call published (0 or `batch`).
+  std::uint32_t StageFree(Env& client_env, std::uint64_t addr, std::uint32_t batch);
+
+  // Publishes the client's staged frees with one head release-store (one
+  // doorbell) and kicks the server's background drain on its own clock: the
+  // client never waits, and a bulk-lane drain stays bounded by the lane
+  // quantum. Every other push to the ring publishes first, so ring order is
+  // program order. Returns the entries published (0 = nothing staged).
+  std::uint32_t PublishStaged(Env& client_env);
 
   // Non-blocking tagged request (the stash pipeline's kRefillStash): pushes
   // one tagged entry on the client's ring, then serves the ring in the
@@ -162,6 +179,14 @@ class OffloadEngine {
                ? lane_quantum_
                : 0;
   }
+  // The spinning server notices a doorbell and drains `client`'s ring in
+  // its poll loop on its OWN clock: service starts no earlier than the
+  // doorbell store and the client is not advanced to the finish.
+  // max_entries as in DrainRing. Returns the server clock after the window.
+  std::uint64_t Kick(Env& client_env, int client, std::uint32_t max_entries);
+  // Pushes one entry (publishing any staged frees first), stalling while the
+  // ring is full. Returns the true ring occupancy the push found.
+  std::uint64_t PushEntry(Env& client_env, int client, std::uint64_t entry);
   // Ring-full backpressure: runs the server's drain for `client` and syncs
   // the client clock to it.
   void StallOnFullRing(Env& client_env, int client);
@@ -183,13 +208,16 @@ class OffloadEngine {
     return tel.recording() ? &tel.recorder() : nullptr;
   }
 
-  // Per-client producer registers (host-side mirrors of simulated state; see
-  // set_producer_index_cache). `head` shadows the value the client last
-  // release-stored; `cached_tail` lags the server's true tail, which is safe
-  // because a stale tail only UNDER-estimates free space, never over.
+  // Per-client producer registers (host-side mirrors of simulated state).
+  // `head` shadows the value the client last release-stored, whatever the
+  // push path; `cached_tail` lags the server's true tail, which is safe
+  // because a stale tail only UNDER-estimates free space, never over (the
+  // index-cache pushes and StageFree consult it); `staged` counts entries
+  // stored past `head` and not yet published.
   struct ProducerIndexCache {
     std::uint64_t head = 0;
     std::uint64_t cached_tail = 0;
+    std::uint32_t staged = 0;
   };
   // Space check + stale-tail refresh + stall for an n-entry cached push;
   // returns the pre-push ring occupancy from the producer's view.
@@ -245,6 +273,7 @@ class OffloadEngine {
   Histogram* h_queue_wait_ = nullptr;
   Histogram* h_drain_batch_ = nullptr;
   Histogram* h_ring_occupancy_ = nullptr;
+  Histogram* h_free_batch_ = nullptr;  // entries per published free batch
   Counter* c_sync_requests_ = nullptr;
   Counter* c_async_ops_ = nullptr;
   Counter* c_ring_full_ = nullptr;

@@ -26,7 +26,6 @@ OffloadFabric::OffloadFabric(Machine& machine, std::vector<int> server_cores,
         machine, server_cores_[s], channel_base + shard_stride * s, ring_capacity));
     engines_.back()->set_shard_id(static_cast<int>(s));
   }
-  async_enqueued_.assign(engines_.size(), 0);
   loads_.resize(engines_.size());
   states_.assign(engines_.size(), ShardState::kActive);
   pinned_home_.assign(static_cast<std::size_t>(machine.num_cores()), -1);
@@ -111,23 +110,29 @@ std::uint64_t OffloadFabric::SyncRequest(Env& client_env, int s, OffloadOp op,
 }
 
 void OffloadFabric::AsyncRequest(Env& client_env, int s, OffloadOp op, std::uint64_t arg) {
-  ++async_enqueued_[static_cast<std::size_t>(s)];
   NoteEpochOp(client_env.core_id(), s);
   shard(s).AsyncRequest(client_env, op, arg);
   RecordQueueDepth(client_env, s);
 }
 
-void OffloadFabric::AsyncRequestBatch(Env& client_env, int s, const std::uint64_t* addrs,
-                                      std::uint32_t n) {
-  async_enqueued_[static_cast<std::size_t>(s)] += n;
-  NoteEpochOp(client_env.core_id(), s, n);
-  shard(s).AsyncRequestBatch(client_env, addrs, n);
-  RecordQueueDepth(client_env, s);
+void OffloadFabric::StageFree(Env& client_env, int s, std::uint64_t addr,
+                              std::uint32_t batch) {
+  // The epoch matrix counts the free when it is issued; the queue depth
+  // sees it once its batch publishes.
+  NoteEpochOp(client_env.core_id(), s);
+  if (shard(s).StageFree(client_env, addr, batch) > 0) {
+    RecordQueueDepth(client_env, s);
+  }
+}
+
+void OffloadFabric::PublishStaged(Env& client_env, int s) {
+  if (shard(s).PublishStaged(client_env) > 0) {
+    RecordQueueDepth(client_env, s);
+  }
 }
 
 std::uint64_t OffloadFabric::AsyncRequestKicked(Env& client_env, int s, OffloadOp op,
                                                 std::uint64_t arg) {
-  ++async_enqueued_[static_cast<std::size_t>(s)];
   NoteEpochOp(client_env.core_id(), s);
   const std::uint64_t t = shard(s).AsyncRequestKicked(client_env, op, arg);
   RecordQueueDepth(client_env, s);
@@ -168,6 +173,9 @@ OffloadEngineStats OffloadFabric::TotalStats() const {
     total.ring_full_stalls += e->stats().ring_full_stalls;
     total.server_busy_waits += e->stats().server_busy_waits;
     total.ring_doorbells += e->stats().ring_doorbells;
+    total.async_enqueued += e->stats().async_enqueued;
+    total.staged_frees += e->stats().staged_frees;
+    total.free_batches += e->stats().free_batches;
     total.refill_ops += e->stats().refill_ops;
     total.carve_cycles += e->stats().carve_cycles;
   }

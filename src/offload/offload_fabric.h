@@ -152,9 +152,11 @@ class OffloadFabric {
   std::uint64_t SyncRequest(Env& client_env, int s, OffloadOp op, std::uint64_t arg);
   void AsyncRequest(Env& client_env, int s, OffloadOp op, std::uint64_t arg);
 
-  // Batched frees to shard s: all entries share one ring doorbell.
-  void AsyncRequestBatch(Env& client_env, int s, const std::uint64_t* addrs,
-                         std::uint32_t n);
+  // Batched frees to shard s (OffloadEngine::StageFree / PublishStaged):
+  // entries are stored straight into the ring, every `batch`-th publishes
+  // the batch with one doorbell that kicks the shard's background drain.
+  void StageFree(Env& client_env, int s, std::uint64_t addr, std::uint32_t batch);
+  void PublishStaged(Env& client_env, int s);
 
   // Non-blocking tagged op to shard s, served eagerly in the shard's drain
   // window on its own clock (the stash pipeline's kRefillStash; see
@@ -166,15 +168,13 @@ class OffloadFabric {
   // Drains every client ring of every shard on the shards' server cores.
   void DrainAll();
 
-  // Async entries enqueued to shard s and not yet drained (the LeastLoaded
-  // policy's queue-depth signal). Clamped at zero: drains can process entries
-  // this counter never saw (e.g. pushed straight on the engine), and the
-  // unsigned subtraction would otherwise underflow into a huge depth that
-  // permanently repels least_loaded routing from the shard.
+  // Async entries published to shard s and not yet drained (the LeastLoaded
+  // policy's queue-depth signal). Both counts are the engine's own, so
+  // entries pushed straight on the engine are seen too; staged frees count
+  // once their batch publishes.
   std::uint64_t QueueDepth(int s) const {
-    const std::uint64_t enqueued = async_enqueued_[static_cast<std::size_t>(s)];
-    const std::uint64_t drained = shard(s).stats().async_ops;
-    return enqueued > drained ? enqueued - drained : 0;
+    const OffloadEngineStats& st = shard(s).stats();
+    return st.async_enqueued - st.async_ops;
   }
 
   // Load signal RouteMalloc actually hands to the policy: QueueDepth decayed
@@ -206,17 +206,16 @@ class OffloadFabric {
   void RecordQueueDepth(Env& client_env, int s);
 
   // Counts one epoch op for (client, s) when tracking is enabled.
-  void NoteEpochOp(int client, int s, std::uint64_t n = 1) {
+  void NoteEpochOp(int client, int s) {
     if (!epoch_tracking_) return;
-    epoch_ops_[static_cast<std::size_t>(client) * engines_.size() +
-               static_cast<std::size_t>(s)] += n;
+    ++epoch_ops_[static_cast<std::size_t>(client) * engines_.size() +
+                 static_cast<std::size_t>(s)];
   }
 
   Machine* machine_;
   std::vector<int> server_cores_;
   std::vector<std::unique_ptr<OffloadEngine>> engines_;
   std::unique_ptr<RoutingPolicy> routing_;
-  std::vector<std::uint64_t> async_enqueued_;  // per shard
   std::vector<ShardLoad> loads_;               // scratch for RouteMalloc
   std::vector<ShardState> states_;             // per-shard lifecycle
   std::vector<int> pinned_home_;               // per-client pin (-1 = policy)

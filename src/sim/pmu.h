@@ -18,7 +18,7 @@ namespace ngx {
 enum class TlbRegion : std::uint8_t {
   kHeap = 0,     // span/large data windows (kNgxHeapBase)
   kMetadata,     // heap side tables + stash lines (kNgxMetaBase)
-  kFreeBuf,      // remote-free batch buffers (kNgxFreeBufBase)
+  kFreeBuf,      // kNgxFreeBufBase (unmapped; batched frees stage in rings)
   kChannel,      // offload mailboxes/rings (kChannelBase)
   kOther,        // workload buffers and everything unmapped by the fabric
 };

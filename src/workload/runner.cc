@@ -71,7 +71,7 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
           m.HistogramTotal("offload.sync_latency", {{"shard", std::to_string(s)}});
       result.shard_sync_latency.push_back(h.Summary());
     }
-    result.free_flush_occupancy = m.HistogramTotal("ngx.free_flush_occupancy", {}).Summary();
+    result.free_flush_occupancy = m.HistogramTotal("offload.free_batch", {}).Summary();
     result.donated_spans = m.CounterTotal("ngx.donated_spans", {});
     result.rebalance_moves = m.CounterTotal("ngx.rebalance_moves", {});
     result.returned_spans = m.CounterTotal("ngx.returned_spans", {});

@@ -37,7 +37,7 @@ struct RunResult {
   std::vector<std::string> tenant_names;
   std::vector<HistogramSummary> tenant_sync_latency;
   // Elastic-fabric digests (telemetry-enabled runs only, like
-  // shard_sync_latency): entries per batched remote-free flush, and the
+  // shard_sync_latency): entries per published remote-free batch, and the
   // total spans donated between shards.
   HistogramSummary free_flush_occupancy;
   std::uint64_t donated_spans = 0;

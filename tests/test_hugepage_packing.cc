@@ -257,13 +257,13 @@ TEST(HugepageMetadata, KnobFlipsFabricRegionsToHugePages) {
     auto machine = MakeMachine(3);
     NgxConfig cfg = NgxConfig::PaperPrototype();
     cfg.prediction = true;  // maps the stash window too
-    cfg.free_batch = 8;     // maps the free-batch buffers
+    cfg.free_batch = 8;     // staged frees live on the channel lines
     cfg.hugepage_metadata = on;
     auto sys = MakeNgxSystem(*machine, cfg, /*first_server_core=*/2);
     const std::uint64_t expect = on ? kHugePageBytes : kSmallPageBytes;
     const AddressMap& map = machine->address_map();
     EXPECT_EQ(map.PageBytesFor(kChannelBase), expect) << "channel block";
-    EXPECT_EQ(map.PageBytesFor(kNgxFreeBufBase), expect) << "free-batch buffers";
+    EXPECT_EQ(map.Find(kNgxFreeBufBase), nullptr) << "batched frees map no buffer region";
     EXPECT_EQ(map.PageBytesFor(kNgxMetaBase), expect) << "heap side tables";
     EXPECT_EQ(map.PageBytesFor(kNgxMetaBase + kHeapWindow), expect) << "stash lines";
   }

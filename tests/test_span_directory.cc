@@ -1,7 +1,7 @@
 // Elastic heap fabric tests: span-directory bookkeeping, the kDonateSpan
 // protocol end to end (ownership transfer, frees routed mid-donation),
-// batched remote-free flushes, and the NGX_CHECK death tests that guard
-// double donation.
+// batched remote frees staged in the ring, and the NGX_CHECK death tests
+// that guard double donation.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -172,8 +172,9 @@ TEST(BatchedFrees, FlushOnTeardownLosesNoFrees) {
   for (const Addr a : blocks) {
     sys.allocator->Free(env, a);
   }
-  // 5 frees sit in the client-side buffer: nothing has reached the ring.
+  // 5 frees are staged past the ring head: none is visible to the server.
   EXPECT_EQ(sys.fabric->TotalStats().async_ops, 0u);
+  EXPECT_EQ(sys.fabric->TotalStats().ring_doorbells, 0u);
   EXPECT_EQ(sys.allocator->buffered_frees(), 5u);
   sys.allocator->Flush(env);
   sys.fabric->DrainAll();
@@ -207,8 +208,103 @@ TEST(BatchedFrees, OneDoorbellPerBatch) {
   EXPECT_EQ(unbatched.async_ops, batched.async_ops) << "same entries, fewer doorbells";
 }
 
-// The clamp keeps least_loaded routing sane when drains outrun the fabric's
-// own enqueue counter (entries pushed straight on an engine).
+// xmalloc's pattern: a client frees only to a shard it never mallocs from,
+// so no sync request of its own ever drains that ring. Each doorbell kicks
+// the shard's drain instead, so the ring never fills.
+TEST(BatchedFrees, ForeignShardFreesNeverStallOnTheRing) {
+  auto machine = MakeMachine(4);  // clients 0-1, shards on cores 2-3
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.free_batch = 8;
+  auto sys = MakeNgxSystem(*machine, cfg);
+  Env producer(*machine, 1);  // static_by_client: client 1 -> shard 1
+  Env consumer(*machine, 0);  // client 0 mallocs from shard 0 only
+  constexpr std::uint64_t kFrees = 512;  // eight times the 64-entry ring
+  std::vector<Addr> blocks;
+  for (std::uint64_t i = 0; i < kFrees; ++i) {
+    blocks.push_back(sys.allocator->Malloc(producer, 256));
+    ASSERT_EQ(sys.allocator->ShardOfAddr(blocks.back()), 1);
+  }
+  for (const Addr a : blocks) {
+    sys.allocator->Free(consumer, a);
+  }
+  const OffloadEngineStats& st = sys.fabric->shard_stats(1);
+  EXPECT_EQ(sys.fabric->TotalStats().ring_full_stalls, 0u);
+  EXPECT_EQ(st.ring_doorbells, kFrees / 8);
+  EXPECT_EQ(sys.allocator->free_flushes(), kFrees / 8);
+  EXPECT_EQ(sys.allocator->buffered_frees(), kFrees);
+  EXPECT_EQ(st.async_enqueued, kFrees);
+  EXPECT_EQ(st.async_ops, kFrees) << "every published entry drained before teardown";
+  sys.allocator->Flush(consumer);
+  sys.allocator->Flush(producer);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->stats().frees, kFrees);
+  EXPECT_EQ(sys.allocator->stats().bytes_live, 0u);
+}
+
+// Staged frees sit in the very ring slots past the head that any other push
+// from the same client would write. A kRefillStash kick, an unbatched free
+// and a mid-batch Flush must each publish the staged run first; otherwise
+// their entry overwrites a staged free and that block is lost.
+TEST(BatchedFrees, OtherPushesPublishTheStagedBatchFirst) {
+  auto machine = MakeMachine(2);
+  NgxConfig cfg;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  TenantSpec batched;
+  batched.name = "batched";
+  batched.traits.free_batch = 8;
+  batched.cores = {0};
+  cfg.tenants = {batched};
+  auto sys = MakeNgxSystem(*machine, cfg);
+  NgxAllocator& alloc = *sys.allocator;
+  Env env(*machine, 0);
+  // Blocks above the stash's largest class bypass it: each free is staged.
+  std::vector<Addr> large;
+  for (int i = 0; i < 12; ++i) {
+    large.push_back(alloc.Malloc(env, 40 * 1024));
+    ASSERT_NE(large.back(), kNullAddr);
+  }
+  const auto stage = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      alloc.Free(env, large.back());
+      large.pop_back();
+    }
+  };
+
+  stage(3);
+  EXPECT_EQ(alloc.free_flushes(), 0u);
+  std::vector<Addr> small;
+  while (alloc.stash_refills() == 0 && small.size() < 256) {
+    small.push_back(alloc.Malloc(env, 64));
+  }
+  ASSERT_GT(alloc.stash_refills(), 0u) << "the small-block stream must post a refill";
+  EXPECT_EQ(alloc.free_flushes(), 1u) << "the refill kick publishes the staged run first";
+
+  stage(2);
+  sys.fabric->AsyncRequest(env, 0, OffloadOp::kFree, large.back());
+  large.pop_back();
+  EXPECT_EQ(alloc.free_flushes(), 2u) << "an unbatched free publishes the staged run first";
+
+  stage(5);
+  for (const Addr a : small) {
+    alloc.Free(env, a);  // refills the stash, so Flush has blocks to return
+  }
+  alloc.Flush(env);
+  EXPECT_EQ(alloc.free_flushes(), 3u) << "Flush publishes one partial batch";
+  stage(1);
+  alloc.Flush(env);
+  sys.fabric->DrainAll();
+  const OffloadEngineStats st = sys.fabric->TotalStats();
+  EXPECT_EQ(st.async_ops, st.async_enqueued);
+  EXPECT_EQ(alloc.buffered_frees(), 11u);
+  const AllocatorStats books = alloc.stats();
+  EXPECT_EQ(books.frees, books.mallocs) << "a staged free was overwritten";
+  EXPECT_EQ(books.bytes_live, 0u);
+}
+
+// Queue depth is the engine's own published-minus-drained count, so entries
+// pushed straight on an engine (bypassing the fabric) drain back to zero.
 TEST(FabricQueueDepth, ClampsAtZeroWhenDrainsOutrunEnqueues) {
   auto machine = MakeMachine(3);
   NgxConfig cfg;
@@ -217,8 +313,8 @@ TEST(FabricQueueDepth, ClampsAtZeroWhenDrainsOutrunEnqueues) {
   Env env(*machine, 0);
   const Addr a = sys.allocator->Malloc(env, 256);
   ASSERT_NE(a, kNullAddr);
-  // Push the free on the owning engine directly, bypassing the fabric's
-  // async_enqueued_ counter, then drain: async_ops now exceeds it.
+  // Push the free on the owning engine directly, bypassing the fabric, then
+  // drain.
   const int shard = sys.allocator->ShardOfAddr(a);
   sys.fabric->shard(shard).AsyncRequest(env, OffloadOp::kFree, a);
   sys.fabric->DrainAll();
