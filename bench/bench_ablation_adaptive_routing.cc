@@ -13,7 +13,7 @@
 // observed epoch traffic (isolating the hot tenants), re-packs with
 // hysteresis when the skew flips (client moves), and the epoch controller
 // parks shards whose op rate falls below break-even -- during the valley the
-// fleet shrinks toward fleet_min and the parked cores' cycles are the
+// fleet shrinks toward one active shard and the parked cores' cycles are the
 // measured §3.1.1 dividend.
 #include "bench/bench_common.h"
 
@@ -191,7 +191,6 @@ CasePoint RunCase(BenchCli& cli, Variant v) {
       // the hot fleet settles at {hot, hot, cold-pair} and the valley
       // shrinks further.
       cfg.park_threshold_ops = 100;
-      cfg.fleet_min_shards = 1;
       // Own-ring backlog at the ring capacity wakes a parked shard; the
       // steady free sawtooth below that never does.
       cfg.wake_queue_depth = 64;

@@ -28,7 +28,7 @@ LayoutE2E RunCase(BenchCli& cli, bool segregated) {
   Machine machine(MachineConfig::ScaledWorkstation(2));
   cli.EnableTelemetry(machine, /*allow_trace=*/segregated);
   NgxConfig cfg;
-  cfg.segregated_metadata = segregated;
+  cfg.heap_kind = segregated ? HeapKind::kSegregated : HeapKind::kAggregated;
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 6;

@@ -284,7 +284,7 @@ FabricPoint RunFabric(BenchCli& cli, HeapKind kind, bool donation_churn) {
   out.donated_spans = r.donated_spans;
   out.slab_reuses = r.slab_reuses;
   out.fresh_slab_carves = r.fresh_slab_carves;
-  out.books_balance = a.mallocs - a.oom_failures == a.frees && a.bytes_live == 0;
+  out.books_balance = a.mallocs == a.frees && a.bytes_live == 0;
   return out;
 }
 

@@ -141,8 +141,7 @@ NgxConfig QosConfig(bool lanes_on) {
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.num_shards = kShards;
   cfg.hugepage_spans = false;
-  cfg.qos_lanes = lanes_on;
-  cfg.lane_quantum = kLaneQuantum;
+  cfg.lane_quantum = lanes_on ? kLaneQuantum : 0;
 
   TenantSpec frontend;
   frontend.name = "frontend";

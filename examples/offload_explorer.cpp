@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--keep-atomics") {
       cfg.remove_atomics = false;
     } else if (arg == "--aggregated") {
-      cfg.segregated_metadata = false;
+      cfg.heap_kind = HeapKind::kAggregated;
     } else if (arg == "--predict") {
       cfg.prediction = true;
     } else if (arg.rfind("--workload=", 0) == 0) {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "workload=" << workload->name() << " server-core=" << core_type
-            << " async_free=" << cfg.async_free << " segregated=" << cfg.segregated_metadata
+            << " async_free=" << cfg.async_free << " heap_kind=" << HeapKindName(cfg.heap_kind)
             << " atomics_removed=" << cfg.remove_atomics << " prediction=" << cfg.prediction
             << "\n\n";
 

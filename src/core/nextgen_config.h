@@ -1,7 +1,7 @@
 // Configuration knobs for NextGen-Malloc, matching the paper's research
 // questions one for one:
 //  * offload / server core type  -> Sections 3.1.1, 3.2
-//  * metadata layout             -> Section 3.1.2 (Figure 2)
+//  * heap_kind (metadata layout) -> Section 3.1.2 (Figure 2)
 //  * remove_atomics              -> Section 3.1.3
 //  * async_free                  -> Section 3.1.2 ("free is not on the
 //                                   critical path and can run asynchronously")
@@ -31,6 +31,10 @@ enum class PlacementKind {
   kPerCluster,
 };
 
+// Async ring slots per (client, shard) channel MakeNgxSystem builds; a
+// free_batch (global or per tenant) must fit in one ring.
+inline constexpr std::uint32_t kNgxRingCapacity = 64;
+
 struct NgxConfig {
   // Run malloc/free on a dedicated core via the offload engine. When false,
   // the allocator runs inline on the application cores (MMT-style ablation).
@@ -47,15 +51,11 @@ struct NgxConfig {
   // Frees ride the fire-and-forget ring instead of a round trip.
   bool async_free = true;
 
-  // Segregated metadata (16-bit side indices) vs aggregated (intrusive
-  // next pointers in the blocks themselves).
-  bool segregated_metadata = true;
-
   // Which carve path backs each shard's server heap (ServerHeapConfig::
-  // heap_kind). segregated_metadata = false forces kAggregated for the
-  // Figure-2 ablation regardless of this knob; with it true (the default)
-  // kSegment selects the segment + slab rewrite (DESIGN.md §10) and
-  // kSegregated keeps the historical per-class stacks bit-identical.
+  // heap_kind), and with it the metadata layout: Figure 2's segregated
+  // layout (kSegregated, 16-bit side indices, the default) or its
+  // aggregated one (kAggregated, intrusive next pointers in the blocks
+  // themselves), or the segment + slab rewrite (kSegment, DESIGN.md §10).
   HeapKind heap_kind = HeapKind::kSegregated;
 
   // Segment heap only (heap_kind = kSegment): fully-recycled segments kept
@@ -109,35 +109,34 @@ struct NgxConfig {
   bool stash_pipeline = false;
   std::uint32_t stash_refill_mark = 4;
 
-  // Periodic watermark timer (DESIGN.md §8): when > 0 (and span_low_mark is
-  // set), every shard's WatermarkTick also fires each time its server core's
-  // clock advances this many cycles, so a starved shard on a busy machine
-  // rebalances even when the scheduler's idle-hook window never opens
-  // (idle hooks only fire for cores behind the global minimum clock).
-  // 0 = idle/post-drain hooks only (the historical behavior, bit-identical).
-  std::uint64_t watermark_timer_cycles = 0;
-
-  std::uint32_t ring_capacity = 64;
+  // Periodic watermark timer (DESIGN.md §8): with span_low_mark set, every
+  // shard's WatermarkTick fires each time virtual time passes another period
+  // of this many cycles on its server core -- the tick path of quiet shards,
+  // which have no drains to hook -- so a shard's background rebalancing
+  // waits at most one period. Must be nonzero when span_low_mark is.
+  std::uint64_t watermark_timer_cycles = 50000;
 
   // Elastic heap fabric (span-granular ownership; see DESIGN.md §7).
   // Remote frees per ring doorbell: each free is stored straight into its
   // (client, shard) ring and every `free_batch`-th publishes the batch with
   // one head release-store, which kicks the shard's background drain. 1 =
   // the unbatched path, one doorbell per free and no kick. Must not exceed
-  // ring_capacity.
+  // kNgxRingCapacity.
   std::uint32_t free_batch = 1;
   // A shard whose partition runs dry requests whole free spans from the
   // donor with the most free spans via OffloadOp::kDonateSpan (needs
   // offload and num_shards > 1 to do anything).
   bool span_donation = false;
   // Proactive watermark rebalancing (DESIGN.md §8): each shard checks its
-  // free-span count during drain idle time. Below span_low_mark it pulls a
-  // refill from the best-stocked donor (OffloadOp::kRequestSpans); above
-  // span_high_mark it first returns fully-recycled away spans to their home
-  // shard (kReturnSpan) and otherwise offers surplus to a shard sitting
-  // below its low mark (kOfferSpans). 0 = disabled (donation stays purely
-  // reactive and the sim is bit-identical to span_low_mark-less builds).
-  // Requires span_donation; span_high_mark must exceed span_low_mark.
+  // free-span count after every drain and on every watermark timer tick.
+  // Below span_low_mark it pulls a refill from the best-stocked donor
+  // (OffloadOp::kRequestSpans); above span_high_mark it first returns
+  // fully-recycled away spans to their home shard (kReturnSpan) and
+  // otherwise offers surplus to a shard sitting below its low mark
+  // (kOfferSpans). 0 = disabled (donation stays purely reactive and the sim
+  // is bit-identical to span_low_mark-less builds). Requires span_donation
+  // and a nonzero watermark_timer_cycles; span_high_mark must exceed
+  // span_low_mark.
   std::uint64_t span_low_mark = 0;
   std::uint64_t span_high_mark = 0;
   // Adaptive traffic-matrix routing + elastic allocator-core fleet
@@ -158,13 +157,9 @@ struct NgxConfig {
   // tick mechanism as watermark_timer_cycles). Ignored unless
   // adaptive_routing is set.
   std::uint64_t epoch_cycles = 100000;
-  // Fleet size bounds: the controller never parks below fleet_min_shards
-  // active shards and treats fleet_max_shards (0 = num_shards) as the cap of
-  // simultaneously active shards, parking the coldest extras.
-  int fleet_min_shards = 1;
-  int fleet_max_shards = 0;
-  // Break-even threshold: park an active shard whose closing-epoch op count
-  // is below this (0 = never park; routing still adapts).
+  // Break-even threshold: at each epoch close, park the coldest active
+  // shard whose op count is below this -- at most one per epoch, and never
+  // the last active shard (0 = never park; routing still adapts).
   std::uint64_t park_threshold_ops = 0;
   // Queue-depth pressure that wakes the lowest-id parked shard: either a
   // parked shard's own backlog or the busiest active shard's depth reaching
@@ -178,14 +173,13 @@ struct NgxConfig {
   // is bit-identical to pre-traits builds; so is a list whose every entry
   // inherits everything.
   std::vector<TenantSpec> tenants;
-  // QoS lanes where tenants meet (DESIGN.md §15): sync-bound drains serve
-  // latency-lane rings first, and a bulk-lane tenant's eager/backpressure
+  // QoS lanes where tenants meet (DESIGN.md §15): when > 0, sync-bound
+  // drains serve latency-lane rings first, and a bulk-lane tenant's eager
   // drains are admitted at most lane_quantum entries per window, bounding
   // how far a free batch can run the server clock ahead of a latency
-  // tenant's next sync request. False = the historical drain-everything
-  // admission, bit-identical whatever the tenant lanes say.
-  bool qos_lanes = false;
-  std::uint32_t lane_quantum = 8;
+  // tenant's next sync request. 0 (the default) = lanes off: the
+  // drain-everything admission, bit-identical whatever the tenant lanes say.
+  std::uint32_t lane_quantum = 0;
 
   // Server-core placement policy used by MakeNgxSystem's placed overload.
   PlacementKind placement = PlacementKind::kContiguous;

@@ -54,10 +54,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   hc.hugepage_metadata = config.hugepage_metadata;
   NGX_CHECK(!config.hugepage_packing || config.hugepage_spans,
             "hugepage_packing packs hugepage spans; enable hugepage_spans");
-  // The Figure-2 bool wins over the finer selector so existing aggregated
-  // ablations keep meaning what they said.
-  heap_kind_ = config.segregated_metadata ? config.heap_kind : HeapKind::kAggregated;
-  hc.heap_kind = heap_kind_;
   hc.empty_segment_retain = config.empty_segment_retain;
   // Section 3.1.3: the dedicated core serializes operations, so the lock can
   // go. Inline (non-offloaded) mode keeps it unless explicitly removed.
@@ -102,6 +98,8 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
             "watermark rebalancing (span_low_mark) requires span_donation");
   NGX_CHECK(config.span_low_mark == 0 || config.span_high_mark > config.span_low_mark,
             "span_high_mark must exceed span_low_mark");
+  NGX_CHECK(config.span_low_mark == 0 || config.watermark_timer_cycles > 0,
+            "watermark rebalancing (span_low_mark) needs watermark_timer_cycles > 0");
   rebalance_ = donation_ && config.span_low_mark > 0;
   // Per-tenant traits (DESIGN.md §15): resolve the tenant list into per-core
   // effective knobs and per-shard carve/watermark contracts before anything
@@ -113,7 +111,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
   for (int s = 0; s < nshards; ++s) {
     // A tenant homed on this shard may have specialized its carve layout
-    // (shard_heap_kind_ equals the global heap_kind_ otherwise).
+    // (shard_heap_kind_ equals config.heap_kind otherwise).
     hc.heap_kind = shard_heap_kind_[static_cast<std::size_t>(s)];
     heaps_.push_back(MakeServerHeap(machine,
                                     kNgxHeapBase + shard_window_ * static_cast<std::uint64_t>(s),
@@ -142,23 +140,26 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
       fabric->set_server(s, shard_servers_.back().get());
     }
   }
-  NGX_CHECK(config.free_batch >= 1 && config.free_batch <= config.ring_capacity,
+  NGX_CHECK(config.free_batch >= 1 && config.free_batch <= kNgxRingCapacity,
             "free_batch must fit in one async ring");
   if (rebalance_) {
-    // Two tick paths into the same guard: the engines' post-drain hooks
-    // cover busy shards (every sync request and DrainAll ends in a tick),
-    // and machine idle hooks cover quiet shards whose cores lag the running
-    // thread -- a shard with no traffic can still pull refills, shed
-    // surplus, and send recycled spans home. Neither is installed when
-    // rebalancing is off, so span_low_mark = 0 stays bit-identical.
+    // Two tick paths into the same guard (DESIGN.md §8). Busy shards tick
+    // from the engines' post-drain hooks: every sync request and DrainAll
+    // ends in a tick. Quiet shards, with no drains to hook, tick from a
+    // periodic per-shard timer, which also reaches a server core whose
+    // clock runs ahead of every client -- so a shard with no traffic still
+    // pulls refills, sheds surplus and sends recycled spans home within one
+    // period. Neither is installed when rebalancing is off, so
+    // span_low_mark = 0 stays bit-identical.
     for (int s = 0; s < nshards; ++s) {
       fabric->set_post_drain_hook(
           s, [this, s](Env& server_env) { WatermarkTick(server_env, s); });
       const int core = fabric->server_cores()[static_cast<std::size_t>(s)];
-      idle_hook_ids_.push_back(machine.AddIdleHook(core, [this, s, core] {
-        Env env(*machine_, core);
-        WatermarkTick(env, s);
-      }));
+      timer_hook_ids_.push_back(
+          machine.AddTimerHook(core, config.watermark_timer_cycles, [this, s, core] {
+            Env env(*machine_, core);
+            WatermarkTick(env, s);
+          }));
     }
   }
   if (config.prediction) {
@@ -178,14 +179,10 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
       // rest of the configured capacity becomes the client-only spill stack
       // behind the halves (see SpillAddr), which holds recycled frees, never
       // server fills, so its depth stretches no refill.
-      pipe_cap_ = std::min<std::uint32_t>(config.stash_capacity, kPipeHalfCap);
-      NGX_CHECK(pipe_cap_ > 0, "pipelined stash needs a nonzero capacity");
-      spill_depth_ = config.stash_capacity > 2 * kPipeHalfCap
-                         ? config.stash_capacity - 2 * kPipeHalfCap
-                         : 0;
+      NGX_CHECK(config.stash_capacity > 0, "pipelined stash needs a nonzero capacity");
       // Logical depths follow each core's tenant; the slot layout below is
-      // sized by the deepest spill stack in the fleet (== spill_depth_ when
-      // no tenant overrides, keeping addresses byte-identical).
+      // sized by the deepest spill stack in the fleet (the global
+      // stash_capacity's when no tenant overrides it).
       std::uint32_t max_spill = 0;
       for (int c = 0; c < machine.num_cores(); ++c) {
         const std::uint32_t cap = core_stash_cap_[static_cast<std::size_t>(c)];
@@ -214,27 +211,11 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // the server's drain windows would shrink to refill kicks only; let the
     // spinning server also pick up a half-full free ring in the background
     // (no client stall) so backpressure stalls stay the rare case.
-    fabric_->set_eager_drain_at(config.ring_capacity / 2);
+    fabric_->set_eager_drain_at(kNgxRingCapacity / 2);
     // Ring pushes keep the producer indices in registers (SPSC idiom): a
     // remote free costs the entry store and the head release-store, not a
     // re-read of the server-written tail line per push.
     fabric_->set_producer_index_cache(true);
-  }
-  if (rebalance_ && config.watermark_timer_cycles > 0) {
-    // Third tick path (DESIGN.md §8): a periodic per-shard timer. Idle hooks
-    // only fire for cores strictly behind the globally slowest runnable
-    // thread, so a starved shard on a machine whose clients all run hot can
-    // wait arbitrarily long for a window; the timer bounds that wait to one
-    // period. Not registered by default (0), keeping timer-less runs
-    // bit-identical.
-    for (int s = 0; s < nshards; ++s) {
-      const int core = fabric->server_cores()[static_cast<std::size_t>(s)];
-      timer_hook_ids_.push_back(
-          machine.AddTimerHook(core, config.watermark_timer_cycles, [this, s, core] {
-            Env env(*machine_, core);
-            WatermarkTick(env, s);
-          }));
-    }
   }
   // Elastic-fleet epoch controller (DESIGN.md §14). Rides the same timer
   // mechanism as the watermark tick, on the first server core only: epoch
@@ -245,21 +226,14 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   adaptive_ = config.adaptive_routing && fabric != nullptr && nshards > 1;
   if (adaptive_) {
     NGX_CHECK(config.epoch_cycles > 0, "adaptive routing needs an epoch length");
-    NGX_CHECK(config.fleet_min_shards >= 1 && config.fleet_min_shards <= nshards,
-              "fleet_min_shards out of range");
-    NGX_CHECK(config.fleet_max_shards == 0 ||
-                  (config.fleet_max_shards >= config.fleet_min_shards &&
-                   config.fleet_max_shards <= nshards),
-              "fleet_max_shards out of range");
     fabric->set_epoch_tracking(true);
     woke_this_epoch_.assign(static_cast<std::size_t>(nshards), 0);
     // The controller starts on shard 0's server core but is ELECTED, not
     // hard-wired: when the ticker shard parks, EpochTick re-pins the timer
-    // (Machine::MoveTimerHook) to the lowest-id active shard, so the fleet
-    // controller survives shard 0 parking without leaning on the
-    // fleet_min_shards floor. The callback reads the elected shard at fire
-    // time; while shard 0 stays active nothing moves and runs are
-    // bit-identical to the hard-wired scheme.
+    // (Machine::MoveTimerHook) to the lowest-id active shard -- one always
+    // exists, since the last active shard never parks. The callback reads
+    // the elected shard at fire time; while shard 0 stays active nothing
+    // moves and runs are bit-identical to the hard-wired scheme.
     epoch_ticker_shard_ = 0;
     epoch_timer_id_ =
         machine.AddTimerHook(fabric->server_cores().front(), config.epoch_cycles, [this] {
@@ -284,7 +258,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
       }
     }
   }
-  if (fabric != nullptr && config.qos_lanes) {
+  if (fabric != nullptr) {
     fabric->set_lane_admission(config.lane_quantum);
   }
   // Flight-recorder wiring (host-side only; inert until the recorder is
@@ -301,9 +275,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
 
 NgxAllocator::~NgxAllocator() {
   machine_->telemetry().recorder().ClearSnapshotSource();
-  for (const int id : idle_hook_ids_) {
-    machine_->RemoveIdleHook(id);
-  }
   for (const int id : timer_hook_ids_) {
     machine_->RemoveTimerHook(id);
   }
@@ -331,12 +302,10 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
   core_spill_depth_.assign(ncores, 0);
   core_lane_.assign(ncores, QosLane::kNormal);
   core_home_shard_.assign(ncores, -1);
-  shard_heap_kind_.assign(static_cast<std::size_t>(nshards), heap_kind_);
+  shard_heap_kind_.assign(static_cast<std::size_t>(nshards), config_.heap_kind);
   shard_low_mark_.assign(static_cast<std::size_t>(nshards), config_.span_low_mark);
   shard_high_mark_.assign(static_cast<std::size_t>(nshards), config_.span_high_mark);
   max_stash_cap_ = config_.stash_capacity;
-  NGX_CHECK(!config_.qos_lanes || config_.lane_quantum > 0,
-            "qos_lanes needs a nonzero lane_quantum");
   if (config_.tenants.empty()) {
     return;
   }
@@ -368,10 +337,10 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
     // Lane admission drains bulk backlogs in free_batch-granular quanta; a
     // zero batch would admit doorbells carrying nothing, so the combination
     // is rejected before the generic ring-capacity bound.
-    NGX_CHECK(!config_.qos_lanes || t.free_batch != 0,
+    NGX_CHECK(config_.lane_quantum == 0 || t.free_batch != 0,
               "tenant free_batch=0 with QoS lanes on");
     NGX_CHECK(t.free_batch == TenantTraits::kInherit ||
-                  (t.free_batch >= 1 && t.free_batch <= config_.ring_capacity),
+                  (t.free_batch >= 1 && t.free_batch <= kNgxRingCapacity),
               "tenant free_batch must fit in one async ring");
     const bool has_low = t.span_low_mark != TenantTraits::kInherit64;
     const bool has_high = t.span_high_mark != TenantTraits::kInherit64;
@@ -383,8 +352,8 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
       NGX_CHECK(t.span_high_mark > t.span_low_mark,
                 "tenant span_high_mark must exceed span_low_mark");
     }
-    NGX_CHECK(!t.has_heap_kind || config_.segregated_metadata,
-              "per-tenant heap kinds require segregated metadata");
+    NGX_CHECK(!t.has_heap_kind || config_.heap_kind != HeapKind::kAggregated,
+              "per-tenant heap kinds require a non-aggregated global heap_kind");
     NGX_CHECK(t.home_shard < nshards, "tenant home_shard out of range");
     for (const int c : spec.cores) {
       NGX_CHECK(c >= 0 && c < machine.num_cores(), "tenant core out of range");
@@ -514,11 +483,7 @@ Addr NgxAllocator::Malloc(Env& env, std::uint64_t size) {
   if (!config_.offload) {
     const Addr a = heaps_[0]->Malloc(env, size);
     NoteMallocTraffic(env.core_id(), 0, size);
-    if (rec) {
-      h_malloc_inline_->Record(env.now() - t0);
-      NoteAlloc(a, env.core_id());
-    }
-    return a;
+    return FinishMalloc(env, h_malloc_inline_, a, rec, t0);
   }
   env.Work(4);  // stub dispatch
   if (config_.prediction && size <= classes_.max_size()) {
@@ -529,33 +494,43 @@ Addr NgxAllocator::Malloc(Env& env, std::uint64_t size) {
     IndexStack stash = Stash(env.core_id(), cls);
     std::uint64_t block = 0;
     if (stash.Pop(env, &block)) {
-      ++stash_hits_;
-      NoteMallocTraffic(env.core_id(), StashShard(env.core_id(), cls), size);
-      if (rec) {
-        h_malloc_stash_->Record(env.now() - t0);
-        NoteAlloc(block, env.core_id());
-      }
-      return block;
+      return StashHit(env, size, cls, block, 0, rec, t0);
     }
-    ++sync_mallocs_;
-    const int shard = fabric_->RouteMalloc(env.core_id(), size, cls);
-    StashShard(env.core_id(), cls) = static_cast<std::int16_t>(shard);
-    const Addr a = fabric_->SyncRequest(env, shard, OffloadOp::kMallocBatch, size);
-    NoteMallocTraffic(env.core_id(), shard, size);
-    if (rec) {
-      h_malloc_sync_->Record(env.now() - t0);
-      NoteAlloc(a, env.core_id());
-    }
-    return a;
+    return FinishMalloc(env, h_malloc_sync_, SyncMalloc(env, size, cls, OffloadOp::kMallocBatch),
+                        rec, t0);
   }
-  ++sync_mallocs_;
-  const int shard = fabric_->RouteMalloc(env.core_id(), size, RouteClassOf(size));
-  const Addr a = fabric_->SyncRequest(env, shard, OffloadOp::kMalloc, size);
-  NoteMallocTraffic(env.core_id(), shard, size);
+  return FinishMalloc(env, h_malloc_sync_,
+                      SyncMalloc(env, size, RouteClassOf(size), OffloadOp::kMalloc), rec, t0);
+}
+
+Addr NgxAllocator::FinishMalloc(Env& env, Histogram* path, Addr a, bool rec,
+                                std::uint64_t t0) {
   if (rec) {
-    h_malloc_sync_->Record(env.now() - t0);
+    path->Record(env.now() - t0);
     NoteAlloc(a, env.core_id());
   }
+  return a;
+}
+
+Addr NgxAllocator::StashHit(Env& env, std::uint64_t size, std::uint32_t cls, Addr block,
+                            std::uint64_t remaining, bool rec, std::uint64_t t0) {
+  ++stash_hits_;
+  if (pipeline_) {
+    MaybePostRefill(env, cls, remaining);
+  }
+  NoteMallocTraffic(env.core_id(), StashShard(env.core_id(), cls), size);
+  return FinishMalloc(env, h_malloc_stash_, block, rec, t0);
+}
+
+Addr NgxAllocator::SyncMalloc(Env& env, std::uint64_t size, std::uint32_t cls, OffloadOp op) {
+  ++sync_mallocs_;
+  const int shard = fabric_->RouteMalloc(env.core_id(), size, cls);
+  if (op == OffloadOp::kMallocBatch) {
+    // The reply stocks the stash: its later hits came from this shard.
+    StashShard(env.core_id(), cls) = static_cast<std::int16_t>(shard);
+  }
+  const Addr a = fabric_->SyncRequest(env, shard, op, size);
+  NoteMallocTraffic(env.core_id(), shard, size);
   return a;
 }
 
@@ -675,14 +650,7 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
   std::uint64_t block = 0;
   std::uint64_t remaining = 0;
   if (StashPopActive(env, core, cls, &block, &remaining)) {
-    ++stash_hits_;
-    MaybePostRefill(env, cls, remaining);
-    NoteMallocTraffic(core, StashShard(core, cls), size);
-    if (rec) {
-      h_malloc_stash_->Record(env.now() - t0);
-      NoteAlloc(block, core);
-    }
-    return block;
+    return StashHit(env, size, cls, block, remaining, rec, t0);
   }
   if (pipe.spill > 0) {
     // Active half dry but the spill stack holds recycled frees: one local
@@ -692,30 +660,13 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
     // send).
     --pipe.spill;
     block = env.Load<std::uint64_t>(SpillAddr(core, cls, pipe.spill));
-    ++stash_hits_;
-    MaybePostRefill(env, cls, pipe.spill);
-    NoteMallocTraffic(core, StashShard(core, cls), size);
-    if (rec) {
-      h_malloc_stash_->Record(env.now() - t0);
-      NoteAlloc(block, core);
-    }
-    return block;
+    return StashHit(env, size, cls, block, pipe.spill, rec, t0);
   }
   if (pipe.in_flight) {
     // The active half ran dry with a refill outstanding: consume it and keep
     // popping. The refill may itself have come up empty (partition OOM), in
     // which case we fall through to the sync path below.
     FlipStash(env, core, cls);
-    if (StashPopActive(env, core, cls, &block, &remaining)) {
-      ++stash_hits_;
-      MaybePostRefill(env, cls, remaining);
-      NoteMallocTraffic(core, StashShard(core, cls), size);
-      if (rec) {
-        h_malloc_stash_->Record(env.now() - t0);
-        NoteAlloc(block, core);
-      }
-      return block;
-    }
   } else if (pipe.count[pipe.active ^ 1] > 0) {
     // Both halves are client-owned and the other one holds recycled frees
     // (or an already-consumed refill's leftovers): flip locally, no server
@@ -723,35 +674,22 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
     // cache; background refills are reserved for true net growth.
     pipe.active ^= 1u;
     ++stash_local_flips_;
-    if (StashPopActive(env, core, cls, &block, &remaining)) {
-      ++stash_hits_;
-      MaybePostRefill(env, cls, remaining);
-      NoteMallocTraffic(core, StashShard(core, cls), size);
-      if (rec) {
-        h_malloc_stash_->Record(env.now() - t0);
-        NoteAlloc(block, core);
-      }
-      return block;
-    }
+  }
+  // After a flip the new active half may serve; with no flip it is still
+  // the empty one and the pop fails without touching memory.
+  if (StashPopActive(env, core, cls, &block, &remaining)) {
+    return StashHit(env, size, cls, block, remaining, rec, t0);
   }
   // Cold stream (or a dry refill): the classic synchronous round trip. The
   // server's kMallocBatch seeds the ACTIVE half, and the predictor warms up
   // exactly as in the non-pipelined path until refills take over.
-  ++sync_mallocs_;
-  const int shard = fabric_->RouteMalloc(core, size, cls);
-  StashShard(core, cls) = static_cast<std::int16_t>(shard);
-  const Addr a = fabric_->SyncRequest(env, shard, OffloadOp::kMallocBatch, size);
-  NoteMallocTraffic(core, shard, size);
+  const Addr a = SyncMalloc(env, size, cls, OffloadOp::kMallocBatch);
   // Refresh the register mirror from the seeded header: one load of the
   // line every subsequent pop of this half hits anyway. (Both halves were
   // empty or the sync path would not have run, so only the count changes.)
   pipe.count[pipe.active] = static_cast<std::uint32_t>(
       env.Load<std::uint64_t>(HalfAddr(core, cls, pipe.active)) & 0xffffffffull);
-  if (rec) {
-    h_malloc_sync_->Record(env.now() - t0);
-    NoteAlloc(a, core);
-  }
-  return a;
+  return FinishMalloc(env, h_malloc_sync_, a, rec, t0);
 }
 
 void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t remaining) {
@@ -1039,7 +977,7 @@ std::uint64_t NgxAllocator::NeededGrantSpans(std::uint64_t size) const {
     // Small classes bump-carve whole spans (segregated) or whole segments
     // (segment heap); either way one grant unit refills a class.
     map_bytes = grant_unit_spans_ * span_bytes_;
-  } else if (heap_kind_ == HeapKind::kAggregated) {
+  } else if (config_.heap_kind == HeapKind::kAggregated) {
     // Aggregated large regions carry a page-sized header before user bytes.
     map_bytes = AlignUp(size, kSmallPageBytes) + kSmallPageBytes;
   } else {
@@ -1291,9 +1229,10 @@ bool NgxAllocator::TryReturnHome(Env& server_env, int shard) {
   // keep the count inside the wire format's 16 bits.
   std::uint64_t max_units = (free - low) / grant_unit_spans_;
   max_units = std::min<std::uint64_t>(max_units, ((1ull << 16) - 1) / grant_unit_spans_);
-  if (max_units == 0) {
-    return false;
-  }
+  return max_units > 0 && ReturnRunHome(server_env, shard, max_units);
+}
+
+bool NgxAllocator::ReturnRunHome(Env& server_env, int shard, std::uint64_t max_units) {
   int home = -1;
   std::uint64_t n = 0;
   const Addr base = directory_->FindRecycledAwayRun(shard, grant_unit_spans_, max_units,
@@ -1360,21 +1299,9 @@ int NgxAllocator::MigrateGrantedHome(Env& server_env, int shard, int max_moves) 
   // parked, and they become migratable once recycled.
   const std::uint64_t cap = ((1ull << 16) - 1) / grant_unit_spans_;
   int moves = 0;
-  while (moves < max_moves) {
-    int home = -1;
-    std::uint64_t n = 0;
-    const Addr base = directory_->FindRecycledAwayRun(shard, grant_unit_spans_, cap,
-                                                      grant_align_, &home, &n);
-    if (base == kNullAddr) {
-      break;
-    }
-    directory_->ReturnRange(base, n, shard);
-    fabric_->SyncRequest(server_env, home, OffloadOp::kReturnSpan, base | n);
+  while (moves < max_moves && ReturnRunHome(server_env, shard, cap)) {
     ++moves;
     ++rebalance_moves_;
-    if (Recording()) {
-      c_returned_spans_->Add(n);
-    }
   }
   return moves;
 }
@@ -1392,10 +1319,6 @@ void NgxAllocator::EpochTick(Env& env) {
   const std::uint64_t parked_before = shards_parked_;
   const std::uint64_t total_ops = fabric_->TakeEpoch(&epoch_scratch_);
   const int nsh = fabric_->num_shards();
-  const int fleet_max = config_.fleet_max_shards > 0
-                            ? std::min(config_.fleet_max_shards, nsh)
-                            : nsh;
-  const int fleet_min = std::max(1, std::min(config_.fleet_min_shards, fleet_max));
   std::fill(woke_this_epoch_.begin(), woke_this_epoch_.end(), 0);
 
   // 1. Step draining shards toward kParked: return recycled granted runs
@@ -1434,9 +1357,6 @@ void NgxAllocator::EpochTick(Env& env) {
     if (fabric_->shard_state(s) != ShardState::kParked) {
       continue;
     }
-    if (fabric_->num_active_shards() >= fleet_max) {
-      break;
-    }
     const bool own = fabric_->QueueDepth(s) >= config_.wake_queue_depth;
     const bool pressure = !pressure_spent && !slack && busiest >= config_.wake_queue_depth;
     if (!own && !pressure) {
@@ -1450,44 +1370,28 @@ void NgxAllocator::EpochTick(Env& env) {
     }
   }
 
-  // 3. Park below break-even: drain the coldest eligible active shard. Below
-  // the fleet_max cap the fleet shrinks at most ONE shard per epoch -- a
-  // single low-traffic epoch (warm-up, a phase boundary) must not collapse
-  // the whole fleet before the matrix has anything to say. A shard woken
-  // this epoch has had no chance to earn its keep yet and is exempt until
-  // the next close.
-  if (config_.park_threshold_ops > 0 || fleet_max < nsh) {
-    bool shrank_below_cap = false;
-    while (fabric_->num_active_shards() > fleet_min) {
-      const int active = fabric_->num_active_shards();
-      const bool over_cap = active > fleet_max;
-      if (!over_cap && shrank_below_cap) {
-        break;
+  // 3. Park below break-even: drain the coldest active shard under the
+  // threshold. The fleet shrinks at most ONE shard per epoch -- a single
+  // low-traffic epoch (warm-up, a phase boundary) must not collapse the
+  // whole fleet before the matrix has anything to say -- and never parks
+  // its last active shard, which must keep serving mallocs and hosting
+  // this controller. A shard woken this epoch has had no chance to earn its
+  // keep yet and is exempt until the next close.
+  if (config_.park_threshold_ops > 0 && fabric_->num_active_shards() > 1) {
+    int coldest = -1;
+    std::uint64_t coldest_ops = 0;
+    for (int s = 0; s < nsh; ++s) {
+      if (fabric_->shard_state(s) != ShardState::kActive ||
+          woke_this_epoch_[static_cast<std::size_t>(s)] != 0) {
+        continue;
       }
-      int coldest = -1;
-      std::uint64_t coldest_ops = 0;
-      for (int s = 0; s < nsh; ++s) {
-        if (fabric_->shard_state(s) != ShardState::kActive ||
-            woke_this_epoch_[static_cast<std::size_t>(s)] != 0) {
-          continue;
-        }
-        const std::uint64_t ops = epoch_scratch_.ColTotal(s);
-        const bool below_break_even =
-            config_.park_threshold_ops > 0 && ops < config_.park_threshold_ops;
-        if (!below_break_even && !over_cap) {
-          continue;
-        }
-        if (coldest < 0 || ops < coldest_ops) {
-          coldest = s;
-          coldest_ops = ops;
-        }
+      const std::uint64_t ops = epoch_scratch_.ColTotal(s);
+      if (ops < config_.park_threshold_ops && (coldest < 0 || ops < coldest_ops)) {
+        coldest = s;
+        coldest_ops = ops;
       }
-      if (coldest < 0) {
-        break;
-      }
-      if (!over_cap) {
-        shrank_below_cap = true;
-      }
+    }
+    if (coldest >= 0) {
       fabric_->set_shard_state(coldest, ShardState::kDraining);
       Env senv(*machine_, fabric_->server_cores()[static_cast<std::size_t>(coldest)]);
       if (MigrateGrantedHome(senv, coldest, kEpochMigrateMoves) < kEpochMigrateMoves) {
@@ -1566,10 +1470,10 @@ void NgxAllocator::NoteMallocTraffic(int client, int shard, std::uint64_t size) 
   if (size <= classes_.max_size()) {
     cls = static_cast<std::int64_t>(classes_.ClassOf(size));
     block = classes_.SizeOf(static_cast<std::uint32_t>(cls));
-    if (heap_kind_ == HeapKind::kAggregated) {
+    if (config_.heap_kind == HeapKind::kAggregated) {
       block += 16;
     }
-  } else if (heap_kind_ == HeapKind::kAggregated) {
+  } else if (config_.heap_kind == HeapKind::kAggregated) {
     block = AlignUp(size, kSmallPageBytes);
   } else {
     block = AlignUp(size, span_bytes_);
@@ -1623,10 +1527,10 @@ HeapSnapshot NgxAllocator::BuildSnapshot() const {
 }
 
 AllocatorStats NgxAllocator::stats() const {
-  AllocatorStats total = heaps_[0]->stats();
-  for (std::size_t s = 1; s < heaps_.size(); ++s) {
-    const AllocatorStats h = heaps_[s]->stats();
-    total.mallocs += h.mallocs;
+  AllocatorStats total;
+  for (const auto& heap : heaps_) {
+    const AllocatorStats h = heap->stats();
+    total.mallocs += h.mallocs - h.oom_failures;  // carves that succeeded
     total.frees += h.frees;
     total.bytes_requested += h.bytes_requested;
     total.bytes_live += h.bytes_live;
@@ -1635,6 +1539,14 @@ AllocatorStats NgxAllocator::stats() const {
     total.munmap_calls += h.munmap_calls;
     total.oom_failures += h.oom_failures;
   }
+  // Offloaded, a failed heap attempt is the caller's only when the malloc
+  // returned null (a partition OOM); inline donation retries and stash
+  // prefills cut short stay inside the server. Inline, every heap call is a
+  // caller's malloc.
+  if (config_.offload) {
+    total.oom_failures = partition_ooms_;
+  }
+  total.mallocs += total.oom_failures;
   return total;
 }
 
@@ -1661,7 +1573,7 @@ NgxSystem MakeNgxSystem(Machine& machine, const NgxConfig& config,
     NGX_CHECK(static_cast<int>(server_cores.size()) == config.num_shards,
               "server core list size must equal config.num_shards");
     sys.fabric = std::make_unique<OffloadFabric>(machine, std::move(server_cores),
-                                                 kChannelBase, config.ring_capacity,
+                                                 kChannelBase, kNgxRingCapacity,
                                                  MakeRoutingPolicy(config.routing));
     machine.address_map().Add(
         Region{kChannelBase,

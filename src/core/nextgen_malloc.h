@@ -18,12 +18,13 @@
 //    start as equal slices of the NextGen heap window and rebalance at span
 //    granularity: a dry shard requests free spans from the best-stocked
 //    donor over the fabric's kDonateSpan message (config.span_donation).
-//    With config.span_low_mark set, a background watermark rebalancer runs
-//    in each shard's drain idle window (post-drain hooks plus machine idle
-//    hooks): shards below the low mark pull refills (kRequestSpans), shards
-//    above the high mark return fully-recycled away spans to their home
-//    slice (kReturnSpan) and offer surplus to starved peers (kOfferSpans),
-//    so inline kDonateSpan on the malloc path becomes the rare fallback.
+//    With config.span_low_mark set, a background watermark rebalancer ticks
+//    on each shard's server core after every drain (busy shards) and on a
+//    periodic timer (quiet shards): shards below the low mark pull refills
+//    (kRequestSpans), shards above the high mark return fully-recycled away
+//    spans to their home slice (kReturnSpan) and offer surplus to starved
+//    peers (kOfferSpans), so inline kDonateSpan on the malloc path becomes
+//    the rare fallback.
 //    With config.free_batch > 1, each remote free is stored straight into
 //    its (client, shard) ring and every free_batch-th publishes the batch
 //    with one doorbell, which kicks the shard's background drain.
@@ -77,8 +78,8 @@ class NgxAllocator : public Allocator {
   // `fabric` may be nullptr iff config.offload is false. Every fabric shard's
   // server is bound to this allocator's matching heap partition.
   NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxConfig& config);
-  // Unregisters the watermark rebalancer's machine/fabric hooks (the machine
-  // and fabric may outlive the allocator).
+  // Unregisters the watermark and epoch timer hooks and the post-drain hooks
+  // (the machine and fabric may outlive the allocator).
   ~NgxAllocator() override;
 
   // ---- Allocator ----
@@ -87,7 +88,10 @@ class NgxAllocator : public Allocator {
   void Free(Env& env, Addr addr) override;
   std::uint64_t UsableSize(Env& env, Addr addr) override;
   void Flush(Env& env) override;
-  AllocatorStats stats() const override;  // aggregated over shards
+  // Aggregated over shards, counting what callers saw: a heap attempt that
+  // fails inside the server (an inline donation retry, a stash prefill cut
+  // short) is neither a malloc nor an OOM; a malloc that returned null is.
+  AllocatorStats stats() const override;
 
   // Server-side dispatch for shard `shard` (called on that shard's core by
   // the fabric through a per-shard OffloadServer adapter).
@@ -100,10 +104,6 @@ class NgxAllocator : public Allocator {
   int ShardOfAddr(Addr addr) const;
 
   const NgxConfig& config() const { return config_; }
-  // Effective shard-heap layout (config.heap_kind after the Figure-2
-  // segregated_metadata override). Per-tenant overrides can specialize
-  // individual shards on top of this: see shard_heap_kind().
-  HeapKind heap_kind() const { return heap_kind_; }
 
   // ---- Per-tenant traits (config.tenants; DESIGN.md §15) ----
   // Resolved once at construction into per-core effective knobs (cores not
@@ -227,8 +227,8 @@ class NgxAllocator : public Allocator {
   // Shard whose server core currently hosts the epoch-controller timer. The
   // controller is elected, not hard-wired to shard 0: when the ticker shard
   // leaves kActive, the tick re-pins the timer to the lowest-id active shard
-  // (fleet_min_shards >= 1 guarantees one exists), so parking shard 0 never
-  // silences the fleet controller.
+  // (the last active shard never parks, so one exists), so parking shard 0
+  // never silences the fleet controller.
   int epoch_ticker_shard() const { return epoch_ticker_shard_; }
 
   // Flight-recorder heap walk (DESIGN.md §13): one HeapShardSnapshot per
@@ -336,6 +336,18 @@ class NgxAllocator : public Allocator {
   // dry, and fall back to the sync kMallocBatch round trip only when cold.
   Addr PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t cls, bool rec,
                        std::uint64_t t0);
+  // Books a malloc of `size` that `block` from the (core, cls) stash served;
+  // with the pipeline on, first posts a refill if `remaining` entries are at
+  // the mark.
+  Addr StashHit(Env& env, std::uint64_t size, std::uint32_t cls, Addr block,
+                std::uint64_t remaining, bool rec, std::uint64_t t0);
+  // The synchronous round trip: routes the malloc by `cls`, sends `op`
+  // (kMalloc, or kMallocBatch, whose reply also stocks the stash) and
+  // returns the shard's answer.
+  Addr SyncMalloc(Env& env, std::uint64_t size, std::uint32_t cls, OffloadOp op);
+  // Closes a client malloc served by `path` (its latency histogram): records
+  // the latency since `t0` and the alloc site when `rec`; returns `a`.
+  Addr FinishMalloc(Env& env, Histogram* path, Addr a, bool rec, std::uint64_t t0);
   // Posts kRefillStash for (core, cls) if the active half just drained to
   // `remaining` <= the refill mark, no refill is in flight, and the
   // predictor is warm.
@@ -376,12 +388,17 @@ class NgxAllocator : public Allocator {
   // none has any.
   int PickDonor(const std::vector<bool>& excluded) const;
 
-  // Watermark rebalancer (DESIGN.md §8): runs on shard's server core in its
-  // drain idle window. At most a few moves per tick; reentrancy-guarded so a
-  // tick's own fabric messages cannot recurse into another tick.
+  // Watermark rebalancer (DESIGN.md §8): runs on shard's server core after
+  // each of its drains and on its periodic timer. At most a few moves per
+  // tick; reentrancy-guarded so a tick's own fabric messages cannot recurse
+  // into another tick.
   void WatermarkTick(Env& server_env, int shard);
   bool TryRefill(Env& server_env, int shard, std::uint64_t free);
   bool TryReturnHome(Env& server_env, int shard);
+  // Sends one fully-recycled away run of `shard` (at most `max_units` grant
+  // units, all with one home) back to its home shard over kReturnSpan.
+  // False when no such run exists.
+  bool ReturnRunHome(Env& server_env, int shard, std::uint64_t max_units);
   bool TryOfferSurplus(Env& server_env, int shard, std::uint64_t free);
   bool TryRestockLocal(Env& server_env, int shard);
 
@@ -434,7 +451,6 @@ class NgxAllocator : public Allocator {
 
   Machine* machine_;
   NgxConfig config_;
-  HeapKind heap_kind_ = HeapKind::kSegregated;  // effective shard-heap layout
   SizeClasses classes_;  // client-side class computation for stash/routing
   std::vector<std::unique_ptr<ServerHeap>> heaps_;  // one partition per shard
   std::vector<std::unique_ptr<ShardServer>> shard_servers_;
@@ -463,8 +479,7 @@ class NgxAllocator : public Allocator {
   std::vector<std::uint8_t> woke_this_epoch_;  // scratch for EpochTick
   EpochMatrix epoch_scratch_;
   std::vector<FleetEpoch> fleet_timeline_;
-  std::vector<int> idle_hook_ids_;   // machine idle hooks to remove at teardown
-  std::vector<int> timer_hook_ids_;  // machine timer hooks (watermark_timer_cycles)
+  std::vector<int> timer_hook_ids_;  // watermark + epoch timer hooks
   OffloadFabric* fabric_;
   std::optional<AllocationPredictor> predictor_;
   std::unique_ptr<PageProvider> stash_provider_;
@@ -475,8 +490,6 @@ class NgxAllocator : public Allocator {
   std::uint64_t sync_mallocs_ = 0;
   bool pipeline_ = false;            // double-buffered stash refills active
   std::uint64_t stash_half_bytes_ = 0;  // one cache line per half
-  std::uint32_t pipe_cap_ = 0;       // min(stash_capacity, kPipeHalfCap)
-  std::uint32_t spill_depth_ = 0;    // stash_capacity beyond the two halves
   // Per-tenant traits resolution (config.tenants; DESIGN.md §15). Sized and
   // filled by ResolveTenants; with no tenants every per-core entry carries
   // the global NgxConfig value and every per-shard entry the global

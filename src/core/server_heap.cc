@@ -510,11 +510,4 @@ std::unique_ptr<ServerHeap> MakeServerHeap(Machine& machine, Addr heap_base, Add
   return nullptr;
 }
 
-std::unique_ptr<ServerHeap> MakeServerHeap(Machine& machine, bool segregated, Addr heap_base,
-                                           Addr meta_base, const ServerHeapConfig& config) {
-  ServerHeapConfig c = config;
-  c.heap_kind = segregated ? HeapKind::kSegregated : HeapKind::kAggregated;
-  return MakeServerHeap(machine, heap_base, meta_base, c);
-}
-
 }  // namespace ngx

@@ -113,11 +113,6 @@ struct ServerHeapConfig {
 std::unique_ptr<ServerHeap> MakeServerHeap(Machine& machine, Addr heap_base, Addr meta_base,
                                            const ServerHeapConfig& config);
 
-// Legacy two-layout factory (Figure-2 call sites): `segregated` overrides
-// config.heap_kind with kSegregated / kAggregated.
-std::unique_ptr<ServerHeap> MakeServerHeap(Machine& machine, bool segregated, Addr heap_base,
-                                           Addr meta_base, const ServerHeapConfig& config);
-
 }  // namespace ngx
 
 #endif  // NGX_SRC_CORE_SERVER_HEAP_H_

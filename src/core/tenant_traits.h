@@ -99,7 +99,7 @@ struct TenantTraits {
 
   TenantPreset preset = TenantPreset::kDefault;
   // Ring lane for this tenant's fabric traffic (only consulted when
-  // NgxConfig::qos_lanes is on; classification alone never changes timing).
+  // NgxConfig::lane_quantum > 0; classification alone never changes timing).
   QosLane lane = QosLane::kNormal;
   // Client-side stash inventory and refill trigger (prediction/pipeline).
   std::uint32_t stash_capacity = kInherit;

@@ -147,27 +147,10 @@ class Channel {
     env.AtomicStore(base_ + kRespOff, seq);
   }
 
-  // Drains pending ring entries into `out`; returns count.
-  template <typename Fn>
-  std::uint32_t ServerDrainRing(Env& env, Fn&& consume) {
-    const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
-    std::uint64_t tail = env.Load<std::uint64_t>(base_ + kRingTailOff);
-    std::uint32_t n = 0;
-    while (tail != head) {
-      consume(env.Load<std::uint64_t>(EntryAddr(tail)));
-      ++tail;
-      ++n;
-    }
-    if (n > 0) {
-      env.AtomicStore(base_ + kRingTailOff, tail);
-    }
-    return n;
-  }
-
-  // Bounded drain (QoS lane admission, DESIGN.md §15): consumes at most
-  // `max_n` pending entries, leaving the rest for a later window. Same
-  // single tail release-store as the full drain, so an under-limit backlog
-  // costs exactly what ServerDrainRing would.
+  // Consumes at most `max_n` pending entries (fewer than the ring holds
+  // only for a QoS lane-admission window, DESIGN.md §15), leaving the rest
+  // for a later drain, and publishes the new tail with one release-store.
+  // Returns the count consumed.
   template <typename Fn>
   std::uint32_t ServerDrainRingBounded(Env& env, std::uint32_t max_n, Fn&& consume) {
     const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);

@@ -142,11 +142,9 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_ent
         ++stats_.async_ops;
       };
   // A bounded window (lane admission) leaves the tail of a long bulk
-  // backlog for a later drain; 0 is the historical drain-everything path.
-  const std::uint32_t n =
-      max_entries > 0
-          ? channels_[client].ServerDrainRingBounded(server_env, max_entries, consume)
-          : channels_[client].ServerDrainRing(server_env, consume);
+  // backlog for a later drain; 0 drains everything.
+  const std::uint32_t n = channels_[client].ServerDrainRingBounded(
+      server_env, max_entries > 0 ? max_entries : kMaxRingCapacity, consume);
   if (FlightRecorder* rec = Recorder()) {
     // The whole drain window (including empty polls reaching this far) is
     // server-busy time; the carve handlers inside it were already attributed

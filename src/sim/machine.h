@@ -99,45 +99,16 @@ class Machine {
   // Sum of all per-core counters.
   PmuCounters TotalPmu() const;
 
-  // ---- Idle-time hooks ----
-  // Background work pinned to a core (e.g. a shard server's watermark
-  // rebalancer). The scheduler calls RunIdleHooks before stepping a thread:
-  // a hook whose core clock lags the chosen thread's clock is inside its
-  // idle window and may spend it. Hooks are removed by id so a registrant
-  // destroyed before the machine cannot leave a dangling callback. No hooks
-  // registered = zero scheduling overhead and bit-identical behaviour.
-  int AddIdleHook(int core_id, std::function<void()> hook) {
-    idle_hooks_.push_back(IdleHook{next_idle_hook_id_, core_id, std::move(hook)});
-    return next_idle_hook_id_++;
-  }
-  void RemoveIdleHook(int id) {
-    for (std::size_t i = 0; i < idle_hooks_.size(); ++i) {
-      if (idle_hooks_[i].id == id) {
-        idle_hooks_.erase(idle_hooks_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-  bool has_idle_hooks() const { return !idle_hooks_.empty(); }
-  // Runs every hook whose core clock is strictly behind `horizon`. Indexed
-  // iteration keeps this safe if a hook registers further hooks.
-  void RunIdleHooks(std::uint64_t horizon) {
-    for (std::size_t i = 0; i < idle_hooks_.size(); ++i) {
-      if (core(idle_hooks_[i].core_id).now() < horizon) {
-        idle_hooks_[i].fn();
-      }
-    }
-  }
-
   // ---- Periodic timer hooks ----
-  // Idle hooks only fire for cores strictly behind the running thread, so a
-  // core whose clock runs AHEAD of every runnable thread (e.g. a shard
-  // server that just served a burst) gets no idle window, however starved
-  // its background work is. A timer hook fires whenever virtual time passes
-  // its next due point -- on the core's own clock if the core got there, or
-  // on the scheduler's horizon if the core is lagging (the core is pulled up
-  // to the due point first, as a real timer interrupt would wake it). Like
-  // idle hooks: none registered = zero overhead, bit-identical runs.
+  // Background work pinned to a core (e.g. a shard server's watermark
+  // rebalancer or the fleet's epoch controller). A timer hook fires whenever
+  // virtual time passes its next due point -- on the core's own clock if the
+  // core got there, or on the scheduler's horizon if the core is lagging
+  // (the core is pulled up to the due point first, as a real timer interrupt
+  // would wake it) -- so it also reaches a core whose clock runs ahead of
+  // every runnable thread. Hooks are removed by id so a registrant destroyed
+  // before the machine cannot leave a dangling callback. None registered =
+  // zero scheduling overhead and bit-identical behaviour.
   int AddTimerHook(int core_id, std::uint64_t period_cycles, std::function<void()> hook) {
     timer_hooks_.push_back(TimerHook{next_timer_hook_id_, core_id, period_cycles,
                                      core(core_id).now() + period_cycles, std::move(hook)});
@@ -195,11 +166,6 @@ class Machine {
     std::uint32_t sharers = 0;  // presence bitmask over cores' private caches
     int owner = -1;             // core holding the line modified, or -1
   };
-  struct IdleHook {
-    int id;
-    int core_id;
-    std::function<void()> fn;
-  };
   struct TimerHook {
     int id;
     int core_id;
@@ -252,8 +218,6 @@ class Machine {
   std::vector<std::uint64_t> next_pmu_snapshot_;  // per core, in cycles
   bool recorder_snapshots_ = false;
   std::uint64_t next_recorder_snapshot_ = 0;  // global, vs accessing core's clock
-  std::vector<IdleHook> idle_hooks_;
-  int next_idle_hook_id_ = 0;
   std::vector<TimerHook> timer_hooks_;
   int next_timer_hook_id_ = 0;
 };

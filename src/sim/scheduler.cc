@@ -24,15 +24,9 @@ void Scheduler::Run(Machine& machine, const std::vector<SimThread*>& threads,
       }
     }
     assert(pick < threads.size());
-    // Cores whose clocks lag the thread about to run are idle relative to
-    // it: let registered background work (watermark rebalancing) spend that
-    // window. No hooks = no behaviour change.
-    if (machine.has_idle_hooks()) {
-      machine.RunIdleHooks(best);
-    }
-    // Periodic timers fire once the virtual-time front passes their due
-    // point -- including on cores ahead of every runnable thread, which the
-    // idle-hook window can never reach.
+    // Periodic timers (watermark ticks, epoch closes) fire once the
+    // virtual-time front passes their due point -- including on cores ahead
+    // of every runnable thread.
     if (machine.has_timer_hooks()) {
       machine.RunTimerHooks(best);
     }

@@ -13,9 +13,13 @@
 //    parks (returning its recycled granted spans home first), a parked
 //    shard still serves owner-bound frees and wakes on ring backlog, and
 //    the allocator's books balance through park/wake cycles;
-//  * NGX_CHECK death tests for the fleet-bound knobs.
+//  * the fixed fleet floor: with every shard below break-even, one shard
+//    parks per epoch close until one active shard (and the controller on
+//    it) remains;
+//  * an NGX_CHECK death test for a zero epoch length.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -373,22 +377,41 @@ TEST(AdaptiveFleet, EpochTickerSurvivesParkingItsOwnShard) {
   EXPECT_EQ(s.bytes_live, 0u);
 }
 
-// ---- Fleet knob guards must abort in every build type ----
-
-TEST(AdaptiveFleetDeath, FleetMinAboveShardCountAborts) {
-  auto machine = MakeMachine(4);
+// The fleet floor is fixed at one active shard. With no traffic at all every
+// shard is below break-even at every close, so the controller parks exactly
+// one shard per epoch -- the coldest, ties to the lowest id -- until one
+// active shard remains. That shard never parks: it keeps serving mallocs and
+// hosts the controller, which follows each park onto an active shard.
+TEST(AdaptiveFleet, QuietFleetParksOneShardPerEpochDownToTheLast) {
+  constexpr int kShards = 4;
+  auto machine = MakeMachine(kShards + 1);  // client 0, shards on cores 1-4
   NgxConfig cfg = AdaptiveConfig();
-  cfg.fleet_min_shards = 3;  // only 2 shards exist
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "fleet_min_shards");
+  cfg.num_shards = kShards;
+  auto sys = MakeNgxSystem(*machine, cfg);
+  ASSERT_TRUE(sys.allocator->adaptive_fleet());
+  // The controller's first close is due one epoch after construction on the
+  // first server core's clock; each round moves the time front one epoch.
+  const std::uint64_t t0 = machine->core(sys.fabric->server_cores().front()).now();
+  for (int epoch = 1; epoch <= kShards + 2; ++epoch) {
+    machine->RunTimerHooks(t0 + static_cast<std::uint64_t>(epoch) * cfg.epoch_cycles);
+    ASSERT_EQ(sys.allocator->routing_epochs(), static_cast<std::uint64_t>(epoch));
+    const int active = std::max(1, kShards - epoch);
+    EXPECT_EQ(sys.fabric->num_active_shards(), active) << "epoch " << epoch;
+    EXPECT_EQ(sys.allocator->shards_parked(), static_cast<std::uint64_t>(kShards - active))
+        << "epoch " << epoch;
+    const FleetEpoch& fe = sys.allocator->fleet_timeline().back();
+    EXPECT_EQ(fe.active_shards, active);
+    EXPECT_EQ(fe.parked_shards, kShards - active);
+    EXPECT_EQ(sys.fabric->shard_state(sys.allocator->epoch_ticker_shard()),
+              ShardState::kActive)
+        << "the controller must stay on an active shard, epoch " << epoch;
+  }
+  EXPECT_EQ(sys.allocator->epoch_ticker_shard(), kShards - 1)
+      << "shards park lowest id first, so the last one standing hosts the ticker";
+  EXPECT_EQ(sys.allocator->shards_woken(), 0u);
 }
 
-TEST(AdaptiveFleetDeath, FleetMaxBelowFleetMinAborts) {
-  auto machine = MakeMachine(4);
-  NgxConfig cfg = AdaptiveConfig();
-  cfg.fleet_min_shards = 2;
-  cfg.fleet_max_shards = 1;
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "fleet_max_shards");
-}
+// ---- Fleet knob guard must abort in every build type ----
 
 TEST(AdaptiveFleetDeath, ZeroEpochLengthAborts) {
   auto machine = MakeMachine(4);

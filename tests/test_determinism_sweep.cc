@@ -58,7 +58,7 @@ TEST_P(SeedSweepTest, EveryAllocatorBalancedOnChurn) {
 
 // ---- Watermark rebalancing determinism ----
 //
-// The watermark ticks run from scheduler idle hooks and post-drain hooks, so
+// The watermark ticks run from scheduler timer hooks and post-drain hooks, so
 // they are the newest candidate source of nondeterminism: these sweeps pin
 // the whole span economy (donations, returns, per-shard PMU streams) to the
 // seed.
@@ -339,8 +339,6 @@ FleetOffRunState RunFleetOffChurn(int shards, HeapKind kind, bool aggressive_kno
     // of this may reach the simulation.
     cfg.adaptive_routing = false;
     cfg.epoch_cycles = 1000;
-    cfg.fleet_min_shards = 1;
-    cfg.fleet_max_shards = 1;
     cfg.park_threshold_ops = 1u << 30;  // would park everything if live
     cfg.wake_queue_depth = 1;
   }
@@ -570,7 +568,6 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsWithLanesAreDeterministic) {
     cfg.heap_window = static_cast<std::uint64_t>(shards) * 8 * 1024 * 1024;
     cfg.prediction = true;
     cfg.stash_pipeline = true;  // kicked refills exercise the shadow clock
-    cfg.qos_lanes = true;
     cfg.lane_quantum = 8;
     TenantSpec fe;
     fe.name = "frontend";

@@ -160,7 +160,7 @@ TEST(Channel, RingWrapsAround) {
       ch.RingPush(client, round * 10 + i);
     }
     EXPECT_EQ(ch.RingSpace(client), 0u);
-    ch.ServerDrainRing(server, [&](std::uint64_t v) { got.push_back(v); });
+    ch.ServerDrainRingBounded(server, 4, [&](std::uint64_t v) { got.push_back(v); });
   }
   ASSERT_EQ(got.size(), 12u);
   EXPECT_EQ(got[4], 10u);

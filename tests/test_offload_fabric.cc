@@ -103,7 +103,7 @@ TEST(OffloadFabric, FourClientContentionCountersConsistent) {
 
 TEST(OffloadFabric, FreeBurstFillsTheRing) {
   auto machine = MakeMachine(2);
-  NgxConfig cfg = NgxConfig::PaperPrototype();  // ring_capacity = 64
+  NgxConfig cfg = NgxConfig::PaperPrototype();  // kNgxRingCapacity = 64 slots
   NgxSystem sys = MakeNgxSystem(*machine, cfg, 1);
   Env app(*machine, 0);
   std::vector<Addr> blocks;

@@ -94,13 +94,14 @@ INSTANTIATE_TEST_SUITE_P(Layouts, ServerHeapTest,
                            return HeapKindName(p.param);
                          });
 
-TEST(ServerHeap, LegacyBoolFactoryStillSelectsLayouts) {
+TEST(ServerHeap, HeapKindFactorySelectsLayouts) {
   auto machine = MakeMachine(1);
   ServerHeapConfig cfg;
-  auto seg = MakeServerHeap(*machine, true, kNgxHeapBase, kNgxMetaBase, cfg);
-  EXPECT_EQ(seg->name(), "ngx-segregated");
+  auto seg = MakeServerHeap(*machine, kNgxHeapBase, kNgxMetaBase, cfg);
+  EXPECT_EQ(seg->name(), "ngx-segregated") << "segregated is the default layout";
   auto machine2 = MakeMachine(1);
-  auto agg = MakeServerHeap(*machine2, false, kNgxHeapBase, kNgxMetaBase, cfg);
+  cfg.heap_kind = HeapKind::kAggregated;
+  auto agg = MakeServerHeap(*machine2, kNgxHeapBase, kNgxMetaBase, cfg);
   EXPECT_EQ(agg->name(), "ngx-aggregated");
 }
 
@@ -108,7 +109,7 @@ TEST(ServerHeap, SegregatedFreeStackGrowsPastSaturation) {
   auto machine = MakeMachine(1);
   ServerHeapConfig cfg;
   cfg.stack_capacity = 4;  // tiny per-class free stack
-  auto heap = MakeServerHeap(*machine, true, kNgxHeapBase, kNgxMetaBase, cfg);
+  auto heap = MakeServerHeap(*machine, kNgxHeapBase, kNgxMetaBase, cfg);
   Env env(*machine, 0);
   std::vector<Addr> blocks;
   for (int i = 0; i < 16; ++i) {
@@ -139,7 +140,7 @@ TEST(ServerHeapDeathTest, SegregatedFreeStackOverflowExhaustionFailsLoudly) {
   auto machine = MakeMachine(1);
   ServerHeapConfig cfg;
   cfg.stack_capacity = 4;  // dense 4 + overflow 4*64 = 260 pending frees max
-  auto heap = MakeServerHeap(*machine, true, kNgxHeapBase, kNgxMetaBase, cfg);
+  auto heap = MakeServerHeap(*machine, kNgxHeapBase, kNgxMetaBase, cfg);
   Env env(*machine, 0);
   std::vector<Addr> blocks;
   for (int i = 0; i < 300; ++i) {
@@ -160,7 +161,7 @@ TEST(ServerHeap, LockedVariantIssuesAtomics) {
   auto machine = MakeMachine(1);
   ServerHeapConfig cfg;
   cfg.use_lock = true;
-  auto heap = MakeServerHeap(*machine, true, kNgxHeapBase, kNgxMetaBase, cfg);
+  auto heap = MakeServerHeap(*machine, kNgxHeapBase, kNgxMetaBase, cfg);
   Env env(*machine, 0);
   heap->Free(env, heap->Malloc(env, 64));
   EXPECT_EQ(machine->core(0).pmu().atomic_rmws, 2u) << "one lock acquire per op";
@@ -169,7 +170,7 @@ TEST(ServerHeap, LockedVariantIssuesAtomics) {
 TEST(ServerHeap, SegregatedMetadataLivesInMetaWindow) {
   auto machine = MakeMachine(1);
   ServerHeapConfig cfg;
-  auto heap = MakeServerHeap(*machine, true, kNgxHeapBase, kNgxMetaBase, cfg);
+  auto heap = MakeServerHeap(*machine, kNgxHeapBase, kNgxMetaBase, cfg);
   Env env(*machine, 0);
   const Addr a = heap->Malloc(env, 64);
   heap->Free(env, a);

@@ -101,7 +101,6 @@ TEST(TenantTraitsDeath, UnknownPresetAborts) {
 NgxConfig TenantMixConfig() {
   NgxConfig cfg;  // offloaded, async frees, segregated metadata
   cfg.num_shards = 2;
-  cfg.qos_lanes = true;
   cfg.lane_quantum = 8;
   TenantSpec fe;
   fe.name = "frontend";
@@ -260,7 +259,7 @@ TEST(TenantConfigDeath, StashBelowThePipelineTwoHalfMinimumAborts) {
 TEST(TenantConfigDeath, ZeroFreeBatchWithLanesOnAborts) {
   auto machine = MakeMachine(3);
   NgxConfig cfg;
-  cfg.qos_lanes = true;
+  cfg.lane_quantum = 8;
   TenantSpec t;
   t.name = "stuck";
   t.traits.free_batch = 0;
@@ -268,14 +267,6 @@ TEST(TenantConfigDeath, ZeroFreeBatchWithLanesOnAborts) {
   cfg.tenants = {t};
   EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
                             "free_batch=0 with QoS lanes on");
-}
-
-TEST(TenantConfigDeath, QosLanesNeedANonzeroQuantum) {
-  auto machine = MakeMachine(3);
-  NgxConfig cfg;
-  cfg.qos_lanes = true;
-  cfg.lane_quantum = 0;
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "lane_quantum");
 }
 
 TEST(TenantConfigDeath, DuplicateTenantNameAborts) {
