@@ -14,9 +14,8 @@
 //
 // The off/off row doubles as the bit-identity anchor: with hugepage_spans
 // back to false it must replay the pinned table3 pipeline hash
-// (kTable3PipelineHash's value, a60bbd916fa447cf) -- CI asserts both that
-// and the dTLB/speedup claims from the JSON.
-#include <cstdio>
+// (kTable3PipelineHash in bench_common.h) -- CI asserts both that and the
+// dTLB/speedup claims from the JSON.
 #include <string>
 #include <vector>
 
@@ -135,11 +134,9 @@ int main(int argc, char** argv) {
   }
   std::cout << rt.ToString() << "\n";
 
-  char hash_hex[32];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(off.state_hash));
-  std::cout << "off-knob final-state hash: " << hash_hex
-            << " (determinism sweep pins this against the table3 pipeline rung)\n";
+  const bool pinned = off.state_hash == kTable3PipelineHash;
+  std::cout << "off-knob final-state hash: " << HashHex(off.state_hash) << " (pinned "
+            << (pinned ? "ok" : "MISMATCH") << ")\n";
 
   const double off_speedup = 100.0 * (mi_cycles / static_cast<double>(off.result.wall_cycles) - 1.0);
   const double best_speedup =
@@ -148,7 +145,8 @@ int main(int argc, char** argv) {
             << FormatFixed(best_speedup, 2) << "% with packed hugepage spans + metadata\n";
 
   cli.Metric("mimalloc_wall_cycles", r_mi.wall_cycles);
-  cli.Metric("baseline_state_hash", JsonValue(hash_hex));
+  cli.Metric("baseline_state_hash", JsonValue(HashHex(off.state_hash)));
+  cli.Metric("baseline_replays_pinned_hash", JsonValue(pinned));
   cli.Metric("baseline_speedup_pct", off_speedup);
   cli.Metric("hugepage_speedup_pct", best_speedup);
   cli.Metric("baseline_dtlb_misses", DtlbMisses(off.result));
@@ -173,10 +171,7 @@ int main(int argc, char** argv) {
     row.Set("map_waste_bytes", JsonValue(c.result.map_waste_bytes));
     row.Set("hugepage_backed_bytes", JsonValue(c.result.hugepage_backed_bytes));
     row.Set("mmap_calls", JsonValue(c.result.alloc_stats.mmap_calls));
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(c.state_hash));
-    row.Set("state_hash", JsonValue(hex));
+    row.Set("state_hash", JsonValue(HashHex(c.state_hash)));
     case_rows.Push(std::move(row));
   }
   cli.Set("cases", std::move(case_rows));

@@ -28,7 +28,7 @@ LayoutE2E RunCase(BenchCli& cli, bool segregated) {
   Machine machine(MachineConfig::ScaledWorkstation(2));
   cli.EnableTelemetry(machine, /*allow_trace=*/segregated);
   NgxConfig cfg;
-  cfg.heap_kind = segregated ? HeapKind::kSegregated : HeapKind::kAggregated;
+  cfg.heap_kind = segregated ? HeapKind::kSegment : HeapKind::kAggregated;
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 6;
@@ -41,7 +41,8 @@ LayoutE2E RunCase(BenchCli& cli, bool segregated) {
   sys.fabric->DrainAll();
   cli.Capture(machine);
   LayoutE2E out;
-  out.layout = segregated ? "segregated (16-bit side tables)" : "aggregated (intrusive links)";
+  out.layout =
+      segregated ? "segregated (segment + slab side tables)" : "aggregated (intrusive links)";
   out.wall = r.wall_cycles;
   out.app_llc_load = r.app.llc_load_misses;
   out.app_hitm = r.app.remote_hitm;

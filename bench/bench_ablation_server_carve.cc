@@ -1,19 +1,18 @@
 // Ablation for the server-side carve path (DESIGN.md §10): what does the
-// segment + slab heap buy over the seed's per-class address stacks?
+// segment + slab heap's carve path cost, and does its slab recycling hit?
 //
 // Part 1 prices the heap in isolation: the same single-core churn runs
-// against each ServerHeap layout and we charge only the cycles spent inside
-// Malloc/Free. The segregated heap's free stacks deepen with churn -- every
-// push/pop lands on a different line of a growing array -- while the segment
-// heap's slab keeps the freelist count, bump cursor and the hot entries on
-// one 64-byte header line.
+// against both ServerHeap layouts and we charge only the cycles spent inside
+// Malloc/Free. The aggregated heap pushes and pops intrusive links stored in
+// the blocks themselves; the segment heap keeps each slab's freelist count,
+// bump cursor and hot entries on one 64-byte side-table header line.
 //
-// Part 2 prices the carve path in situ: the offloaded fabric runs a quiet
-// uniform churn and a skewed tenant mix that forces span donation, once per
-// layout. Server handler time comes from the engines' carve-cycle digests;
-// the slab-recycle split (freelist pops + unit/segment reuse vs fresh
-// mappings) shows the recycling machinery staying effective while segments
-// leave and return.
+// Part 2 prices the segment heap in situ: the offloaded fabric runs a quiet
+// uniform churn and a skewed tenant mix that forces span donation. Server
+// handler time comes from the engines' carve-cycle digests; the
+// slab-recycle split (freelist pops + unit/segment reuse vs fresh mappings)
+// shows the recycling machinery staying effective while segments leave and
+// return.
 #include "bench/bench_common.h"
 
 #include "src/alloc/layout.h"
@@ -28,8 +27,7 @@ using namespace ngx::bench;
 
 namespace {
 
-constexpr HeapKind kKinds[] = {HeapKind::kSegregated, HeapKind::kAggregated,
-                               HeapKind::kSegment};
+constexpr HeapKind kKinds[] = {HeapKind::kAggregated, HeapKind::kSegment};
 
 struct DirectPoint {
   HeapKind kind;
@@ -47,14 +45,12 @@ struct DirectPoint {
 // Single-core churn straight against the heap. Only the Malloc/Free calls
 // are timed, so the number is the carve path itself, not the driver loop.
 // Two shapes:
-//  * steady: fill a working set, then replace random blocks one at a time --
-//    the segregated free stacks stay one or two entries deep and their top
-//    lines live in L1.
+//  * steady: fill a working set, then replace random blocks one at a time.
 //  * phased: alloc a whole working set, then free all of it, repeatedly --
-//    the xalanc shape (documents built then dropped). Bulk frees pile
-//    thousands of entries onto each class stack, so the refill phase pops
-//    across a long run of cold stack lines; the slab layout keeps each
-//    slab's count, cursor and hot entries on one header line.
+//    the xalanc shape (documents built then dropped). Bulk frees leave
+//    thousands of free blocks per class, so the refill phase walks them
+//    back out: through cold block lines for the aggregated lists, through
+//    each slab's header line for the segment heap.
 DirectPoint RunDirect(HeapKind kind, bool phased) {
   Machine machine(MachineConfig::Default(1));
   ServerHeapConfig cfg;
@@ -212,7 +208,6 @@ constexpr int kClients = 2;
 constexpr int kShards = 2;
 
 struct FabricPoint {
-  HeapKind kind;
   bool donation_churn = false;
   std::uint64_t wall = 0;
   std::uint64_t carve_cycles = 0;  // kMalloc/kFree handler time, all shards
@@ -231,12 +226,11 @@ struct FabricPoint {
   }
 };
 
-FabricPoint RunFabric(BenchCli& cli, HeapKind kind, bool donation_churn) {
+FabricPoint RunFabric(BenchCli& cli, bool donation_churn) {
   Machine machine(MachineConfig::Default(kClients + kShards));
   cli.EnableTelemetry(machine, /*allow_trace=*/false);
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.num_shards = kShards;
-  cfg.heap_kind = kind;
   cfg.span_donation = true;
   // 4 KiB-backed spans for the same reason as the donation ablation: huge
   // pages would turn the slice budget into an alignment artifact.
@@ -276,7 +270,6 @@ FabricPoint RunFabric(BenchCli& cli, HeapKind kind, bool donation_churn) {
   const OffloadEngineStats total = sys.fabric->TotalStats();
   const AllocatorStats a = sys.allocator->stats();
   FabricPoint out;
-  out.kind = kind;
   out.donation_churn = donation_churn;
   out.wall = r.wall_cycles;
   out.carve_cycles = total.carve_cycles;
@@ -296,7 +289,7 @@ std::string HitRateCell(double rate) {
 
 int main(int argc, char** argv) {
   BenchCli cli("ablation_server_carve", argc, argv);
-  std::cout << "=== Ablation: server carve path (segment + slab vs address stacks) ===\n\n";
+  std::cout << "=== Ablation: server carve path (segment + slab heap) ===\n\n";
 
   std::cout << "--- heap in isolation (single core, 64-4096 B; only Malloc/Free\n"
             << "    cycles are charged). steady = replace one random block at a\n"
@@ -318,39 +311,37 @@ int main(int argc, char** argv) {
   }
   std::cout << dt.ToString() << "\n";
 
-  std::cout << "--- offloaded fabric (" << kClients << " clients / " << kShards
-            << " shards, donation on; \"donation churn\" = one tenant's 8-16 KiB\n"
-            << "    working set overruns its 8 MiB slice) ---\n";
-  TextTable ft({"heap", "donation churn", "server carve cycles", "carve cycles/op",
-                "donated spans", "slab-recycle hits", "books"});
+  std::cout << "--- offloaded fabric, segment heap (" << kClients << " clients / " << kShards
+            << " shards, donation on;\n    \"donation churn\" = one tenant's 8-16 KiB"
+            << " working set overruns its 8 MiB slice) ---\n";
+  TextTable ft({"donation churn", "server carve cycles", "carve cycles/op", "donated spans",
+                "slab-recycle hits", "books"});
   std::vector<FabricPoint> fabric;
-  for (const HeapKind kind : {HeapKind::kSegregated, HeapKind::kSegment}) {
-    for (const bool churn : {false, true}) {
-      const FabricPoint p = RunFabric(cli, kind, churn);
-      fabric.push_back(p);
-      ft.AddRow({std::string(HeapKindName(kind)), churn ? "on" : "off",
-                 FormatSci(static_cast<double>(p.carve_cycles)),
-                 FormatFixed(p.CyclesPerOp(), 1), FormatInt(p.donated_spans),
-                 HitRateCell(p.RecycleHitRate()), p.books_balance ? "balanced" : "LEAK"});
-      std::cerr << "[done] fabric " << HeapKindName(kind)
-                << " donation_churn=" << (churn ? "on" : "off") << "\n";
-    }
+  for (const bool churn : {false, true}) {
+    const FabricPoint p = RunFabric(cli, churn);
+    fabric.push_back(p);
+    ft.AddRow({churn ? "on" : "off", FormatSci(static_cast<double>(p.carve_cycles)),
+               FormatFixed(p.CyclesPerOp(), 1), FormatInt(p.donated_spans),
+               HitRateCell(p.RecycleHitRate()), p.books_balance ? "balanced" : "LEAK"});
+    std::cerr << "[done] fabric donation_churn=" << (churn ? "on" : "off") << "\n";
   }
   std::cout << ft.ToString() << "\n";
 
-  const DirectPoint& d_segr_phased = direct[3];
-  const DirectPoint& d_segm_phased = direct[5];
-  std::cout << "expectation: steady-state replacement churn keeps the segregated\n"
-            << "stacks one entry deep (hot in L1), so the stack layout wins there;\n"
-            << "phased bulk frees and the fabric's small-block mix are where the\n"
-            << "slab header line pays (phased "
-            << FormatFixed(d_segm_phased.CyclesPerOp(), 1) << " vs "
-            << FormatFixed(d_segr_phased.CyclesPerOp(), 1)
-            << " cycles/op, and lower quiet-fabric\n"
-            << "carve cycles). Unit-sized blocks under donation churn are the\n"
-            << "segment layout's worst case -- every malloc/free walks the segment\n"
-            << "directory -- but the recycle hit rate stays high and every run's\n"
-            << "books balance.\n";
+  // direct[] runs kKinds for each shape: aggregated then segment, steady
+  // then phased.
+  const DirectPoint& d_agg_steady = direct[0];
+  const DirectPoint& d_segm_steady = direct[1];
+  const DirectPoint& d_agg_phased = direct[2];
+  const DirectPoint& d_segm_phased = direct[3];
+  std::cout << "expectation: the slab header line keeps the segment heap's cost flat\n"
+            << "across shapes (steady " << FormatFixed(d_segm_steady.CyclesPerOp(), 1)
+            << " vs aggregated " << FormatFixed(d_agg_steady.CyclesPerOp(), 1)
+            << " cycles/op; phased " << FormatFixed(d_segm_phased.CyclesPerOp(), 1)
+            << " vs " << FormatFixed(d_agg_phased.CyclesPerOp(), 1) << "),\n"
+            << "while the aggregated lists walk cold block lines after bulk frees.\n"
+            << "Unit-sized blocks under donation churn are the segment layout's\n"
+            << "worst case -- every malloc/free walks the segment directory -- but\n"
+            << "the recycle hit rate stays high and every run's books balance.\n";
 
   JsonValue djson = JsonValue::Array();
   for (const DirectPoint& p : direct) {
@@ -371,7 +362,6 @@ int main(int argc, char** argv) {
   JsonValue fjson = JsonValue::Array();
   for (const FabricPoint& p : fabric) {
     JsonValue o = JsonValue::Object();
-    o.Set("heap_kind", JsonValue(std::string(HeapKindName(p.kind))));
     o.Set("donation_churn", JsonValue(p.donation_churn));
     o.Set("wall_cycles", JsonValue(p.wall));
     o.Set("carve_cycles", JsonValue(p.carve_cycles));
@@ -385,24 +375,20 @@ int main(int argc, char** argv) {
   }
   cli.Set("fabric", fjson);
 
-  cli.Metric("direct_steady_cycles_per_op_segregated", direct[0].CyclesPerOp());
-  cli.Metric("direct_steady_cycles_per_op_aggregated", direct[1].CyclesPerOp());
-  cli.Metric("direct_steady_cycles_per_op_segment", direct[2].CyclesPerOp());
-  cli.Metric("direct_phased_cycles_per_op_segregated", d_segr_phased.CyclesPerOp());
-  cli.Metric("direct_phased_cycles_per_op_aggregated", direct[4].CyclesPerOp());
+  cli.Metric("direct_steady_cycles_per_op_aggregated", d_agg_steady.CyclesPerOp());
+  cli.Metric("direct_steady_cycles_per_op_segment", d_segm_steady.CyclesPerOp());
+  cli.Metric("direct_phased_cycles_per_op_aggregated", d_agg_phased.CyclesPerOp());
   cli.Metric("direct_phased_cycles_per_op_segment", d_segm_phased.CyclesPerOp());
   cli.Metric("segment_recycle_hit_rate_direct", d_segm_phased.recycle_hit_rate);
   bool books = true;
   for (const FabricPoint& p : fabric) {
     books = books && p.books_balance;
-    const std::string prefix = std::string("fabric_") + std::string(HeapKindName(p.kind)) +
-                               (p.donation_churn ? "_donation" : "_quiet");
+    const std::string prefix =
+        std::string("fabric_segment") + (p.donation_churn ? "_donation" : "_quiet");
     cli.Metric(prefix + "_carve_cycles", p.carve_cycles);
     cli.Metric(prefix + "_carve_cycles_per_op", p.CyclesPerOp());
-    if (p.kind == HeapKind::kSegment) {
-      cli.Metric(prefix + "_recycle_hit_rate", p.RecycleHitRate());
-      cli.Metric(prefix + "_donated_spans", p.donated_spans);
-    }
+    cli.Metric(prefix + "_recycle_hit_rate", p.RecycleHitRate());
+    cli.Metric(prefix + "_donated_spans", p.donated_spans);
   }
   cli.Metric("fabric_books_balanced", books ? 1 : 0);
   return cli.Finish();

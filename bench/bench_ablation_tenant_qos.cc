@@ -17,8 +17,9 @@
 //
 // A second section pins the traits layer's bit-identity contract: the Table 3
 // pipeline run with an all-default tenant list must replay the exact same
-// simulated history (same SimStateHash) as the run with no tenants at all.
-// CI asserts both claims from the JSON metrics.
+// simulated history (same SimStateHash) as the run with no tenants at all,
+// and both must replay kTable3PipelineHash. CI asserts both claims from the
+// JSON metrics.
 #include "bench/bench_common.h"
 
 #include "src/workload/alloc_ops.h"
@@ -292,9 +293,11 @@ int main(int argc, char** argv) {
   const std::uint64_t hash_plain = HashedPipelineRun(/*with_default_tenant=*/false);
   const std::uint64_t hash_tenant = HashedPipelineRun(/*with_default_tenant=*/true);
   const bool bit_identical = hash_plain == hash_tenant;
+  const bool pinned = hash_plain == kTable3PipelineHash;
   std::cerr << "[done] bit-identity replay\n";
   std::cout << "default-traits bit-identity: " << (bit_identical ? "ok" : "FAILED")
-            << " (final-state hash " << std::hex << hash_plain << std::dec << ")\n";
+            << " (final-state hash " << HashHex(hash_plain) << ", pinned "
+            << (pinned ? "ok" : "MISMATCH") << ")\n";
 
   JsonValue cases = JsonValue::Array();
   for (const QosPoint* p : {&alone, &lanes_off, &lanes_on}) {
@@ -321,10 +324,8 @@ int main(int argc, char** argv) {
   cli.Metric("lanes_on_wall_cycles", lanes_on.wall);
   cli.Metric("lanes_off_wall_cycles", lanes_off.wall);
   cli.Metric("traits_bit_identical", JsonValue(bit_identical));
-  char hash_hex[32];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(hash_plain));
-  cli.Metric("final_state_hash", JsonValue(hash_hex));
+  cli.Metric("replays_pinned_hash", JsonValue(pinned));
+  cli.Metric("final_state_hash", JsonValue(HashHex(hash_plain)));
 
   if (!bit_identical) {
     std::cerr << "error: all-default tenant list diverged from the tenant-free run ("

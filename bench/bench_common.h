@@ -4,6 +4,7 @@
 #ifndef NGX_BENCH_BENCH_COMMON_H_
 #define NGX_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -262,6 +263,22 @@ inline std::uint64_t SimStateHash(const RunResult& r) {
   mix(r.alloc_stats.munmap_calls);
   mix(r.alloc_stats.oom_failures);
   return h;
+}
+
+// SimStateHash of bench_table3_nextgen's pipeline rung: Table3Machine,
+// XalancTable3Config, seed 7, 4-KiB spans, prediction plus the stash
+// pipeline with refill mark 2 and capacity 14. The determinism sweep, the
+// tenant-QoS ablation's all-default tenant replay and the hugepage
+// ablation's off-knob cell all check against this one value, so a
+// deliberate change to simulated history re-pins it here, once, with a
+// before/after table in EXPERIMENTS.md.
+inline constexpr std::uint64_t kTable3PipelineHash = 0x42208f0556f2eba8ull;
+
+// A state hash as the 16-digit lowercase hex string the bench JSON carries.
+inline std::string HashHex(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
 }
 
 struct XalancRun {

@@ -3,8 +3,9 @@
 // The figure is an illustration; the quantitative claim behind it is that in
 // the aggregated layout the free-list pointers live in the first 8 bytes of
 // each (user) block, so allocator traffic touches user-data lines, while the
-// segregated layout keeps a small dense side structure (16-bit indices) and
-// never touches the blocks.
+// segregated layout keeps a small dense side structure (16-bit class tags
+// and slab freelist indices, the segment heap of DESIGN.md §10) and never
+// touches the blocks.
 //
 // This bench instruments both single-owner heaps with a fixed churn and
 // reports, per malloc/free pair: how many distinct *user-data* cache lines
@@ -35,7 +36,7 @@ LayoutResult Exercise(BenchCli& cli, bool segregated) {
   cli.EnableTelemetry(machine, /*allow_trace=*/segregated);
   ServerHeapConfig hc;
   hc.hugepage_spans = false;
-  hc.heap_kind = segregated ? HeapKind::kSegregated : HeapKind::kAggregated;
+  hc.heap_kind = segregated ? HeapKind::kSegment : HeapKind::kAggregated;
   auto heap = MakeServerHeap(machine, kNgxHeapBase, kNgxMetaBase, hc);
   Env env(machine, 0);
   Rng rng(99);
@@ -57,7 +58,8 @@ LayoutResult Exercise(BenchCli& cli, bool segregated) {
     }
   }
   LayoutResult r;
-  r.name = segregated ? "segregated (TCMalloc-style)" : "aggregated (Mimalloc-style)";
+  r.name =
+      segregated ? "segregated (segment + slab side tables)" : "aggregated (Mimalloc-style)";
   r.pmu = machine.core(0).pmu();
   r.pmu.cycles -= before.cycles;
   r.mapped_bytes = heap->stats().mapped_bytes;

@@ -11,15 +11,14 @@
 // client<->server mailbox transfers are cheap; we model the same-cluster
 // placement with a reduced cache-to-cache transfer latency and the weaker
 // Arm memory model's cheaper atomics.
-#include <cstdio>
-
 #include "bench/bench_common.h"
 #include "src/alloc/layout.h"
 #include "src/alloc/mimalloc/mi_allocator.h"
 
-// Table3Machine and SimStateHash live in bench_common.h: the tenant-QoS
-// ablation and the determinism-sweep tests replay this bench's pipeline run
-// and must hash it with byte-for-byte the same recipe.
+// Table3Machine, SimStateHash and the pinned kTable3PipelineHash live in
+// bench_common.h: the tenant-QoS and hugepage ablations and the
+// determinism-sweep tests replay this bench's pipeline run and must hash it
+// with byte-for-byte the same recipe.
 
 int main(int argc, char** argv) {
   using namespace ngx;
@@ -49,9 +48,9 @@ int main(int argc, char** argv) {
   const RunResult r_mi = RunWorkload(m_mi, *mi, wl_mi, opt_mi);
   std::cerr << "[done] mimalloc\n";
 
-  // NextGen-Malloc: offloaded to core 1, async free, segregated metadata,
-  // no internal atomics (the 4.2 prototype configuration). This is the run
-  // exported by --trace.
+  // NextGen-Malloc: offloaded to core 1, async free, segregated metadata
+  // (the segment + slab heap, DESIGN.md §10), no internal atomics (the 4.2
+  // prototype configuration). This is the run exported by --trace.
   Machine m_ngx(Table3Machine());
   if (record) {
     cli.EnableTelemetry(m_ngx);
@@ -89,9 +88,9 @@ int main(int argc, char** argv) {
   pipe_cfg.stash_pipeline = true;
   pipe_cfg.stash_refill_mark = 2;
   // Total inventory = the two 7-entry halves, no spill stack: the ablation
-  // sweep shows deeper client-side retention loses on this workload (the
-  // phased alloc/free structure frees in bursts the spill can't re-serve
-  // before the phase ends, and extra stash lines dilute the L1).
+  // sweep shows deeper client-side retention buys nothing on this workload
+  // (the phased alloc/free structure frees in bursts the spill can't
+  // re-serve before the phase ends; cap 32 lands within 0.1% of cap 14).
   pipe_cfg.stash_capacity = 14;
   NgxSystem pipe_sys = MakeNgxSystem(m_pipe, pipe_cfg, /*server_core=*/1);
   XalancLike wl_pipe(wl);
@@ -102,21 +101,6 @@ int main(int argc, char** argv) {
   const std::uint64_t pipe_refills = pipe_sys.allocator->stash_refills();
   const std::uint64_t pipe_stalls = pipe_sys.allocator->stash_starvation_stalls();
   std::cerr << "[done] nextgen+pipeline\n";
-
-  // The prototype with the segment + slab carve path behind the shard
-  // (DESIGN.md §10): same protocol, same client behaviour, cheaper server
-  // ops. Runs on its own machine AFTER the paper rows so their numbers stay
-  // byte-for-byte what the seed produced.
-  Machine m_segm(Table3Machine());
-  NgxConfig segm_cfg = cfg;
-  segm_cfg.heap_kind = HeapKind::kSegment;
-  NgxSystem segm_sys = MakeNgxSystem(m_segm, segm_cfg, /*server_core=*/1);
-  XalancLike wl_segm(wl);
-  RunOptions opt_segm = opt_ngx;
-  const RunResult r_segm = RunWorkload(m_segm, *segm_sys.allocator, wl_segm, opt_segm);
-  segm_sys.fabric->DrainAll();
-  const std::uint64_t segm_carve = segm_sys.fabric->TotalStats().carve_cycles;
-  std::cerr << "[done] nextgen+segment-heap\n";
 
   // The hugepage rung (DESIGN.md §16): the pipeline configuration plus
   // packed hugepage spans and hugepage-backed fabric metadata -- the paper's
@@ -174,9 +158,8 @@ int main(int argc, char** argv) {
   const double ngx_cycles = static_cast<double>(r_ngx.wall_cycles);
   const double pred_cycles = static_cast<double>(r_pred.wall_cycles);
   const double pipe_cycles = static_cast<double>(r_pipe.wall_cycles);
-  const double segm_cycles = static_cast<double>(r_segm.wall_cycles);
   const double huge_cycles = static_cast<double>(r_huge.wall_cycles);
-  const std::uint64_t base_carve = sys.fabric->TotalStats().carve_cycles;
+  const std::uint64_t carve = sys.fabric->TotalStats().carve_cycles;
   TextTable shape({"shape metric", "paper", "measured"});
   shape.AddRow({"NextGen speedup over Mimalloc", "+4.51%",
                 FormatFixed(100.0 * (mi_cycles / ngx_cycles - 1.0), 2) + "%"});
@@ -184,8 +167,6 @@ int main(int argc, char** argv) {
                 FormatFixed(100.0 * (mi_cycles / pred_cycles - 1.0), 2) + "%"});
   shape.AddRow({"  + pipelined stash refills", "(not in paper)",
                 FormatFixed(100.0 * (mi_cycles / pipe_cycles - 1.0), 2) + "%"});
-  shape.AddRow({"  + segment-heap carve path", "(not in paper)",
-                FormatFixed(100.0 * (mi_cycles / segm_cycles - 1.0), 2) + "%"});
   shape.AddRow({"  + packed hugepages (spans+meta)", "(not in paper)",
                 FormatFixed(100.0 * (mi_cycles / huge_cycles - 1.0), 2) + "%"});
   shape.AddRow({"dTLB-load misses reduced", "yes",
@@ -196,13 +177,8 @@ int main(int argc, char** argv) {
                 r_ngx.app.llc_store_misses < r_mi.app.llc_store_misses ? "yes" : "NO"});
   std::cout << shape.ToString();
 
-  std::cout << "\nserver carve cycles (kMalloc/kFree handler time on the shard core):\n"
-            << "  segregated heap: " << FormatSci(static_cast<double>(base_carve))
-            << "\n  segment heap:    " << FormatSci(static_cast<double>(segm_carve))
-            << " (" << FormatFixed(100.0 * (1.0 - static_cast<double>(segm_carve) /
-                                                      static_cast<double>(base_carve)),
-                                   2)
-            << "% lower)\n";
+  std::cout << "\nserver carve cycles (kMalloc/kFree handler time on the shard core): "
+            << FormatSci(static_cast<double>(carve)) << "\n";
 
   // Where the pipeline run's cycles go, per DESIGN.md §13: client-path is
   // allocator code on the application core net of waits; the two wait rows
@@ -240,11 +216,7 @@ int main(int argc, char** argv) {
   cli.Metric("pipeline_stash_refills", pipe_refills);
   cli.Metric("pipeline_starvation_stalls", pipe_stalls);
   cli.Metric("server_cycles", r_ngx.server.cycles);
-  cli.Metric("nextgen_segment_wall_cycles", r_segm.wall_cycles);
-  cli.Metric("nextgen_segment_speedup_pct", 100.0 * (mi_cycles / segm_cycles - 1.0));
-  cli.Metric("segment_server_cycles", r_segm.server.cycles);
-  cli.Metric("segregated_carve_cycles", base_carve);
-  cli.Metric("segment_carve_cycles", segm_carve);
+  cli.Metric("carve_cycles", carve);
   cli.Metric("nextgen_hugepage_wall_cycles", r_huge.wall_cycles);
   cli.Metric("nextgen_hugepage_speedup_pct", 100.0 * (mi_cycles / huge_cycles - 1.0));
   cli.Metric("hugepage_map_waste_bytes", huge_waste);
@@ -287,10 +259,7 @@ int main(int argc, char** argv) {
   cli.Set("cycle_attribution", at.ToJson());
   cli.Metric("attribution_total_cycles", at.total());
   cli.Metric("recorder_bit_identical", JsonValue(bit_identical));
-  char hash_hex[32];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(hash_on));
-  cli.Metric("final_state_hash", JsonValue(hash_hex));
+  cli.Metric("final_state_hash", JsonValue(HashHex(hash_on)));
   cli.Set("traffic_matrix", r_rec.traffic_matrix.ToJson());
   if (!r_rec.final_snapshot.shards.empty()) {
     cli.Set("final_heap_snapshot", r_rec.final_snapshot.ToJson());

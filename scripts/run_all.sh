@@ -65,21 +65,15 @@ if os.path.exists(t3_path):
     sync = m.get("nextgen_speedup_pct")
     pred = m.get("nextgen_prediction_speedup_pct")
     pipe = m.get("nextgen_pipeline_speedup_pct")
-    segm = m.get("nextgen_segment_speedup_pct")
     if None not in (sync, pred, pipe):
         print("\n=== Table 3 speedup vs Mimalloc (paper: +4.51%) ===")
         print(f"  sync protocol        {sync:+.2f}%")
         print(f"  + prediction stash   {pred:+.2f}%")
         print(f"  + pipelined refills  {pipe:+.2f}%   "
               f"(pipeline delta over sync: {pipe - sync:+.2f} pp)")
-        if segm is not None:
-            print(f"  + segment-heap carve {segm:+.2f}%")
-    carve_seg = m.get("segregated_carve_cycles")
-    carve_slab = m.get("segment_carve_cycles")
-    if carve_seg and carve_slab:
-        print(f"  server carve cycles: segregated {carve_seg:,} -> "
-              f"segment {carve_slab:,} "
-              f"({100.0 * (1.0 - carve_slab / carve_seg):.1f}% lower)")
+    carve = m.get("carve_cycles")
+    if carve:
+        print(f"  server carve cycles (sync rung): {carve:,}")
     with open(t3_path) as f:
         at = json.load(f).get("cycle_attribution")
     if at and at.get("total_cycles"):

@@ -9,26 +9,22 @@
 namespace ngx {
 
 enum class HeapKind {
-  // Figure 2's segregated layout: 16-bit span class tags + per-class address
-  // stacks in dense side tables (the historical default).
-  kSegregated,
+  // Figure 2's segregated layout (the default), built as the segment + slab
+  // carve path (DESIGN.md §10): fixed-size mapped segments holding
+  // size-classed slabs, 16-bit class tags and per-slab freelists in dense
+  // side tables far from user data, per-segment slab recycling.
+  kSegment,
   // Figure 2's aggregated layout: per-block headers and intrusive free lists
   // inline with user data.
   kAggregated,
-  // Segment + slab carve path (DESIGN.md §10): fixed-size mapped segments
-  // holding size-classed slabs, per-slab freelists packed into one side-table
-  // header line, per-segment slab recycling.
-  kSegment,
 };
 
 inline const char* HeapKindName(HeapKind k) {
   switch (k) {
-    case HeapKind::kSegregated:
-      return "segregated";
-    case HeapKind::kAggregated:
-      return "aggregated";
     case HeapKind::kSegment:
       return "segment";
+    case HeapKind::kAggregated:
+      return "aggregated";
   }
   return "unknown";
 }

@@ -51,12 +51,12 @@ struct NgxConfig {
   // Frees ride the fire-and-forget ring instead of a round trip.
   bool async_free = true;
 
-  // Which carve path backs each shard's server heap (ServerHeapConfig::
-  // heap_kind), and with it the metadata layout: Figure 2's segregated
-  // layout (kSegregated, 16-bit side indices, the default) or its
+  // Which layout backs every shard's server heap (ServerHeapConfig::
+  // heap_kind): Figure 2's segregated layout (kSegment, the segment + slab
+  // heap of DESIGN.md §10 with 16-bit side tables, the default) or its
   // aggregated one (kAggregated, intrusive next pointers in the blocks
-  // themselves), or the segment + slab rewrite (kSegment, DESIGN.md §10).
-  HeapKind heap_kind = HeapKind::kSegregated;
+  // themselves).
+  HeapKind heap_kind = HeapKind::kSegment;
 
   // Segment heap only (heap_kind = kSegment): fully-recycled segments kept
   // mapped in each shard's empty pool. 0 unmaps immediately, which is what
@@ -82,7 +82,7 @@ struct NgxConfig {
 
   // Hugepage-backed fabric metadata (DESIGN.md §16): back the per-(client,
   // shard) channel blocks (whose rings also hold staged free batches), the
-  // stash cache lines and the segregated metadata window with
+  // stash cache lines and the server heaps' metadata windows with
   // PageKind::kHuge2M mappings so client-side acquire-reads and server-side
   // carve walks stop taking 4-KiB dTLB walks -- the paper's Table-1 dTLB
   // argument carried into the fabric's own structures. False (the default)
@@ -167,7 +167,7 @@ struct NgxConfig {
   std::uint64_t wake_queue_depth = 16;
   // Per-tenant traits (DESIGN.md §15): named contracts binding client cores
   // to preset/override knobs -- stash capacity and refill mark, free_batch,
-  // watermark spans, home-shard carve layout and cluster placement --
+  // watermark spans and cluster placement --
   // resolved at registration instead of every tenant riding the global
   // values above. Empty (the default) keeps the single implicit tenant and
   // is bit-identical to pre-traits builds; so is a list whose every entry

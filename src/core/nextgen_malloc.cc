@@ -49,6 +49,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   NGX_CHECK(nshards >= 1 && static_cast<std::uint64_t>(nshards) <= kHeapWindow / (1u << 30),
             "shard count out of range for the heap window");
   ServerHeapConfig hc;
+  hc.heap_kind = config.heap_kind;
   hc.span_bytes = 64 * 1024;  // page-granular spans: reuse locality
   hc.hugepage_spans = config.hugepage_spans;
   hc.hugepage_metadata = config.hugepage_metadata;
@@ -102,7 +103,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
             "watermark rebalancing (span_low_mark) needs watermark_timer_cycles > 0");
   rebalance_ = donation_ && config.span_low_mark > 0;
   // Per-tenant traits (DESIGN.md §15): resolve the tenant list into per-core
-  // effective knobs and per-shard carve/watermark contracts before anything
+  // effective knobs and per-shard watermark contracts before anything
   // is sized or constructed from them. With config.tenants empty this fills
   // every vector with the global values -- all downstream paths then compute
   // byte-identically to pre-traits builds.
@@ -110,9 +111,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   heaps_.reserve(static_cast<std::size_t>(nshards));
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
   for (int s = 0; s < nshards; ++s) {
-    // A tenant homed on this shard may have specialized its carve layout
-    // (shard_heap_kind_ equals config.heap_kind otherwise).
-    hc.heap_kind = shard_heap_kind_[static_cast<std::size_t>(s)];
     heaps_.push_back(MakeServerHeap(machine,
                                     kNgxHeapBase + shard_window_ * static_cast<std::uint64_t>(s),
                                     kNgxMetaBase + meta_stride * static_cast<std::uint64_t>(s),
@@ -302,7 +300,6 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
   core_spill_depth_.assign(ncores, 0);
   core_lane_.assign(ncores, QosLane::kNormal);
   core_home_shard_.assign(ncores, -1);
-  shard_heap_kind_.assign(static_cast<std::size_t>(nshards), config_.heap_kind);
   shard_low_mark_.assign(static_cast<std::size_t>(nshards), config_.span_low_mark);
   shard_high_mark_.assign(static_cast<std::size_t>(nshards), config_.span_high_mark);
   max_stash_cap_ = config_.stash_capacity;
@@ -314,9 +311,8 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
   // the resolved vectors without re-checking anything.
   const bool will_pipeline = config_.offload && config_.prediction &&
                              config_.stash_pipeline && config_.stash_refill_mark > 0;
-  // Shard-scoped traits (carve layout, watermarks) come from the tenants
-  // homed on the shard; two tenants meeting on one shard must agree.
-  std::vector<int> kind_owner(static_cast<std::size_t>(nshards), -1);
+  // Shard-scoped traits (watermarks) come from the tenants homed on the
+  // shard; two tenants meeting on one shard must agree.
   std::vector<int> mark_owner(static_cast<std::size_t>(nshards), -1);
   for (const TenantSpec& spec : config_.tenants) {
     NGX_CHECK(!spec.name.empty(), "tenant needs a name (it labels telemetry series)");
@@ -352,8 +348,6 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
       NGX_CHECK(t.span_high_mark > t.span_low_mark,
                 "tenant span_high_mark must exceed span_low_mark");
     }
-    NGX_CHECK(!t.has_heap_kind || config_.heap_kind != HeapKind::kAggregated,
-              "per-tenant heap kinds require a non-aggregated global heap_kind");
     NGX_CHECK(t.home_shard < nshards, "tenant home_shard out of range");
     for (const int c : spec.cores) {
       NGX_CHECK(c >= 0 && c < machine.num_cores(), "tenant core out of range");
@@ -395,12 +389,6 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
       // static_by_client).
       const std::size_t hs =
           static_cast<std::size_t>(home >= 0 ? home : c % nshards);
-      if (t.has_heap_kind) {
-        NGX_CHECK(kind_owner[hs] < 0 || shard_heap_kind_[hs] == t.heap_kind,
-                  "tenants sharing a shard bind conflicting heap kinds");
-        shard_heap_kind_[hs] = t.heap_kind;
-        kind_owner[hs] = t_idx;
-      }
       if (has_low) {
         NGX_CHECK(mark_owner[hs] < 0 ||
                       (shard_low_mark_[hs] == t.span_low_mark &&
@@ -974,15 +962,15 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
 std::uint64_t NgxAllocator::NeededGrantSpans(std::uint64_t size) const {
   std::uint64_t map_bytes;
   if (size <= classes_.max_size()) {
-    // Small classes bump-carve whole spans (segregated) or whole segments
-    // (segment heap); either way one grant unit refills a class.
+    // Small classes carve whole segments (segment heap) or bump-carve whole
+    // spans (aggregated); either way one grant unit refills a class.
     map_bytes = grant_unit_spans_ * span_bytes_;
   } else if (config_.heap_kind == HeapKind::kAggregated) {
     // Aggregated large regions carry a page-sized header before user bytes.
     map_bytes = AlignUp(size, kSmallPageBytes) + kSmallPageBytes;
   } else {
-    // Segregated and segment heaps both map span-aligned multiples; packed
-    // hugepage maps are span-granular again, so no hugepage round-up.
+    // The segment heap maps span-aligned multiples; packed hugepage maps are
+    // span-granular again, so no hugepage round-up.
     map_bytes = AlignUp(AlignUp(size, span_bytes_),
                         (config_.hugepage_spans && !config_.hugepage_packing)
                             ? kHugePageBytes
@@ -1072,14 +1060,8 @@ std::uint64_t NgxAllocator::HandleDonateSpan(Env& server_env, int donor, std::ui
 std::uint64_t NgxAllocator::CarveSpans(Env& server_env, int donor, int to,
                                        std::uint64_t want) {
   // Every cross-shard ownership transfer (kDonateSpan, kRequestSpans,
-  // surplus offers) funnels through here, so this is where a per-tenant
-  // heap_kind contract is enforced: a span carved by one layout cannot be
-  // grafted onto a shard carving with another -- the block metadata the
-  // recipient would write does not survive the move.
-  NGX_CHECK(shard_heap_kind_[static_cast<std::size_t>(donor)] ==
-                shard_heap_kind_[static_cast<std::size_t>(to)],
-            "span donation between shards with conflicting heap kinds");
-  // Donor-side bookkeeping: recycled-pool scan plus directory update.
+  // surplus offers) funnels through here. Donor-side bookkeeping:
+  // recycled-pool scan plus directory update.
   server_env.Work(12);
   PageProvider& provider = heaps_[static_cast<std::size_t>(donor)]->span_provider();
   for (const std::uint64_t n : {want, grant_unit_spans_}) {
@@ -1463,8 +1445,8 @@ void NgxAllocator::NoteMallocTraffic(int client, int shard, std::uint64_t size) 
   }
   // The carved block size the request actually consumed, for the
   // internal-fragmentation mirror. Aggregated layouts pay a 16-byte inline
-  // header per small block and page-align large regions; segregated and
-  // segment layouts round large regions to whole spans.
+  // header per small block and page-align large regions; the segment heap
+  // rounds large regions to whole spans.
   std::int64_t cls = -1;
   std::uint64_t block;
   if (size <= classes_.max_size()) {

@@ -108,8 +108,8 @@ class NgxAllocator : public Allocator {
   // ---- Per-tenant traits (config.tenants; DESIGN.md §15) ----
   // Resolved once at construction into per-core effective knobs (cores not
   // claimed by any tenant carry the global NgxConfig values) and per-shard
-  // carve/watermark contracts (a shard inherits the overrides of the tenants
-  // homed on it). With config.tenants empty every accessor returns the
+  // watermark contracts (a shard inherits the overrides of the tenants homed
+  // on it). With config.tenants empty every accessor returns the
   // global value and the sim is bit-identical to pre-traits builds.
   int num_tenants() const { return static_cast<int>(tenant_names_.size()); }
   const std::vector<std::string>& tenant_names() const { return tenant_names_; }
@@ -132,9 +132,6 @@ class NgxAllocator : public Allocator {
   // Shard this core's mallocs are pinned to (-1 = the routing policy picks).
   int core_home_shard(int core) const {
     return core_home_shard_[static_cast<std::size_t>(core)];
-  }
-  HeapKind shard_heap_kind(int shard) const {
-    return shard_heap_kind_[static_cast<std::size_t>(shard)];
   }
   std::uint64_t shard_low_mark(int shard) const {
     return shard_low_mark_[static_cast<std::size_t>(shard)];
@@ -492,8 +489,8 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_half_bytes_ = 0;  // one cache line per half
   // Per-tenant traits resolution (config.tenants; DESIGN.md §15). Sized and
   // filled by ResolveTenants; with no tenants every per-core entry carries
-  // the global NgxConfig value and every per-shard entry the global
-  // kind/marks, so the consuming code paths are byte-identical.
+  // the global NgxConfig value and every per-shard entry the global marks,
+  // so the consuming code paths are byte-identical.
   std::vector<std::string> tenant_names_;       // config order
   std::vector<std::int16_t> core_tenant_;       // client core -> tenant, -1 default
   std::vector<std::uint32_t> core_stash_cap_;   // per core
@@ -503,7 +500,6 @@ class NgxAllocator : public Allocator {
   std::vector<std::uint32_t> core_spill_depth_; // core cap beyond the halves
   std::vector<QosLane> core_lane_;              // per core ring lane
   std::vector<int> core_home_shard_;            // per core pin, -1 = policy
-  std::vector<HeapKind> shard_heap_kind_;       // per shard carve layout
   std::vector<std::uint64_t> shard_low_mark_;   // per shard watermark
   std::vector<std::uint64_t> shard_high_mark_;  // per shard watermark
   std::uint32_t max_stash_cap_ = 0;   // layout-sizing maximum across cores

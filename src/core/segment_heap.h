@@ -1,15 +1,15 @@
-// SegmentHeap: the segment + slab carve path behind the ServerHeap interface
-// (DESIGN.md §10).
+// SegmentHeap: Figure 2's segregated layout behind the ServerHeap interface,
+// built as a segment + slab carve path (DESIGN.md §10).
 //
-// Compared to the segregated heap's per-class address stacks, the carve state
-// for a size class is distributed over *slabs*: each slab's freelist count,
-// bump cursor and the first 20 free entries share ONE 64-byte header line in
-// a dense side table, so steady-state malloc/free touch the class head line
-// plus that one header line instead of a stack whose entries spread across
-// ever more lines as churn deepens it. Fully-free slabs retire their unit
-// back to the owning segment; fully-recycled segments park in a bounded empty
-// pool and are unmapped beyond it -- which is what feeds SpanDirectory's
-// kRecycled state and makes donated segments eligible to return home.
+// All block bookkeeping lives in dense side tables in the metadata window,
+// never in the blocks. The carve state for a size class is distributed over
+// *slabs*: each slab's freelist count, bump cursor and the first 20 free
+// entries share ONE 64-byte header line, so steady-state malloc/free touch
+// the class head line plus that one header line, however deep the class's
+// free population grows. Fully-free slabs retire their unit back to the
+// owning segment; fully-recycled segments park in a bounded empty pool and
+// are unmapped beyond it -- which is what feeds SpanDirectory's kRecycled
+// state and makes donated segments eligible to return home.
 #ifndef NGX_SRC_CORE_SEGMENT_HEAP_H_
 #define NGX_SRC_CORE_SEGMENT_HEAP_H_
 
@@ -56,8 +56,8 @@ class SegmentHeap : public ServerHeap {
   const SlabLayout& layout() const { return layout_; }
 
  private:
-  // Class map tags share the segregated heap's encoding so the client-side
-  // recycle fast path is layout-agnostic.
+  // Class map tags: 16-bit, one per slab unit, read by the client-side
+  // recycle fast path (ClassifyForRecycle).
   static constexpr std::uint16_t kTagFree = 0;
   static constexpr std::uint16_t kTagLarge = 1;
   static constexpr std::uint16_t kTagClassBase = 2;

@@ -1,14 +1,12 @@
 // Single-owner heaps used by the NextGen-Malloc server core.
 //
-// The interface is layout-agnostic; the variants behind the HeapKind
-// selector differ along Figure 2's axis plus the carve-path rewrite:
-//  * SegregatedHeap -- block bookkeeping in dense side tables (16-bit span
-//    classes, address stacks) far from user data.
+// The interface is layout-agnostic; the two variants behind the HeapKind
+// selector are Figure 2's two layouts:
+//  * SegmentHeap    -- the segregated layout (segment_heap.h): 16-bit class
+//    tags and per-slab freelists in dense side tables far from user data,
+//    each slab's whole carve state on one header line.
 //  * AggregatedHeap -- intrusive free lists and per-block headers inline
 //    with user data.
-//  * SegmentHeap   -- segment + slab carve path (segment_heap.h): segregated
-//    side tables reorganized so each slab's whole carve state shares one
-//    header line.
 // An optional lock models Section 3.1.3's removable atomics.
 #ifndef NGX_SRC_CORE_SERVER_HEAP_H_
 #define NGX_SRC_CORE_SERVER_HEAP_H_
@@ -33,7 +31,7 @@ struct HeapInspection {
   std::uint64_t bytes_live = 0;
   std::uint64_t data_mapped_bytes = 0;
   std::uint64_t meta_mapped_bytes = 0;
-  std::uint64_t free_blocks = 0;         // small blocks parked on stacks/lists
+  std::uint64_t free_blocks = 0;         // small blocks parked on freelists
   std::uint64_t free_block_bytes = 0;
   std::uint64_t bump_reserve_bytes = 0;  // unconsumed carve-cursor bytes
   std::uint64_t large_blocks = 0;        // live large mappings
@@ -56,9 +54,10 @@ class ServerHeap {
   // Size class of a live small block, or -1 for large mappings. Unlike every
   // other method this one is issued by CLIENT cores (the stash recycle fast
   // path, DESIGN.md §9): one timed load of read-mostly metadata -- the
-  // segregated span map is written only when a span is carved, so its few
-  // lines stay resident in client caches; the aggregated variant reads the
-  // block's inline header, a line the freeing client owns anyway.
+  // segment heap's class map is written only when a slab is acquired or
+  // retired, so its few lines stay resident in client caches; the aggregated
+  // variant reads the block's inline header, a line the freeing client owns
+  // anyway.
   virtual std::int64_t ClassifyForRecycle(Env& env, Addr addr) = 0;
   virtual AllocatorStats stats() const = 0;
   // Untimed occupancy walk for the flight recorder (see HeapInspection).
@@ -70,17 +69,17 @@ class ServerHeap {
 };
 
 struct ServerHeapConfig {
-  // Which carve path backs the shard (README's knob table). The default is
-  // the historical segregated layout, byte-for-byte.
-  HeapKind heap_kind = HeapKind::kSegregated;
+  // Which layout backs the shard (README's knob table): the segregated
+  // segment heap by default, or Figure 2's aggregated contrast.
+  HeapKind heap_kind = HeapKind::kSegment;
   bool use_lock = false;  // keep the 2-atomics-per-op lock (ablation)
   bool hugepage_spans = true;
-  // Back the metadata window (segregated side tables / segment directory)
-  // with 2-MiB mappings instead of 4-KiB ones (NgxConfig::hugepage_metadata).
+  // Back the metadata window (segment directory and slab side tables, or the
+  // aggregated list heads) with 2-MiB mappings instead of 4-KiB ones
+  // (NgxConfig::hugepage_metadata).
   bool hugepage_metadata = false;
   std::uint64_t span_bytes = 128 * 1024;
   std::uint64_t small_max = 32 * 1024;
-  std::uint32_t stack_capacity = 8192;  // per-class free stack (segregated)
   // Segment heap only: fully-recycled segments kept mapped in the empty pool
   // (amortizes map/unmap churn); beyond this many, a recycled segment is
   // unmapped -- which is also what makes a donated segment returnable, so

@@ -11,9 +11,9 @@ SlabLayout::SlabLayout(Addr heap_base, Addr meta_base, std::uint64_t span_bytes,
   NGX_CHECK(span_bytes >= 4096 && (span_bytes & (span_bytes - 1)) == 0,
             "segment size must be a power of two of at least one page");
   unit_bytes_ = span_bytes / kUnitsPerSegment;
-  // Table capacities mirror the segregated span map's sizing: enough dense
-  // entries for 32 GiB of segments per shard; indices beyond that (donated
-  // ranges) land in the sparse tail / wrapped space past the dense tables.
+  // Dense table capacities cover 32 GiB of segments per shard; indices
+  // beyond that (donated ranges) land in the sparse tail / wrapped space past
+  // the dense tables.
   const std::uint64_t max_segments = (32ull << 30) / span_bytes;
   const std::uint64_t max_units = max_segments * kUnitsPerSegment;
   class_heads_off_ = 64;  // the lock keeps its own line

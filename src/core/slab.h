@@ -6,9 +6,8 @@
 // a unit, the whole segment for the few classes between unit_bytes and
 // small_max. All bookkeeping lives in dense side tables in the metadata
 // window (never inside segments), addressed by pure arithmetic from the block
-// address -- the same wrapped-index scheme the segregated span map uses, so
-// slabs carved from donated ranges land on deterministic, collision-free
-// metadata addresses too.
+// address with a wrapped index, so slabs carved from donated ranges land on
+// deterministic, collision-free metadata addresses too.
 //
 // The hot structure is the 64-byte *slab header line*:
 //   +0   state word: free_count (u16) | bump_used (u16)

@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/heap_kind.h"
 #include "src/sim/check.h"
 
 namespace ngx {
@@ -109,11 +108,6 @@ struct TenantTraits {
   // Watermark spans for the shard this tenant's clients home on.
   std::uint64_t span_low_mark = kInherit64;
   std::uint64_t span_high_mark = kInherit64;
-  // Carve-path layout for the tenant's home shard. Donating spans between
-  // shards of different kinds is checked at grant time (the span's carve
-  // metadata layout would not survive the move).
-  bool has_heap_kind = false;
-  HeapKind heap_kind = HeapKind::kSegregated;
   // Cluster placement: route this tenant's mallocs to a fixed shard
   // (>= 0 pins; -1 lets the routing policy decide). kNumaLocal resolves
   // this at registration from the machine's cluster topology.

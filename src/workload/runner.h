@@ -58,7 +58,7 @@ struct RunResult {
   // Server carve-path digests (telemetry-enabled runs only; DESIGN.md §10):
   // server-core cycles inside the heap's malloc/free/refill handlers, and
   // the segment heap's slab-recycle vs fresh-mapping split (zero for the
-  // segregated/aggregated layouts, which have no slab recycling).
+  // aggregated layout, which has no slab recycling).
   std::uint64_t server_carve_cycles = 0;
   std::uint64_t slab_reuses = 0;
   std::uint64_t fresh_slab_carves = 0;

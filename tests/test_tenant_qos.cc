@@ -57,7 +57,6 @@ TEST(TenantTraitsUnit, LowLatencyContractRidesTheLatencyLaneUnbatched) {
   EXPECT_EQ(t.free_batch, 1u);
   EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit);
   EXPECT_EQ(t.span_low_mark, TenantTraits::kInherit64);
-  EXPECT_FALSE(t.has_heap_kind);
   EXPECT_EQ(t.home_shard, -1);
 }
 
@@ -84,7 +83,6 @@ TEST(TenantTraitsUnit, DefaultAndNumaLocalInheritEveryKnob) {
     EXPECT_EQ(t.free_batch, TenantTraits::kInherit) << name;
     EXPECT_EQ(t.span_low_mark, TenantTraits::kInherit64) << name;
     EXPECT_EQ(t.span_high_mark, TenantTraits::kInherit64) << name;
-    EXPECT_FALSE(t.has_heap_kind) << name;
     EXPECT_EQ(t.home_shard, -1) << name;
   }
 }
@@ -303,51 +301,6 @@ TEST(TenantConfigDeath, ClaimingAServerCoreAborts) {
   t.cores = {2};  // the shard server core
   cfg.tenants = {t};
   EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "server core");
-}
-
-TEST(TenantConfigDeath, ConflictingHeapKindsOnASharedShardAbort) {
-  auto machine = MakeMachine(4);
-  NgxConfig cfg;
-  cfg.num_shards = 1;  // both tenants meet on shard 0
-  TenantSpec seg;
-  seg.name = "segment_tenant";
-  seg.traits.has_heap_kind = true;
-  seg.traits.heap_kind = HeapKind::kSegment;
-  seg.cores = {0};
-  TenantSpec cls;
-  cls.name = "classic_tenant";
-  cls.traits.has_heap_kind = true;
-  cls.traits.heap_kind = HeapKind::kSegregated;
-  cls.cores = {1};
-  cfg.tenants = {seg, cls};
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 3),
-                            "conflicting heap kinds");
-}
-
-// A tenant's carve-layout contract must also hold against the span economy
-// at runtime: a donation in flight between shards of different kinds would
-// graft a span whose block metadata layout does not survive the move.
-TEST(TenantConfigDeath, SpanDonationBetweenConflictingHeapKindsAborts) {
-  auto machine = MakeMachine(4);
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  cfg.hugepage_spans = false;
-  cfg.heap_window = 8 * kMiB;
-  cfg.span_donation = true;
-  TenantSpec seg;
-  seg.name = "segment_tenant";
-  seg.traits.has_heap_kind = true;
-  seg.traits.heap_kind = HeapKind::kSegment;
-  seg.cores = {0};  // homes on shard 0; shard 1 keeps the global kSegregated
-  cfg.tenants = {seg};
-  auto sys = MakeNgxSystem(*machine, cfg, {2, 3});
-  ASSERT_EQ(sys.allocator->shard_heap_kind(0), HeapKind::kSegment);
-  ASSERT_EQ(sys.allocator->shard_heap_kind(1), HeapKind::kSegregated);
-  Env env(*machine, 0);
-  // arg = (want << 8) | requester: shard 0 asks shard 1 to donate one span.
-  EXPECT_DEATH_IF_SUPPORTED(
-      (void)sys.fabric->SyncRequest(env, 1, OffloadOp::kRequestSpans, (1ull << 8) | 0),
-      "conflicting heap kinds");
 }
 
 // ---- Lane admission at the engine ----
