@@ -1,7 +1,7 @@
 // Elastic heap fabric tests: span-directory bookkeeping, the kDonateSpan
-// protocol end to end (ownership transfer, frees routed mid-donation),
-// batched remote frees staged in the ring, and the NGX_CHECK death tests
-// that guard double donation.
+// protocol end to end (ownership transfer, frees routed mid-donation, the
+// same protocol on aggregated shards), batched remote frees staged in the
+// ring, and the NGX_CHECK death tests that guard double donation.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -136,6 +136,45 @@ TEST(SpanDonation, FreeRoutedMidDonationLandsAtTheNewOwner) {
   sys.fabric->DrainAll();
   EXPECT_EQ(sys.allocator->shard_stats(0).frees, frees_before + 1);
   EXPECT_EQ(sys.allocator->shard_stats(1).frees, 0u);
+}
+
+// Every shard carves with the global heap_kind, so donation needs no layout
+// check: an aggregated fabric grafts and carves donated spans the same way,
+// and frees of blocks carved from them reach the new owner.
+TEST(SpanDonation, AggregatedShardsCarveDonatedSpans) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg = DonationConfig();
+  cfg.heap_kind = HeapKind::kAggregated;
+  auto sys = MakeNgxSystem(*machine, cfg);
+  ASSERT_EQ(sys.allocator->heap(1).name(), "ngx-aggregated");
+  Env env(*machine, 0);
+  std::vector<Addr> blocks;
+  for (int i = 0; i < 280 && sys.allocator->directory()->donated_in(0) == 0; ++i) {
+    const Addr a = sys.allocator->Malloc(env, 16 * 1024);
+    ASSERT_NE(a, kNullAddr) << "donation must keep shard 0 serviceable, alloc " << i;
+    blocks.push_back(a);
+  }
+  const SpanDirectory& d = *sys.allocator->directory();
+  ASSERT_GT(d.donated_in(0), 0u) << "shard 0 never ran dry";
+  EXPECT_EQ(d.donated_out(1), d.donated_in(0));
+  EXPECT_EQ(sys.allocator->partition_oom_failures(), 0u);
+  bool saw_cross_slice = false;
+  for (const Addr a : blocks) {
+    if (a >= kNgxHeapBase + 4 * kMiB) {
+      EXPECT_EQ(sys.allocator->ShardOfAddr(a), 0);
+      saw_cross_slice = true;
+    }
+  }
+  EXPECT_TRUE(saw_cross_slice) << "no block was carved from a donated span";
+  for (const Addr a : blocks) {
+    sys.allocator->Free(env, a);
+  }
+  sys.allocator->Flush(env);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->shard_stats(1).frees, 0u);
+  const AllocatorStats stats = sys.allocator->stats();
+  EXPECT_EQ(stats.mallocs, stats.frees);
+  EXPECT_EQ(stats.bytes_live, 0u);
 }
 
 // Without donation the same skewed load must hit the partition wall (the
