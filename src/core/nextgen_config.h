@@ -35,6 +35,12 @@ enum class PlacementKind {
 // free_batch (global or per tenant) must fit in one ring.
 inline constexpr std::uint32_t kNgxRingCapacity = 64;
 
+// Heap geometry every shard shares: page-granular 64-KiB spans (reuse
+// locality; also the unit of span ownership) and size classes up to 32 KiB,
+// above which a request maps a region of its own.
+inline constexpr std::uint64_t kNgxSpanBytes = 64 * 1024;
+inline constexpr std::uint64_t kNgxSmallMax = 32 * 1024;
+
 struct NgxConfig {
   // Run malloc/free on a dedicated core via the offload engine. When false,
   // the allocator runs inline on the application cores (MMT-style ablation).

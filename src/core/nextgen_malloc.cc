@@ -39,7 +39,7 @@ class ClientOpScope {
 NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxConfig& config)
     : machine_(&machine),
       config_(config),
-      classes_(32 * 1024),
+      classes_(kNgxSmallMax),
       fabric_(fabric) {
   NGX_CHECK((fabric != nullptr) == config.offload,
             "offloaded allocators need a fabric; inline ones must not have one");
@@ -48,9 +48,16 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
             "fabric shard count must match config.num_shards");
   NGX_CHECK(nshards >= 1 && static_cast<std::uint64_t>(nshards) <= kHeapWindow / (1u << 30),
             "shard count out of range for the heap window");
+  // Combinations that would otherwise be silently ignored.
+  NGX_CHECK(config.routing != RoutingKind::kAdaptive || config.adaptive_routing,
+            "routing = adaptive needs adaptive_routing (the epoch controller feeds it)");
+  NGX_CHECK(!config.stash_pipeline || config.prediction,
+            "stash_pipeline needs prediction: there is no stash to pipeline");
+  NGX_CHECK(!config.prediction || config.offload,
+            "prediction needs offload: the inline allocator never reads the stash");
   ServerHeapConfig hc;
   hc.heap_kind = config.heap_kind;
-  hc.span_bytes = 64 * 1024;  // page-granular spans: reuse locality
+  hc.span_bytes = kNgxSpanBytes;
   hc.hugepage_spans = config.hugepage_spans;
   hc.hugepage_metadata = config.hugepage_metadata;
   NGX_CHECK(!config.hugepage_packing || config.hugepage_spans,
@@ -59,17 +66,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   // Section 3.1.3: the dedicated core serializes operations, so the lock can
   // go. Inline (non-offloaded) mode keeps it unless explicitly removed.
   hc.use_lock = !config.remove_atomics;
-  span_bytes_ = hc.span_bytes;
-  // Spans are donated in whole map units: a 2 MiB-backed span grant must be
-  // 2 MiB-sized and -aligned or the recipient's provider cannot map it --
-  // unless packing is on, in which case maps are span-granular again (the
-  // shared hugepage ledger keeps frames straddling a donation boundary
-  // backed) and the grant unit shrinks back to one span.
-  const std::uint64_t page = (config.hugepage_spans && !config.hugepage_packing)
-                                 ? kHugePageBytes
-                                 : kSmallPageBytes;
-  grant_unit_spans_ = AlignUp(span_bytes_, page) / span_bytes_;
-  grant_align_ = std::max(span_bytes_, page);
   if (config.hugepage_packing) {
     hugepage_ledger_ = std::make_unique<HugepageLedger>();
   }
@@ -81,38 +77,28 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   const std::uint64_t window = config.heap_window ? config.heap_window : kHeapWindow;
   NGX_CHECK(window <= kHeapWindow && window % static_cast<std::uint64_t>(nshards) == 0,
             "heap window must split evenly across shards");
-  shard_window_ = window / static_cast<std::uint64_t>(nshards);
-  NGX_CHECK(shard_window_ % kHugePageBytes == 0,
-            "shard slices must stay hugepage aligned");
+  const std::uint64_t shard_window = window / static_cast<std::uint64_t>(nshards);
+  NGX_CHECK(shard_window % kHugePageBytes == 0, "shard slices must stay hugepage aligned");
   const std::uint64_t meta_stride = kHeapWindow / static_cast<std::uint64_t>(nshards);
   NGX_CHECK(!config.hugepage_metadata || meta_stride % kHugePageBytes == 0,
             "hugepage-backed metadata slices must stay hugepage aligned");
-  hc.window_bytes = shard_window_;
+  hc.window_bytes = shard_window;
   hc.meta_window_bytes = meta_stride;
-  if (nshards > 1) {
-    directory_ = std::make_unique<SpanDirectory>(kNgxHeapBase, window, span_bytes_, nshards);
-  }
-  donation_ = config.span_donation && fabric != nullptr && nshards > 1;
-  NGX_CHECK(!donation_ || nshards <= 256,
-            "kDonateSpan packs the requester shard into 8 bits");
   NGX_CHECK(config.span_low_mark == 0 || config.span_donation,
             "watermark rebalancing (span_low_mark) requires span_donation");
   NGX_CHECK(config.span_low_mark == 0 || config.span_high_mark > config.span_low_mark,
             "span_high_mark must exceed span_low_mark");
   NGX_CHECK(config.span_low_mark == 0 || config.watermark_timer_cycles > 0,
             "watermark rebalancing (span_low_mark) needs watermark_timer_cycles > 0");
-  rebalance_ = donation_ && config.span_low_mark > 0;
-  // Per-tenant traits (DESIGN.md §15): resolve the tenant list into per-core
-  // effective knobs and per-shard watermark contracts before anything
-  // is sized or constructed from them. With config.tenants empty this fills
-  // every vector with the global values -- all downstream paths then compute
-  // byte-identically to pre-traits builds.
-  ResolveTenants(machine, nshards, fabric != nullptr ? &fabric->server_cores() : nullptr);
+  // Per-tenant traits (DESIGN.md §15) resolve before anything is sized or
+  // constructed from them.
+  plan_ = ResolveTenantPlan(config, machine.num_cores(), machine.config().cluster_cores,
+                            fabric != nullptr ? fabric->server_cores() : std::vector<int>{});
   heaps_.reserve(static_cast<std::size_t>(nshards));
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
   for (int s = 0; s < nshards; ++s) {
     heaps_.push_back(MakeServerHeap(machine,
-                                    kNgxHeapBase + shard_window_ * static_cast<std::uint64_t>(s),
+                                    kNgxHeapBase + shard_window * static_cast<std::uint64_t>(s),
                                     kNgxMetaBase + meta_stride * static_cast<std::uint64_t>(s),
                                     hc));
     if (hugepage_ledger_ != nullptr) {
@@ -121,18 +107,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
       // always before its first Map.
       heaps_.back()->span_provider().set_hugepage_ledger(hugepage_ledger_.get());
     }
-    if (directory_ != nullptr) {
-      // Host-side bookkeeping mirror of this shard's data mappings; the
-      // observer must never touch simulated state.
-      heaps_.back()->span_provider().set_observer(
-          [this, s](Addr addr, std::uint64_t bytes, bool is_map) {
-            if (is_map) {
-              directory_->NoteMapped(s, addr, bytes);
-            } else {
-              directory_->NoteUnmapped(s, addr, bytes);
-            }
-          });
-    }
     if (fabric != nullptr) {
       shard_servers_.push_back(std::make_unique<ShardServer>(this, s));
       fabric->set_server(s, shard_servers_.back().get());
@@ -140,62 +114,31 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   }
   NGX_CHECK(config.free_batch >= 1 && config.free_batch <= kNgxRingCapacity,
             "free_batch must fit in one async ring");
-  if (rebalance_) {
-    // Two tick paths into the same guard (DESIGN.md §8). Busy shards tick
-    // from the engines' post-drain hooks: every sync request and DrainAll
-    // ends in a tick. Quiet shards, with no drains to hook, tick from a
-    // periodic per-shard timer, which also reaches a server core whose
-    // clock runs ahead of every client -- so a shard with no traffic still
-    // pulls refills, sheds surplus and sends recycled spans home within one
-    // period. Neither is installed when rebalancing is off, so
-    // span_low_mark = 0 stays bit-identical.
-    for (int s = 0; s < nshards; ++s) {
-      fabric->set_post_drain_hook(
-          s, [this, s](Env& server_env) { WatermarkTick(server_env, s); });
-      const int core = fabric->server_cores()[static_cast<std::size_t>(s)];
-      timer_hook_ids_.push_back(
-          machine.AddTimerHook(core, config.watermark_timer_cycles, [this, s, core] {
-            Env env(*machine_, core);
-            WatermarkTick(env, s);
-          }));
-    }
+  if (nshards > 1) {
+    control_ = std::make_unique<ControlPlane>(machine, *fabric, config_, plan_, heaps_);
   }
   if (config.prediction) {
     predictor_.emplace(machine.num_cores(), classes_.num_classes(), config.max_predict_batch);
-    // Pipelined refills need the offload fabric (the refill rides the async
-    // ring) and a nonzero mark; with either missing the single-stack layout
-    // below is byte-for-byte the historical one, keeping pipeline-off runs
-    // bit-identical to pre-pipeline builds.
-    pipeline_ = config.offload && config.stash_pipeline && config.stash_refill_mark > 0;
+    // Logical depths follow each core's tenant; slots are laid out for the
+    // deepest stash (or spill stack) in the fleet.
+    std::uint32_t max_cap = 0;
+    std::uint32_t max_spill = 0;
+    for (const CoreContract& core : plan_.cores) {
+      max_cap = std::max(max_cap, core.stash_capacity);
+      max_spill = std::max(max_spill, core.spill_depth);
+    }
+    pipeline_ = PipelinesStash(config);
     if (pipeline_) {
       NGX_CHECK(classes_.num_classes() < (1u << 16),
                 "kRefillStash packs the size class into the tagged-ring arg");
       // [half 0][half 1][spill stack], the halves one 64-byte line each:
-      // [seq|count][7 entries]. The per-half capacity is the line, not
-      // config.stash_capacity -- REFILL batches beyond one line would cost a
-      // transfer per extra line and hand out ever-colder server blocks. The
-      // rest of the configured capacity becomes the client-only spill stack
-      // behind the halves (see SpillAddr), which holds recycled frees, never
-      // server fills, so its depth stretches no refill.
-      NGX_CHECK(config.stash_capacity > 0, "pipelined stash needs a nonzero capacity");
-      // Logical depths follow each core's tenant; the slot layout below is
-      // sized by the deepest spill stack in the fleet (the global
-      // stash_capacity's when no tenant overrides it).
-      std::uint32_t max_spill = 0;
-      for (int c = 0; c < machine.num_cores(); ++c) {
-        const std::uint32_t cap = core_stash_cap_[static_cast<std::size_t>(c)];
-        core_pipe_cap_[static_cast<std::size_t>(c)] =
-            std::min<std::uint32_t>(cap, kPipeHalfCap);
-        core_spill_depth_[static_cast<std::size_t>(c)] =
-            cap > 2 * kPipeHalfCap ? cap - 2 * kPipeHalfCap : 0;
-        max_spill = std::max(max_spill, core_spill_depth_[static_cast<std::size_t>(c)]);
-      }
+      // [seq|count][7 entries].
       stash_half_bytes_ = 64;
       stash_slot_ = 2 * stash_half_bytes_ + AlignUp(8ull * max_spill, 64);
       pipes_.assign(static_cast<std::size_t>(machine.num_cores()) * classes_.num_classes(),
                     StashPipe{});
     } else {
-      stash_slot_ = AlignUp(IndexStack::FootprintBytes(max_stash_cap_), 64);
+      stash_slot_ = AlignUp(IndexStack::FootprintBytes(max_cap), 64);
     }
     stash_stride_ = AlignUp(stash_slot_ * classes_.num_classes(), kSmallPageBytes);
     stash_provider_ = std::make_unique<PageProvider>(
@@ -215,48 +158,19 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // re-read of the server-written tail line per push.
     fabric_->set_producer_index_cache(true);
   }
-  // Elastic-fleet epoch controller (DESIGN.md §14). Rides the same timer
-  // mechanism as the watermark tick, on the first server core only: epoch
-  // decisions are fleet-global (they read the whole traffic matrix), so one
-  // controller clock avoids N racing epoch boundaries. Nothing is registered
-  // and no tracking runs when adaptive_routing is off, so default runs stay
-  // bit-identical whatever the other fleet knobs say.
-  adaptive_ = config.adaptive_routing && fabric != nullptr && nshards > 1;
-  if (adaptive_) {
-    NGX_CHECK(config.epoch_cycles > 0, "adaptive routing needs an epoch length");
-    fabric->set_epoch_tracking(true);
-    woke_this_epoch_.assign(static_cast<std::size_t>(nshards), 0);
-    // The controller starts on shard 0's server core but is ELECTED, not
-    // hard-wired: when the ticker shard parks, EpochTick re-pins the timer
-    // (Machine::MoveTimerHook) to the lowest-id active shard -- one always
-    // exists, since the last active shard never parks. The callback reads
-    // the elected shard at fire time; while shard 0 stays active nothing
-    // moves and runs are bit-identical to the hard-wired scheme.
-    epoch_ticker_shard_ = 0;
-    epoch_timer_id_ =
-        machine.AddTimerHook(fabric->server_cores().front(), config.epoch_cycles, [this] {
-          Env env(*machine_,
-                  fabric_->server_cores()[static_cast<std::size_t>(epoch_ticker_shard_)]);
-          EpochTick(env);
-        });
-    timer_hook_ids_.push_back(epoch_timer_id_);
-  }
-  // QoS lanes + tenant labels on the fabric (DESIGN.md §15). Lane and label
-  // assignment is observational until lane admission is enabled; home-shard
-  // pins route a tenant's mallocs to its contracted shard.
-  if (fabric != nullptr && !config.tenants.empty()) {
+  // QoS lanes, home-shard pins and tenant labels on the fabric (DESIGN.md
+  // §15). Unclaimed cores carry the fabric's defaults (normal lane, no pin).
+  // Lanes are observational until lane admission is enabled; a pin routes a
+  // tenant's mallocs to its contracted shard.
+  if (fabric != nullptr) {
     for (int c = 0; c < machine.num_cores(); ++c) {
-      const int t = core_tenant_[static_cast<std::size_t>(c)];
-      if (t >= 0) {
-        fabric->set_client_lane(c, core_lane_[static_cast<std::size_t>(c)]);
-        fabric->set_client_label(c, tenant_names_[static_cast<std::size_t>(t)]);
-      }
-      if (core_home_shard_[static_cast<std::size_t>(c)] >= 0) {
-        fabric->set_client_home_shard(c, core_home_shard_[static_cast<std::size_t>(c)]);
+      const CoreContract& core = plan_.cores[static_cast<std::size_t>(c)];
+      fabric->set_client_lane(c, core.lane);
+      fabric->set_client_home_shard(c, core.home_shard);
+      if (core.tenant >= 0) {
+        fabric->set_client_label(c, plan_.tenant_names[static_cast<std::size_t>(core.tenant)]);
       }
     }
-  }
-  if (fabric != nullptr) {
     fabric->set_lane_admission(config.lane_quantum);
   }
   // Flight-recorder wiring (host-side only; inert until the recorder is
@@ -271,137 +185,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   recorder.SetSnapshotSource([this] { return BuildSnapshot(); });
 }
 
-NgxAllocator::~NgxAllocator() {
-  machine_->telemetry().recorder().ClearSnapshotSource();
-  for (const int id : timer_hook_ids_) {
-    machine_->RemoveTimerHook(id);
-  }
-  if (rebalance_ && fabric_ != nullptr) {
-    for (int s = 0; s < num_shards(); ++s) {
-      fabric_->set_post_drain_hook(s, nullptr);
-    }
-  }
-}
-
-void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
-                                  const std::vector<int>* server_cores) {
-  // Stage 1: every core and shard starts on the global contract. With no
-  // tenants configured this is the whole function, and because the per-core
-  // values then EQUAL the globals, every consumer (stash layout, free
-  // batching, refill marks, watermarks) computes byte-identically to the
-  // pre-traits build.
-  const std::size_t ncores = static_cast<std::size_t>(machine.num_cores());
-  tenant_names_.clear();
-  core_tenant_.assign(ncores, -1);
-  core_stash_cap_.assign(ncores, config_.stash_capacity);
-  core_refill_mark_.assign(ncores, config_.stash_refill_mark);
-  core_free_batch_.assign(ncores, config_.free_batch);
-  core_pipe_cap_.assign(ncores, 0);   // filled by the pipeline sizing pass
-  core_spill_depth_.assign(ncores, 0);
-  core_lane_.assign(ncores, QosLane::kNormal);
-  core_home_shard_.assign(ncores, -1);
-  shard_low_mark_.assign(static_cast<std::size_t>(nshards), config_.span_low_mark);
-  shard_high_mark_.assign(static_cast<std::size_t>(nshards), config_.span_high_mark);
-  max_stash_cap_ = config_.stash_capacity;
-  if (config_.tenants.empty()) {
-    return;
-  }
-  // Stage 2: overlay each tenant's contract onto the cores it claims.
-  // Validation happens here, once, at registration -- the hot paths index
-  // the resolved vectors without re-checking anything.
-  const bool will_pipeline = config_.offload && config_.prediction &&
-                             config_.stash_pipeline && config_.stash_refill_mark > 0;
-  // Shard-scoped traits (watermarks) come from the tenants homed on the
-  // shard; two tenants meeting on one shard must agree.
-  std::vector<int> mark_owner(static_cast<std::size_t>(nshards), -1);
-  for (const TenantSpec& spec : config_.tenants) {
-    NGX_CHECK(!spec.name.empty(), "tenant needs a name (it labels telemetry series)");
-    for (const std::string& seen : tenant_names_) {
-      NGX_CHECK(seen != spec.name, "duplicate tenant name");
-    }
-    const int t_idx = static_cast<int>(tenant_names_.size());
-    tenant_names_.push_back(spec.name);
-    const TenantTraits& t = spec.traits;
-    // The pipeline's stash layout is [half 0][half 1][spill]: a capacity
-    // override below two halves cannot host the protocol's publish word
-    // dance, so it is rejected rather than silently clamped.
-    NGX_CHECK(!will_pipeline || t.stash_capacity == TenantTraits::kInherit ||
-                  t.stash_capacity >= 2 * kPipeHalfCap,
-              "tenant stash capacity below the pipeline's two-half minimum");
-    NGX_CHECK(t.stash_capacity == TenantTraits::kInherit || t.stash_capacity >= 1,
-              "tenant stash capacity must be nonzero");
-    // Lane admission drains bulk backlogs in free_batch-granular quanta; a
-    // zero batch would admit doorbells carrying nothing, so the combination
-    // is rejected before the generic ring-capacity bound.
-    NGX_CHECK(config_.lane_quantum == 0 || t.free_batch != 0,
-              "tenant free_batch=0 with QoS lanes on");
-    NGX_CHECK(t.free_batch == TenantTraits::kInherit ||
-                  (t.free_batch >= 1 && t.free_batch <= kNgxRingCapacity),
-              "tenant free_batch must fit in one async ring");
-    const bool has_low = t.span_low_mark != TenantTraits::kInherit64;
-    const bool has_high = t.span_high_mark != TenantTraits::kInherit64;
-    NGX_CHECK(has_low == has_high,
-              "tenant watermark overrides must set both marks or neither");
-    if (has_low) {
-      NGX_CHECK(config_.span_low_mark > 0,
-                "tenant watermark overrides need the global rebalance protocol on");
-      NGX_CHECK(t.span_high_mark > t.span_low_mark,
-                "tenant span_high_mark must exceed span_low_mark");
-    }
-    NGX_CHECK(t.home_shard < nshards, "tenant home_shard out of range");
-    for (const int c : spec.cores) {
-      NGX_CHECK(c >= 0 && c < machine.num_cores(), "tenant core out of range");
-      if (server_cores != nullptr) {
-        for (const int sc : *server_cores) {
-          NGX_CHECK(sc != c, "tenant claims a shard server core");
-        }
-      }
-      const std::size_t ci = static_cast<std::size_t>(c);
-      NGX_CHECK(core_tenant_[ci] < 0, "core claimed by two tenants");
-      core_tenant_[ci] = static_cast<std::int16_t>(t_idx);
-      if (t.stash_capacity != TenantTraits::kInherit) {
-        core_stash_cap_[ci] = t.stash_capacity;
-      }
-      if (t.stash_refill_mark != TenantTraits::kInherit) {
-        core_refill_mark_[ci] = t.stash_refill_mark;
-      }
-      if (t.free_batch != TenantTraits::kInherit) {
-        core_free_batch_[ci] = t.free_batch;
-      }
-      core_lane_[ci] = t.lane;
-      // Home resolution: an explicit pin wins; the NUMA-local preset walks
-      // the cluster topology for a shard whose server core shares this
-      // client's cluster (first match, deterministic).
-      int home = t.home_shard;
-      if (home < 0 && t.preset == TenantPreset::kNumaLocal &&
-          server_cores != nullptr && machine.config().cluster_cores > 0) {
-        const int k = machine.config().cluster_cores;
-        for (int s = 0; s < nshards; ++s) {
-          if ((*server_cores)[static_cast<std::size_t>(s)] / k == c / k) {
-            home = s;
-            break;
-          }
-        }
-      }
-      core_home_shard_[ci] = home;
-      // Shard-scoped traits bind to the resolved home, or to the core's
-      // static route when unpinned (the shard its mallocs reach under
-      // static_by_client).
-      const std::size_t hs =
-          static_cast<std::size_t>(home >= 0 ? home : c % nshards);
-      if (has_low) {
-        NGX_CHECK(mark_owner[hs] < 0 ||
-                      (shard_low_mark_[hs] == t.span_low_mark &&
-                       shard_high_mark_[hs] == t.span_high_mark),
-                  "tenants sharing a shard bind conflicting watermarks");
-        shard_low_mark_[hs] = t.span_low_mark;
-        shard_high_mark_[hs] = t.span_high_mark;
-        mark_owner[hs] = t_idx;
-      }
-      max_stash_cap_ = std::max(max_stash_cap_, core_stash_cap_[ci]);
-    }
-  }
-}
+NgxAllocator::~NgxAllocator() { machine_->telemetry().recorder().ClearSnapshotSource(); }
 
 bool NgxAllocator::Recording() {
   if (!machine_->telemetry().enabled()) {
@@ -424,19 +208,14 @@ void NgxAllocator::BindInstruments() {
   c_free_local_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "local"}});
   c_free_remote_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "remote"}});
   c_free_unknown_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "unknown"}});
-  c_donated_spans_ = &m.GetCounter("ngx.donated_spans", {{"alloc", "nextgen"}});
-  c_rebalance_moves_ = &m.GetCounter("ngx.rebalance_moves", {{"alloc", "nextgen"}});
-  c_returned_spans_ = &m.GetCounter("ngx.returned_spans", {{"alloc", "nextgen"}});
-  c_inline_fallbacks_ =
-      &m.GetCounter("ngx.inline_donation_fallbacks", {{"alloc", "nextgen"}});
-  c_routing_epochs_ = &m.GetCounter("ngx.routing_epochs", {{"alloc", "nextgen"}});
-  c_client_moves_ = &m.GetCounter("ngx.client_moves", {{"alloc", "nextgen"}});
-  c_shards_parked_ = &m.GetCounter("ngx.shards_parked", {{"alloc", "nextgen"}});
   c_stash_refills_ = &m.GetCounter("ngx.stash_refills", {{"alloc", "nextgen"}});
   h_refill_batch_ = &m.GetHistogram("ngx.stash_refill_batch", {{"alloc", "nextgen"}});
   c_refill_overlap_ = &m.GetCounter("ngx.refill_overlap_cycles", {{"alloc", "nextgen"}});
   c_starvation_ = &m.GetCounter("ngx.stash_starvation_stalls", {{"alloc", "nextgen"}});
   c_stash_recycles_ = &m.GetCounter("ngx.stash_recycles", {{"alloc", "nextgen"}});
+  if (control_ != nullptr) {
+    control_->Recording();
+  }
   instruments_bound_ = true;
 }
 
@@ -456,12 +235,9 @@ void NgxAllocator::ClassifyFree(Addr addr, int core, bool rec) {
 }
 
 int NgxAllocator::ShardOfAddr(Addr addr) const {
-  if (heaps_.size() == 1) {
-    return 0;
-  }
-  // Span-granular lookup: donation moves spans between shards mid-run, so
-  // the old fixed-slice divide would misroute frees of donated spans.
-  return directory_->OwnerOfAddr(addr);
+  // Span-granular lookup: donation moves spans between shards mid-run, so a
+  // fixed-slice divide would misroute frees of donated spans.
+  return control_ != nullptr ? control_->directory().OwnerOfAddr(addr) : 0;
 }
 
 Addr NgxAllocator::Malloc(Env& env, std::uint64_t size) {
@@ -575,7 +351,7 @@ void NgxAllocator::Free(Env& env, Addr addr) {
     frec->matrix().NoteFree(env.core_id(), shard);
   }
   if (config_.async_free) {
-    const std::uint32_t batch = core_free_batch_[static_cast<std::size_t>(env.core_id())];
+    const std::uint32_t batch = plan_.cores[static_cast<std::size_t>(env.core_id())].free_batch;
     if (batch > 1) {
       // Staged straight into the ring; every batch-th free of this tenant
       // publishes the batch with one doorbell (DESIGN.md §7).
@@ -610,8 +386,9 @@ bool NgxAllocator::StashPopActive(Env& env, int core, std::uint32_t cls, Addr* o
 
 bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr) {
   StashPipe& pipe = Pipe(core, cls);
+  const CoreContract& contract = plan_.cores[static_cast<std::size_t>(core)];
   const std::uint32_t count = pipe.count[pipe.active];
-  if (count < core_pipe_cap_[static_cast<std::size_t>(core)]) {
+  if (count < contract.pipe_cap) {
     // One timed store -- the entry itself, at the active half's top, where
     // the very next pop of this class returns it (depth-1 LIFO). The count
     // bump is the register mirror.
@@ -619,7 +396,7 @@ bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr
     pipe.count[pipe.active] = count + 1;
     return true;
   }
-  if (pipe.spill < core_spill_depth_[static_cast<std::size_t>(core)]) {
+  if (pipe.spill < contract.spill_depth) {
     // Active half full (a free burst): retain the block client-side on the
     // spill stack rather than shipping it to the server only to refill it
     // back later. Spill lines are touched by no other core, so this is one
@@ -683,15 +460,14 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
 void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t remaining) {
   const int core = env.core_id();
   StashPipe& pipe = Pipe(core, cls);
-  if (pipe.in_flight ||
-      remaining > core_refill_mark_[static_cast<std::size_t>(core)]) {
+  const CoreContract& contract = plan_.cores[static_cast<std::size_t>(core)];
+  if (pipe.in_flight || remaining > contract.refill_mark) {
     return;
   }
   if (pipe.count[pipe.active ^ 1] > 0 || pipe.spill > 0) {
     return;  // client-held blocks remain; they are hotter than any refill
   }
-  const std::uint32_t want =
-      predictor_->RefillSize(core, cls, core_pipe_cap_[static_cast<std::size_t>(core)]);
+  const std::uint32_t want = predictor_->RefillSize(core, cls, contract.pipe_cap);
   if (want == 0) {
     return;  // stream too cold; the next miss pays the sync trip and warms it
   }
@@ -767,15 +543,11 @@ std::uint64_t NgxAllocator::HandleRefillStash(Env& server_env, int shard, int cl
             "kRefillStash out of protocol order");
   NGX_CHECK(want <= kPipeHalfCap, "refill batch cannot exceed one stash line");
   pipe.fill_start = server_env.now();
-  ServerHeap& heap = *heaps_[static_cast<std::size_t>(shard)];
   const Addr base = HalfAddr(client, cls, half);
   Addr got[kPipeHalfCap];
   std::uint32_t filled = 0;
   while (filled < want) {
-    Addr b = heap.Malloc(server_env, classes_.SizeOf(cls));
-    if (b == kNullAddr && donation_) {
-      b = MallocWithDonation(server_env, shard, classes_.SizeOf(cls));
-    }
+    const Addr b = ServerMalloc(server_env, shard, classes_.SizeOf(cls));
     if (b == kNullAddr) {
       break;
     }
@@ -877,25 +649,13 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
                                                OffloadOp op, std::uint64_t arg) {
   ServerHeap& heap = *heaps_[static_cast<std::size_t>(shard)];
   switch (op) {
-    case OffloadOp::kMalloc: {
-      Addr a = heap.Malloc(server_env, arg);
-      if (a == kNullAddr && donation_) {
-        a = MallocWithDonation(server_env, shard, arg);
-      }
-      if (a == kNullAddr) {
-        ++partition_ooms_;
-      }
-      return a;
-    }
+    case OffloadOp::kMalloc:
     case OffloadOp::kMallocBatch: {
-      Addr first = heap.Malloc(server_env, arg);
-      if (first == kNullAddr && donation_) {
-        first = MallocWithDonation(server_env, shard, arg);
-      }
+      const Addr first = ServerMalloc(server_env, shard, arg);
       if (first == kNullAddr) {
         ++partition_ooms_;
       }
-      if (first == kNullAddr || !config_.prediction) {
+      if (first == kNullAddr || op == OffloadOp::kMalloc || !config_.prediction) {
         return first;
       }
       const std::uint32_t cls = classes_.ClassOf(arg);
@@ -909,7 +669,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         // client refreshes its register mirror from the header after the
         // trip).
         const Addr base = HalfAddr(client, cls, Pipe(client, cls).active);
-        batch = std::min(batch, core_pipe_cap_[static_cast<std::size_t>(client)]);
+        batch = std::min(batch, plan_.cores[static_cast<std::size_t>(client)].pipe_cap);
         std::uint64_t count = 0;
         for (std::uint32_t i = 0; i < batch; ++i) {
           const Addr b = heap.Malloc(server_env, classes_.SizeOf(cls));
@@ -922,7 +682,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         server_env.Store<std::uint64_t>(base, count);
         return first;
       }
-      batch = std::min(batch, core_stash_cap_[static_cast<std::size_t>(client)]);
+      batch = std::min(batch, plan_.cores[static_cast<std::size_t>(client)].stash_capacity);
       IndexStack stash = Stash(client, cls);
       for (std::uint32_t i = 0; i < batch; ++i) {
         // Preallocate the class size so any request that maps to `cls` can
@@ -947,495 +707,21 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
       return 0;
     case OffloadOp::kDonateSpan:
     case OffloadOp::kRequestSpans:
-      // Same donor-side carve whether the pull is a malloc-path fallback or
-      // the rebalancer staying ahead of its low mark.
-      return HandleDonateSpan(server_env, shard, arg);
     case OffloadOp::kOfferSpans:
     case OffloadOp::kReturnSpan:
-      return HandleSpanGraft(server_env, shard, arg);
+      return control_->HandleSpanOp(server_env, shard, op, arg);
     case OffloadOp::kRefillStash:
       return HandleRefillStash(server_env, shard, client, arg);
   }
   return 0;
 }
 
-std::uint64_t NgxAllocator::NeededGrantSpans(std::uint64_t size) const {
-  std::uint64_t map_bytes;
-  if (size <= classes_.max_size()) {
-    // Small classes carve whole segments (segment heap) or bump-carve whole
-    // spans (aggregated); either way one grant unit refills a class.
-    map_bytes = grant_unit_spans_ * span_bytes_;
-  } else if (config_.heap_kind == HeapKind::kAggregated) {
-    // Aggregated large regions carry a page-sized header before user bytes.
-    map_bytes = AlignUp(size, kSmallPageBytes) + kSmallPageBytes;
-  } else {
-    // The segment heap maps span-aligned multiples; packed hugepage maps are
-    // span-granular again, so no hugepage round-up.
-    map_bytes = AlignUp(AlignUp(size, span_bytes_),
-                        (config_.hugepage_spans && !config_.hugepage_packing)
-                            ? kHugePageBytes
-                            : kSmallPageBytes);
+Addr NgxAllocator::ServerMalloc(Env& server_env, int shard, std::uint64_t size) {
+  const Addr a = heap(shard).Malloc(server_env, size);
+  if (a != kNullAddr || control_ == nullptr) {
+    return a;
   }
-  const std::uint64_t spans = AlignUp(map_bytes, span_bytes_) / span_bytes_;
-  return AlignUp(spans, grant_unit_spans_);
-}
-
-int NgxAllocator::PickDonor(const std::vector<bool>& excluded) const {
-  int best = -1;
-  std::uint64_t best_free = 0;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (excluded[static_cast<std::size_t>(s)]) {
-      continue;
-    }
-    const std::uint64_t f = directory_->free_spans(s);
-    if (f > best_free) {  // ties keep the lower shard id (deterministic)
-      best_free = f;
-      best = s;
-    }
-  }
-  return best;
-}
-
-Addr NgxAllocator::MallocWithDonation(Env& server_env, int shard, std::uint64_t size) {
-  // Reaching this point means a malloc already failed and is paying the
-  // refill round trip inline -- exactly what watermark rebalancing exists to
-  // make rare.
-  ++inline_fallbacks_;
-  if (Recording()) {
-    c_inline_fallbacks_->Add();
-  }
-  const std::uint64_t need = NeededGrantSpans(size);
-  NGX_CHECK(need < (1ull << 16), "span grant too large for the donation protocol");
-  std::vector<bool> excluded(heaps_.size(), false);
-  excluded[static_cast<std::size_t>(shard)] = true;
-  // Each round grafts at least one grant unit onto the partition (donors
-  // fall back to a single unit when they cannot spare `need` contiguous
-  // spans; successive tail trims from one donor coalesce into a contiguous
-  // range), or excludes an empty donor. Bounded by work, not luck.
-  const std::uint64_t max_rounds = need / grant_unit_spans_ + heaps_.size() + 1;
-  for (std::uint64_t round = 0; round < max_rounds; ++round) {
-    // Cheapest first: the shard's own recycled spans need no fabric message.
-    const Addr self = directory_->TakeRecycled(shard, need, grant_align_);
-    if (self != kNullAddr) {
-      heaps_[static_cast<std::size_t>(shard)]->span_provider().AddRange(self,
-                                                                        need * span_bytes_);
-    } else {
-      const int donor = PickDonor(excluded);
-      if (donor < 0) {
-        break;  // every shard is dry: a true fabric-wide OOM
-      }
-      const std::uint64_t arg =
-          (need << 8) | static_cast<std::uint64_t>(static_cast<unsigned>(shard));
-      const std::uint64_t resp =
-          fabric_->SyncRequest(server_env, donor, OffloadOp::kDonateSpan, arg);
-      if (resp == 0) {
-        excluded[static_cast<std::size_t>(donor)] = true;
-        continue;
-      }
-      const Addr base = resp & ~static_cast<std::uint64_t>(0xffff);
-      const std::uint64_t got = resp & 0xffff;
-      heaps_[static_cast<std::size_t>(shard)]->span_provider().AddRange(base,
-                                                                        got * span_bytes_);
-      if (got < need) {
-        continue;  // partial grant: accrete more before retrying the malloc
-      }
-    }
-    const Addr a = heaps_[static_cast<std::size_t>(shard)]->Malloc(server_env, size);
-    if (a != kNullAddr) {
-      return a;
-    }
-  }
-  // Partial grants may have accreted enough by the time the loop exits.
-  return heaps_[static_cast<std::size_t>(shard)]->Malloc(server_env, size);
-}
-
-std::uint64_t NgxAllocator::HandleDonateSpan(Env& server_env, int donor, std::uint64_t arg) {
-  const int requester = static_cast<int>(arg & 0xff);
-  const std::uint64_t want = arg >> 8;
-  NGX_CHECK(requester >= 0 && requester < num_shards() && requester != donor,
-            "malformed donation request");
-  return CarveSpans(server_env, donor, requester, want);
-}
-
-std::uint64_t NgxAllocator::CarveSpans(Env& server_env, int donor, int to,
-                                       std::uint64_t want) {
-  // Every cross-shard ownership transfer (kDonateSpan, kRequestSpans,
-  // surplus offers) funnels through here. Donor-side bookkeeping:
-  // recycled-pool scan plus directory update.
-  server_env.Work(12);
-  PageProvider& provider = heaps_[static_cast<std::size_t>(donor)]->span_provider();
-  for (const std::uint64_t n : {want, grant_unit_spans_}) {
-    if (n == 0 || n > want) {
-      continue;
-    }
-    // Recycled spans first (they are already carved out of the window);
-    // otherwise trim the unconsumed tail of the donor's window.
-    Addr base = directory_->TakeRecycled(donor, n, grant_align_);
-    if (base == kNullAddr) {
-      base = provider.TrimTail(n * span_bytes_, grant_align_);
-    }
-    if (base == kNullAddr) {
-      continue;
-    }
-    directory_->TransferRange(base, n, donor, to);
-    if (Recording()) {
-      c_donated_spans_->Add(n);
-      Telemetry& tel = machine_->telemetry();
-      if (tel.tracing()) {
-        tel.tracer().Instant("donate_span", server_env.core_id(), server_env.now());
-      }
-    }
-    assert((base & 0xffff) == 0 && "span bases leave the count bits free");
-    return base | n;
-  }
-  return 0;
-}
-
-std::uint64_t NgxAllocator::HandleSpanGraft(Env& server_env, int shard, std::uint64_t arg) {
-  const Addr base = arg & ~static_cast<std::uint64_t>(0xffff);
-  const std::uint64_t n = arg & 0xffff;
-  NGX_CHECK(n > 0 && directory_ != nullptr, "malformed span graft");
-  NGX_CHECK(directory_->OwnerOfAddr(base) == shard,
-            "span graft for a range the shard does not own");
-  // The sender already moved directory ownership; the recipient only grafts
-  // the range onto its provider window.
-  server_env.Work(6);
-  heaps_[static_cast<std::size_t>(shard)]->span_provider().AddRange(base, n * span_bytes_);
-  return 1;
-}
-
-void NgxAllocator::WatermarkTick(Env& server_env, int shard) {
-  // Ticks fire from drain hooks, and a tick's own fabric messages trigger
-  // the recipient's drain hook: the allocator-wide guard keeps exactly one
-  // tick in flight (and makes the recursion depth bounded by construction).
-  if (in_rebalance_) {
-    return;
-  }
-  in_rebalance_ = true;
-  const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
-  const std::uint64_t high = shard_high_mark_[static_cast<std::size_t>(shard)];
-  // A few moves per tick keep any pending request's queue wait bounded;
-  // steady drain traffic supplies plenty of ticks.
-  for (int moves = 0; moves < 4; ++moves) {
-    const std::uint64_t free = directory_->free_spans(shard);
-    bool acted = false;
-    if (free < low) {
-      // Staying ahead of partition exhaustion beats everything else.
-      acted = TryRefill(server_env, shard, free);
-    } else if (free > high) {
-      // Recycled away spans flow home first; native surplus is offered to
-      // peers below their low mark.
-      acted = TryReturnHome(server_env, shard);
-      if (!acted) {
-        acted = TryOfferSurplus(server_env, shard, free);
-      }
-    }
-    if (!acted) {
-      // No fabric traffic warranted: keep the shard's own provider stocked
-      // from its recycled pool so steady-state span reuse stays off the
-      // malloc path too.
-      acted = TryRestockLocal(server_env, shard);
-    }
-    if (!acted) {
-      break;
-    }
-    ++rebalance_moves_;
-    if (Recording()) {
-      c_rebalance_moves_->Add();
-    }
-  }
-  in_rebalance_ = false;
-}
-
-bool NgxAllocator::TryRestockLocal(Env& server_env, int shard) {
-  // Once the virgin provider window is consumed, every span grant would
-  // otherwise fail first and pay the inline fallback's TakeRecycled detour
-  // on the malloc path. Grafting recycled spans back during idle time keeps
-  // the provider's unconsumed tail at one grant unit above the low mark.
-  PageProvider& provider = heaps_[static_cast<std::size_t>(shard)]->span_provider();
-  const std::uint64_t target =
-      (shard_low_mark_[static_cast<std::size_t>(shard)] + grant_unit_spans_) * span_bytes_;
-  if (provider.FreeBytes() >= target) {
-    return false;
-  }
-  const Addr base = directory_->TakeRecycled(shard, grant_unit_spans_, grant_align_);
-  if (base == kNullAddr) {
-    return false;  // nothing contiguous recycled; refill handles true scarcity
-  }
-  server_env.Work(4);
-  provider.AddRange(base, grant_unit_spans_ * span_bytes_);
-  return true;
-}
-
-bool NgxAllocator::TryRefill(Env& server_env, int shard, std::uint64_t free) {
-  const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
-  // Refill to one grant unit above the low mark so the next few grants do
-  // not immediately re-trigger the pull.
-  const std::uint64_t want = AlignUp(low + grant_unit_spans_ - free, grant_unit_spans_);
-  NGX_CHECK(want < (1ull << 16), "span refill too large for the donation protocol");
-  std::vector<bool> excluded(heaps_.size(), false);
-  excluded[static_cast<std::size_t>(shard)] = true;
-  const int donor = PickDonor(excluded);
-  // Anti-ping-pong: a donation must not push the donor below its OWN low
-  // mark (the donor's tenant contract, not the requester's), or the refill
-  // would bounce straight back next tick.
-  if (donor < 0 ||
-      directory_->free_spans(donor) <
-          shard_low_mark_[static_cast<std::size_t>(donor)] + want) {
-    return false;
-  }
-  const std::uint64_t arg =
-      (want << 8) | static_cast<std::uint64_t>(static_cast<unsigned>(shard));
-  const std::uint64_t resp =
-      fabric_->SyncRequest(server_env, donor, OffloadOp::kRequestSpans, arg);
-  if (resp == 0) {
-    return false;
-  }
-  const Addr base = resp & ~static_cast<std::uint64_t>(0xffff);
-  const std::uint64_t got = resp & 0xffff;
-  heaps_[static_cast<std::size_t>(shard)]->span_provider().AddRange(base,
-                                                                    got * span_bytes_);
-  return true;
-}
-
-bool NgxAllocator::TryReturnHome(Env& server_env, int shard) {
-  if (directory_->away_spans(shard) == 0) {
-    return false;
-  }
-  const std::uint64_t free = directory_->free_spans(shard);
-  const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
-  if (free <= low) {
-    return false;
-  }
-  // Never return so much that the shard drops below its own low mark, and
-  // keep the count inside the wire format's 16 bits.
-  std::uint64_t max_units = (free - low) / grant_unit_spans_;
-  max_units = std::min<std::uint64_t>(max_units, ((1ull << 16) - 1) / grant_unit_spans_);
-  return max_units > 0 && ReturnRunHome(server_env, shard, max_units);
-}
-
-bool NgxAllocator::ReturnRunHome(Env& server_env, int shard, std::uint64_t max_units) {
-  int home = -1;
-  std::uint64_t n = 0;
-  const Addr base = directory_->FindRecycledAwayRun(shard, grant_unit_spans_, max_units,
-                                                    grant_align_, &home, &n);
-  if (base == kNullAddr) {
-    return false;
-  }
-  directory_->ReturnRange(base, n, shard);
-  fabric_->SyncRequest(server_env, home, OffloadOp::kReturnSpan, base | n);
-  if (Recording()) {
-    c_returned_spans_->Add(n);
-    Telemetry& tel = machine_->telemetry();
-    if (tel.tracing()) {
-      tel.tracer().Instant("return_span", server_env.core_id(), server_env.now());
-    }
-  }
-  return true;
-}
-
-bool NgxAllocator::TryOfferSurplus(Env& server_env, int shard, std::uint64_t free) {
-  const std::uint64_t high = shard_high_mark_[static_cast<std::size_t>(shard)];
-  // Push only when a peer is actually short of ITS OWN low mark (per-tenant
-  // watermarks make "needy" a per-shard judgment): the lowest free count
-  // below its mark, ties to the lower shard id (deterministic).
-  int needy = -1;
-  std::uint64_t needy_free = ~0ull;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (s == shard) {
-      continue;
-    }
-    const std::uint64_t f = directory_->free_spans(s);
-    if (f < shard_low_mark_[static_cast<std::size_t>(s)] && f < needy_free) {
-      needy_free = f;
-      needy = s;
-    }
-  }
-  if (needy < 0) {
-    return false;
-  }
-  const std::uint64_t want = AlignUp(
-      shard_low_mark_[static_cast<std::size_t>(needy)] + grant_unit_spans_ - needy_free,
-      grant_unit_spans_);
-  const std::uint64_t surplus = (free - high) / grant_unit_spans_ * grant_unit_spans_;
-  const std::uint64_t n = std::min(want, surplus);
-  if (n == 0) {
-    return false;
-  }
-  const std::uint64_t carved = CarveSpans(server_env, shard, needy, n);
-  if (carved == 0) {
-    return false;
-  }
-  fabric_->SyncRequest(server_env, needy, OffloadOp::kOfferSpans, carved);
-  return true;
-}
-
-int NgxAllocator::MigrateGrantedHome(Env& server_env, int shard, int max_moves) {
-  if (directory_ == nullptr || !donation_) {
-    return 0;  // no span protocol: nothing was ever granted across shards
-  }
-  // Unlike TryReturnHome there is no low-mark retention: the shard is going
-  // dormant, so every fully-recycled granted run flows back to its home
-  // shard's provider window. Runs still holding live blocks cannot move --
-  // their frees keep reaching this shard via the span directory while it is
-  // parked, and they become migratable once recycled.
-  const std::uint64_t cap = ((1ull << 16) - 1) / grant_unit_spans_;
-  int moves = 0;
-  while (moves < max_moves && ReturnRunHome(server_env, shard, cap)) {
-    ++moves;
-    ++rebalance_moves_;
-  }
-  return moves;
-}
-
-void NgxAllocator::EpochTick(Env& env) {
-  // Migration traffic drains recipient rings, whose post-drain hooks would
-  // start watermark ticks mid-epoch; share the allocator-wide guard so epoch
-  // and watermark work never interleave.
-  if (in_rebalance_) {
-    return;
-  }
-  in_rebalance_ = true;
-  constexpr int kEpochMigrateMoves = 8;
-  ++routing_epochs_;
-  const std::uint64_t parked_before = shards_parked_;
-  const std::uint64_t total_ops = fabric_->TakeEpoch(&epoch_scratch_);
-  const int nsh = fabric_->num_shards();
-  std::fill(woke_this_epoch_.begin(), woke_this_epoch_.end(), 0);
-
-  // 1. Step draining shards toward kParked: return recycled granted runs
-  // home on the shard's own server core, a bounded batch per epoch.
-  for (int s = 0; s < nsh; ++s) {
-    if (fabric_->shard_state(s) != ShardState::kDraining) {
-      continue;
-    }
-    Env senv(*machine_, fabric_->server_cores()[static_cast<std::size_t>(s)]);
-    if (MigrateGrantedHome(senv, s, kEpochMigrateMoves) < kEpochMigrateMoves) {
-      fabric_->set_shard_state(s, ShardState::kParked);
-      ++shards_parked_;
-    }
-  }
-
-  // 2. Wake on queue-depth pressure: a parked shard whose own ring backlog
-  // crossed the threshold wakes (frees piling up mean its partition is hot
-  // again); a saturated busiest active shard buys one extra shard of
-  // headroom per epoch.
-  std::uint64_t busiest = 0;
-  bool slack = false;
-  for (int s = 0; s < nsh; ++s) {
-    if (fabric_->shard_state(s) != ShardState::kActive) {
-      continue;
-    }
-    busiest = std::max(busiest, fabric_->QueueDepth(s));
-    // An active shard already below break-even is spare capacity the policy
-    // can re-pack onto; waking more shards would not relieve anything.
-    if (config_.park_threshold_ops > 0 &&
-        epoch_scratch_.ColTotal(s) < config_.park_threshold_ops) {
-      slack = true;
-    }
-  }
-  bool pressure_spent = false;
-  for (int s = 0; s < nsh; ++s) {
-    if (fabric_->shard_state(s) != ShardState::kParked) {
-      continue;
-    }
-    const bool own = fabric_->QueueDepth(s) >= config_.wake_queue_depth;
-    const bool pressure = !pressure_spent && !slack && busiest >= config_.wake_queue_depth;
-    if (!own && !pressure) {
-      continue;
-    }
-    fabric_->set_shard_state(s, ShardState::kActive);
-    woke_this_epoch_[static_cast<std::size_t>(s)] = 1;
-    ++shards_woken_;
-    if (!own) {
-      pressure_spent = true;
-    }
-  }
-
-  // 3. Park below break-even: drain the coldest active shard under the
-  // threshold. The fleet shrinks at most ONE shard per epoch -- a single
-  // low-traffic epoch (warm-up, a phase boundary) must not collapse the
-  // whole fleet before the matrix has anything to say -- and never parks
-  // its last active shard, which must keep serving mallocs and hosting
-  // this controller. A shard woken this epoch has had no chance to earn its
-  // keep yet and is exempt until the next close.
-  if (config_.park_threshold_ops > 0 && fabric_->num_active_shards() > 1) {
-    int coldest = -1;
-    std::uint64_t coldest_ops = 0;
-    for (int s = 0; s < nsh; ++s) {
-      if (fabric_->shard_state(s) != ShardState::kActive ||
-          woke_this_epoch_[static_cast<std::size_t>(s)] != 0) {
-        continue;
-      }
-      const std::uint64_t ops = epoch_scratch_.ColTotal(s);
-      if (ops < config_.park_threshold_ops && (coldest < 0 || ops < coldest_ops)) {
-        coldest = s;
-        coldest_ops = ops;
-      }
-    }
-    if (coldest >= 0) {
-      fabric_->set_shard_state(coldest, ShardState::kDraining);
-      Env senv(*machine_, fabric_->server_cores()[static_cast<std::size_t>(coldest)]);
-      if (MigrateGrantedHome(senv, coldest, kEpochMigrateMoves) < kEpochMigrateMoves) {
-        fabric_->set_shard_state(coldest, ShardState::kParked);
-        ++shards_parked_;
-      }
-    }
-  }
-
-  // 3b. Controller election: if the shard whose server core carries the
-  // epoch timer just left the active set (parked or draining), hand the
-  // ticker to the lowest-id active shard. MoveTimerHook mutates the hook's
-  // core in place -- legal from inside this very callback -- and keeps its
-  // next_due, so the epoch cadence never skips a beat. While the ticker
-  // shard stays active this never runs, keeping such runs bit-identical to
-  // the historical first-server-core wiring.
-  if (fabric_->shard_state(epoch_ticker_shard_) != ShardState::kActive) {
-    for (int s = 0; s < nsh; ++s) {
-      if (fabric_->shard_state(s) == ShardState::kActive) {
-        epoch_ticker_shard_ = s;
-        machine_->MoveTimerHook(epoch_timer_id_,
-                                fabric_->server_cores()[static_cast<std::size_t>(s)]);
-        break;
-      }
-    }
-  }
-
-  // 4. Feed the policy the closed matrix against the post-decision fleet, so
-  // re-packing only targets shards that will actually serve mallocs.
-  for (int s = 0; s < nsh; ++s) {
-    epoch_scratch_.active[static_cast<std::size_t>(s)] =
-        fabric_->shard_state(s) == ShardState::kActive ? 1 : 0;
-  }
-  fabric_->routing().Observe(epoch_scratch_);
-  const std::uint64_t moves_total = fabric_->routing().client_moves();
-  const std::uint64_t epoch_moves = moves_total - last_client_moves_;
-  last_client_moves_ = moves_total;
-
-  // 5. Close the books. Parked capacity accrues for the epoch ahead: every
-  // non-active shard's core is released from the malloc path for the next
-  // epoch_cycles (the §3.1.1 break-even dividend).
-  const int active_now = fabric_->num_active_shards();
-  const int parked_now = nsh - active_now;
-  parked_core_cycles_ +=
-      config_.epoch_cycles * static_cast<std::uint64_t>(parked_now);
-  FleetEpoch fe;
-  fe.cycle = env.now();
-  fe.epoch_ops = total_ops;
-  fe.active_shards = active_now;
-  fe.parked_shards = parked_now;
-  fe.client_moves = epoch_moves;
-  fleet_timeline_.push_back(fe);
-  if (Recording()) {
-    c_routing_epochs_->Add();
-    if (epoch_moves > 0) {
-      c_client_moves_->Add(epoch_moves);
-    }
-    if (shards_parked_ > parked_before) {
-      c_shards_parked_->Add(shards_parked_ - parked_before);
-    }
-  }
-  in_rebalance_ = false;
+  return control_->MallocWithDonation(server_env, shard, size);
 }
 
 void NgxAllocator::NoteMallocTraffic(int client, int shard, std::uint64_t size) {
@@ -1458,7 +744,7 @@ void NgxAllocator::NoteMallocTraffic(int client, int shard, std::uint64_t size) 
   } else if (config_.heap_kind == HeapKind::kAggregated) {
     block = AlignUp(size, kSmallPageBytes);
   } else {
-    block = AlignUp(size, span_bytes_);
+    block = AlignUp(size, kNgxSpanBytes);
   }
   rec->matrix().NoteMalloc(client, shard, size, cls);
   frag_req_bytes_[static_cast<std::size_t>(shard)] += size;
@@ -1471,27 +757,15 @@ HeapSnapshot NgxAllocator::BuildSnapshot() const {
   for (int s = 0; s < num_shards(); ++s) {
     HeapShardSnapshot sh;
     sh.shard = s;
-    if (directory_ != nullptr) {
-      sh.owned_spans = directory_->owned_spans(s);
-      sh.free_spans = directory_->free_spans(s);
-      sh.recycled_spans = directory_->recycled_spans(s);
-      sh.granted_spans = directory_->granted_spans(s);
-      sh.away_spans = directory_->away_spans(s);
+    if (const SpanDirectory* d = directory()) {
+      sh.owned_spans = d->owned_spans(s);
+      sh.free_spans = d->free_spans(s);
+      sh.recycled_spans = d->recycled_spans(s);
+      sh.granted_spans = d->granted_spans(s);
+      sh.away_spans = d->away_spans(s);
     }
-    HeapInspection in = heaps_[static_cast<std::size_t>(s)]->Inspect();
-    sh.bytes_live = in.bytes_live;
-    sh.data_mapped_bytes = in.data_mapped_bytes;
-    sh.meta_mapped_bytes = in.meta_mapped_bytes;
-    sh.free_blocks = in.free_blocks;
-    sh.free_block_bytes = in.free_block_bytes;
-    sh.bump_reserve_bytes = in.bump_reserve_bytes;
-    sh.large_blocks = in.large_blocks;
-    sh.large_bytes = in.large_bytes;
-    sh.empty_pool_segments = in.empty_pool_segments;
-    sh.live_slabs = in.live_slabs;
-    sh.full_slabs = in.full_slabs;
-    sh.slab_fill_decile = std::move(in.slab_fill_decile);
-    sh.truncated = in.truncated;
+    sh.heap = heaps_[static_cast<std::size_t>(s)]->Inspect();
+    const HeapOccupancy& in = sh.heap;
     const std::uint64_t req = frag_req_bytes_[static_cast<std::size_t>(s)];
     const std::uint64_t blk = frag_block_bytes_[static_cast<std::size_t>(s)];
     if (blk > 0 && req <= blk) {

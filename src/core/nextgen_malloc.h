@@ -6,28 +6,21 @@
 //    the async ring (Section 3.1.2: "the entire free phase is not on the
 //    critical path"). With prediction enabled, a per-core stash absorbs
 //    same-class allocation runs without any round trip (Section 3.3.2).
+//    With config.free_batch > 1, each remote free is stored straight into
+//    its (client, shard) ring and every free_batch-th publishes the batch
+//    with one doorbell, which kicks the shard's background drain.
 //  * N server shards behind an OffloadFabric (Section 3.1.1's provisioning
 //    granularity made configurable): each shard owns a dedicated core and a
 //    disjoint ServerHeap partition whose metadata never enters the
 //    application cores' caches (Section 3.1.2), with its lock atomics
 //    removed (Section 3.1.3). Mallocs pick a shard through the fabric's
 //    RoutingPolicy; frees and UsableSize always return to the shard that
-//    owns the block's heap partition, resolved through the SpanDirectory
-//    (span-granular ownership held host-side on the allocator cores, so the
-//    lookup never bounces cache lines between application cores). Partitions
-//    start as equal slices of the NextGen heap window and rebalance at span
-//    granularity: a dry shard requests free spans from the best-stocked
-//    donor over the fabric's kDonateSpan message (config.span_donation).
-//    With config.span_low_mark set, a background watermark rebalancer ticks
-//    on each shard's server core after every drain (busy shards) and on a
-//    periodic timer (quiet shards): shards below the low mark pull refills
-//    (kRequestSpans), shards above the high mark return fully-recycled away
-//    spans to their home slice (kReturnSpan) and offer surplus to starved
-//    peers (kOfferSpans), so inline kDonateSpan on the malloc path becomes
-//    the rare fallback.
-//    With config.free_batch > 1, each remote free is stored straight into
-//    its (client, shard) ring and every free_batch-th publishes the batch
-//    with one doorbell, which kicks the shard's background drain.
+//    owns the block's heap partition.
+//
+// NgxAllocator is the data plane: the client front end and the server
+// request dispatch. Which shard owns which spans, and which shards serve, is
+// the ControlPlane's (control_plane.h), present on multi-shard fabrics; the
+// per-core and per-shard knobs come from the TenantPlan (tenant_plan.h).
 //
 // With config.stash_pipeline (DESIGN.md §9), each (core, class) stash splits
 // into two single-cache-line halves whose header word doubles as a
@@ -59,9 +52,11 @@
 #include "src/alloc/allocator.h"
 #include "src/alloc/freelist.h"
 #include "src/alloc/size_classes.h"
+#include "src/core/control_plane.h"
 #include "src/core/nextgen_config.h"
 #include "src/core/server_heap.h"
 #include "src/core/span_directory.h"
+#include "src/core/tenant_plan.h"
 #include "src/offload/offload_fabric.h"
 #include "src/offload/prediction.h"
 #include "src/telemetry/flight_recorder.h"
@@ -70,16 +65,11 @@ namespace ngx {
 
 class NgxAllocator : public Allocator {
  public:
-  // Entries per pipelined stash half (one cache line each; see the slot
-  // layout below). Part of the config contract: a per-tenant stash_capacity
-  // override must cover at least the two halves, 2 * kPipeHalfCap.
-  static constexpr std::uint32_t kPipeHalfCap = 7;  // 8 words = 64 bytes
-
   // `fabric` may be nullptr iff config.offload is false. Every fabric shard's
   // server is bound to this allocator's matching heap partition.
   NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxConfig& config);
-  // Unregisters the watermark and epoch timer hooks and the post-drain hooks
-  // (the machine and fabric may outlive the allocator).
+  // Unregisters the recorder's snapshot source; the control plane removes
+  // its own hooks (the machine and fabric may outlive the allocator).
   ~NgxAllocator() override;
 
   // ---- Allocator ----
@@ -104,41 +94,12 @@ class NgxAllocator : public Allocator {
   int ShardOfAddr(Addr addr) const;
 
   const NgxConfig& config() const { return config_; }
-
-  // ---- Per-tenant traits (config.tenants; DESIGN.md §15) ----
-  // Resolved once at construction into per-core effective knobs (cores not
-  // claimed by any tenant carry the global NgxConfig values) and per-shard
-  // watermark contracts (a shard inherits the overrides of the tenants homed
-  // on it). With config.tenants empty every accessor returns the
-  // global value and the sim is bit-identical to pre-traits builds.
-  int num_tenants() const { return static_cast<int>(tenant_names_.size()); }
-  const std::vector<std::string>& tenant_names() const { return tenant_names_; }
-  // Tenant index owning `core`, or -1 for the implicit default tenant.
-  int tenant_of(int core) const {
-    return core_tenant_[static_cast<std::size_t>(core)];
-  }
-  std::uint32_t core_stash_capacity(int core) const {
-    return core_stash_cap_[static_cast<std::size_t>(core)];
-  }
-  std::uint32_t core_refill_mark(int core) const {
-    return core_refill_mark_[static_cast<std::size_t>(core)];
-  }
-  std::uint32_t core_free_batch(int core) const {
-    return core_free_batch_[static_cast<std::size_t>(core)];
-  }
-  QosLane core_lane(int core) const {
-    return core_lane_[static_cast<std::size_t>(core)];
-  }
-  // Shard this core's mallocs are pinned to (-1 = the routing policy picks).
-  int core_home_shard(int core) const {
-    return core_home_shard_[static_cast<std::size_t>(core)];
-  }
-  std::uint64_t shard_low_mark(int shard) const {
-    return shard_low_mark_[static_cast<std::size_t>(shard)];
-  }
-  std::uint64_t shard_high_mark(int shard) const {
-    return shard_high_mark_[static_cast<std::size_t>(shard)];
-  }
+  // Per-core contracts and per-shard watermarks (config.tenants; DESIGN.md
+  // §15), resolved once at construction.
+  const TenantPlan& plan() const { return plan_; }
+  // Span economy and fleet controller; null unless the fabric has more than
+  // one shard.
+  const ControlPlane* control() const { return control_.get(); }
   int num_shards() const { return static_cast<int>(heaps_.size()); }
   ServerHeap& heap(int shard = 0) { return *heaps_[static_cast<std::size_t>(shard)]; }
   AllocatorStats shard_stats(int shard) const {
@@ -184,9 +145,6 @@ class NgxAllocator : public Allocator {
   // Live entries in the telemetry alloc-site map (tests assert it drains).
   std::size_t live_alloc_notes() const { return alloc_core_.size(); }
 
-  // Span-granular ownership bookkeeping (present when num_shards > 1).
-  const SpanDirectory* directory() const { return directory_.get(); }
-  SpanDirectory* directory() { return directory_.get(); }
   // Mallocs that failed because the shard's partition was exhausted and
   // donation could not (or was not allowed to) refill it.
   std::uint64_t partition_oom_failures() const { return partition_ooms_; }
@@ -198,35 +156,20 @@ class NgxAllocator : public Allocator {
   std::uint64_t free_flushes() const {
     return fabric_ != nullptr ? fabric_->TotalStats().free_batches : 0;
   }
-  // Watermark rebalancing (config.span_low_mark > 0): background transfers
-  // performed (refills + offers + returns), and mallocs that still entered
-  // the inline donation fallback because a request arrived before the
-  // rebalancer could refill the partition.
-  bool rebalancing() const { return rebalance_; }
-  std::uint64_t rebalance_moves() const { return rebalance_moves_; }
-  std::uint64_t inline_donation_fallbacks() const { return inline_fallbacks_; }
-
-  // Adaptive routing + elastic fleet (config.adaptive_routing; DESIGN.md
-  // §14). Epochs closed by the controller, home-shard reassignments made by
-  // the routing policy, park transitions taken, wakes taken, and the
-  // simulated core-cycles of capacity released while shards sat parked
-  // (epoch_cycles per parked shard per epoch). fleet_timeline records one
-  // entry per closed epoch for the bench JSON / report timeline.
-  bool adaptive_fleet() const { return adaptive_; }
-  std::uint64_t routing_epochs() const { return routing_epochs_; }
-  std::uint64_t client_moves() const {
-    return fabric_ != nullptr ? fabric_->routing().client_moves() : 0;
+  // The control plane's books that the repository benchmark's harness
+  // reads (null or 0 without a control plane); everything else is reached
+  // through control().
+  const SpanDirectory* directory() const { return control_ ? &control_->directory() : nullptr; }
+  SpanDirectory* directory() { return control_ ? &control_->directory() : nullptr; }
+  std::uint64_t rebalance_moves() const { return control_ ? control_->rebalance_moves() : 0; }
+  std::uint64_t inline_donation_fallbacks() const {
+    return control_ ? control_->inline_donation_fallbacks() : 0;
   }
-  std::uint64_t shards_parked() const { return shards_parked_; }
-  std::uint64_t shards_woken() const { return shards_woken_; }
-  std::uint64_t parked_core_cycles() const { return parked_core_cycles_; }
-  const std::vector<FleetEpoch>& fleet_timeline() const { return fleet_timeline_; }
-  // Shard whose server core currently hosts the epoch-controller timer. The
-  // controller is elected, not hard-wired to shard 0: when the ticker shard
-  // leaves kActive, the tick re-pins the timer to the lowest-id active shard
-  // (the last active shard never parks, so one exists), so parking shard 0
-  // never silences the fleet controller.
-  int epoch_ticker_shard() const { return epoch_ticker_shard_; }
+  std::uint64_t routing_epochs() const { return control_ ? control_->routing_epochs() : 0; }
+  std::uint64_t shards_parked() const { return control_ ? control_->shards_parked() : 0; }
+  std::uint64_t parked_core_cycles() const {
+    return control_ ? control_->parked_core_cycles() : 0;
+  }
 
   // Flight-recorder heap walk (DESIGN.md §13): one HeapShardSnapshot per
   // shard, built from the span directory, each heap's untimed Inspect() and
@@ -257,7 +200,7 @@ class NgxAllocator : public Allocator {
   IndexStack Stash(int core, std::uint32_t cls) const {
     return IndexStack(stash_base_ + stash_stride_ * static_cast<std::uint32_t>(core) +
                           stash_slot_ * cls,
-                      core_stash_cap_[static_cast<std::size_t>(core)]);
+                      plan_.cores[static_cast<std::size_t>(core)].stash_capacity);
   }
 
   // ---- Stash pipeline (config.stash_pipeline; DESIGN.md §9) ----
@@ -296,7 +239,6 @@ class NgxAllocator : public Allocator {
   // acquire-read pulls the line every subsequent pop hits. Halves are on
   // disjoint lines, so a server fill of the inactive half never bounces the
   // line the client is popping from (or recycling frees into).
-  // (kPipeHalfCap, declared public above, is the per-half entry count.)
   Addr HalfAddr(int core, std::uint32_t cls, int half) const {
     return stash_base_ + stash_stride_ * static_cast<std::uint64_t>(core) +
            stash_slot_ * cls + stash_half_bytes_ * static_cast<std::uint64_t>(half);
@@ -365,57 +307,9 @@ class NgxAllocator : public Allocator {
     return size <= classes_.max_size() ? classes_.ClassOf(size) : classes_.num_classes();
   }
 
-  // Grant sizing: spans are donated in whole map units so the recipient's
-  // provider can satisfy its next Map from the grafted range.
-  std::uint64_t NeededGrantSpans(std::uint64_t size) const;
-  // Requester side (runs on shard's server core): refill the partition from
-  // the shard's own recycled pool or a donor and retry the malloc.
-  Addr MallocWithDonation(Env& server_env, int shard, std::uint64_t size);
-  // Donor side of OffloadOp::kDonateSpan/kRequestSpans; returns base|nspans,
-  // 0 = nothing to give.
-  std::uint64_t HandleDonateSpan(Env& server_env, int donor, std::uint64_t arg);
-  // Carves up to `want` spans (falling back to one grant unit) from `donor`'s
-  // recycled pool or provider tail and transfers ownership to `to`. Returns
-  // base|nspans, 0 if the donor cannot spare even one unit.
-  std::uint64_t CarveSpans(Env& server_env, int donor, int to, std::uint64_t want);
-  // Recipient side of kOfferSpans/kReturnSpan: ownership already moved by
-  // the sender, graft the range onto this shard's provider window.
-  std::uint64_t HandleSpanGraft(Env& server_env, int shard, std::uint64_t arg);
-  // Shard with the most free spans, excluding entries of `excluded`; -1 if
-  // none has any.
-  int PickDonor(const std::vector<bool>& excluded) const;
-
-  // Watermark rebalancer (DESIGN.md §8): runs on shard's server core after
-  // each of its drains and on its periodic timer. At most a few moves per
-  // tick; reentrancy-guarded so a tick's own fabric messages cannot recurse
-  // into another tick.
-  void WatermarkTick(Env& server_env, int shard);
-  bool TryRefill(Env& server_env, int shard, std::uint64_t free);
-  bool TryReturnHome(Env& server_env, int shard);
-  // Sends one fully-recycled away run of `shard` (at most `max_units` grant
-  // units, all with one home) back to its home shard over kReturnSpan.
-  // False when no such run exists.
-  bool ReturnRunHome(Env& server_env, int shard, std::uint64_t max_units);
-  bool TryOfferSurplus(Env& server_env, int shard, std::uint64_t free);
-  bool TryRestockLocal(Env& server_env, int shard);
-
-  // Elastic-fleet epoch controller (config.adaptive_routing; DESIGN.md §14).
-  // Runs on the first server core's timer tick every config_.epoch_cycles:
-  // closes the fabric's traffic epoch, steps draining shards toward kParked,
-  // wakes parked shards under queue-depth pressure, drains shards below the
-  // break-even op threshold, and feeds the closed matrix to the routing
-  // policy's Observe hook.
-  void EpochTick(Env& env);
-  // Resolves config_.tenants into the per-core / per-shard vectors below and
-  // validates every override (NGX_CHECKs on malformed traits). Runs once in
-  // the constructor, before heap construction and layout sizing.
-  void ResolveTenants(const Machine& machine, int nshards,
-                      const std::vector<int>* server_cores);
-  // Returns up to `max_moves` recycled granted-span runs of `shard` to their
-  // home shards (no low-mark retention -- the shard is going dormant).
-  // Returns the number of runs moved; fewer than max_moves means nothing
-  // migratable remains and the shard may park.
-  int MigrateGrantedHome(Env& server_env, int shard, int max_moves);
+  // Carves `size` from `shard`'s partition on its server core; a dry
+  // partition falls back to the control plane's inline donation.
+  Addr ServerMalloc(Env& server_env, int shard, std::uint64_t size);
 
   // Lazily binds metric handles; returns whether telemetry is recording.
   bool Recording();
@@ -454,29 +348,11 @@ class NgxAllocator : public Allocator {
   // Fabric-wide hugepage frame refcounts (config.hugepage_packing); shared
   // by every shard's span provider so donated spans stay on backed frames.
   std::unique_ptr<HugepageLedger> hugepage_ledger_;
-  std::uint64_t shard_window_ = 0;  // bytes of heap window per shard (initial slice)
-  std::unique_ptr<SpanDirectory> directory_;  // span->shard owner (num_shards > 1)
-  bool donation_ = false;            // kDonateSpan rebalancing active
-  bool rebalance_ = false;           // watermark protocol active
-  bool in_rebalance_ = false;        // tick reentrancy guard (allocator-wide)
-  std::uint64_t span_bytes_ = 0;
-  std::uint64_t grant_unit_spans_ = 0;  // spans per smallest donatable grant
-  std::uint64_t grant_align_ = 0;       // base alignment donated ranges need
+  TenantPlan plan_;
+  // Declared after heaps_: destroyed first, it clears the observers it set
+  // on their span providers.
+  std::unique_ptr<ControlPlane> control_;
   std::uint64_t partition_ooms_ = 0;
-  std::uint64_t rebalance_moves_ = 0;
-  std::uint64_t inline_fallbacks_ = 0;
-  bool adaptive_ = false;            // epoch controller + tracking active
-  int epoch_timer_id_ = -1;          // the controller's machine timer hook
-  int epoch_ticker_shard_ = 0;       // elected shard hosting the controller
-  std::uint64_t routing_epochs_ = 0;
-  std::uint64_t shards_parked_ = 0;  // park transitions (not current count)
-  std::uint64_t shards_woken_ = 0;
-  std::uint64_t parked_core_cycles_ = 0;
-  std::uint64_t last_client_moves_ = 0;  // policy total at last epoch close
-  std::vector<std::uint8_t> woke_this_epoch_;  // scratch for EpochTick
-  EpochMatrix epoch_scratch_;
-  std::vector<FleetEpoch> fleet_timeline_;
-  std::vector<int> timer_hook_ids_;  // watermark + epoch timer hooks
   OffloadFabric* fabric_;
   std::optional<AllocationPredictor> predictor_;
   std::unique_ptr<PageProvider> stash_provider_;
@@ -487,22 +363,6 @@ class NgxAllocator : public Allocator {
   std::uint64_t sync_mallocs_ = 0;
   bool pipeline_ = false;            // double-buffered stash refills active
   std::uint64_t stash_half_bytes_ = 0;  // one cache line per half
-  // Per-tenant traits resolution (config.tenants; DESIGN.md §15). Sized and
-  // filled by ResolveTenants; with no tenants every per-core entry carries
-  // the global NgxConfig value and every per-shard entry the global marks,
-  // so the consuming code paths are byte-identical.
-  std::vector<std::string> tenant_names_;       // config order
-  std::vector<std::int16_t> core_tenant_;       // client core -> tenant, -1 default
-  std::vector<std::uint32_t> core_stash_cap_;   // per core
-  std::vector<std::uint32_t> core_refill_mark_; // per core
-  std::vector<std::uint32_t> core_free_batch_;  // per core
-  std::vector<std::uint32_t> core_pipe_cap_;    // min(core cap, kPipeHalfCap)
-  std::vector<std::uint32_t> core_spill_depth_; // core cap beyond the halves
-  std::vector<QosLane> core_lane_;              // per core ring lane
-  std::vector<int> core_home_shard_;            // per core pin, -1 = policy
-  std::vector<std::uint64_t> shard_low_mark_;   // per shard watermark
-  std::vector<std::uint64_t> shard_high_mark_;  // per shard watermark
-  std::uint32_t max_stash_cap_ = 0;   // layout-sizing maximum across cores
   std::vector<StashPipe> pipes_;     // (core, class) pipeline state
   std::uint64_t stash_refills_ = 0;
   std::uint64_t refill_blocks_ = 0;
@@ -528,13 +388,6 @@ class NgxAllocator : public Allocator {
   Counter* c_free_local_ = nullptr;
   Counter* c_free_remote_ = nullptr;
   Counter* c_free_unknown_ = nullptr;
-  Counter* c_donated_spans_ = nullptr;
-  Counter* c_rebalance_moves_ = nullptr;
-  Counter* c_returned_spans_ = nullptr;
-  Counter* c_routing_epochs_ = nullptr;
-  Counter* c_client_moves_ = nullptr;
-  Counter* c_shards_parked_ = nullptr;
-  Counter* c_inline_fallbacks_ = nullptr;
   Counter* c_stash_refills_ = nullptr;
   Histogram* h_refill_batch_ = nullptr;   // blocks per background refill
   Counter* c_refill_overlap_ = nullptr;

@@ -449,8 +449,8 @@ std::int64_t SegmentHeap::ClassifyForRecycle(Env& env, Addr addr) {
   return static_cast<std::int64_t>(tag - kTagClassBase);
 }
 
-HeapInspection SegmentHeap::Inspect() const {
-  HeapInspection in;
+HeapOccupancy SegmentHeap::Inspect() const {
+  HeapOccupancy in;
   in.bytes_live = stats_.bytes_live;
   in.data_mapped_bytes = span_provider_.mapped_bytes();
   in.meta_mapped_bytes = meta_provider_.mapped_bytes();

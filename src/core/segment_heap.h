@@ -49,7 +49,7 @@ class SegmentHeap : public ServerHeap {
   std::uint64_t UsableSize(Env& env, Addr addr) override;
   std::int64_t ClassifyForRecycle(Env& env, Addr addr) override;
   AllocatorStats stats() const override;
-  HeapInspection Inspect() const override;
+  HeapOccupancy Inspect() const override;
   PageProvider& span_provider() override { return span_provider_; }
 
   const SegmentHeapStats& segment_stats() const { return seg_stats_; }

@@ -124,8 +124,8 @@ class AggregatedHeap : public ServerHeap {
     return s;
   }
 
-  HeapInspection Inspect() const override {
-    HeapInspection in;
+  HeapOccupancy Inspect() const override {
+    HeapOccupancy in;
     in.bytes_live = stats_.bytes_live;
     in.data_mapped_bytes = provider_.mapped_bytes();
     in.meta_mapped_bytes = meta_provider_->mapped_bytes();

@@ -20,29 +20,9 @@
 #include "src/alloc/sim_lock.h"
 #include "src/alloc/size_classes.h"
 #include "src/core/heap_kind.h"
+#include "src/telemetry/flight_recorder.h"
 
 namespace ngx {
-
-// Host-side occupancy report produced by ServerHeap::Inspect(). Built from
-// untimed memory reads (SimMemory::Read) and host mirrors only: taking one
-// advances no clock, touches no cache and perturbs no PMU counter -- the
-// flight recorder's snapshot contract (DESIGN.md §13).
-struct HeapInspection {
-  std::uint64_t bytes_live = 0;
-  std::uint64_t data_mapped_bytes = 0;
-  std::uint64_t meta_mapped_bytes = 0;
-  std::uint64_t free_blocks = 0;         // small blocks parked on freelists
-  std::uint64_t free_block_bytes = 0;
-  std::uint64_t bump_reserve_bytes = 0;  // unconsumed carve-cursor bytes
-  std::uint64_t large_blocks = 0;        // live large mappings
-  std::uint64_t large_bytes = 0;         // their mapped bytes
-  // Segment heap only (zero elsewhere).
-  std::uint64_t empty_pool_segments = 0;
-  std::uint64_t live_slabs = 0;  // partial slabs reachable from class lists
-  std::uint64_t full_slabs = 0;  // exhausted slabs (unlinked until a free)
-  std::vector<std::uint64_t> slab_fill_decile;  // 11 buckets: 0-9%..90-99%, full
-  bool truncated = false;  // a capped walk stopped early; counts are floors
-};
 
 class ServerHeap {
  public:
@@ -60,8 +40,8 @@ class ServerHeap {
   // anyway.
   virtual std::int64_t ClassifyForRecycle(Env& env, Addr addr) = 0;
   virtual AllocatorStats stats() const = 0;
-  // Untimed occupancy walk for the flight recorder (see HeapInspection).
-  virtual HeapInspection Inspect() const = 0;
+  // Untimed occupancy walk for the flight recorder (see HeapOccupancy).
+  virtual HeapOccupancy Inspect() const = 0;
   // The provider carving this heap's data window (spans and large regions).
   // The elastic fabric grafts donated span ranges onto it and observes its
   // mappings; never the metadata provider.

@@ -10,6 +10,10 @@ namespace ngx {
 
 namespace {
 
+// Per-request instruction overhead of the server's poll loop (dispatch, flag
+// checks).
+constexpr std::uint32_t kPollWork = 6;
+
 // Ops whose handler is the heap's carve/classify path; their server-side
 // service time is what OffloadEngineStats::carve_cycles accumulates.
 bool IsCarveOp(OffloadOp op) {
@@ -216,7 +220,7 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   }
   server.AdvanceTo(send_time);
   const std::uint64_t busy0 = server_env.now();
-  server_env.Work(poll_work_);
+  server_env.Work(kPollWork);
 
   const std::uint64_t service_start = server_env.now();
   const Channel::Request req = ch.ServerReadRequest(server_env);
@@ -276,7 +280,7 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
 std::uint64_t OffloadEngine::Kick(Env& client_env, int client, std::uint32_t max_entries) {
   machine_->core(server_core_).AdvanceTo(client_env.now());
   Env server_env = ServerEnv();
-  server_env.Work(poll_work_);
+  server_env.Work(kPollWork);
   DrainRing(server_env, client, max_entries);
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
@@ -448,7 +452,7 @@ void OffloadEngine::DrainAll() {
             static_cast<int>(lanes_[static_cast<std::size_t>(c)]) != lane) {
           continue;
         }
-        server_env.Work(poll_work_);
+        server_env.Work(kPollWork);
         DrainRing(server_env, c);
       }
     }
@@ -457,7 +461,7 @@ void OffloadEngine::DrainAll() {
       if (c == server_core_) {
         continue;
       }
-      server_env.Work(poll_work_);
+      server_env.Work(kPollWork);
       DrainRing(server_env, c);
     }
   }

@@ -101,10 +101,6 @@ class OffloadEngine {
 
   const OffloadEngineStats& stats() const { return stats_; }
 
-  // Per-request instruction overhead of the server's poll loop (dispatch,
-  // flag checks). Exposed for the ablation benches.
-  void set_poll_work(std::uint32_t n) { poll_work_ = n; }
-
   // Shard index used to label this engine's telemetry (the fabric sets it;
   // a standalone engine reports as shard 0).
   void set_shard_id(int s) { shard_id_ = s; }
@@ -240,7 +236,6 @@ class OffloadEngine {
   int server_core_;
   int shard_id_ = 0;
   OffloadServer* server_ = nullptr;
-  std::uint32_t poll_work_ = 6;
   std::uint32_t eager_drain_at_ = 0;
   std::uint32_t lane_quantum_ = 0;  // 0 = lane admission off
   std::vector<QosLane> lanes_;      // per-client ring lane

@@ -36,12 +36,6 @@ std::uint64_t OffloadFabric::ChannelRegionBytes(const Machine& machine, int num_
          static_cast<std::uint64_t>(num_shards);
 }
 
-void OffloadFabric::set_poll_work(std::uint32_t n) {
-  for (auto& e : engines_) {
-    e->set_poll_work(n);
-  }
-}
-
 int OffloadFabric::RouteMalloc(int client, std::uint64_t size, std::uint32_t size_class) {
   if (engines_.size() == 1) {
     return 0;  // degenerate case: the paper's single-server prototype

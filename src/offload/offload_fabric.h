@@ -70,9 +70,6 @@ class OffloadFabric {
     shard(s).set_post_drain_hook(std::move(hook));
   }
 
-  // Applies the poll-loop overhead knob to every shard.
-  void set_poll_work(std::uint32_t n);
-
   // Applies the background ring-drain threshold to every shard (see
   // OffloadEngine::set_eager_drain_at; 0 = historical stall-only behaviour).
   void set_eager_drain_at(std::uint32_t n) {

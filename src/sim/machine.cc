@@ -129,8 +129,8 @@ void Machine::MaybeRecorderSnapshot(int core_id) {
   Tracer& tr = telemetry_.tracer();
   for (const HeapShardSnapshot& s : snap->shards) {
     const std::string prefix = "shard" + std::to_string(s.shard) + ".";
-    tr.Counter(prefix + "bytes_live", snap->cycle, s.bytes_live);
-    tr.Counter(prefix + "data_mapped_bytes", snap->cycle, s.data_mapped_bytes);
+    tr.Counter(prefix + "bytes_live", snap->cycle, s.heap.bytes_live);
+    tr.Counter(prefix + "data_mapped_bytes", snap->cycle, s.heap.data_mapped_bytes);
     tr.Counter(prefix + "free_spans", snap->cycle, s.free_spans);
     tr.Counter(prefix + "external_frag_bp", snap->cycle,
                static_cast<std::uint64_t>(s.external_frag_pct * 100.0));

@@ -138,25 +138,25 @@ JsonValue HeapShardSnapshot::ToJson() const {
   spans.Set("granted", granted_spans);
   spans.Set("away", away_spans);
   o.Set("spans", std::move(spans));
-  o.Set("bytes_live", bytes_live);
-  o.Set("data_mapped_bytes", data_mapped_bytes);
-  o.Set("meta_mapped_bytes", meta_mapped_bytes);
-  o.Set("free_blocks", free_blocks);
-  o.Set("free_block_bytes", free_block_bytes);
-  o.Set("bump_reserve_bytes", bump_reserve_bytes);
-  o.Set("large_blocks", large_blocks);
-  o.Set("large_bytes", large_bytes);
-  o.Set("empty_pool_segments", empty_pool_segments);
-  o.Set("live_slabs", live_slabs);
-  o.Set("full_slabs", full_slabs);
-  if (!slab_fill_decile.empty()) {
+  o.Set("bytes_live", heap.bytes_live);
+  o.Set("data_mapped_bytes", heap.data_mapped_bytes);
+  o.Set("meta_mapped_bytes", heap.meta_mapped_bytes);
+  o.Set("free_blocks", heap.free_blocks);
+  o.Set("free_block_bytes", heap.free_block_bytes);
+  o.Set("bump_reserve_bytes", heap.bump_reserve_bytes);
+  o.Set("large_blocks", heap.large_blocks);
+  o.Set("large_bytes", heap.large_bytes);
+  o.Set("empty_pool_segments", heap.empty_pool_segments);
+  o.Set("live_slabs", heap.live_slabs);
+  o.Set("full_slabs", heap.full_slabs);
+  if (!heap.slab_fill_decile.empty()) {
     JsonValue h = JsonValue::Array();
-    for (const std::uint64_t v : slab_fill_decile) {
+    for (const std::uint64_t v : heap.slab_fill_decile) {
       h.Push(v);
     }
     o.Set("slab_fill_decile", std::move(h));
   }
-  o.Set("truncated", truncated);
+  o.Set("truncated", heap.truncated);
   o.Set("internal_frag_pct", internal_frag_pct);
   o.Set("external_frag_pct", external_frag_pct);
   return o;

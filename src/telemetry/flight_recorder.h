@@ -74,6 +74,27 @@ class TrafficMatrix {
   std::vector<std::vector<TrafficCell>> rows_;  // [client][shard]
 };
 
+// Occupancy of one shard's heap, as ServerHeap::Inspect() reports it. Built
+// from untimed memory reads (SimMemory::Read) and host mirrors only: taking
+// one advances no clock, touches no cache and perturbs no PMU counter -- the
+// flight recorder's snapshot contract (DESIGN.md §13).
+struct HeapOccupancy {
+  std::uint64_t bytes_live = 0;
+  std::uint64_t data_mapped_bytes = 0;
+  std::uint64_t meta_mapped_bytes = 0;
+  std::uint64_t free_blocks = 0;         // small blocks parked on freelists
+  std::uint64_t free_block_bytes = 0;
+  std::uint64_t bump_reserve_bytes = 0;  // unconsumed carve-cursor bytes
+  std::uint64_t large_blocks = 0;        // live large mappings
+  std::uint64_t large_bytes = 0;         // their mapped bytes
+  // Segment heap only (zero elsewhere).
+  std::uint64_t empty_pool_segments = 0;
+  std::uint64_t live_slabs = 0;  // partial slabs reachable from class lists
+  std::uint64_t full_slabs = 0;  // exhausted slabs (unlinked until a free)
+  std::vector<std::uint64_t> slab_fill_decile;  // 11 buckets: 0-9%..90-99%, full
+  bool truncated = false;  // a capped walk stopped early; counts are floors
+};
+
 // What one shard's heap looked like at snapshot time. Span-lifecycle counts
 // come from the SpanDirectory, occupancy and slab detail from the heap's own
 // Inspect() walk, fragmentation from the allocator's request-byte mirrors.
@@ -87,22 +108,7 @@ struct HeapShardSnapshot {
   std::uint64_t granted_spans = 0;   // live inside the heap
   std::uint64_t away_spans = 0;      // our home spans currently donated out
 
-  // Occupancy (heap Inspect()).
-  std::uint64_t bytes_live = 0;
-  std::uint64_t data_mapped_bytes = 0;
-  std::uint64_t meta_mapped_bytes = 0;
-  std::uint64_t free_blocks = 0;        // blocks parked on free stacks/lists
-  std::uint64_t free_block_bytes = 0;
-  std::uint64_t bump_reserve_bytes = 0; // unconsumed carve-cursor bytes
-  std::uint64_t large_blocks = 0;
-  std::uint64_t large_bytes = 0;
-
-  // Segment heap only.
-  std::uint64_t empty_pool_segments = 0;
-  std::uint64_t live_slabs = 0;  // slabs holding at least one live block
-  std::uint64_t full_slabs = 0;  // exhausted slabs (unlinked from class lists)
-  std::vector<std::uint64_t> slab_fill_decile;  // 11 buckets: 0-9%..90-99%, 100%
-  bool truncated = false;  // a walk hit its cap; counts are lower bounds
+  HeapOccupancy heap;
 
   // Fragmentation, in percent. Internal is allocation-weighted over the whole
   // run (1 - requested/block bytes); external is 1 - live/mapped data bytes.

@@ -52,11 +52,13 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
   if (ngx != nullptr) {
     // Elastic-fleet books live on the allocator host side (no telemetry
     // needed): the timeline has no counter representation at all.
-    result.routing_epochs = ngx->routing_epochs();
-    result.client_moves = ngx->client_moves();
-    result.shards_parked = ngx->shards_parked();
-    result.parked_core_cycles = ngx->parked_core_cycles();
-    result.fleet_timeline = ngx->fleet_timeline();
+    if (const ControlPlane* cp = ngx->control()) {
+      result.routing_epochs = cp->routing_epochs();
+      result.client_moves = cp->client_moves();
+      result.shards_parked = cp->shards_parked();
+      result.parked_core_cycles = cp->parked_core_cycles();
+      result.fleet_timeline = cp->fleet_timeline();
+    }
     result.map_mapped_bytes = ngx->map_mapped_bytes();
     result.map_requested_bytes = ngx->map_requested_bytes();
     result.map_waste_bytes = ngx->map_waste_bytes();
@@ -88,7 +90,7 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
       // round-trip latency summed across every shard it talked to. The
       // series carries only the tenant label, so the subset match cannot
       // also pick up the per-(shard, op) series above.
-      for (const std::string& name : ngx->tenant_names()) {
+      for (const std::string& name : ngx->plan().tenant_names) {
         result.tenant_names.push_back(name);
         result.tenant_sync_latency.push_back(
             m.HistogramTotal("offload.sync_latency", {{"tenant", name}}).Summary());

@@ -210,7 +210,7 @@ NgxConfig AdaptiveConfig() {
 TEST(AdaptiveFleet, ColdShardParksAndBooksStayBalanced) {
   auto machine = MakeMachine(4);  // clients 0-1, shards on cores 2-3
   auto sys = MakeNgxSystem(*machine, AdaptiveConfig());
-  ASSERT_TRUE(sys.allocator->adaptive_fleet());
+  ASSERT_TRUE(sys.allocator->control()->adaptive());
   ASSERT_TRUE(sys.fabric->epoch_tracking());
 
   // Single-client traffic: every malloc lands on one shard, the other sees
@@ -230,7 +230,7 @@ TEST(AdaptiveFleet, ColdShardParksAndBooksStayBalanced) {
   EXPECT_EQ(sys.fabric->num_active_shards(), 1);
   EXPECT_GT(sys.allocator->parked_core_cycles(), 0u)
       << "a parked shard's core is released capacity";
-  const std::vector<FleetEpoch>& tl = sys.allocator->fleet_timeline();
+  const std::vector<FleetEpoch>& tl = sys.allocator->control()->fleet_timeline();
   ASSERT_EQ(tl.size(), sys.allocator->routing_epochs());
   EXPECT_EQ(tl.back().active_shards, 1);
   EXPECT_EQ(tl.back().parked_shards, 1);
@@ -279,7 +279,7 @@ TEST(AdaptiveFleet, RingBacklogWakesAParkedShard) {
   c1.Work(2 * AdaptiveConfig().epoch_cycles);
   machine->RunTimerHooks(machine->core(1).now());
   EXPECT_GE(sys.allocator->routing_epochs(), 1u);
-  EXPECT_GE(sys.allocator->shards_woken(), 1u);
+  EXPECT_GE(sys.allocator->control()->shards_woken(), 1u);
   EXPECT_EQ(sys.fabric->shard_state(1), ShardState::kActive);
 
   sys.allocator->Flush(c0);
@@ -340,7 +340,7 @@ TEST(AdaptiveFleet, DrainingShardReturnsGrantedSpansHomeBeforeParking) {
 TEST(AdaptiveFleet, EpochTickerSurvivesParkingItsOwnShard) {
   auto machine = MakeMachine(4);  // clients 0-1, shards on cores 2-3
   auto sys = MakeNgxSystem(*machine, AdaptiveConfig());
-  ASSERT_EQ(sys.allocator->epoch_ticker_shard(), 0) << "ticker starts on shard 0";
+  ASSERT_EQ(sys.allocator->control()->epoch_ticker_shard(), 0) << "ticker starts on shard 0";
 
   // Client 1's unplaced mallocs fall back to shard 1 (1 % 2 active): shard 0
   // sees zero epoch ops and parks at the close -- taking the original
@@ -355,7 +355,7 @@ TEST(AdaptiveFleet, EpochTickerSurvivesParkingItsOwnShard) {
   }
   machine->RunTimerHooks(machine->core(1).now());
   ASSERT_EQ(sys.fabric->shard_state(0), ShardState::kParked);
-  EXPECT_EQ(sys.allocator->epoch_ticker_shard(), 1)
+  EXPECT_EQ(sys.allocator->control()->epoch_ticker_shard(), 1)
       << "the controller must re-elect onto the surviving active shard";
   const std::uint64_t epochs = sys.allocator->routing_epochs();
   ASSERT_GT(epochs, 0u);
@@ -388,7 +388,7 @@ TEST(AdaptiveFleet, QuietFleetParksOneShardPerEpochDownToTheLast) {
   NgxConfig cfg = AdaptiveConfig();
   cfg.num_shards = kShards;
   auto sys = MakeNgxSystem(*machine, cfg);
-  ASSERT_TRUE(sys.allocator->adaptive_fleet());
+  ASSERT_TRUE(sys.allocator->control()->adaptive());
   // The controller's first close is due one epoch after construction on the
   // first server core's clock; each round moves the time front one epoch.
   const std::uint64_t t0 = machine->core(sys.fabric->server_cores().front()).now();
@@ -399,16 +399,16 @@ TEST(AdaptiveFleet, QuietFleetParksOneShardPerEpochDownToTheLast) {
     EXPECT_EQ(sys.fabric->num_active_shards(), active) << "epoch " << epoch;
     EXPECT_EQ(sys.allocator->shards_parked(), static_cast<std::uint64_t>(kShards - active))
         << "epoch " << epoch;
-    const FleetEpoch& fe = sys.allocator->fleet_timeline().back();
+    const FleetEpoch& fe = sys.allocator->control()->fleet_timeline().back();
     EXPECT_EQ(fe.active_shards, active);
     EXPECT_EQ(fe.parked_shards, kShards - active);
-    EXPECT_EQ(sys.fabric->shard_state(sys.allocator->epoch_ticker_shard()),
+    EXPECT_EQ(sys.fabric->shard_state(sys.allocator->control()->epoch_ticker_shard()),
               ShardState::kActive)
         << "the controller must stay on an active shard, epoch " << epoch;
   }
-  EXPECT_EQ(sys.allocator->epoch_ticker_shard(), kShards - 1)
+  EXPECT_EQ(sys.allocator->control()->epoch_ticker_shard(), kShards - 1)
       << "shards park lowest id first, so the last one standing hosts the ticker";
-  EXPECT_EQ(sys.allocator->shards_woken(), 0u);
+  EXPECT_EQ(sys.allocator->control()->shards_woken(), 0u);
 }
 
 // ---- Fleet knob guard must abort in every build type ----

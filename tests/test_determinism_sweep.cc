@@ -361,7 +361,8 @@ FleetOffRunState RunFleetOffChurn(int shards, HeapKind kind, bool aggressive_kno
   opt.seed = 42;
   FleetOffRunState out{RunWorkload(machine, *sys.allocator, workload, opt), {}};
   sys.fabric->DrainAll();
-  EXPECT_FALSE(sys.allocator->adaptive_fleet());
+  const ControlPlane* control = sys.allocator->control();
+  EXPECT_FALSE(control != nullptr && control->adaptive());
   EXPECT_FALSE(sys.fabric->epoch_tracking());
   if (const SpanDirectory* d = sys.allocator->directory()) {
     for (int s = 0; s < shards; ++s) {

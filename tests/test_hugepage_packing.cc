@@ -341,7 +341,7 @@ TEST_P(PackedRebalanceStress, PackedGrantDonateReturnKeepsEveryInvariant) {
   cfg.span_low_mark = 8;
   cfg.span_high_mark = 16;
   auto sys = MakeNgxSystem(*machine, cfg);
-  ASSERT_TRUE(sys.allocator->rebalancing());
+  ASSERT_TRUE(sys.allocator->control()->rebalancing());
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {
     for (int core = 0; core < 2; ++core) {

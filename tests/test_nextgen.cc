@@ -61,6 +61,32 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+// Combinations the allocator would otherwise silently ignore die at
+// construction.
+TEST(NgxConfigDeath, AdaptivePolicyWithoutTheEpochControllerAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.routing = RoutingKind::kAdaptive;  // adaptive_routing left off
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "adaptive_routing");
+}
+
+TEST(NgxConfigDeath, StashPipelineWithoutPredictionAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.stash_pipeline = true;  // prediction left off: no stash to pipeline
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "stash_pipeline needs prediction");
+}
+
+TEST(NgxConfigDeath, PredictionWithoutOffloadAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.offload = false;
+  cfg.prediction = true;  // the inline path never reads the stash
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "prediction needs offload");
+}
+
 TEST(NextGen, ServerHeapRunsOnServerCoreOnly) {
   auto machine = MakeMachine(3);
   NgxSystem sys = MakeNgxSystem(*machine, NgxConfig::PaperPrototype(), 2);

@@ -132,7 +132,7 @@ TEST_P(ServerHeapTest, InspectAgreesWithStatsAndPerturbsNothing) {
   }
   const std::uint64_t now = env.now();
   const PmuCounters pmu = machine_->core(0).pmu();
-  const HeapInspection in = heap_->Inspect();
+  const HeapOccupancy in = heap_->Inspect();
   EXPECT_EQ(env.now(), now);
   EXPECT_EQ(machine_->core(0).pmu().loads, pmu.loads);
   EXPECT_EQ(machine_->core(0).pmu().stores, pmu.stores);

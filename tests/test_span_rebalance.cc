@@ -375,7 +375,7 @@ TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsiste
   const auto [seed, shards] = GetParam();
   auto machine = MakeMachine(shards + 2);
   auto sys = MakeNgxSystem(*machine, RebalanceConfig(shards));
-  ASSERT_TRUE(sys.allocator->rebalancing());
+  ASSERT_TRUE(sys.allocator->control()->rebalancing());
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {
     for (int core = 0; core < 2; ++core) {
@@ -446,10 +446,10 @@ TEST_P(TenantSpanRebalanceFabricStress, HeterogeneousTraitsKeepTheDirectoryConsi
   const auto [seed, shards] = GetParam();
   auto machine = MakeMachine(shards + 2);
   auto sys = MakeNgxSystem(*machine, TenantRebalanceConfig(shards));
-  ASSERT_TRUE(sys.allocator->rebalancing());
-  ASSERT_EQ(sys.allocator->core_lane(0), QosLane::kLatency);
-  ASSERT_EQ(sys.allocator->core_lane(1), QosLane::kBulk);
-  ASSERT_EQ(sys.allocator->shard_low_mark(1), 4u);
+  ASSERT_TRUE(sys.allocator->control()->rebalancing());
+  ASSERT_EQ(sys.allocator->plan().cores[0].lane, QosLane::kLatency);
+  ASSERT_EQ(sys.allocator->plan().cores[1].lane, QosLane::kBulk);
+  ASSERT_EQ(sys.allocator->plan().shards[1].low, 4u);
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {
     for (int core = 0; core < 2; ++core) {
@@ -604,7 +604,7 @@ TEST(SpanRebalanceWatermark, ProactiveRefillKeepsTheInlineFallbackIdle) {
   cfg.span_low_mark = 8;
   cfg.span_high_mark = 16;
   auto sys = MakeNgxSystem(*machine, cfg);
-  ASSERT_TRUE(sys.allocator->rebalancing());
+  ASSERT_TRUE(sys.allocator->control()->rebalancing());
   Env env(*machine, 0);
   std::vector<Addr> blocks;
   for (int i = 0; i < 100; ++i) {
@@ -654,7 +654,7 @@ TEST(SpanRebalanceWatermark, ProactiveRefillKeepsTheInlineFallbackIdle) {
 TEST(SpanRebalanceWatermark, ZeroLowMarkDisablesTheRebalancer) {
   auto machine = MakeMachine(3);
   auto sys = MakeNgxSystem(*machine, DonationOnlyConfig());
-  ASSERT_FALSE(sys.allocator->rebalancing());
+  ASSERT_FALSE(sys.allocator->control()->rebalancing());
   Env env(*machine, 0);
   for (int i = 0; i < 100; ++i) {
     ASSERT_NE(sys.allocator->Malloc(env, 48 * 1024), kNullAddr);
@@ -728,7 +728,7 @@ TEST(SpanRebalanceWatermark, TimerTickReachesAShardAheadOfEveryClient) {
   cfg.span_high_mark = 16;
   cfg.watermark_timer_cycles = kPeriod;
   NgxSystem sys = MakeNgxSystem(*machine, cfg);
-  ASSERT_TRUE(sys.allocator->rebalancing());
+  ASSERT_TRUE(sys.allocator->control()->rebalancing());
   Env env(*machine, 0);
   // Shard 0 pulls two spans from shard 1, maps and fully recycles them: a
   // recycled away run that the return protocol must send home. Both
@@ -771,6 +771,39 @@ TEST(SpanRebalanceWatermark, TimerTickReachesAShardAheadOfEveryClient) {
   EXPECT_EQ(d.free_spans(0), 64u) << "the home split must be restored";
   EXPECT_EQ(d.free_spans(1), 64u);
   AuditDirectoryConsistency(d);
+}
+
+// The control plane hooks the machine (watermark and epoch timers) and the
+// fabric (post-drain hooks), both of which can outlive the allocator: once
+// the allocator is gone no hook may remain, or the next drain or timer tick
+// calls into freed memory.
+TEST(ControlPlaneLifetime, AllocatorDestroyedBeforeItsMachineAndFabricLeavesNoHooks) {
+  constexpr std::uint64_t kPeriod = 20 * 1000;
+  auto machine = MakeMachine(3);
+  NgxConfig cfg = DonationOnlyConfig();
+  cfg.span_low_mark = 8;
+  cfg.span_high_mark = 16;
+  cfg.watermark_timer_cycles = kPeriod;
+  cfg.routing = RoutingKind::kAdaptive;
+  cfg.adaptive_routing = true;
+  cfg.epoch_cycles = kPeriod;
+  NgxSystem sys = MakeNgxSystem(*machine, cfg);
+  ASSERT_TRUE(sys.allocator->control()->rebalancing());
+  ASSERT_TRUE(sys.allocator->control()->adaptive());
+  ASSERT_TRUE(machine->has_timer_hooks());
+  Env env(*machine, 0);
+  const Addr a = sys.allocator->Malloc(env, 48 * 1024);
+  ASSERT_NE(a, kNullAddr);
+  sys.allocator->Free(env, a);
+  sys.allocator->Flush(env);
+  sys.fabric->DrainAll();
+
+  sys.allocator.reset();
+  EXPECT_FALSE(machine->has_timer_hooks());
+  sys.fabric->DrainAll();  // would run a post-drain hook left behind
+  ComputeOnlyThread tail(0, static_cast<int>(2 * kPeriod / 64));
+  Scheduler::Run(*machine, {&tail});
+  EXPECT_GT(machine->core(0).now(), kPeriod);
 }
 
 // Without the timer a quiet shard would have no tick path at all, so a

@@ -2,15 +2,16 @@
 //
 //  * preset contract units: every TenantPreset parses/round-trips and fills
 //    exactly the knobs its contract implies (explicit overrides win);
-//  * registration-time resolution: presets and overrides land on the claimed
-//    cores, unclaimed cores keep the global NgxConfig contract, numa_local
-//    pins the home shard inside the client's cluster, and the fabric mirrors
-//    lane/label/home for every claimed core;
-//  * NGX_CHECK death tests for malformed traits: stash capacity below the
-//    pipeline's two-half minimum, free_batch=0 with lanes on, unknown
-//    preset, duplicate names, double-claimed cores, claimed server cores,
-//    conflicting heap kinds on a shared shard, and a span donation in flight
-//    between shards whose tenants bound conflicting carve layouts;
+//  * the tenant plan (ResolveTenantPlan, no machine or fabric): presets and
+//    overrides land on the claimed cores, unclaimed cores keep the global
+//    NgxConfig contract, watermark overrides bind to the home shard, and
+//    pipelined cores split their capacity into halves and spill; on a full
+//    system, numa_local and explicit home-shard pins route mallocs to the
+//    contracted shard;
+//  * NGX_CHECK death tests for malformed traits, on the resolver: stash
+//    capacity below the pipeline's two-half minimum, free_batch=0 with lanes
+//    on, unknown preset, duplicate names, double-claimed cores and claimed
+//    server cores;
 //  * lane admission behavior at the engine: DrainAll serves rings in
 //    lane-priority order, a latency-lane sync never queues behind a bulk
 //    tenant's expensive window (the shadow no-bulk schedule), and admission
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/core/nextgen_malloc.h"
+#include "src/core/tenant_plan.h"
 #include "src/core/tenant_traits.h"
 #include "src/offload/offload_engine.h"
 #include "src/workload/churn.h"
@@ -118,39 +120,34 @@ NgxConfig TenantMixConfig() {
 }
 
 TEST(TenantResolution, PresetsAndOverridesLandOnTheClaimedCores) {
-  auto machine = MakeMachine(6);
-  const NgxConfig cfg = TenantMixConfig();
-  auto sys = MakeNgxSystem(*machine, cfg, {4, 5});
-  const NgxAllocator& a = *sys.allocator;
-  ASSERT_EQ(a.num_tenants(), 3);
-  EXPECT_EQ(a.tenant_names()[0], "frontend");
-  EXPECT_EQ(a.tenant_names()[1], "analytics");
-  EXPECT_EQ(a.tenant_names()[2], "cache");
-  EXPECT_EQ(a.tenant_of(0), 0);
-  EXPECT_EQ(a.tenant_of(2), 1);
-  EXPECT_EQ(a.tenant_of(3), 2);
-  EXPECT_EQ(a.core_lane(0), QosLane::kLatency);
-  EXPECT_EQ(a.core_free_batch(0), 1u);
-  EXPECT_EQ(a.core_lane(2), QosLane::kBulk);
-  EXPECT_EQ(a.core_free_batch(2), 32u) << "explicit override must beat the preset";
-  EXPECT_EQ(a.core_stash_capacity(3), 32u) << "ephemeral deepens the stash";
-  EXPECT_EQ(a.core_free_batch(3), 8u);
+  const TenantPlan plan = ResolveTenantPlan(TenantMixConfig(), /*num_cores=*/6,
+                                            /*cluster_cores=*/0, /*server_cores=*/{4, 5});
+  ASSERT_EQ(plan.tenant_names.size(), 3u);
+  EXPECT_EQ(plan.tenant_names[0], "frontend");
+  EXPECT_EQ(plan.tenant_names[1], "analytics");
+  EXPECT_EQ(plan.tenant_names[2], "cache");
+  EXPECT_EQ(plan.cores[0].tenant, 0);
+  EXPECT_EQ(plan.cores[2].tenant, 1);
+  EXPECT_EQ(plan.cores[3].tenant, 2);
+  EXPECT_EQ(plan.cores[0].lane, QosLane::kLatency);
+  EXPECT_EQ(plan.cores[0].free_batch, 1u);
+  EXPECT_EQ(plan.cores[2].lane, QosLane::kBulk);
+  EXPECT_EQ(plan.cores[2].free_batch, 32u) << "explicit override must beat the preset";
+  EXPECT_EQ(plan.cores[3].stash_capacity, 32u) << "ephemeral deepens the stash";
+  EXPECT_EQ(plan.cores[3].free_batch, 8u);
 }
 
 TEST(TenantResolution, UnclaimedCoresKeepTheGlobalContract) {
-  auto machine = MakeMachine(6);
   const NgxConfig cfg = TenantMixConfig();
-  auto sys = MakeNgxSystem(*machine, cfg, {4, 5});
-  const NgxAllocator& a = *sys.allocator;
-  EXPECT_EQ(a.tenant_of(1), -1) << "core 1 runs the implicit default tenant";
-  EXPECT_EQ(a.core_lane(1), QosLane::kNormal);
-  EXPECT_EQ(a.core_free_batch(1), cfg.free_batch);
-  EXPECT_EQ(a.core_stash_capacity(1), cfg.stash_capacity);
-  EXPECT_EQ(a.core_home_shard(1), -1);
+  const TenantPlan plan = ResolveTenantPlan(cfg, 6, 0, {4, 5});
+  EXPECT_EQ(plan.cores[1].tenant, -1) << "core 1 runs the implicit default tenant";
+  EXPECT_EQ(plan.cores[1].lane, QosLane::kNormal);
+  EXPECT_EQ(plan.cores[1].free_batch, cfg.free_batch);
+  EXPECT_EQ(plan.cores[1].stash_capacity, cfg.stash_capacity);
+  EXPECT_EQ(plan.cores[1].home_shard, -1);
 }
 
 TEST(TenantResolution, AllDefaultTenantListMatchesTheNoTenantResolution) {
-  auto machine = MakeMachine(4);
   NgxConfig plain;
   plain.num_shards = 2;
   NgxConfig listed = plain;
@@ -158,17 +155,13 @@ TEST(TenantResolution, AllDefaultTenantListMatchesTheNoTenantResolution) {
   t.name = "default_tenant";
   t.cores = {0, 1};  // all knobs at kInherit
   listed.tenants = {t};
-  auto sys_plain = MakeNgxSystem(*machine, plain, {2, 3});
-  auto machine2 = MakeMachine(4);
-  auto sys_listed = MakeNgxSystem(*machine2, listed, {2, 3});
-  for (int c = 0; c < 2; ++c) {
-    EXPECT_EQ(sys_plain.allocator->core_stash_capacity(c),
-              sys_listed.allocator->core_stash_capacity(c));
-    EXPECT_EQ(sys_plain.allocator->core_free_batch(c),
-              sys_listed.allocator->core_free_batch(c));
-    EXPECT_EQ(sys_plain.allocator->core_lane(c), sys_listed.allocator->core_lane(c));
-    EXPECT_EQ(sys_plain.allocator->core_home_shard(c),
-              sys_listed.allocator->core_home_shard(c));
+  const TenantPlan plan_plain = ResolveTenantPlan(plain, 4, 0, {2, 3});
+  const TenantPlan plan_listed = ResolveTenantPlan(listed, 4, 0, {2, 3});
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(plan_plain.cores[c].stash_capacity, plan_listed.cores[c].stash_capacity);
+    EXPECT_EQ(plan_plain.cores[c].free_batch, plan_listed.cores[c].free_batch);
+    EXPECT_EQ(plan_plain.cores[c].lane, plan_listed.cores[c].lane);
+    EXPECT_EQ(plan_plain.cores[c].home_shard, plan_listed.cores[c].home_shard);
   }
 }
 
@@ -184,7 +177,7 @@ TEST(TenantResolution, NumaLocalPinsTheHomeShardIntoTheClientsCluster) {
   near.cores = {2};  // shares cluster 1 with server core 3 (shard 1)
   cfg.tenants = {near};
   auto sys = MakeNgxSystem(machine, cfg, {1, 3});
-  EXPECT_EQ(sys.allocator->core_home_shard(2), 1)
+  EXPECT_EQ(sys.allocator->plan().cores[2].home_shard, 1)
       << "numa_local must resolve to the shard whose server shares the cluster";
   // The pin routes this tenant's mallocs to its contracted shard.
   Env env(machine, 2);
@@ -207,7 +200,7 @@ TEST(TenantResolution, ExplicitHomeShardPinWins) {
   t.cores = {0};  // static route would be shard 0
   cfg.tenants = {t};
   auto sys = MakeNgxSystem(*machine, cfg, {2, 3});
-  EXPECT_EQ(sys.allocator->core_home_shard(0), 1);
+  EXPECT_EQ(sys.allocator->plan().cores[0].home_shard, 1);
   Env env(*machine, 0);
   const Addr a = sys.allocator->Malloc(env, 64);
   ASSERT_NE(a, kNullAddr);
@@ -218,7 +211,6 @@ TEST(TenantResolution, ExplicitHomeShardPinWins) {
 }
 
 TEST(TenantResolution, WatermarkOverridesBindToTheHomeShard) {
-  auto machine = MakeMachine(4);
   NgxConfig cfg;
   cfg.num_shards = 2;
   cfg.hugepage_spans = false;
@@ -232,30 +224,55 @@ TEST(TenantResolution, WatermarkOverridesBindToTheHomeShard) {
   t.traits.span_high_mark = 48;
   t.cores = {1};  // static route: shard 1
   cfg.tenants = {t};
-  auto sys = MakeNgxSystem(*machine, cfg, {2, 3});
-  EXPECT_EQ(sys.allocator->shard_low_mark(0), 8u);
-  EXPECT_EQ(sys.allocator->shard_high_mark(0), 16u);
-  EXPECT_EQ(sys.allocator->shard_low_mark(1), 24u);
-  EXPECT_EQ(sys.allocator->shard_high_mark(1), 48u);
+  const TenantPlan plan = ResolveTenantPlan(cfg, 4, 0, {2, 3});
+  EXPECT_EQ(plan.shards[0].low, 8u);
+  EXPECT_EQ(plan.shards[0].high, 16u);
+  EXPECT_EQ(plan.shards[1].low, 24u);
+  EXPECT_EQ(plan.shards[1].high, 48u);
+}
+
+// A pipelined core uses at most one line's worth of each half and keeps the
+// rest of its capacity as a client-only spill stack; a core whose capacity
+// fits inside the halves has no spill, and without the pipeline neither
+// depth exists.
+TEST(TenantPlan, PipelinedCoresSplitTheirCapacityIntoHalvesAndSpill) {
+  NgxConfig cfg;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_capacity = 2 * kPipeHalfCap;  // exactly the two halves
+  TenantSpec deep;
+  deep.name = "deep";
+  deep.traits = MakeTenantTraits("ephemeral");
+  deep.traits.stash_capacity = 40;
+  deep.cores = {0};
+  cfg.tenants = {deep};
+  const TenantPlan plan = ResolveTenantPlan(cfg, 3, 0, {2});
+  EXPECT_EQ(plan.cores[0].pipe_cap, kPipeHalfCap);
+  EXPECT_EQ(plan.cores[0].spill_depth, 40u - 2 * kPipeHalfCap);
+  EXPECT_EQ(plan.cores[1].pipe_cap, kPipeHalfCap);
+  EXPECT_EQ(plan.cores[1].spill_depth, 0u);
+  cfg.stash_pipeline = false;
+  const TenantPlan unpipelined = ResolveTenantPlan(cfg, 3, 0, {2});
+  EXPECT_EQ(unpipelined.cores[0].pipe_cap, 0u);
+  EXPECT_EQ(unpipelined.cores[0].spill_depth, 0u);
+  EXPECT_EQ(unpipelined.cores[0].stash_capacity, 40u);
 }
 
 // ---- Malformed-traits death tests ----
 
 TEST(TenantConfigDeath, StashBelowThePipelineTwoHalfMinimumAborts) {
-  auto machine = MakeMachine(3);
   NgxConfig cfg;
   cfg.prediction = true;
   cfg.stash_pipeline = true;  // stash layout needs two kPipeHalfCap halves
   TenantSpec t;
   t.name = "tiny";
-  t.traits.stash_capacity = 2 * NgxAllocator::kPipeHalfCap - 1;
+  t.traits.stash_capacity = 2 * kPipeHalfCap - 1;
   t.cores = {0};
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "two-half minimum");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "two-half minimum");
 }
 
 TEST(TenantConfigDeath, ZeroFreeBatchWithLanesOnAborts) {
-  auto machine = MakeMachine(3);
   NgxConfig cfg;
   cfg.lane_quantum = 8;
   TenantSpec t;
@@ -263,12 +280,11 @@ TEST(TenantConfigDeath, ZeroFreeBatchWithLanesOnAborts) {
   t.traits.free_batch = 0;
   t.cores = {0};
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
                             "free_batch=0 with QoS lanes on");
 }
 
 TEST(TenantConfigDeath, DuplicateTenantNameAborts) {
-  auto machine = MakeMachine(3);
   NgxConfig cfg;
   TenantSpec a;
   a.name = "twin";
@@ -277,11 +293,10 @@ TEST(TenantConfigDeath, DuplicateTenantNameAborts) {
   b.name = "twin";
   b.cores = {1};
   cfg.tenants = {a, b};
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "duplicate tenant name");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "duplicate tenant name");
 }
 
 TEST(TenantConfigDeath, CoreClaimedByTwoTenantsAborts) {
-  auto machine = MakeMachine(3);
   NgxConfig cfg;
   TenantSpec a;
   a.name = "first";
@@ -290,17 +305,16 @@ TEST(TenantConfigDeath, CoreClaimedByTwoTenantsAborts) {
   b.name = "second";
   b.cores = {0};
   cfg.tenants = {a, b};
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "claimed by two tenants");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "claimed by two tenants");
 }
 
 TEST(TenantConfigDeath, ClaimingAServerCoreAborts) {
-  auto machine = MakeMachine(3);
   NgxConfig cfg;
   TenantSpec t;
   t.name = "greedy";
   t.cores = {2};  // the shard server core
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "server core");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "server core");
 }
 
 // ---- Lane admission at the engine ----
