@@ -1,5 +1,7 @@
 #include "src/core/span_directory.h"
 
+#include <algorithm>
+
 #include "src/sim/check.h"
 
 namespace ngx {
@@ -10,15 +12,11 @@ SpanDirectory::SpanDirectory(Addr heap_base, std::uint64_t window_bytes,
   NGX_CHECK(span_bytes > 0 && window_bytes % span_bytes == 0,
             "heap window must be a whole number of spans");
   NGX_CHECK(num_shards >= 1 && num_shards <= 32767, "shard count out of range");
-  const std::uint64_t nspans = window_bytes / span_bytes;
-  NGX_CHECK(nspans % static_cast<std::uint64_t>(num_shards) == 0,
+  num_spans_ = window_bytes / span_bytes;
+  NGX_CHECK(num_spans_ % static_cast<std::uint64_t>(num_shards) == 0,
             "initial slices must be equal span counts");
-  per_shard_ = nspans / static_cast<std::uint64_t>(num_shards);
-  owner_.reserve(nspans);
-  for (int shard = 0; shard < num_shards; ++shard) {
-    owner_.insert(owner_.end(), per_shard_, static_cast<std::int16_t>(shard));
-  }
-  state_.assign(nspans, State::kUngranted);
+  per_shard_ = num_spans_ / static_cast<std::uint64_t>(num_shards);
+  chunks_.resize((num_spans_ + kChunkSpans - 1) / kChunkSpans);
   recycled_.resize(static_cast<std::size_t>(num_shards));
   take_cursor_.assign(static_cast<std::size_t>(num_shards), 0);
   free_spans_.assign(static_cast<std::size_t>(num_shards), per_shard_);
@@ -31,36 +29,54 @@ SpanDirectory::SpanDirectory(Addr heap_base, std::uint64_t window_bytes,
 }
 
 std::uint64_t SpanDirectory::SpanOfAddr(Addr addr) const {
-  NGX_CHECK(addr >= heap_base_ && addr < heap_base_ + owner_.size() * span_bytes_,
+  NGX_CHECK(addr >= heap_base_ && addr < heap_base_ + num_spans_ * span_bytes_,
             "address outside the heap window");
   return (addr - heap_base_) / span_bytes_;
 }
 
 int SpanDirectory::OwnerOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < owner_.size(), "span index outside the heap window");
-  return owner_[span];
+  NGX_CHECK(span < num_spans_, "span index outside the heap window");
+  const Chunk* chunk = chunks_[span / kChunkSpans].get();
+  return chunk != nullptr ? chunk->owner[span % kChunkSpans] : Home(span);
 }
 
 int SpanDirectory::HomeOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < owner_.size(), "span index outside the heap window");
+  NGX_CHECK(span < num_spans_, "span index outside the heap window");
   return Home(span);
 }
 
 SpanDirectory::SpanState SpanDirectory::StateOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < state_.size(), "span index outside the heap window");
-  return state_[span];
+  NGX_CHECK(span < num_spans_, "span index outside the heap window");
+  const Chunk* chunk = chunks_[span / kChunkSpans].get();
+  return chunk != nullptr ? chunk->state[span % kChunkSpans] : State::kUngranted;
+}
+
+SpanDirectory::Chunk& SpanDirectory::MutableChunk(std::uint64_t span) {
+  std::unique_ptr<Chunk>& chunk = chunks_[span / kChunkSpans];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<Chunk>();
+    const std::uint64_t first = span - span % kChunkSpans;
+    const std::uint64_t n = std::min(kChunkSpans, num_spans_ - first);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      chunk->owner[i] = static_cast<std::int16_t>(Home(first + i));
+    }
+    chunk->state.fill(State::kUngranted);
+    ++materialized_chunks_;
+  }
+  return *chunk;
 }
 
 void SpanDirectory::NoteMapped(int shard, Addr addr, std::uint64_t bytes) {
   const std::uint64_t first = SpanOfAddr(addr);
   const std::uint64_t last = SpanOfAddr(addr + bytes - 1);
   for (std::uint64_t s = first; s <= last; ++s) {
-    NGX_CHECK(owner_[s] == shard, "shard mapped a span it does not own");
-    if (state_[s] != State::kGranted) {
-      if (state_[s] == State::kRecycled) {
+    NGX_CHECK(OwnerOfSpan(s) == shard, "shard mapped a span it does not own");
+    State& state = MutableChunk(s).state[s % kChunkSpans];
+    if (state != State::kGranted) {
+      if (state == State::kRecycled) {
         RemoveRecycledRun(shard, s, 1);
       }
-      state_[s] = State::kGranted;
+      state = State::kGranted;
       --free_spans_[static_cast<std::size_t>(shard)];
     }
   }
@@ -73,11 +89,11 @@ void SpanDirectory::NoteUnmapped(int shard, Addr addr, std::uint64_t bytes) {
   const Addr hi = ((addr + bytes) / span_bytes_) * span_bytes_;
   for (Addr a = lo; a + span_bytes_ <= hi; a += span_bytes_) {
     const std::uint64_t s = SpanOfAddr(a);
-    NGX_CHECK(owner_[s] == shard, "shard unmapped a span it does not own");
-    if (state_[s] != State::kGranted) {
+    NGX_CHECK(OwnerOfSpan(s) == shard, "shard unmapped a span it does not own");
+    if (StateOfSpan(s) != State::kGranted) {
       continue;
     }
-    state_[s] = State::kRecycled;
+    MutableChunk(s).state[s % kChunkSpans] = State::kRecycled;
     ++free_spans_[static_cast<std::size_t>(shard)];
     std::vector<SpanRun>& runs = recycled_[static_cast<std::size_t>(shard)];
     if (!runs.empty() && runs.back().first + runs.back().count == s) {
@@ -150,7 +166,7 @@ Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t 
     cursor = i;
     RemoveRecycledRunAt(shard, i, first, nspans);
     for (std::uint64_t s = first; s < first + nspans; ++s) {
-      state_[s] = State::kUngranted;  // back inside a provider window
+      MutableChunk(s).state[s % kChunkSpans] = State::kUngranted;  // back inside a provider window
     }
     return base;
   }
@@ -158,17 +174,18 @@ Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t 
 }
 
 void SpanDirectory::MoveFreeRun(std::uint64_t first, std::uint64_t count, int from, int to) {
-  NGX_CHECK(first + count <= owner_.size(), "span range exceeds the heap window");
+  NGX_CHECK(first + count <= num_spans_, "span range exceeds the heap window");
   for (std::uint64_t s = first; s < first + count; ++s) {
-    NGX_CHECK(owner_[s] == from,
+    NGX_CHECK(OwnerOfSpan(s) == from,
               "span donation from a shard that does not own it (double donation?)");
-    NGX_CHECK(state_[s] != State::kGranted, "cannot donate a span that is still mapped");
-    if (state_[s] == State::kRecycled) {
+    NGX_CHECK(StateOfSpan(s) != State::kGranted, "cannot donate a span that is still mapped");
+    Chunk& chunk = MutableChunk(s);
+    if (chunk.state[s % kChunkSpans] == State::kRecycled) {
       // Moving straight out of the recycled pool.
       RemoveRecycledRun(from, s, 1);
-      state_[s] = State::kUngranted;
+      chunk.state[s % kChunkSpans] = State::kUngranted;
     }
-    owner_[s] = static_cast<std::int16_t>(to);
+    chunk.owner[s % kChunkSpans] = static_cast<std::int16_t>(to);
     if (Home(s) != from) {
       --away_spans_[static_cast<std::size_t>(from)];
     }
@@ -192,14 +209,14 @@ void SpanDirectory::TransferRange(Addr base, std::uint64_t nspans, int from, int
 int SpanDirectory::ReturnRange(Addr base, std::uint64_t nspans, int from) {
   NGX_CHECK(nspans > 0, "cannot return zero spans");
   const std::uint64_t first = SpanOfAddr(base);
-  NGX_CHECK(first + nspans <= owner_.size(), "returned range exceeds the heap window");
+  NGX_CHECK(first + nspans <= num_spans_, "returned range exceeds the heap window");
   const int home = Home(first);
   NGX_CHECK(home != from, "span is already home (double return?)");
   for (std::uint64_t s = first; s < first + nspans; ++s) {
-    NGX_CHECK(owner_[s] == from,
+    NGX_CHECK(OwnerOfSpan(s) == from,
               "span return from a shard that does not own it (double return?)");
     NGX_CHECK(Home(s) == home, "a returned run must share one home shard");
-    NGX_CHECK(state_[s] == State::kRecycled,
+    NGX_CHECK(StateOfSpan(s) == State::kRecycled,
               "only fully-recycled spans can be returned home");
   }
   MoveFreeRun(first, nspans, from, home);

@@ -3,11 +3,19 @@
 // The sharded fabric used to resolve address->shard ownership with a pure
 // divide over equal kHeapWindow/num_shards slices, which hard-wires capacity:
 // a skewed size-class mix exhausts one shard's slice while its neighbours sit
-// on free spans. The directory replaces the divide with a dense side table
-// (one owner entry per span) so ownership can MOVE: whole free spans are
+// on free spans. The directory replaces the divide with a per-span side table
+// (owner and lifecycle state) so ownership can MOVE: whole free spans are
 // donated between shards through the fabric's kDonateSpan message, and frees
 // issued mid-donation still land at the current owner because lookup always
 // consults the table.
+//
+// The table is paged: a top-level array of kChunkSpans-span chunks, each
+// allocated on the first write to one of its spans. A span in an absent chunk
+// reads as owned by its home shard and ungranted -- exactly its state at
+// construction -- so reads never allocate, and host bytes grow with the
+// chunks the shards actually touch (12 KiB per 4,096 spans = 256 MiB of
+// window), not with the reserved window: a 512-GiB window costs a 16-KiB
+// top-level array until spans are mapped or moved.
 //
 // Everything here is host-side bookkeeping, like the routing layer's
 // ShardLoad: it models the directory a real implementation would keep in the
@@ -30,7 +38,9 @@
 #ifndef NGX_SRC_CORE_SPAN_DIRECTORY_H_
 #define NGX_SRC_CORE_SPAN_DIRECTORY_H_
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -45,6 +55,8 @@ class SpanDirectory {
     std::uint64_t first;
     std::uint64_t count;
   };
+  // Spans per page of the owner/state table.
+  static constexpr std::uint64_t kChunkSpans = 4096;
 
   // Shard s initially owns spans [s*K, (s+1)*K) with K = spans/num_shards.
   SpanDirectory(Addr heap_base, std::uint64_t window_bytes, std::uint64_t span_bytes,
@@ -52,7 +64,7 @@ class SpanDirectory {
 
   int num_shards() const { return num_shards_; }
   std::uint64_t span_bytes() const { return span_bytes_; }
-  std::uint64_t num_spans() const { return owner_.size(); }
+  std::uint64_t num_spans() const { return num_spans_; }
   Addr heap_base() const { return heap_base_; }
 
   std::uint64_t SpanOfAddr(Addr addr) const;
@@ -137,12 +149,23 @@ class SpanDirectory {
   // Host-side probe: total recycled runs inspected by TakeRecycled since
   // construction (the next-fit cursor's regression guard).
   std::uint64_t take_scan_steps() const { return take_scan_steps_; }
+  // Host-side probe: table chunks allocated so far (the footprint guard).
+  std::uint64_t materialized_chunks() const { return materialized_chunks_; }
 
  private:
   using State = SpanState;
 
+  // One page of the table: owner and state of kChunkSpans consecutive spans.
+  struct Chunk {
+    std::array<std::int16_t, kChunkSpans> owner;
+    std::array<State, kChunkSpans> state;
+  };
+
   // Initial slices are equal, so a span's home is a divide.
   int Home(std::uint64_t span) const { return static_cast<int>(span / per_shard_); }
+  // The chunk holding `span`, allocated with every span at home and
+  // ungranted on the first write to it.
+  Chunk& MutableChunk(std::uint64_t span);
 
   // Removes [first, first+count) from shard's recycled runs (must be fully
   // recycled there).
@@ -159,9 +182,9 @@ class SpanDirectory {
   Addr heap_base_;
   std::uint64_t span_bytes_;
   int num_shards_;
-  std::uint64_t per_shard_ = 0;      // spans per initial slice
-  std::vector<std::int16_t> owner_;  // per span
-  std::vector<State> state_;         // per span
+  std::uint64_t num_spans_ = 0;
+  std::uint64_t per_shard_ = 0;                 // spans per initial slice
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // per kChunkSpans spans, null until written
   std::vector<std::vector<SpanRun>> recycled_;  // per shard, coalesced runs
   std::vector<std::size_t> take_cursor_;        // per shard, next-fit resume index
   std::vector<std::uint64_t> free_spans_;
@@ -172,6 +195,7 @@ class SpanDirectory {
   std::vector<std::uint64_t> returned_out_;
   std::vector<std::uint64_t> returned_in_;
   std::uint64_t take_scan_steps_ = 0;
+  std::uint64_t materialized_chunks_ = 0;
 };
 
 }  // namespace ngx

@@ -1,4 +1,5 @@
-// Elastic heap fabric tests: span-directory bookkeeping, the kDonateSpan
+// Elastic heap fabric tests: span-directory bookkeeping (including the paged
+// table's host footprint on the full 512-GiB window), the kDonateSpan
 // protocol end to end (ownership transfer, frees routed mid-donation, the
 // same protocol on aggregated shards), batched remote frees staged in the
 // ring, and the NGX_CHECK death tests that guard double donation.
@@ -56,6 +57,69 @@ TEST(SpanDirectory, TransferMovesOwnershipAndCounts) {
   EXPECT_EQ(d.donated_out(0), 3u);
   EXPECT_EQ(d.donated_in(1), 3u);
   EXPECT_EQ(d.total_donated(), 3u);
+}
+
+// The table is paged by use, not by window: a full 512-GiB directory holds
+// no chunk until a span is written, untouched spans read as their
+// construction state, and one mapping allocates one chunk.
+TEST(SpanDirectory, FullWindowAllocatesOnlyWrittenChunks) {
+  for (const int shards : {2, 512}) {
+    SCOPED_TRACE(shards);
+    SpanDirectory d(kNgxHeapBase, kHeapWindow, kSpan, shards);
+    ASSERT_EQ(d.num_spans(), kHeapWindow / kSpan);
+    EXPECT_EQ(d.materialized_chunks(), 0u);
+    const std::uint64_t per_shard = d.num_spans() / static_cast<std::uint64_t>(shards);
+    for (int s = 0; s < shards; ++s) {
+      const std::uint64_t first = static_cast<std::uint64_t>(s) * per_shard;
+      for (const std::uint64_t span : {first, first + per_shard / 2, first + per_shard - 1}) {
+        ASSERT_EQ(d.OwnerOfSpan(span), s) << "span " << span;
+        ASSERT_EQ(d.HomeOfSpan(span), s) << "span " << span;
+        ASSERT_EQ(d.StateOfSpan(span), SpanDirectory::SpanState::kUngranted) << "span " << span;
+      }
+      ASSERT_EQ(d.free_spans(s), per_shard);
+    }
+    EXPECT_EQ(d.materialized_chunks(), 0u) << "reads must never allocate";
+    const int last = shards - 1;
+    const std::uint64_t mapped = static_cast<std::uint64_t>(last) * per_shard + per_shard / 2;
+    d.NoteMapped(last, d.AddrOfSpan(mapped), 2 * kSpan);
+    EXPECT_EQ(d.materialized_chunks(), 1u);
+    EXPECT_EQ(d.StateOfSpan(mapped + 1), SpanDirectory::SpanState::kGranted);
+    EXPECT_EQ(d.StateOfSpan(mapped + 2), SpanDirectory::SpanState::kUngranted);
+    EXPECT_EQ(d.OwnerOfSpan(mapped + 2), last);
+    EXPECT_EQ(d.free_spans(last), per_shard - 2);
+  }
+}
+
+// A multi-shard fabric on the default window touches a few chunks per
+// shard: the directory's host footprint follows the heap in use.
+TEST(SpanDirectory, FabricChurnAllocatesAFewChunksPerShard) {
+  auto machine = MakeMachine(4);  // clients 0-1, shards on cores 2-3
+  NgxConfig cfg = NgxConfig::PaperPrototype();
+  cfg.num_shards = 2;
+  auto sys = MakeNgxSystem(*machine, cfg);
+  const SpanDirectory& d = *sys.allocator->directory();
+  ASSERT_EQ(d.num_spans(), kHeapWindow / kSpan);
+  // Both clients free each other's blocks: the shared shadow heap hands
+  // every Run the other core's live blocks too.
+  ShadowHeapExerciser ex(*machine, *sys.allocator, 17);
+  for (int round = 0; round < 4; ++round) {
+    for (int core = 0; core < 2; ++core) {
+      ex.Run(core, 400, 64, 16, 4096);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+  ex.FreeAll(1);
+  for (int core = 0; core < 2; ++core) {
+    Env env(*machine, core);
+    sys.allocator->Flush(env);
+  }
+  sys.fabric->DrainAll();
+  const AllocatorStats stats = sys.allocator->stats();
+  EXPECT_EQ(stats.mallocs, stats.frees);
+  EXPECT_GE(d.materialized_chunks(), 2u) << "both shards must map spans";
+  EXPECT_LE(d.materialized_chunks(), 2u * 2);
 }
 
 TEST(SpanDirectoryDeath, DonatingAMappedSpanDies) {

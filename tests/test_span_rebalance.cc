@@ -5,7 +5,8 @@
 //    shadow model and an O(1)-amortized invariant auditor (every span has
 //    exactly one owner, recycled runs are disjoint, granted spans are never
 //    donated, returns only target fully-recycled away spans), swept over
-//    8 seeds x {2, 4, 8} shards;
+//    8 seeds x {2, 4, 8} shards of 96 spans, and over 8 seeds x 3 shards
+//    whose slices straddle the directory's chunk boundaries;
 //  * the same invariants audited after a randomized malloc/free stress run
 //    through the real fabric with watermarks armed;
 //  * NGX_CHECK death tests for double-return, returning a mapped span and a
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -113,23 +115,22 @@ void AuditDirectoryConsistency(const SpanDirectory& d) {
 // O(num_spans) sweep runs every kSweepEvery steps plus once at the end.
 class DirectoryStress {
  public:
-  static constexpr std::uint64_t kSpansPerShard = 96;
   static constexpr std::uint32_t kSweepEvery = 512;
 
-  DirectoryStress(std::uint64_t seed, int shards)
+  DirectoryStress(std::uint64_t seed, int shards, std::uint64_t spans_per_shard)
       : rng_(seed),
         shards_(shards),
-        d_(kNgxHeapBase, static_cast<std::uint64_t>(shards) * kSpansPerShard * kSpan, kSpan,
+        d_(kNgxHeapBase, static_cast<std::uint64_t>(shards) * spans_per_shard * kSpan, kSpan,
            shards) {
     const std::uint64_t n = d_.num_spans();
     owner_.resize(n);
     home_.resize(n);
     state_.assign(n, SpanState::kUngranted);
     for (std::uint64_t s = 0; s < n; ++s) {
-      owner_[s] = static_cast<int>(s / kSpansPerShard);
+      owner_[s] = static_cast<int>(s / spans_per_shard);
       home_[s] = owner_[s];
     }
-    free_.assign(static_cast<std::size_t>(shards), kSpansPerShard);
+    free_.assign(static_cast<std::size_t>(shards), spans_per_shard);
     away_.assign(static_cast<std::size_t>(shards), 0);
     donated_out_.assign(static_cast<std::size_t>(shards), 0);
     donated_in_.assign(static_cast<std::size_t>(shards), 0);
@@ -331,24 +332,38 @@ class DirectoryStress {
   std::vector<std::uint64_t> returned_in_;
 };
 
-class SpanRebalanceStress
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+// (seed, shards, spans per shard).
+using StressParam = std::tuple<std::uint64_t, int, std::uint64_t>;
+
+class SpanRebalanceStress : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(SpanRebalanceStress, RandomLifecycleKeepsEveryInvariant) {
-  const auto [seed, shards] = GetParam();
-  DirectoryStress stress(seed, shards);
+  const auto [seed, shards, spans_per_shard] = GetParam();
+  DirectoryStress stress(seed, shards, spans_per_shard);
   stress.Run(12000);
 }
 
+const auto kStressSeeds =
+    ::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef, 0xfeedface);
+
+std::string StressName(const ::testing::TestParamInfo<StressParam>& info) {
+  return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
+         std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedsByShards, SpanRebalanceStress,
+                         ::testing::Combine(kStressSeeds, ::testing::Values(2, 4, 8),
+                                            ::testing::Values<std::uint64_t>(96)),
+                         StressName);
+
+// Slices of one chunk plus 37 spans: every slice boundary and the window's
+// end fall mid-chunk, so chunks hold spans of two homes, and the last chunk
+// is only partly inside the window.
 INSTANTIATE_TEST_SUITE_P(
-    SeedsByShards, SpanRebalanceStress,
-    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
-                                                        0xfeedface),
-                       ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
-    });
+    ChunkEdges, SpanRebalanceStress,
+    ::testing::Combine(kStressSeeds, ::testing::Values(3),
+                       ::testing::Values<std::uint64_t>(SpanDirectory::kChunkSpans + 37)),
+    StressName);
 
 // ---- Randomized stress through the real fabric ----
 
