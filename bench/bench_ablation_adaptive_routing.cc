@@ -229,11 +229,12 @@ CasePoint RunCase(BenchCli& cli, Variant v) {
   out.partition_ooms = sys.allocator->partition_oom_failures();
   out.mallocs = r.alloc_stats.mallocs;
   out.frees = r.alloc_stats.frees;
-  out.routing_epochs = r.routing_epochs;
-  out.client_moves = r.client_moves;
-  out.shards_parked = r.shards_parked;
-  out.parked_core_cycles = r.parked_core_cycles;
-  out.timeline = r.fleet_timeline;
+  const ControlPlane& control = *sys.allocator->control();
+  out.routing_epochs = control.routing_epochs();
+  out.client_moves = control.client_moves();
+  out.shards_parked = control.shards_parked();
+  out.parked_core_cycles = control.parked_core_cycles();
+  out.timeline = control.fleet_timeline();
   for (const FleetEpoch& fe : out.timeline) {
     out.min_active_shards = std::min(out.min_active_shards, fe.active_shards);
   }

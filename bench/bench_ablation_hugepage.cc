@@ -34,12 +34,21 @@ namespace {
 using namespace ngx;
 using namespace ngx::bench;
 
+// The allocator's map books at the end of a run (DESIGN.md §16).
+struct MapBooks {
+  std::uint64_t mapped = 0;
+  std::uint64_t requested = 0;
+  std::uint64_t waste = 0;
+  std::uint64_t hugepage_backed = 0;  // frames the packing ledger still holds
+};
+
 struct Cell {
   std::string label;
   bool hugepage_spans = true;
   bool packing = false;
   bool metadata = false;
   RunResult result;
+  MapBooks map;
   std::uint64_t state_hash = 0;
 };
 
@@ -55,7 +64,7 @@ RunResult RunMimalloc(bool hugepage_backing) {
   return RunWorkload(machine, mi, workload, opt);
 }
 
-RunResult RunCell(const NgxConfig& cfg) {
+void RunCell(const NgxConfig& cfg, Cell* cell) {
   Machine machine(Table3Machine());
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancLike workload(XalancTable3Config());
@@ -63,9 +72,15 @@ RunResult RunCell(const NgxConfig& cfg) {
   opt.cores = {0};
   opt.seed = 7;
   opt.server_cores = {1};
-  RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
+  cell->result = RunWorkload(machine, *sys.allocator, workload, opt);
+  const NgxAllocator& a = *sys.allocator;
+  cell->map.mapped = a.map_mapped_bytes();
+  cell->map.requested = a.map_requested_bytes();
+  cell->map.waste = a.map_waste_bytes();
+  if (a.hugepage_ledger() != nullptr) {
+    cell->map.hugepage_backed = a.hugepage_ledger()->backed_bytes();
+  }
   sys.fabric->DrainAll();
-  return r;
 }
 
 std::uint64_t DtlbMisses(const RunResult& r) {
@@ -104,19 +119,19 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   // Bit-identity anchor: the exact pipeline rung (hugepage_spans off).
-  cells.push_back({"baseline (no hugepages)", false, false, false, {}, 0});
+  cells.push_back({"baseline (no hugepages)", false, false, false, {}, {}, 0});
   // The 2x2 at hugepage_spans = true.
-  cells.push_back({"spans only (unpacked)", true, false, false, {}, 0});
-  cells.push_back({"spans+packing", true, true, false, {}, 0});
-  cells.push_back({"spans+metadata (unpacked)", true, false, true, {}, 0});
-  cells.push_back({"spans+packing+metadata", true, true, true, {}, 0});
+  cells.push_back({"spans only (unpacked)", true, false, false, {}, {}, 0});
+  cells.push_back({"spans+packing", true, true, false, {}, {}, 0});
+  cells.push_back({"spans+metadata (unpacked)", true, false, true, {}, {}, 0});
+  cells.push_back({"spans+packing+metadata", true, true, true, {}, {}, 0});
 
   for (Cell& c : cells) {
     NgxConfig cfg = base;
     cfg.hugepage_spans = c.hugepage_spans;
     cfg.hugepage_packing = c.packing;
     cfg.hugepage_metadata = c.metadata;
-    c.result = RunCell(cfg);
+    RunCell(cfg, &c);
     c.state_hash = SimStateHash(c.result);
     std::cerr << "[done] " << c.label << "\n";
   }
@@ -131,7 +146,7 @@ int main(int argc, char** argv) {
     t.AddRow({c.label, FormatSci(wall),
               FormatFixed(100.0 * (mi_cycles / wall - 1.0), 2) + "%",
               FormatSci(static_cast<double>(DtlbMisses(c.result))),
-              FormatFixed(static_cast<double>(c.result.map_waste_bytes) / (1 << 20), 1),
+              FormatFixed(static_cast<double>(c.map.waste) / (1 << 20), 1),
               FormatSci(static_cast<double>(c.result.alloc_stats.mmap_calls))});
   }
   std::cout << t.ToString() << "\n";
@@ -183,8 +198,8 @@ int main(int argc, char** argv) {
   cli.Metric("hugepage_speedup_pct", best_speedup);
   cli.Metric("baseline_dtlb_misses", DtlbMisses(off.result));
   cli.Metric("hugepage_dtlb_misses", DtlbMisses(best.result));
-  cli.Metric("unpacked_map_waste_bytes", cells[1].result.map_waste_bytes);
-  cli.Metric("packed_map_waste_bytes", cells[2].result.map_waste_bytes);
+  cli.Metric("unpacked_map_waste_bytes", cells[1].map.waste);
+  cli.Metric("packed_map_waste_bytes", cells[2].map.waste);
 
   JsonValue case_rows = JsonValue::Array();
   for (const Cell& c : cells) {
@@ -199,10 +214,10 @@ int main(int argc, char** argv) {
     row.Set("speedup_vs_same_page_mimalloc_pct", JsonValue(same_page_speedup(c)));
     row.Set("dtlb_misses", JsonValue(DtlbMisses(c.result)));
     row.Set("dtlb_regions", DtlbRegionsJson(c.result.app + c.result.server));
-    row.Set("map_mapped_bytes", JsonValue(c.result.map_mapped_bytes));
-    row.Set("map_requested_bytes", JsonValue(c.result.map_requested_bytes));
-    row.Set("map_waste_bytes", JsonValue(c.result.map_waste_bytes));
-    row.Set("hugepage_backed_bytes", JsonValue(c.result.hugepage_backed_bytes));
+    row.Set("map_mapped_bytes", JsonValue(c.map.mapped));
+    row.Set("map_requested_bytes", JsonValue(c.map.requested));
+    row.Set("map_waste_bytes", JsonValue(c.map.waste));
+    row.Set("hugepage_backed_bytes", JsonValue(c.map.hugepage_backed));
     row.Set("mmap_calls", JsonValue(c.result.alloc_stats.mmap_calls));
     row.Set("state_hash", JsonValue(HashHex(c.state_hash)));
     case_rows.Push(std::move(row));

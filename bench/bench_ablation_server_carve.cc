@@ -274,9 +274,13 @@ FabricPoint RunFabric(BenchCli& cli, bool donation_churn) {
   out.wall = r.wall_cycles;
   out.carve_cycles = total.carve_cycles;
   out.server_ops = total.sync_requests + total.async_ops;
-  out.donated_spans = r.donated_spans;
-  out.slab_reuses = r.slab_reuses;
-  out.fresh_slab_carves = r.fresh_slab_carves;
+  out.donated_spans = sys.allocator->directory()->total_donated();
+  for (int s = 0; s < kShards; ++s) {
+    const SegmentHeapStats& seg =
+        dynamic_cast<const SegmentHeap&>(sys.allocator->heap(s)).segment_stats();
+    out.slab_reuses += seg.unit_reuses + seg.segment_reuses;
+    out.fresh_slab_carves += seg.fresh_segments;
+  }
   out.books_balance = a.mallocs == a.frees && a.bytes_live == 0;
   return out;
 }

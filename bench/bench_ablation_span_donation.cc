@@ -166,7 +166,7 @@ SweepPoint RunCase(BenchCli& cli, bool donation, std::uint32_t free_batch) {
   out.free_batch = free_batch;
   out.wall = r.wall_cycles;
   out.partition_ooms = sys.allocator->partition_oom_failures();
-  out.donated_spans = r.donated_spans;
+  out.donated_spans = sys.allocator->directory()->total_donated();
   out.ring_doorbells = sys.fabric->TotalStats().ring_doorbells;
   out.free_flushes = sys.allocator->free_flushes();
   out.flush_occupancy = r.free_flush_occupancy;
@@ -233,9 +233,9 @@ HugepagePoint RunHugepageCase(BenchCli& cli, bool packing) {
   out.packing = packing;
   out.wall = r.wall_cycles;
   out.partition_ooms = sys.allocator->partition_oom_failures();
-  out.mapped = r.map_mapped_bytes;
-  out.requested = r.map_requested_bytes;
-  out.waste = r.map_waste_bytes;
+  out.mapped = sys.allocator->map_mapped_bytes();
+  out.requested = sys.allocator->map_requested_bytes();
+  out.waste = sys.allocator->map_waste_bytes();
   return out;
 }
 

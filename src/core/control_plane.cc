@@ -109,27 +109,7 @@ ControlPlane::~ControlPlane() {
   }
 }
 
-bool ControlPlane::Recording() {
-  const bool on = machine_->telemetry().enabled();
-  if (on && c_donated_spans_ == nullptr) {
-    MetricsRegistry& m = machine_->telemetry().metrics();
-    c_donated_spans_ = &m.GetCounter("ngx.donated_spans", {{"alloc", "nextgen"}});
-    c_rebalance_moves_ = &m.GetCounter("ngx.rebalance_moves", {{"alloc", "nextgen"}});
-    c_returned_spans_ = &m.GetCounter("ngx.returned_spans", {{"alloc", "nextgen"}});
-    c_inline_fallbacks_ =
-        &m.GetCounter("ngx.inline_donation_fallbacks", {{"alloc", "nextgen"}});
-    c_routing_epochs_ = &m.GetCounter("ngx.routing_epochs", {{"alloc", "nextgen"}});
-    c_client_moves_ = &m.GetCounter("ngx.client_moves", {{"alloc", "nextgen"}});
-    c_shards_parked_ = &m.GetCounter("ngx.shards_parked", {{"alloc", "nextgen"}});
-  }
-  return on;
-}
-
-void ControlPlane::NoteSpanMove(Env& server_env, bool returned, std::uint64_t spans) {
-  if (!Recording()) {
-    return;
-  }
-  (returned ? c_returned_spans_ : c_donated_spans_)->Add(spans);
+void ControlPlane::NoteSpanMove(Env& server_env, bool returned) {
   Telemetry& tel = machine_->telemetry();
   if (tel.tracing()) {
     tel.tracer().Instant(returned ? "return_span" : "donate_span", server_env.core_id(),
@@ -192,9 +172,6 @@ Addr ControlPlane::MallocWithDonation(Env& server_env, int shard, std::uint64_t 
   // refill round trip inline -- exactly what watermark rebalancing exists to
   // make rare.
   ++inline_fallbacks_;
-  if (Recording()) {
-    c_inline_fallbacks_->Add();
-  }
   ServerHeap& heap = *heaps_[static_cast<std::size_t>(shard)];
   const std::uint64_t need = NeededGrantSpans(size);
   std::vector<bool> refused(heaps_.size(), false);
@@ -271,7 +248,7 @@ std::uint64_t ControlPlane::CarveSpans(Env& server_env, int donor, int to, std::
       continue;
     }
     directory_.TransferRange(base, n, donor, to);
-    NoteSpanMove(server_env, /*returned=*/false, n);
+    NoteSpanMove(server_env, /*returned=*/false);
     return PackRun(base, n);
   }
   return 0;
@@ -312,9 +289,6 @@ void ControlPlane::WatermarkTick(Env& server_env, int shard) {
       break;
     }
     ++rebalance_moves_;
-    if (Recording()) {
-      c_rebalance_moves_->Add();
-    }
   }
   in_rebalance_ = false;
 }
@@ -381,7 +355,7 @@ bool ControlPlane::ReturnRunHome(Env& server_env, int shard, std::uint64_t max_u
   }
   directory_.ReturnRange(base, n, shard);
   fabric_->SyncRequest(server_env, home, OffloadOp::kReturnSpan, PackRun(base, n));
-  NoteSpanMove(server_env, /*returned=*/true, n);
+  NoteSpanMove(server_env, /*returned=*/true);
   return true;
 }
 
@@ -451,7 +425,6 @@ void ControlPlane::EpochTick(Env& env) {
   }
   in_rebalance_ = true;
   ++routing_epochs_;
-  const std::uint64_t parked_before = shards_parked_;
   const std::uint64_t total_ops = fabric_->TakeEpoch(&epoch_scratch_);
   const int nsh = fabric_->num_shards();
   std::vector<bool> woke(static_cast<std::size_t>(nsh), false);
@@ -565,11 +538,6 @@ void ControlPlane::EpochTick(Env& env) {
   fe.parked_shards = parked_now;
   fe.client_moves = epoch_moves;
   fleet_timeline_.push_back(fe);
-  if (Recording()) {
-    c_routing_epochs_->Add();
-    c_client_moves_->Add(epoch_moves);
-    c_shards_parked_->Add(shards_parked_ - parked_before);
-  }
   in_rebalance_ = false;
 }
 

@@ -63,10 +63,6 @@ class ControlPlane {
   Addr MallocWithDonation(Env& server_env, int shard, std::uint64_t size);
   // Server side of kDonateSpan, kRequestSpans, kOfferSpans and kReturnSpan.
   std::uint64_t HandleSpanOp(Env& server_env, int shard, OffloadOp op, std::uint64_t arg);
-  // Whether telemetry is recording; binds the metric handles the first time
-  // it is. The allocator calls it when it binds its own handles, so the
-  // registry lists these counters from the start.
-  bool Recording();
 
   const SpanDirectory& directory() const { return directory_; }
   SpanDirectory& directory() { return directory_; }
@@ -119,8 +115,9 @@ class ControlPlane {
   // recycled pool or provider tail and moves their ownership to `to`.
   // Returns the run word (base|spans), 0 if the donor cannot spare a unit.
   std::uint64_t CarveSpans(Env& server_env, int donor, int to, std::uint64_t want);
-  // Counts `spans` donated (or returned home) and marks the move on the trace.
-  void NoteSpanMove(Env& server_env, bool returned, std::uint64_t spans);
+  // Marks a donation (or a return home) on the trace; the directory counts
+  // the spans.
+  void NoteSpanMove(Env& server_env, bool returned);
 
   // Watermark rebalancer (DESIGN.md §8): runs on shard's server core after
   // each of its drains and on its periodic timer, a few moves per tick.
@@ -168,14 +165,6 @@ class ControlPlane {
   EpochMatrix epoch_scratch_;
   std::vector<FleetEpoch> fleet_timeline_;
   std::vector<int> timer_hook_ids_;  // watermark + epoch timer hooks
-
-  Counter* c_donated_spans_ = nullptr;  // null until the handles are bound
-  Counter* c_rebalance_moves_ = nullptr;
-  Counter* c_returned_spans_ = nullptr;
-  Counter* c_inline_fallbacks_ = nullptr;
-  Counter* c_routing_epochs_ = nullptr;
-  Counter* c_client_moves_ = nullptr;
-  Counter* c_shards_parked_ = nullptr;
 };
 
 }  // namespace ngx

@@ -109,9 +109,9 @@ struct NgxConfig {
   // INACTIVE half during its drain window and publishes with one
   // release-store, so the refill overlaps application work instead of
   // stalling it the way the sync kMallocBatch round trip does. Requires
-  // offload + prediction; stash_refill_mark = 0 (or stash_pipeline = false)
-  // disables the pipeline and the sim is bit-identical to pre-pipeline
-  // builds.
+  // offload, prediction and stash_refill_mark > 0 (a mark of 0 aborts at
+  // construction); stash_pipeline = false is the one way to turn it off, and
+  // the sim is then bit-identical to pre-pipeline builds.
   bool stash_pipeline = false;
   std::uint32_t stash_refill_mark = 4;
 

@@ -53,6 +53,9 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
             "routing = adaptive needs adaptive_routing (the epoch controller feeds it)");
   NGX_CHECK(!config.stash_pipeline || config.prediction,
             "stash_pipeline needs prediction: there is no stash to pipeline");
+  NGX_CHECK(!config.stash_pipeline || config.stash_refill_mark > 0,
+            "stash_pipeline needs stash_refill_mark > 0; turn the pipeline off with "
+            "stash_pipeline = false");
   NGX_CHECK(!config.prediction || config.offload,
             "prediction needs offload: the inline allocator never reads the stash");
   ServerHeapConfig hc;
@@ -127,8 +130,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
       max_cap = std::max(max_cap, core.stash_capacity);
       max_spill = std::max(max_spill, core.spill_depth);
     }
-    pipeline_ = PipelinesStash(config);
-    if (pipeline_) {
+    if (config.stash_pipeline) {
       NGX_CHECK(classes_.num_classes() < (1u << 16),
                 "kRefillStash packs the size class into the tagged-ring arg");
       // [half 0][half 1][spill stack], the halves one 64-byte line each:
@@ -147,7 +149,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
         machine, stash_stride_ * machine.num_cores(),
         config.hugepage_metadata ? PageKind::kHuge2M : PageKind::kSmall4K);
   }
-  if (pipeline_) {
+  if (config.stash_pipeline) {
     // With refills riding the ring instead of piggybacking on sync mallocs,
     // the server's drain windows would shrink to refill kicks only; let the
     // spinning server also pick up a half-full free ring in the background
@@ -208,14 +210,7 @@ void NgxAllocator::BindInstruments() {
   c_free_local_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "local"}});
   c_free_remote_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "remote"}});
   c_free_unknown_ = &m.GetCounter("ngx.frees", {{"alloc", "nextgen"}, {"locality", "unknown"}});
-  c_stash_refills_ = &m.GetCounter("ngx.stash_refills", {{"alloc", "nextgen"}});
   h_refill_batch_ = &m.GetHistogram("ngx.stash_refill_batch", {{"alloc", "nextgen"}});
-  c_refill_overlap_ = &m.GetCounter("ngx.refill_overlap_cycles", {{"alloc", "nextgen"}});
-  c_starvation_ = &m.GetCounter("ngx.stash_starvation_stalls", {{"alloc", "nextgen"}});
-  c_stash_recycles_ = &m.GetCounter("ngx.stash_recycles", {{"alloc", "nextgen"}});
-  if (control_ != nullptr) {
-    control_->Recording();
-  }
   instruments_bound_ = true;
 }
 
@@ -252,7 +247,7 @@ Addr NgxAllocator::Malloc(Env& env, std::uint64_t size) {
   env.Work(4);  // stub dispatch
   if (config_.prediction && size <= classes_.max_size()) {
     const std::uint32_t cls = classes_.ClassOf(size);
-    if (pipeline_) {
+    if (config_.stash_pipeline) {
       return PipelinedMalloc(env, size, cls, rec, t0);
     }
     IndexStack stash = Stash(env.core_id(), cls);
@@ -279,7 +274,7 @@ Addr NgxAllocator::FinishMalloc(Env& env, Histogram* path, Addr a, bool rec,
 Addr NgxAllocator::StashHit(Env& env, std::uint64_t size, std::uint32_t cls, Addr block,
                             std::uint64_t remaining, bool rec, std::uint64_t t0) {
   ++stash_hits_;
-  if (pipeline_) {
+  if (config_.stash_pipeline) {
     MaybePostRefill(env, cls, remaining);
   }
   NoteMallocTraffic(env.core_id(), StashShard(env.core_id(), cls), size);
@@ -321,7 +316,7 @@ void NgxAllocator::Free(Env& env, Addr addr) {
     return;
   }
   env.Work(3);
-  if (pipeline_) {
+  if (config_.stash_pipeline) {
     // Recycle fast path (DESIGN.md §9): classify the block locally with one
     // load of read-mostly heap metadata and push it straight back onto this
     // core's active stash half. The block never reaches the ring or the
@@ -338,7 +333,6 @@ void NgxAllocator::Free(Env& env, Addr addr) {
         frec->matrix().NoteFree(env.core_id(), rshard);
       }
       if (rec) {
-        c_stash_recycles_->Add();
         h_free_->Record(env.now() - t0);
       }
       return;
@@ -506,9 +500,6 @@ void NgxAllocator::FlipStash(Env& env, int core, std::uint32_t cls) {
       }
     }
     machine_->core(core).AdvanceTo(pipe.publish_time);
-    if (Recording()) {
-      c_starvation_->Add();
-    }
   }
   // The acquire-read of the filled half's header is the flip's one
   // guaranteed line transfer -- and it pulls the very line every subsequent
@@ -527,9 +518,6 @@ void NgxAllocator::FlipStash(Env& env, int core, std::uint32_t cls) {
   pipe.active = pipe.filling;
   pipe.in_flight = false;
   ++stash_flips_;
-  if (Recording()) {
-    c_refill_overlap_->Add(hidden);
-  }
 }
 
 std::uint64_t NgxAllocator::HandleRefillStash(Env& server_env, int shard, int client,
@@ -537,7 +525,8 @@ std::uint64_t NgxAllocator::HandleRefillStash(Env& server_env, int shard, int cl
   const std::uint32_t cls = static_cast<std::uint32_t>(arg >> 24);
   const std::uint32_t want = static_cast<std::uint32_t>((arg >> 8) & 0xffff);
   const int half = static_cast<int>(arg & 0xff);
-  NGX_CHECK(pipeline_ && cls < classes_.num_classes(), "refill without a pipelined stash");
+  NGX_CHECK(config_.stash_pipeline && cls < classes_.num_classes(),
+            "refill without a pipelined stash");
   StashPipe& pipe = Pipe(client, cls);
   NGX_CHECK(pipe.in_flight && static_cast<int>(pipe.filling) == half && pipe.want == want,
             "kRefillStash out of protocol order");
@@ -569,7 +558,6 @@ std::uint64_t NgxAllocator::HandleRefillStash(Env& server_env, int shard, int cl
   ++stash_refills_;
   refill_blocks_ += filled;
   if (Recording()) {
-    c_stash_refills_->Add();
     h_refill_batch_->Record(filled);
     Telemetry& tel = machine_->telemetry();
     if (tel.tracing()) {
@@ -603,7 +591,7 @@ void NgxAllocator::Flush(Env& env) {
   if (config_.prediction) {
     for (std::uint32_t cls = 0; cls < classes_.num_classes(); ++cls) {
       std::uint64_t block = 0;
-      if (pipeline_) {
+      if (config_.stash_pipeline) {
         // Both halves can hold live blocks (an unconsumed refill sits in the
         // filling half, already published by the eager kick); return them
         // all and retire any outstanding refill. Counts come from the
@@ -660,7 +648,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
       }
       const std::uint32_t cls = classes_.ClassOf(arg);
       std::uint32_t batch = predictor_->OnMallocMiss(client, cls);
-      if (pipeline_) {
+      if (config_.stash_pipeline) {
         // The sync path seeds the client's ACTIVE half, which the protocol
         // guarantees is dry (both halves empty, no refill in flight, or the
         // sync trip would not have run) -- so the server fills from slot 1

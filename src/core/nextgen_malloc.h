@@ -125,7 +125,7 @@ class NgxAllocator : public Allocator {
   const HugepageLedger* hugepage_ledger() const { return hugepage_ledger_.get(); }
 
   // Stash pipeline observability (config.stash_pipeline; DESIGN.md §9).
-  bool stash_pipelined() const { return pipeline_; }
+  bool stash_pipelined() const { return config_.stash_pipeline; }
   // Background kRefillStash fills served / halves flipped by clients.
   std::uint64_t stash_refills() const { return stash_refills_; }
   std::uint64_t stash_flips() const { return stash_flips_; }
@@ -361,7 +361,6 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_slot_ = 0;
   std::uint64_t stash_hits_ = 0;
   std::uint64_t sync_mallocs_ = 0;
-  bool pipeline_ = false;            // double-buffered stash refills active
   std::uint64_t stash_half_bytes_ = 0;  // one cache line per half
   std::vector<StashPipe> pipes_;     // (core, class) pipeline state
   std::uint64_t stash_refills_ = 0;
@@ -388,11 +387,7 @@ class NgxAllocator : public Allocator {
   Counter* c_free_local_ = nullptr;
   Counter* c_free_remote_ = nullptr;
   Counter* c_free_unknown_ = nullptr;
-  Counter* c_stash_refills_ = nullptr;
   Histogram* h_refill_batch_ = nullptr;   // blocks per background refill
-  Counter* c_refill_overlap_ = nullptr;
-  Counter* c_starvation_ = nullptr;
-  Counter* c_stash_recycles_ = nullptr;
   std::unordered_map<Addr, int> alloc_core_;  // live block -> obtaining core
 };
 

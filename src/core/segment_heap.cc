@@ -85,6 +85,9 @@ bool SegmentHeap::Recording() {
 }
 
 void SegmentHeap::BindInstruments() {
+  // The slab split also lives in seg_stats_; the registry keeps this copy
+  // because the repository benchmark's harness (perfbench/src/harness.cc)
+  // reads the split from the registry of its traced run.
   MetricsRegistry& m = machine_->telemetry().metrics();
   c_slab_reuses_ = &m.GetCounter("ngx.slab_reuses", {});
   c_slab_fresh_ = &m.GetCounter("ngx.slab_fresh", {});

@@ -22,9 +22,8 @@
 
 namespace ngx {
 
-// Host-side carve-path observability (the ablation bench reads these; the
-// telemetry counters ngx.slab_reuses / ngx.slab_fresh mirror the reuse split
-// for RunResult).
+// Host-side carve-path observability. The slab split is unit_reuses +
+// segment_reuses (slab recycled) against fresh_segments (slab mapped).
 struct SegmentHeapStats {
   std::uint64_t freelist_pops = 0;   // malloc served from a slab freelist
   std::uint64_t bump_carves = 0;     // malloc served from a slab's bump cursor

@@ -17,7 +17,6 @@ TenantPlan ResolveTenantPlan(const NgxConfig& config, int num_cores, int cluster
   plan.cores.assign(static_cast<std::size_t>(num_cores), global);
   plan.shards.assign(static_cast<std::size_t>(nshards),
                      ShardWatermarks{config.span_low_mark, config.span_high_mark});
-  const bool pipelined = PipelinesStash(config);
   // Shard-scoped traits (watermarks) come from the tenants homed on the
   // shard; two tenants meeting on one shard must agree.
   std::vector<int> mark_owner(static_cast<std::size_t>(nshards), -1);
@@ -32,7 +31,7 @@ TenantPlan ResolveTenantPlan(const NgxConfig& config, int num_cores, int cluster
     // The pipeline's stash layout is [half 0][half 1][spill]: a capacity
     // override below two halves cannot host the protocol's publish word
     // dance, so it is rejected rather than silently clamped.
-    NGX_CHECK(!pipelined || t.stash_capacity == TenantTraits::kInherit ||
+    NGX_CHECK(!config.stash_pipeline || t.stash_capacity == TenantTraits::kInherit ||
                   t.stash_capacity >= 2 * kPipeHalfCap,
               "tenant stash capacity below the pipeline's two-half minimum");
     NGX_CHECK(t.stash_capacity == TenantTraits::kInherit || t.stash_capacity >= 1,
@@ -99,7 +98,7 @@ TenantPlan ResolveTenantPlan(const NgxConfig& config, int num_cores, int cluster
       }
     }
   }
-  if (pipelined) {
+  if (config.stash_pipeline) {
     // [half 0][half 1][spill stack]: the per-half capacity is the line, not
     // the configured capacity -- refill batches beyond one line would cost a
     // transfer per extra line and hand out ever-colder server blocks. The

@@ -20,14 +20,6 @@ namespace ngx {
 // stash_capacity override must cover both halves, 2 * kPipeHalfCap.
 inline constexpr std::uint32_t kPipeHalfCap = 7;
 
-// Whether `config` runs the pipelined stash (DESIGN.md §9): it needs the
-// offload fabric (refills ride the async ring), the stash itself and a
-// nonzero refill mark.
-inline bool PipelinesStash(const NgxConfig& config) {
-  return config.offload && config.prediction && config.stash_pipeline &&
-         config.stash_refill_mark > 0;
-}
-
 // One core's effective knobs.
 struct CoreContract {
   int tenant = -1;  // index into TenantPlan::tenant_names; -1 = the implicit default tenant

@@ -18,33 +18,10 @@
 #include <string_view>
 #include <vector>
 
+#include "src/offload/channel.h"
 #include "src/sim/check.h"
 
 namespace ngx {
-
-// QoS lane a tenant's traffic rides where tenants meet: the per-(client,
-// shard) rings and the server's drain admission. Lower value = drained
-// first; bulk-lane backlogs are additionally admitted in bounded quanta so
-// they cannot run the server clock arbitrarily far ahead of a latency
-// tenant's next sync request (weighted admission, DESIGN.md §15).
-enum class QosLane : std::uint8_t {
-  kLatency = 0,
-  kNormal = 1,
-  kBulk = 2,
-};
-inline constexpr int kQosLaneCount = 3;
-
-inline const char* QosLaneName(QosLane l) {
-  switch (l) {
-    case QosLane::kLatency:
-      return "latency";
-    case QosLane::kNormal:
-      return "normal";
-    case QosLane::kBulk:
-      return "bulk";
-  }
-  return "unknown";
-}
 
 // Preset contracts in the style of NitroHeap's OR-combinable mallocx flags:
 // each names the service level an application asks of its allocator room.

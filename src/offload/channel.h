@@ -38,6 +38,30 @@ enum class OffloadOp : std::uint64_t {
 // One past the largest opcode (sizes per-op telemetry tables).
 inline constexpr int kOffloadOpCount = 11;
 
+// QoS lane a tenant's traffic rides where tenants meet: the per-(client,
+// shard) rings and the server's drain admission. Lower value = drained
+// first; bulk-lane backlogs are additionally admitted in bounded quanta so
+// they cannot run the server clock arbitrarily far ahead of a latency
+// tenant's next sync request (weighted admission, DESIGN.md §15).
+enum class QosLane : std::uint8_t {
+  kLatency = 0,
+  kNormal = 1,
+  kBulk = 2,
+};
+inline constexpr int kQosLaneCount = 3;
+
+inline const char* QosLaneName(QosLane l) {
+  switch (l) {
+    case QosLane::kLatency:
+      return "latency";
+    case QosLane::kNormal:
+      return "normal";
+    case QosLane::kBulk:
+      return "bulk";
+  }
+  return "unknown";
+}
+
 // Async ring entries are tagged in their top byte. Tag 0 is a plain kFree
 // address (the historical encoding, byte-for-byte unchanged); any other tag
 // is the OffloadOp the entry carries, with its argument in the low 56 bits.

@@ -109,10 +109,6 @@ void OffloadEngine::BindInstruments() {
   h_drain_batch_ = &m.GetHistogram("offload.drain_batch", {{"shard", shard}});
   h_ring_occupancy_ = &m.GetHistogram("offload.ring_occupancy", {{"shard", shard}});
   h_free_batch_ = &m.GetHistogram("offload.free_batch", {{"shard", shard}});
-  c_sync_requests_ = &m.GetCounter("offload.sync_requests", {{"shard", shard}});
-  c_async_ops_ = &m.GetCounter("offload.async_ops", {{"shard", shard}});
-  c_ring_full_ = &m.GetCounter("offload.ring_full_stalls", {{"shard", shard}});
-  c_carve_cycles_ = &m.GetCounter("ngx.server_carve_cycles", {{"shard", shard}});
   // Tenant SLO series: one histogram per labeled client, labeled by tenant
   // only (no shard/op) so HistogramTotal({{"tenant", name}}) sums one
   // tenant's sync latency across every shard it talks to.
@@ -157,7 +153,6 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_ent
   }
   if (n > 0 && Recording()) {
     h_drain_batch_->Record(n);
-    c_async_ops_->Add(n);
     Telemetry& tel = machine_->telemetry();
     if (tel.tracing()) {
       tel.tracer().Complete("drain", server_core_, t0, server_env.now() - t0);
@@ -266,7 +261,6 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
       ht->Record(client_env.now() - t0);
     }
     h_queue_wait_->Record(queue_wait);
-    c_sync_requests_->Add();
     Telemetry& tel = machine_->telemetry();
     if (tel.tracing()) {
       tel.tracer().Complete(OpName(op), server_core_, service_start,
@@ -420,12 +414,9 @@ std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
 void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
   // Backpressure: the server must drain before the client can continue.
   ++stats_.ring_full_stalls;
-  if (Recording()) {
-    c_ring_full_->Add();
-    Telemetry& tel = machine_->telemetry();
-    if (tel.tracing()) {
-      tel.tracer().Instant("ring_full", client, client_env.now());
-    }
+  Telemetry& tel = machine_->telemetry();
+  if (tel.tracing()) {
+    tel.tracer().Instant("ring_full", client, client_env.now());
   }
   const std::uint64_t done = Kick(client_env, client, 0);
   if (FlightRecorder* rec = Recorder()) {

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/tenant_traits.h"
 #include "src/offload/channel.h"
 
 namespace ngx {
@@ -51,8 +50,8 @@ struct OffloadEngineStats {
   std::uint64_t refill_ops = 0;
   // Server-core cycles spent inside the heap's carve/classify handlers
   // (kMalloc / kMallocBatch / kRefillStash / kFree) -- the per-op server
-  // cost the segment-heap rewrite targets. Mirrored to the telemetry
-  // counter ngx.server_carve_cycles and RunResult::server_carve_cycles.
+  // cost the segment-heap rewrite targets. The flight recorder's
+  // kServerCarve bucket attributes the same cycles.
   std::uint64_t carve_cycles = 0;
 };
 
@@ -104,7 +103,6 @@ class OffloadEngine {
   // Shard index used to label this engine's telemetry (the fabric sets it;
   // a standalone engine reports as shard 0).
   void set_shard_id(int s) { shard_id_ = s; }
-  int shard_id() const { return shard_id_; }
 
   // Invoked on the server's Env after every ring drain -- the server's idle
   // window, before any pending sync request is served. The watermark
@@ -137,9 +135,6 @@ class OffloadEngine {
   // never changes timing; it only takes effect once lane admission is on.
   void set_client_lane(int client, QosLane lane) {
     lanes_[static_cast<std::size_t>(client)] = lane;
-  }
-  QosLane client_lane(int client) const {
-    return lanes_[static_cast<std::size_t>(client)];
   }
 
   // Tenant label for this client's telemetry: when non-empty, sync latency
@@ -222,13 +217,9 @@ class OffloadEngine {
   // Host-side accounting of server cycles spent in carve-path handlers.
   void NoteCarveCycles(std::uint64_t cycles) {
     stats_.carve_cycles += cycles;
-    if (cycles > 0) {
-      if (Recording()) {
-        c_carve_cycles_->Add(cycles);
-      }
-      if (FlightRecorder* rec = Recorder()) {
-        rec->AddCycles(FlightRecorder::kServerCarve, cycles);
-      }
+    FlightRecorder* rec = Recorder();
+    if (rec != nullptr && cycles > 0) {
+      rec->AddCycles(FlightRecorder::kServerCarve, cycles);
     }
   }
 
@@ -269,10 +260,6 @@ class OffloadEngine {
   Histogram* h_drain_batch_ = nullptr;
   Histogram* h_ring_occupancy_ = nullptr;
   Histogram* h_free_batch_ = nullptr;  // entries per published free batch
-  Counter* c_sync_requests_ = nullptr;
-  Counter* c_async_ops_ = nullptr;
-  Counter* c_ring_full_ = nullptr;
-  Counter* c_carve_cycles_ = nullptr;
 };
 
 }  // namespace ngx

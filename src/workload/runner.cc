@@ -48,24 +48,6 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
     result.server += result.per_server.back();
   }
   result.alloc_stats = alloc.stats();
-  const auto* ngx = dynamic_cast<const NgxAllocator*>(&alloc);
-  if (ngx != nullptr) {
-    // Elastic-fleet books live on the allocator host side (no telemetry
-    // needed): the timeline has no counter representation at all.
-    if (const ControlPlane* cp = ngx->control()) {
-      result.routing_epochs = cp->routing_epochs();
-      result.client_moves = cp->client_moves();
-      result.shards_parked = cp->shards_parked();
-      result.parked_core_cycles = cp->parked_core_cycles();
-      result.fleet_timeline = cp->fleet_timeline();
-    }
-    result.map_mapped_bytes = ngx->map_mapped_bytes();
-    result.map_requested_bytes = ngx->map_requested_bytes();
-    result.map_waste_bytes = ngx->map_waste_bytes();
-    if (ngx->hugepage_ledger() != nullptr) {
-      result.hugepage_backed_bytes = ngx->hugepage_ledger()->backed_bytes();
-    }
-  }
   if (machine.telemetry().enabled()) {
     const MetricsRegistry& m = machine.telemetry().metrics();
     for (std::size_t s = 0; s < options.server_cores.size(); ++s) {
@@ -74,18 +56,7 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
       result.shard_sync_latency.push_back(h.Summary());
     }
     result.free_flush_occupancy = m.HistogramTotal("offload.free_batch", {}).Summary();
-    result.donated_spans = m.CounterTotal("ngx.donated_spans", {});
-    result.rebalance_moves = m.CounterTotal("ngx.rebalance_moves", {});
-    result.returned_spans = m.CounterTotal("ngx.returned_spans", {});
-    result.inline_donation_fallbacks = m.CounterTotal("ngx.inline_donation_fallbacks", {});
-    result.stash_refills = m.CounterTotal("ngx.stash_refills", {});
-    result.refill_overlap_cycles = m.CounterTotal("ngx.refill_overlap_cycles", {});
-    result.stash_starvation_stalls = m.CounterTotal("ngx.stash_starvation_stalls", {});
-    result.stash_recycles = m.CounterTotal("ngx.stash_recycles", {});
-    result.server_carve_cycles = m.CounterTotal("ngx.server_carve_cycles", {});
-    result.slab_reuses = m.CounterTotal("ngx.slab_reuses", {});
-    result.fresh_slab_carves = m.CounterTotal("ngx.slab_fresh", {});
-    if (ngx != nullptr) {
+    if (const auto* ngx = dynamic_cast<const NgxAllocator*>(&alloc)) {
       // Per-tenant SLO quantiles (DESIGN.md §15): each labeled tenant's sync
       // round-trip latency summed across every shard it talked to. The
       // series carries only the tenant label, so the subset match cannot

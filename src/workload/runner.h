@@ -1,12 +1,16 @@
 // Binds a machine, an allocator and a workload; runs to completion and
 // collects the PMU counters the paper's tables report.
+//
+// RunResult carries what RunWorkload measures on the machine, plus the
+// metrics-registry and flight-recorder digests. Allocator books (span moves,
+// stash refills, fleet epochs, map waste, ...) stay with the allocator that
+// keeps them: read them from it while the system is alive.
 #ifndef NGX_SRC_WORKLOAD_RUNNER_H_
 #define NGX_SRC_WORKLOAD_RUNNER_H_
 
 #include <string>
 #include <vector>
 
-#include "src/offload/routing.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/workload.h"
@@ -36,55 +40,9 @@ struct RunResult {
   // NgxConfig::tenants order, each digest aggregated across all shards.
   std::vector<std::string> tenant_names;
   std::vector<HistogramSummary> tenant_sync_latency;
-  // Elastic-fabric digests (telemetry-enabled runs only, like
-  // shard_sync_latency): entries per published remote-free batch, and the
-  // total spans donated between shards.
+  // Entries per published remote-free batch (telemetry-enabled runs only,
+  // like shard_sync_latency).
   HistogramSummary free_flush_occupancy;
-  std::uint64_t donated_spans = 0;
-  // Watermark rebalancing digests (telemetry-enabled runs only): background
-  // transfers performed, recycled spans returned to their home shard, and
-  // mallocs that still fell back to inline donation on the critical path.
-  std::uint64_t rebalance_moves = 0;
-  std::uint64_t returned_spans = 0;
-  std::uint64_t inline_donation_fallbacks = 0;
-  // Stash pipeline digests (telemetry-enabled runs only; DESIGN.md §9):
-  // background refills served, server fill cycles hidden behind client work,
-  // half-flips that stalled because the client outran the server, and frees
-  // recycled straight into the client's stash (never reached the server).
-  std::uint64_t stash_refills = 0;
-  std::uint64_t refill_overlap_cycles = 0;
-  std::uint64_t stash_starvation_stalls = 0;
-  std::uint64_t stash_recycles = 0;
-  // Server carve-path digests (telemetry-enabled runs only; DESIGN.md §10):
-  // server-core cycles inside the heap's malloc/free/refill handlers, and
-  // the segment heap's slab-recycle vs fresh-mapping split (zero for the
-  // aggregated layout, which has no slab recycling).
-  std::uint64_t server_carve_cycles = 0;
-  std::uint64_t slab_reuses = 0;
-  std::uint64_t fresh_slab_carves = 0;
-  // Adaptive routing / elastic fleet digests (DESIGN.md §14). Copied from
-  // the allocator's host-side books, so they are present even without
-  // telemetry: epochs the controller closed, home-shard reassignments the
-  // routing policy made, park transitions taken, simulated core-cycles of
-  // capacity released while shards sat parked, and the per-epoch fleet
-  // timeline (one entry per closed epoch). All zero/empty when
-  // config.adaptive_routing was off.
-  std::uint64_t routing_epochs = 0;
-  std::uint64_t client_moves = 0;
-  std::uint64_t shards_parked = 0;
-  std::uint64_t parked_core_cycles = 0;
-  std::vector<FleetEpoch> fleet_timeline;
-  // Map-waste honesty (DESIGN.md §16), copied from the allocator's host-side
-  // books (present without telemetry, NgxAllocator runs only): bytes the
-  // shard span providers mapped vs what the heaps actually asked for. The
-  // difference is window burned on hugepage round-up -- 31/32 of every
-  // hugepage-backed span map unless hugepage_packing is on.
-  std::uint64_t map_mapped_bytes = 0;
-  std::uint64_t map_requested_bytes = 0;
-  std::uint64_t map_waste_bytes = 0;
-  // Hugepage frames the packing ledger still holds at end of run (zero
-  // without config.hugepage_packing).
-  std::uint64_t hugepage_backed_bytes = 0;
   // Flight-recorder digests (recorder-enabled runs only; DESIGN.md §13):
   // the client x shard traffic matrix, the per-op cycle-attribution totals,
   // every periodic heap snapshot taken during the run, and one on-demand

@@ -326,6 +326,12 @@ INSTANTIATE_TEST_SUITE_P(
 struct FleetOffRunState {
   RunResult r;
   std::vector<std::uint64_t> free_spans;
+  // The fleet controller's books (zero or empty without a control plane).
+  std::uint64_t routing_epochs = 0;
+  std::uint64_t client_moves = 0;
+  std::uint64_t shards_parked = 0;
+  std::uint64_t parked_core_cycles = 0;
+  std::vector<FleetEpoch> fleet_timeline;
 };
 
 FleetOffRunState RunFleetOffChurn(int shards, HeapKind kind, bool aggressive_knobs) {
@@ -359,10 +365,18 @@ FleetOffRunState RunFleetOffChurn(int shards, HeapKind kind, bool aggressive_kno
   opt.cores = {0, 1, 2, 3};
   opt.server_cores = servers;
   opt.seed = 42;
-  FleetOffRunState out{RunWorkload(machine, *sys.allocator, workload, opt), {}};
+  FleetOffRunState out;
+  out.r = RunWorkload(machine, *sys.allocator, workload, opt);
   sys.fabric->DrainAll();
   const ControlPlane* control = sys.allocator->control();
   EXPECT_FALSE(control != nullptr && control->adaptive());
+  if (control != nullptr) {
+    out.routing_epochs = control->routing_epochs();
+    out.client_moves = control->client_moves();
+    out.shards_parked = control->shards_parked();
+    out.parked_core_cycles = control->parked_core_cycles();
+    out.fleet_timeline = control->fleet_timeline();
+  }
   EXPECT_FALSE(sys.fabric->epoch_tracking());
   if (const SpanDirectory* d = sys.allocator->directory()) {
     for (int s = 0; s < shards; ++s) {
@@ -403,11 +417,11 @@ TEST_P(FleetKnobSweepTest, DisabledControllerMakesFleetKnobsInert) {
   EXPECT_EQ(plain.free_spans, armed.free_spans);
   // And the controller really was off: no epochs, no moves, no timeline.
   for (const FleetOffRunState* st : {&plain, &armed}) {
-    EXPECT_EQ(st->r.routing_epochs, 0u);
-    EXPECT_EQ(st->r.client_moves, 0u);
-    EXPECT_EQ(st->r.shards_parked, 0u);
-    EXPECT_EQ(st->r.parked_core_cycles, 0u);
-    EXPECT_TRUE(st->r.fleet_timeline.empty());
+    EXPECT_EQ(st->routing_epochs, 0u);
+    EXPECT_EQ(st->client_moves, 0u);
+    EXPECT_EQ(st->shards_parked, 0u);
+    EXPECT_EQ(st->parked_core_cycles, 0u);
+    EXPECT_TRUE(st->fleet_timeline.empty());
   }
 }
 

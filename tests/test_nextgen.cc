@@ -79,6 +79,16 @@ TEST(NgxConfigDeath, StashPipelineWithoutPredictionAborts) {
                             "stash_pipeline needs prediction");
 }
 
+TEST(NgxConfigDeath, StashPipelineWithZeroRefillMarkAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_refill_mark = 0;  // stash_pipeline = false is the one way to turn it off
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "stash_pipeline needs stash_refill_mark > 0");
+}
+
 TEST(NgxConfigDeath, PredictionWithoutOffloadAborts) {
   auto machine = MakeMachine(3);
   NgxConfig cfg;

@@ -2,13 +2,17 @@
 // aggregation, the in-repo JSON writer/validator, Chrome-trace export, and
 // the layer's core contract -- a run with telemetry (and tracing) enabled is
 // bit-identical to the same run with telemetry off.
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/nextgen_malloc.h"
+#include "src/core/segment_heap.h"
 #include "src/telemetry/telemetry.h"
+#include "src/workload/churn.h"
 #include "src/workload/runner.h"
 #include "src/workload/xalanc.h"
 #include "tests/test_util.h"
@@ -302,7 +306,7 @@ TEST(TelemetryDeterminism, EnabledRunIsBitIdenticalToDisabled) {
   // And the instrumented run actually observed something.
   const MetricsRegistry& m = instrumented.telemetry().metrics();
   EXPECT_FALSE(m.empty());
-  EXPECT_GT(m.CounterTotal("offload.sync_requests"), 0u);
+  EXPECT_GT(m.HistogramTotal("offload.sync_latency").count(), 0u);
   EXPECT_GT(instrumented.telemetry().tracer().size(), 0u);
 }
 
@@ -452,6 +456,162 @@ TEST(TelemetryDeterminism, TraceFromRealRunIsWellFormed) {
   EXPECT_NE(trace.find("sync_request"), std::string::npos);
   const std::string metrics = machine.telemetry().metrics().ToJson().Dump();
   EXPECT_TRUE(JsonValidate(metrics, &err)) << err;
+}
+
+// ---- One home per count ----
+//
+// Every allocator count lives in one host-side book, kept by its owner (the
+// allocator, its control plane and span directory, the engines, the heaps).
+// The registry holds distributions and the counts that have no book, never a
+// second copy of one -- so a book reads the same with telemetry off or on.
+
+using Books = std::map<std::string, std::uint64_t>;
+
+Books ReadBooks(const NgxSystem& sys) {
+  NgxAllocator& a = *sys.allocator;
+  const OffloadEngineStats f = sys.fabric->TotalStats();
+  Books b = {
+      {"stash_hits", a.stash_hits()},
+      {"sync_mallocs", a.sync_mallocs()},
+      {"stash_refills", a.stash_refills()},
+      {"refill_overlap_cycles", a.refill_overlap_cycles()},
+      {"stash_starvation_stalls", a.stash_starvation_stalls()},
+      {"stash_recycled_frees", a.stash_recycled_frees()},
+      {"partition_ooms", a.partition_oom_failures()},
+      {"rebalance_moves", a.rebalance_moves()},
+      {"inline_donation_fallbacks", a.inline_donation_fallbacks()},
+      {"routing_epochs", a.routing_epochs()},
+      {"shards_parked", a.shards_parked()},
+      {"parked_core_cycles", a.parked_core_cycles()},
+      {"map_mapped_bytes", a.map_mapped_bytes()},
+      {"map_requested_bytes", a.map_requested_bytes()},
+      {"map_waste_bytes", a.map_waste_bytes()},
+      {"sync_requests", f.sync_requests},
+      {"async_ops", f.async_ops},
+      {"ring_full_stalls", f.ring_full_stalls},
+      {"carve_cycles", f.carve_cycles},
+  };
+  if (const ControlPlane* cp = a.control()) {
+    b["donated_spans"] = cp->directory().total_donated();
+    b["returned_spans"] = cp->directory().total_returned();
+    b["client_moves"] = cp->client_moves();
+    for (const FleetEpoch& e : cp->fleet_timeline()) {
+      b["fleet_timeline.epochs"] += 1;
+      b["fleet_timeline.ops"] += e.epoch_ops;
+      b["fleet_timeline.parked_shards"] += static_cast<std::uint64_t>(e.parked_shards);
+      b["fleet_timeline.client_moves"] += e.client_moves;
+    }
+  }
+  if (const HugepageLedger* ledger = a.hugepage_ledger()) {
+    b["hugepage_backed_bytes"] = ledger->backed_bytes();
+  }
+  for (int s = 0; s < a.num_shards(); ++s) {
+    const SegmentHeapStats& seg = dynamic_cast<SegmentHeap&>(a.heap(s)).segment_stats();
+    b["slab_reuses"] += seg.unit_reuses + seg.segment_reuses;
+    b["slab_fresh"] += seg.fresh_segments;
+  }
+  return b;
+}
+
+struct BookRun {
+  Books books;
+  std::string registry;  // the registry dump; empty with telemetry off
+};
+
+BookRun RunForBooks(const NgxConfig& cfg, int clients, const ChurnConfig& wl, bool telemetry) {
+  Machine machine(MachineConfig::Default(clients + cfg.num_shards));
+  if (telemetry) {
+    TelemetryConfig tc;
+    tc.enabled = true;
+    tc.trace = true;
+    tc.recorder = true;
+    machine.EnableTelemetry(tc);
+  }
+  NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/clients);
+  Churn workload(wl);
+  RunOptions opt;
+  opt.cores = FirstCores(clients);
+  for (int s = 0; s < cfg.num_shards; ++s) {
+    opt.server_cores.push_back(clients + s);
+  }
+  opt.seed = 5;
+  RunWorkload(machine, *sys.allocator, workload, opt);
+  sys.fabric->DrainAll();
+  BookRun out;
+  out.books = ReadBooks(sys);
+  if (telemetry) {
+    out.registry = machine.telemetry().metrics().ToJson().Dump();
+  }
+  return out;
+}
+
+// Runs `cfg` with telemetry off and with metrics, recorder and tracing on:
+// every book must agree, each of `exercised` must be nonzero, and the
+// registry must carry no twin of a book.
+void ExpectBooksIgnoreTelemetry(const NgxConfig& cfg, int clients, const ChurnConfig& wl,
+                                const std::vector<std::string>& exercised) {
+  const BookRun off = RunForBooks(cfg, clients, wl, /*telemetry=*/false);
+  const BookRun on = RunForBooks(cfg, clients, wl, /*telemetry=*/true);
+  EXPECT_EQ(off.books, on.books);
+  for (const std::string& name : exercised) {
+    ASSERT_EQ(off.books.count(name), 1u) << name;
+    EXPECT_GT(off.books.at(name), 0u) << name << " is not exercised, so its equality is vacuous";
+  }
+  ASSERT_FALSE(on.registry.empty());
+  for (const char* twin :
+       {"ngx.stash_refills", "ngx.refill_overlap_cycles", "ngx.stash_starvation_stalls",
+        "ngx.stash_recycles", "ngx.donated_spans", "ngx.returned_spans", "ngx.rebalance_moves",
+        "ngx.inline_donation_fallbacks", "ngx.routing_epochs", "ngx.client_moves",
+        "ngx.shards_parked", "offload.sync_requests", "offload.async_ops",
+        "offload.ring_full_stalls", "ngx.server_carve_cycles"}) {
+    for (const char* end : {"{", "\""}) {
+      EXPECT_EQ(on.registry.find("\"" + std::string(twin) + end), std::string::npos)
+          << "the registry keeps a twin of a book: " << twin;
+    }
+  }
+}
+
+TEST(TelemetryBooks, CountsDoNotDependOnTelemetry) {
+  // A 4-shard fabric on a small heap window with the span economy and the
+  // fleet controller on: donation, watermarks and adaptive parking.
+  NgxConfig fabric;
+  fabric.num_shards = 4;
+  fabric.hugepage_spans = false;
+  fabric.heap_window = 16ull << 20;
+  fabric.span_donation = true;
+  fabric.span_low_mark = 8;
+  fabric.span_high_mark = 16;
+  fabric.routing = RoutingKind::kAdaptive;
+  fabric.adaptive_routing = true;
+  fabric.epoch_cycles = 20000;
+  fabric.park_threshold_ops = 1u << 30;  // parks one shard per epoch down to one
+  ChurnConfig large;
+  large.live_blocks = 60;
+  large.ops = 600;
+  large.min_size = 256;
+  large.max_size = 48 * 1024;
+  ExpectBooksIgnoreTelemetry(
+      fabric, 4, large,
+      {"sync_mallocs", "rebalance_moves", "inline_donation_fallbacks", "routing_epochs",
+       "shards_parked", "parked_core_cycles", "map_mapped_bytes", "map_requested_bytes",
+       "sync_requests", "async_ops", "carve_cycles", "donated_spans", "returned_spans",
+       "client_moves", "fleet_timeline.epochs", "slab_reuses", "slab_fresh"});
+
+  // One shard behind a pipelined stash, on packed hugepage spans.
+  NgxConfig pipelined;
+  pipelined.prediction = true;
+  pipelined.stash_pipeline = true;
+  pipelined.stash_refill_mark = 2;
+  pipelined.hugepage_packing = true;
+  ChurnConfig small;
+  small.live_blocks = 200;
+  small.ops = 3000;
+  ExpectBooksIgnoreTelemetry(
+      pipelined, 1, small,
+      {"stash_hits", "sync_mallocs", "stash_refills", "refill_overlap_cycles",
+       "stash_starvation_stalls", "stash_recycled_frees", "map_mapped_bytes",
+       "map_requested_bytes", "map_waste_bytes", "hugepage_backed_bytes", "sync_requests",
+       "async_ops", "carve_cycles", "slab_reuses", "slab_fresh"});
 }
 
 }  // namespace
