@@ -17,8 +17,6 @@
 // measured §3.1.1 dividend.
 #include "bench/bench_common.h"
 
-#include "src/workload/alloc_ops.h"
-
 using namespace ngx;
 using namespace ngx::bench;
 
@@ -27,113 +25,34 @@ namespace {
 constexpr int kClients = 4;
 constexpr int kShards = 4;
 
-struct Phase {
-  std::uint32_t live_blocks = 0;
-  std::uint32_t ops = 0;
-  std::uint64_t min_size = 0;
-  std::uint64_t max_size = 0;
-  std::uint32_t work = 0;  // app compute per op (cold tenants mostly compute)
-};
-
-// Same skeleton as the rebalance bench's phased tenant: fill the phase's
-// working set, churn it, drain one block per step, move on. OOM stops the
-// thread and leaves its story in partition_oom_failures.
-class DiurnalTenantThread : public SimThread {
- public:
-  DiurnalTenantThread(std::vector<Phase> phases, Allocator& alloc, int core,
-                      std::uint64_t seed)
-      : phases_(std::move(phases)), alloc_(&alloc), core_(core), rng_(seed) {}
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (phase_ >= phases_.size()) {
-      return false;
-    }
-    const Phase& p = phases_[phase_];
-    if (draining_) {
-      if (!blocks_.empty()) {
-        TimedFree(env, *alloc_, blocks_.back());
-        blocks_.pop_back();
-        return true;
-      }
-      draining_ = false;
-      done_ = 0;
-      ++phase_;
-      return phase_ < phases_.size();
-    }
-    if (blocks_.size() < p.live_blocks) {
-      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(p.min_size, p.max_size));
-      if (b == kNullAddr) {
-        return false;
-      }
-      env.TouchWrite(b, 32);
-      blocks_.push_back(b);
-      return true;
-    }
-    if (done_ >= p.ops) {
-      draining_ = true;
-      return true;
-    }
-    const std::size_t i = rng_.Below(blocks_.size());
-    TimedFree(env, *alloc_, blocks_[i]);
-    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(p.min_size, p.max_size));
-    if (b == kNullAddr) {
-      blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-      return false;
-    }
-    env.TouchWrite(b, 32);
-    env.Work(p.work);
-    blocks_[i] = b;
-    ++done_;
-    return true;
-  }
-
- private:
-  std::vector<Phase> phases_;
-  Allocator* alloc_;
-  int core_;
-  Rng rng_;
-  std::vector<Addr> blocks_;
-  std::size_t phase_ = 0;
-  std::uint32_t done_ = 0;
-  bool draining_ = false;
-};
-
-class DiurnalMix : public Workload {
- public:
-  std::string_view name() const override { return "diurnal-skew-shift"; }
-  std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,
-                                                      const std::vector<int>& cores,
-                                                      std::uint64_t seed) override {
-    (void)machine;
-    // Hot and cold phases are tuned to near-equal wall time, so the skew
-    // flips line up across tenants in virtual time. Each tenant churns its
-    // OWN size band (disjoint size classes): pinned routing keeps a home
-    // shard's slabs warm for exactly its tenants' classes, while spreading
-    // makes every shard carry -- and carve -- every tenant's classes.
-    struct Band {
-      std::uint64_t min_size;
-      std::uint64_t max_size;
-    };
-    const Band bands[kClients] = {{64, 128}, {512, 768}, {2048, 3072}, {192, 256}};
-    auto hot = [&](int t) { return Phase{160, 1200, bands[t].min_size, bands[t].max_size, 30}; };
-    auto cold = [&](int t) { return Phase{8, 120, bands[t].min_size, bands[t].max_size, 2000}; };
-    const std::vector<std::vector<Phase>> schedules = {
-        {hot(0), hot(0), cold(0)},    // tenant 0: busy all day, idles overnight
-        {hot(1), cold(1), cold(1)},   // tenant 1: morning-heavy
-        {cold(2), hot(2), cold(2)},   // tenant 2: evening-heavy (the skew flip)
-        {cold(3), cold(3), cold(3)},  // tenant 3: background tick-over
-    };
-    std::vector<std::unique_ptr<SimThread>> threads;
-    threads.reserve(cores.size());
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      threads.push_back(std::make_unique<DiurnalTenantThread>(
-          schedules[i % schedules.size()], alloc, cores[i], seed + 31 * i));
-    }
-    return threads;
-  }
-};
+// Hot and cold phases are tuned to near-equal wall time, so the skew flips
+// line up across tenants in virtual time. Each tenant churns its OWN size
+// band (disjoint size classes): pinned routing keeps a home shard's slabs
+// warm for exactly its tenants' classes, while spreading makes every shard
+// carry -- and carve -- every tenant's classes. Cold tenants mostly compute.
+// Each phase drains one block per step, so the fleet's epoch ticks ride the
+// drain; OOM stops the thread and leaves its story in partition_oom_failures.
+Churn DiurnalMix() {
+  struct Band {
+    std::uint64_t min_size;
+    std::uint64_t max_size;
+  };
+  const Band bands[kClients] = {{64, 128}, {512, 768}, {2048, 3072}, {192, 256}};
+  auto hot = [&](int t) {
+    return TenantChurn(160, 1200, bands[t].min_size, bands[t].max_size, /*work=*/30);
+  };
+  auto cold = [&](int t) {
+    return TenantChurn(8, 120, bands[t].min_size, bands[t].max_size, /*work=*/2000);
+  };
+  return Churn(
+      {
+          {hot(0), hot(0), cold(0)},    // tenant 0: busy all day, idles overnight
+          {hot(1), cold(1), cold(1)},   // tenant 1: morning-heavy
+          {cold(2), hot(2), cold(2)},   // tenant 2: evening-heavy (the skew flip)
+          {cold(3), cold(3), cold(3)},  // tenant 3: background tick-over
+      },
+      ChurnDrain::kOnePerStep);
+}
 
 struct CasePoint {
   std::string variant;
@@ -198,7 +117,7 @@ CasePoint RunCase(BenchCli& cli, Variant v) {
   }
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
-  DiurnalMix workload;
+  Churn workload = DiurnalMix();
   RunOptions opt;
   opt.cores = FirstCores(kClients);
   opt.seed = 11;

@@ -22,32 +22,25 @@ struct AtomicsResult {
 };
 
 AtomicsResult RunCase(BenchCli& cli, bool offload, bool remove_atomics) {
-  Machine machine(MachineConfig::ScaledWorkstation(2));
-  // The paper-prototype point (offloaded, atomics removed) is the traced run.
-  cli.EnableTelemetry(machine, /*allow_trace=*/offload && remove_atomics);
   NgxConfig cfg;
   cfg.offload = offload;
   cfg.remove_atomics = remove_atomics;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 6;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  if (offload) {
-    opt.server_cores = {1};
+  // The paper-prototype point (offloaded, atomics removed) is the traced run.
+  const XalancRun run = RunXalanc(MachineConfig::ScaledWorkstation(2),
+                                  cli.TelemetrySetup(/*allow_trace=*/offload && remove_atomics),
+                                  NextGen{cfg}, wl_cfg);
+  const RunResult& r = run.result;
+  if (run.system.fabric) {
+    run.system.fabric->DrainAll();
   }
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  if (sys.fabric) {
-    sys.fabric->DrainAll();
-  }
-  cli.Capture(machine);
+  cli.Capture(*run.machine);
   AtomicsResult out;
   out.config = std::string(offload ? "offloaded" : "inline") +
                (remove_atomics ? ", atomics removed" : ", atomics kept");
   out.wall = r.wall_cycles;
-  out.server_cycles = offload ? machine.core(1).now() : 0;
+  out.server_cycles = offload ? run.machine->core(1).now() : 0;
   out.server_atomics = offload ? r.server.atomic_rmws : r.app.atomic_rmws;
   out.ops = r.alloc_stats.mallocs + r.alloc_stats.frees;
   return out;

@@ -24,24 +24,16 @@ CoreTypeResult RunCase(BenchCli& cli, const std::string& label,
                        const CoreConfig& server_core_cfg, bool trace) {
   MachineConfig mc = MachineConfig::ScaledWorkstation(2);
   mc.cores[1] = server_core_cfg;
-  Machine machine(mc);
-  cli.EnableTelemetry(machine, trace);
-  NgxConfig cfg;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 6;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  cli.Capture(machine);
+  const XalancRun run = RunXalanc(mc, cli.TelemetrySetup(trace), NextGen{NgxConfig{}}, wl_cfg);
+  const RunResult& r = run.result;
+  run.system.fabric->DrainAll();
+  cli.Capture(*run.machine);
   CoreTypeResult out;
   out.core_type = label;
   out.wall = r.wall_cycles;
-  out.server_cycles = machine.core(1).now();
+  out.server_cycles = run.machine->core(1).now();
   out.server_ipc = r.server.Ipc();
   out.server_llc_misses = r.server.llc_load_misses + r.server.llc_store_misses;
   return out;

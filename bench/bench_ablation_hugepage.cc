@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/alloc/layout.h"
-#include "src/alloc/mimalloc/mi_allocator.h"
 
 namespace {
 
@@ -53,34 +51,22 @@ struct Cell {
 };
 
 RunResult RunMimalloc(bool hugepage_backing) {
-  Machine machine(Table3Machine());
   MiConfig mi_cfg;
   mi_cfg.hugepage_backing = hugepage_backing;
-  MiAllocator mi(machine, kMiHeapBase, mi_cfg);
-  XalancLike workload(XalancTable3Config());
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  return RunWorkload(machine, mi, workload, opt);
+  return RunXalanc(Table3Machine(), {}, mi_cfg, XalancTable3Config()).result;
 }
 
 void RunCell(const NgxConfig& cfg, Cell* cell) {
-  Machine machine(Table3Machine());
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancLike workload(XalancTable3Config());
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  cell->result = RunWorkload(machine, *sys.allocator, workload, opt);
-  const NgxAllocator& a = *sys.allocator;
+  XalancRun run = RunXalanc(Table3Machine(), {}, NextGen{cfg}, XalancTable3Config());
+  cell->result = std::move(run.result);
+  const NgxAllocator& a = *run.system.allocator;
   cell->map.mapped = a.map_mapped_bytes();
   cell->map.requested = a.map_requested_bytes();
   cell->map.waste = a.map_waste_bytes();
   if (a.hugepage_ledger() != nullptr) {
     cell->map.hugepage_backed = a.hugepage_ledger()->backed_bytes();
   }
-  sys.fabric->DrainAll();
+  run.system.fabric->DrainAll();
 }
 
 std::uint64_t DtlbMisses(const RunResult& r) {
@@ -95,14 +81,9 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Ablation: hugepage span packing + hugepage metadata ===\n\n";
 
-  // Table-3 pipeline operating point (must match bench_table3_nextgen's
-  // pipeline rung byte-for-byte so the off-row hash pin means something).
-  NgxConfig base = NgxConfig::PaperPrototype();
-  base.hugepage_spans = false;
-  base.prediction = true;
-  base.stash_pipeline = true;
-  base.stash_refill_mark = 2;
-  base.stash_capacity = 14;
+  // Table-3 pipeline operating point (bench_table3_nextgen's pipeline rung,
+  // so the off-row hash pin means something).
+  const NgxConfig base = Table3PipelineConfig();
 
   // Mimalloc anchor for the Table-3 delta (same no-THP machine as table3),
   // and the like-for-like control for the hugepage rows.

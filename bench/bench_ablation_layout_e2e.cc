@@ -25,21 +25,16 @@ struct LayoutE2E {
 };
 
 LayoutE2E RunCase(BenchCli& cli, bool segregated) {
-  Machine machine(MachineConfig::ScaledWorkstation(2));
-  cli.EnableTelemetry(machine, /*allow_trace=*/segregated);
   NgxConfig cfg;
   cfg.heap_kind = segregated ? HeapKind::kSegment : HeapKind::kAggregated;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 6;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  cli.Capture(machine);
+  const XalancRun run =
+      RunXalanc(MachineConfig::ScaledWorkstation(2),
+                cli.TelemetrySetup(/*allow_trace=*/segregated), NextGen{cfg}, wl_cfg);
+  const RunResult& r = run.result;
+  run.system.fabric->DrainAll();
+  cli.Capture(*run.machine);
   LayoutE2E out;
   out.layout =
       segregated ? "segregated (segment + slab side tables)" : "aggregated (intrusive links)";

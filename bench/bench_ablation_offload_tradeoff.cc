@@ -10,8 +10,6 @@
 //   * allocation granularity (how much user work happens per allocation)
 // and reports the frontier against the best inline allocator.
 #include "bench/bench_common.h"
-#include "src/alloc/layout.h"
-#include "src/alloc/mimalloc/mi_allocator.h"
 
 using namespace ngx;
 using namespace ngx::bench;
@@ -28,42 +26,30 @@ MachineConfig SweepMachine() {
   return m;
 }
 
+XalancConfig SweepWorkload(std::uint32_t compute_per_node) {
+  XalancConfig cfg = XalancBenchConfig();
+  cfg.documents = 10;  // heap aging: the benefit accrues as pollution accumulates
+  cfg.compute_per_node = compute_per_node;
+  return cfg;
+}
+
 std::uint64_t RunNgx(std::uint64_t transfer_latency, bool async_free,
                      std::uint32_t compute_per_node) {
   MachineConfig mc = SweepMachine();
   mc.remote_transfer_latency = transfer_latency;
-  Machine machine(mc);
   NgxConfig cfg;
   cfg.async_free = async_free;
   cfg.hugepage_spans = false;  // match the no-THP baseline below
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancConfig wl_cfg = XalancBenchConfig();
-  wl_cfg.documents = 10;  // heap aging: the benefit accrues as pollution accumulates
-  wl_cfg.compute_per_node = compute_per_node;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  return r.wall_cycles;
+  const XalancRun run = RunXalanc(mc, {}, NextGen{cfg}, SweepWorkload(compute_per_node));
+  run.system.fabric->DrainAll();
+  return run.result.wall_cycles;
 }
 
-std::uint64_t RunInlineBaseline(const std::string& name, std::uint32_t compute_per_node) {
-  (void)name;
-  Machine machine(SweepMachine());
+// Mimalloc inline on 4-KiB pages: the best inline allocator.
+std::uint64_t RunInlineBaseline(std::uint32_t compute_per_node) {
   MiConfig mi_cfg;
   mi_cfg.hugepage_backing = false;
-  auto alloc = std::make_unique<MiAllocator>(machine, kMiHeapBase, mi_cfg);
-  XalancConfig wl_cfg = XalancBenchConfig();
-  wl_cfg.documents = 10;  // heap aging: the benefit accrues as pollution accumulates
-  wl_cfg.compute_per_node = compute_per_node;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  return RunWorkload(machine, *alloc, workload, opt).wall_cycles;
+  return RunXalanc(SweepMachine(), {}, mi_cfg, SweepWorkload(compute_per_node)).result.wall_cycles;
 }
 
 }  // namespace
@@ -74,7 +60,7 @@ int main(int argc, char** argv) {
 
   // Sweep 1: how expensive may the channel be?
   std::cout << "--- sweep: cache-to-cache transfer latency (async free) ---\n";
-  const std::uint64_t mi_wall = RunInlineBaseline("mimalloc", 1600);
+  const std::uint64_t mi_wall = RunInlineBaseline(1600);
   TextTable t1({"transfer latency (cycles)", "NextGen wall cycles", "vs Mimalloc inline"});
   JsonValue lat_sweep = JsonValue::Array();
   for (const std::uint64_t lat : {20ull, 45ull, 80ull, 110ull, 200ull, 400ull}) {
@@ -105,7 +91,7 @@ int main(int argc, char** argv) {
   JsonValue work_sweep = JsonValue::Array();
   for (const std::uint32_t work : {0u, 200u, 800u, 1600u, 6400u}) {
     const std::uint64_t ngx_w = RunNgx(45, true, work);
-    const std::uint64_t mi_w = RunInlineBaseline("mimalloc", work);
+    const std::uint64_t mi_w = RunInlineBaseline(work);
     t3.AddRow({FormatInt(work),
                FormatFixed(100.0 * (static_cast<double>(mi_w) / ngx_w - 1.0), 2) + "%"});
     JsonValue o = JsonValue::Object();

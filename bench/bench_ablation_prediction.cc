@@ -22,27 +22,22 @@ struct PredResult {
 };
 
 PredResult RunCase(BenchCli& cli, bool prediction, std::uint32_t max_batch) {
-  Machine machine(MachineConfig::ScaledWorkstation(2));
-  cli.EnableTelemetry(machine, /*allow_trace=*/prediction && max_batch == 32);
   NgxConfig cfg;
   cfg.prediction = prediction;
   cfg.max_predict_batch = max_batch;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 6;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  cli.Capture(machine);
+  const XalancRun run = RunXalanc(MachineConfig::ScaledWorkstation(2),
+                                  cli.TelemetrySetup(/*allow_trace=*/prediction && max_batch == 32),
+                                  NextGen{cfg}, wl_cfg);
+  const RunResult& r = run.result;
+  run.system.fabric->DrainAll();
+  cli.Capture(*run.machine);
   PredResult out;
   out.config = prediction ? "prediction, batch<=" + std::to_string(max_batch) : "no prediction";
   out.wall = r.wall_cycles;
-  out.stash_hits = sys.allocator->stash_hits();
-  out.sync_mallocs = sys.allocator->sync_mallocs();
+  out.stash_hits = run.system.allocator->stash_hits();
+  out.sync_mallocs = run.system.allocator->sync_mallocs();
   return out;
 }
 

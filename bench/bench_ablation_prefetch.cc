@@ -27,17 +27,12 @@ Row RunBoth(BenchCli& cli, const std::string& name) {
   for (const bool prefetch : {false, true}) {
     MachineConfig mc = MachineConfig::ScaledWorkstation(2);
     mc.next_line_prefetch = prefetch;
-    Machine machine(mc);
-    cli.EnableTelemetry(machine, /*allow_trace=*/name == "ptmalloc2" && prefetch);
-    auto alloc = CreateAllocator(name, machine);
     XalancConfig wl_cfg = XalancBenchConfig();
     wl_cfg.documents = 6;
-    XalancLike workload(wl_cfg);
-    RunOptions opt;
-    opt.cores = {0};
-    opt.seed = 7;
-    const RunResult r = RunWorkload(machine, *alloc, workload, opt);
-    cli.Capture(machine);
+    const XalancRun run = RunXalanc(
+        mc, cli.TelemetrySetup(/*allow_trace=*/name == "ptmalloc2" && prefetch), name, wl_cfg);
+    const RunResult& r = run.result;
+    cli.Capture(*run.machine);
     (prefetch ? row.cycles_on : row.cycles_off) = r.wall_cycles;
     (prefetch ? row.llc_on : row.llc_off) = r.app.llc_load_misses;
   }

@@ -17,8 +17,6 @@
 // 10% of the pre-burst equal slices.
 #include "bench/bench_common.h"
 
-#include "src/workload/alloc_ops.h"
-
 using namespace ngx;
 using namespace ngx::bench;
 
@@ -28,107 +26,16 @@ constexpr int kClients = 4;
 constexpr int kShards = 4;
 constexpr std::uint64_t kSpansPerShard = 256;  // 64 MiB window / 4 shards
 
-struct PhaseConfig {
-  std::uint32_t live_blocks = 0;
-  std::uint32_t ops = 0;
-  std::uint64_t min_size = 0;
-  std::uint64_t max_size = 0;
-};
-
-// Runs its phases back to back: fill the working set, churn it, free every
-// block (one per step, so the allocator cores keep getting drain ticks),
-// then move on. OOM does not abort the bench -- the thread just stops, and
-// the partition_oom_failures counter tells the story.
-class PhasedTenantThread : public SimThread {
- public:
-  PhasedTenantThread(std::vector<PhaseConfig> phases, Allocator& alloc, int core,
-                     std::uint64_t seed)
-      : phases_(std::move(phases)), alloc_(&alloc), core_(core), rng_(seed) {}
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (phase_ >= phases_.size()) {
-      return false;
-    }
-    const PhaseConfig& p = phases_[phase_];
-    if (draining_) {
-      if (!blocks_.empty()) {
-        TimedFree(env, *alloc_, blocks_.back());
-        blocks_.pop_back();
-        return true;
-      }
-      draining_ = false;
-      done_ = 0;
-      ++phase_;
-      return phase_ < phases_.size();
-    }
-    if (blocks_.size() < p.live_blocks) {
-      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(p.min_size, p.max_size));
-      if (b == kNullAddr) {
-        return false;  // partition wall; the allocator counted the failure
-      }
-      env.TouchWrite(b, 32);
-      blocks_.push_back(b);
-      return true;
-    }
-    if (done_ >= p.ops) {
-      draining_ = true;
-      return true;
-    }
-    const std::size_t i = rng_.Below(blocks_.size());
-    TimedFree(env, *alloc_, blocks_[i]);
-    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(p.min_size, p.max_size));
-    if (b == kNullAddr) {
-      blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-      return false;
-    }
-    env.TouchWrite(b, 32);
-    env.Work(30);
-    blocks_[i] = b;
-    ++done_;
-    return true;
-  }
-
- private:
-  std::vector<PhaseConfig> phases_;
-  Allocator* alloc_;
-  int core_;
-  Rng rng_;
-  std::vector<Addr> blocks_;
-  std::size_t phase_ = 0;
-  std::uint32_t done_ = 0;
-  bool draining_ = false;
-};
-
-class TwoPhaseSkew : public Workload {
- public:
-  std::string_view name() const override { return "two-phase-skew"; }
-  std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,
-                                                      const std::vector<int>& cores,
-                                                      std::uint64_t seed) override {
-    (void)machine;
-    PhaseConfig burst;
-    burst.live_blocks = 400;  // ~400 spans vs a 256-span slice
-    burst.ops = 300;
-    burst.min_size = 36 * 1024;
-    burst.max_size = 60 * 1024;
-    PhaseConfig small;
-    small.live_blocks = 400;
-    small.ops = 1500;
-    small.min_size = 64;
-    small.max_size = 256;
-    std::vector<std::unique_ptr<SimThread>> threads;
-    threads.reserve(cores.size());
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      std::vector<PhaseConfig> phases =
-          i == 0 ? std::vector<PhaseConfig>{burst, small} : std::vector<PhaseConfig>{small};
-      threads.push_back(
-          std::make_unique<PhasedTenantThread>(std::move(phases), alloc, cores[i], seed + 31 * i));
-    }
-    return threads;
-  }
-};
+// Tenant 0 bursts ~400 spans' worth of 36-60 KiB buffers (vs a 256-span
+// slice), then drops to small churn; the others churn small blocks
+// throughout. Each phase frees its blocks one per step, so the allocator
+// cores keep getting drain ticks. OOM does not abort the bench -- the thread
+// just stops, and the partition_oom_failures counter tells the story.
+Churn TwoPhaseSkew() {
+  const ChurnConfig burst = TenantChurn(400, 300, 36 * 1024, 60 * 1024);
+  const ChurnConfig small = TenantChurn(400, 1500, 64, 256);
+  return Churn({{burst, small}, {small}}, ChurnDrain::kOnePerStep);
+}
 
 struct CasePoint {
   bool rebalance = false;
@@ -158,7 +65,7 @@ CasePoint RunCase(BenchCli& cli, bool rebalance) {
   }
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
-  TwoPhaseSkew workload;
+  Churn workload = TwoPhaseSkew();
   RunOptions opt;
   opt.cores = FirstCores(kClients);
   opt.seed = 7;

@@ -18,8 +18,6 @@
 #include "src/alloc/layout.h"
 #include "src/core/segment_heap.h"
 #include "src/core/server_heap.h"
-#include "src/workload/alloc_ops.h"
-#include "src/workload/churn.h"
 #include "src/workload/rng.h"
 
 using namespace ngx;
@@ -126,84 +124,6 @@ DirectPoint RunDirect(HeapKind kind, bool phased) {
 // shard must refill over kDonateSpan while the light tenant churns on.
 // ---------------------------------------------------------------------------
 
-struct TenantConfig {
-  std::uint32_t live_blocks = 0;
-  std::uint32_t ops = 0;
-  std::uint64_t min_size = 0;
-  std::uint64_t max_size = 0;
-};
-
-class TenantThread : public SimThread {
- public:
-  TenantThread(const TenantConfig& config, Allocator& alloc, int core, std::uint64_t seed)
-      : config_(config), alloc_(&alloc), core_(core), rng_(seed) {
-    blocks_.reserve(config.live_blocks);
-  }
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (blocks_.size() < config_.live_blocks) {
-      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(config_.min_size, config_.max_size));
-      if (b == kNullAddr) {
-        return false;
-      }
-      env.TouchWrite(b, 32);
-      blocks_.push_back(b);
-      return true;
-    }
-    if (done_ >= config_.ops) {
-      for (const Addr b : blocks_) {
-        TimedFree(env, *alloc_, b);
-      }
-      blocks_.clear();
-      return false;
-    }
-    const std::size_t i = rng_.Below(blocks_.size());
-    TimedFree(env, *alloc_, blocks_[i]);
-    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(config_.min_size, config_.max_size));
-    if (b == kNullAddr) {
-      blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-      return false;
-    }
-    env.TouchWrite(b, 32);
-    env.Work(30);
-    blocks_[i] = b;
-    ++done_;
-    return true;
-  }
-
- private:
-  TenantConfig config_;
-  Allocator* alloc_;
-  int core_;
-  Rng rng_;
-  std::vector<Addr> blocks_;
-  std::uint32_t done_ = 0;
-};
-
-class TenantMix : public Workload {
- public:
-  TenantMix(TenantConfig heavy, TenantConfig light) : heavy_(heavy), light_(light) {}
-  std::string_view name() const override { return "tenant-mix"; }
-  std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,
-                                                      const std::vector<int>& cores,
-                                                      std::uint64_t seed) override {
-    (void)machine;
-    std::vector<std::unique_ptr<SimThread>> threads;
-    threads.reserve(cores.size());
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      const TenantConfig& cfg = i == 0 ? heavy_ : light_;
-      threads.push_back(std::make_unique<TenantThread>(cfg, alloc, cores[i], seed + 31 * i));
-    }
-    return threads;
-  }
-
- private:
-  TenantConfig heavy_;
-  TenantConfig light_;
-};
-
 constexpr int kClients = 2;
 constexpr int kShards = 2;
 
@@ -241,21 +161,11 @@ FabricPoint RunFabric(BenchCli& cli, bool donation_churn) {
   cfg.heap_window = 16ull << 20;
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
-  TenantConfig heavy;
-  TenantConfig light;
-  if (donation_churn) {
-    heavy.live_blocks = 800;
-    heavy.ops = 1200;
-    heavy.min_size = 8 * 1024;
-    heavy.max_size = 16 * 1024;
-    light.live_blocks = 400;
-    light.ops = 3000;
-    light.min_size = 64;
-    light.max_size = 256;
-  } else {
-    heavy = light = TenantConfig{600, 3000, 64, 2048};
-  }
-  TenantMix workload(heavy, light);
+  // Client 0 is the heavy tenant; the quiet mix runs one shape on both.
+  Churn workload = donation_churn ? Churn({{TenantChurn(800, 1200, 8 * 1024, 16 * 1024)},
+                                           {TenantChurn(400, 3000, 64, 256)}},
+                                          ChurnDrain::kAllAtOnce)
+                                  : Churn(TenantChurn(600, 3000, 64, 2048));
 
   RunOptions opt;
   opt.cores = FirstCores(kClients);

@@ -36,14 +36,13 @@ struct SweepPoint {
 };
 
 SweepPoint RunCase(BenchCli& cli, int clients, int shards) {
-  Machine machine(MachineConfig::Default(clients + shards));
-  // Telemetry is always on here: the per-shard sync-latency digest is part
-  // of the bench's output. The 8-client/4-shard point is the traced run.
-  cli.EnableTelemetry(machine, /*allow_trace=*/clients == 8 && shards == 4);
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.num_shards = shards;
   cfg.routing = RoutingKind::kStaticByClient;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/clients);
+  std::vector<int> server_cores;
+  for (int s = 0; s < shards; ++s) {
+    server_cores.push_back(clients + s);
+  }
   // The paper's xalanc-like workload, scaled down and allocation-dense:
   // each thread parses its own documents, so frees return to the shard the
   // thread mallocs from and ride its own drain path. The sync-latency tail
@@ -53,25 +52,23 @@ SweepPoint RunCase(BenchCli& cli, int clients, int shards) {
   wl_cfg.nodes_per_doc = 2000;
   wl_cfg.transform_passes = 2;
   wl_cfg.compute_per_node = 300;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = FirstCores(clients);
-  opt.seed = 7;
-  for (int s = 0; s < shards; ++s) {
-    opt.server_cores.push_back(clients + s);
-  }
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  cli.Capture(machine);
+  // Telemetry is always on here: the per-shard sync-latency digest is part
+  // of the bench's output. The 8-client/4-shard point is the traced run.
+  const XalancRun run = RunXalanc(MachineConfig::Default(clients + shards),
+                                  cli.TelemetrySetup(/*allow_trace=*/clients == 8 && shards == 4),
+                                  NextGen{cfg, server_cores}, wl_cfg, FirstCores(clients));
+  const RunResult& r = run.result;
+  run.system.fabric->DrainAll();
+  cli.Capture(*run.machine);
 
   SweepPoint out;
   out.clients = clients;
   out.shards = shards;
   out.wall = r.wall_cycles;
-  out.total_busy_waits = sys.fabric->TotalStats().server_busy_waits;
+  out.total_busy_waits = run.system.fabric->TotalStats().server_busy_waits;
   for (int s = 0; s < shards; ++s) {
     ShardPoint sp;
-    sp.busy_waits = sys.fabric->shard_stats(s).server_busy_waits;
+    sp.busy_waits = run.system.fabric->shard_stats(s).server_busy_waits;
     sp.sync_latency = r.shard_sync_latency[static_cast<std::size_t>(s)];
     out.max_shard_busy_waits = std::max(out.max_shard_busy_waits, sp.busy_waits);
     out.max_shard_sync_p99 = std::max(out.max_shard_sync_p99, sp.sync_latency.p99);

@@ -17,94 +17,18 @@
 // transfers.
 #include "bench/bench_common.h"
 
-#include "src/workload/alloc_ops.h"
-#include "src/workload/churn.h"
-
 using namespace ngx;
 using namespace ngx::bench;
 
 namespace {
 
-// Churn with a per-thread size range: cores[0] is the heavy tenant, everyone
-// else stays small. OOM does not abort the bench -- the thread just stops,
-// and the partition_oom_failures counter tells the story.
-struct TenantConfig {
-  std::uint32_t live_blocks = 0;
-  std::uint32_t ops = 0;
-  std::uint64_t min_size = 0;
-  std::uint64_t max_size = 0;
-};
-
-class TenantThread : public SimThread {
- public:
-  TenantThread(const TenantConfig& config, Allocator& alloc, int core, std::uint64_t seed)
-      : config_(config), alloc_(&alloc), core_(core), rng_(seed) {
-    blocks_.reserve(config.live_blocks);
-  }
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (blocks_.size() < config_.live_blocks) {
-      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(config_.min_size, config_.max_size));
-      if (b == kNullAddr) {
-        return false;  // partition wall; the allocator counted the failure
-      }
-      env.TouchWrite(b, 32);
-      blocks_.push_back(b);
-      return true;
-    }
-    if (done_ >= config_.ops) {
-      for (const Addr b : blocks_) {
-        TimedFree(env, *alloc_, b);
-      }
-      blocks_.clear();
-      return false;
-    }
-    const std::size_t i = rng_.Below(blocks_.size());
-    TimedFree(env, *alloc_, blocks_[i]);
-    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(config_.min_size, config_.max_size));
-    if (b == kNullAddr) {
-      blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-      return false;
-    }
-    env.TouchWrite(b, 32);
-    env.Work(30);
-    blocks_[i] = b;
-    ++done_;
-    return true;
-  }
-
- private:
-  TenantConfig config_;
-  Allocator* alloc_;
-  int core_;
-  Rng rng_;
-  std::vector<Addr> blocks_;
-  std::uint32_t done_ = 0;
-};
-
-class SkewedChurn : public Workload {
- public:
-  SkewedChurn(TenantConfig heavy, TenantConfig light) : heavy_(heavy), light_(light) {}
-  std::string_view name() const override { return "skewed-churn"; }
-  std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,
-                                                      const std::vector<int>& cores,
-                                                      std::uint64_t seed) override {
-    (void)machine;
-    std::vector<std::unique_ptr<SimThread>> threads;
-    threads.reserve(cores.size());
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      const TenantConfig& cfg = i == 0 ? heavy_ : light_;
-      threads.push_back(std::make_unique<TenantThread>(cfg, alloc, cores[i], seed + 31 * i));
-    }
-    return threads;
-  }
-
- private:
-  TenantConfig heavy_;
-  TenantConfig light_;
-};
+// Client 0 churns 8-16 KiB buffers, everyone else 64-256 B blocks. OOM does
+// not abort the bench -- the thread just stops, and the
+// partition_oom_failures counter tells the story.
+Churn SkewedChurn() {
+  return Churn({{TenantChurn(1600, 1200, 8 * 1024, 16 * 1024)}, {TenantChurn(400, 3000, 64, 256)}},
+               ChurnDrain::kAllAtOnce);
+}
 
 constexpr int kClients = 4;
 constexpr int kShards = 4;
@@ -139,17 +63,7 @@ SweepPoint RunCase(BenchCli& cli, bool donation, std::uint32_t free_batch) {
   cfg.heap_window = 64ull << 20;
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
-  TenantConfig heavy;
-  heavy.live_blocks = 1600;
-  heavy.ops = 1200;
-  heavy.min_size = 8 * 1024;
-  heavy.max_size = 16 * 1024;
-  TenantConfig light;
-  light.live_blocks = 400;
-  light.ops = 3000;
-  light.min_size = 64;
-  light.max_size = 256;
-  SkewedChurn workload(heavy, light);
+  Churn workload = SkewedChurn();
 
   RunOptions opt;
   opt.cores = FirstCores(kClients);
@@ -207,17 +121,7 @@ HugepagePoint RunHugepageCase(BenchCli& cli, bool packing) {
   cfg.heap_window = 64ull << 20;
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
-  TenantConfig heavy;
-  heavy.live_blocks = 1600;
-  heavy.ops = 1200;
-  heavy.min_size = 8 * 1024;
-  heavy.max_size = 16 * 1024;
-  TenantConfig light;
-  light.live_blocks = 400;
-  light.ops = 3000;
-  light.min_size = 64;
-  light.max_size = 256;
-  SkewedChurn workload(heavy, light);
+  Churn workload = SkewedChurn();
 
   RunOptions opt;
   opt.cores = FirstCores(kClients);

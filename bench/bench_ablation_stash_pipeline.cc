@@ -48,8 +48,6 @@ struct Row {
 
 Row RunCase(BenchCli& cli, Mode mode, std::uint32_t mark, std::uint32_t capacity,
             std::uint32_t intensity) {
-  Machine machine(MachineConfig::ScaledWorkstation(2));
-  cli.EnableTelemetry(machine, /*allow_trace=*/false);
   NgxConfig cfg;
   cfg.prediction = mode != Mode::kSyncOnly;
   cfg.stash_pipeline = mode == Mode::kPipeline;
@@ -57,18 +55,15 @@ Row RunCase(BenchCli& cli, Mode mode, std::uint32_t mark, std::uint32_t capacity
   if (capacity > 0) {
     cfg.stash_capacity = capacity;
   }
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancConfig wl_cfg = XalancBenchConfig();
   wl_cfg.documents = 4;
   wl_cfg.temp_alloc_percent = intensity;
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  cli.Capture(machine);
+  const XalancRun run = RunXalanc(MachineConfig::ScaledWorkstation(2),
+                                  cli.TelemetrySetup(/*allow_trace=*/false), NextGen{cfg}, wl_cfg);
+  const RunResult& r = run.result;
+  const NgxAllocator& alloc = *run.system.allocator;
+  run.system.fabric->DrainAll();
+  cli.Capture(*run.machine);
   Row out;
   switch (mode) {
     case Mode::kSyncOnly:
@@ -84,13 +79,13 @@ Row RunCase(BenchCli& cli, Mode mode, std::uint32_t mark, std::uint32_t capacity
   out.intensity = intensity;
   out.wall = r.wall_cycles;
   out.mallocs = r.alloc_stats.mallocs;
-  out.sync_mallocs = sys.allocator->sync_mallocs();
-  out.stash_hits = sys.allocator->stash_hits();
-  out.refills = sys.allocator->stash_refills();
-  out.flips = sys.allocator->stash_flips();
-  out.recycles = sys.allocator->stash_recycled_frees();
-  out.stalls = sys.allocator->stash_starvation_stalls();
-  out.overlap_cycles = sys.allocator->refill_overlap_cycles();
+  out.sync_mallocs = alloc.sync_mallocs();
+  out.stash_hits = alloc.stash_hits();
+  out.refills = alloc.stash_refills();
+  out.flips = alloc.stash_flips();
+  out.recycles = alloc.stash_recycled_frees();
+  out.stalls = alloc.stash_starvation_stalls();
+  out.overlap_cycles = alloc.refill_overlap_cycles();
   return out;
 }
 

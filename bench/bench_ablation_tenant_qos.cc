@@ -22,8 +22,6 @@
 // JSON metrics.
 #include "bench/bench_common.h"
 
-#include "src/workload/alloc_ops.h"
-
 using namespace ngx;
 using namespace ngx::bench;
 
@@ -35,107 +33,15 @@ constexpr std::uint32_t kLaneQuantum = 16;
 constexpr std::uint32_t kAnalyticsFreeBatch = 32;
 constexpr std::uint32_t kEagerDrainAt = 32;
 
-// Per-core churn shape: frontend and the workers stay small; analytics is the
+// Thread i runs core i's load (frontend, worker, analytics, worker), so the
+// run-alone case (cores = {0}) exercises exactly the same frontend behaviour
+// as the mixed case. Frontend and the workers stay small; analytics is the
 // heavy tenant. OOM does not abort the bench -- the thread just stops.
-struct TenantLoad {
-  std::uint32_t live_blocks = 0;
-  std::uint32_t ops = 0;
-  std::uint64_t min_size = 0;
-  std::uint64_t max_size = 0;
-  std::uint32_t think = 0;  // app work per churn op (cycles)
-};
-
-class TenantThread : public SimThread {
- public:
-  TenantThread(const TenantLoad& load, Allocator& alloc, int core, std::uint64_t seed)
-      : load_(load), alloc_(&alloc), core_(core), rng_(seed) {
-    blocks_.reserve(load.live_blocks);
-  }
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (blocks_.size() < load_.live_blocks) {
-      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(load_.min_size, load_.max_size));
-      if (b == kNullAddr) {
-        return false;
-      }
-      env.TouchWrite(b, 32);
-      blocks_.push_back(b);
-      return true;
-    }
-    if (done_ >= load_.ops) {
-      for (const Addr b : blocks_) {
-        TimedFree(env, *alloc_, b);
-      }
-      blocks_.clear();
-      return false;
-    }
-    const std::size_t i = rng_.Below(blocks_.size());
-    TimedFree(env, *alloc_, blocks_[i]);
-    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(load_.min_size, load_.max_size));
-    if (b == kNullAddr) {
-      blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-      return false;
-    }
-    env.TouchWrite(b, 32);
-    env.Work(load_.think);
-    blocks_[i] = b;
-    ++done_;
-    return true;
-  }
-
- private:
-  TenantLoad load_;
-  Allocator* alloc_;
-  int core_;
-  Rng rng_;
-  std::vector<Addr> blocks_;
-  std::uint32_t done_ = 0;
-};
-
-// Assigns each thread the load of its CORE (not its index), so the run-alone
-// case (cores = {0}) exercises exactly the same frontend behaviour as the
-// mixed case.
-class QosMix : public Workload {
- public:
-  explicit QosMix(std::vector<TenantLoad> by_core) : by_core_(std::move(by_core)) {}
-  std::string_view name() const override { return "tenant-qos-mix"; }
-  std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,
-                                                      const std::vector<int>& cores,
-                                                      std::uint64_t seed) override {
-    (void)machine;
-    std::vector<std::unique_ptr<SimThread>> threads;
-    threads.reserve(cores.size());
-    for (const int c : cores) {
-      threads.push_back(std::make_unique<TenantThread>(
-          by_core_[static_cast<std::size_t>(c)], alloc, c,
-          seed + 31 * static_cast<std::uint64_t>(c)));
-    }
-    return threads;
-  }
-
- private:
-  std::vector<TenantLoad> by_core_;
-};
-
-std::vector<TenantLoad> MixLoads() {
-  TenantLoad frontend;
-  frontend.live_blocks = 400;
-  frontend.ops = 3000;
-  frontend.min_size = 64;
-  frontend.max_size = 256;
-  frontend.think = 120;  // request handling between allocations
-  TenantLoad analytics;
-  analytics.live_blocks = 1600;
-  analytics.ops = 1200;
-  analytics.min_size = 8 * 1024;
-  analytics.max_size = 16 * 1024;
-  analytics.think = 30;
-  TenantLoad worker = frontend;
-  worker.ops = 2000;
-  worker.think = 60;
-  return {frontend, worker, analytics, worker};
+Churn QosMix() {
+  const ChurnConfig frontend = TenantChurn(400, 3000, 64, 256, /*work=*/120);  // request handling
+  const ChurnConfig analytics = TenantChurn(1600, 1200, 8 * 1024, 16 * 1024, /*work=*/30);
+  const ChurnConfig worker = TenantChurn(400, 2000, 64, 256, /*work=*/60);
+  return Churn({{frontend}, {worker}, {analytics}, {worker}}, ChurnDrain::kAllAtOnce);
 }
 
 NgxConfig QosConfig(bool lanes_on) {
@@ -194,7 +100,7 @@ QosPoint RunCase(BenchCli& cli, const std::string& label, bool mixed, bool lanes
   // may admit and who may preempt it.
   sys.fabric->set_eager_drain_at(kEagerDrainAt);
 
-  QosMix workload(MixLoads());
+  Churn workload = QosMix();
   RunOptions opt;
   opt.cores = mixed ? FirstCores(kClients) : std::vector<int>{0};
   opt.seed = 7;
@@ -219,28 +125,16 @@ QosPoint RunCase(BenchCli& cli, const std::string& label, bool mixed, bool lanes
 // with and without an all-default tenant list. Telemetry stays off, exactly
 // like the hashed run there.
 std::uint64_t HashedPipelineRun(bool with_default_tenant) {
-  Machine machine(Table3Machine());
-  NgxConfig cfg = NgxConfig::PaperPrototype();
-  cfg.hugepage_spans = false;
-  cfg.prediction = true;
-  cfg.stash_pipeline = true;
-  cfg.stash_refill_mark = 2;
-  cfg.stash_capacity = 14;
+  NgxConfig cfg = Table3PipelineConfig();
   if (with_default_tenant) {
     TenantSpec spec;
     spec.name = "default_tenant";
     spec.cores = {0};
     cfg.tenants.push_back(spec);
   }
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancLike workload(XalancTable3Config());
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  return SimStateHash(r);
+  const XalancRun run = RunXalanc(Table3Machine(), {}, NextGen{cfg}, XalancTable3Config());
+  run.system.fabric->DrainAll();
+  return SimStateHash(run.result);
 }
 
 double Ratio(std::uint64_t num, std::uint64_t den) {

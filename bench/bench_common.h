@@ -12,11 +12,16 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
+#include <vector>
 
+#include "src/alloc/layout.h"
+#include "src/alloc/mimalloc/mi_allocator.h"
 #include "src/alloc/registry.h"
 #include "src/core/nextgen_malloc.h"
 #include "src/telemetry/json.h"
 #include "src/telemetry/telemetry.h"
+#include "src/workload/churn.h"
 #include "src/workload/report.h"
 #include "src/workload/runner.h"
 #include "src/workload/xalanc.h"
@@ -97,16 +102,20 @@ class BenchCli {
   // was captured -- so the first Capture()d tracing machine becomes the
   // exported trace. Benches with several runs pass allow_trace=false on the
   // uninteresting ones.
-  void EnableTelemetry(Machine& machine, bool allow_trace = true,
-                       std::uint64_t pmu_snapshot_interval = 1000000,
-                       std::uint64_t recorder_snapshot_interval = 50000000) {
+  void EnableTelemetry(Machine& machine, bool allow_trace = true) {
+    machine.EnableTelemetry(TelemetrySetup(allow_trace));
+  }
+
+  // The config EnableTelemetry applies, for recipes that build the machine
+  // themselves (RunXalanc).
+  TelemetryConfig TelemetrySetup(bool allow_trace = true) const {
     TelemetryConfig tc;
     tc.enabled = true;
     tc.trace = allow_trace && want_trace() && !captured_trace_;
-    tc.pmu_snapshot_interval = tc.trace ? pmu_snapshot_interval : 0;
+    tc.pmu_snapshot_interval = tc.trace ? 1000000 : 0;
     tc.recorder = true;
-    tc.recorder_snapshot_interval = recorder_snapshot_interval;
-    machine.EnableTelemetry(tc);
+    tc.recorder_snapshot_interval = 50000000;
+    return tc;
   }
 
   // Snapshots `machine`'s telemetry into the bench output: the metric
@@ -216,6 +225,23 @@ inline XalancConfig XalancTable3Config() {
   return cfg;
 }
 
+// One tenant of the fabric ablations' churn mixes: `live_blocks` blocks of
+// [min_size, max_size] replaced `ops` times, 32 bytes written into each new
+// block and the dying block freed unread.
+inline ChurnConfig TenantChurn(std::uint32_t live_blocks, std::uint32_t ops,
+                               std::uint64_t min_size, std::uint64_t max_size,
+                               std::uint32_t work = 30) {
+  ChurnConfig c;
+  c.live_blocks = live_blocks;
+  c.ops = ops;
+  c.min_size = min_size;
+  c.max_size = max_size;
+  c.touch_bytes = 32;
+  c.read_bytes = 0;
+  c.work = work;
+  return c;
+}
+
 // The Table 3 machine (shared by bench_table3_nextgen and the determinism
 // pins built on its runs): a 2-core A1-like box where client<->server
 // mailbox transfers ride a shared cluster L2 and atomics price the weaker
@@ -265,12 +291,28 @@ inline std::uint64_t SimStateHash(const RunResult& r) {
   return h;
 }
 
-// SimStateHash of bench_table3_nextgen's pipeline rung: Table3Machine,
-// XalancTable3Config, seed 7, 4-KiB spans, prediction plus the stash
-// pipeline with refill mark 2 and capacity 14. The determinism sweep, the
-// tenant-QoS ablation's all-default tenant replay and the hugepage
-// ablation's off-knob cell all check against this one value, so a
-// deliberate change to simulated history re-pins it here, once, with a
+// Table 3's pipeline rung: the paper prototype on the same no-THP 4-KiB
+// spans as the Mimalloc anchor, plus §3.3.2 prediction and the pipelined
+// stash with refill mark 2. Total inventory is the two 7-entry halves with
+// no spill stack: the stash-pipeline ablation shows deeper client-side
+// retention buys nothing on this workload (the phased alloc/free structure
+// frees in bursts the spill can't re-serve before the phase ends; cap 32
+// lands within 0.1% of cap 14).
+inline NgxConfig Table3PipelineConfig() {
+  NgxConfig cfg = NgxConfig::PaperPrototype();
+  cfg.hugepage_spans = false;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_refill_mark = 2;
+  cfg.stash_capacity = 14;
+  return cfg;
+}
+
+// SimStateHash of RunXalanc(Table3Machine(), {}, NextGen{Table3PipelineConfig()},
+// XalancTable3Config()): bench_table3_nextgen's pipeline rung. The
+// determinism sweep, the tenant-QoS ablation's all-default tenant replay and
+// the hugepage ablation's off-knob cell all check against this one value,
+// so a deliberate change to simulated history re-pins it here, once, with a
 // before/after table in EXPERIMENTS.md.
 inline constexpr std::uint64_t kTable3PipelineHash = 0x42208f0556f2eba8ull;
 
@@ -281,60 +323,59 @@ inline std::string HashHex(std::uint64_t h) {
   return buf;
 }
 
-struct XalancRun {
-  RunResult result;
-  std::string allocator;
+// NextGen-Malloc under a xalanc run, with its shards on `server_cores`
+// (unused when config.offload is false and the heap runs inline).
+struct NextGen {
+  NgxConfig config;
+  std::vector<int> server_cores = {1};
 };
 
-// Runs the xalanc-like workload single-threaded on a fresh scaled machine
-// with the named baseline allocator. With `cli`, the run records telemetry
-// and the first traced run is captured for --trace export.
-inline XalancRun RunXalancBaseline(const std::string& allocator_name,
-                                   const XalancConfig& wl_cfg, std::uint64_t seed = 7,
-                                   BenchCli* cli = nullptr) {
-  Machine machine(MachineConfig::ScaledWorkstation(2));
-  if (cli != nullptr) {
-    cli->EnableTelemetry(machine);
-  }
-  auto alloc = CreateAllocator(allocator_name, machine);
-  XalancLike workload(wl_cfg);
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = seed;
-  XalancRun out;
-  out.result = RunWorkload(machine, *alloc, workload, opt);
-  out.allocator = allocator_name;
-  if (cli != nullptr) {
-    cli->Capture(machine);
-  }
-  return out;
-}
+// The allocator under a xalanc run: NextGen-Malloc, a baseline by registry
+// name (CreateAllocator), or Mimalloc with an explicit page policy.
+using XalancAllocator = std::variant<NextGen, std::string, MiConfig>;
 
-// Runs the same workload with NextGen-Malloc (offloaded; server core 1).
-inline XalancRun RunXalancNextGen(const NgxConfig& cfg, const XalancConfig& wl_cfg,
-                                  std::uint64_t seed = 7, BenchCli* cli = nullptr) {
-  Machine machine(MachineConfig::ScaledWorkstation(2));
-  if (cli != nullptr) {
-    cli->EnableTelemetry(machine);
+// A finished xalanc run, still alive so its allocator's books can be read.
+// The machine is declared first: it outlives the allocator's hooks into it.
+struct XalancRun {
+  std::unique_ptr<Machine> machine;
+  NgxSystem system;                     // NextGen runs
+  std::unique_ptr<Allocator> baseline;  // baseline runs
+  RunResult result;
+};
+
+// The one way a bench or test builds a xalanc run: a fresh machine with the
+// caller's telemetry (TelemetryConfig{} = off; BenchCli::TelemetrySetup for
+// bench output), the allocator, and the workload on `app_cores`. Draining
+// the fabric and capturing telemetry stay with the caller, which may read
+// books before or after DrainAll.
+inline XalancRun RunXalanc(const MachineConfig& machine_config, const TelemetryConfig& telemetry,
+                           const XalancAllocator& allocator, const XalancConfig& workload_config,
+                           std::vector<int> app_cores = {0}, std::uint64_t seed = 7) {
+  XalancRun run;
+  run.machine = std::make_unique<Machine>(machine_config);
+  if (telemetry.enabled) {
+    run.machine->EnableTelemetry(telemetry);
   }
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancLike workload(wl_cfg);
   RunOptions opt;
-  opt.cores = {0};
+  opt.cores = std::move(app_cores);
   opt.seed = seed;
-  if (cfg.offload) {
-    opt.server_cores = {1};
+  Allocator* alloc = nullptr;
+  if (const auto* ngx = std::get_if<NextGen>(&allocator)) {
+    if (ngx->config.offload) {
+      opt.server_cores = ngx->server_cores;
+    }
+    run.system = MakeNgxSystem(*run.machine, ngx->config, opt.server_cores);
+    alloc = run.system.allocator.get();
+  } else if (const auto* mi = std::get_if<MiConfig>(&allocator)) {
+    run.baseline = std::make_unique<MiAllocator>(*run.machine, kMiHeapBase, *mi);
+    alloc = run.baseline.get();
+  } else {
+    run.baseline = CreateAllocator(std::get<std::string>(allocator), *run.machine);
+    alloc = run.baseline.get();
   }
-  XalancRun out;
-  out.result = RunWorkload(machine, *sys.allocator, workload, opt);
-  if (sys.fabric) {
-    sys.fabric->DrainAll();
-  }
-  out.allocator = "nextgen";
-  if (cli != nullptr) {
-    cli->Capture(machine);
-  }
-  return out;
+  XalancLike workload(workload_config);
+  run.result = RunWorkload(*run.machine, *alloc, workload, opt);
+  return run;
 }
 
 }  // namespace bench

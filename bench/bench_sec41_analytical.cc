@@ -39,17 +39,23 @@ int main(int argc, char** argv) {
   // (Mimalloc vs PTMalloc2 on the xalanc-like workload), as the paper derives
   // 214 cycles from its Mimalloc-vs-Glibc measurements.
   std::cout << "cross-validating the miss penalty against simulator runs...\n";
-  const XalancRun pt = RunXalancBaseline("ptmalloc2", XalancBenchConfig(), /*seed=*/7, &cli);
-  const XalancRun mi = RunXalancBaseline("mimalloc", XalancBenchConfig(), /*seed=*/7, &cli);
-  const double penalty = MissPenaltyFromCounters(pt.result.app, mi.result.app);
+  auto run = [&cli](const std::string& name) {
+    const XalancRun xr = RunXalanc(MachineConfig::ScaledWorkstation(2), cli.TelemetrySetup(), name,
+                                   XalancBenchConfig());
+    cli.Capture(*xr.machine);
+    return xr.result;
+  };
+  const RunResult pt = run("ptmalloc2");
+  const RunResult mi = run("mimalloc");
+  const double penalty = MissPenaltyFromCounters(pt.app, mi.app);
   std::cout << "simulator-derived LLC/TLB miss penalty: " << FormatFixed(penalty, 1)
             << " cycles (paper derives 214 on its hardware)\n\n";
 
   // Re-run the model with the simulator-derived penalty and this workload's
   // own call counts.
   BreakEvenInputs sim_in = in;
-  sim_in.malloc_calls = mi.result.alloc_stats.mallocs;
-  sim_in.free_calls = mi.result.alloc_stats.frees;
+  sim_in.malloc_calls = mi.alloc_stats.mallocs;
+  sim_in.free_calls = mi.alloc_stats.frees;
   sim_in.miss_penalty_cycles = penalty;
   const BreakEvenResult sim_r = ComputeBreakEven(sim_in);
   std::cout << "with simulator inputs: overhead " << FormatSci(sim_r.overhead_cycles, 2)

@@ -12,13 +12,11 @@
 // placement with a reduced cache-to-cache transfer latency and the weaker
 // Arm memory model's cheaper atomics.
 #include "bench/bench_common.h"
-#include "src/alloc/layout.h"
-#include "src/alloc/mimalloc/mi_allocator.h"
 
-// Table3Machine, SimStateHash and the pinned kTable3PipelineHash live in
-// bench_common.h: the tenant-QoS and hugepage ablations and the
-// determinism-sweep tests replay this bench's pipeline run and must hash it
-// with byte-for-byte the same recipe.
+// Table3Machine, Table3PipelineConfig, the RunXalanc recipe and the pinned
+// kTable3PipelineHash live in bench_common.h: the tenant-QoS and hugepage
+// ablations and the determinism-sweep tests replay this bench's pipeline run
+// and must hash it with byte-for-byte the same recipe.
 
 int main(int argc, char** argv) {
   using namespace ngx;
@@ -34,72 +32,46 @@ int main(int argc, char** argv) {
   // Baseline: Mimalloc inline on the application core. The A1 instance ran
   // without transparent hugepages (neither 2019 mimalloc nor the prototype
   // madvised), so heaps sit on 4 KiB pages.
-  Machine m_mi(Table3Machine());
-  if (record) {
-    cli.EnableTelemetry(m_mi, /*allow_trace=*/false);
-  }
   MiConfig mi_cfg;
   mi_cfg.hugepage_backing = false;
-  auto mi = std::make_unique<MiAllocator>(m_mi, kMiHeapBase, mi_cfg);
-  XalancLike wl_mi(wl);
-  RunOptions opt_mi;
-  opt_mi.cores = {0};
-  opt_mi.seed = 7;
-  const RunResult r_mi = RunWorkload(m_mi, *mi, wl_mi, opt_mi);
+  const XalancRun mi = RunXalanc(
+      Table3Machine(), record ? cli.TelemetrySetup(/*allow_trace=*/false) : TelemetryConfig{},
+      mi_cfg, wl);
+  const RunResult& r_mi = mi.result;
   std::cerr << "[done] mimalloc\n";
 
   // NextGen-Malloc: offloaded to core 1, async free, segregated metadata
   // (the segment + slab heap, DESIGN.md §10), no internal atomics (the 4.2
   // prototype configuration). This is the run exported by --trace.
-  Machine m_ngx(Table3Machine());
-  if (record) {
-    cli.EnableTelemetry(m_ngx);
-  }
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.hugepage_spans = false;  // same no-THP machine
-  NgxSystem sys = MakeNgxSystem(m_ngx, cfg, /*server_core=*/1);
-  XalancLike wl_ngx(wl);
-  RunOptions opt_ngx;
-  opt_ngx.cores = {0};
-  opt_ngx.seed = 7;
-  opt_ngx.server_cores = {1};
-  const RunResult r_ngx = RunWorkload(m_ngx, *sys.allocator, wl_ngx, opt_ngx);
-  sys.fabric->DrainAll();
-  cli.Capture(m_ngx);
+  const XalancRun nextgen =
+      RunXalanc(Table3Machine(), record ? cli.TelemetrySetup() : TelemetryConfig{},
+                NextGen{cfg}, wl);
+  const RunResult& r_ngx = nextgen.result;
+  nextgen.system.fabric->DrainAll();
+  cli.Capture(*nextgen.machine);
   std::cerr << "[done] nextgen\n";
 
   // The same prototype with Section 3.3.2's predictive preallocation: the
   // server turns same-class runs into batches stashed client-side.
-  Machine m_pred(Table3Machine());
   NgxConfig pred_cfg = cfg;
   pred_cfg.prediction = true;
-  NgxSystem pred_sys = MakeNgxSystem(m_pred, pred_cfg, /*server_core=*/1);
-  XalancLike wl_pred(wl);
-  RunOptions opt_pred = opt_ngx;
-  const RunResult r_pred = RunWorkload(m_pred, *pred_sys.allocator, wl_pred, opt_pred);
-  pred_sys.fabric->DrainAll();
+  const XalancRun pred = RunXalanc(Table3Machine(), {}, NextGen{pred_cfg}, wl);
+  const RunResult& r_pred = pred.result;
+  pred.system.fabric->DrainAll();
   std::cerr << "[done] nextgen+prediction\n";
 
   // Prediction plus the pipelined double-buffered stash (DESIGN.md §9): the
   // per-batch sync round trip becomes a background kRefillStash overlapped
   // with application work; only a client that outruns the server stalls.
-  Machine m_pipe(Table3Machine());
-  NgxConfig pipe_cfg = pred_cfg;
-  pipe_cfg.stash_pipeline = true;
-  pipe_cfg.stash_refill_mark = 2;
-  // Total inventory = the two 7-entry halves, no spill stack: the ablation
-  // sweep shows deeper client-side retention buys nothing on this workload
-  // (the phased alloc/free structure frees in bursts the spill can't
-  // re-serve before the phase ends; cap 32 lands within 0.1% of cap 14).
-  pipe_cfg.stash_capacity = 14;
-  NgxSystem pipe_sys = MakeNgxSystem(m_pipe, pipe_cfg, /*server_core=*/1);
-  XalancLike wl_pipe(wl);
-  RunOptions opt_pipe = opt_ngx;
-  const RunResult r_pipe = RunWorkload(m_pipe, *pipe_sys.allocator, wl_pipe, opt_pipe);
-  pipe_sys.fabric->DrainAll();
-  const std::uint64_t pipe_sync = pipe_sys.allocator->sync_mallocs();
-  const std::uint64_t pipe_refills = pipe_sys.allocator->stash_refills();
-  const std::uint64_t pipe_stalls = pipe_sys.allocator->stash_starvation_stalls();
+  const NgxConfig pipe_cfg = Table3PipelineConfig();
+  const XalancRun pipeline = RunXalanc(Table3Machine(), {}, NextGen{pipe_cfg}, wl);
+  const RunResult& r_pipe = pipeline.result;
+  pipeline.system.fabric->DrainAll();
+  const std::uint64_t pipe_sync = pipeline.system.allocator->sync_mallocs();
+  const std::uint64_t pipe_refills = pipeline.system.allocator->stash_refills();
+  const std::uint64_t pipe_stalls = pipeline.system.allocator->stash_starvation_stalls();
   std::cerr << "[done] nextgen+pipeline\n";
 
   // The hugepage rung (DESIGN.md §16): the pipeline configuration plus
@@ -107,32 +79,27 @@ int main(int argc, char** argv) {
   // Table-1 dTLB argument carried into the fabric's own structures, going
   // after the documented Table-3 ceiling gap (EXPERIMENTS.md: +1.06%
   // measured vs ~+1.35% model cap at this operating point).
-  Machine m_huge(Table3Machine());
   NgxConfig huge_cfg = pipe_cfg;
   huge_cfg.hugepage_spans = true;
   huge_cfg.hugepage_packing = true;
   huge_cfg.hugepage_metadata = true;
-  NgxSystem huge_sys = MakeNgxSystem(m_huge, huge_cfg, /*server_core=*/1);
-  XalancLike wl_huge(wl);
-  const RunResult r_huge = RunWorkload(m_huge, *huge_sys.allocator, wl_huge, opt_pipe);
-  huge_sys.fabric->DrainAll();
-  const std::uint64_t huge_waste = huge_sys.allocator->map_waste_bytes();
+  const XalancRun huge = RunXalanc(Table3Machine(), {}, NextGen{huge_cfg}, wl);
+  const RunResult& r_huge = huge.result;
+  huge.system.fabric->DrainAll();
+  const std::uint64_t huge_waste = huge.system.allocator->map_waste_bytes();
   std::cerr << "[done] nextgen+hugepage (packed spans + metadata)\n";
 
   // Flight recorder (DESIGN.md §13): rerun the pipeline configuration with
   // the recorder on. This both feeds the cycle-attribution table below and
   // proves the recorder observational: the run must replay the exact same
   // simulated history as the recorder-off run above (same final-state hash).
-  Machine m_rec(Table3Machine());
   TelemetryConfig rec_tc;
   rec_tc.enabled = true;
   rec_tc.recorder = true;
   rec_tc.recorder_snapshot_interval = 50'000'000;
-  m_rec.EnableTelemetry(rec_tc);
-  NgxSystem rec_sys = MakeNgxSystem(m_rec, pipe_cfg, /*server_core=*/1);
-  XalancLike wl_rec(wl);
-  const RunResult r_rec = RunWorkload(m_rec, *rec_sys.allocator, wl_rec, opt_pipe);
-  rec_sys.fabric->DrainAll();
+  const XalancRun rec = RunXalanc(Table3Machine(), rec_tc, NextGen{pipe_cfg}, wl);
+  const RunResult& r_rec = rec.result;
+  rec.system.fabric->DrainAll();
   const std::uint64_t hash_off = SimStateHash(r_pipe);
   const std::uint64_t hash_on = SimStateHash(r_rec);
   const bool bit_identical = hash_on == hash_off;
@@ -159,7 +126,7 @@ int main(int argc, char** argv) {
   const double pred_cycles = static_cast<double>(r_pred.wall_cycles);
   const double pipe_cycles = static_cast<double>(r_pipe.wall_cycles);
   const double huge_cycles = static_cast<double>(r_huge.wall_cycles);
-  const std::uint64_t carve = sys.fabric->TotalStats().carve_cycles;
+  const std::uint64_t carve = nextgen.system.fabric->TotalStats().carve_cycles;
   TextTable shape({"shape metric", "paper", "measured"});
   shape.AddRow({"NextGen speedup over Mimalloc", "+4.51%",
                 FormatFixed(100.0 * (mi_cycles / ngx_cycles - 1.0), 2) + "%"});

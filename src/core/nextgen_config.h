@@ -64,12 +64,6 @@ struct NgxConfig {
   // themselves).
   HeapKind heap_kind = HeapKind::kSegment;
 
-  // Segment heap only (heap_kind = kSegment): fully-recycled segments kept
-  // mapped in each shard's empty pool. 0 unmaps immediately, which is what
-  // lets the span directory mark a donated segment kRecycled and flow it
-  // home through kReturnSpan (ServerHeapConfig::empty_segment_retain).
-  std::uint32_t empty_segment_retain = 8;
-
   // Section 3.1.3: the dedicated core serializes every operation, so the
   // heap's internal lock atomics can be removed. Set to false to keep them
   // (ablation), or when running non-offloaded with multiple threads.

@@ -65,7 +65,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   hc.hugepage_metadata = config.hugepage_metadata;
   NGX_CHECK(!config.hugepage_packing || config.hugepage_spans,
             "hugepage_packing packs hugepage spans; enable hugepage_spans");
-  hc.empty_segment_retain = config.empty_segment_retain;
   // Section 3.1.3: the dedicated core serializes operations, so the lock can
   // go. Inline (non-offloaded) mode keeps it unless explicitly removed.
   hc.use_lock = !config.remove_atomics;

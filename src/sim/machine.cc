@@ -54,23 +54,6 @@ MachineConfig MachineConfig::ScaledWorkstation(int num_cores) {
   return m;
 }
 
-MachineConfig MachineConfig::ArmA72Like(int num_cores) {
-  MachineConfig m;
-  CoreConfig c;
-  c.type = CoreType::kOutOfOrder;
-  c.cpi = 0.7;             // 3-wide but modest
-  c.load_overlap = 0.45;   // smaller OoO window than a server core
-  c.store_overlap = 0.75;
-  c.l1d.size_bytes = 32 * 1024;
-  c.l1d.ways = 2;
-  c.l2.size_bytes = 512 * 1024;  // per-core share of the cluster L2
-  m.cores.assign(static_cast<std::size_t>(num_cores), c);
-  m.llc = CacheConfig{8 * 1024 * 1024, 16, kCacheLineBytes, ReplacementKind::kLru, 35};
-  m.atomic_rmw_latency = 40;  // weaker memory model: cheaper RMWs (4.2)
-  m.atomic_remote_extra = 110;
-  return m;
-}
-
 Machine::Machine(const MachineConfig& config)
     : config_(config), llc_(config.llc, "llc") {
   assert(!config.cores.empty());

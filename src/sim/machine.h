@@ -57,10 +57,6 @@ struct MachineConfig {
   // infeasible, so both the working set AND the cache/TLB reach shrink
   // together, preserving the pressure ratios the paper's Table 1 reflects.
   static MachineConfig ScaledWorkstation(int num_cores);
-  // 16 Cortex-A72-like cores (the paper's AWS A1 prototype machine, 4.2);
-  // in-order-ish memory behaviour is approximated with reduced overlap and a
-  // weaker-memory (cheaper) atomic cost.
-  static MachineConfig ArmA72Like(int num_cores = 16);
 };
 
 class Machine {

@@ -1,5 +1,6 @@
 #include "src/workload/churn.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/alloc/layout.h"
@@ -11,53 +12,80 @@ namespace {
 
 class ChurnThread : public SimThread {
  public:
-  ChurnThread(const ChurnConfig& config, Allocator& alloc, int core, std::uint64_t seed)
-      : config_(config), alloc_(&alloc), core_(core), rng_(seed) {
-    blocks_.reserve(config.live_blocks);
-  }
+  ChurnThread(const std::vector<ChurnConfig>& phases, ChurnDrain drain, Allocator& alloc,
+              int core, std::uint64_t seed)
+      : phases_(phases), drain_(drain), alloc_(&alloc), core_(core), rng_(seed) {}
 
   int core_id() const override { return core_; }
 
   bool Step(Env& env) override {
-    if (blocks_.size() < config_.live_blocks) {
-      // Warm-up: build the working set.
-      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(config_.min_size, config_.max_size));
+    if (phase_ >= phases_.size()) {
+      return false;
+    }
+    if (draining_) {
+      if (!blocks_.empty()) {
+        TimedFree(env, *alloc_, blocks_.back());
+        blocks_.pop_back();
+        return true;
+      }
+      draining_ = false;
+      return NextPhase();
+    }
+    const ChurnConfig& p = phases_[phase_];
+    if (blocks_.size() < p.live_blocks) {
+      // Fill: build the working set.
+      const Addr b = TimedMalloc(env, *alloc_, rng_.Range(p.min_size, p.max_size));
       if (b == kNullAddr) {
         return false;
       }
-      env.TouchWrite(b, config_.touch_bytes);
+      env.TouchWrite(b, p.touch_bytes);
       blocks_.push_back(b);
       return true;
     }
-    if (done_ >= config_.ops) {
-      // Drain.
+    if (done_ >= p.ops) {
+      if (drain_ == ChurnDrain::kOnePerStep) {
+        draining_ = true;
+        return true;
+      }
       for (const Addr b : blocks_) {
         TimedFree(env, *alloc_, b);
       }
       blocks_.clear();
-      return false;
+      return NextPhase();
     }
     const std::size_t i = rng_.Below(blocks_.size());
-    env.TouchRead(blocks_[i], 16);  // use the dying block one last time
+    if (p.read_bytes > 0) {
+      env.TouchRead(blocks_[i], p.read_bytes);  // use the dying block one last time
+    }
     TimedFree(env, *alloc_, blocks_[i]);
-    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(config_.min_size, config_.max_size));
+    const Addr b = TimedMalloc(env, *alloc_, rng_.Range(p.min_size, p.max_size));
     if (b == kNullAddr) {
+      blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
       return false;
     }
-    env.TouchWrite(b, config_.touch_bytes);
-    env.Work(30);
+    env.TouchWrite(b, p.touch_bytes);
+    env.Work(p.work);
     blocks_[i] = b;
     ++done_;
     return true;
   }
 
  private:
-  ChurnConfig config_;
+  bool NextPhase() {
+    done_ = 0;
+    ++phase_;
+    return phase_ < phases_.size();
+  }
+
+  std::vector<ChurnConfig> phases_;
+  ChurnDrain drain_;
   Allocator* alloc_;
   int core_;
   Rng rng_;
   std::vector<Addr> blocks_;
+  std::size_t phase_ = 0;
   std::uint32_t done_ = 0;
+  bool draining_ = false;
 };
 
 struct LarsonShared {
@@ -135,7 +163,9 @@ std::vector<std::unique_ptr<SimThread>> Churn::MakeThreads(Machine& machine, All
   std::vector<std::unique_ptr<SimThread>> threads;
   threads.reserve(cores.size());
   for (std::size_t i = 0; i < cores.size(); ++i) {
-    threads.push_back(std::make_unique<ChurnThread>(config_, alloc, cores[i], seed + 31 * i));
+    const std::size_t list = std::min(i, phases_.size() - 1);
+    threads.push_back(
+        std::make_unique<ChurnThread>(phases_[list], drain_, alloc, cores[i], seed + 31 * i));
   }
   return threads;
 }

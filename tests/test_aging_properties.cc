@@ -120,8 +120,8 @@ TEST_P(AgingTest, SizeMixShiftReusesMemory) {
 INSTANTIATE_TEST_SUITE_P(Allocators, AgingTest,
                          ::testing::Values("ptmalloc2", "jemalloc", "tcmalloc", "mimalloc",
                                            "nextgen"),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           return info.param;
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           return param_info.param;
                          });
 
 // Failure injection: a provider window too small to satisfy the demand must

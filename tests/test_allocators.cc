@@ -175,8 +175,8 @@ INSTANTIATE_TEST_SUITE_P(Allocators, AllocatorPropertyTest,
                                            AllocatorCase{"tcmalloc"}, AllocatorCase{"mimalloc"},
                                            AllocatorCase{"nextgen"},
                                            AllocatorCase{"nextgen-inline"}),
-                         [](const ::testing::TestParamInfo<AllocatorCase>& info) {
-                           std::string n = info.param.name;
+                         [](const ::testing::TestParamInfo<AllocatorCase>& param_info) {
+                           std::string n = param_info.param.name;
                            for (char& c : n) {
                              if (c == '-') {
                                c = '_';

@@ -20,17 +20,13 @@ namespace {
 class SeedSweepTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweepTest, XalancDeterministicPerSeed) {
+  XalancConfig cfg;
+  cfg.documents = 2;
+  cfg.nodes_per_doc = 500;
   auto run = [&] {
-    Machine machine(MachineConfig::ScaledWorkstation(1));
-    auto alloc = CreateAllocator("tcmalloc", machine);
-    XalancConfig cfg;
-    cfg.documents = 2;
-    cfg.nodes_per_doc = 500;
-    XalancLike workload(cfg);
-    RunOptions opt;
-    opt.cores = {0};
-    opt.seed = GetParam();
-    return RunWorkload(machine, *alloc, workload, opt);
+    return bench::RunXalanc(MachineConfig::ScaledWorkstation(1), {}, "tcmalloc", cfg, {0},
+                            GetParam())
+        .result;
   };
   const RunResult a = run();
   const RunResult b = run();
@@ -441,31 +437,24 @@ INSTANTIATE_TEST_SUITE_P(
 // deterministic simulation: two identical runs agree on every clock, PMU
 // stream and book entry, across shard counts.
 
-// The exact pipeline run bench_table3_nextgen hashes (machine, workload,
-// config, seed); reproduced here so a traits regression that shifts one
-// cycle fails in ctest, not only in the bench.
+// Runs `cfg` through the recipe bench_table3_nextgen hashes (machine,
+// workload, seed), so a regression that shifts one cycle fails in ctest,
+// not only in the bench.
+RunResult Table3Run(const NgxConfig& cfg) {
+  return bench::RunXalanc(bench::Table3Machine(), {}, bench::NextGen{cfg},
+                          bench::XalancTable3Config())
+      .result;
+}
+
 std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
-  Machine machine(bench::Table3Machine());
-  NgxConfig cfg = NgxConfig::PaperPrototype();
-  cfg.hugepage_spans = false;
-  cfg.prediction = true;
-  cfg.stash_pipeline = true;
-  cfg.stash_refill_mark = 2;
-  cfg.stash_capacity = 14;
+  NgxConfig cfg = bench::Table3PipelineConfig();
   if (with_default_tenant) {
     TenantSpec t;
     t.name = "default_tenant";  // every knob at kInherit, normal lane
     t.cores = {0};
     cfg.tenants = {t};
   }
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancLike wl(bench::XalancTable3Config());
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, wl, opt);
-  return bench::SimStateHash(r);
+  return bench::SimStateHash(Table3Run(cfg));
 }
 
 // bench::kTable3PipelineHash is the pinned history. If this fails, something
@@ -501,22 +490,11 @@ TEST(PinnedHash, HashHexPrintsSixteenLowercaseDigits) {
 // still a deterministic simulation and the program-visible books are
 // untouched -- the knobs may only move translations and syscalls.
 std::uint64_t HashedTable3HugepageRun(AllocatorStats* stats_out = nullptr) {
-  Machine machine(bench::Table3Machine());
-  NgxConfig cfg = NgxConfig::PaperPrototype();
+  NgxConfig cfg = bench::Table3PipelineConfig();
   cfg.hugepage_spans = true;
   cfg.hugepage_packing = true;
   cfg.hugepage_metadata = true;
-  cfg.prediction = true;
-  cfg.stash_pipeline = true;
-  cfg.stash_refill_mark = 2;
-  cfg.stash_capacity = 14;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancLike wl(bench::XalancTable3Config());
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, wl, opt);
+  const RunResult r = Table3Run(cfg);
   if (stats_out != nullptr) {
     *stats_out = r.alloc_stats;
   }
@@ -524,25 +502,10 @@ std::uint64_t HashedTable3HugepageRun(AllocatorStats* stats_out = nullptr) {
 }
 
 TEST(HugepageDeterminism, ExplicitOffKnobsReplayThePinnedPipelineHash) {
-  auto run = [] {
-    Machine machine(bench::Table3Machine());
-    NgxConfig cfg = NgxConfig::PaperPrototype();
-    cfg.hugepage_spans = false;
-    cfg.hugepage_packing = false;   // explicit, not just defaulted
-    cfg.hugepage_metadata = false;  // explicit, not just defaulted
-    cfg.prediction = true;
-    cfg.stash_pipeline = true;
-    cfg.stash_refill_mark = 2;
-    cfg.stash_capacity = 14;
-    NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-    XalancLike wl(bench::XalancTable3Config());
-    RunOptions opt;
-    opt.cores = {0};
-    opt.seed = 7;
-    opt.server_cores = {1};
-    return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
-  };
-  EXPECT_EQ(run(), kTable3PipelineHash)
+  NgxConfig cfg = bench::Table3PipelineConfig();
+  cfg.hugepage_packing = false;   // explicit, not just defaulted
+  cfg.hugepage_metadata = false;  // explicit, not just defaulted
+  EXPECT_EQ(bench::SimStateHash(Table3Run(cfg)), kTable3PipelineHash)
       << "hugepage_packing/hugepage_metadata = false must be bit-identical to "
          "the pre-§16 build";
 }
@@ -558,22 +521,7 @@ TEST(HugepageDeterminism, PackedMetadataRunReplaysBitIdentically) {
   // The knobs only move translations and syscalls, never program-visible
   // allocation behaviour: the logical books match the knob-less pipeline.
   EXPECT_EQ(a_stats.mallocs, b_stats.mallocs);
-  const AllocatorStats base = [] {
-    Machine m(bench::Table3Machine());
-    NgxConfig cfg = NgxConfig::PaperPrototype();
-    cfg.hugepage_spans = false;
-    cfg.prediction = true;
-    cfg.stash_pipeline = true;
-    cfg.stash_refill_mark = 2;
-    cfg.stash_capacity = 14;
-    NgxSystem sys = MakeNgxSystem(m, cfg, /*server_core=*/1);
-    XalancLike wl(bench::XalancTable3Config());
-    RunOptions opt;
-    opt.cores = {0};
-    opt.seed = 7;
-    opt.server_cores = {1};
-    return RunWorkload(m, *sys.allocator, wl, opt).alloc_stats;
-  }();
+  const AllocatorStats base = Table3Run(bench::Table3PipelineConfig()).alloc_stats;
   EXPECT_EQ(a_stats.mallocs, base.mallocs);
   EXPECT_EQ(a_stats.frees, base.frees);
   EXPECT_EQ(a_stats.bytes_requested, base.bytes_requested);

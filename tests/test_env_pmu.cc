@@ -138,13 +138,6 @@ TEST(Machine, ScaledWorkstationIsSmallerThanDefault) {
   EXPECT_LT(scaled.cores[0].tlb.l2_entries, def.cores[0].tlb.l2_entries);
 }
 
-TEST(Machine, ArmA72LikeHasCheaperAtomics) {
-  const MachineConfig a72 = MachineConfig::ArmA72Like(4);
-  const MachineConfig def = MachineConfig::Default(4);
-  EXPECT_LT(a72.atomic_rmw_latency, def.atomic_rmw_latency);
-  EXPECT_EQ(a72.cores.size(), 4u);
-}
-
 TEST(Machine, RandomReplacementCachesStillCoherent) {
   MachineConfig cfg = MachineConfig::Default(2);
   for (auto& c : cfg.cores) {

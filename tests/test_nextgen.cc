@@ -50,8 +50,8 @@ INSTANTIATE_TEST_SUITE_P(
                       NgxCase{true, false, false, false, true},
                       NgxCase{false, false, true, false, false},
                       NgxCase{false, false, false, false, false}),
-    [](const ::testing::TestParamInfo<NgxCase>& info) {
-      const NgxCase& c = info.param;
+    [](const ::testing::TestParamInfo<NgxCase>& param_info) {
+      const NgxCase& c = param_info.param;
       std::string n;
       n += c.offload ? "off" : "inl";
       n += c.async_free ? "_async" : "_sync";

@@ -459,7 +459,6 @@ TEST_P(SegmentFabricStress, RandomChurnKeepsTheDirectoryConsistent) {
   NgxConfig cfg;
   cfg.num_shards = shards;
   cfg.heap_kind = HeapKind::kSegment;
-  cfg.empty_segment_retain = 0;  // recycled segments unmap -> returnable
   cfg.hugepage_spans = false;
   cfg.heap_window = static_cast<std::uint64_t>(shards) * 4 * 1024 * 1024;
   cfg.span_donation = true;

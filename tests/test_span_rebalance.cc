@@ -418,9 +418,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
                                                         0xfeedface),
                        ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_shards" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 // ---- The same stress under heterogeneous per-tenant traits ----
@@ -492,9 +492,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
                                                         0xfeedface),
                        ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_shards" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 // ---- Death tests: the return protocol's fatal bookkeeping guards ----

@@ -100,8 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PipeCase{3, 4, true}, PipeCase{3, 4, false},
                       PipeCase{11, 1, true}, PipeCase{12, 2, true},
                       PipeCase{13, 4, true}),
-    [](const ::testing::TestParamInfo<PipeCase>& info) {
-      const PipeCase& c = info.param;
+    [](const ::testing::TestParamInfo<PipeCase>& param_info) {
+      const PipeCase& c = param_info.param;
       return "seed" + std::to_string(c.seed) + "_shards" + std::to_string(c.shards) +
              (c.pipeline ? "_pipe" : "_sync");
     });
