@@ -119,9 +119,11 @@ struct NgxConfig {
   // Elastic heap fabric (span-granular ownership; see DESIGN.md §7).
   // Remote frees per ring doorbell: each free is stored straight into its
   // (client, shard) ring and every `free_batch`-th publishes the batch with
-  // one head release-store, which kicks the shard's background drain. 1 =
-  // the unbatched path, one doorbell per free and no kick. Must not exceed
-  // kNgxRingCapacity.
+  // one head release-store. The shard drains published batches in its idle
+  // windows, entry by entry, only until the next sync request is due
+  // (malloc-first, DESIGN.md §7). 1 = the unbatched path, one doorbell per
+  // free, drained before the freeing client's own sync requests. Must not
+  // exceed kNgxRingCapacity.
   std::uint32_t free_batch = 1;
   // A shard whose partition runs dry requests whole free spans from the
   // donor with the most free spans via OffloadOp::kDonateSpan (needs
@@ -176,8 +178,8 @@ struct NgxConfig {
   // QoS lanes where tenants meet (DESIGN.md §15): when > 0, sync-bound
   // drains serve latency-lane rings first, and a bulk-lane tenant's eager
   // drains are admitted at most lane_quantum entries per window, bounding
-  // how far a free batch can run the server clock ahead of a latency
-  // tenant's next sync request. 0 (the default) = lanes off: the
+  // how far an unbatched free backlog can run the server clock ahead of a
+  // latency tenant's next sync request. 0 (the default) = lanes off: the
   // drain-everything admission, bit-identical whatever the tenant lanes say.
   std::uint32_t lane_quantum = 0;
 

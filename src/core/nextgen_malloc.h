@@ -8,7 +8,8 @@
 //    same-class allocation runs without any round trip (Section 3.3.2).
 //    With config.free_batch > 1, each remote free is stored straight into
 //    its (client, shard) ring and every free_batch-th publishes the batch
-//    with one doorbell, which kicks the shard's background drain.
+//    with one doorbell; the shard drains it in idle windows that end when
+//    a sync request is due.
 //  * N server shards behind an OffloadFabric (Section 3.1.1's provisioning
 //    granularity made configurable): each shard owns a dedicated core and a
 //    disjoint ServerHeap partition whose metadata never enters the

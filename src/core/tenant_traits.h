@@ -105,8 +105,8 @@ inline TenantTraits TraitsFromPreset(TenantPreset p) {
       t.free_batch = 1;
       break;
     case TenantPreset::kThroughput:
-      // Amortize doorbells hard and accept drain-window latency: deep free
-      // batches admitted on the bulk lane in bounded quanta.
+      // Amortize doorbells hard: deep free batches on the bulk lane, drained
+      // in the shard's idle windows.
       t.lane = QosLane::kBulk;
       t.free_batch = 16;
       break;

@@ -84,6 +84,9 @@ inline constexpr std::uint64_t kRingTailOff = 192;
 inline constexpr std::uint64_t kRingEntriesOff = 256;
 inline constexpr std::uint32_t kMaxRingCapacity = (kChannelStride - kRingEntriesOff) / 8;
 
+// A ring drain with no time bound.
+inline constexpr std::uint64_t kNoDeadline = ~0ull;
+
 class Channel {
  public:
   Channel(Addr base, std::uint32_t ring_capacity)
@@ -171,16 +174,19 @@ class Channel {
     env.AtomicStore(base_ + kRespOff, seq);
   }
 
-  // Consumes at most `max_n` pending entries (fewer than the ring holds
-  // only for a QoS lane-admission window, DESIGN.md §15), leaving the rest
-  // for a later drain, and publishes the new tail with one release-store.
-  // Returns the count consumed.
+  // Consumes pending entries in ring order, leaving the rest for a later
+  // drain, and publishes the new tail with one release-store. It stops
+  // after `max_n` entries (a QoS lane-admission window, DESIGN.md §15) or
+  // once the server clock reaches `deadline` before the next entry starts
+  // (a malloc-first idle window ends when a sync request is due,
+  // DESIGN.md §7). Returns the count consumed.
   template <typename Fn>
-  std::uint32_t ServerDrainRingBounded(Env& env, std::uint32_t max_n, Fn&& consume) {
+  std::uint32_t ServerDrainRingBounded(Env& env, std::uint32_t max_n, Fn&& consume,
+                                       std::uint64_t deadline = kNoDeadline) {
     const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
     std::uint64_t tail = env.Load<std::uint64_t>(base_ + kRingTailOff);
     std::uint32_t n = 0;
-    while (tail != head && n < max_n) {
+    while (tail != head && n < max_n && env.now() < deadline) {
       consume(env.Load<std::uint64_t>(EntryAddr(tail)));
       ++tail;
       ++n;

@@ -121,9 +121,14 @@ void OffloadEngine::BindInstruments() {
   instruments_bound_ = true;
 }
 
-void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_entries) {
+void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_entries,
+                              std::uint64_t deadline) {
   const std::uint64_t t0 = server_env.now();
   const auto consume = [&](std::uint64_t entry) {
+        if (deadline != kNoDeadline) {
+          // Malloc-first: the server checks its mailbox before each entry.
+          server_env.Work(kPollWork);
+        }
         // Tag 0 = the historical raw-address kFree encoding; other tags carry
         // the op in the top byte (currently only kRefillStash rides tagged).
         const std::uint64_t tag = entry >> 56;
@@ -144,7 +149,7 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_ent
   // A bounded window (lane admission) leaves the tail of a long bulk
   // backlog for a later drain; 0 drains everything.
   const std::uint32_t n = channels_[client].ServerDrainRingBounded(
-      server_env, max_entries > 0 ? max_entries : kMaxRingCapacity, consume);
+      server_env, max_entries > 0 ? max_entries : kMaxRingCapacity, consume, deadline);
   if (FlightRecorder* rec = Recorder()) {
     // The whole drain window (including empty polls reaching this far) is
     // server-busy time; the carve handlers inside it were already attributed
@@ -157,6 +162,40 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_ent
     if (tel.tracing()) {
       tel.tracer().Complete("drain", server_core_, t0, server_env.now() - t0);
     }
+  }
+}
+
+void OffloadEngine::DrainDoorbells(Env& server_env, std::uint64_t deadline) {
+  Core& server = machine_->core(server_core_);
+  while (!doorbells_.empty()) {
+    const Doorbell bell = doorbells_.front();
+    if (Published(bell.client) == 0) {
+      doorbells_.erase(doorbells_.begin());  // another drain emptied the ring
+      continue;
+    }
+    if (std::max(server.now(), bell.at) >= deadline) {
+      return;
+    }
+    server.AdvanceTo(bell.at);
+    DrainRing(server_env, bell.client, 0, deadline);
+    if (Published(bell.client) > 0) {
+      return;  // the deadline fell inside this batch
+    }
+    doorbells_.erase(doorbells_.begin());
+  }
+}
+
+std::uint64_t OffloadEngine::Published(int client) const {
+  const std::uint64_t tail =
+      machine_->memory().Read<std::uint64_t>(channels_[client].base() + kRingTailOff);
+  return prod_cache_[static_cast<std::size_t>(client)].head - tail;
+}
+
+void OffloadEngine::Poll(Env& server_env) {
+  const std::uint64_t t0 = server_env.now();
+  server_env.Work(kPollWork);
+  if (FlightRecorder* rec = Recorder()) {
+    rec->AddCycles(FlightRecorder::kServerBusy, server_env.now() - t0);
   }
 }
 
@@ -175,11 +214,11 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   ch.ClientSend(client_env, seq, op, arg);
   const std::uint64_t send_time = client_env.now();
 
-  // The spinning server drains pending async frees during its idle window,
-  // starting from its own clock: free processing that fits before the
-  // request arrives never delays the malloc (Section 3.1.2's asynchronous
-  // free phase). The request itself is then served no earlier than the send
-  // and no earlier than the server finishes that backlog.
+  // The spinning server drains this client's pending async frees during its
+  // idle window, starting from its own clock: free processing that fits
+  // before the request arrives never delays the malloc (Section 3.1.2's
+  // asynchronous free phase). The request itself is then served no earlier
+  // than the send and no earlier than the server finishes that backlog.
   Core& server = machine_->core(server_core_);
   Env server_env = ServerEnv();
   const std::uint64_t drain0 = server_env.now();
@@ -191,6 +230,9 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
     post_drain_hook_(server_env);
   }
   const std::uint64_t drain_cycles = server_env.now() - drain0;
+  // Other clients' free batches fill what is left of the window, and stop
+  // at the send: the malloc waits out at most the entry in progress.
+  DrainDoorbells(server_env, send_time);
   // How long the request sat behind the server's backlog (other clients'
   // requests and drained frees) before service could start.
   std::uint64_t queue_wait = server.now() > send_time ? server.now() - send_time : 0;
@@ -274,7 +316,7 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
 std::uint64_t OffloadEngine::Kick(Env& client_env, int client, std::uint32_t max_entries) {
   machine_->core(server_core_).AdvanceTo(client_env.now());
   Env server_env = ServerEnv();
-  server_env.Work(kPollWork);
+  Poll(server_env);
   DrainRing(server_env, client, max_entries);
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
@@ -293,10 +335,9 @@ std::uint64_t OffloadEngine::PushEntry(Env& client_env, int client, std::uint64_
   if (producer_cache_) {
     CachedPushReserve(client_env, client, 1);
     // The eager-drain policy is the SERVER noticing its ring filling during
-    // its poll loop, so it keys off the true occupancy -- an untimed host
-    // read standing in for the server's own polling (whose timed reads
-    // happen inside DrainRing) -- not the producer's deliberately stale view.
-    occupancy = pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff);
+    // its poll loop, so it keys off the true occupancy (whose timed reads
+    // happen inside DrainRing), not the producer's deliberately stale view.
+    occupancy = Published(client);
     ch.RingStore(client_env, pc.head, entry);
     ch.RingPublish(client_env, pc.head + 1);
   } else {
@@ -362,22 +403,28 @@ std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, n);
   }
-  Channel& ch = channels_[client];
+  const std::uint64_t backlog = Published(client);
   if (Recording()) {
-    h_ring_occupancy_->Record(
-        pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff));
+    h_ring_occupancy_->Record(backlog);
     h_free_batch_->Record(n);
   }
   pc.head += n;
   pc.staged = 0;
-  ch.RingPublish(client_env, pc.head);
+  channels_[client].RingPublish(client_env, pc.head);
   ++stats_.ring_doorbells;
   ++stats_.free_batches;
   stats_.async_enqueued += n;
-  // The doorbell kicks the drain: the batch is served in the server's next
-  // poll window instead of waiting for this client's next sync request, so
-  // the ring never fills between them.
-  Kick(client_env, client, EagerCap(client));
+  if (backlog > 0) {
+    // The ring still holds entries no idle window finished: this doorbell
+    // drains the whole ring, so the ring never fills between doorbells.
+    Kick(client_env, client, 0);
+  } else {
+    // Malloc-first: the batch waits for the server's idle windows
+    // (SyncRequest). A queued doorbell of this client is stale -- its
+    // ring is empty -- so the one below takes its place.
+    std::erase_if(doorbells_, [client](const Doorbell& d) { return d.client == client; });
+    doorbells_.push_back({client, client_env.now()});
+  }
   return n;
 }
 
@@ -443,7 +490,7 @@ void OffloadEngine::DrainAll() {
             static_cast<int>(lanes_[static_cast<std::size_t>(c)]) != lane) {
           continue;
         }
-        server_env.Work(kPollWork);
+        Poll(server_env);
         DrainRing(server_env, c);
       }
     }
@@ -452,7 +499,7 @@ void OffloadEngine::DrainAll() {
       if (c == server_core_) {
         continue;
       }
-      server_env.Work(kPollWork);
+      Poll(server_env);
       DrainRing(server_env, c);
     }
   }

@@ -4,10 +4,14 @@
 // Timing model: requests are serialized on the server core's clock. A sync
 // request starts service at max(server-free-time, client-send-time); the
 // client then waits until the response is published. Async frees ride a
-// per-client ring and are drained whenever the server runs (before each sync
-// request, on a doorbell kick and on explicit Drain), so clients only stall
-// on a full ring. Queueing among multiple clients emerges from the shared
-// server clock (Section 3.1.1's granularity concern made concrete).
+// per-client ring, so clients only stall on a full ring. The shard is
+// malloc-first: a published free batch queues with its doorbell time and
+// drains in the server's idle windows, entry by entry, only while the
+// server clock is before the next sync request's send time -- a malloc
+// waits out at most the one entry in progress. Unbatched entries drain
+// before their own client's sync requests, on kicks and on DrainAll.
+// Queueing among multiple clients emerges from the shared server clock
+// (Section 3.1.1's granularity concern made concrete).
 #ifndef NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 #define NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 
@@ -67,6 +71,11 @@ class OffloadEngine {
   Machine& machine() { return *machine_; }
 
   // Round-trip request from `client_env`'s core. Returns the result word.
+  // The server's idle window before the service drains this client's own
+  // ring (its frees precede its request), runs the post-drain hook, then
+  // works through queued free batches in doorbell order: it starts an entry
+  // only while its clock is before the send time and no earlier than the
+  // entry's doorbell, and pays one kPollWork mailbox check per entry.
   std::uint64_t SyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg);
 
   // Fire-and-forget (used for free). Stalls only when the ring is full.
@@ -80,10 +89,14 @@ class OffloadEngine {
   std::uint32_t StageFree(Env& client_env, std::uint64_t addr, std::uint32_t batch);
 
   // Publishes the client's staged frees with one head release-store (one
-  // doorbell) and kicks the server's background drain on its own clock: the
-  // client never waits, and a bulk-lane drain stays bounded by the lane
-  // quantum. Every other push to the ring publishes first, so ring order is
-  // program order. Returns the entries published (0 = nothing staged).
+  // doorbell) and queues the doorbell with its time; the batch drains in
+  // the server's idle windows before later sync requests (SyncRequest), so
+  // it never runs the server clock ahead of a waiting malloc. If the ring
+  // still holds an earlier batch no idle window reached, this doorbell
+  // drains the whole ring on the server's own clock instead, so the ring
+  // cannot fill between doorbells. The client never waits. Every other push
+  // to the ring publishes first, so ring order is program order. Returns
+  // the entries published (0 = nothing staged).
   std::uint32_t PublishStaged(Env& client_env);
 
   // Non-blocking tagged request (the stash pipeline's kRefillStash): pushes
@@ -104,10 +117,11 @@ class OffloadEngine {
   // a standalone engine reports as shard 0).
   void set_shard_id(int s) { shard_id_ = s; }
 
-  // Invoked on the server's Env after every ring drain -- the server's idle
-  // window, before any pending sync request is served. The watermark
-  // rebalancer piggybacks refill/offer/return traffic here so it never rides
-  // the malloc critical path. Null (the default) costs nothing.
+  // Invoked on the server's Env in its idle windows: after the drain before
+  // each sync request (ahead of the queued free batches), after each kick
+  // and after DrainAll. The watermark rebalancer piggybacks
+  // refill/offer/return traffic here so it never rides the malloc critical
+  // path. Null (the default) costs nothing.
   void set_post_drain_hook(std::function<void(Env&)> hook) {
     post_drain_hook_ = std::move(hook);
   }
@@ -147,7 +161,7 @@ class OffloadEngine {
   // Weighted lane admission (DESIGN.md §15). quantum > 0 turns lanes on:
   // (a) DrainAll serves rings in lane-priority order (latency, normal,
   // bulk), (b) a bulk-lane client's EAGER background drains admit at most
-  // `quantum` entries per window, bounding how far one free batch can run
+  // `quantum` entries per window, bounding how far one free backlog can run
   // the server clock ahead of a latency tenant's next sync request, and
   // (c) a latency-lane request is served against the shadow no-bulk
   // schedule (see shadow_now_), so it never stands behind a bulk tenant's
@@ -160,8 +174,20 @@ class OffloadEngine {
  private:
   Env ServerEnv() { return Env(*machine_, server_core_); }
   // Drains `client`'s ring on the server clock. max_entries = 0 drains
-  // everything; > 0 is the bounded lane-admission window.
-  void DrainRing(Env& server_env, int client, std::uint32_t max_entries = 0);
+  // everything; > 0 is the bounded lane-admission window. A `deadline`
+  // makes it a malloc-first idle window: each entry first pays a kPollWork
+  // mailbox check, and no entry starts once the clock reaches the deadline.
+  void DrainRing(Env& server_env, int client, std::uint32_t max_entries = 0,
+                 std::uint64_t deadline = kNoDeadline);
+  // Works through the queued free batches, oldest doorbell first, in the
+  // idle window that ends at `deadline` (see SyncRequest).
+  void DrainDoorbells(Env& server_env, std::uint64_t deadline);
+  // Entries published on `client`'s ring and not yet drained (an untimed
+  // host read standing in for the server's own polling).
+  std::uint64_t Published(int client) const;
+  // One pass of the server's poll loop ahead of a drain, booked as
+  // server-busy time.
+  void Poll(Env& server_env);
   // Entry budget for a background (eager) drain of `client`'s ring: the
   // bulk lane's quantum when admission is on, else 0 (unbounded).
   std::uint32_t EagerCap(int client) const {
@@ -247,6 +273,17 @@ class OffloadEngine {
   std::vector<ProducerIndexCache> prod_cache_;  // one per client core
   std::vector<Channel> channels_;
   std::vector<std::uint64_t> seq_;  // per-client request sequence numbers
+  // Published free batches waiting for an idle window, in doorbell order:
+  // at most one per client, since a doorbell that finds its ring still
+  // holding entries drains the ring whole. An entry whose ring another
+  // drain emptied is skipped when reached. A vector, not a deque: it stops
+  // allocating once it has held every client, where a deque's push/pop
+  // churn allocates nodes for the whole run.
+  struct Doorbell {
+    int client;
+    std::uint64_t at;  // client clock at the head release-store
+  };
+  std::vector<Doorbell> doorbells_;
   OffloadEngineStats stats_;
   std::function<void(Env&)> post_drain_hook_;
 

@@ -151,7 +151,8 @@ class OffloadFabric {
 
   // Batched frees to shard s (OffloadEngine::StageFree / PublishStaged):
   // entries are stored straight into the ring, every `batch`-th publishes
-  // the batch with one doorbell that kicks the shard's background drain.
+  // the batch with one doorbell, and the shard drains it in its idle
+  // windows ahead of later sync requests.
   void StageFree(Env& client_env, int s, std::uint64_t addr, std::uint32_t batch);
   void PublishStaged(Env& client_env, int s);
 
