@@ -70,6 +70,7 @@ OffloadEngine::OffloadEngine(Machine& machine, int server_core, Addr channel_bas
   lanes_.assign(static_cast<std::size_t>(n), QosLane::kNormal);
   labels_.assign(static_cast<std::size_t>(n), std::string());
   h_tenant_latency_.assign(static_cast<std::size_t>(n), nullptr);
+  gaps_.reserve(kCalendarGaps + 1);  // a split adds one before the bound trims
 }
 
 std::uint64_t OffloadEngine::CachedPushReserve(Env& client_env, int client,
@@ -176,13 +177,54 @@ void OffloadEngine::DrainDoorbells(Env& server_env, std::uint64_t deadline) {
     if (std::max(server.now(), bell.at) >= deadline) {
       return;
     }
-    server.AdvanceTo(bell.at);
+    IdleUntil(bell.at);
     DrainRing(server_env, bell.client, 0, deadline);
     if (Published(bell.client) > 0) {
       return;  // the deadline fell inside this batch
     }
     doorbells_.erase(doorbells_.begin());
   }
+}
+
+void OffloadEngine::IdleUntil(std::uint64_t t) {
+  Core& server = machine_->core(server_core_);
+  const std::uint64_t from = server.now();
+  if (t <= from) {
+    return;
+  }
+  server.AdvanceTo(t);
+  gaps_.push_back({from, t});
+  if (gaps_.size() > kCalendarGaps) {
+    gaps_.erase(gaps_.begin());
+  }
+}
+
+std::uint64_t OffloadEngine::BookGap(std::uint64_t earliest, std::uint64_t length) {
+  // Gaps are disjoint and sorted, so their ends are too: skip straight to
+  // the first that ends after `earliest`.
+  auto it = std::partition_point(gaps_.begin(), gaps_.end(),
+                                 [earliest](const IdleGap& g) { return g.end <= earliest; });
+  for (; it != gaps_.end(); ++it) {
+    const std::uint64_t start = std::max(it->start, earliest);
+    if (start + length > it->end) {
+      continue;
+    }
+    // The gap gives way to what is left of it before and after the window.
+    const IdleGap before{it->start, start};
+    const IdleGap after{start + length, it->end};
+    it = gaps_.erase(it);
+    if (after.end > after.start) {
+      it = gaps_.insert(it, after);
+    }
+    if (before.end > before.start) {
+      gaps_.insert(it, before);
+    }
+    if (gaps_.size() > kCalendarGaps) {
+      gaps_.erase(gaps_.begin());
+    }
+    return start;
+  }
+  return kNoGap;
 }
 
 std::uint64_t OffloadEngine::Published(int client) const {
@@ -214,48 +256,25 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   ch.ClientSend(client_env, seq, op, arg);
   const std::uint64_t send_time = client_env.now();
 
-  // The spinning server drains this client's pending async frees during its
-  // idle window, starting from its own clock: free processing that fits
-  // before the request arrives never delays the malloc (Section 3.1.2's
-  // asynchronous free phase). The request itself is then served no earlier
-  // than the send and no earlier than the server finishes that backlog.
+  // The request's server window runs on the server's clock first and is
+  // placed afterwards. The spinning server drains this client's pending
+  // async frees, then runs the post-drain hook (watermark rebalancing):
+  // when the server is idle at the send, both start from its own clock, so
+  // work that fits before the request arrives never delays the malloc
+  // (Section 3.1.2's asynchronous free phase).
   Core& server = machine_->core(server_core_);
   Env server_env = ServerEnv();
-  const std::uint64_t drain0 = server_env.now();
+  const Core::Clock window0 = server.SaveClock();
+  const std::uint64_t waits0 = server.waits();
   DrainRing(server_env, client);
-  // Idle-window background work (watermark rebalancing): like the drain, it
-  // starts from the server's own clock, so refills that fit before the
-  // request arrives never delay the malloc.
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
   }
-  const std::uint64_t drain_cycles = server_env.now() - drain0;
-  // Other clients' free batches fill what is left of the window, and stop
-  // at the send: the malloc waits out at most the entry in progress.
+  const std::uint64_t drain_cycles = server_env.now() - window0.cycles;
+  // Other clients' free batches fill what is left of an idle window, and
+  // stop at the send: the malloc waits out at most the entry in progress.
   DrainDoorbells(server_env, send_time);
-  // How long the request sat behind the server's backlog (other clients'
-  // requests and drained frees) before service could start.
-  std::uint64_t queue_wait = server.now() > send_time ? server.now() - send_time : 0;
-  // Priority admission (DESIGN.md §15): with lane admission on, a
-  // latency-lane sync is served against the shadow no-bulk schedule -- it
-  // only ever queues behind latency/normal work, never behind a throughput
-  // tenant's free batches or malloc bursts (which a priority-aware server
-  // would defer past this doorbell). The shadow mirrors the real schedule's
-  // structure: the drain + rebalancer window runs from the shadow server's
-  // OWN clock (idle-window work that fits before the doorbell is free), and
-  // service starts no earlier than the send and no earlier than that
-  // backlog ends.
-  const QosLane lane = lanes_[static_cast<std::size_t>(client)];
-  const bool shadow_serve = lane_quantum_ > 0 && lane != QosLane::kBulk;
-  const std::uint64_t shadow_busy_end = shadow_now_ + drain_cycles;
-  const std::uint64_t shadow_start = std::max(shadow_busy_end, send_time);
-  if (lane_quantum_ > 0 && lane == QosLane::kLatency) {
-    queue_wait = std::min(queue_wait, shadow_start - send_time);
-  }
-  if (queue_wait > 0) {
-    ++stats_.server_busy_waits;
-  }
-  server.AdvanceTo(send_time);
+  IdleUntil(send_time);
   const std::uint64_t busy0 = server_env.now();
   server_env.Work(kPollWork);
 
@@ -268,24 +287,58 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
     NoteCarveCycles(server_env.now() - handle_start);
   }
   ch.ServerRespond(server_env, seq, result);
+  const std::uint64_t window_end = server_env.now();
 
-  // Advance the shadow schedule by this request's service window (poll +
-  // handler + respond): latency/normal work occupies the preemptive server
-  // too, while its idle-window drain was already folded into
-  // shadow_busy_end. Clamped to the real completion -- the real schedule,
-  // which ran strictly more work first, bounds the preemptive one.
-  std::uint64_t publish = server_env.now();
-  if (shadow_serve) {
-    const std::uint64_t window = server_env.now() - busy0;
-    shadow_now_ = std::min(shadow_start + window, publish);
+  // Arrival order: a server clock already past the send holds work the
+  // simulator processed first, not work sent first. The window moves whole
+  // -- drain, hook and service, so this client's frees still precede its
+  // request -- into the earliest idle gap at or after the send that holds
+  // it, and the server clock goes back to where it was. No gap holds it
+  // when the server was idle at the send (every gap ends before its
+  // clock), and a window that waited on another core stays put: its round
+  // trip read the other server's clock at this one's.
+  std::uint64_t moved_back = 0;
+  if (server.waits() == waits0) {
+    const std::uint64_t start = BookGap(send_time, window_end - window0.cycles);
+    if (start != kNoGap) {
+      moved_back = window0.cycles - start;
+      server.RestoreClock(window0);
+    }
+  }
+  // How long the request sat behind the server's backlog (earlier-sent
+  // requests and drained frees, or its own drain) before service started.
+  std::uint64_t queue_wait = busy0 - moved_back - send_time;
+  std::uint64_t publish = window_end - moved_back;
+  // Priority admission (DESIGN.md §15): with lane admission on, a
+  // latency-lane sync is served against the shadow no-bulk schedule -- it
+  // only ever queues behind latency/normal work, never behind a throughput
+  // tenant's free batches or malloc bursts (which a priority-aware server
+  // would defer past this doorbell). The shadow mirrors the real schedule's
+  // structure: the drain + rebalancer window runs from the shadow server's
+  // OWN clock (idle-window work that fits before the doorbell is free), and
+  // service starts no earlier than the send and no earlier than that
+  // backlog ends. The shadow then advances by this request's service
+  // window (poll + handler + respond), clamped to the real completion --
+  // the real schedule, which ran strictly more work first, bounds the
+  // preemptive one. A window placed in an earlier gap finishes before the
+  // shadow's clock, which never runs backward.
+  const QosLane lane = lanes_[static_cast<std::size_t>(client)];
+  if (lane_quantum_ > 0 && lane != QosLane::kBulk) {
+    const std::uint64_t shadow_start = std::max(shadow_now_ + drain_cycles, send_time);
+    const std::uint64_t shadow_done = std::min(shadow_start + (window_end - busy0), publish);
+    shadow_now_ = std::max(shadow_now_, shadow_done);
     if (lane == QosLane::kLatency) {
       // The response was published at the shadow point; the real server
       // clock still pays the deferred bulk work after it.
-      publish = shadow_now_;
+      queue_wait = std::min(queue_wait, shadow_start - send_time);
+      publish = shadow_done;
     }
   }
+  if (queue_wait > 0) {
+    ++stats_.server_busy_waits;
+  }
   if (FlightRecorder* rec = Recorder()) {
-    rec->AddCycles(FlightRecorder::kServerBusy, server_env.now() - busy0);
+    rec->AddCycles(FlightRecorder::kServerBusy, window_end - busy0);
     // What the spin below will cost the client: its clock jump to the
     // server's publish point. Only counted inside a client op so the
     // rebalancer's own control round trips stay out of the table.
@@ -305,8 +358,10 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
     h_queue_wait_->Record(queue_wait);
     Telemetry& tel = machine_->telemetry();
     if (tel.tracing()) {
-      tel.tracer().Complete(OpName(op), server_core_, service_start,
-                            server_env.now() - service_start);
+      // Placed where the client saw it; a drain event the window emitted
+      // before placement keeps the time it ran at.
+      tel.tracer().Complete(OpName(op), server_core_, service_start - moved_back,
+                            window_end - service_start);
       tel.tracer().Complete("sync_request", client, t0, client_env.now() - t0);
     }
   }
@@ -314,7 +369,7 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
 }
 
 std::uint64_t OffloadEngine::Kick(Env& client_env, int client, std::uint32_t max_entries) {
-  machine_->core(server_core_).AdvanceTo(client_env.now());
+  IdleUntil(client_env.now());
   Env server_env = ServerEnv();
   Poll(server_env);
   DrainRing(server_env, client, max_entries);

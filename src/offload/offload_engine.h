@@ -1,13 +1,20 @@
 // OffloadEngine: the allocator's "own room" -- a dedicated core that serves
 // malloc/free requests from application cores over simulated shared memory.
 //
-// Timing model: requests are serialized on the server core's clock. A sync
-// request starts service at max(server-free-time, client-send-time); the
-// client then waits until the response is published. Async frees ride a
-// per-client ring, so clients only stall on a full ring. The shard is
-// malloc-first: a published free batch queues with its doorbell time and
-// drains in the server's idle windows, entry by entry, only while the
-// server clock is before the next sync request's send time -- a malloc
+// Timing model: the server core serves requests in arrival order. A sync
+// request's server window -- this client's ring drain, the post-drain hook
+// and the service -- runs on the server's clock and is then placed in the
+// earliest idle gap of the engine's calendar at or after the client's send
+// time that holds it; the client waits until the response is published at
+// the gap's start plus the window, and the server clock stays where it
+// was. When no gap holds it (always so when the server was idle at the
+// send), the window stays where it ran: service starts at
+// max(server-free-time, client-send-time). So a request waits for work sent
+// before it, never for work the simulator merely processed first. Async
+// frees ride a per-client ring, so clients only stall on a full ring. The
+// shard is malloc-first: a published free batch queues with its doorbell
+// time and drains in the server's idle windows, entry by entry, only while
+// the server clock is before the next sync request's send time -- a malloc
 // waits out at most the one entry in progress. Unbatched entries drain
 // before their own client's sync requests, on kicks and on DrainAll.
 // Queueing among multiple clients emerges from the shared server clock
@@ -38,7 +45,7 @@ struct OffloadEngineStats {
   std::uint64_t sync_requests = 0;
   std::uint64_t async_ops = 0;
   std::uint64_t ring_full_stalls = 0;
-  std::uint64_t server_busy_waits = 0;  // requests that queued behind the server
+  std::uint64_t server_busy_waits = 0;  // sync requests served after their send
   // Release-stores of a ring head (one per push / per published free batch):
   // the cache-line transfers batched frees exist to amortize.
   std::uint64_t ring_doorbells = 0;
@@ -71,11 +78,17 @@ class OffloadEngine {
   Machine& machine() { return *machine_; }
 
   // Round-trip request from `client_env`'s core. Returns the result word.
-  // The server's idle window before the service drains this client's own
-  // ring (its frees precede its request), runs the post-drain hook, then
-  // works through queued free batches in doorbell order: it starts an entry
-  // only while its clock is before the send time and no earlier than the
-  // entry's doorbell, and pays one kPollWork mailbox check per entry.
+  // The request's window drains this client's own ring (its frees precede
+  // its request), runs the post-drain hook and serves the request. It runs
+  // on the server clock; if that clock is past the send, the window moves
+  // whole into the earliest idle gap at or after the send that holds it,
+  // and the server clock does not move. A window that waited on another
+  // core (a round trip of its own: inline donation in the handler,
+  // rebalancer traffic from the hook) stays where it ran. When the server
+  // is idle at the send, the drain and hook run in its idle time before the
+  // send, followed by queued free batches in doorbell order: it starts an
+  // entry only while its clock is before the send time and no earlier than
+  // the entry's doorbell, and pays one kPollWork mailbox check per entry.
   std::uint64_t SyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg);
 
   // Fire-and-forget (used for free). Stalls only when the ring is full.
@@ -117,8 +130,8 @@ class OffloadEngine {
   // a standalone engine reports as shard 0).
   void set_shard_id(int s) { shard_id_ = s; }
 
-  // Invoked on the server's Env in its idle windows: after the drain before
-  // each sync request (ahead of the queued free batches), after each kick
+  // Invoked on the server's Env in its idle windows: after the drain in each
+  // sync request's window (ahead of the queued free batches), after each kick
   // and after DrainAll. The watermark rebalancer piggybacks
   // refill/offer/return traffic here so it never rides the malloc critical
   // path. Null (the default) costs nothing.
@@ -182,6 +195,25 @@ class OffloadEngine {
   // Works through the queued free batches, oldest doorbell first, in the
   // idle window that ends at `deadline` (see SyncRequest).
   void DrainDoorbells(Env& server_env, std::uint64_t deadline);
+  // The calendar: the server clock's idle gaps [start, end), oldest first --
+  // stretches the engine advanced the clock over (waiting for a send, a
+  // doorbell or a kick) that no placed window has taken yet. Everything else
+  // before the server clock is busy: committed windows (sync windows, kicks,
+  // doorbell drains, DrainAll) and any advance the engine did not make, such
+  // as a timer hook's tick. At most kCalendarGaps are kept; past that the
+  // oldest is forgotten, which counts it busy.
+  struct IdleGap {
+    std::uint64_t start;
+    std::uint64_t end;
+  };
+  static constexpr std::size_t kCalendarGaps = 64;
+  // Advances the server clock to `t`, recording the stretch it skips as an
+  // idle gap.
+  void IdleUntil(std::uint64_t t);
+  // Books `length` cycles into the earliest idle gap that holds them from
+  // `earliest` on and returns their start, or kNoGap when no gap does.
+  static constexpr std::uint64_t kNoGap = ~0ull;
+  std::uint64_t BookGap(std::uint64_t earliest, std::uint64_t length);
   // Entries published on `client`'s ring and not yet drained (an untimed
   // host read standing in for the server's own polling).
   std::uint64_t Published(int client) const;
@@ -284,6 +316,10 @@ class OffloadEngine {
     std::uint64_t at;  // client clock at the head release-store
   };
   std::vector<Doorbell> doorbells_;
+  // The calendar's gaps: sorted, disjoint, all before the server clock.
+  // Capacity is reserved at construction, so booking and splitting gaps
+  // never allocates.
+  std::vector<IdleGap> gaps_;
   OffloadEngineStats stats_;
   std::function<void(Env&)> post_drain_hook_;
 

@@ -266,6 +266,150 @@ TEST_F(OffloadEngineTest, RecorderBooksTheWholeServerDrainWindow) {
   EXPECT_EQ(rec.cycles(FlightRecorder::kServerBusy) - busy0, machine_->core(2).now() - server0);
 }
 
+// ---- Arrival-order shards: each sync window takes the earliest idle gap
+// after its send ----
+
+// Serves every request by first asking a second engine: each window makes a
+// round trip of its own.
+class RelayServer : public OffloadServer {
+ public:
+  explicit RelayServer(OffloadEngine& next) : next_(&next) {}
+  std::uint64_t HandleRequest(Env& env, int /*client*/, OffloadOp op,
+                              std::uint64_t arg) override {
+    return next_->SyncRequest(env, op, arg);
+  }
+
+ private:
+  OffloadEngine* next_;
+};
+
+// Four clients (cores 0-3) on one server core (4). The simulator processes
+// requests in the order a test makes them, whatever their send times.
+class ArrivalOrderTest : public ::testing::Test {
+ protected:
+  static constexpr int kServer = 4;
+
+  void SetUp() override {
+    machine_ = MakeMachine(5);
+    // Channel blocks for two engines: the relay test adds a second one.
+    machine_->address_map().Add(
+        Region{kTestChannelBase, kChannelStride * 10, PageKind::kSmall4K, "chan"});
+    engine_ = std::make_unique<OffloadEngine>(*machine_, kServer, kTestChannelBase,
+                                              /*ring_capacity=*/8);
+    engine_->set_server(&server_);
+  }
+
+  Core& server_core() { return machine_->core(kServer); }
+
+  // Sends a sync request from `client` at time `at` (its clock must not be
+  // past it yet) and returns the client's finish time.
+  std::uint64_t SyncAt(int client, std::uint64_t at) {
+    EXPECT_LE(machine_->core(client).now(), at) << "client " << client;
+    machine_->core(client).AdvanceTo(at);
+    Env env(*machine_, client);
+    engine_->SyncRequest(env, OffloadOp::kMalloc, 1);
+    return env.now();
+  }
+
+  // One request per client, so every mailbox line has moved once.
+  void Warm(std::initializer_list<int> clients) {
+    for (const int c : clients) {
+      SyncAt(c, machine_->core(c).now());
+    }
+  }
+
+  // `client`'s round trip with the server idle at the send.
+  std::uint64_t UnloadedRoundTrip(int client) {
+    const std::uint64_t t0 = std::max(machine_->core(client).now(), server_core().now());
+    return SyncAt(client, t0) - t0;
+  }
+
+  // Server cycles of one EchoServer handler at 2000 instructions of work.
+  std::uint64_t SlowEntryCycles() {
+    return static_cast<std::uint64_t>(2000 * server_core().config().cpi);
+  }
+
+  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<OffloadEngine> engine_;
+  EchoServer server_;
+};
+
+TEST_F(ArrivalOrderTest, EarlierSendIsServedBeforeLaterSentWork) {
+  Warm({0, 1});
+  const std::uint64_t round_trip = UnloadedRoundTrip(0);
+  ASSERT_LT(machine_->core(0).now(), 1000u);
+  SyncAt(1, 20000);
+  const std::uint64_t server_clock = server_core().now();
+  ASSERT_GT(server_clock, 20000u);
+  // Processed after client 1's request, sent long before it.
+  const std::uint64_t finish = SyncAt(0, 1000);
+  // Served at its send: its unloaded round trip, plus the empty-ring check
+  // that an idle server runs before the send and a moved window after it.
+  EXPECT_LE(finish - 1000, round_trip + round_trip / 8);
+  EXPECT_EQ(server_core().now(), server_clock) << "a placed window leaves the clock alone";
+}
+
+TEST_F(ArrivalOrderTest, ShortGapIsSkippedForTheNextGapThatHoldsTheWindow) {
+  server_.work_per_request = 2000;
+  Warm({0, 1, 2});
+  const std::uint64_t round_trip = UnloadedRoundTrip(0);
+  ASSERT_LT(machine_->core(0).now(), 10000u);
+  // Client 2 sends a quarter handler after client 1's finish: the gap
+  // between their windows cannot hold a window. Client 1's second request
+  // leaves a gap of four round trips after client 2's.
+  const std::uint64_t f1 = SyncAt(1, 10000);
+  const std::uint64_t f2 = SyncAt(2, f1 + SlowEntryCycles() / 4);
+  const std::uint64_t late_send = f2 + 4 * round_trip;
+  SyncAt(1, late_send);
+  const std::uint64_t server_clock = server_core().now();
+
+  const std::uint64_t finish = SyncAt(0, f1);
+  // Not in the short gap, which ends before client 2's window...
+  EXPECT_GE(finish - f2, SlowEntryCycles()) << "overlaps client 2's window";
+  // ...but at the start of the next one, ending before client 1's service.
+  EXPECT_LE(finish - f2, round_trip);
+  EXPECT_LT(finish, late_send);
+  EXPECT_EQ(server_core().now(), server_clock);
+}
+
+TEST_F(ArrivalOrderTest, MovedWindowDrainsTheClientsPendingFreeFirst) {
+  server_.work_per_request = 2000;
+  Warm({0, 1});
+  const std::uint64_t round_trip = UnloadedRoundTrip(0);
+  ASSERT_LT(machine_->core(0).now(), 10000u);
+  Env e0(*machine_, 0);
+  engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);  // unbatched: no drain yet
+  ASSERT_TRUE(server_.freed.empty());
+  SyncAt(1, 40000);
+  const std::uint64_t server_clock = server_core().now();
+
+  const std::uint64_t finish = SyncAt(0, 10000);
+  ASSERT_EQ(server_.freed, std::vector<std::uint64_t>{0xf00});
+  // The window is the free's drain plus the service, placed at the send.
+  EXPECT_GE(finish - 10000, round_trip + SlowEntryCycles());
+  EXPECT_LE(finish - 10000, round_trip + 2 * SlowEntryCycles());
+  EXPECT_LT(finish, 40000u);
+  EXPECT_EQ(server_core().now(), server_clock);
+}
+
+TEST_F(ArrivalOrderTest, WindowWithARoundTripOfItsOwnIsServedAtTheServerClock) {
+  // Core 4's handler asks a second engine on core 3, as inline donation
+  // asks a donor shard.
+  OffloadEngine target(*machine_, /*server_core=*/3, kTestChannelBase + kChannelStride * 5,
+                       /*ring_capacity=*/8);
+  target.set_server(&server_);
+  RelayServer relay(target);
+  engine_->set_server(&relay);
+  Warm({0, 1});
+  ASSERT_LT(machine_->core(0).now(), 1000u);
+  SyncAt(1, 20000);
+  const std::uint64_t server_clock = server_core().now();
+
+  const std::uint64_t finish = SyncAt(0, 1000);
+  EXPECT_GT(finish, server_clock) << "the relayed window must not move";
+  EXPECT_GT(server_core().now(), server_clock);
+}
+
 TEST(Channel, PayloadIntegrity) {
   auto machine = MakeMachine(2);
   machine->address_map().Add(
