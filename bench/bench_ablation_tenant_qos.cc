@@ -1,19 +1,16 @@
-// Ablation for per-tenant traits + QoS lanes (DESIGN.md §15): what does lane
-// admission buy the latency-sensitive tenant when it shares a shard with a
-// throughput tenant's deep free batches?
+// Ablation for per-tenant traits (DESIGN.md §15): how much does a
+// latency-sensitive tenant pay for sharing a shard with a heavy one?
 //
 // Four tenants ride the span-donation bench's skewed mix: "frontend" (the
 // low_latency preset) churns small blocks on core 0, "analytics" (throughput
 // preset, free_batch raised to 32 by explicit override) churns 8-16 KiB
 // buffers on core 2, and two default-preset workers churn small blocks on
 // cores 1 and 3. Static-by-client routing puts frontend and analytics on the
-// SAME shard (cores 0 and 2 -> shard 0), so every analytics free batch the
-// shard drains runs the shared server clock ahead of frontend's next sync
-// malloc. Lanes off, that queueing is unbounded -- whatever backlog the drain
-// window finds. Lanes on, bulk-lane eager windows admit at most the lane
-// quantum, and frontend's latency-lane syncs preempt the deferrable
-// bulk-drain work entirely (the preemption-credit model in OffloadEngine), so
-// its p99 stays within 2x of running alone.
+// SAME shard (cores 0 and 2 -> shard 0). The shard is one core serving one
+// request at a time, so a frontend malloc sent while analytics' handler runs
+// waits for that handler to end. The bench reports frontend's sync p99
+// mixed against running alone: the interference a non-preemptive room
+// cannot hide.
 //
 // A second section pins the traits layer's bit-identity contract: the Table 3
 // pipeline run with an all-default tenant list must replay the exact same
@@ -29,7 +26,6 @@ namespace {
 
 constexpr int kClients = 4;
 constexpr int kShards = 2;
-constexpr std::uint32_t kLaneQuantum = 16;
 constexpr std::uint32_t kAnalyticsFreeBatch = 32;
 constexpr std::uint32_t kEagerDrainAt = 32;
 
@@ -44,11 +40,10 @@ Churn QosMix() {
   return Churn({{frontend}, {worker}, {analytics}, {worker}}, ChurnDrain::kAllAtOnce);
 }
 
-NgxConfig QosConfig(bool lanes_on) {
+NgxConfig QosConfig() {
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.num_shards = kShards;
   cfg.hugepage_spans = false;
-  cfg.lane_quantum = lanes_on ? kLaneQuantum : 0;
 
   TenantSpec frontend;
   frontend.name = "frontend";
@@ -58,7 +53,7 @@ NgxConfig QosConfig(bool lanes_on) {
   analytics.name = "analytics";
   analytics.traits = MakeTenantTraits("throughput");
   // Explicit override on top of the preset: deeper free batches than the
-  // throughput default, the worst case lanes are supposed to contain.
+  // throughput default.
   analytics.traits.free_batch = kAnalyticsFreeBatch;
   analytics.cores = {2};
   TenantSpec worker_a;
@@ -90,14 +85,13 @@ struct QosPoint {
   }
 };
 
-QosPoint RunCase(BenchCli& cli, const std::string& label, bool mixed, bool lanes_on) {
+QosPoint RunCase(BenchCli& cli, const std::string& label, bool mixed) {
   Machine machine(MachineConfig::Default(kClients + kShards));
-  // The lanes-on mixed run is the traced one.
-  cli.EnableTelemetry(machine, /*allow_trace=*/mixed && lanes_on);
-  NgxSystem sys = MakeNgxSystem(machine, QosConfig(lanes_on), /*first_server_core=*/kClients);
-  // Background drain threshold in every case (the server's poll loop notices
-  // filling rings); what changes across cases is only how much one window
-  // may admit and who may preempt it.
+  // The mixed run is the traced one.
+  cli.EnableTelemetry(machine, /*allow_trace=*/mixed);
+  NgxSystem sys = MakeNgxSystem(machine, QosConfig(), /*first_server_core=*/kClients);
+  // Background drain threshold in both cases (the server's poll loop notices
+  // filling rings); what changes is only who shares the shard.
   sys.fabric->set_eager_drain_at(kEagerDrainAt);
 
   Churn workload = QosMix();
@@ -145,40 +139,33 @@ double Ratio(std::uint64_t num, std::uint64_t den) {
 
 int main(int argc, char** argv) {
   BenchCli cli("ablation_tenant_qos", argc, argv);
-  std::cout << "=== Ablation: per-tenant traits + QoS lanes ===\n\n";
+  std::cout << "=== Ablation: per-tenant traits on a shared shard ===\n\n";
   std::cout << kClients << " clients / " << kShards << " shards, static-by-client routing:\n"
             << "frontend (low_latency, core 0) shares shard 0 with analytics (throughput,\n"
             << "free_batch=" << kAnalyticsFreeBatch << ", core 2). sync latency is the "
             << "client-observed malloc round trip.\n\n";
 
-  const QosPoint alone = RunCase(cli, "frontend alone", /*mixed=*/false, /*lanes_on=*/false);
+  const QosPoint alone = RunCase(cli, "frontend alone", /*mixed=*/false);
   std::cerr << "[done] frontend alone\n";
-  const QosPoint lanes_off = RunCase(cli, "mixed, lanes off", /*mixed=*/true, /*lanes_on=*/false);
-  std::cerr << "[done] mixed lanes off\n";
-  const QosPoint lanes_on = RunCase(cli, "mixed, lanes on", /*mixed=*/true, /*lanes_on=*/true);
-  std::cerr << "[done] mixed lanes on\n";
+  const QosPoint mixed = RunCase(cli, "mixed", /*mixed=*/true);
+  std::cerr << "[done] mixed\n";
 
   const std::uint64_t alone_p99 = alone.Tenant("frontend").p99;
-  const std::uint64_t off_p99 = lanes_off.Tenant("frontend").p99;
-  const std::uint64_t on_p99 = lanes_on.Tenant("frontend").p99;
-  const double ratio_off = Ratio(off_p99, alone_p99);
-  const double ratio_on = Ratio(on_p99, alone_p99);
+  const std::uint64_t mixed_p99 = mixed.Tenant("frontend").p99;
+  const double ratio = Ratio(mixed_p99, alone_p99);
 
   TextTable t({"case", "frontend p50", "frontend p99", "analytics p99", "wall cycles",
                "ring-full stalls"});
-  for (const QosPoint* p : {&alone, &lanes_off, &lanes_on}) {
+  for (const QosPoint* p : {&alone, &mixed}) {
     t.AddRow({p->label, FormatInt(p->Tenant("frontend").p50),
               FormatInt(p->Tenant("frontend").p99), FormatInt(p->Tenant("analytics").p99),
               FormatSci(static_cast<double>(p->wall)), FormatInt(p->ring_full_stalls)});
   }
   std::cout << t.ToString() << "\n";
 
-  std::cout << "frontend sync p99 vs run-alone: lanes off " << FormatFixed(ratio_off, 2)
-            << "x, lanes on " << FormatFixed(ratio_on, 2) << "x\n";
-  std::cout << "expectation: lanes off, frontend queues behind analytics' drained free\n"
-            << "batches (unbounded admission windows); lanes on, bulk windows are bounded\n"
-            << "to the " << kLaneQuantum << "-entry quantum and latency-lane syncs preempt "
-            << "deferred bulk work,\nso the ratio stays <= 2x.\n\n";
+  std::cout << "frontend sync p99, mixed vs run-alone: " << FormatFixed(ratio, 2) << "x\n";
+  std::cout << "the shard serves one request at a time: a frontend malloc sent while an\n"
+            << "analytics handler runs waits for it to end (DESIGN.md §15).\n\n";
 
   // Bit-identity: the traits layer must be pure configuration plumbing. An
   // all-default tenant list resolves to exactly the global knobs, so the
@@ -194,7 +181,7 @@ int main(int argc, char** argv) {
             << (pinned ? "ok" : "MISMATCH") << ")\n";
 
   JsonValue cases = JsonValue::Array();
-  for (const QosPoint* p : {&alone, &lanes_off, &lanes_on}) {
+  for (const QosPoint* p : {&alone, &mixed}) {
     JsonValue o = JsonValue::Object();
     o.Set("label", JsonValue(p->label));
     o.Set("wall_cycles", JsonValue(p->wall));
@@ -209,14 +196,10 @@ int main(int argc, char** argv) {
   }
   cli.Set("cases", cases);
   cli.Metric("frontend_alone_p99", alone_p99);
-  cli.Metric("frontend_lanes_off_p99", off_p99);
-  cli.Metric("frontend_lanes_on_p99", on_p99);
-  cli.Metric("isolation_ratio_lanes_off", ratio_off);
-  cli.Metric("isolation_ratio_lanes_on", ratio_on);
-  cli.Metric("analytics_lanes_on_p99", lanes_on.Tenant("analytics").p99);
-  cli.Metric("analytics_lanes_off_p99", lanes_off.Tenant("analytics").p99);
-  cli.Metric("lanes_on_wall_cycles", lanes_on.wall);
-  cli.Metric("lanes_off_wall_cycles", lanes_off.wall);
+  cli.Metric("frontend_mixed_p99", mixed_p99);
+  cli.Metric("interference_ratio", ratio);
+  cli.Metric("analytics_mixed_p99", mixed.Tenant("analytics").p99);
+  cli.Metric("mixed_wall_cycles", mixed.wall);
   cli.Metric("traits_bit_identical", JsonValue(bit_identical));
   cli.Metric("replays_pinned_hash", JsonValue(pinned));
   cli.Metric("final_state_hash", JsonValue(HashHex(hash_plain)));

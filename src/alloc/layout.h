@@ -19,7 +19,6 @@ inline constexpr Addr kNgxMetaBase = 0x0580'0000'0000ull;  // NextGen segregated
 inline constexpr Addr kNgxFreeBufBase = 0x0680'0000'0000ull;  // unmapped; frees stage in rings
 inline constexpr Addr kChannelBase = 0x0700'0000'0000ull;  // offload mailboxes/rings
 inline constexpr Addr kWorkloadBase = 0x0800'0000'0000ull; // workload-private globals
-inline constexpr Addr kGpuHeapBase = 0x0900'0000'0000ull;  // simulated device memory
 
 inline constexpr std::uint64_t kHeapWindow = 0x0080'0000'0000ull;  // 512 GiB per window
 

@@ -169,19 +169,13 @@ struct NgxConfig {
   std::uint64_t wake_queue_depth = 16;
   // Per-tenant traits (DESIGN.md §15): named contracts binding client cores
   // to preset/override knobs -- stash capacity and refill mark, free_batch,
-  // watermark spans and cluster placement --
-  // resolved at registration instead of every tenant riding the global
-  // values above. Empty (the default) keeps the single implicit tenant and
-  // is bit-identical to pre-traits builds; so is a list whose every entry
-  // inherits everything.
+  // watermark spans and cluster placement -- resolved at registration
+  // instead of every tenant riding the global values above. Tenants that
+  // share a shard share its one server timeline: a contract sets how a
+  // tenant batches and where it is served, not who is served first. Empty
+  // (the default) keeps the single implicit tenant and is bit-identical to
+  // pre-traits builds; so is a list whose every entry inherits everything.
   std::vector<TenantSpec> tenants;
-  // QoS lanes where tenants meet (DESIGN.md §15): when > 0, sync-bound
-  // drains serve latency-lane rings first, and a bulk-lane tenant's eager
-  // drains are admitted at most lane_quantum entries per window, bounding
-  // how far an unbatched free backlog can run the server clock ahead of a
-  // latency tenant's next sync request. 0 (the default) = lanes off: the
-  // drain-everything admission, bit-identical whatever the tenant lanes say.
-  std::uint32_t lane_quantum = 0;
 
   // Server-core placement policy used by MakeNgxSystem's placed overload.
   PlacementKind placement = PlacementKind::kContiguous;

@@ -159,20 +159,17 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // re-read of the server-written tail line per push.
     fabric_->set_producer_index_cache(true);
   }
-  // QoS lanes, home-shard pins and tenant labels on the fabric (DESIGN.md
-  // §15). Unclaimed cores carry the fabric's defaults (normal lane, no pin).
-  // Lanes are observational until lane admission is enabled; a pin routes a
-  // tenant's mallocs to its contracted shard.
+  // Home-shard pins and tenant labels on the fabric (DESIGN.md §15).
+  // Unclaimed cores carry the fabric's defaults (no pin, no label); a pin
+  // routes a tenant's mallocs to its contracted shard.
   if (fabric != nullptr) {
     for (int c = 0; c < machine.num_cores(); ++c) {
       const CoreContract& core = plan_.cores[static_cast<std::size_t>(c)];
-      fabric->set_client_lane(c, core.lane);
       fabric->set_client_home_shard(c, core.home_shard);
       if (core.tenant >= 0) {
         fabric->set_client_label(c, plan_.tenant_names[static_cast<std::size_t>(core.tenant)]);
       }
     }
-    fabric->set_lane_admission(config.lane_quantum);
   }
   // Flight-recorder wiring (host-side only; inert until the recorder is
   // enabled). The snapshot source lets Machine's periodic cadence and the

@@ -36,11 +36,6 @@ TenantPlan ResolveTenantPlan(const NgxConfig& config, int num_cores, int cluster
               "tenant stash capacity below the pipeline's two-half minimum");
     NGX_CHECK(t.stash_capacity == TenantTraits::kInherit || t.stash_capacity >= 1,
               "tenant stash capacity must be nonzero");
-    // Lane admission drains bulk backlogs in free_batch-granular quanta; a
-    // zero batch would admit doorbells carrying nothing, so the combination
-    // is rejected before the generic ring-capacity bound.
-    NGX_CHECK(config.lane_quantum == 0 || t.free_batch != 0,
-              "tenant free_batch=0 with QoS lanes on");
     NGX_CHECK(t.free_batch == TenantTraits::kInherit ||
                   (t.free_batch >= 1 && t.free_batch <= kNgxRingCapacity),
               "tenant free_batch must fit in one async ring");
@@ -71,7 +66,6 @@ TenantPlan ResolveTenantPlan(const NgxConfig& config, int num_cores, int cluster
       if (t.free_batch != TenantTraits::kInherit) {
         core.free_batch = t.free_batch;
       }
-      core.lane = t.lane;
       // Home resolution: an explicit pin wins; the NUMA-local preset walks
       // the cluster topology for a shard whose server core shares this
       // client's cluster (first match, deterministic).

@@ -31,7 +31,6 @@ struct CoreContract {
   // capacity beyond the two halves.
   std::uint32_t pipe_cap = 0;
   std::uint32_t spill_depth = 0;
-  QosLane lane = QosLane::kNormal;
   int home_shard = -1;  // shard this core's mallocs are pinned to; -1 = the routing policy picks
 };
 

@@ -2,14 +2,14 @@
 //
 // The fabric serves many applications at once, but one global NgxConfig
 // means every tenant gets the same stash depth, free batching and watermark
-// spans -- and on a shared shard a throughput tenant's batched frees can
-// legally run the server clock ahead of a latency tenant's sync refill.
-// TenantTraits is the contract layer: a NitroHeap-style preset
+// spans. TenantTraits is the contract layer: a NitroHeap-style preset
 // (NH_LOW_LATENCY / NH_THROUGHPUT / ... in SNIPPETS.md Snippet 1 terms)
 // plus explicit per-knob overrides, resolved once at client registration
-// into per-core effective knobs and a QoS lane for the rings the tenants
-// share. Fields left at kInherit fall back to the global NgxConfig value,
-// so an all-default tenant list is behaviourally the no-tenant build.
+// into per-core effective knobs. Like NitroHeap's flags, a contract changes
+// batching and placement, never the order a shared shard serves requests
+// in: the shard is one core running one handler at a time. Fields left at
+// kInherit fall back to the global NgxConfig value, so an all-default
+// tenant list is behaviourally the no-tenant build.
 #ifndef NGX_SRC_CORE_TENANT_TRAITS_H_
 #define NGX_SRC_CORE_TENANT_TRAITS_H_
 
@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/offload/channel.h"
 #include "src/sim/check.h"
 
 namespace ngx {
@@ -27,8 +26,8 @@ namespace ngx {
 // each names the service level an application asks of its allocator room.
 enum class TenantPreset : std::uint8_t {
   kDefault,     // the global NgxConfig contract
-  kLowLatency,  // NH_LOW_LATENCY: sync path first, unbatched frees
-  kThroughput,  // NH_THROUGHPUT: deep free batches on the bulk lane
+  kLowLatency,  // NH_LOW_LATENCY: unbatched frees
+  kThroughput,  // NH_THROUGHPUT: deep free batches
   kEphemeral,   // NH_EPHEMERAL: deep client-side stash recycling
   kNumaLocal,   // NH_NUMA_LOCAL: pin the home shard into the client's cluster
 };
@@ -74,9 +73,6 @@ struct TenantTraits {
   static constexpr std::uint64_t kInherit64 = ~0ull;
 
   TenantPreset preset = TenantPreset::kDefault;
-  // Ring lane for this tenant's fabric traffic (only consulted when
-  // NgxConfig::lane_quantum > 0; classification alone never changes timing).
-  QosLane lane = QosLane::kNormal;
   // Client-side stash inventory and refill trigger (prediction/pipeline).
   std::uint32_t stash_capacity = kInherit;
   std::uint32_t stash_refill_mark = kInherit;
@@ -98,16 +94,13 @@ inline TenantTraits TraitsFromPreset(TenantPreset p) {
     case TenantPreset::kDefault:
       break;
     case TenantPreset::kLowLatency:
-      // Sync refills must never sit behind anyone's batch: highest lane,
-      // unbatched frees (one entry per doorbell keeps each drain window
-      // short).
-      t.lane = QosLane::kLatency;
+      // Unbatched frees: each free publishes at once and drains before this
+      // client's next sync request, so no batch waits on a doorbell.
       t.free_batch = 1;
       break;
     case TenantPreset::kThroughput:
-      // Amortize doorbells hard: deep free batches on the bulk lane, drained
-      // in the shard's idle windows.
-      t.lane = QosLane::kBulk;
+      // Amortize doorbells hard: deep free batches, drained in the shard's
+      // idle windows.
       t.free_batch = 16;
       break;
     case TenantPreset::kEphemeral:
@@ -134,7 +127,7 @@ inline TenantTraits MakeTenantTraits(std::string_view preset_name) {
 
 // A named tenant bound to the client cores running under its contract.
 // Cores not claimed by any tenant run the implicit default tenant (global
-// NgxConfig knobs, normal lane, no telemetry label).
+// NgxConfig knobs, no telemetry label).
 struct TenantSpec {
   std::string name;
   TenantTraits traits;

@@ -38,30 +38,6 @@ enum class OffloadOp : std::uint64_t {
 // One past the largest opcode (sizes per-op telemetry tables).
 inline constexpr int kOffloadOpCount = 11;
 
-// QoS lane a tenant's traffic rides where tenants meet: the per-(client,
-// shard) rings and the server's drain admission. Lower value = drained
-// first; bulk-lane backlogs are additionally admitted in bounded quanta so
-// they cannot run the server clock arbitrarily far ahead of a latency
-// tenant's next sync request (weighted admission, DESIGN.md §15).
-enum class QosLane : std::uint8_t {
-  kLatency = 0,
-  kNormal = 1,
-  kBulk = 2,
-};
-inline constexpr int kQosLaneCount = 3;
-
-inline const char* QosLaneName(QosLane l) {
-  switch (l) {
-    case QosLane::kLatency:
-      return "latency";
-    case QosLane::kNormal:
-      return "normal";
-    case QosLane::kBulk:
-      return "bulk";
-  }
-  return "unknown";
-}
-
 // Async ring entries are tagged in their top byte. Tag 0 is a plain kFree
 // address (the historical encoding, byte-for-byte unchanged); any other tag
 // is the OffloadOp the entry carries, with its argument in the low 56 bits.
@@ -174,19 +150,17 @@ class Channel {
     env.AtomicStore(base_ + kRespOff, seq);
   }
 
-  // Consumes pending entries in ring order, leaving the rest for a later
-  // drain, and publishes the new tail with one release-store. It stops
-  // after `max_n` entries (a QoS lane-admission window, DESIGN.md §15) or
-  // once the server clock reaches `deadline` before the next entry starts
-  // (a malloc-first idle window ends when a sync request is due,
-  // DESIGN.md §7). Returns the count consumed.
+  // Consumes pending entries in ring order and publishes the new tail with
+  // one release-store. A `deadline` stops it once the server clock reaches
+  // it before the next entry starts, leaving the rest for a later drain (a
+  // malloc-first idle window ends when a sync request is due, DESIGN.md §7).
+  // Returns the count consumed.
   template <typename Fn>
-  std::uint32_t ServerDrainRingBounded(Env& env, std::uint32_t max_n, Fn&& consume,
-                                       std::uint64_t deadline = kNoDeadline) {
+  std::uint32_t ServerDrainRing(Env& env, Fn&& consume, std::uint64_t deadline = kNoDeadline) {
     const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
     std::uint64_t tail = env.Load<std::uint64_t>(base_ + kRingTailOff);
     std::uint32_t n = 0;
-    while (tail != head && n < max_n && env.now() < deadline) {
+    while (tail != head && env.now() < deadline) {
       consume(env.Load<std::uint64_t>(EntryAddr(tail)));
       ++tail;
       ++n;

@@ -67,7 +67,6 @@ OffloadEngine::OffloadEngine(Machine& machine, int server_core, Addr channel_bas
   }
   seq_.assign(n, 0);
   prod_cache_.assign(static_cast<std::size_t>(n), ProducerIndexCache{});
-  lanes_.assign(static_cast<std::size_t>(n), QosLane::kNormal);
   labels_.assign(static_cast<std::size_t>(n), std::string());
   h_tenant_latency_.assign(static_cast<std::size_t>(n), nullptr);
   gaps_.reserve(kCalendarGaps + 1);  // a split adds one before the bound trims
@@ -122,8 +121,7 @@ void OffloadEngine::BindInstruments() {
   instruments_bound_ = true;
 }
 
-void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_entries,
-                              std::uint64_t deadline) {
+void OffloadEngine::DrainRing(Env& server_env, int client, std::uint64_t deadline) {
   const std::uint64_t t0 = server_env.now();
   const auto consume = [&](std::uint64_t entry) {
         if (deadline != kNoDeadline) {
@@ -147,10 +145,7 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_ent
         NoteCarveCycles(server_env.now() - c0);
         ++stats_.async_ops;
       };
-  // A bounded window (lane admission) leaves the tail of a long bulk
-  // backlog for a later drain; 0 drains everything.
-  const std::uint32_t n = channels_[client].ServerDrainRingBounded(
-      server_env, max_entries > 0 ? max_entries : kMaxRingCapacity, consume, deadline);
+  const std::uint32_t n = channels_[client].ServerDrainRing(server_env, consume, deadline);
   if (FlightRecorder* rec = Recorder()) {
     // The whole drain window (including empty polls reaching this far) is
     // server-busy time; the carve handlers inside it were already attributed
@@ -178,7 +173,7 @@ void OffloadEngine::DrainDoorbells(Env& server_env, std::uint64_t deadline) {
       return;
     }
     IdleUntil(bell.at);
-    DrainRing(server_env, bell.client, 0, deadline);
+    DrainRing(server_env, bell.client, deadline);
     if (Published(bell.client) > 0) {
       return;  // the deadline fell inside this batch
     }
@@ -264,13 +259,14 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   // (Section 3.1.2's asynchronous free phase).
   Core& server = machine_->core(server_core_);
   Env server_env = ServerEnv();
+  Tracer& tracer = machine_->telemetry().tracer();
   const Core::Clock window0 = server.SaveClock();
   const std::uint64_t waits0 = server.waits();
+  const std::size_t events0 = tracer.size();
   DrainRing(server_env, client);
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
   }
-  const std::uint64_t drain_cycles = server_env.now() - window0.cycles;
   // Other clients' free batches fill what is left of an idle window, and
   // stop at the send: the malloc waits out at most the entry in progress.
   DrainDoorbells(server_env, send_time);
@@ -296,44 +292,21 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   // it, and the server clock goes back to where it was. No gap holds it
   // when the server was idle at the send (every gap ends before its
   // clock), and a window that waited on another core stays put: its round
-  // trip read the other server's clock at this one's.
+  // trip read the other server's clock at this one's. The trace events the
+  // window emitted on the server's track move with it.
   std::uint64_t moved_back = 0;
   if (server.waits() == waits0) {
     const std::uint64_t start = BookGap(send_time, window_end - window0.cycles);
     if (start != kNoGap) {
       moved_back = window0.cycles - start;
       server.RestoreClock(window0);
+      tracer.ShiftBack(events0, server_core_, moved_back);
     }
   }
   // How long the request sat behind the server's backlog (earlier-sent
   // requests and drained frees, or its own drain) before service started.
-  std::uint64_t queue_wait = busy0 - moved_back - send_time;
-  std::uint64_t publish = window_end - moved_back;
-  // Priority admission (DESIGN.md §15): with lane admission on, a
-  // latency-lane sync is served against the shadow no-bulk schedule -- it
-  // only ever queues behind latency/normal work, never behind a throughput
-  // tenant's free batches or malloc bursts (which a priority-aware server
-  // would defer past this doorbell). The shadow mirrors the real schedule's
-  // structure: the drain + rebalancer window runs from the shadow server's
-  // OWN clock (idle-window work that fits before the doorbell is free), and
-  // service starts no earlier than the send and no earlier than that
-  // backlog ends. The shadow then advances by this request's service
-  // window (poll + handler + respond), clamped to the real completion --
-  // the real schedule, which ran strictly more work first, bounds the
-  // preemptive one. A window placed in an earlier gap finishes before the
-  // shadow's clock, which never runs backward.
-  const QosLane lane = lanes_[static_cast<std::size_t>(client)];
-  if (lane_quantum_ > 0 && lane != QosLane::kBulk) {
-    const std::uint64_t shadow_start = std::max(shadow_now_ + drain_cycles, send_time);
-    const std::uint64_t shadow_done = std::min(shadow_start + (window_end - busy0), publish);
-    shadow_now_ = std::max(shadow_now_, shadow_done);
-    if (lane == QosLane::kLatency) {
-      // The response was published at the shadow point; the real server
-      // clock still pays the deferred bulk work after it.
-      queue_wait = std::min(queue_wait, shadow_start - send_time);
-      publish = shadow_done;
-    }
-  }
+  const std::uint64_t queue_wait = busy0 - moved_back - send_time;
+  const std::uint64_t publish = window_end - moved_back;
   if (queue_wait > 0) {
     ++stats_.server_busy_waits;
   }
@@ -356,23 +329,21 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
       ht->Record(client_env.now() - t0);
     }
     h_queue_wait_->Record(queue_wait);
-    Telemetry& tel = machine_->telemetry();
-    if (tel.tracing()) {
-      // Placed where the client saw it; a drain event the window emitted
-      // before placement keeps the time it ran at.
-      tel.tracer().Complete(OpName(op), server_core_, service_start - moved_back,
-                            window_end - service_start);
-      tel.tracer().Complete("sync_request", client, t0, client_env.now() - t0);
+    if (machine_->telemetry().tracing()) {
+      // Placed where the client saw it, like the window's drain events.
+      tracer.Complete(OpName(op), server_core_, service_start - moved_back,
+                      window_end - service_start);
+      tracer.Complete("sync_request", client, t0, client_env.now() - t0);
     }
   }
   return out;
 }
 
-std::uint64_t OffloadEngine::Kick(Env& client_env, int client, std::uint32_t max_entries) {
+std::uint64_t OffloadEngine::Kick(Env& client_env, int client) {
   IdleUntil(client_env.now());
   Env server_env = ServerEnv();
   Poll(server_env);
-  DrainRing(server_env, client, max_entries);
+  DrainRing(server_env, client);
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
   }
@@ -422,11 +393,8 @@ void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t ar
   const std::uint64_t occupancy = PushEntry(client_env, client, arg0);
   if (eager_drain_at_ > 0 && occupancy + 1 >= eager_drain_at_) {
     // The spinning server notices the filling ring and drains it in the
-    // background -- the client walks away after the push. A bulk-lane
-    // client's eager window is admitted in lane quanta (EagerCap);
-    // correctness does not need a full drain here, the ring-full stall is
-    // still the backstop.
-    Kick(client_env, client, EagerCap(client));
+    // background -- the client walks away after the push.
+    Kick(client_env, client);
   }
 }
 
@@ -472,7 +440,7 @@ std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
   if (backlog > 0) {
     // The ring still holds entries no idle window finished: this doorbell
     // drains the whole ring, so the ring never fills between doorbells.
-    Kick(client_env, client, 0);
+    Kick(client_env, client);
   } else {
     // Malloc-first: the batch waits for the server's idle windows
     // (SyncRequest). A queued doorbell of this client is stale -- its
@@ -494,23 +462,7 @@ std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
   PushEntry(client_env, client, RingEntryWord(op, arg));
   // The kick: the whole service overlaps with the client's subsequent work,
   // which is the point of the stash pipeline.
-  const std::uint64_t kick0 =
-      std::max(machine_->core(server_core_).now(), client_env.now());
-  std::uint64_t ready = Kick(client_env, client, 0);
-  // Priority admission, same rule as SyncRequest: a latency tenant's kicked
-  // refill is served against the shadow no-bulk schedule, so its stash half
-  // is ready without standing behind a throughput tenant's deferred
-  // backlog. Normal-lane windows advance the shadow without observing it.
-  if (lane_quantum_ > 0 &&
-      lanes_[static_cast<std::size_t>(client)] != QosLane::kBulk) {
-    const std::uint64_t window = ready - kick0;
-    shadow_now_ =
-        std::min(std::max(shadow_now_, client_env.now()) + window, ready);
-    if (lanes_[static_cast<std::size_t>(client)] == QosLane::kLatency) {
-      ready = shadow_now_;
-    }
-  }
-  return ready;
+  return Kick(client_env, client);
 }
 
 void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
@@ -520,7 +472,7 @@ void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
   if (tel.tracing()) {
     tel.tracer().Instant("ring_full", client, client_env.now());
   }
-  const std::uint64_t done = Kick(client_env, client, 0);
+  const std::uint64_t done = Kick(client_env, client);
   if (FlightRecorder* rec = Recorder()) {
     // The backpressure cost the client is about to pay: its clock jump to
     // the drain's finish.
@@ -533,30 +485,12 @@ void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
 
 void OffloadEngine::DrainAll() {
   Env server_env = ServerEnv();
-  if (lane_quantum_ > 0) {
-    // Lane-priority service order: latency rings drain before normal before
-    // bulk, so a latency tenant's stragglers never wait out a bulk backlog
-    // even in the final sweep. Within a lane, client id order keeps the
-    // schedule deterministic. Full drains -- admission quanta bound
-    // BACKGROUND windows, not teardown.
-    for (int lane = 0; lane < kQosLaneCount; ++lane) {
-      for (int c = 0; c < machine_->num_cores(); ++c) {
-        if (c == server_core_ ||
-            static_cast<int>(lanes_[static_cast<std::size_t>(c)]) != lane) {
-          continue;
-        }
-        Poll(server_env);
-        DrainRing(server_env, c);
-      }
+  for (int c = 0; c < machine_->num_cores(); ++c) {
+    if (c == server_core_) {
+      continue;
     }
-  } else {
-    for (int c = 0; c < machine_->num_cores(); ++c) {
-      if (c == server_core_) {
-        continue;
-      }
-      Poll(server_env);
-      DrainRing(server_env, c);
-    }
+    Poll(server_env);
+    DrainRing(server_env, c);
   }
   if (post_drain_hook_) {
     post_drain_hook_(server_env);

@@ -1,14 +1,16 @@
 // OffloadEngine: the allocator's "own room" -- a dedicated core that serves
 // malloc/free requests from application cores over simulated shared memory.
 //
-// Timing model: the server core serves requests in arrival order. A sync
-// request's server window -- this client's ring drain, the post-drain hook
-// and the service -- runs on the server's clock and is then placed in the
-// earliest idle gap of the engine's calendar at or after the client's send
-// time that holds it; the client waits until the response is published at
-// the gap's start plus the window, and the server clock stays where it
-// was. When no gap holds it (always so when the server was idle at the
-// send), the window stays where it ran: service starts at
+// Timing model: one server clock per engine. The server core runs one
+// handler at a time and serves requests in arrival order, whichever client
+// or tenant sent them; a request sent while a handler runs waits for it to
+// end. A sync request's server window -- this client's ring drain, the
+// post-drain hook and the service -- runs on the server's clock and is then
+// placed in the earliest idle gap of the engine's calendar at or after the
+// client's send time that holds it; the client waits until the response is
+// published at the gap's start plus the window, and the server clock stays
+// where it was. When no gap holds it (always so when the server was idle at
+// the send), the window stays where it ran: service starts at
 // max(server-free-time, client-send-time). So a request waits for work sent
 // before it, never for work the simulator merely processed first. Async
 // frees ride a per-client ring, so clients only stall on a full ring. The
@@ -16,9 +18,9 @@
 // time and drains in the server's idle windows, entry by entry, only while
 // the server clock is before the next sync request's send time -- a malloc
 // waits out at most the one entry in progress. Unbatched entries drain
-// before their own client's sync requests, on kicks and on DrainAll.
-// Queueing among multiple clients emerges from the shared server clock
-// (Section 3.1.1's granularity concern made concrete).
+// before their own client's sync requests, on kicks and on DrainAll (in
+// client order). Queueing among multiple clients emerges from the shared
+// server clock (Section 3.1.1's granularity concern made concrete).
 #ifndef NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 #define NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 
@@ -121,7 +123,8 @@ class OffloadEngine {
   // publish word). Returns the server clock after the drain.
   std::uint64_t AsyncRequestKicked(Env& client_env, OffloadOp op, std::uint64_t arg);
 
-  // Processes every pending async entry of every client on the server core.
+  // Processes every pending async entry of every client on the server core,
+  // in client order.
   void DrainAll();
 
   const OffloadEngineStats& stats() const { return stats_; }
@@ -158,12 +161,6 @@ class OffloadEngine {
   // non-pipelined protocol stays byte-for-byte identical to the seed.
   void set_producer_index_cache(bool on) { producer_cache_ = on; }
 
-  // QoS lane this client's ring rides (DESIGN.md §15). Classification alone
-  // never changes timing; it only takes effect once lane admission is on.
-  void set_client_lane(int client, QosLane lane) {
-    lanes_[static_cast<std::size_t>(client)] = lane;
-  }
-
   // Tenant label for this client's telemetry: when non-empty, sync latency
   // is additionally recorded into offload.sync_latency{tenant=<label>}, the
   // per-tenant SLO series RunResult surfaces.
@@ -171,27 +168,12 @@ class OffloadEngine {
     labels_[static_cast<std::size_t>(client)] = std::move(label);
   }
 
-  // Weighted lane admission (DESIGN.md §15). quantum > 0 turns lanes on:
-  // (a) DrainAll serves rings in lane-priority order (latency, normal,
-  // bulk), (b) a bulk-lane client's EAGER background drains admit at most
-  // `quantum` entries per window, bounding how far one free backlog can run
-  // the server clock ahead of a latency tenant's next sync request, and
-  // (c) a latency-lane request is served against the shadow no-bulk
-  // schedule (see shadow_now_), so it never stands behind a bulk tenant's
-  // deferred sync windows or free backlogs. Correctness-critical drains
-  // (sync-bound, kicked refills, ring-full backpressure) always drain
-  // fully. 0 (default) = historical admission, bit-identical whatever the
-  // lane classification says.
-  void set_lane_admission(std::uint32_t quantum) { lane_quantum_ = quantum; }
-
  private:
   Env ServerEnv() { return Env(*machine_, server_core_); }
-  // Drains `client`'s ring on the server clock. max_entries = 0 drains
-  // everything; > 0 is the bounded lane-admission window. A `deadline`
-  // makes it a malloc-first idle window: each entry first pays a kPollWork
-  // mailbox check, and no entry starts once the clock reaches the deadline.
-  void DrainRing(Env& server_env, int client, std::uint32_t max_entries = 0,
-                 std::uint64_t deadline = kNoDeadline);
+  // Drains `client`'s ring on the server clock. A `deadline` makes it a
+  // malloc-first idle window: each entry first pays a kPollWork mailbox
+  // check, and no entry starts once the clock reaches the deadline.
+  void DrainRing(Env& server_env, int client, std::uint64_t deadline = kNoDeadline);
   // Works through the queued free batches, oldest doorbell first, in the
   // idle window that ends at `deadline` (see SyncRequest).
   void DrainDoorbells(Env& server_env, std::uint64_t deadline);
@@ -220,19 +202,11 @@ class OffloadEngine {
   // One pass of the server's poll loop ahead of a drain, booked as
   // server-busy time.
   void Poll(Env& server_env);
-  // Entry budget for a background (eager) drain of `client`'s ring: the
-  // bulk lane's quantum when admission is on, else 0 (unbounded).
-  std::uint32_t EagerCap(int client) const {
-    return (lane_quantum_ > 0 &&
-            lanes_[static_cast<std::size_t>(client)] == QosLane::kBulk)
-               ? lane_quantum_
-               : 0;
-  }
   // The spinning server notices a doorbell and drains `client`'s ring in
   // its poll loop on its OWN clock: service starts no earlier than the
-  // doorbell store and the client is not advanced to the finish.
-  // max_entries as in DrainRing. Returns the server clock after the window.
-  std::uint64_t Kick(Env& client_env, int client, std::uint32_t max_entries);
+  // doorbell store and the client is not advanced to the finish. Returns
+  // the server clock after the window.
+  std::uint64_t Kick(Env& client_env, int client);
   // Pushes one entry (publishing any staged frees first), stalling while the
   // ring is full. Returns the true ring occupancy the push found.
   std::uint64_t PushEntry(Env& client_env, int client, std::uint64_t entry);
@@ -286,21 +260,7 @@ class OffloadEngine {
   int shard_id_ = 0;
   OffloadServer* server_ = nullptr;
   std::uint32_t eager_drain_at_ = 0;
-  std::uint32_t lane_quantum_ = 0;  // 0 = lane admission off
-  std::vector<QosLane> lanes_;      // per-client ring lane
   std::vector<std::string> labels_;  // per-client tenant label ("" = none)
-  // Shadow no-bulk server clock (lane admission on only): the schedule a
-  // priority-aware allocator core would run, where every bulk-lane window
-  // (its sync services and its drained free backlogs) is deferred behind
-  // latency/normal work. Only latency- and normal-lane request windows
-  // advance it; it is clamped to the real server clock (the real schedule
-  // bounds the preemptive one from above, since it does strictly more work
-  // first). A latency-lane client observes its completion against this
-  // clock; everyone else -- and the real server core -- keeps the
-  // historical schedule, so the model stays work-conserving: the deferred
-  // bulk cycles were still paid on the real clock, the latency tenant just
-  // did not stand behind them.
-  std::uint64_t shadow_now_ = 0;
   bool producer_cache_ = false;
   std::vector<ProducerIndexCache> prod_cache_;  // one per client core
   std::vector<Channel> channels_;

@@ -86,23 +86,12 @@ class OffloadFabric {
     }
   }
 
-  // ---- Tenant QoS (DESIGN.md §15) ---------------------------------------
-  // Lane + telemetry label for one client's rings on every shard, and the
-  // fleet-wide admission quantum. All defaults keep the historical
-  // behaviour bit-identical.
-  void set_client_lane(int client, QosLane lane) {
-    for (auto& e : engines_) {
-      e->set_client_lane(client, lane);
-    }
-  }
+  // ---- Tenants (DESIGN.md §15) -------------------------------------------
+  // Telemetry label for one client's rings on every shard (the default, no
+  // label, records no tenant series).
   void set_client_label(int client, const std::string& label) {
     for (auto& e : engines_) {
       e->set_client_label(client, label);
-    }
-  }
-  void set_lane_admission(std::uint32_t quantum) {
-    for (auto& e : engines_) {
-      e->set_lane_admission(quantum);
     }
   }
   // Pins a client's mallocs to one shard while that shard is active (a

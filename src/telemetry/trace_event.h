@@ -33,15 +33,6 @@ class Tracer {
   // Names track `tid` in the viewer (emitted as thread_name metadata).
   void SetTrackName(int tid, std::string name) { track_names_[tid] = std::move(name); }
 
-  std::size_t size() const { return events_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
-  void Clear();
-
-  // Writes the full {"traceEvents": [...]} document.
-  void WriteChromeTrace(std::ostream& os) const;
-  std::string ToChromeTraceJson() const;
-
- private:
   enum class Phase : char { kComplete = 'X', kInstant = 'i', kCounter = 'C' };
 
   struct Event {
@@ -53,6 +44,21 @@ class Tracer {
     std::string name;
   };
 
+  // Moves the span and instant events on track `tid` recorded since the
+  // first `first` events `cycles` earlier: work that ran later than the
+  // schedule places it (a sync window placed in an earlier idle gap).
+  void ShiftBack(std::size_t first, int tid, std::uint64_t cycles);
+
+  std::size_t size() const { return events_.size(); }
+  const std::vector<Event>& events() const { return events_; }
+  std::uint64_t dropped() const { return dropped_; }
+  void Clear();
+
+  // Writes the full {"traceEvents": [...]} document.
+  void WriteChromeTrace(std::ostream& os) const;
+  std::string ToChromeTraceJson() const;
+
+ private:
   bool Admit() {
     if (events_.size() >= max_events_) {
       ++dropped_;

@@ -433,9 +433,9 @@ INSTANTIATE_TEST_SUITE_P(
 // BIT-IDENTICAL to the pre-traits build: the pin below replays
 // bench_table3_nextgen's pipeline row byte for byte and checks the same
 // final-state hash that bench asserts against its recorded value. Second,
-// a heterogeneous tenant mix with lane admission on is still a
-// deterministic simulation: two identical runs agree on every clock, PMU
-// stream and book entry, across shard counts.
+// a heterogeneous tenant mix is still a deterministic simulation: two
+// identical runs agree on every clock, PMU stream and book entry, across
+// shard counts.
 
 // Runs `cfg` through the recipe bench_table3_nextgen hashes (machine,
 // workload, seed), so a regression that shifts one cycle fails in ctest,
@@ -450,7 +450,7 @@ std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
   NgxConfig cfg = bench::Table3PipelineConfig();
   if (with_default_tenant) {
     TenantSpec t;
-    t.name = "default_tenant";  // every knob at kInherit, normal lane
+    t.name = "default_tenant";  // every knob at kInherit
     t.cores = {0};
     cfg.tenants = {t};
   }
@@ -528,13 +528,12 @@ TEST(HugepageDeterminism, PackedMetadataRunReplaysBitIdentically) {
   EXPECT_EQ(a_stats.oom_failures, base.oom_failures);
 }
 
-// Heterogeneous traits + lane admission across {1, 2, 4} shards: the QoS
-// machinery (lane-priority DrainAll sweeps, quantum-bounded bulk windows,
-// the shadow no-bulk schedule) must replay exactly, and the books must
-// balance under every mix.
+// Heterogeneous traits across {1, 2, 4} shards: per-core free batches,
+// stash depths and kicked refills from tenants sharing shards must replay
+// exactly, and the books must balance under every mix.
 class TenantShardSweepTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(TenantShardSweepTest, HeterogeneousTraitsWithLanesAreDeterministic) {
+TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
   const int shards = GetParam();
   auto run = [&] {
     const int clients = 4;
@@ -544,8 +543,7 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsWithLanesAreDeterministic) {
     cfg.hugepage_spans = false;
     cfg.heap_window = static_cast<std::uint64_t>(shards) * 8 * 1024 * 1024;
     cfg.prediction = true;
-    cfg.stash_pipeline = true;  // kicked refills exercise the shadow clock
-    cfg.lane_quantum = 8;
+    cfg.stash_pipeline = true;  // kicked refills ride the shared rings
     TenantSpec fe;
     fe.name = "frontend";
     fe.traits = MakeTenantTraits("low_latency");

@@ -220,5 +220,54 @@ TEST(Machine, TotalPmuSumsCores) {
   EXPECT_EQ(m.TotalPmu().instructions, 30u);
 }
 
+TEST(Prefetcher, NextLineCutsStreamingMisses) {
+  MachineConfig off_cfg = MachineConfig::Default(1);
+  MachineConfig on_cfg = MachineConfig::Default(1);
+  on_cfg.next_line_prefetch = true;
+  Machine off(off_cfg);
+  Machine on(on_cfg);
+  Env eoff(off, 0);
+  Env eon(on, 0);
+  for (int i = 0; i < 512; ++i) {
+    eoff.Load<std::uint64_t>(0x10'0000 + static_cast<Addr>(i) * 64);
+    eon.Load<std::uint64_t>(0x10'0000 + static_cast<Addr>(i) * 64);
+  }
+  EXPECT_EQ(off.core(0).pmu().llc_load_misses, 512u);
+  EXPECT_LE(on.core(0).pmu().llc_load_misses, 2u) << "stream fully prefetched";
+  EXPECT_LT(on.core(0).now(), off.core(0).now());
+}
+
+TEST(Prefetcher, DoesNotStealRemotelyOwnedLines) {
+  MachineConfig cfg = MachineConfig::Default(2);
+  cfg.next_line_prefetch = true;
+  Machine machine(cfg);
+  Env e0(machine, 0);
+  Env e1(machine, 1);
+  e1.Store<std::uint64_t>(0x2040, 77);  // core 1 owns the line after 0x2000
+  e0.Load<std::uint64_t>(0x2000);       // would prefetch 0x2040
+  EXPECT_EQ(machine.OwnerOf(0x2040), 1) << "prefetch must not downgrade the owner";
+  EXPECT_EQ(e1.Load<std::uint64_t>(0x2040), 77u);
+}
+
+TEST(Prefetcher, CoherentUnderMixedTraffic) {
+  MachineConfig cfg = MachineConfig::Default(2);
+  cfg.next_line_prefetch = true;
+  Machine machine(cfg);
+  std::uint64_t shadow[64] = {};
+  std::uint64_t x = 99;
+  for (int i = 0; i < 4000; ++i) {
+    x = x * 2862933555777941757ull + 3037000493ull;
+    const int core = static_cast<int>(x % 2);
+    const std::size_t slot = (x >> 8) % 64;
+    Env env(machine, core);
+    if ((x >> 20) & 1) {
+      shadow[slot] = x;
+      env.Store<std::uint64_t>(0x7000 + slot * 64, x);
+    } else {
+      ASSERT_EQ(env.Load<std::uint64_t>(0x7000 + slot * 64), shadow[slot]);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ngx

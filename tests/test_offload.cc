@@ -392,6 +392,77 @@ TEST_F(ArrivalOrderTest, MovedWindowDrainsTheClientsPendingFreeFirst) {
   EXPECT_EQ(server_core().now(), server_clock);
 }
 
+TEST_F(ArrivalOrderTest, MovedWindowTraceEventsCarryThePlacedTime) {
+  TelemetryConfig tc;
+  tc.enabled = true;
+  tc.trace = true;
+  machine_->EnableTelemetry(tc);
+  server_.work_per_request = 2000;
+  Warm({0, 1});
+  ASSERT_LT(machine_->core(0).now(), 10000u);
+  Env e0(*machine_, 0);
+  engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);
+  SyncAt(1, 40000);
+  const Tracer& tracer = machine_->telemetry().tracer();
+  const std::size_t events0 = tracer.size();
+
+  SyncAt(0, 10000);
+  // Client 0's window on the server's track: the drain of its free, then
+  // its malloc.
+  const Tracer::Event* drain = nullptr;
+  const Tracer::Event* op = nullptr;
+  for (std::size_t i = events0; i < tracer.size(); ++i) {
+    const Tracer::Event& e = tracer.events()[i];
+    if (e.tid == kServer && e.name == "drain") {
+      drain = &e;
+    } else if (e.tid == kServer && e.name == "malloc") {
+      op = &e;
+    }
+  }
+  ASSERT_NE(drain, nullptr);
+  ASSERT_NE(op, nullptr);
+  ASSERT_LT(op->ts, 40000u) << "the window was placed at its send";
+  EXPECT_GE(drain->ts, 10000u) << "drained before the send";
+  EXPECT_LE(drain->ts + drain->dur, op->ts) << "drained after the malloc it precedes";
+}
+
+// A window sent while the server is still busy has no gap to move into: it
+// runs at the server clock, and its trace events stay at the time they ran.
+TEST_F(ArrivalOrderTest, UnmovedWindowTraceEventsKeepTheTimeTheyRan) {
+  TelemetryConfig tc;
+  tc.enabled = true;
+  tc.trace = true;
+  machine_->EnableTelemetry(tc);
+  server_.work_per_request = 2000;
+  Warm({0, 1});
+  ASSERT_LT(machine_->core(0).now(), 20000u);
+  Env e0(*machine_, 0);
+  engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);
+  SyncAt(1, 20000);
+  const std::uint64_t server_clock = server_core().now();
+  const Tracer& tracer = machine_->telemetry().tracer();
+  const std::size_t events0 = tracer.size();
+
+  // Sent during client 1's service.
+  SyncAt(0, 20000 + SlowEntryCycles() / 2);
+  ASSERT_EQ(server_.freed, std::vector<std::uint64_t>{0xf00});
+  const Tracer::Event* drain = nullptr;
+  const Tracer::Event* op = nullptr;
+  for (std::size_t i = events0; i < tracer.size(); ++i) {
+    const Tracer::Event& e = tracer.events()[i];
+    if (e.tid == kServer && e.name == "drain") {
+      drain = &e;
+    } else if (e.tid == kServer && e.name == "malloc") {
+      op = &e;
+    }
+  }
+  ASSERT_NE(drain, nullptr);
+  ASSERT_NE(op, nullptr);
+  EXPECT_EQ(drain->ts, server_clock) << "the window starts where client 1's ended";
+  EXPECT_LE(drain->ts + drain->dur, op->ts);
+  EXPECT_EQ(op->ts + op->dur, server_core().now()) << "the service ends at the server clock";
+}
+
 TEST_F(ArrivalOrderTest, WindowWithARoundTripOfItsOwnIsServedAtTheServerClock) {
   // Core 4's handler asks a second engine on core 3, as inline donation
   // asks a donor shard.
@@ -440,11 +511,78 @@ TEST(Channel, RingWrapsAround) {
       ch.RingPush(client, round * 10 + i);
     }
     EXPECT_EQ(ch.RingSpace(client), 0u);
-    ch.ServerDrainRingBounded(server, 4, [&](std::uint64_t v) { got.push_back(v); });
+    ch.ServerDrainRing(server, [&](std::uint64_t v) { got.push_back(v); });
   }
   ASSERT_EQ(got.size(), 12u);
   EXPECT_EQ(got[4], 10u);
   EXPECT_EQ(got[11], 23u);
+}
+
+// Work per consumed entry in the deadline tests: its cycles dwarf the index
+// loads a drain makes before its first entry.
+constexpr std::uint64_t kSlowEntryWork = 20000;
+
+// Half a slow entry past `server`'s clock: a deadline inside the first
+// entry the next drain starts.
+std::uint64_t MidFirstEntry(Machine& machine, int server) {
+  const Core& core = machine.core(server);
+  return core.now() + static_cast<std::uint64_t>(kSlowEntryWork * core.config().cpi / 2);
+}
+
+// The drain's deadline is checked before each entry: a drain that meets
+// the server clock at its deadline starts nothing, and an entry started
+// before the deadline runs to its end, past it.
+TEST(Channel, DrainStopsOnceTheServerClockReachesTheDeadline) {
+  auto machine = MakeMachine(2);
+  machine->address_map().Add(
+      Region{kTestChannelBase, kChannelStride, PageKind::kSmall4K, "chan"});
+  Channel ch(kTestChannelBase, 8);
+  Env client(*machine, 0);
+  Env server(*machine, 1);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ch.RingPush(client, i);
+  }
+  std::vector<std::uint64_t> got;
+  const auto slow_consume = [&](std::uint64_t v) {
+    server.Work(kSlowEntryWork);
+    got.push_back(v);
+  };
+  EXPECT_EQ(ch.ServerDrainRing(server, slow_consume, server.now()), 0u);
+  EXPECT_TRUE(got.empty());
+  const std::uint64_t deadline = MidFirstEntry(*machine, 1);
+  EXPECT_EQ(ch.ServerDrainRing(server, slow_consume, deadline), 1u);
+  EXPECT_GT(server.now(), deadline);
+  EXPECT_EQ(got, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(ch.RingSpace(client), 8u - 3);
+}
+
+// Entries a deadline left behind drain later in ring order, interleaved
+// with newer pushes after them.
+TEST(Channel, DrainAfterADeadlineResumesInRingOrder) {
+  auto machine = MakeMachine(2);
+  machine->address_map().Add(
+      Region{kTestChannelBase, kChannelStride, PageKind::kSmall4K, "chan"});
+  Channel ch(kTestChannelBase, 4);
+  Env client(*machine, 0);
+  Env server(*machine, 1);
+  std::vector<std::uint64_t> got;
+  const auto consume = [&](std::uint64_t v) {
+    server.Work(kSlowEntryWork);
+    got.push_back(v);
+  };
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ch.RingPush(client, i);
+  }
+  // Two drains whose deadline falls inside their first entry.
+  EXPECT_EQ(ch.ServerDrainRing(server, consume, MidFirstEntry(*machine, 1)), 1u);
+  EXPECT_EQ(ch.ServerDrainRing(server, consume, MidFirstEntry(*machine, 1)), 1u);
+  // Two slots are free again: the ring wraps.
+  ch.RingPush(client, 4);
+  ch.RingPush(client, 5);
+  EXPECT_EQ(ch.RingSpace(client), 0u);
+  EXPECT_EQ(ch.ServerDrainRing(server, consume), 4u);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(ch.RingSpace(client), 4u);
 }
 
 }  // namespace

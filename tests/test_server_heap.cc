@@ -1,5 +1,4 @@
-// Tests for the single-owner server heaps (both Figure-2 layouts) and the
-// UVM extension allocator.
+// Tests for the single-owner server heaps (both Figure-2 layouts).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -7,7 +6,6 @@
 #include <vector>
 
 #include "src/alloc/layout.h"
-#include "src/core/gpu_malloc.h"
 #include "src/core/nextgen_malloc.h"
 #include "src/core/server_heap.h"
 #include "tests/test_util.h"
@@ -240,60 +238,6 @@ TEST(ServerHeap, SegregatedMetadataLivesInMetaWindow) {
   EXPECT_EQ(r->name, "ngx-seg-meta");
   EXPECT_GE(a, kNgxHeapBase);
   EXPECT_LT(a, kNgxHeapBase + kHeapWindow);
-}
-
-// ------------------------------------------------------------------- UVM
-TEST(UvmAllocator, MigratesOnFirstTouchFromEachSide) {
-  auto machine = MakeMachine(1);
-  UvmAllocator uvm(*machine, kGpuHeapBase);
-  Env env(*machine, 0);
-  const Addr a = uvm.Malloc(env, 256 * 1024);  // 4 UVM pages of 64 KiB
-  ASSERT_NE(a, kNullAddr);
-  uvm.HostAccess(env, a, 256 * 1024, true);
-  EXPECT_EQ(uvm.stats().host_to_device_migrations, 0u);
-  uvm.DeviceAccess(env, a, 256 * 1024, false);
-  EXPECT_EQ(uvm.stats().host_to_device_migrations, 4u);
-  uvm.DeviceAccess(env, a, 256 * 1024, false);
-  EXPECT_EQ(uvm.stats().host_to_device_migrations, 4u) << "already resident";
-  uvm.HostAccess(env, a, 64 * 1024, false);
-  EXPECT_EQ(uvm.stats().device_to_host_migrations, 1u) << "partial migration back";
-  uvm.Free(env, a);
-}
-
-TEST(UvmAllocator, AsyncAllocDefersDriverWork) {
-  auto machine = MakeMachine(1);
-  UvmAllocator uvm(*machine, kGpuHeapBase);
-  Env env(*machine, 0);
-  uvm.Free(env, uvm.Malloc(env, 4096));  // warm the driver pool slab
-  const std::uint64_t t0 = env.now();
-  std::vector<Addr> bufs;
-  for (int i = 0; i < 16; ++i) {
-    bufs.push_back(uvm.MallocAsync(env, 4096));
-  }
-  const std::uint64_t enqueue_cost = env.now() - t0;
-  uvm.StreamSync(env);
-  const std::uint64_t total = env.now() - t0;
-  EXPECT_LT(enqueue_cost, total / 2) << "most cost is paid at the sync point";
-  EXPECT_EQ(uvm.stats().async_allocs, 16u);
-  for (const Addr b : bufs) {
-    uvm.Free(env, b);
-  }
-  EXPECT_EQ(uvm.stats().frees, 17u);  // 16 + the warm-up pair
-}
-
-TEST(UvmAllocator, FreeResetsResidency) {
-  auto machine = MakeMachine(1);
-  UvmAllocator uvm(*machine, kGpuHeapBase);
-  Env env(*machine, 0);
-  const Addr a = uvm.Malloc(env, 64 * 1024);
-  uvm.DeviceAccess(env, a, 64 * 1024, true);
-  uvm.Free(env, a);
-  const Addr b = uvm.Malloc(env, 64 * 1024);
-  // Fresh allocation (even at a reused address range) must not think pages
-  // are device-resident.
-  uvm.HostAccess(env, b, 64 * 1024, true);
-  EXPECT_EQ(uvm.stats().device_to_host_migrations, 0u);
-  uvm.Free(env, b);
 }
 
 }  // namespace

@@ -312,8 +312,9 @@ TEST(BatchedFrees, OneDoorbellPerBatch) {
 }
 
 // xmalloc's pattern: a client frees only to a shard it never mallocs from,
-// so no sync request of its own ever drains that ring. Each doorbell kicks
-// the shard's drain instead, so the ring never fills.
+// so no sync request of its own ever drains that ring. A doorbell that
+// finds the ring still holding the previous batch kicks the shard's drain
+// of the whole ring instead, so the ring never fills.
 TEST(BatchedFrees, ForeignShardFreesNeverStallOnTheRing) {
   auto machine = MakeMachine(4);  // clients 0-1, shards on cores 2-3
   NgxConfig cfg;

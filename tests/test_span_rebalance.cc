@@ -427,15 +427,14 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The traits layer (DESIGN.md §15) must not bend a single span-economy
 // invariant: with the two clients running OPPOSITE contracts -- client 0
-// low-latency (unbatched frees, latency lane) and client 1 throughput
-// (deep free batches, bulk lane, its home shard's watermarks widened) --
-// plus lane admission on, the directory auditor and the shadow-heap
-// exerciser must hold exactly as they do for the homogeneous sweep, and
-// the books must still balance after the final flush.
+// low-latency (unbatched frees) and client 1 throughput (deep free
+// batches, its home shard's watermarks widened) -- the directory auditor
+// and the shadow-heap exerciser must hold exactly as they do for the
+// homogeneous sweep, and the books must still balance after the final
+// flush.
 
 NgxConfig TenantRebalanceConfig(int shards) {
   NgxConfig cfg = RebalanceConfig(shards);
-  cfg.lane_quantum = 8;
   TenantSpec fe;
   fe.name = "frontend";
   fe.traits = MakeTenantTraits("low_latency");
@@ -462,8 +461,6 @@ TEST_P(TenantSpanRebalanceFabricStress, HeterogeneousTraitsKeepTheDirectoryConsi
   auto machine = MakeMachine(shards + 2);
   auto sys = MakeNgxSystem(*machine, TenantRebalanceConfig(shards));
   ASSERT_TRUE(sys.allocator->control()->rebalancing());
-  ASSERT_EQ(sys.allocator->plan().cores[0].lane, QosLane::kLatency);
-  ASSERT_EQ(sys.allocator->plan().cores[1].lane, QosLane::kBulk);
   ASSERT_EQ(sys.allocator->plan().shards[1].low, 4u);
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {

@@ -1,4 +1,4 @@
-// Per-tenant traits + QoS lane tests (DESIGN.md §15):
+// Per-tenant traits tests (DESIGN.md §15):
 //
 //  * preset contract units: every TenantPreset parses/round-trips and fills
 //    exactly the knobs its contract implies (explicit overrides win);
@@ -8,18 +8,24 @@
 //    pipelined cores split their capacity into halves and spill; on a full
 //    system, numa_local and explicit home-shard pins route mallocs to the
 //    contracted shard;
+//  * low_latency and throughput resolve to the global contract but for
+//    free_batch, and a free_batch of one whole ring fits it;
 //  * NGX_CHECK death tests for malformed traits, on the resolver: stash
-//    capacity below the pipeline's two-half minimum, free_batch=0 with lanes
-//    on, unknown preset, duplicate names, double-claimed cores and claimed
-//    server cores;
-//  * lane admission behavior at the engine: DrainAll serves rings in
-//    lane-priority order, a latency-lane sync never queues behind a bulk
-//    tenant's expensive window (the shadow no-bulk schedule), and admission
-//    is inert for a tenant running alone;
+//    capacity below the pipeline's two-half minimum or zero, a free_batch of
+//    0 or beyond one ring, unknown preset, unnamed and duplicate tenants,
+//    one-sided, inverted and conflicting watermark overrides, an
+//    out-of-range home shard, double-claimed cores and claimed server cores;
+//  * a shared shard at the engine: one server clock, so DrainAll serves the
+//    tenants' rings in client order, whoever published first, and a sync
+//    request sent during another tenant's service waits for that service
+//    and no longer;
+//  * a shared shard on the full system: the low_latency tenant rings one
+//    doorbell per free, the throughput tenant one per sixteen;
 //  * per-tenant SLO plumbing: RunResult carries one sync-latency digest per
 //    configured tenant, in NgxConfig::tenants order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -52,26 +58,23 @@ TEST(TenantTraitsUnit, PresetNamesRoundTrip) {
   EXPECT_FALSE(ParseTenantPreset("", &out));
 }
 
-TEST(TenantTraitsUnit, LowLatencyContractRidesTheLatencyLaneUnbatched) {
+TEST(TenantTraitsUnit, LowLatencyContractFreesUnbatched) {
   const TenantTraits t = MakeTenantTraits("low_latency");
   EXPECT_EQ(t.preset, TenantPreset::kLowLatency);
-  EXPECT_EQ(t.lane, QosLane::kLatency);
   EXPECT_EQ(t.free_batch, 1u);
   EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit);
   EXPECT_EQ(t.span_low_mark, TenantTraits::kInherit64);
   EXPECT_EQ(t.home_shard, -1);
 }
 
-TEST(TenantTraitsUnit, ThroughputContractBatchesOnTheBulkLane) {
+TEST(TenantTraitsUnit, ThroughputContractBatchesDeep) {
   const TenantTraits t = MakeTenantTraits("throughput");
-  EXPECT_EQ(t.lane, QosLane::kBulk);
   EXPECT_EQ(t.free_batch, 16u);
   EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit);
 }
 
 TEST(TenantTraitsUnit, EphemeralContractDeepensTheStash) {
   const TenantTraits t = MakeTenantTraits("ephemeral");
-  EXPECT_EQ(t.lane, QosLane::kNormal);
   EXPECT_EQ(t.stash_capacity, 32u);
   EXPECT_EQ(t.free_batch, 8u);
 }
@@ -79,7 +82,6 @@ TEST(TenantTraitsUnit, EphemeralContractDeepensTheStash) {
 TEST(TenantTraitsUnit, DefaultAndNumaLocalInheritEveryKnob) {
   for (const char* name : {"default", "numa_local"}) {
     const TenantTraits t = MakeTenantTraits(name);
-    EXPECT_EQ(t.lane, QosLane::kNormal) << name;
     EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit) << name;
     EXPECT_EQ(t.stash_refill_mark, TenantTraits::kInherit) << name;
     EXPECT_EQ(t.free_batch, TenantTraits::kInherit) << name;
@@ -101,7 +103,6 @@ TEST(TenantTraitsDeath, UnknownPresetAborts) {
 NgxConfig TenantMixConfig() {
   NgxConfig cfg;  // offloaded, async frees, segregated metadata
   cfg.num_shards = 2;
-  cfg.lane_quantum = 8;
   TenantSpec fe;
   fe.name = "frontend";
   fe.traits = MakeTenantTraits("low_latency");
@@ -119,6 +120,17 @@ NgxConfig TenantMixConfig() {
   return cfg;
 }
 
+// A two-shard config with the global rebalance protocol on (low 8, high
+// 16), for tests of watermark overrides and of the marks tenants keep.
+NgxConfig WatermarkConfig() {
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.span_donation = true;
+  cfg.span_low_mark = 8;
+  cfg.span_high_mark = 16;
+  return cfg;
+}
+
 TEST(TenantResolution, PresetsAndOverridesLandOnTheClaimedCores) {
   const TenantPlan plan = ResolveTenantPlan(TenantMixConfig(), /*num_cores=*/6,
                                             /*cluster_cores=*/0, /*server_cores=*/{4, 5});
@@ -129,9 +141,7 @@ TEST(TenantResolution, PresetsAndOverridesLandOnTheClaimedCores) {
   EXPECT_EQ(plan.cores[0].tenant, 0);
   EXPECT_EQ(plan.cores[2].tenant, 1);
   EXPECT_EQ(plan.cores[3].tenant, 2);
-  EXPECT_EQ(plan.cores[0].lane, QosLane::kLatency);
   EXPECT_EQ(plan.cores[0].free_batch, 1u);
-  EXPECT_EQ(plan.cores[2].lane, QosLane::kBulk);
   EXPECT_EQ(plan.cores[2].free_batch, 32u) << "explicit override must beat the preset";
   EXPECT_EQ(plan.cores[3].stash_capacity, 32u) << "ephemeral deepens the stash";
   EXPECT_EQ(plan.cores[3].free_batch, 8u);
@@ -141,7 +151,6 @@ TEST(TenantResolution, UnclaimedCoresKeepTheGlobalContract) {
   const NgxConfig cfg = TenantMixConfig();
   const TenantPlan plan = ResolveTenantPlan(cfg, 6, 0, {4, 5});
   EXPECT_EQ(plan.cores[1].tenant, -1) << "core 1 runs the implicit default tenant";
-  EXPECT_EQ(plan.cores[1].lane, QosLane::kNormal);
   EXPECT_EQ(plan.cores[1].free_batch, cfg.free_batch);
   EXPECT_EQ(plan.cores[1].stash_capacity, cfg.stash_capacity);
   EXPECT_EQ(plan.cores[1].home_shard, -1);
@@ -160,7 +169,6 @@ TEST(TenantResolution, AllDefaultTenantListMatchesTheNoTenantResolution) {
   for (std::size_t c = 0; c < 2; ++c) {
     EXPECT_EQ(plan_plain.cores[c].stash_capacity, plan_listed.cores[c].stash_capacity);
     EXPECT_EQ(plan_plain.cores[c].free_batch, plan_listed.cores[c].free_batch);
-    EXPECT_EQ(plan_plain.cores[c].lane, plan_listed.cores[c].lane);
     EXPECT_EQ(plan_plain.cores[c].home_shard, plan_listed.cores[c].home_shard);
   }
 }
@@ -258,6 +266,74 @@ TEST(TenantPlan, PipelinedCoresSplitTheirCapacityIntoHalvesAndSpill) {
   EXPECT_EQ(unpipelined.cores[0].stash_capacity, 40u);
 }
 
+// The latency and throughput presets are free-batching contracts and
+// nothing else: their cores resolve to the unclaimed core's stash, refill,
+// pipeline and home-shard knobs, and their shards keep the global marks.
+TEST(TenantResolution, LatencyAndThroughputPresetsChangeOnlyFreeBatch) {
+  NgxConfig cfg = WatermarkConfig();
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.free_batch = 4;
+  TenantSpec fe;
+  fe.name = "frontend";
+  fe.traits = MakeTenantTraits("low_latency");
+  fe.cores = {0};
+  TenantSpec an;
+  an.name = "analytics";
+  an.traits = MakeTenantTraits("throughput");
+  an.cores = {1};
+  cfg.tenants = {fe, an};
+  const TenantPlan plan = ResolveTenantPlan(cfg, 5, 0, {3, 4});
+  const CoreContract& plain = plan.cores[2];
+  EXPECT_EQ(plain.tenant, -1);
+  EXPECT_EQ(plain.free_batch, 4u);
+  EXPECT_EQ(plan.cores[0].free_batch, 1u);
+  EXPECT_EQ(plan.cores[1].free_batch, 16u);
+  for (const int c : {0, 1}) {
+    const CoreContract& core = plan.cores[static_cast<std::size_t>(c)];
+    EXPECT_EQ(core.stash_capacity, plain.stash_capacity) << "core " << c;
+    EXPECT_EQ(core.refill_mark, plain.refill_mark) << "core " << c;
+    EXPECT_EQ(core.pipe_cap, plain.pipe_cap) << "core " << c;
+    EXPECT_EQ(core.spill_depth, plain.spill_depth) << "core " << c;
+    EXPECT_EQ(core.home_shard, plain.home_shard) << "core " << c;
+  }
+  for (const ShardWatermarks& marks : plan.shards) {
+    EXPECT_EQ(marks.low, 8u);
+    EXPECT_EQ(marks.high, 16u);
+  }
+}
+
+// The largest free_batch the resolver accepts fills the ring exactly: the
+// batch publishes with one doorbell and never stalls on a full ring.
+TEST(TenantResolution, WholeRingFreeBatchPublishesWithoutAStall) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  TenantSpec t;
+  t.name = "bulk";
+  t.traits.free_batch = kNgxRingCapacity;
+  t.cores = {0};
+  cfg.tenants = {t};
+  auto sys = MakeNgxSystem(*machine, cfg, {2});
+  EXPECT_EQ(sys.allocator->plan().cores[0].free_batch, kNgxRingCapacity);
+  Env env(*machine, 0);
+  std::vector<Addr> blocks;
+  for (std::uint32_t i = 0; i < kNgxRingCapacity; ++i) {
+    blocks.push_back(sys.allocator->Malloc(env, 64));
+    ASSERT_NE(blocks.back(), kNullAddr);
+  }
+  for (const Addr a : blocks) {
+    sys.allocator->Free(env, a);
+  }
+  const OffloadEngineStats& st = sys.fabric->shard_stats(0);
+  EXPECT_EQ(st.free_batches, 1u);
+  EXPECT_EQ(st.staged_frees, kNgxRingCapacity);
+  EXPECT_EQ(st.async_enqueued, kNgxRingCapacity);
+  EXPECT_EQ(st.ring_full_stalls, 0u);
+  sys.allocator->Flush(env);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+}
+
 // ---- Malformed-traits death tests ----
 
 TEST(TenantConfigDeath, StashBelowThePipelineTwoHalfMinimumAborts) {
@@ -272,16 +348,15 @@ TEST(TenantConfigDeath, StashBelowThePipelineTwoHalfMinimumAborts) {
   EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "two-half minimum");
 }
 
-TEST(TenantConfigDeath, ZeroFreeBatchWithLanesOnAborts) {
+TEST(TenantConfigDeath, ZeroFreeBatchAborts) {
   NgxConfig cfg;
-  cfg.lane_quantum = 8;
   TenantSpec t;
   t.name = "stuck";
   t.traits.free_batch = 0;
   t.cores = {0};
   cfg.tenants = {t};
   EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
-                            "free_batch=0 with QoS lanes on");
+                            "tenant free_batch must fit in one async ring");
 }
 
 TEST(TenantConfigDeath, DuplicateTenantNameAborts) {
@@ -317,22 +392,107 @@ TEST(TenantConfigDeath, ClaimingAServerCoreAborts) {
   EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "server core");
 }
 
-// ---- Lane admission at the engine ----
+TEST(TenantConfigDeath, ZeroStashCapacityAborts) {
+  NgxConfig cfg;
+  cfg.prediction = true;  // unpipelined: no two-half minimum applies
+  TenantSpec t;
+  t.name = "empty";
+  t.traits.stash_capacity = 0;
+  t.cores = {0};
+  cfg.tenants = {t};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
+                            "tenant stash capacity must be nonzero");
+}
+
+TEST(TenantConfigDeath, FreeBatchBeyondOneRingAborts) {
+  NgxConfig cfg;
+  TenantSpec t;
+  t.name = "overflow";
+  t.traits.free_batch = kNgxRingCapacity + 1;
+  t.cores = {0};
+  cfg.tenants = {t};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
+                            "tenant free_batch must fit in one async ring");
+}
+
+TEST(TenantConfigDeath, UnnamedTenantAborts) {
+  NgxConfig cfg;
+  TenantSpec t;  // empty name: nothing to label its SLO series with
+  t.cores = {0};
+  cfg.tenants = {t};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "tenant needs a name");
+}
+
+TEST(TenantConfigDeath, OneSidedWatermarkOverrideAborts) {
+  NgxConfig cfg = WatermarkConfig();
+  TenantSpec t;
+  t.name = "half";
+  t.traits.span_low_mark = 24;  // no high mark
+  t.cores = {0};
+  cfg.tenants = {t};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
+                            "must set both marks or neither");
+}
+
+TEST(TenantConfigDeath, InvertedWatermarkOverrideAborts) {
+  NgxConfig cfg = WatermarkConfig();
+  TenantSpec t;
+  t.name = "inverted";
+  t.traits.span_low_mark = 48;
+  t.traits.span_high_mark = 24;
+  t.cores = {0};
+  cfg.tenants = {t};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
+                            "span_high_mark must exceed span_low_mark");
+}
+
+TEST(TenantConfigDeath, ConflictingWatermarksOnOneShardAborts) {
+  NgxConfig cfg = WatermarkConfig();
+  TenantSpec a;
+  a.name = "first";
+  a.traits.span_low_mark = 24;
+  a.traits.span_high_mark = 48;
+  a.cores = {0};
+  TenantSpec b;
+  b.name = "second";
+  b.traits.span_low_mark = 32;
+  b.traits.span_high_mark = 64;
+  b.traits.home_shard = 0;  // core 1's static route would be shard 1
+  b.cores = {1};
+  cfg.tenants = {a, b};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
+                            "conflicting watermarks");
+}
+
+TEST(TenantConfigDeath, HomeShardOutOfRangeAborts) {
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  TenantSpec t;
+  t.name = "lost";
+  t.traits.home_shard = 2;
+  t.cores = {0};
+  cfg.tenants = {t};
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
+                            "home_shard out of range");
+}
+
+// ---- A shared shard at the engine ----
 
 constexpr Addr kQosChannelBase = 0x0700'0000'0000ull;
 
-// Records the order clients were served in, with a tunable per-request cost.
+// Records the order clients were served in. A request runs 50 instructions
+// of work, `slow_work` for `slow_client`.
 class OrderRecordingServer : public OffloadServer {
  public:
-  std::uint64_t HandleRequest(Env& env, int client, OffloadOp op,
+  std::uint64_t HandleRequest(Env& env, int client, OffloadOp /*op*/,
                               std::uint64_t arg) override {
-    env.Work(work_per_request);
+    env.Work(client == slow_client ? slow_work : 50);
     served.push_back(client);
-    (void)op;
     return arg + 1;
   }
 
-  std::uint64_t work_per_request = 50;
+  int slow_client = -1;
+  std::uint64_t slow_work = 50;
   std::vector<int> served;
 };
 
@@ -350,94 +510,151 @@ struct EngineRig {
                                              kQosChannelBase, /*ring_capacity=*/16);
     engine->set_server(&server);
   }
+
+  // Sends a sync request from `client` at time `at` and returns its finish.
+  std::uint64_t SyncAt(int client, std::uint64_t at) {
+    machine->core(client).AdvanceTo(at);
+    Env env(*machine, client);
+    engine->SyncRequest(env, OffloadOp::kMalloc, 1);
+    return env.now();
+  }
+
+  // The latest clock on the machine: a send there finds the server idle.
+  std::uint64_t Latest() const {
+    std::uint64_t t = 0;
+    for (int c = 0; c < machine->num_cores(); ++c) {
+      t = std::max(t, machine->core(c).now());
+    }
+    return t;
+  }
 };
 
-TEST(QosLaneAdmission, DrainAllServesRingsInLanePriorityOrder) {
+// Tenants sharing a shard get no priority over one another: DrainAll serves
+// the rings by client id, not in the order the frees were published.
+TEST(TenantSharedShard, DrainAllServesRingsInClientOrder) {
   EngineRig rig;
-  rig.engine->set_client_lane(0, QosLane::kBulk);
-  rig.engine->set_client_lane(1, QosLane::kLatency);
-  rig.engine->set_client_lane(2, QosLane::kNormal);
-  rig.engine->set_lane_admission(8);
-  Env bulk(*rig.machine, 0);
-  Env lat(*rig.machine, 1);
-  Env norm(*rig.machine, 2);
-  // Bulk pushes first; client index order would also favor it.
-  rig.engine->AsyncRequest(bulk, OffloadOp::kFree, 1);
-  rig.engine->AsyncRequest(norm, OffloadOp::kFree, 2);
-  rig.engine->AsyncRequest(lat, OffloadOp::kFree, 3);
+  Env c0(*rig.machine, 0);
+  Env c1(*rig.machine, 1);
+  Env c2(*rig.machine, 2);
+  rig.engine->AsyncRequest(c0, OffloadOp::kFree, 1);
+  rig.engine->AsyncRequest(c2, OffloadOp::kFree, 2);
+  rig.engine->AsyncRequest(c1, OffloadOp::kFree, 3);
   rig.engine->DrainAll();
   ASSERT_EQ(rig.server.served.size(), 3u);
-  EXPECT_EQ(rig.server.served[0], 1) << "latency lane drains first";
-  EXPECT_EQ(rig.server.served[1], 2) << "normal lane drains second";
-  EXPECT_EQ(rig.server.served[2], 0) << "bulk lane drains last";
-}
-
-TEST(QosLaneAdmission, DrainAllKeepsClientOrderWhenAdmissionIsOff) {
-  EngineRig rig;
-  rig.engine->set_client_lane(0, QosLane::kBulk);
-  rig.engine->set_client_lane(1, QosLane::kLatency);
-  // Classification alone never changes behavior: quantum stays 0.
-  Env bulk(*rig.machine, 0);
-  Env lat(*rig.machine, 1);
-  rig.engine->AsyncRequest(bulk, OffloadOp::kFree, 1);
-  rig.engine->AsyncRequest(lat, OffloadOp::kFree, 2);
-  rig.engine->DrainAll();
-  ASSERT_EQ(rig.server.served.size(), 2u);
   EXPECT_EQ(rig.server.served[0], 0);
   EXPECT_EQ(rig.server.served[1], 1);
+  EXPECT_EQ(rig.server.served[2], 2);
 }
 
-// The observed round-trip of a latency-lane sync issued right after a bulk
-// tenant's expensive window: with admission on, the shadow no-bulk schedule
-// serves it as if the bulk window had been deferred.
-std::uint64_t LatencySyncBehindBulkWindow(bool lanes_on) {
+// One server clock: a latency tenant's sync request sent while a bulk
+// tenant's service runs waits for that service to end, whatever the two
+// contracts say. It then pays its own service and nothing more.
+TEST(TenantSharedShard, SyncSentDuringAnotherTenantsServiceWaitsForItsEnd) {
   EngineRig rig;
-  rig.engine->set_client_lane(0, QosLane::kBulk);
-  rig.engine->set_client_lane(1, QosLane::kLatency);
-  if (lanes_on) {
-    rig.engine->set_lane_admission(8);
+  rig.server.slow_client = 2;
+  rig.server.slow_work = 20000;
+  rig.SyncAt(0, 0);  // one request each, so every mailbox line has moved
+  rig.SyncAt(2, rig.Latest());
+  std::uint64_t t = rig.Latest();
+  const std::uint64_t round_trip = rig.SyncAt(0, t) - t;
+
+  t = rig.Latest();
+  const std::uint64_t bulk_finish = rig.SyncAt(2, t);
+  ASSERT_GT(bulk_finish - t, 10 * round_trip);
+  const std::uint64_t send = t + (bulk_finish - t) / 2;
+  const std::uint64_t finish = rig.SyncAt(0, send);
+  EXPECT_GE(finish, bulk_finish) << "served while the bulk service still ran";
+  EXPECT_LE(finish - bulk_finish, round_trip);
+}
+
+// The coupling is the service in progress and nothing else: a sync request
+// sent after the bulk tenant's service ended takes its unloaded round trip.
+TEST(TenantSharedShard, SyncSentAfterAnotherTenantsServiceIsNotDelayed) {
+  EngineRig rig;
+  rig.server.slow_client = 2;
+  rig.server.slow_work = 20000;
+  rig.SyncAt(0, 0);
+  rig.SyncAt(2, rig.Latest());
+  std::uint64_t t = rig.Latest();
+  const std::uint64_t round_trip = rig.SyncAt(0, t) - t;
+
+  t = rig.Latest();
+  const std::uint64_t bulk_finish = rig.SyncAt(2, t);
+  const std::uint64_t send = bulk_finish + 100;
+  EXPECT_EQ(rig.SyncAt(0, send) - send, round_trip);
+}
+
+// ---- A shared shard on the full system ----
+
+// A low_latency tenant (core 0) and a throughput tenant (core 1) on one
+// shard (server core 2), over a global free_batch of 8 that neither keeps.
+struct SharedShardSystem {
+  std::unique_ptr<Machine> machine = MakeMachine(3);
+  NgxSystem sys;
+
+  SharedShardSystem() {
+    NgxConfig cfg;
+    cfg.free_batch = 8;
+    TenantSpec fe;
+    fe.name = "frontend";
+    fe.traits = MakeTenantTraits("low_latency");
+    fe.cores = {0};
+    TenantSpec an;
+    an.name = "analytics";
+    an.traits = MakeTenantTraits("throughput");
+    an.cores = {1};
+    cfg.tenants = {fe, an};
+    sys = MakeNgxSystem(*machine, cfg, {2});
   }
-  Env bulk(*rig.machine, 0);
-  Env lat(*rig.machine, 1);
-  // The bulk request runs the server clock far ahead of the latency client.
-  rig.server.work_per_request = 5000;
-  rig.engine->SyncRequest(bulk, OffloadOp::kMalloc, 1);
-  rig.server.work_per_request = 50;
-  const std::uint64_t t0 = lat.now();
-  rig.engine->SyncRequest(lat, OffloadOp::kMalloc, 2);
-  return lat.now() - t0;
+
+  std::vector<Addr> MallocBlocks(Env& env, int n) {
+    std::vector<Addr> out;
+    for (int i = 0; i < n; ++i) {
+      out.push_back(sys.allocator->Malloc(env, 64));
+    }
+    return out;
+  }
+
+  const OffloadEngineStats& stats() const { return sys.fabric->shard_stats(0); }
+
+  // Publishes what is staged, drains the shard and checks the books.
+  void Finish(Env& env) {
+    sys.allocator->Flush(env);
+    sys.fabric->DrainAll();
+    EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+  }
+};
+
+TEST(TenantSharedShard, LowLatencyTenantRingsOneDoorbellPerFree) {
+  SharedShardSystem s;
+  Env fe(*s.machine, 0);
+  const std::vector<Addr> blocks = s.MallocBlocks(fe, 4);
+  const OffloadEngineStats before = s.stats();
+  for (const Addr a : blocks) {
+    s.sys.allocator->Free(fe, a);
+  }
+  EXPECT_EQ(s.stats().ring_doorbells - before.ring_doorbells, 4u);
+  EXPECT_EQ(s.stats().async_enqueued - before.async_enqueued, 4u) << "each free is visible at once";
+  EXPECT_EQ(s.stats().staged_frees, 0u);
+  s.Finish(fe);
 }
 
-TEST(QosLaneAdmission, LatencySyncNeverQueuesBehindABulkWindow) {
-  const std::uint64_t off = LatencySyncBehindBulkWindow(false);
-  const std::uint64_t on = LatencySyncBehindBulkWindow(true);
-  // The bulk handler's Work(5000) dominates the lanes-off round trip
-  // (whatever the core's CPI makes of it); with admission on the latency
-  // sync must not see that window at all -- only its own ~Work(50) service.
-  EXPECT_GT(off, 2000u) << "lanes off, the sync queues behind the bulk service";
-  EXPECT_LT(2 * on, off) << "lanes on, the bulk window is deferred past the doorbell";
-  EXPECT_LT(on, 1000u);
-}
-
-// A latency tenant running alone sees the same clocks with admission on or
-// off: the shadow schedule degenerates to the real one when there is no
-// bulk work to defer.
-TEST(QosLaneAdmission, AdmissionIsInertForATenantRunningAlone) {
-  auto run = [](bool lanes_on) {
-    EngineRig rig;
-    rig.engine->set_client_lane(0, QosLane::kLatency);
-    if (lanes_on) {
-      rig.engine->set_lane_admission(8);
-    }
-    Env env(*rig.machine, 0);
-    for (int i = 0; i < 20; ++i) {
-      rig.engine->SyncRequest(env, OffloadOp::kMalloc, static_cast<std::uint64_t>(i));
-      rig.engine->AsyncRequest(env, OffloadOp::kFree, static_cast<std::uint64_t>(i));
-    }
-    rig.engine->DrainAll();
-    return std::make_pair(env.now(), rig.machine->core(rig.machine->num_cores() - 1).now());
-  };
-  EXPECT_EQ(run(false), run(true));
+TEST(TenantSharedShard, ThroughputTenantRingsOneDoorbellPerSixteenFrees) {
+  SharedShardSystem s;
+  Env an(*s.machine, 1);
+  const std::vector<Addr> blocks = s.MallocBlocks(an, 16);
+  const OffloadEngineStats before = s.stats();
+  for (std::size_t i = 0; i + 1 < blocks.size(); ++i) {
+    s.sys.allocator->Free(an, blocks[i]);
+  }
+  EXPECT_EQ(s.stats().staged_frees - before.staged_frees, 15u);
+  EXPECT_EQ(s.stats().ring_doorbells, before.ring_doorbells) << "staged, not yet published";
+  EXPECT_EQ(s.stats().async_enqueued, before.async_enqueued);
+  s.sys.allocator->Free(an, blocks.back());
+  EXPECT_EQ(s.stats().ring_doorbells - before.ring_doorbells, 1u);
+  EXPECT_EQ(s.stats().free_batches - before.free_batches, 1u);
+  EXPECT_EQ(s.stats().async_enqueued - before.async_enqueued, 16u);
+  s.Finish(an);
 }
 
 // ---- Per-tenant SLO plumbing ----
