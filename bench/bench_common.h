@@ -314,7 +314,7 @@ inline NgxConfig Table3PipelineConfig() {
 // the hugepage ablation's off-knob cell all check against this one value,
 // so a deliberate change to simulated history re-pins it here, once, with a
 // before/after table in EXPERIMENTS.md.
-inline constexpr std::uint64_t kTable3PipelineHash = 0x42208f0556f2eba8ull;
+inline constexpr std::uint64_t kTable3PipelineHash = 0x5b6ede7a394975ceull;
 
 // A state hash as the 16-digit lowercase hex string the bench JSON carries.
 inline std::string HashHex(std::uint64_t h) {

@@ -119,11 +119,11 @@ struct NgxConfig {
   // Elastic heap fabric (span-granular ownership; see DESIGN.md §7).
   // Remote frees per ring doorbell: each free is stored straight into its
   // (client, shard) ring and every `free_batch`-th publishes the batch with
-  // one head release-store. The shard drains published batches in its idle
-  // windows, entry by entry, only until the next sync request is due
-  // (malloc-first, DESIGN.md §7). 1 = the unbatched path, one doorbell per
-  // free, drained before the freeing client's own sync requests. Must not
-  // exceed kNgxRingCapacity.
+  // its own store, which marks the run's end (the ring has no head index).
+  // The shard drains published batches in its idle windows, entry by entry,
+  // only until the next sync request is due (malloc-first, DESIGN.md §7).
+  // 1 = the unbatched path, one doorbell per free, drained before the
+  // freeing client's own sync requests. Must not exceed kNgxRingCapacity.
   std::uint32_t free_batch = 1;
   // A shard whose partition runs dry requests whole free spans from the
   // donor with the most free spans via OffloadOp::kDonateSpan (needs

@@ -154,9 +154,9 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // spinning server also pick up a half-full free ring in the background
     // (no client stall) so backpressure stalls stay the rare case.
     fabric_->set_eager_drain_at(kNgxRingCapacity / 2);
-    // Ring pushes keep the producer indices in registers (SPSC idiom): a
-    // remote free costs the entry store and the head release-store, not a
-    // re-read of the server-written tail line per push.
+    // Ring pushes keep a copy of the server's tail in a register (SPSC
+    // idiom): a remote free costs its entry store alone, not a re-read of
+    // the server-written tail line per push.
     fabric_->set_producer_index_cache(true);
   }
   // Home-shard pins and tenant labels on the fabric (DESIGN.md §15).

@@ -39,23 +39,34 @@ enum class OffloadOp : std::uint64_t {
 inline constexpr int kOffloadOpCount = 11;
 
 // Async ring entries are tagged in their top byte. Tag 0 is a plain kFree
-// address (the historical encoding, byte-for-byte unchanged); any other tag
-// is the OffloadOp the entry carries, with its argument in the low 56 bits.
-inline constexpr std::uint64_t kRingArgMask = (1ull << 56) - 1;
+// address; any other tag is the OffloadOp the entry carries, with its
+// argument in bits 0-53.
+inline constexpr std::uint64_t kRingArgMask = (1ull << 54) - 1;
 inline constexpr std::uint64_t RingEntryWord(OffloadOp op, std::uint64_t arg) {
   return (static_cast<std::uint64_t>(op) << 56) | arg;
 }
 
+// The ring has no head index: each entry carries its own publication in
+// bits 54-55 (B-Queue/FastForward style), which the channel adds when it
+// stores an entry and strips before the server consumes it. The lap bit
+// records the lap of the ring that wrote the slot (index / capacity); it is
+// set on even laps, so a never-written slot reads as the lap before the
+// first. The run-end mark ends a published run: the producer stages a run
+// with plain stores and publishes it with the one store that marks its last
+// entry.
+inline constexpr std::uint64_t kRingLapBit = 1ull << 54;
+inline constexpr std::uint64_t kRingRunEnd = 1ull << 55;
+
 // Layout of one client's channel block (kChannelStride bytes):
 //   +0    request line:  req_seq|op (one word, Code 1's single flag), arg
 //   +64   response line: resp_seq, result
-//   +128  ring head index (written by client)
+//   +128  unused (the ring keeps no head index; the lines below keep their
+//         offsets, and with them their cache sets)
 //   +192  ring tail index (written by server)
 //   +256  ring entries (ring_capacity x 8 bytes)
 inline constexpr std::uint64_t kChannelStride = 1024;
 inline constexpr std::uint64_t kReqOff = 0;
 inline constexpr std::uint64_t kRespOff = 64;
-inline constexpr std::uint64_t kRingHeadOff = 128;
 inline constexpr std::uint64_t kRingTailOff = 192;
 inline constexpr std::uint64_t kRingEntriesOff = 256;
 inline constexpr std::uint32_t kMaxRingCapacity = (kChannelStride - kRingEntriesOff) / 8;
@@ -93,38 +104,27 @@ class Channel {
     return env.Load<std::uint64_t>(base_ + kRespOff + 8);
   }
 
-  // Number of free async slots from the client's view (reads both indices).
-  std::uint64_t RingSpace(Env& env) {
-    const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
-    const std::uint64_t tail = env.Load<std::uint64_t>(base_ + kRingTailOff);
-    return ring_capacity_ - (head - tail);
-  }
+  // The producer keeps its own head in a register (the standard SPSC
+  // idiom, DESIGN.md §9): it is the ring's only writer, so no index line is
+  // ever loaded or stored on its behalf. Caller checks space against its
+  // view of the tail before storing into slot `index`.
 
-  // Fire-and-forget enqueue. Caller must have checked RingSpace.
-  void RingPush(Env& env, std::uint64_t value) {
-    const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
-    env.Store<std::uint64_t>(EntryAddr(head), value);
-    env.AtomicStore(base_ + kRingHeadOff, head + 1);
-  }
-
-  // Enqueue for a producer that keeps its own head index in a register (the
-  // standard SPSC producer idiom, DESIGN.md §9): one store into slot `index`,
-  // no index loads at all. The entry stays invisible to the server until
-  // RingPublish moves the head past it, so several stores can share one
-  // doorbell (DESIGN.md §7). Caller owns the head (it is the ring's only
-  // writer) and must have checked space against its cached view of the tail.
+  // Stages `value` in slot `index`: one store, invisible to the server
+  // until a later RingPublish ends its run, so several stores can share one
+  // doorbell (DESIGN.md §7).
   void RingStore(Env& env, std::uint64_t index, std::uint64_t value) {
-    env.Store<std::uint64_t>(EntryAddr(index), value);
+    env.Store<std::uint64_t>(EntryAddr(index), LapBit(index) | value);
   }
 
-  // Release-store of the producer's head: publishes every entry below it in
-  // one doorbell line transfer.
-  void RingPublish(Env& env, std::uint64_t head) {
-    env.AtomicStore(base_ + kRingHeadOff, head);
+  // Release-store of `value` into slot `index` with the run-end mark: the
+  // one store that publishes every entry staged since the previous run end.
+  // It goes to the run's own last line, which the producer already holds
+  // when it staged there.
+  void RingPublish(Env& env, std::uint64_t index, std::uint64_t value) {
+    env.AtomicStore(EntryAddr(index), LapBit(index) | kRingRunEnd | value);
   }
 
-  // Consumer index alone: a cached-index producer re-reads the tail line
-  // only when its cached copy says the ring is full.
+  // Consumer index: the producer's free-space check.
   std::uint64_t RingTail(Env& env) {
     return env.Load<std::uint64_t>(base_ + kRingTailOff);
   }
@@ -150,30 +150,48 @@ class Channel {
     env.AtomicStore(base_ + kRespOff, seq);
   }
 
-  // Consumes pending entries in ring order and publishes the new tail with
-  // one release-store. A `deadline` stops it once the server clock reaches
-  // it before the next entry starts, leaving the rest for a later drain (a
-  // malloc-first idle window ends when a sync request is due, DESIGN.md §7).
-  // Returns the count consumed.
+  // Consumes the published entries below `published` (the end of the last
+  // published run) in ring order and stores the new tail with one
+  // release-store. The server keeps its tail in a register, as the producer
+  // keeps its head, so it loads only the entry lines it drains; an empty
+  // ring costs one poll of the slot at the tail. A `deadline` stops it once
+  // the server clock reaches it before the next entry starts, leaving the
+  // rest for a later drain (a malloc-first idle window ends when a sync
+  // request is due, DESIGN.md §7); a drain that starts at its deadline
+  // touches no line. Returns the count consumed.
   template <typename Fn>
-  std::uint32_t ServerDrainRing(Env& env, Fn&& consume, std::uint64_t deadline = kNoDeadline) {
-    const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
-    std::uint64_t tail = env.Load<std::uint64_t>(base_ + kRingTailOff);
+  std::uint32_t ServerDrainRing(Env& env, std::uint64_t published, Fn&& consume,
+                                std::uint64_t deadline = kNoDeadline) {
+    if (env.now() >= deadline) {
+      return 0;
+    }
+    // The register copy of the server's own tail: the value it last stored.
+    std::uint64_t tail = env.machine().memory().Read<std::uint64_t>(base_ + kRingTailOff);
+    if (tail == published) {
+      env.TouchRead(EntryAddr(tail), 8);  // the poll that finds no run end
+      return 0;
+    }
     std::uint32_t n = 0;
-    while (tail != head && env.now() < deadline) {
-      consume(env.Load<std::uint64_t>(EntryAddr(tail)));
+    while (tail != published && env.now() < deadline) {
+      const std::uint64_t word = env.Load<std::uint64_t>(EntryAddr(tail));
+      NGX_CHECK((word & kRingLapBit) == LapBit(tail),
+                "ring entry's lap bit does not match the lap of its slot");
+      NGX_CHECK(tail + 1 != published || (word & kRingRunEnd) != 0,
+                "the last published ring entry lacks its run-end mark");
+      consume(word & ~(kRingLapBit | kRingRunEnd));
       ++tail;
       ++n;
     }
-    if (n > 0) {
-      env.AtomicStore(base_ + kRingTailOff, tail);
-    }
+    env.AtomicStore(base_ + kRingTailOff, tail);
     return n;
   }
 
  private:
   Addr EntryAddr(std::uint64_t index) const {
     return base_ + kRingEntriesOff + 8 * (index % ring_capacity_);
+  }
+  std::uint64_t LapBit(std::uint64_t index) const {
+    return (index / ring_capacity_) % 2 == 0 ? kRingLapBit : 0;
   }
 
   Addr base_;

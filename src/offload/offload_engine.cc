@@ -145,7 +145,8 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint64_t deadlin
         NoteCarveCycles(server_env.now() - c0);
         ++stats_.async_ops;
       };
-  const std::uint32_t n = channels_[client].ServerDrainRing(server_env, consume, deadline);
+  const std::uint32_t n = channels_[client].ServerDrainRing(
+      server_env, prod_cache_[static_cast<std::size_t>(client)].head, consume, deadline);
   if (FlightRecorder* rec = Recorder()) {
     // The whole drain window (including empty polls reaching this far) is
     // server-busy time; the carve handlers inside it were already attributed
@@ -361,19 +362,17 @@ std::uint64_t OffloadEngine::PushEntry(Env& client_env, int client, std::uint64_
   if (producer_cache_) {
     CachedPushReserve(client_env, client, 1);
     // The eager-drain policy is the SERVER noticing its ring filling during
-    // its poll loop, so it keys off the true occupancy (whose timed reads
-    // happen inside DrainRing), not the producer's deliberately stale view.
+    // its poll loop, so it keys off the true occupancy, not the producer's
+    // deliberately stale view.
     occupancy = Published(client);
-    ch.RingStore(client_env, pc.head, entry);
-    ch.RingPublish(client_env, pc.head + 1);
   } else {
-    const std::uint64_t space = ch.RingSpace(client_env);
-    occupancy = ch.ring_capacity() - space;
-    if (space == 0) {
+    occupancy = pc.head - ch.RingTail(client_env);
+    if (occupancy == ch.ring_capacity()) {
       StallOnFullRing(client_env, client);
     }
-    ch.RingPush(client_env, entry);
   }
+  // A run of one: the entry's store is its publish.
+  ch.RingPublish(client_env, pc.head, entry);
   ++pc.head;
   ++stats_.ring_doorbells;
   ++stats_.async_enqueued;
@@ -386,6 +385,7 @@ std::uint64_t OffloadEngine::PushEntry(Env& client_env, int client, std::uint64_
 void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0) {
   assert(server_ != nullptr);
   assert(op == OffloadOp::kFree && "only frees are fire-and-forget");
+  assert((arg0 & ~kRingArgMask) == 0 && "a ring free is a raw (tag 0) address");
   const int client = client_env.core_id();
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, 1);
@@ -410,10 +410,15 @@ std::uint32_t OffloadEngine::StageFree(Env& client_env, std::uint64_t addr,
   // published entries; the staged ones (at most batch - 1) always fit after
   // that drain.
   CachedPushReserve(client_env, client, pc.staged + 1);
-  channels_[client].RingStore(client_env, pc.head + pc.staged, addr);
+  pc.last_staged = addr;
   ++pc.staged;
   ++stats_.staged_frees;
-  return pc.staged == batch ? PublishStaged(client_env) : 0;
+  if (pc.staged == batch) {
+    // The publish is the only store of the batch's last entry.
+    return PublishStaged(client_env);
+  }
+  channels_[client].RingStore(client_env, pc.head + pc.staged - 1, addr);
+  return 0;
 }
 
 std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
@@ -431,9 +436,9 @@ std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
     h_ring_occupancy_->Record(backlog);
     h_free_batch_->Record(n);
   }
+  channels_[client].RingPublish(client_env, pc.head + n - 1, pc.last_staged);
   pc.head += n;
   pc.staged = 0;
-  channels_[client].RingPublish(client_env, pc.head);
   ++stats_.ring_doorbells;
   ++stats_.free_batches;
   stats_.async_enqueued += n;
@@ -454,7 +459,7 @@ std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
 std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
                                                 std::uint64_t arg) {
   assert(server_ != nullptr);
-  NGX_CHECK((arg & ~kRingArgMask) == 0, "tagged ring arg must leave the top byte free");
+  NGX_CHECK((arg & ~kRingArgMask) == 0, "tagged ring arg must fit below the publication bits");
   const int client = client_env.core_id();
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, 1);

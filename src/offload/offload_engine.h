@@ -14,13 +14,16 @@
 // max(server-free-time, client-send-time). So a request waits for work sent
 // before it, never for work the simulator merely processed first. Async
 // frees ride a per-client ring, so clients only stall on a full ring. The
-// shard is malloc-first: a published free batch queues with its doorbell
-// time and drains in the server's idle windows, entry by entry, only while
-// the server clock is before the next sync request's send time -- a malloc
-// waits out at most the one entry in progress. Unbatched entries drain
-// before their own client's sync requests, on kicks and on DrainAll (in
-// client order). Queueing among multiple clients emerges from the shared
-// server clock (Section 3.1.1's granularity concern made concrete).
+// ring has no head index (channel.h): a drain costs the server the entry
+// lines it consumes and no index line. The shard is malloc-first: a
+// published free batch queues with its doorbell time and drains in the
+// server's idle windows, entry by entry, only while the server clock is
+// before the next sync request's send time -- a malloc waits out at most
+// the one entry in progress, and a drain that finds the send reached
+// touches no line. Unbatched entries drain before their own client's sync
+// requests, on kicks and on DrainAll (in client order). Queueing among
+// multiple clients emerges from the shared server clock (Section 3.1.1's
+// granularity concern made concrete).
 #ifndef NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 #define NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 
@@ -48,8 +51,9 @@ struct OffloadEngineStats {
   std::uint64_t async_ops = 0;
   std::uint64_t ring_full_stalls = 0;
   std::uint64_t server_busy_waits = 0;  // sync requests served after their send
-  // Release-stores of a ring head (one per push / per published free batch):
-  // the cache-line transfers batched frees exist to amortize.
+  // Published runs (one per push / per published free batch), each one
+  // store that marks the run's last entry: the publishes batched frees
+  // exist to amortize.
   std::uint64_t ring_doorbells = 0;
   // Entries made visible on the rings (a staged free counts when its batch
   // publishes); async_enqueued - async_ops is the undrained backlog.
@@ -103,15 +107,15 @@ class OffloadEngine {
   // occupied. Returns the entries this call published (0 or `batch`).
   std::uint32_t StageFree(Env& client_env, std::uint64_t addr, std::uint32_t batch);
 
-  // Publishes the client's staged frees with one head release-store (one
-  // doorbell) and queues the doorbell with its time; the batch drains in
-  // the server's idle windows before later sync requests (SyncRequest), so
-  // it never runs the server clock ahead of a waiting malloc. If the ring
-  // still holds an earlier batch no idle window reached, this doorbell
-  // drains the whole ring on the server's own clock instead, so the ring
-  // cannot fill between doorbells. The client never waits. Every other push
-  // to the ring publishes first, so ring order is program order. Returns
-  // the entries published (0 = nothing staged).
+  // Publishes the client's staged frees with one store that marks the last
+  // of them (one doorbell) and queues the doorbell with its time; the batch
+  // drains in the server's idle windows before later sync requests
+  // (SyncRequest), so it never runs the server clock ahead of a waiting
+  // malloc. If the ring still holds an earlier batch no idle window
+  // reached, this doorbell drains the whole ring on the server's own clock
+  // instead, so the ring cannot fill between doorbells. The client never
+  // waits. Every other push to the ring publishes first, so ring order is
+  // program order. Returns the entries published (0 = nothing staged).
   std::uint32_t PublishStaged(Env& client_env);
 
   // Non-blocking tagged request (the stash pipeline's kRefillStash): pushes
@@ -142,7 +146,7 @@ class OffloadEngine {
     post_drain_hook_ = std::move(hook);
   }
 
-  // Background drain threshold: when > 0 and a RingPush leaves at least this
+  // Background drain threshold: when > 0 and a push leaves at least this
   // many entries pending, the spinning server drains the ring on its OWN
   // clock (an AsyncRequestKicked-style kick, no client stall) instead of
   // letting it fill to the StallOnFullRing backpressure point. Models the
@@ -151,14 +155,14 @@ class OffloadEngine {
   void set_eager_drain_at(std::uint32_t n) { eager_drain_at_ = n; }
 
   // Producer-side index cache (the standard SPSC ring idiom; DESIGN.md §9):
-  // each client keeps its own head index plus a cached copy of the server's
-  // tail in registers, so a push is just the entry store and the head
-  // release-store. The tail line -- which the server rewrites on every drain
-  // and would otherwise transfer back on every occupancy check -- is
+  // every client keeps its own head index in a register, and with this on
+  // also a cached copy of the server's tail, so a push is just the entry
+  // store. The tail line -- which the server rewrites on every drain and
+  // would otherwise transfer back on every push's occupancy check -- is
   // re-read only when the cached copy says the ring is full (at most one
   // stale-full false positive per capacity pushes, since the real tail only
-  // ever advances). Off by default; the stash pipeline enables it, and the
-  // non-pipelined protocol stays byte-for-byte identical to the seed.
+  // ever advances). Off by default (each push reads the tail); the stash
+  // pipeline enables it.
   void set_producer_index_cache(bool on) { producer_cache_ = on; }
 
   // Tenant label for this client's telemetry: when non-empty, sync latency
@@ -232,15 +236,18 @@ class OffloadEngine {
   }
 
   // Per-client producer registers (host-side mirrors of simulated state).
-  // `head` shadows the value the client last release-stored, whatever the
-  // push path; `cached_tail` lags the server's true tail, which is safe
-  // because a stale tail only UNDER-estimates free space, never over (the
-  // index-cache pushes and StageFree consult it); `staged` counts entries
-  // stored past `head` and not yet published.
+  // `head` ends the last published run, whatever the push path -- the ring
+  // keeps no head in memory, and a drain reads the entries below it;
+  // `cached_tail` lags the server's true tail, which is safe because a
+  // stale tail only UNDER-estimates free space, never over (the index-cache
+  // pushes and StageFree consult it); `staged` counts entries stored past
+  // `head` and not yet published, the newest of them `last_staged`, whose
+  // slot the publish store marks.
   struct ProducerIndexCache {
     std::uint64_t head = 0;
     std::uint64_t cached_tail = 0;
     std::uint32_t staged = 0;
+    std::uint64_t last_staged = 0;
   };
   // Space check + stale-tail refresh + stall for an n-entry cached push;
   // returns the pre-push ring occupancy from the producer's view.
@@ -273,7 +280,7 @@ class OffloadEngine {
   // churn allocates nodes for the whole run.
   struct Doorbell {
     int client;
-    std::uint64_t at;  // client clock at the head release-store
+    std::uint64_t at;  // client clock at the publish store
   };
   std::vector<Doorbell> doorbells_;
   // The calendar's gaps: sorted, disjoint, all before the server clock.

@@ -34,14 +34,6 @@ std::uint64_t AddressMap::PageBytesFor(Addr a) const {
   return r == nullptr ? kSmallPageBytes : PageBytes(r->kind);
 }
 
-std::vector<Region> AddressMap::RegionsIn(Addr lo, Addr hi) const {
-  std::vector<Region> out;
-  for (auto it = regions_.lower_bound(lo); it != regions_.end() && it->first < hi; ++it) {
-    out.push_back(it->second);
-  }
-  return out;
-}
-
 std::uint64_t AddressMap::TotalMappedBytes() const {
   std::uint64_t total = 0;
   for (const auto& [base, r] : regions_) {

@@ -8,7 +8,6 @@
 #define NGX_SRC_SIM_ADDRESS_MAP_H_
 
 #include <map>
-#include <vector>
 #include <string>
 
 #include "src/sim/types.h"
@@ -43,9 +42,6 @@ class AddressMap {
 
   // Total bytes currently mapped (virtual footprint).
   std::uint64_t TotalMappedBytes() const;
-
-  // All regions whose base lies in [lo, hi), in address order.
-  std::vector<Region> RegionsIn(Addr lo, Addr hi) const;
 
  private:
   std::map<Addr, Region> regions_;  // keyed by base address

@@ -106,6 +106,31 @@ TEST_F(OffloadEngineTest, RingOrderPreserved) {
   }
 }
 
+// Staged frees carry no run-end mark, so no drain consumes them; the
+// publish makes the whole run visible, and it drains after the runs
+// published before it, in ring order.
+TEST_F(OffloadEngineTest, StagedRunIsInvisibleToDrainsUntilPublished) {
+  Env env(*machine_, 0);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    engine_->StageFree(env, 0x100 + i, 4);  // the 4th publishes the batch
+  }
+  engine_->StageFree(env, 0x104, 4);
+  engine_->StageFree(env, 0x105, 4);
+  engine_->DrainAll();
+  EXPECT_EQ(server_.freed, (std::vector<std::uint64_t>{0x100, 0x101, 0x102, 0x103}));
+  const Addr slots = kTestChannelBase + kRingEntriesOff;
+  const std::uint64_t staged = machine_->memory().Read<std::uint64_t>(slots + 8 * 5);
+  EXPECT_EQ(staged, kRingLapBit | 0x105) << "staged: this lap's bit, no run-end mark";
+
+  EXPECT_EQ(engine_->PublishStaged(env), 2u);
+  EXPECT_EQ(machine_->memory().Read<std::uint64_t>(slots + 8 * 5),
+            kRingLapBit | kRingRunEnd | 0x105);
+  engine_->DrainAll();
+  EXPECT_EQ(server_.freed,
+            (std::vector<std::uint64_t>{0x100, 0x101, 0x102, 0x103, 0x104, 0x105}));
+  EXPECT_EQ(engine_->stats().ring_doorbells, 2u) << "one per published run";
+}
+
 TEST_F(OffloadEngineTest, RingFullBackpressure) {
   Env env(*machine_, 0);
   for (std::uint64_t i = 0; i < 20; ++i) {  // capacity is 8
@@ -497,6 +522,17 @@ TEST(Channel, PayloadIntegrity) {
   EXPECT_EQ(ch.ClientReceive(client, 1), 999u);
 }
 
+// A producer that keeps the ring's head in a register, as OffloadEngine's
+// clients do, and publishes each push as a run of one.
+struct RingProducer {
+  Channel& ch;
+  Env& env;
+  std::uint64_t head = 0;
+
+  std::uint64_t Space() { return ch.ring_capacity() - (head - ch.RingTail(env)); }
+  void Push(std::uint64_t value) { ch.RingPublish(env, head++, value); }
+};
+
 TEST(Channel, RingWrapsAround) {
   auto machine = MakeMachine(2);
   machine->address_map().Add(
@@ -504,22 +540,48 @@ TEST(Channel, RingWrapsAround) {
   Channel ch(kTestChannelBase, 4);
   Env client(*machine, 0);
   Env server(*machine, 1);
+  RingProducer producer{ch, client};
   std::vector<std::uint64_t> got;
   for (std::uint64_t round = 0; round < 3; ++round) {
     for (std::uint64_t i = 0; i < 4; ++i) {
-      ASSERT_GT(ch.RingSpace(client), 0u);
-      ch.RingPush(client, round * 10 + i);
+      ASSERT_GT(producer.Space(), 0u);
+      producer.Push(round * 10 + i);
     }
-    EXPECT_EQ(ch.RingSpace(client), 0u);
-    ch.ServerDrainRing(server, [&](std::uint64_t v) { got.push_back(v); });
+    EXPECT_EQ(producer.Space(), 0u);
+    ch.ServerDrainRing(server, producer.head, [&](std::uint64_t v) { got.push_back(v); });
   }
   ASSERT_EQ(got.size(), 12u);
   EXPECT_EQ(got[4], 10u);
   EXPECT_EQ(got[11], 23u);
 }
 
-// Work per consumed entry in the deadline tests: its cycles dwarf the index
-// loads a drain makes before its first entry.
+// A run staged from a line boundary and published by its last entry's
+// store costs the draining server one line: the entry line. No index line
+// is loaded.
+TEST(Channel, PublishedRunFromALineBoundaryCostsTheServerOneTransfer) {
+  auto machine = MakeMachine(2);
+  machine->address_map().Add(
+      Region{kTestChannelBase, kChannelStride, PageKind::kSmall4K, "chan"});
+  static_assert(kRingEntriesOff % kCacheLineBytes == 0, "slot 0 opens a line");
+  Channel ch(kTestChannelBase, 8);  // 8 slots = one line
+  Env client(*machine, 0);
+  Env server(*machine, 1);
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    ch.RingStore(client, i, 0x100 + i);
+  }
+  ch.RingPublish(client, 7, 0x107);
+  const PmuCounters before = machine->core(1).pmu();
+  std::vector<std::uint64_t> got;
+  EXPECT_EQ(ch.ServerDrainRing(server, 8, [&](std::uint64_t v) { got.push_back(v); }), 8u);
+  const PmuCounters& after = machine->core(1).pmu();
+  EXPECT_EQ(after.remote_hitm - before.remote_hitm, 1u) << "the entry line alone";
+  EXPECT_EQ(after.loads - before.loads, 8u) << "one load per entry, none of an index";
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0x100, 0x101, 0x102, 0x103, 0x104, 0x105, 0x106,
+                                             0x107}));
+}
+
+// Work per consumed entry in the deadline tests: its cycles dwarf the entry
+// load a drain makes before its first entry.
 constexpr std::uint64_t kSlowEntryWork = 20000;
 
 // Half a slow entry past `server`'s clock: a deadline inside the first
@@ -530,8 +592,8 @@ std::uint64_t MidFirstEntry(Machine& machine, int server) {
 }
 
 // The drain's deadline is checked before each entry: a drain that meets
-// the server clock at its deadline starts nothing, and an entry started
-// before the deadline runs to its end, past it.
+// the server clock at its deadline starts nothing and touches no line, and
+// an entry started before the deadline runs to its end, past it.
 TEST(Channel, DrainStopsOnceTheServerClockReachesTheDeadline) {
   auto machine = MakeMachine(2);
   machine->address_map().Add(
@@ -539,21 +601,26 @@ TEST(Channel, DrainStopsOnceTheServerClockReachesTheDeadline) {
   Channel ch(kTestChannelBase, 8);
   Env client(*machine, 0);
   Env server(*machine, 1);
+  RingProducer producer{ch, client};
   for (std::uint64_t i = 0; i < 4; ++i) {
-    ch.RingPush(client, i);
+    producer.Push(i);
   }
   std::vector<std::uint64_t> got;
   const auto slow_consume = [&](std::uint64_t v) {
     server.Work(kSlowEntryWork);
     got.push_back(v);
   };
-  EXPECT_EQ(ch.ServerDrainRing(server, slow_consume, server.now()), 0u);
+  const std::uint64_t clock0 = server.now();
+  const std::uint64_t loads0 = machine->core(1).pmu().loads;
+  EXPECT_EQ(ch.ServerDrainRing(server, producer.head, slow_consume, server.now()), 0u);
   EXPECT_TRUE(got.empty());
+  EXPECT_EQ(server.now(), clock0);
+  EXPECT_EQ(machine->core(1).pmu().loads, loads0);
   const std::uint64_t deadline = MidFirstEntry(*machine, 1);
-  EXPECT_EQ(ch.ServerDrainRing(server, slow_consume, deadline), 1u);
+  EXPECT_EQ(ch.ServerDrainRing(server, producer.head, slow_consume, deadline), 1u);
   EXPECT_GT(server.now(), deadline);
   EXPECT_EQ(got, std::vector<std::uint64_t>{0});
-  EXPECT_EQ(ch.RingSpace(client), 8u - 3);
+  EXPECT_EQ(producer.Space(), 8u - 3);
 }
 
 // Entries a deadline left behind drain later in ring order, interleaved
@@ -565,24 +632,57 @@ TEST(Channel, DrainAfterADeadlineResumesInRingOrder) {
   Channel ch(kTestChannelBase, 4);
   Env client(*machine, 0);
   Env server(*machine, 1);
+  RingProducer producer{ch, client};
   std::vector<std::uint64_t> got;
   const auto consume = [&](std::uint64_t v) {
     server.Work(kSlowEntryWork);
     got.push_back(v);
   };
   for (std::uint64_t i = 0; i < 4; ++i) {
-    ch.RingPush(client, i);
+    producer.Push(i);
   }
   // Two drains whose deadline falls inside their first entry.
-  EXPECT_EQ(ch.ServerDrainRing(server, consume, MidFirstEntry(*machine, 1)), 1u);
-  EXPECT_EQ(ch.ServerDrainRing(server, consume, MidFirstEntry(*machine, 1)), 1u);
+  EXPECT_EQ(ch.ServerDrainRing(server, producer.head, consume, MidFirstEntry(*machine, 1)), 1u);
+  EXPECT_EQ(ch.ServerDrainRing(server, producer.head, consume, MidFirstEntry(*machine, 1)), 1u);
   // Two slots are free again: the ring wraps.
-  ch.RingPush(client, 4);
-  ch.RingPush(client, 5);
-  EXPECT_EQ(ch.RingSpace(client), 0u);
-  EXPECT_EQ(ch.ServerDrainRing(server, consume), 4u);
+  producer.Push(4);
+  producer.Push(5);
+  EXPECT_EQ(producer.Space(), 0u);
+  EXPECT_EQ(ch.ServerDrainRing(server, producer.head, consume), 4u);
   EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(ch.RingSpace(client), 4u);
+  EXPECT_EQ(producer.Space(), 4u);
+}
+
+// An entry whose lap bit does not match its slot's lap was not written on
+// this lap: draining it as published dies instead of consuming a stale word.
+TEST(ChannelDeath, AnEntryFromAnotherLapDiesAtTheDrain) {
+  auto machine = MakeMachine(2);
+  machine->address_map().Add(
+      Region{kTestChannelBase, kChannelStride, PageKind::kSmall4K, "chan"});
+  Channel ch(kTestChannelBase, 4);
+  Env client(*machine, 0);
+  Env server(*machine, 1);
+  RingProducer producer{ch, client};
+  producer.Push(0x40);
+  const Addr slot = kTestChannelBase + kRingEntriesOff;
+  machine->memory().Write<std::uint64_t>(slot,
+                                         machine->memory().Read<std::uint64_t>(slot) ^ kRingLapBit);
+  EXPECT_DEATH_IF_SUPPORTED(ch.ServerDrainRing(server, producer.head, [](std::uint64_t) {}),
+                            "lap bit does not match");
+}
+
+// A drain told a run is published checks that its last entry carries the
+// run-end mark: staged stores alone publish nothing.
+TEST(ChannelDeath, ARunWithoutItsRunEndMarkDiesAtTheDrain) {
+  auto machine = MakeMachine(2);
+  machine->address_map().Add(
+      Region{kTestChannelBase, kChannelStride, PageKind::kSmall4K, "chan"});
+  Channel ch(kTestChannelBase, 4);
+  Env client(*machine, 0);
+  Env server(*machine, 1);
+  ch.RingStore(client, 0, 0x40);
+  EXPECT_DEATH_IF_SUPPORTED(ch.ServerDrainRing(server, 1, [](std::uint64_t) {}),
+                            "lacks its run-end mark");
 }
 
 }  // namespace

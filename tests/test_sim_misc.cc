@@ -90,17 +90,6 @@ TEST(AddressMap, FindAndPageSize) {
   EXPECT_EQ(map.Find(0x1000), nullptr);
 }
 
-TEST(AddressMapRegions, RegionsInRespectsBounds) {
-  AddressMap map;
-  map.Add(Region{0x1000, 0x1000, PageKind::kSmall4K, "a"});
-  map.Add(Region{0x5000, 0x1000, PageKind::kSmall4K, "b"});
-  map.Add(Region{0x9000, 0x1000, PageKind::kSmall4K, "c"});
-  const auto mid = map.RegionsIn(0x2000, 0x9000);
-  ASSERT_EQ(mid.size(), 1u);
-  EXPECT_EQ(mid[0].name, "b");
-  EXPECT_EQ(map.RegionsIn(0, ~0ull).size(), 3u);
-}
-
 TEST(CoreTiming, WorkUsesCpi) {
   Core fast(CoreConfig{}, 0);  // cpi 0.5
   CoreConfig slow_cfg = CoreConfig::InOrder();  // cpi 1.0

@@ -275,7 +275,7 @@ TEST(BatchedFrees, FlushOnTeardownLosesNoFrees) {
   for (const Addr a : blocks) {
     sys.allocator->Free(env, a);
   }
-  // 5 frees are staged past the ring head: none is visible to the server.
+  // 5 frees are staged with no run-end mark: none is visible to the server.
   EXPECT_EQ(sys.fabric->TotalStats().async_ops, 0u);
   EXPECT_EQ(sys.fabric->TotalStats().ring_doorbells, 0u);
   EXPECT_EQ(sys.allocator->buffered_frees(), 5u);
