@@ -30,8 +30,9 @@ constexpr int kShards = 4;
 // band (disjoint size classes): pinned routing keeps a home shard's slabs
 // warm for exactly its tenants' classes, while spreading makes every shard
 // carry -- and carve -- every tenant's classes. Cold tenants mostly compute.
-// Each phase drains one block per step, so the fleet's epoch ticks ride the
-// drain; OOM stops the thread and leaves its story in partition_oom_failures.
+// Each phase drains newest first, one free per step like every call, so the
+// fleet's epoch ticks ride the drain; OOM stops the thread and leaves its
+// story in partition_oom_failures.
 Churn DiurnalMix() {
   struct Band {
     std::uint64_t min_size;
@@ -51,7 +52,7 @@ Churn DiurnalMix() {
           {cold(2), hot(2), cold(2)},   // tenant 2: evening-heavy (the skew flip)
           {cold(3), cold(3), cold(3)},  // tenant 3: background tick-over
       },
-      ChurnDrain::kOnePerStep);
+      ChurnDrain::kNewestFirst);
 }
 
 struct CasePoint {

@@ -28,13 +28,13 @@ constexpr std::uint64_t kSpansPerShard = 256;  // 64 MiB window / 4 shards
 
 // Tenant 0 bursts ~400 spans' worth of 36-60 KiB buffers (vs a 256-span
 // slice), then drops to small churn; the others churn small blocks
-// throughout. Each phase frees its blocks one per step, so the allocator
-// cores keep getting drain ticks. OOM does not abort the bench -- the thread
+// throughout. Each phase frees its blocks newest first, one per step, so the
+// allocator cores keep getting drain ticks. OOM does not abort the bench -- the thread
 // just stops, and the partition_oom_failures counter tells the story.
 Churn TwoPhaseSkew() {
   const ChurnConfig burst = TenantChurn(400, 300, 36 * 1024, 60 * 1024);
   const ChurnConfig small = TenantChurn(400, 1500, 64, 256);
-  return Churn({{burst, small}, {small}}, ChurnDrain::kOnePerStep);
+  return Churn({{burst, small}, {small}}, ChurnDrain::kNewestFirst);
 }
 
 struct CasePoint {

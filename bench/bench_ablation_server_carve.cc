@@ -164,7 +164,7 @@ FabricPoint RunFabric(BenchCli& cli, bool donation_churn) {
   // Client 0 is the heavy tenant; the quiet mix runs one shape on both.
   Churn workload = donation_churn ? Churn({{TenantChurn(800, 1200, 8 * 1024, 16 * 1024)},
                                            {TenantChurn(400, 3000, 64, 256)}},
-                                          ChurnDrain::kAllAtOnce)
+                                          ChurnDrain::kFillOrder)
                                   : Churn(TenantChurn(600, 3000, 64, 2048));
 
   RunOptions opt;

@@ -27,7 +27,7 @@ namespace {
 // partition_oom_failures counter tells the story.
 Churn SkewedChurn() {
   return Churn({{TenantChurn(1600, 1200, 8 * 1024, 16 * 1024)}, {TenantChurn(400, 3000, 64, 256)}},
-               ChurnDrain::kAllAtOnce);
+               ChurnDrain::kFillOrder);
 }
 
 constexpr int kClients = 4;

@@ -37,7 +37,7 @@ Churn QosMix() {
   const ChurnConfig frontend = TenantChurn(400, 3000, 64, 256, /*work=*/120);  // request handling
   const ChurnConfig analytics = TenantChurn(1600, 1200, 8 * 1024, 16 * 1024, /*work=*/30);
   const ChurnConfig worker = TenantChurn(400, 2000, 64, 256, /*work=*/60);
-  return Churn({{frontend}, {worker}, {analytics}, {worker}}, ChurnDrain::kAllAtOnce);
+  return Churn({{frontend}, {worker}, {analytics}, {worker}}, ChurnDrain::kFillOrder);
 }
 
 NgxConfig QosConfig() {

@@ -69,7 +69,6 @@ OffloadEngine::OffloadEngine(Machine& machine, int server_core, Addr channel_bas
   prod_cache_.assign(static_cast<std::size_t>(n), ProducerIndexCache{});
   labels_.assign(static_cast<std::size_t>(n), std::string());
   h_tenant_latency_.assign(static_cast<std::size_t>(n), nullptr);
-  gaps_.reserve(kCalendarGaps + 1);  // a split adds one before the bound trims
 }
 
 std::uint64_t OffloadEngine::CachedPushReserve(Env& client_env, int client,
@@ -173,54 +172,13 @@ void OffloadEngine::DrainDoorbells(Env& server_env, std::uint64_t deadline) {
     if (std::max(server.now(), bell.at) >= deadline) {
       return;
     }
-    IdleUntil(bell.at);
+    server.AdvanceTo(bell.at);
     DrainRing(server_env, bell.client, deadline);
     if (Published(bell.client) > 0) {
       return;  // the deadline fell inside this batch
     }
     doorbells_.erase(doorbells_.begin());
   }
-}
-
-void OffloadEngine::IdleUntil(std::uint64_t t) {
-  Core& server = machine_->core(server_core_);
-  const std::uint64_t from = server.now();
-  if (t <= from) {
-    return;
-  }
-  server.AdvanceTo(t);
-  gaps_.push_back({from, t});
-  if (gaps_.size() > kCalendarGaps) {
-    gaps_.erase(gaps_.begin());
-  }
-}
-
-std::uint64_t OffloadEngine::BookGap(std::uint64_t earliest, std::uint64_t length) {
-  // Gaps are disjoint and sorted, so their ends are too: skip straight to
-  // the first that ends after `earliest`.
-  auto it = std::partition_point(gaps_.begin(), gaps_.end(),
-                                 [earliest](const IdleGap& g) { return g.end <= earliest; });
-  for (; it != gaps_.end(); ++it) {
-    const std::uint64_t start = std::max(it->start, earliest);
-    if (start + length > it->end) {
-      continue;
-    }
-    // The gap gives way to what is left of it before and after the window.
-    const IdleGap before{it->start, start};
-    const IdleGap after{start + length, it->end};
-    it = gaps_.erase(it);
-    if (after.end > after.start) {
-      it = gaps_.insert(it, after);
-    }
-    if (before.end > before.start) {
-      gaps_.insert(it, before);
-    }
-    if (gaps_.size() > kCalendarGaps) {
-      gaps_.erase(gaps_.begin());
-    }
-    return start;
-  }
-  return kNoGap;
 }
 
 std::uint64_t OffloadEngine::Published(int client) const {
@@ -252,18 +210,13 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   ch.ClientSend(client_env, seq, op, arg);
   const std::uint64_t send_time = client_env.now();
 
-  // The request's server window runs on the server's clock first and is
-  // placed afterwards. The spinning server drains this client's pending
-  // async frees, then runs the post-drain hook (watermark rebalancing):
-  // when the server is idle at the send, both start from its own clock, so
-  // work that fits before the request arrives never delays the malloc
-  // (Section 3.1.2's asynchronous free phase).
+  // The spinning server drains this client's pending async frees, then runs
+  // the post-drain hook (watermark rebalancing): when the server is idle at
+  // the send, both start from its own clock, so work that fits before the
+  // request arrives never delays the malloc (Section 3.1.2's asynchronous
+  // free phase).
   Core& server = machine_->core(server_core_);
   Env server_env = ServerEnv();
-  Tracer& tracer = machine_->telemetry().tracer();
-  const Core::Clock window0 = server.SaveClock();
-  const std::uint64_t waits0 = server.waits();
-  const std::size_t events0 = tracer.size();
   DrainRing(server_env, client);
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
@@ -271,7 +224,8 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   // Other clients' free batches fill what is left of an idle window, and
   // stop at the send: the malloc waits out at most the entry in progress.
   DrainDoorbells(server_env, send_time);
-  IdleUntil(send_time);
+  // Service starts at max(server clock, send).
+  server.AdvanceTo(send_time);
   const std::uint64_t busy0 = server_env.now();
   server_env.Work(kPollWork);
 
@@ -284,35 +238,16 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
     NoteCarveCycles(server_env.now() - handle_start);
   }
   ch.ServerRespond(server_env, seq, result);
-  const std::uint64_t window_end = server_env.now();
+  const std::uint64_t publish = server_env.now();
 
-  // Arrival order: a server clock already past the send holds work the
-  // simulator processed first, not work sent first. The window moves whole
-  // -- drain, hook and service, so this client's frees still precede its
-  // request -- into the earliest idle gap at or after the send that holds
-  // it, and the server clock goes back to where it was. No gap holds it
-  // when the server was idle at the send (every gap ends before its
-  // clock), and a window that waited on another core stays put: its round
-  // trip read the other server's clock at this one's. The trace events the
-  // window emitted on the server's track move with it.
-  std::uint64_t moved_back = 0;
-  if (server.waits() == waits0) {
-    const std::uint64_t start = BookGap(send_time, window_end - window0.cycles);
-    if (start != kNoGap) {
-      moved_back = window0.cycles - start;
-      server.RestoreClock(window0);
-      tracer.ShiftBack(events0, server_core_, moved_back);
-    }
-  }
   // How long the request sat behind the server's backlog (earlier-sent
   // requests and drained frees, or its own drain) before service started.
-  const std::uint64_t queue_wait = busy0 - moved_back - send_time;
-  const std::uint64_t publish = window_end - moved_back;
+  const std::uint64_t queue_wait = busy0 - send_time;
   if (queue_wait > 0) {
     ++stats_.server_busy_waits;
   }
   if (FlightRecorder* rec = Recorder()) {
-    rec->AddCycles(FlightRecorder::kServerBusy, window_end - busy0);
+    rec->AddCycles(FlightRecorder::kServerBusy, publish - busy0);
     // What the spin below will cost the client: its clock jump to the
     // server's publish point. Only counted inside a client op so the
     // rebalancer's own control round trips stay out of the table.
@@ -330,18 +265,17 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
       ht->Record(client_env.now() - t0);
     }
     h_queue_wait_->Record(queue_wait);
-    if (machine_->telemetry().tracing()) {
-      // Placed where the client saw it, like the window's drain events.
-      tracer.Complete(OpName(op), server_core_, service_start - moved_back,
-                      window_end - service_start);
-      tracer.Complete("sync_request", client, t0, client_env.now() - t0);
+    Telemetry& tel = machine_->telemetry();
+    if (tel.tracing()) {
+      tel.tracer().Complete(OpName(op), server_core_, service_start, publish - service_start);
+      tel.tracer().Complete("sync_request", client, t0, client_env.now() - t0);
     }
   }
   return out;
 }
 
 std::uint64_t OffloadEngine::Kick(Env& client_env, int client) {
-  IdleUntil(client_env.now());
+  machine_->core(server_core_).AdvanceTo(client_env.now());
   Env server_env = ServerEnv();
   Poll(server_env);
   DrainRing(server_env, client);

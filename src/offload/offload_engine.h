@@ -1,29 +1,26 @@
 // OffloadEngine: the allocator's "own room" -- a dedicated core that serves
 // malloc/free requests from application cores over simulated shared memory.
 //
-// Timing model: one server clock per engine. The server core runs one
-// handler at a time and serves requests in arrival order, whichever client
-// or tenant sent them; a request sent while a handler runs waits for it to
-// end. A sync request's server window -- this client's ring drain, the
-// post-drain hook and the service -- runs on the server's clock and is then
-// placed in the earliest idle gap of the engine's calendar at or after the
-// client's send time that holds it; the client waits until the response is
-// published at the gap's start plus the window, and the server clock stays
-// where it was. When no gap holds it (always so when the server was idle at
-// the send), the window stays where it ran: service starts at
-// max(server-free-time, client-send-time). So a request waits for work sent
-// before it, never for work the simulator merely processed first. Async
-// frees ride a per-client ring, so clients only stall on a full ring. The
-// ring has no head index (channel.h): a drain costs the server the entry
-// lines it consumes and no index line. The shard is malloc-first: a
-// published free batch queues with its doorbell time and drains in the
-// server's idle windows, entry by entry, only while the server clock is
-// before the next sync request's send time -- a malloc waits out at most
-// the one entry in progress, and a drain that finds the send reached
-// touches no line. Unbatched entries drain before their own client's sync
-// requests, on kicks and on DrainAll (in client order). Queueing among
-// multiple clients emerges from the shared server clock (Section 3.1.1's
-// granularity concern made concrete).
+// Timing model: one server clock per engine. The server core runs one handler
+// at a time and serves requests in the order they reach it, whichever client
+// or tenant sent them; the scheduler's step contract (src/sim/scheduler.h)
+// makes that send order. A sync request's service starts at max(server clock,
+// client send time): a request sent while a handler runs waits for it to end,
+// and the client waits until the response is published. Before the service,
+// the window drains this client's ring and runs the post-drain hook, from the
+// server's own clock -- with no lower bound at each entry's push, so an
+// unbatched free whose push is later than the server clock is served before
+// it was pushed, the one exception to send order. Async frees ride a
+// per-client ring, so clients only stall on a full ring. The ring has no head
+// index (channel.h): a drain costs the server the entry lines it consumes and
+// no index line. The shard is malloc-first: a published free batch queues
+// with its doorbell time and drains in the server's idle windows, entry by
+// entry, only while the server clock is before the next sync request's send
+// time -- a malloc waits out at most the one entry in progress, and a drain
+// that finds the send reached touches no line. Unbatched entries drain before
+// their own client's sync requests, on kicks and on DrainAll (in client
+// order). Queueing among multiple clients emerges from the shared server
+// clock (Section 3.1.1's granularity concern made concrete).
 #ifndef NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 #define NGX_SRC_OFFLOAD_OFFLOAD_ENGINE_H_
 
@@ -85,16 +82,13 @@ class OffloadEngine {
 
   // Round-trip request from `client_env`'s core. Returns the result word.
   // The request's window drains this client's own ring (its frees precede
-  // its request), runs the post-drain hook and serves the request. It runs
-  // on the server clock; if that clock is past the send, the window moves
-  // whole into the earliest idle gap at or after the send that holds it,
-  // and the server clock does not move. A window that waited on another
-  // core (a round trip of its own: inline donation in the handler,
-  // rebalancer traffic from the hook) stays where it ran. When the server
-  // is idle at the send, the drain and hook run in its idle time before the
-  // send, followed by queued free batches in doorbell order: it starts an
-  // entry only while its clock is before the send time and no earlier than
-  // the entry's doorbell, and pays one kPollWork mailbox check per entry.
+  // its request), runs the post-drain hook and serves the request, all on
+  // the server clock; the service starts at max(server clock, send). When
+  // the server is idle at the send, the drain and hook run in its idle time
+  // before the send, followed by queued free batches in doorbell order: it
+  // starts an entry only while its clock is before the send time and no
+  // earlier than the entry's doorbell, and pays one kPollWork mailbox check
+  // per entry.
   std::uint64_t SyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg);
 
   // Fire-and-forget (used for free). Stalls only when the ring is full.
@@ -181,25 +175,6 @@ class OffloadEngine {
   // Works through the queued free batches, oldest doorbell first, in the
   // idle window that ends at `deadline` (see SyncRequest).
   void DrainDoorbells(Env& server_env, std::uint64_t deadline);
-  // The calendar: the server clock's idle gaps [start, end), oldest first --
-  // stretches the engine advanced the clock over (waiting for a send, a
-  // doorbell or a kick) that no placed window has taken yet. Everything else
-  // before the server clock is busy: committed windows (sync windows, kicks,
-  // doorbell drains, DrainAll) and any advance the engine did not make, such
-  // as a timer hook's tick. At most kCalendarGaps are kept; past that the
-  // oldest is forgotten, which counts it busy.
-  struct IdleGap {
-    std::uint64_t start;
-    std::uint64_t end;
-  };
-  static constexpr std::size_t kCalendarGaps = 64;
-  // Advances the server clock to `t`, recording the stretch it skips as an
-  // idle gap.
-  void IdleUntil(std::uint64_t t);
-  // Books `length` cycles into the earliest idle gap that holds them from
-  // `earliest` on and returns their start, or kNoGap when no gap does.
-  static constexpr std::uint64_t kNoGap = ~0ull;
-  std::uint64_t BookGap(std::uint64_t earliest, std::uint64_t length);
   // Entries published on `client`'s ring and not yet drained (an untimed
   // host read standing in for the server's own polling).
   std::uint64_t Published(int client) const;
@@ -283,10 +258,6 @@ class OffloadEngine {
     std::uint64_t at;  // client clock at the publish store
   };
   std::vector<Doorbell> doorbells_;
-  // The calendar's gaps: sorted, disjoint, all before the server clock.
-  // Capacity is reserved at construction, so booking and splitting gaps
-  // never allocates.
-  std::vector<IdleGap> gaps_;
   OffloadEngineStats stats_;
   std::function<void(Env&)> post_drain_hook_;
 

@@ -39,7 +39,6 @@ void Core::AdvanceTo(std::uint64_t t) {
   if (t > cycles_) {
     cycles_ = t;
     pmu_.cycles = cycles_;
-    ++waits_;
   }
 }
 

@@ -53,26 +53,6 @@ class Core {
   void AdvanceTo(std::uint64_t t);
   void AddCycles(double c);
 
-  // Clock checkpoint/restore. Simulated latency depends on cache, TLB and
-  // directory state, never on the clock, so a stretch of work can run now
-  // and be placed at an earlier time afterwards (OffloadEngine's server
-  // windows). Restore puts the cycle count and its sub-cycle remainder back;
-  // instructions, PMU events and cache state keep what ran.
-  struct Clock {
-    std::uint64_t cycles = 0;
-    double frac = 0.0;
-  };
-  Clock SaveClock() const { return {cycles_, frac_}; }
-  void RestoreClock(const Clock& c) {
-    cycles_ = c.cycles;
-    frac_ = c.frac;
-    pmu_.cycles = cycles_;
-  }
-  // How many times AdvanceTo has moved the clock forward: each is a wait on
-  // something outside this core's own work (another core's response, an
-  // idle spell, a timer).
-  std::uint64_t waits() const { return waits_; }
-
   // Charges `n` non-memory instructions.
   void Work(std::uint64_t n);
 
@@ -108,7 +88,6 @@ class Core {
   int id_;
   std::uint64_t cycles_ = 0;
   double frac_ = 0.0;  // sub-cycle accumulator
-  std::uint64_t waits_ = 0;
   double alloc_frac_ = 0.0;
   int alloc_depth_ = 0;
   PmuCounters pmu_;

@@ -2,13 +2,12 @@
 //
 // Simulated threads are pinned 1:1 to cores. The scheduler repeatedly steps
 // the unfinished thread whose core clock is smallest (ties broken by thread
-// index), so multi-threaded runs are bit-reproducible. Threads interleave at
-// step granularity, and one Step is whatever the workload does in one call:
-// for xmalloc, up to one batch of frees then one of mallocs (16 allocator
-// operations at the default batch of 8); for churn, a free and a malloc. So
-// one thread's later operations can reach a shared offload shard before
-// another thread's earlier ones; the shards serve sync requests in send
-// order regardless (OffloadEngine's calendar of idle gaps).
+// index), so multi-threaded runs are bit-reproducible. What makes that
+// order causal is the Step contract below: a Step makes at most one
+// allocator call, first, at the clock the Step started. Calls therefore
+// reach a shared offload shard in send order, and the shard serves each at
+// max(its server clock, the send) (OffloadEngine). src/workload's threads
+// meet the contract by suspending before each call (thread_body.h).
 #ifndef NGX_SRC_SIM_SCHEDULER_H_
 #define NGX_SRC_SIM_SCHEDULER_H_
 
@@ -22,9 +21,9 @@ class SimThread {
  public:
   virtual ~SimThread() = default;
 
-  // Runs one step: any number of operations (an xmalloc batch, a free and a
-  // malloc, a burst of user work). Returns false when the thread has
-  // finished.
+  // Runs one step: at most one allocator call, made first, at the clock the
+  // step starts, then the thread's own work up to its next call. Returns
+  // false when the thread has finished.
   virtual bool Step(Env& env) = 0;
 
   // Core this thread is pinned to.

@@ -24,15 +24,6 @@ void Tracer::Counter(std::string name, std::uint64_t ts, std::uint64_t value) {
   }
 }
 
-void Tracer::ShiftBack(std::size_t first, int tid, std::uint64_t cycles) {
-  for (std::size_t i = first; i < events_.size(); ++i) {
-    Event& e = events_[i];
-    if (e.tid == tid && e.phase != Phase::kCounter) {
-      e.ts -= cycles;
-    }
-  }
-}
-
 void Tracer::Clear() {
   events_.clear();
   dropped_ = 0;

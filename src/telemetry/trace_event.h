@@ -44,11 +44,6 @@ class Tracer {
     std::string name;
   };
 
-  // Moves the span and instant events on track `tid` recorded since the
-  // first `first` events `cycles` earlier: work that ran later than the
-  // schedule places it (a sync window placed in an earlier idle gap).
-  void ShiftBack(std::size_t first, int tid, std::uint64_t cycles);
-
   std::size_t size() const { return events_.size(); }
   const std::vector<Event>& events() const { return events_; }
   std::uint64_t dropped() const { return dropped_; }

@@ -27,14 +27,15 @@ struct ChurnConfig {
   std::uint32_t work = 30;         // app instructions per replacement
 };
 
-// How a phase frees its working set once its ops are done. The next phase
-// then starts from an empty set with its op count reset.
+// The order in which a phase frees its working set once its ops are done,
+// one free per allocator call like every other call. The next phase then
+// starts from an empty set with its op count reset.
 enum class ChurnDrain {
-  // One step frees every block, in fill order.
-  kAllAtOnce,
-  // One block per step, newest first, so the allocator's periodic work
-  // (watermark ticks, fleet epochs) rides the drain.
-  kOnePerStep,
+  // Working-set order: the fill order, with each replacement in its dying
+  // block's place.
+  kFillOrder,
+  // Newest first: the reverse of that order.
+  kNewestFirst,
 };
 
 // Thread i runs phases[i] in order (threads past the end run the last list)
@@ -42,9 +43,9 @@ enum class ChurnDrain {
 // still held; the allocator counts the failure.
 class Churn : public Workload {
  public:
-  // Every thread runs `config` once and drains all at once.
+  // Every thread runs `config` once and drains in fill order.
   explicit Churn(const ChurnConfig& config = {})
-      : Churn(std::vector<std::vector<ChurnConfig>>{{config}}, ChurnDrain::kAllAtOnce) {}
+      : Churn(std::vector<std::vector<ChurnConfig>>{{config}}, ChurnDrain::kFillOrder) {}
   Churn(std::vector<std::vector<ChurnConfig>> phases, ChurnDrain drain)
       : phases_(std::move(phases)), drain_(drain) {
     NGX_CHECK(!phases_.empty(), "Churn needs at least one phase list");

@@ -1,80 +1,46 @@
 #include "src/workload/false_sharing.h"
 
-#include "src/workload/alloc_ops.h"
-#include "src/workload/rng.h"
+#include "src/workload/thread_body.h"
 
 namespace ngx {
 
 namespace {
 
-class ThrashThread : public SimThread {
- public:
-  ThrashThread(const FalseSharingConfig& config, Allocator& alloc, int core)
-      : config_(config), alloc_(&alloc), core_(core) {}
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (done_ >= config_.iterations) {
-      return false;
-    }
-    const Addr obj = TimedMalloc(env, *alloc_, config_.object_bytes);
+// Allocates a sub-line object, writes it many times and frees it, per
+// iteration.
+ThreadBody ThrashBody(Env env, Allocator& alloc, FalseSharingConfig config) {
+  for (std::uint32_t done = 0; done < config.iterations; ++done) {
+    const Addr obj = co_await MallocCall{env, alloc, config.object_bytes};
     if (obj == kNullAddr) {
-      return false;
+      co_return;
     }
-    for (std::uint32_t w = 0; w < config_.writes_per_iter; ++w) {
+    for (std::uint32_t w = 0; w < config.writes_per_iter; ++w) {
       env.Store<std::uint64_t>(obj, w);
       env.Work(4);
     }
-    TimedFree(env, *alloc_, obj);
-    ++done_;
-    return true;
+    co_await FreeCall{env, alloc, obj};
   }
+}
 
- private:
-  FalseSharingConfig config_;
-  Allocator* alloc_;
-  int core_;
-  std::uint32_t done_ = 0;
-};
-
-class ScratchThread : public SimThread {
- public:
-  ScratchThread(const FalseSharingConfig& config, Allocator& alloc, int core, Addr initial_obj)
-      : config_(config), alloc_(&alloc), core_(core), obj_(initial_obj) {}
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    if (done_ >= config_.iterations) {
-      if (obj_ != kNullAddr) {
-        TimedFree(env, *alloc_, obj_);
-        obj_ = kNullAddr;
-      }
-      return false;
-    }
-    for (std::uint32_t w = 0; w < config_.writes_per_iter; ++w) {
-      env.Store<std::uint64_t>(obj_, w);
+// Writes the object it was handed, then re-allocates locally, per
+// iteration: a well-behaved allocator migrates the object to thread-private
+// storage; a shared-pool allocator re-creates sharing.
+ThreadBody ScratchBody(Env env, Allocator& alloc, FalseSharingConfig config, Addr obj) {
+  for (std::uint32_t done = 0; done < config.iterations; ++done) {
+    for (std::uint32_t w = 0; w < config.writes_per_iter; ++w) {
+      env.Store<std::uint64_t>(obj, w);
       env.Work(4);
     }
-    // Re-allocate locally: a well-behaved allocator migrates the object to
-    // thread-private storage; a shared-pool allocator re-creates sharing.
-    TimedFree(env, *alloc_, obj_);
-    obj_ = TimedMalloc(env, *alloc_, config_.object_bytes);
-    if (obj_ == kNullAddr) {
-      return false;
+    co_await FreeCall{env, alloc, obj};
+    obj = co_await MallocCall{env, alloc, config.object_bytes};
+    if (obj == kNullAddr) {
+      co_return;
     }
-    ++done_;
-    return true;
   }
-
- private:
-  FalseSharingConfig config_;
-  Allocator* alloc_;
-  int core_;
-  Addr obj_;
-  std::uint32_t done_ = 0;
-};
+  if (obj != kNullAddr) {
+    co_await FreeCall{env, alloc, obj};
+  }
+}
 
 }  // namespace
 
@@ -82,12 +48,12 @@ std::vector<std::unique_ptr<SimThread>> CacheThrash::MakeThreads(Machine& machin
                                                                  Allocator& alloc,
                                                                  const std::vector<int>& cores,
                                                                  std::uint64_t seed) {
-  (void)machine;
   (void)seed;
   std::vector<std::unique_ptr<SimThread>> threads;
   threads.reserve(cores.size());
   for (const int core : cores) {
-    threads.push_back(std::make_unique<ThrashThread>(config_, alloc, core));
+    threads.push_back(
+        std::make_unique<BodyThread>(core, ThrashBody(Env(machine, core), alloc, config_)));
   }
   return threads;
 }
@@ -103,7 +69,8 @@ std::vector<std::unique_ptr<SimThread>> CacheScratch::MakeThreads(Machine& machi
   Env main_env(machine, cores.front());
   for (const int core : cores) {
     const Addr obj = TimedMalloc(main_env, alloc, config_.object_bytes);
-    threads.push_back(std::make_unique<ScratchThread>(config_, alloc, core, obj));
+    threads.push_back(
+        std::make_unique<BodyThread>(core, ScratchBody(Env(machine, core), alloc, config_, obj)));
   }
   return threads;
 }

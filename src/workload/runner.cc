@@ -14,23 +14,48 @@ std::vector<int> FirstCores(int n) {
   return cores;
 }
 
+namespace {
+
+// Runs `thread`, then flushes its core's allocator state in a Step of its
+// own: the flush is sent at the thread's own end and takes its place in the
+// scheduler's send order, not behind work other threads do later.
+class FlushAtEnd final : public SimThread {
+ public:
+  FlushAtEnd(SimThread& thread, Allocator& alloc) : thread_(&thread), alloc_(&alloc) {}
+  int core_id() const override { return thread_->core_id(); }
+  bool Step(Env& env) override {
+    if (!ended_) {
+      ended_ = !thread_->Step(env);
+      return true;
+    }
+    alloc_->Flush(env);
+    return false;
+  }
+
+ private:
+  SimThread* thread_;
+  Allocator* alloc_;
+  bool ended_ = false;
+};
+
+}  // namespace
+
 RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
                       const RunOptions& options) {
   assert(!options.cores.empty());
   auto threads = workload.MakeThreads(machine, alloc, options.cores, options.seed);
+  std::vector<FlushAtEnd> flushing;
+  flushing.reserve(threads.size());
   std::vector<SimThread*> raw;
   raw.reserve(threads.size());
   for (auto& t : threads) {
-    raw.push_back(t.get());
-  }
-  Scheduler::Run(machine, raw);
-
-  if (options.flush_at_end) {
-    for (const int c : options.cores) {
-      Env env(machine, c);
-      alloc.Flush(env);
+    if (options.flush_at_end) {
+      raw.push_back(&flushing.emplace_back(*t, alloc));
+    } else {
+      raw.push_back(t.get());
     }
   }
+  Scheduler::Run(machine, raw);
 
   RunResult result;
   result.server_cores = options.server_cores;

@@ -63,6 +63,8 @@ struct RunOptions {
   std::vector<int> cores;          // application cores (threads pinned 1:1)
   std::uint64_t seed = 1;
   std::vector<int> server_cores;   // allocator shard cores; excluded from `app`
+  // Each thread flushes its core's allocator state at its own end, in a
+  // scheduler step of its own.
   bool flush_at_end = true;
 };
 

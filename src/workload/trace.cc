@@ -1,10 +1,12 @@
 #include "src/workload/trace.h"
 
+#include <algorithm>
 #include <istream>
 #include <memory>
 #include <ostream>
 
-#include "src/workload/alloc_ops.h"
+#include "src/sim/check.h"
+#include "src/workload/thread_body.h"
 
 namespace ngx {
 
@@ -25,9 +27,12 @@ Trace Trace::Load(std::istream& is) {
   int version = 0;
   std::size_t count = 0;
   is >> magic >> version >> t.num_threads >> count;
-  t.ops.reserve(count);
+  NGX_CHECK(magic == "ngxtrace", "not an ngxtrace file");
+  NGX_CHECK(version == 1, "unsupported ngxtrace version");
+  NGX_CHECK(!is.fail(), "truncated ngxtrace header");
   char kind = 0;
   while (is >> kind) {
+    NGX_CHECK(kind == 'm' || kind == 'f', "trace op is neither m nor f");
     TraceOp op;
     if (kind == 'm') {
       op.kind = TraceOp::Kind::kMalloc;
@@ -36,8 +41,10 @@ Trace Trace::Load(std::istream& is) {
       op.kind = TraceOp::Kind::kFree;
       is >> op.thread >> op.index;
     }
+    NGX_CHECK(!is.fail(), "truncated trace op");
     t.ops.push_back(op);
   }
+  NGX_CHECK(t.ops.size() == count, "trace op count differs from its header");
   return t;
 }
 
@@ -74,65 +81,64 @@ namespace {
 
 struct ReplayShared {
   std::unordered_map<std::uint64_t, Addr> blocks;  // trace index -> live addr
+  bool stopped = false;  // a malloc failed: a thread that finds its block missing ends
 };
 
-class ReplayThread : public SimThread {
- public:
-  ReplayThread(std::vector<TraceOp> ops, Allocator& alloc, int core, std::uint32_t touch_bytes,
-               std::shared_ptr<ReplayShared> shared)
-      : ops_(std::move(ops)),
-        alloc_(&alloc),
-        core_(core),
-        touch_bytes_(touch_bytes),
-        shared_(std::move(shared)) {}
-
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    std::uint32_t retries = 0;
-    while (cursor_ < ops_.size()) {
-      const TraceOp& op = ops_[cursor_];
-      if (op.kind == TraceOp::Kind::kMalloc) {
-        const Addr addr = TimedMalloc(env, *alloc_, op.size);
-        if (addr == kNullAddr) {
-          return false;
-        }
-        env.TouchWrite(addr, std::min<std::uint32_t>(
-                                 touch_bytes_, static_cast<std::uint32_t>(op.size)));
-        shared_->blocks[op.index] = addr;
-        ++cursor_;
-        return true;
+// Replays one thread's ops in order. A free waits, yielding, until the
+// thread that owns its block's malloc has made it, or a malloc has failed.
+ThreadBody ReplayBody(Env env, Allocator& alloc, std::vector<TraceOp> ops,
+                      std::uint32_t touch_bytes, std::shared_ptr<ReplayShared> shared) {
+  for (const TraceOp& op : ops) {
+    if (op.kind == TraceOp::Kind::kMalloc) {
+      const Addr addr = co_await MallocCall{env, alloc, op.size};
+      if (addr == kNullAddr) {
+        shared->stopped = true;
+        co_return;
       }
-      auto it = shared_->blocks.find(op.index);
-      if (it == shared_->blocks.end()) {
-        // The producing thread has not reached the malloc yet: yield.
-        env.Work(5);
-        return ++retries < 1000;  // livelock guard for malformed traces
-      }
-      TimedFree(env, *alloc_, it->second);
-      shared_->blocks.erase(it);
-      ++cursor_;
-      return true;
+      env.TouchWrite(addr,
+                     std::min<std::uint32_t>(touch_bytes, static_cast<std::uint32_t>(op.size)));
+      shared->blocks[op.index] = addr;
+      continue;
     }
-    return false;
+    auto it = shared->blocks.find(op.index);
+    while (it == shared->blocks.end()) {
+      if (shared->stopped) {
+        co_return;
+      }
+      // The producing thread has not reached the malloc yet: yield.
+      env.Work(5);
+      co_await std::suspend_always{};
+      it = shared->blocks.find(op.index);
+    }
+    const Addr addr = it->second;
+    shared->blocks.erase(it);
+    co_await FreeCall{env, alloc, addr};
   }
-
- private:
-  std::vector<TraceOp> ops_;
-  Allocator* alloc_;
-  int core_;
-  std::uint32_t touch_bytes_;
-  std::shared_ptr<ReplayShared> shared_;
-  std::size_t cursor_ = 0;
-};
+}
 
 }  // namespace
+
+TraceReplay::TraceReplay(Trace trace, std::uint32_t touch_bytes)
+    : trace_(std::move(trace)), touch_bytes_(touch_bytes) {
+  // Every free must follow its block's malloc in trace order and free it
+  // once; otherwise a replay thread would wait forever for the block.
+  std::unordered_map<std::uint64_t, bool> live;  // block id -> allocated, not yet freed
+  for (const TraceOp& op : trace_.ops) {
+    if (op.kind == TraceOp::Kind::kMalloc) {
+      NGX_CHECK(live.emplace(op.index, true).second, "trace mallocs one block id twice");
+      continue;
+    }
+    auto it = live.find(op.index);
+    NGX_CHECK(it != live.end(), "trace frees a block before its malloc");
+    NGX_CHECK(it->second, "trace frees a block twice");
+    it->second = false;
+  }
+}
 
 std::vector<std::unique_ptr<SimThread>> TraceReplay::MakeThreads(Machine& machine,
                                                                  Allocator& alloc,
                                                                  const std::vector<int>& cores,
                                                                  std::uint64_t seed) {
-  (void)machine;
   (void)seed;
   auto shared = std::make_shared<ReplayShared>();
   std::vector<std::vector<TraceOp>> per_thread(cores.size());
@@ -142,8 +148,9 @@ std::vector<std::unique_ptr<SimThread>> TraceReplay::MakeThreads(Machine& machin
   std::vector<std::unique_ptr<SimThread>> threads;
   threads.reserve(cores.size());
   for (std::size_t i = 0; i < cores.size(); ++i) {
-    threads.push_back(std::make_unique<ReplayThread>(std::move(per_thread[i]), alloc, cores[i],
-                                                     touch_bytes_, shared));
+    threads.push_back(std::make_unique<BodyThread>(
+        cores[i], ReplayBody(Env(machine, cores[i]), alloc, std::move(per_thread[i]),
+                             touch_bytes_, shared)));
   }
   return threads;
 }

@@ -54,10 +54,10 @@ class TraceRecordingAllocator : public Allocator {
 };
 
 // Replays a trace (ops partitioned by their thread field across `cores`).
+// The trace must free each block once, after its malloc in trace order.
 class TraceReplay : public Workload {
  public:
-  explicit TraceReplay(Trace trace, std::uint32_t touch_bytes = 32)
-      : trace_(std::move(trace)), touch_bytes_(touch_bytes) {}
+  explicit TraceReplay(Trace trace, std::uint32_t touch_bytes = 32);
 
   std::string_view name() const override { return "trace-replay"; }
   std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,

@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "src/alloc/layout.h"
-#include "src/workload/alloc_ops.h"
+#include "src/workload/thread_body.h"
 
 namespace ngx {
 
@@ -17,109 +17,73 @@ struct XmallocShared {
   std::vector<bool> producer_done;
 };
 
-class XmallocThread : public SimThread {
- public:
-  XmallocThread(const XmallocConfig& config, Allocator& alloc, int core, std::uint32_t index,
-                std::uint32_t nthreads, Addr queue_base, std::uint64_t seed,
-                std::shared_ptr<XmallocShared> shared)
-      : config_(config),
-        alloc_(&alloc),
-        core_(core),
-        index_(index),
-        nthreads_(nthreads),
-        queue_base_(queue_base),
-        rng_(seed),
-        sizes_(SizeDist::XmallocBlocks()),
-        shared_(std::move(shared)) {}
+Addr EntryAddr(Addr q, std::uint64_t i, std::uint32_t slots) { return q + 128 + 8 * (i % slots); }
 
-  int core_id() const override { return core_; }
-
-  bool Step(Env& env) override {
-    DrainIncoming(env);
-    if (produced_ < config_.ops_per_thread) {
-      ProduceBatch(env);
-      if (produced_ >= config_.ops_per_thread) {
-        shared_->producer_done[index_] = true;
-      }
-      return true;
-    }
-    // Producing is done; stay alive until the upstream producer finishes and
-    // our incoming queue is empty.
-    const std::uint32_t upstream = (index_ + nthreads_ - 1) % nthreads_;
-    if (shared_->producer_done[upstream] && IncomingEmpty(env)) {
-      return false;
-    }
-    return true;
-  }
-
- private:
-  Addr OutQueue() const { return queue_base_ + kQueueStride * index_; }
-  Addr InQueue() const {
-    return queue_base_ + kQueueStride * ((index_ + nthreads_ - 1) % nthreads_);
-  }
-  static Addr EntryAddr(Addr q, std::uint64_t i, std::uint32_t slots) {
-    return q + 128 + 8 * (i % slots);
-  }
-
-  bool IncomingEmpty(Env& env) {
-    const Addr q = InQueue();
-    return env.Load<std::uint64_t>(q + 0) == env.Load<std::uint64_t>(q + 64);
-  }
-
-  void DrainIncoming(Env& env) {
-    const Addr q = InQueue();
-    const std::uint64_t head = env.Load<std::uint64_t>(q + 0);
-    std::uint64_t tail = env.Load<std::uint64_t>(q + 64);
-    std::uint32_t n = 0;
-    while (tail != head && n < config_.batch) {
-      const Addr block = env.Load<Addr>(EntryAddr(q, tail, config_.queue_slots));
-      env.TouchRead(block, config_.touch_bytes);  // consumer uses the data
+// Each round drains up to a batch of incoming blocks, then produces up to a
+// batch into the outgoing queue, publishing each queue index once per batch.
+// Once done producing, the thread keeps draining until the upstream
+// producer is done and its incoming queue is empty.
+ThreadBody XmallocBody(Env env, Allocator& alloc, XmallocConfig config, std::uint32_t index,
+                       std::uint32_t nthreads, Addr queue_base, std::uint64_t seed,
+                       std::shared_ptr<XmallocShared> shared) {
+  Rng rng(seed);
+  const SizeDist sizes = SizeDist::XmallocBlocks();
+  const std::uint32_t upstream = (index + nthreads - 1) % nthreads;
+  const Addr out = queue_base + kQueueStride * index;
+  const Addr in = queue_base + kQueueStride * upstream;
+  std::uint32_t produced = 0;
+  for (;;) {
+    const std::uint64_t in_head = env.Load<std::uint64_t>(in + 0);
+    std::uint64_t in_tail = env.Load<std::uint64_t>(in + 64);
+    std::uint32_t drained = 0;
+    while (in_tail != in_head && drained < config.batch) {
+      const Addr block = env.Load<Addr>(EntryAddr(in, in_tail, config.queue_slots));
+      env.TouchRead(block, config.touch_bytes);  // consumer uses the data
       env.Work(20);
-      TimedFree(env, *alloc_, block);  // cross-thread free: Table 2's trigger
-      ++tail;
-      ++n;
+      co_await FreeCall{env, alloc, block};  // cross-thread free: Table 2's trigger
+      ++in_tail;
+      ++drained;
     }
-    if (n > 0) {
-      env.Store<std::uint64_t>(q + 64, tail);
+    if (drained > 0) {
+      env.Store<std::uint64_t>(in + 64, in_tail);
     }
-  }
 
-  void ProduceBatch(Env& env) {
-    const Addr q = OutQueue();
-    std::uint64_t head = env.Load<std::uint64_t>(q + 0);
-    const std::uint64_t tail = env.Load<std::uint64_t>(q + 64);
-    std::uint32_t produced_now = 0;
-    while (produced_now < config_.batch && produced_ < config_.ops_per_thread &&
-           head - tail < config_.queue_slots) {
-      const std::uint64_t size = sizes_.Sample(rng_);
-      const Addr block = TimedMalloc(env, *alloc_, size);
-      if (block == kNullAddr) {
-        produced_ = config_.ops_per_thread;  // OOM: stop producing
-        break;
+    if (produced < config.ops_per_thread) {
+      std::uint64_t head = env.Load<std::uint64_t>(out + 0);
+      const std::uint64_t tail = env.Load<std::uint64_t>(out + 64);
+      std::uint32_t produced_now = 0;
+      while (produced_now < config.batch && produced < config.ops_per_thread &&
+             head - tail < config.queue_slots) {
+        const std::uint64_t size = sizes.Sample(rng);
+        const Addr block = co_await MallocCall{env, alloc, size};
+        if (block == kNullAddr) {
+          produced = config.ops_per_thread;  // OOM: stop producing
+          break;
+        }
+        env.TouchWrite(block, config.touch_bytes);
+        env.Work(25);
+        env.Store<Addr>(EntryAddr(out, head, config.queue_slots), block);
+        ++head;
+        ++produced;
+        ++produced_now;
       }
-      env.TouchWrite(block, config_.touch_bytes);
-      env.Work(25);
-      env.Store<Addr>(EntryAddr(q, head, config_.queue_slots), block);
-      ++head;
-      ++produced_;
-      ++produced_now;
+      if (produced_now > 0) {
+        env.Store<std::uint64_t>(out + 0, head);
+      }
+      if (produced >= config.ops_per_thread) {
+        shared->producer_done[index] = true;
+      }
+    } else if (shared->producer_done[upstream]) {
+      const std::uint64_t head = env.Load<std::uint64_t>(in + 0);
+      if (head == env.Load<std::uint64_t>(in + 64)) {
+        co_return;  // the upstream producer is done and nothing is left to free
+      }
     }
-    if (produced_now > 0) {
-      env.Store<std::uint64_t>(q + 0, head);
-    }
+    // The next round's queue reads run in a Step of their own, after every
+    // store another thread made at an earlier clock.
+    co_await std::suspend_always{};
   }
-
-  XmallocConfig config_;
-  Allocator* alloc_;
-  int core_;
-  std::uint32_t index_;
-  std::uint32_t nthreads_;
-  Addr queue_base_;
-  Rng rng_;
-  SizeDist sizes_;
-  std::shared_ptr<XmallocShared> shared_;
-  std::uint32_t produced_ = 0;
-};
+}
 
 }  // namespace
 
@@ -136,8 +100,9 @@ std::vector<std::unique_ptr<SimThread>> XmallocLike::MakeThreads(Machine& machin
   std::vector<std::unique_ptr<SimThread>> threads;
   threads.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    threads.push_back(std::make_unique<XmallocThread>(config_, alloc, cores[i], i, n,
-                                                      queue_base, seed + 77 * i, shared));
+    threads.push_back(std::make_unique<BodyThread>(
+        cores[i], XmallocBody(Env(machine, cores[i]), alloc, config_, i, n, queue_base,
+                              seed + 77 * i, shared)));
   }
   return threads;
 }

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/offload/channel.h"
 #include "src/offload/offload_engine.h"
+#include "src/sim/scheduler.h"
 #include "tests/test_util.h"
 
 namespace ngx {
@@ -291,8 +294,8 @@ TEST_F(OffloadEngineTest, RecorderBooksTheWholeServerDrainWindow) {
   EXPECT_EQ(rec.cycles(FlightRecorder::kServerBusy) - busy0, machine_->core(2).now() - server0);
 }
 
-// ---- Arrival-order shards: each sync window takes the earliest idle gap
-// after its send ----
+// ---- Send-order shards: the scheduler makes sync calls in send order, and
+// each is served at max(server clock, send) ----
 
 // Serves every request by first asking a second engine: each window makes a
 // round trip of its own.
@@ -308,9 +311,41 @@ class RelayServer : public OffloadServer {
   OffloadEngine* next_;
 };
 
-// Four clients (cores 0-3) on one server core (4). The simulator processes
-// requests in the order a test makes them, whatever their send times.
-class ArrivalOrderTest : public ::testing::Test {
+// A client thread that makes one sync request at each of `sends` (client
+// clock). Like a workload thread it suspends before each call: one Step
+// idles the client up to the send, and the next Step -- which the scheduler
+// runs once no other thread's clock is earlier -- makes the call first.
+class SyncSender : public SimThread {
+ public:
+  SyncSender(OffloadEngine& engine, int core, std::vector<std::uint64_t> sends)
+      : engine_(&engine), core_(core), sends_(std::move(sends)) {}
+
+  int core_id() const override { return core_; }
+
+  bool Step(Env& env) override {
+    if (!armed_) {
+      env.machine().core(core_).AdvanceTo(sends_[finished.size()]);
+      armed_ = true;
+      return true;
+    }
+    engine_->SyncRequest(env, OffloadOp::kMalloc, 1);
+    finished.push_back(env.now());
+    armed_ = false;
+    return finished.size() < sends_.size();
+  }
+
+  std::vector<std::uint64_t> finished;  // client clock after each response
+
+ private:
+  OffloadEngine* engine_;
+  int core_;
+  std::vector<std::uint64_t> sends_;
+  bool armed_ = false;
+};
+
+// Four clients (cores 0-3) on one server core (4). Scenarios run their
+// client threads under Scheduler::Run, listing the later sender first.
+class SendOrderTest : public ::testing::Test {
  protected:
   static constexpr int kServer = 4;
 
@@ -326,10 +361,9 @@ class ArrivalOrderTest : public ::testing::Test {
 
   Core& server_core() { return machine_->core(kServer); }
 
-  // Sends a sync request from `client` at time `at` (its clock must not be
-  // past it yet) and returns the client's finish time.
+  // A sync request from `client` at time `at`, made directly (set-up only).
+  // Returns the client's finish time.
   std::uint64_t SyncAt(int client, std::uint64_t at) {
-    EXPECT_LE(machine_->core(client).now(), at) << "client " << client;
     machine_->core(client).AdvanceTo(at);
     Env env(*machine_, client);
     engine_->SyncRequest(env, OffloadOp::kMalloc, 1);
@@ -354,50 +388,83 @@ class ArrivalOrderTest : public ::testing::Test {
     return static_cast<std::uint64_t>(2000 * server_core().config().cpi);
   }
 
+  // Runs the senders under the scheduler and checks after every Step that
+  // the server clock never moved backward.
+  void Run(std::vector<SimThread*> threads) {
+    struct Watched : SimThread {
+      Watched(SimThread* t, Core* s, std::uint64_t* h) : inner(t), server(s), high(h) {}
+      int core_id() const override { return inner->core_id(); }
+      bool Step(Env& env) override {
+        const bool more = inner->Step(env);
+        EXPECT_GE(server->now(), *high) << "the server clock moved backward";
+        *high = server->now();
+        return more;
+      }
+      SimThread* inner;
+      Core* server;
+      std::uint64_t* high;
+    };
+    std::uint64_t high = server_core().now();
+    std::vector<Watched> watched;
+    watched.reserve(threads.size());
+    std::vector<SimThread*> raw;
+    for (SimThread* t : threads) {
+      raw.push_back(&watched.emplace_back(t, &server_core(), &high));
+    }
+    Scheduler::Run(*machine_, raw);
+  }
+
+  // The server-track events named `name` recorded since event `first`.
+  std::vector<const Tracer::Event*> ServerEvents(std::size_t first, const std::string& name) {
+    const Tracer& tracer = machine_->telemetry().tracer();
+    std::vector<const Tracer::Event*> found;
+    for (std::size_t i = first; i < tracer.size(); ++i) {
+      const Tracer::Event& e = tracer.events()[i];
+      if (e.tid == kServer && e.name == name) {
+        found.push_back(&e);
+      }
+    }
+    return found;
+  }
+
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<OffloadEngine> engine_;
   EchoServer server_;
 };
 
-TEST_F(ArrivalOrderTest, EarlierSendIsServedBeforeLaterSentWork) {
+TEST_F(SendOrderTest, EarlierSendIsServedAtItsSend) {
   Warm({0, 1});
   const std::uint64_t round_trip = UnloadedRoundTrip(0);
   ASSERT_LT(machine_->core(0).now(), 1000u);
-  SyncAt(1, 20000);
-  const std::uint64_t server_clock = server_core().now();
-  ASSERT_GT(server_clock, 20000u);
-  // Processed after client 1's request, sent long before it.
-  const std::uint64_t finish = SyncAt(0, 1000);
-  // Served at its send: its unloaded round trip, plus the empty-ring check
-  // that an idle server runs before the send and a moved window after it.
-  EXPECT_LE(finish - 1000, round_trip + round_trip / 8);
-  EXPECT_EQ(server_core().now(), server_clock) << "a placed window leaves the clock alone";
+  SyncSender late(*engine_, 1, {20000});
+  SyncSender early(*engine_, 0, {1000});
+  Run({&late, &early});
+  EXPECT_LE(early.finished[0] - 1000, round_trip + round_trip / 8);
+  EXPECT_GT(late.finished[0], 20000u);
 }
 
-TEST_F(ArrivalOrderTest, ShortGapIsSkippedForTheNextGapThatHoldsTheWindow) {
+TEST_F(SendOrderTest, SendDuringAWindowWaitsOutOnlyThatWindow) {
   server_.work_per_request = 2000;
   Warm({0, 1, 2});
   const std::uint64_t round_trip = UnloadedRoundTrip(0);
   ASSERT_LT(machine_->core(0).now(), 10000u);
-  // Client 2 sends a quarter handler after client 1's finish: the gap
-  // between their windows cannot hold a window. Client 1's second request
-  // leaves a gap of four round trips after client 2's.
-  const std::uint64_t f1 = SyncAt(1, 10000);
-  const std::uint64_t f2 = SyncAt(2, f1 + SlowEntryCycles() / 4);
-  const std::uint64_t late_send = f2 + 4 * round_trip;
-  SyncAt(1, late_send);
-  const std::uint64_t server_clock = server_core().now();
-
-  const std::uint64_t finish = SyncAt(0, f1);
-  // Not in the short gap, which ends before client 2's window...
-  EXPECT_GE(finish - f2, SlowEntryCycles()) << "overlaps client 2's window";
-  // ...but at the start of the next one, ending before client 1's service.
-  EXPECT_LE(finish - f2, round_trip);
-  EXPECT_LT(finish, late_send);
-  EXPECT_EQ(server_core().now(), server_clock);
+  // Client 0 sends once client 1's first request is done, and client 2 a
+  // quarter handler after client 0; client 1 sends again much later.
+  const std::uint64_t s0 = 10000 + round_trip;
+  const std::uint64_t s2 = s0 + SlowEntryCycles() / 4;
+  const std::uint64_t late_send = s2 + 4 * round_trip;
+  SyncSender c1(*engine_, 1, {10000, late_send});
+  SyncSender c2(*engine_, 2, {s2});
+  SyncSender c0(*engine_, 0, {s0});
+  Run({&c1, &c2, &c0});
+  EXPECT_LE(c0.finished[0] - s0, round_trip + round_trip / 8);
+  // Client 2 waits out the rest of client 0's window, then its own.
+  EXPECT_GE(c2.finished[0] - s2, round_trip + SlowEntryCycles() / 2);
+  EXPECT_LE(c2.finished[0] - s2, round_trip + SlowEntryCycles());
+  EXPECT_LE(c1.finished[1] - late_send, round_trip + round_trip / 8);
 }
 
-TEST_F(ArrivalOrderTest, MovedWindowDrainsTheClientsPendingFreeFirst) {
+TEST_F(SendOrderTest, PendingFreeDrainsBeforeItsClientsMalloc) {
   server_.work_per_request = 2000;
   Warm({0, 1});
   const std::uint64_t round_trip = UnloadedRoundTrip(0);
@@ -405,90 +472,73 @@ TEST_F(ArrivalOrderTest, MovedWindowDrainsTheClientsPendingFreeFirst) {
   Env e0(*machine_, 0);
   engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);  // unbatched: no drain yet
   ASSERT_TRUE(server_.freed.empty());
-  SyncAt(1, 40000);
-  const std::uint64_t server_clock = server_core().now();
-
-  const std::uint64_t finish = SyncAt(0, 10000);
+  const std::size_t handled = server_.started.size();
+  SyncSender late(*engine_, 1, {40000});
+  SyncSender c0(*engine_, 0, {10000});
+  Run({&late, &c0});
   ASSERT_EQ(server_.freed, std::vector<std::uint64_t>{0xf00});
-  // The window is the free's drain plus the service, placed at the send.
-  EXPECT_GE(finish - 10000, round_trip + SlowEntryCycles());
-  EXPECT_LE(finish - 10000, round_trip + 2 * SlowEntryCycles());
-  EXPECT_LT(finish, 40000u);
-  EXPECT_EQ(server_core().now(), server_clock);
+  // The free, client 0's malloc and client 1's malloc, in that order.
+  ASSERT_EQ(server_.started.size(), handled + 3);
+  EXPECT_LT(server_.started[handled], server_.started[handled + 1]);
+  // The server was idle at the send: the drain rode its idle time.
+  EXPECT_LE(server_.started[handled] + SlowEntryCycles(), 10000u);
+  EXPECT_LE(c0.finished[0] - 10000, round_trip + round_trip / 8);
+  EXPECT_LT(c0.finished[0], 40000u);
 }
 
-TEST_F(ArrivalOrderTest, MovedWindowTraceEventsCarryThePlacedTime) {
-  TelemetryConfig tc;
-  tc.enabled = true;
-  tc.trace = true;
-  machine_->EnableTelemetry(tc);
-  server_.work_per_request = 2000;
-  Warm({0, 1});
-  ASSERT_LT(machine_->core(0).now(), 10000u);
-  Env e0(*machine_, 0);
-  engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);
-  SyncAt(1, 40000);
-  const Tracer& tracer = machine_->telemetry().tracer();
-  const std::size_t events0 = tracer.size();
-
-  SyncAt(0, 10000);
-  // Client 0's window on the server's track: the drain of its free, then
-  // its malloc.
-  const Tracer::Event* drain = nullptr;
-  const Tracer::Event* op = nullptr;
-  for (std::size_t i = events0; i < tracer.size(); ++i) {
-    const Tracer::Event& e = tracer.events()[i];
-    if (e.tid == kServer && e.name == "drain") {
-      drain = &e;
-    } else if (e.tid == kServer && e.name == "malloc") {
-      op = &e;
-    }
+// Client 0 pushes a free and sends during client 1's service, so its whole
+// window -- the drain of the free, then the malloc -- runs after the send.
+class SendOrderTraceTest : public SendOrderTest {
+ protected:
+  void SetUp() override {
+    SendOrderTest::SetUp();
+    TelemetryConfig tc;
+    tc.enabled = true;
+    tc.trace = true;
+    machine_->EnableTelemetry(tc);
+    server_.work_per_request = 2000;
+    Warm({0, 1});
+    ASSERT_LT(machine_->core(0).now(), 20000u);
+    Env e0(*machine_, 0);
+    engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);
+    const std::size_t events0 = machine_->telemetry().tracer().size();
+    send_ = 20000 + SlowEntryCycles() / 2;
+    SyncSender c1(*engine_, 1, {20000});
+    SyncSender c0(*engine_, 0, {send_});
+    Run({&c1, &c0});
+    finish_ = c0.finished[0];
+    ASSERT_EQ(server_.freed, std::vector<std::uint64_t>{0xf00});
+    drains_ = ServerEvents(events0, "drain");
+    mallocs_ = ServerEvents(events0, "malloc");
+    ASSERT_EQ(drains_.size(), 1u);
+    ASSERT_EQ(mallocs_.size(), 2u) << "client 1's service, then client 0's";
   }
-  ASSERT_NE(drain, nullptr);
-  ASSERT_NE(op, nullptr);
-  ASSERT_LT(op->ts, 40000u) << "the window was placed at its send";
-  EXPECT_GE(drain->ts, 10000u) << "drained before the send";
-  EXPECT_LE(drain->ts + drain->dur, op->ts) << "drained after the malloc it precedes";
+
+  std::uint64_t send_ = 0;    // client 0's send
+  std::uint64_t finish_ = 0;  // client 0's finish
+  std::vector<const Tracer::Event*> drains_;
+  std::vector<const Tracer::Event*> mallocs_;
+};
+
+TEST_F(SendOrderTraceTest, WindowTraceEventsLieBetweenSendAndFinish) {
+  const Tracer::Event& drain = *drains_[0];
+  const Tracer::Event& op = *mallocs_[1];
+  EXPECT_GE(drain.ts, send_);
+  EXPECT_LE(drain.ts + drain.dur, op.ts) << "the free drains before the malloc";
+  EXPECT_LE(op.ts + op.dur, finish_);
 }
 
-// A window sent while the server is still busy has no gap to move into: it
-// runs at the server clock, and its trace events stay at the time they ran.
-TEST_F(ArrivalOrderTest, UnmovedWindowTraceEventsKeepTheTimeTheyRan) {
-  TelemetryConfig tc;
-  tc.enabled = true;
-  tc.trace = true;
-  machine_->EnableTelemetry(tc);
-  server_.work_per_request = 2000;
-  Warm({0, 1});
-  ASSERT_LT(machine_->core(0).now(), 20000u);
-  Env e0(*machine_, 0);
-  engine_->AsyncRequest(e0, OffloadOp::kFree, 0xf00);
-  SyncAt(1, 20000);
-  const std::uint64_t server_clock = server_core().now();
-  const Tracer& tracer = machine_->telemetry().tracer();
-  const std::size_t events0 = tracer.size();
-
-  // Sent during client 1's service.
-  SyncAt(0, 20000 + SlowEntryCycles() / 2);
-  ASSERT_EQ(server_.freed, std::vector<std::uint64_t>{0xf00});
-  const Tracer::Event* drain = nullptr;
-  const Tracer::Event* op = nullptr;
-  for (std::size_t i = events0; i < tracer.size(); ++i) {
-    const Tracer::Event& e = tracer.events()[i];
-    if (e.tid == kServer && e.name == "drain") {
-      drain = &e;
-    } else if (e.tid == kServer && e.name == "malloc") {
-      op = &e;
-    }
-  }
-  ASSERT_NE(drain, nullptr);
-  ASSERT_NE(op, nullptr);
-  EXPECT_EQ(drain->ts, server_clock) << "the window starts where client 1's ended";
-  EXPECT_LE(drain->ts + drain->dur, op->ts);
-  EXPECT_EQ(op->ts + op->dur, server_core().now()) << "the service ends at the server clock";
+// A window sent while the server is busy starts where the busy window ends
+// and ends at the server clock.
+TEST_F(SendOrderTraceTest, BusyServerWindowStartsWhereThePreviousEnded) {
+  const Tracer::Event& busy = *mallocs_[0];
+  const Tracer::Event& drain = *drains_[0];
+  const Tracer::Event& op = *mallocs_[1];
+  EXPECT_EQ(drain.ts, busy.ts + busy.dur) << "the window starts where client 1's ended";
+  EXPECT_EQ(op.ts + op.dur, server_core().now()) << "the service ends at the server clock";
 }
 
-TEST_F(ArrivalOrderTest, WindowWithARoundTripOfItsOwnIsServedAtTheServerClock) {
+TEST_F(SendOrderTest, RelayedRequestSentFirstFinishesFirst) {
   // Core 4's handler asks a second engine on core 3, as inline donation
   // asks a donor shard.
   OffloadEngine target(*machine_, /*server_core=*/3, kTestChannelBase + kChannelStride * 5,
@@ -498,12 +548,11 @@ TEST_F(ArrivalOrderTest, WindowWithARoundTripOfItsOwnIsServedAtTheServerClock) {
   engine_->set_server(&relay);
   Warm({0, 1});
   ASSERT_LT(machine_->core(0).now(), 1000u);
-  SyncAt(1, 20000);
-  const std::uint64_t server_clock = server_core().now();
-
-  const std::uint64_t finish = SyncAt(0, 1000);
-  EXPECT_GT(finish, server_clock) << "the relayed window must not move";
-  EXPECT_GT(server_core().now(), server_clock);
+  SyncSender late(*engine_, 1, {20000});
+  SyncSender early(*engine_, 0, {1000});
+  Run({&late, &early});
+  EXPECT_LT(early.finished[0], 20000u);
+  EXPECT_LT(early.finished[0], late.finished[0]);
 }
 
 TEST(Channel, PayloadIntegrity) {

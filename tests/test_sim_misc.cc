@@ -109,25 +109,6 @@ TEST(CoreTiming, AdvanceToNeverRewinds) {
   EXPECT_EQ(c.now(), 100u);
 }
 
-TEST(CoreTiming, RestoreClockRewindsTimeButKeepsWhatRan) {
-  Core c(CoreConfig{}, 0);  // cpi 0.5
-  c.Work(1);                // 0.5 cycles: clock 0, half a cycle pending
-  const Core::Clock saved = c.SaveClock();
-  c.Work(3);
-  c.AdvanceTo(100);
-  EXPECT_EQ(c.now(), 100u);
-  EXPECT_EQ(c.waits(), 1u);
-  c.RestoreClock(saved);
-  EXPECT_EQ(c.now(), 0u);
-  EXPECT_EQ(c.pmu().cycles, 0u);
-  EXPECT_EQ(c.pmu().instructions, 4u) << "instructions keep what ran";
-  EXPECT_EQ(c.waits(), 1u);
-  c.Work(1);  // the restored half cycle completes one
-  EXPECT_EQ(c.now(), 1u);
-  c.AdvanceTo(1);  // no move, no wait
-  EXPECT_EQ(c.waits(), 1u);
-}
-
 TEST(CoreTiming, OooHidesLoadLatency) {
   Core ooo(CoreConfig{}, 0);
   Core ino(CoreConfig::InOrder(), 1);

@@ -239,41 +239,6 @@ TEST(Tracer, ReportsDroppedEventsInTraceMetadata) {
   EXPECT_NE(ok.ToChromeTraceJson().find("\"dropped_events\":0"), std::string::npos);
 }
 
-// ShiftBack moves a placed window's server-track events: the spans and
-// instants on that track recorded since `first`, with their durations kept.
-// Earlier events and other tracks stay where they are.
-TEST(Tracer, ShiftBackMovesTheTracksSpansAndInstantsSinceFirst) {
-  Tracer tr;
-  tr.Complete("malloc", 4, 1000, 10);  // before the window
-  const std::size_t first = tr.size();
-  tr.Complete("drain", 4, 5000, 200);
-  tr.Instant("ring_full", 4, 5300);
-  tr.Complete("sync_request", 0, 5100, 400);  // a client's track
-  tr.ShiftBack(first, 4, 3000);
-  const std::vector<Tracer::Event>& ev = tr.events();
-  ASSERT_EQ(ev.size(), 4u);
-  EXPECT_EQ(ev[0].ts, 1000u);
-  EXPECT_EQ(ev[1].ts, 2000u);
-  EXPECT_EQ(ev[1].dur, 200u);
-  EXPECT_EQ(ev[2].ts, 2300u);
-  EXPECT_EQ(ev[3].ts, 5100u);
-  EXPECT_EQ(ev[3].dur, 400u);
-}
-
-// Counter samples are recorded on track 0 but belong to no core's
-// timeline, so a shift of track 0 leaves them alone.
-TEST(Tracer, ShiftBackLeavesCounterSamplesInPlace) {
-  Tracer tr;
-  tr.Counter("queue_depth", 5000, 3);
-  tr.Complete("malloc", 0, 5000, 50);
-  tr.ShiftBack(0, 0, 1000);
-  const std::vector<Tracer::Event>& ev = tr.events();
-  ASSERT_EQ(ev.size(), 2u);
-  EXPECT_EQ(ev[0].ts, 5000u);
-  EXPECT_EQ(ev[0].value, 3u);
-  EXPECT_EQ(ev[1].ts, 4000u);
-}
-
 // ---- End-to-end: instrumentation on a real offloaded run ----
 
 RunResult RunOffloaded(Machine& machine) {

@@ -193,83 +193,65 @@ ChurnConfig FixedSizePhase(std::uint64_t size, std::uint32_t live_blocks, std::u
   return c;
 }
 
-// Runs a one-thread churn Step by Step and splits the recorded allocator
-// calls by the Step that made them.
-std::vector<std::vector<TraceOp>> CallsPerStep(Churn& churn) {
+// The allocator calls of a one-thread churn run, in order.
+std::vector<TraceOp> ChurnCalls(Churn& churn) {
   Machine machine(MachineConfig::Default(1));
   auto inner = CreateAllocator("tcmalloc", machine);
   TraceRecordingAllocator recorder(*inner);
-  auto threads = churn.MakeThreads(machine, recorder, {0}, /*seed=*/1);
-  Env env(machine, 0);
-  std::vector<std::size_t> ends;
-  bool running = true;
-  while (running) {
-    running = threads[0]->Step(env);
-    const AllocatorStats s = recorder.stats();
-    ends.push_back(s.mallocs + s.frees);
-  }
-  const Trace trace = recorder.TakeTrace();
-  std::vector<std::vector<TraceOp>> steps;
-  std::size_t begin = 0;
-  for (const std::size_t end : ends) {
-    steps.emplace_back(trace.ops.begin() + static_cast<std::ptrdiff_t>(begin),
-                       trace.ops.begin() + static_cast<std::ptrdiff_t>(end));
-    begin = end;
-  }
-  return steps;
+  RunOptions opt;
+  opt.cores = {0};
+  RunWorkload(machine, recorder, churn, opt);
+  return recorder.TakeTrace().ops;
 }
 
-// Replays the fill and churn Steps of one phase: a lone malloc appends to
-// the working set, a free then a malloc puts the replacement in the dying
-// block's slot. Returns the block ids held at the end, in working-set order.
-std::vector<std::uint64_t> HeldAfter(const std::vector<std::vector<TraceOp>>& steps,
-                                     std::size_t count) {
+// Replays a phase's fill (`live_blocks` mallocs, each appended to the
+// working set) and churn (`churn_ops` free-malloc pairs, the replacement
+// taking the dying block's place). Returns the block ids held at the end,
+// in working-set order.
+std::vector<std::uint64_t> HeldAfter(const std::vector<TraceOp>& calls, std::size_t live_blocks,
+                                     std::size_t churn_ops) {
   std::vector<std::uint64_t> held;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::vector<TraceOp>& s = steps[i];
-    if (s.size() == 1) {
-      EXPECT_EQ(s[0].kind, TraceOp::Kind::kMalloc);
-      held.push_back(s[0].index);
-      continue;
-    }
-    EXPECT_EQ(s.size(), 2u);
-    EXPECT_EQ(s[0].kind, TraceOp::Kind::kFree);
-    EXPECT_EQ(s[1].kind, TraceOp::Kind::kMalloc);
-    const auto slot = std::find(held.begin(), held.end(), s[0].index);
+  for (std::size_t i = 0; i < live_blocks; ++i) {
+    EXPECT_EQ(calls[i].kind, TraceOp::Kind::kMalloc);
+    held.push_back(calls[i].index);
+  }
+  for (std::size_t op = 0; op < churn_ops; ++op) {
+    const TraceOp& dying = calls[live_blocks + 2 * op];
+    const TraceOp& replacement = calls[live_blocks + 2 * op + 1];
+    EXPECT_EQ(dying.kind, TraceOp::Kind::kFree);
+    EXPECT_EQ(replacement.kind, TraceOp::Kind::kMalloc);
+    const auto slot = std::find(held.begin(), held.end(), dying.index);
     EXPECT_NE(slot, held.end());
     if (slot != held.end()) {
-      *slot = s[1].index;
+      *slot = replacement.index;
     }
   }
   return held;
 }
 
-TEST(ChurnWorkload, AllAtOnceFreesEveryBlockInOneStepInFillOrder) {
-  Churn churn({{FixedSizePhase(64, 6, 10)}}, ChurnDrain::kAllAtOnce);
-  const auto steps = CallsPerStep(churn);
-  ASSERT_EQ(steps.size(), 6u + 10u + 1u);  // fill, churn, one drain Step
-  const std::vector<std::uint64_t> held = HeldAfter(steps, 16);
-  const std::vector<TraceOp>& drain = steps.back();
-  ASSERT_EQ(drain.size(), held.size());
-  for (std::size_t i = 0; i < held.size(); ++i) {
-    EXPECT_EQ(drain[i].kind, TraceOp::Kind::kFree);
-    EXPECT_EQ(drain[i].index, held[i]) << "free " << i;
+// The block ids of the frees from call `first` on.
+std::vector<std::uint64_t> FreedFrom(const std::vector<TraceOp>& calls, std::size_t first) {
+  std::vector<std::uint64_t> freed;
+  for (std::size_t i = first; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].kind, TraceOp::Kind::kFree) << "call " << i;
+    freed.push_back(calls[i].index);
   }
+  return freed;
 }
 
-TEST(ChurnWorkload, OnePerStepFreesNewestFirstOneBlockPerStep) {
-  Churn churn({{FixedSizePhase(64, 6, 10)}}, ChurnDrain::kOnePerStep);
-  const auto steps = CallsPerStep(churn);
-  const std::vector<std::uint64_t> held = HeldAfter(steps, 16);
-  std::vector<std::uint64_t> freed;
-  for (std::size_t i = 16; i < steps.size(); ++i) {
-    ASSERT_LE(steps[i].size(), 1u) << "step " << i;
-    if (!steps[i].empty()) {
-      EXPECT_EQ(steps[i][0].kind, TraceOp::Kind::kFree);
-      freed.push_back(steps[i][0].index);
-    }
-  }
-  EXPECT_EQ(freed, std::vector<std::uint64_t>(held.rbegin(), held.rend()));
+TEST(ChurnWorkload, FillOrderDrainFreesTheWorkingSetInFillOrder) {
+  Churn churn({{FixedSizePhase(64, 6, 10)}}, ChurnDrain::kFillOrder);
+  const std::vector<TraceOp> calls = ChurnCalls(churn);
+  ASSERT_EQ(calls.size(), 6u + 2u * 10u + 6u);  // fill, churn, drain
+  EXPECT_EQ(FreedFrom(calls, 26), HeldAfter(calls, 6, 10));
+}
+
+TEST(ChurnWorkload, NewestFirstDrainFreesTheWorkingSetNewestFirst) {
+  Churn churn({{FixedSizePhase(64, 6, 10)}}, ChurnDrain::kNewestFirst);
+  const std::vector<TraceOp> calls = ChurnCalls(churn);
+  ASSERT_EQ(calls.size(), 6u + 2u * 10u + 6u);
+  const std::vector<std::uint64_t> held = HeldAfter(calls, 6, 10);
+  EXPECT_EQ(FreedFrom(calls, 26), std::vector<std::uint64_t>(held.rbegin(), held.rend()));
 }
 
 // One token per allocator call: "m<size>" or "f".
@@ -285,7 +267,7 @@ TEST(ChurnWorkload, PhasesRunInOrderEachWithItsOpCountReset) {
   const std::string expected =
       " m64 m64 m64 f m64 f m64 f f f"                     // 3 blocks, 2 ops, drain
       " m512 m512 f m512 f m512 f m512 f m512 f f";  // 2 blocks, 4 ops, drain
-  for (const ChurnDrain drain : {ChurnDrain::kAllAtOnce, ChurnDrain::kOnePerStep}) {
+  for (const ChurnDrain drain : {ChurnDrain::kFillOrder, ChurnDrain::kNewestFirst}) {
     Machine machine(MachineConfig::Default(1));
     auto inner = CreateAllocator("tcmalloc", machine);
     TraceRecordingAllocator recorder(*inner);
@@ -324,7 +306,7 @@ TEST(ChurnWorkload, FailedMallocEndsTheThreadWithItsBlocksHeld) {
     Machine machine(MachineConfig::Default(1));
     auto inner = CreateAllocator("tcmalloc", machine);
     FailingMalloc failing(*inner, fail_at);
-    Churn churn({{FixedSizePhase(64, 4, 10)}}, ChurnDrain::kAllAtOnce);
+    Churn churn({{FixedSizePhase(64, 4, 10)}}, ChurnDrain::kFillOrder);
     RunOptions opt;
     opt.cores = {0};
     RunWorkload(machine, failing, churn, opt);
@@ -355,6 +337,240 @@ TEST(ChurnWorkload, SameSeedSameCallSequence) {
   EXPECT_EQ(calls(5), calls(5));
   EXPECT_NE(calls(5), calls(6));
 }
+
+TEST(LarsonWorkload, FailedMallocStillLeavesTheTableEmpty) {
+  // Thread 0 or 1 stops at the 50th malloc; the other, last out, still
+  // frees every block left in the shared slots.
+  Machine machine(MachineConfig::Default(2));
+  auto inner = CreateAllocator("tcmalloc", machine);
+  FailingMalloc failing(*inner, 50);
+  LarsonConfig c;
+  c.slots_per_thread = 64;
+  c.ops = 200;
+  LarsonLike larson(c);
+  RunOptions opt;
+  opt.cores = {0, 1};
+  RunWorkload(machine, failing, larson, opt);
+  ASSERT_GT(failing.attempts(), 50u);
+  const AllocatorStats s = inner->stats();
+  EXPECT_EQ(s.mallocs, s.frees);
+}
+
+// ---- Trace validation ----
+
+Trace ParseTrace(const std::string& text) {
+  std::istringstream in(text);
+  return Trace::Load(in);
+}
+
+TEST(TraceDeath, LoadRejectsAForeignMagic) {
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("garbage 9 1 1\nx 0 0 64\n"),
+                            "not an ngxtrace file");
+}
+
+TEST(TraceDeath, LoadRejectsAnotherVersion) {
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("ngxtrace 2 1 0\n"), "unsupported ngxtrace version");
+}
+
+TEST(TraceDeath, LoadRejectsATruncatedHeader) {
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("ngxtrace 1\nm 0 0 64\n"),
+                            "truncated ngxtrace header");
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("ngxtrace 1 1\nm 0 0 64\n"),
+                            "truncated ngxtrace header");
+}
+
+TEST(TraceDeath, LoadRejectsAnUnknownOpLetter) {
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("ngxtrace 1 1 1\nx 0 0 64\n"),
+                            "trace op is neither m nor f");
+}
+
+TEST(TraceDeath, LoadRejectsATruncatedOp) {
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("ngxtrace 1 1 2\nm 0 0 64\nm 0 1\n"),
+                            "truncated trace op");
+}
+
+TEST(TraceDeath, LoadRejectsAMissingOpLine) {
+  EXPECT_DEATH_IF_SUPPORTED((void)ParseTrace("ngxtrace 1 1 2\nm 0 0 64\n"),
+                            "trace op count differs from its header");
+}
+
+Trace TraceOf(std::initializer_list<TraceOp> ops) {
+  Trace t;
+  t.ops = ops;
+  return t;
+}
+
+constexpr TraceOp::Kind kM = TraceOp::Kind::kMalloc;
+constexpr TraceOp::Kind kF = TraceOp::Kind::kFree;
+
+TEST(TraceDeath, ReplayRejectsAFreeBeforeItsMalloc) {
+  EXPECT_DEATH_IF_SUPPORTED((void)TraceReplay(TraceOf({{kF, 0, 7, 0}, {kM, 0, 7, 64}})),
+                            "trace frees a block before its malloc");
+  // A block that is never allocated is freed before its malloc too.
+  EXPECT_DEATH_IF_SUPPORTED((void)TraceReplay(TraceOf({{kM, 0, 0, 64}, {kF, 1, 1, 0}})),
+                            "trace frees a block before its malloc");
+}
+
+TEST(TraceDeath, ReplayRejectsADoubleFree) {
+  EXPECT_DEATH_IF_SUPPORTED(
+      (void)TraceReplay(TraceOf({{kM, 0, 0, 64}, {kF, 0, 0, 0}, {kF, 1, 0, 0}})),
+      "trace frees a block twice");
+}
+
+TEST(TraceDeath, ReplayRejectsAReusedBlockId) {
+  EXPECT_DEATH_IF_SUPPORTED((void)TraceReplay(TraceOf({{kM, 0, 0, 64}, {kM, 1, 0, 64}})),
+                            "trace mallocs one block id twice");
+}
+
+TEST(Trace, ReplayEndsEveryThreadWhenAMallocFails) {
+  // Thread 1 waits to free the block thread 0 fails to allocate.
+  Machine machine(MachineConfig::Default(2));
+  auto inner = CreateAllocator("tcmalloc", machine);
+  FailingMalloc failing(*inner, 2);
+  TraceReplay replay(TraceOf({{kM, 0, 0, 64}, {kM, 0, 1, 64}, {kF, 1, 1, 0}, {kF, 1, 0, 0}}));
+  RunOptions opt;
+  opt.cores = {0, 1};
+  RunWorkload(machine, failing, replay, opt);
+  EXPECT_EQ(failing.attempts(), 2u);
+  const AllocatorStats s = inner->stats();
+  EXPECT_EQ(s.mallocs, 1u);
+  EXPECT_EQ(s.frees, 0u) << "block 0's free comes after the wait for block 1";
+}
+
+// ---- The scheduler contract: a Step makes at most one allocator call,
+// first, at the clock the Step started ----
+
+// Forwards to `inner`, counting calls and noting the clock of the last.
+class CallClockRecorder : public Allocator {
+ public:
+  explicit CallClockRecorder(Allocator& inner) : inner_(&inner) {}
+  std::string_view name() const override { return "call-clock"; }
+  Addr Malloc(Env& env, std::uint64_t size) override {
+    Note(env);
+    return inner_->Malloc(env, size);
+  }
+  void Free(Env& env, Addr addr) override {
+    Note(env);
+    inner_->Free(env, addr);
+  }
+  std::uint64_t UsableSize(Env& env, Addr addr) override { return inner_->UsableSize(env, addr); }
+  void Flush(Env& env) override { inner_->Flush(env); }
+  AllocatorStats stats() const override { return inner_->stats(); }
+
+  std::uint64_t calls = 0;
+  std::uint64_t last_clock = 0;
+
+ private:
+  void Note(Env& env) {
+    ++calls;
+    last_clock = env.now();
+  }
+  Allocator* inner_;
+};
+
+// Audits every Step of a workload's threads against the contract.
+struct StepAudit {
+  std::uint64_t steps = 0;
+  std::uint64_t max_calls = 0;   // most calls one Step made
+  std::uint64_t late_calls = 0;  // one-call Steps whose call came after the start clock
+};
+
+class AuditedThread : public SimThread {
+ public:
+  AuditedThread(std::unique_ptr<SimThread> inner, CallClockRecorder& rec, StepAudit& audit)
+      : inner_(std::move(inner)), rec_(&rec), audit_(&audit) {}
+  int core_id() const override { return inner_->core_id(); }
+  bool Step(Env& env) override {
+    const std::uint64_t start = env.now();
+    const std::uint64_t calls0 = rec_->calls;
+    const bool more = inner_->Step(env);
+    const std::uint64_t made = rec_->calls - calls0;
+    ++audit_->steps;
+    audit_->max_calls = std::max(audit_->max_calls, made);
+    if (made == 1 && rec_->last_clock != start) {
+      ++audit_->late_calls;
+    }
+    return more;
+  }
+
+ private:
+  std::unique_ptr<SimThread> inner_;
+  CallClockRecorder* rec_;
+  StepAudit* audit_;
+};
+
+class AuditedWorkload : public Workload {
+ public:
+  AuditedWorkload(Workload& inner, CallClockRecorder& rec, StepAudit& audit)
+      : inner_(&inner), rec_(&rec), audit_(&audit) {}
+  std::string_view name() const override { return inner_->name(); }
+  std::vector<std::unique_ptr<SimThread>> MakeThreads(Machine& machine, Allocator& alloc,
+                                                      const std::vector<int>& cores,
+                                                      std::uint64_t seed) override {
+    std::vector<std::unique_ptr<SimThread>> threads;
+    for (auto& t : inner_->MakeThreads(machine, alloc, cores, seed)) {
+      threads.push_back(std::make_unique<AuditedThread>(std::move(t), *rec_, *audit_));
+    }
+    return threads;
+  }
+
+ private:
+  Workload* inner_;
+  CallClockRecorder* rec_;
+  StepAudit* audit_;
+};
+
+// Every block is handed from its allocating thread to the next one to free.
+Trace CrossThreadTrace(std::uint32_t threads, std::uint64_t blocks) {
+  Trace t;
+  t.num_threads = threads;
+  for (std::uint64_t i = 0; i < blocks; ++i) {
+    const auto owner = static_cast<std::uint32_t>(i % threads);
+    t.ops.push_back(TraceOp{kM, owner, i, 32 + 16 * (i % 8)});
+    t.ops.push_back(TraceOp{kF, (owner + 1) % threads, i, 0});
+  }
+  return t;
+}
+
+std::unique_ptr<Workload> MakeContractWorkload(const std::string& name) {
+  if (name == "churn_newest_first") {
+    return std::make_unique<Churn>(
+        std::vector<std::vector<ChurnConfig>>{{FixedSizePhase(64, 50, 200)}},
+        ChurnDrain::kNewestFirst);
+  }
+  if (name == "replay") {
+    return std::make_unique<TraceReplay>(CrossThreadTrace(4, 400));
+  }
+  std::string base = name;
+  std::replace(base.begin(), base.end(), '_', '-');
+  return MakeWorkload(base);
+}
+
+class StepContractTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StepContractTest, EveryStepMakesAtMostOneCallAtItsStartClock) {
+  Machine machine(MachineConfig::Default(4));
+  auto inner = CreateAllocator("tcmalloc", machine);
+  CallClockRecorder rec(*inner);
+  StepAudit audit;
+  auto workload = MakeContractWorkload(GetParam());
+  AuditedWorkload audited(*workload, rec, audit);
+  RunOptions opt;
+  opt.cores = {0, 1, 2, 3};
+  RunWorkload(machine, rec, audited, opt);
+  EXPECT_GT(rec.calls, 0u);
+  EXPECT_LE(audit.max_calls, 1u) << "a Step made several allocator calls";
+  EXPECT_EQ(audit.late_calls, 0u) << "a Step's call came after its start clock";
+  const AllocatorStats s = inner->stats();
+  EXPECT_EQ(s.mallocs, s.frees);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, StepContractTest,
+                         ::testing::Values("xalanc", "xmalloc", "churn", "churn_newest_first",
+                                           "larson", "cache_thrash", "cache_scratch", "replay"),
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(Report, TableAlignsColumns) {
   TextTable t({"a", "bbbb"});
