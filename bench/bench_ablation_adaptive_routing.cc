@@ -1,20 +1,24 @@
 // Ablation for adaptive traffic-matrix routing + the elastic allocator-core
 // fleet (DESIGN.md §14): at a FIXED shard count, what does feedback-driven
-// placement buy over least_loaded, and how much allocator-core capacity does
-// the break-even controller hand back when traffic ebbs?
+// placement buy over the fair control, static_by_client (client % shards),
+// and how much allocator-core capacity does the break-even controller hand
+// back when traffic ebbs?
 //
-// The workload is a diurnal multi-tenant mix whose skew shifts twice: in
-// phase 1 tenants 0-1 churn hot while 2-3 tick over; in phase 2 the skew
-// flips to tenants 2; in phase 3 every tenant goes cold (the overnight
-// valley). least_loaded sees only instantaneous queue depths -- with
-// synchronous mallocs those are almost always zero, so ties break to the
-// laggiest server clock and the tenants pile onto the same shard and
-// serialize. The adaptive policy packs each tenant onto a home shard by
-// observed epoch traffic (isolating the hot tenants), re-packs with
-// hysteresis when the skew flips (client moves), and the epoch controller
-// parks shards whose op rate falls below break-even -- during the valley the
-// fleet shrinks toward one active shard and the parked cores' cycles are the
-// measured §3.1.1 dividend.
+// Two mixes. The diurnal mix's skew shifts twice: in phase 1 tenants 0-1
+// churn hot while 2-3 tick over; in phase 2 the skew flips to tenant 2; in
+// phase 3 every tenant goes cold (the overnight valley). The static spread
+// already gives each tenant its own shard there, so the adaptive packer can
+// only tie it; what the mix shows is the epoch controller parking shards
+// whose op rate falls below break-even -- during the valley the fleet shrinks
+// toward one active shard and the parked cores' cycles are the measured
+// §3.1.1 dividend.
+//
+// The skewed span-economy mix is where placement pays: bench_ablation_
+// rebalance's phases with the full span economy on (perfbench's
+// skew-span-economy configuration). Tenant 0 bursts 36-60 KiB buffers past
+// its shard's slice three times while the others churn small blocks; packing
+// the clients by observed traffic cuts the client malloc tail and the bytes
+// the shards map, against the static spread.
 #include "bench/bench_common.h"
 
 using namespace ngx;
@@ -55,6 +59,52 @@ Churn DiurnalMix() {
       ChurnDrain::kNewestFirst);
 }
 
+// Every phase of the skewed span-economy mix churns 400 live blocks:
+// bench_ablation_rebalance's burst and small phases. Tenant 0 runs burst then
+// small, three times; the others run small three times.
+Churn SkewedSpanMix() {
+  const ChurnConfig burst = TenantChurn(400, 300, 36 * 1024, 60 * 1024);
+  const ChurnConfig small = TenantChurn(400, 1500, 64, 256);
+  return Churn({{burst, small, burst, small, burst, small}, {small, small, small}},
+               ChurnDrain::kNewestFirst);
+}
+
+// Times every malloc on the calling core's clock, as the repository
+// benchmark's harness does, so the skew case reports exact client latencies
+// rather than a log histogram's bucket edges. Reading the clock costs no
+// simulated time.
+class MallocClock : public Allocator {
+ public:
+  explicit MallocClock(Allocator& inner) : inner_(&inner) {}
+  std::string_view name() const override { return inner_->name(); }
+  Addr Malloc(Env& env, std::uint64_t size) override {
+    const std::uint64_t t0 = env.now();
+    const Addr a = inner_->Malloc(env, size);
+    cycles_.push_back(env.now() - t0);
+    return a;
+  }
+  void Free(Env& env, Addr addr) override { inner_->Free(env, addr); }
+  std::uint64_t UsableSize(Env& env, Addr addr) override {
+    return inner_->UsableSize(env, addr);
+  }
+  void Flush(Env& env) override { inner_->Flush(env); }
+  AllocatorStats stats() const override { return inner_->stats(); }
+
+  // Nearest-rank 99th percentile of every malloc timed so far.
+  std::uint64_t P99() {
+    if (cycles_.empty()) {
+      return 0;
+    }
+    std::sort(cycles_.begin(), cycles_.end());
+    const std::size_t rank = (cycles_.size() * 99 + 99) / 100;
+    return cycles_[rank - 1];
+  }
+
+ private:
+  Allocator* inner_;
+  std::vector<std::uint64_t> cycles_;
+};
+
 struct CasePoint {
   std::string variant;
   std::uint64_t wall = 0;
@@ -72,18 +122,36 @@ struct CasePoint {
   std::vector<FleetEpoch> timeline;
 };
 
-enum class Variant { kLeastLoaded, kStaticByClient, kAdaptive };
+enum class Variant { kStaticByClient, kAdaptive };
 
 std::string VariantName(Variant v) {
-  switch (v) {
-    case Variant::kLeastLoaded:
-      return "least_loaded";
-    case Variant::kStaticByClient:
-      return "static_by_client";
-    case Variant::kAdaptive:
-      return "adaptive";
+  return v == Variant::kAdaptive ? "adaptive" : "static_by_client";
+}
+
+// The adaptive side of both mixes: the packer, fed every 60,000 cycles.
+void MakeAdaptive(NgxConfig* cfg) {
+  cfg->routing = RoutingKind::kAdaptive;
+  cfg->adaptive_routing = true;
+  cfg->epoch_cycles = 60000;
+  // Break-even: a shard below ~100 fabric ops per epoch is not earning its
+  // core. On the diurnal mix a hot tenant clears this ~5x over, a lone cold
+  // tenant does not, and a shard holding BOTH cold tenants sits just above
+  // it -- so the hot fleet settles at {hot, hot, cold-pair} and the valley
+  // shrinks further.
+  cfg->park_threshold_ops = 100;
+  // Own-ring backlog at the ring capacity wakes a parked shard; the steady
+  // free sawtooth below that never does.
+  cfg->wake_queue_depth = 64;
+}
+
+RunOptions FabricRun(std::uint64_t seed) {
+  RunOptions opt;
+  opt.cores = FirstCores(kClients);
+  opt.seed = seed;
+  for (int s = 0; s < kShards; ++s) {
+    opt.server_cores.push_back(kClients + s);
   }
-  return "?";
+  return opt;
 }
 
 CasePoint RunCase(BenchCli& cli, Variant v) {
@@ -94,38 +162,13 @@ CasePoint RunCase(BenchCli& cli, Variant v) {
   cfg.hugepage_spans = false;
   cfg.heap_window = 64ull << 20;  // 256 spans per shard
   cfg.span_donation = true;       // same span economy for every variant
-  switch (v) {
-    case Variant::kLeastLoaded:
-      cfg.routing = RoutingKind::kLeastLoaded;
-      break;
-    case Variant::kStaticByClient:
-      cfg.routing = RoutingKind::kStaticByClient;
-      break;
-    case Variant::kAdaptive:
-      cfg.routing = RoutingKind::kAdaptive;
-      cfg.adaptive_routing = true;
-      cfg.epoch_cycles = 60000;
-      // Break-even: a shard below ~100 fabric ops per epoch is not earning
-      // its core. A hot tenant clears this ~5x over, a lone cold tenant does
-      // not, and a shard holding BOTH cold tenants sits just above it -- so
-      // the hot fleet settles at {hot, hot, cold-pair} and the valley
-      // shrinks further.
-      cfg.park_threshold_ops = 100;
-      // Own-ring backlog at the ring capacity wakes a parked shard; the
-      // steady free sawtooth below that never does.
-      cfg.wake_queue_depth = 64;
-      break;
+  if (v == Variant::kAdaptive) {
+    MakeAdaptive(&cfg);
   }
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
   Churn workload = DiurnalMix();
-  RunOptions opt;
-  opt.cores = FirstCores(kClients);
-  opt.seed = 11;
-  for (int s = 0; s < kShards; ++s) {
-    opt.server_cores.push_back(kClients + s);
-  }
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
+  const RunResult r = RunWorkload(machine, *sys.allocator, workload, FabricRun(11));
   sys.fabric->DrainAll();
   cli.Capture(machine);
 
@@ -161,6 +204,58 @@ CasePoint RunCase(BenchCli& cli, Variant v) {
   return out;
 }
 
+struct SkewPoint {
+  std::string variant;
+  std::uint64_t wall = 0;
+  std::uint64_t malloc_p99 = 0;    // exact, every client malloc
+  std::uint64_t mapped_bytes = 0;  // span maps held by every shard at the end
+  std::uint64_t client_moves = 0;
+  std::uint64_t partition_ooms = 0;
+  std::uint64_t mallocs = 0;
+  std::uint64_t frees = 0;
+};
+
+// The skewed span-economy mix on perfbench's skew-span-economy configuration:
+// segment heap, donation, watermarks 16/32 on a 50,000-cycle timer, packed
+// hugepage spans and a 64-MiB window (256 spans a slice).
+SkewPoint RunSkewCase(Variant v) {
+  Machine machine(MachineConfig::Default(kClients + kShards));
+  NgxConfig cfg = NgxConfig::PaperPrototype();
+  cfg.num_shards = kShards;
+  cfg.heap_kind = HeapKind::kSegment;
+  cfg.span_donation = true;
+  cfg.span_low_mark = 16;
+  cfg.span_high_mark = 32;
+  cfg.watermark_timer_cycles = 50000;
+  cfg.hugepage_spans = true;
+  cfg.hugepage_packing = true;
+  cfg.heap_window = 64ull << 20;
+  if (v == Variant::kAdaptive) {
+    MakeAdaptive(&cfg);
+  }
+  NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
+  MallocClock clock(*sys.allocator);
+
+  Churn workload = SkewedSpanMix();
+  const RunResult r = RunWorkload(machine, clock, workload, FabricRun(7));
+  sys.fabric->DrainAll();
+
+  SkewPoint out;
+  out.variant = VariantName(v);
+  out.wall = r.wall_cycles;
+  out.malloc_p99 = clock.P99();
+  out.mapped_bytes = sys.allocator->map_mapped_bytes();
+  out.client_moves = sys.allocator->control()->client_moves();
+  out.partition_ooms = sys.allocator->partition_oom_failures();
+  out.mallocs = r.alloc_stats.mallocs;
+  out.frees = r.alloc_stats.frees;
+  return out;
+}
+
+std::string MiB(std::uint64_t bytes) {
+  return FormatFixed(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,7 +263,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: adaptive routing + elastic allocator-core fleet ===\n\n";
   std::cout << kClients << " tenants / " << kShards
             << " shards, diurnal skew-shifting mix: tenants 0-1 hot in phase 1,\n"
-            << "tenant 2 hot in phase 2, everyone cold in phase 3. All variants run\n"
+            << "tenant 2 hot in phase 2, everyone cold in phase 3. Both variants run\n"
             << "the SAME shard count; only malloc placement (and, for adaptive, the\n"
             << "park/wake controller) differs. \"parked kcycles\" is allocator-core\n"
             << "capacity released while shards sat parked.\n\n";
@@ -176,7 +271,7 @@ int main(int argc, char** argv) {
   TextTable t({"routing", "wall cycles", "sync p99 (busiest shard)", "busy waits (busiest shard)",
                "epochs", "client moves", "parks", "min active", "parked kcycles", "OOMs"});
   std::vector<CasePoint> points;
-  for (const Variant v : {Variant::kLeastLoaded, Variant::kStaticByClient, Variant::kAdaptive}) {
+  for (const Variant v : {Variant::kStaticByClient, Variant::kAdaptive}) {
     const CasePoint p = RunCase(cli, v);
     points.push_back(p);
     t.AddRow({p.variant, FormatSci(static_cast<double>(p.wall)), FormatInt(p.busiest_sync_p99),
@@ -184,21 +279,41 @@ int main(int argc, char** argv) {
               FormatInt(p.client_moves), FormatInt(p.shards_parked),
               FormatInt(static_cast<std::uint64_t>(p.min_active_shards)),
               FormatInt(p.parked_core_cycles / 1000), FormatInt(p.partition_ooms)});
-    std::cerr << "[done] routing=" << p.variant << "\n";
+    std::cerr << "[done] diurnal routing=" << p.variant << "\n";
   }
   std::cout << t.ToString() << "\n";
 
-  const CasePoint& least = points[0];
-  const CasePoint& adapt = points[2];
-  std::cout << "busiest-shard sync p99: least_loaded -> " << least.busiest_sync_p99
+  const CasePoint& stat = points[0];
+  const CasePoint& adapt = points[1];
+  std::cout << "busiest-shard sync p99: static_by_client -> " << stat.busiest_sync_p99
             << ", adaptive -> " << adapt.busiest_sync_p99 << "\n";
   std::cout << "fleet: " << adapt.routing_epochs << " epochs, " << adapt.client_moves
             << " client moves, " << adapt.shards_parked << " park transitions, fleet floor "
             << adapt.min_active_shards << "/" << kShards << " shards, "
-            << adapt.parked_core_cycles << " parked core cycles\n";
-  std::cout << "expectation: adaptive's busiest-shard sync p99 beats least_loaded at the\n"
-            << "same shard count, at least one shard parks during the cold phase, and\n"
-            << "every variant finishes OOM-free with balanced books.\n";
+            << adapt.parked_core_cycles << " parked core cycles\n\n";
+
+  std::cout << "Skewed span-economy mix, seed 7: tenant 0 bursts 36-60 KiB buffers past\n"
+            << "its 256-span slice and drops to small churn, three times; the others\n"
+            << "churn small blocks. Donation, watermarks and packed hugepage spans on.\n"
+            << "\"malloc p99\" is every client malloc, timed on the calling core.\n\n";
+  TextTable st({"routing", "wall cycles", "malloc p99", "mapped MiB", "client moves", "OOMs"});
+  std::vector<SkewPoint> skew;
+  for (const Variant v : {Variant::kStaticByClient, Variant::kAdaptive}) {
+    const SkewPoint p = RunSkewCase(v);
+    skew.push_back(p);
+    st.AddRow({p.variant, FormatSci(static_cast<double>(p.wall)), FormatInt(p.malloc_p99),
+               MiB(p.mapped_bytes), FormatInt(p.client_moves), FormatInt(p.partition_ooms)});
+    std::cerr << "[done] skew routing=" << p.variant << "\n";
+  }
+  std::cout << st.ToString() << "\n";
+  const SkewPoint& skew_stat = skew[0];
+  const SkewPoint& skew_adapt = skew[1];
+  std::cout << "skewed mix: malloc p99 static_by_client -> " << skew_stat.malloc_p99
+            << ", adaptive -> " << skew_adapt.malloc_p99 << "; mapped "
+            << MiB(skew_stat.mapped_bytes) << " -> " << MiB(skew_adapt.mapped_bytes) << " MiB\n";
+  std::cout << "expectation: on the skewed mix adaptive beats static_by_client on both\n"
+            << "malloc p99 and mapped bytes; on the diurnal mix at least one shard parks\n"
+            << "during the cold phase; every case finishes OOM-free with balanced books.\n";
 
   JsonValue cases = JsonValue::Array();
   for (const CasePoint& p : points) {
@@ -234,6 +349,20 @@ int main(int argc, char** argv) {
     cases.Push(o);
   }
   cli.Set("cases", cases);
+  JsonValue skew_cases = JsonValue::Array();
+  for (const SkewPoint& p : skew) {
+    JsonValue o = JsonValue::Object();
+    o.Set("routing", JsonValue(p.variant));
+    o.Set("wall_cycles", JsonValue(p.wall));
+    o.Set("malloc_p99", JsonValue(p.malloc_p99));
+    o.Set("map_mapped_bytes", JsonValue(p.mapped_bytes));
+    o.Set("client_moves", JsonValue(p.client_moves));
+    o.Set("partition_oom_failures", JsonValue(p.partition_ooms));
+    o.Set("mallocs", JsonValue(p.mallocs));
+    o.Set("frees", JsonValue(p.frees));
+    skew_cases.Push(o);
+  }
+  cli.Set("skew_cases", skew_cases);
 
   bool balanced = true;
   std::uint64_t ooms = 0;
@@ -241,8 +370,16 @@ int main(int argc, char** argv) {
     balanced = balanced && p.mallocs == p.frees;
     ooms += p.partition_ooms;
   }
-  cli.Metric("busiest_sync_p99_least_loaded", least.busiest_sync_p99);
+  for (const SkewPoint& p : skew) {
+    balanced = balanced && p.mallocs == p.frees;
+    ooms += p.partition_ooms;
+  }
+  cli.Metric("busiest_sync_p99_static_by_client", stat.busiest_sync_p99);
   cli.Metric("busiest_sync_p99_adaptive", adapt.busiest_sync_p99);
+  cli.Metric("skew_malloc_p99_static_by_client", skew_stat.malloc_p99);
+  cli.Metric("skew_malloc_p99_adaptive", skew_adapt.malloc_p99);
+  cli.Metric("skew_mapped_bytes_static_by_client", skew_stat.mapped_bytes);
+  cli.Metric("skew_mapped_bytes_adaptive", skew_adapt.mapped_bytes);
   cli.Metric("routing_epochs_adaptive", adapt.routing_epochs);
   cli.Metric("client_moves_adaptive", adapt.client_moves);
   cli.Metric("shards_parked_adaptive", adapt.shards_parked);

@@ -1,18 +1,18 @@
-// Ablation for per-tenant traits (DESIGN.md §15): how much does a
-// latency-sensitive tenant pay for sharing a shard with a heavy one?
+// Ablation for tenants (DESIGN.md §15): how much does a latency-sensitive
+// tenant pay for sharing a shard with a heavy one?
 //
-// Four tenants ride the span-donation bench's skewed mix: "frontend" (the
-// low_latency preset) churns small blocks on core 0, "analytics" (throughput
-// preset, free_batch raised to 32 by explicit override) churns 8-16 KiB
-// buffers on core 2, and two default-preset workers churn small blocks on
-// cores 1 and 3. Static-by-client routing puts frontend and analytics on the
+// Four tenants ride the span-donation bench's skewed mix: "frontend"
+// (unbatched frees, the low-latency contract) churns small blocks on core 0,
+// "analytics" (free_batch 32, a throughput contract) churns 8-16 KiB buffers
+// on core 2, and two workers on the global knobs churn small blocks on cores
+// 1 and 3. Static-by-client routing puts frontend and analytics on the
 // SAME shard (cores 0 and 2 -> shard 0). The shard is one core serving one
 // request at a time, so a frontend malloc sent while analytics' handler runs
 // waits for that handler to end. The bench reports frontend's sync p99
 // mixed against running alone: the interference a non-preemptive room
 // cannot hide.
 //
-// A second section pins the traits layer's bit-identity contract: the Table 3
+// A second section pins the tenant layer's bit-identity contract: the Table 3
 // pipeline run with an all-default tenant list must replay the exact same
 // simulated history (same SimStateHash) as the run with no tenants at all,
 // and both must replay kTable3PipelineHash. CI asserts both claims from the
@@ -47,15 +47,12 @@ NgxConfig QosConfig() {
 
   TenantSpec frontend;
   frontend.name = "frontend";
-  frontend.traits = MakeTenantTraits("low_latency");
   frontend.cores = {0};
+  frontend.free_batch = 1;  // each free publishes at once
   TenantSpec analytics;
   analytics.name = "analytics";
-  analytics.traits = MakeTenantTraits("throughput");
-  // Explicit override on top of the preset: deeper free batches than the
-  // throughput default.
-  analytics.traits.free_batch = kAnalyticsFreeBatch;
   analytics.cores = {2};
+  analytics.free_batch = kAnalyticsFreeBatch;
   TenantSpec worker_a;
   worker_a.name = "worker_a";
   worker_a.cores = {1};
@@ -167,7 +164,7 @@ int main(int argc, char** argv) {
   std::cout << "the shard serves one request at a time: a frontend malloc sent while an\n"
             << "analytics handler runs waits for it to end (DESIGN.md §15).\n\n";
 
-  // Bit-identity: the traits layer must be pure configuration plumbing. An
+  // Bit-identity: the tenant layer must be pure configuration plumbing. An
   // all-default tenant list resolves to exactly the global knobs, so the
   // Table 3 pipeline history -- the hash bench_table3_nextgen pins -- must
   // replay byte-for-byte.

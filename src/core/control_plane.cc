@@ -33,12 +33,10 @@ constexpr int kEpochMigrateMoves = 8;
 }  // namespace
 
 ControlPlane::ControlPlane(Machine& machine, OffloadFabric& fabric, const NgxConfig& config,
-                           const TenantPlan& plan,
                            const std::vector<std::unique_ptr<ServerHeap>>& heaps)
     : machine_(&machine),
       fabric_(&fabric),
       config_(config),
-      plan_(plan),
       heaps_(heaps),
       directory_(kNgxHeapBase, config.heap_window ? config.heap_window : kHeapWindow,
                  kNgxSpanBytes, static_cast<int>(heaps.size())),
@@ -262,16 +260,15 @@ void ControlPlane::WatermarkTick(Env& server_env, int shard) {
     return;
   }
   in_rebalance_ = true;
-  const ShardWatermarks marks = plan_.shards[static_cast<std::size_t>(shard)];
   // A few moves per tick keep any pending request's queue wait bounded;
   // steady drain traffic supplies plenty of ticks.
   for (int moves = 0; moves < 4; ++moves) {
     const std::uint64_t free = directory_.free_spans(shard);
     bool acted = false;
-    if (free < marks.low) {
+    if (free < config_.span_low_mark) {
       // Staying ahead of partition exhaustion beats everything else.
       acted = TryRefill(server_env, shard, free);
-    } else if (free > marks.high) {
+    } else if (free > config_.span_high_mark) {
       // Recycled away spans flow home first; native surplus is offered to
       // peers below their low mark.
       acted = TryReturnHome(server_env, shard);
@@ -298,8 +295,7 @@ bool ControlPlane::TryRestockLocal(Env& server_env, int shard) {
   // otherwise fail first and pay the inline fallback's TakeRecycled detour
   // on the malloc path. Grafting recycled spans back during idle time keeps
   // the provider's unconsumed tail at one grant unit above the low mark.
-  const std::uint64_t target =
-      (plan_.shards[static_cast<std::size_t>(shard)].low + grant_unit_spans_) * kNgxSpanBytes;
+  const std::uint64_t target = (config_.span_low_mark + grant_unit_spans_) * kNgxSpanBytes;
   if (provider(shard).FreeBytes() >= target) {
     return false;
   }
@@ -316,14 +312,11 @@ bool ControlPlane::TryRefill(Env& server_env, int shard, std::uint64_t free) {
   // Refill to one grant unit above the low mark so the next few grants do
   // not immediately re-trigger the pull.
   const std::uint64_t want =
-      AlignUp(plan_.shards[static_cast<std::size_t>(shard)].low + grant_unit_spans_ - free,
-              grant_unit_spans_);
+      AlignUp(config_.span_low_mark + grant_unit_spans_ - free, grant_unit_spans_);
   const int donor = PickDonor(shard, nullptr);
-  // Anti-ping-pong: a donation must not push the donor below its OWN low
-  // mark (the donor's tenant contract, not the requester's), or the refill
-  // would bounce straight back next tick.
-  if (donor < 0 || directory_.free_spans(donor) <
-                       plan_.shards[static_cast<std::size_t>(donor)].low + want) {
+  // Anti-ping-pong: a donation must not push the donor below the low mark,
+  // or the refill would bounce straight back next tick.
+  if (donor < 0 || directory_.free_spans(donor) < config_.span_low_mark + want) {
     return false;
   }
   return PullSpans(server_env, shard, donor, OffloadOp::kRequestSpans, want) > 0;
@@ -334,7 +327,7 @@ bool ControlPlane::TryReturnHome(Env& server_env, int shard) {
     return false;
   }
   const std::uint64_t free = directory_.free_spans(shard);
-  const std::uint64_t low = plan_.shards[static_cast<std::size_t>(shard)].low;
+  const std::uint64_t low = config_.span_low_mark;
   if (free <= low) {
     return false;
   }
@@ -360,9 +353,8 @@ bool ControlPlane::ReturnRunHome(Env& server_env, int shard, std::uint64_t max_u
 }
 
 bool ControlPlane::TryOfferSurplus(Env& server_env, int shard, std::uint64_t free) {
-  // Push only when a peer is actually short of ITS OWN low mark (per-tenant
-  // watermarks make "needy" a per-shard judgment): the lowest free count
-  // below its mark, ties to the lower shard id (deterministic).
+  // Push only when a peer is actually short of the low mark: the lowest free
+  // count below it, ties to the lower shard id (deterministic).
   int needy = -1;
   std::uint64_t needy_free = ~0ull;
   for (int s = 0; s < num_shards(); ++s) {
@@ -370,7 +362,7 @@ bool ControlPlane::TryOfferSurplus(Env& server_env, int shard, std::uint64_t fre
       continue;
     }
     const std::uint64_t f = directory_.free_spans(s);
-    if (f < plan_.shards[static_cast<std::size_t>(s)].low && f < needy_free) {
+    if (f < config_.span_low_mark && f < needy_free) {
       needy_free = f;
       needy = s;
     }
@@ -379,11 +371,9 @@ bool ControlPlane::TryOfferSurplus(Env& server_env, int shard, std::uint64_t fre
     return false;
   }
   const std::uint64_t want =
-      AlignUp(plan_.shards[static_cast<std::size_t>(needy)].low + grant_unit_spans_ - needy_free,
-              grant_unit_spans_);
+      AlignUp(config_.span_low_mark + grant_unit_spans_ - needy_free, grant_unit_spans_);
   const std::uint64_t surplus =
-      (free - plan_.shards[static_cast<std::size_t>(shard)].high) / grant_unit_spans_ *
-      grant_unit_spans_;
+      (free - config_.span_high_mark) / grant_unit_spans_ * grant_unit_spans_;
   const std::uint64_t n = std::min(want, surplus);
   if (n == 0) {
     return false;
@@ -447,7 +437,7 @@ void ControlPlane::EpochTick(Env& env) {
       continue;
     }
     busiest = std::max(busiest, fabric_->QueueDepth(s));
-    // An active shard already below break-even is spare capacity the policy
+    // An active shard already below break-even is spare capacity the router
     // can re-pack onto; waking more shards would not relieve anything.
     if (config_.park_threshold_ops > 0 &&
         epoch_scratch_.ColTotal(s) < config_.park_threshold_ops) {
@@ -514,14 +504,14 @@ void ControlPlane::EpochTick(Env& env) {
     }
   }
 
-  // 4. Feed the policy the closed matrix against the post-decision fleet, so
+  // 4. Feed the router the closed matrix against the post-decision fleet, so
   // re-packing only targets shards that will actually serve mallocs.
   for (int s = 0; s < nsh; ++s) {
     epoch_scratch_.active[static_cast<std::size_t>(s)] =
         fabric_->shard_state(s) == ShardState::kActive ? 1 : 0;
   }
-  fabric_->routing().Observe(epoch_scratch_);
-  const std::uint64_t moves_total = fabric_->routing().client_moves();
+  fabric_->router().Observe(epoch_scratch_);
+  const std::uint64_t moves_total = fabric_->router().client_moves();
   const std::uint64_t epoch_moves = moves_total - last_client_moves_;
   last_client_moves_ = moves_total;
 

@@ -20,7 +20,7 @@
 // Fleet. With config.adaptive_routing an epoch controller closes the
 // fabric's traffic epoch every epoch_cycles, parks shards below the
 // break-even op count, wakes them under queue-depth pressure and feeds the
-// closed matrix to the routing policy. It lives in the same class as the
+// closed matrix to the router. It lives in the same class as the
 // rebalancer because a parking shard drains through the same return path,
 // and because the two must share one reentrancy guard: migration traffic
 // drains recipient rings, whose post-drain hooks would start watermark ticks
@@ -35,21 +35,20 @@
 #include "src/core/nextgen_config.h"
 #include "src/core/server_heap.h"
 #include "src/core/span_directory.h"
-#include "src/core/tenant_plan.h"
 #include "src/offload/offload_fabric.h"
 
 namespace ngx {
 
 class ControlPlane {
  public:
-  // `config`, `plan` and `heaps` belong to the allocator that owns this
+  // `config` and `heaps` belong to the allocator that owns this
   // control plane and must outlive it. Registers, in this order: for each
   // shard its post-drain hook and then its watermark timer (span_low_mark
   // set), then the epoch timer (adaptive_routing set). Machine::RunTimerHooks
   // fires hooks in registration order, so the order is part of the simulated
   // history.
   ControlPlane(Machine& machine, OffloadFabric& fabric, const NgxConfig& config,
-               const TenantPlan& plan, const std::vector<std::unique_ptr<ServerHeap>>& heaps);
+               const std::vector<std::unique_ptr<ServerHeap>>& heaps);
   // Removes every hook it added: the machine and fabric may outlive it.
   ~ControlPlane();
   // The hooks capture `this`, so no copies; deleting them also leaves the
@@ -75,12 +74,12 @@ class ControlPlane {
   // partition.
   std::uint64_t rebalance_moves() const { return rebalance_moves_; }
   std::uint64_t inline_donation_fallbacks() const { return inline_fallbacks_; }
-  // Epochs closed, home-shard reassignments made by the routing policy, park
+  // Epochs closed, home-shard reassignments made by the router, park
   // transitions, wakes, and the simulated core-cycles released while shards
   // sat parked (epoch_cycles per parked shard per epoch). fleet_timeline has
   // one entry per closed epoch.
   std::uint64_t routing_epochs() const { return routing_epochs_; }
-  std::uint64_t client_moves() const { return fabric_->routing().client_moves(); }
+  std::uint64_t client_moves() const { return fabric_->router().client_moves(); }
   std::uint64_t shards_parked() const { return shards_parked_; }
   std::uint64_t shards_woken() const { return shards_woken_; }
   std::uint64_t parked_core_cycles() const { return parked_core_cycles_; }
@@ -135,7 +134,7 @@ class ControlPlane {
   // shard's timer: closes the fabric's traffic epoch, steps draining shards
   // toward kParked, wakes parked shards under queue-depth pressure, drains
   // the coldest shard below the break-even op count, and feeds the closed
-  // matrix to the routing policy's Observe hook.
+  // matrix to the router's Observe.
   void EpochTick(Env& env);
   // Returns a bounded batch of `shard`'s recycled granted runs home on its
   // own server core, and parks it once nothing migratable remains.
@@ -144,7 +143,6 @@ class ControlPlane {
   Machine* machine_;
   OffloadFabric* fabric_;
   const NgxConfig& config_;
-  const TenantPlan& plan_;
   const std::vector<std::unique_ptr<ServerHeap>>& heaps_;
   SpanDirectory directory_;
   bool in_rebalance_ = false;  // tick reentrancy guard, shared by both tick kinds
@@ -159,7 +157,7 @@ class ControlPlane {
   std::uint64_t shards_parked_ = 0;  // park transitions (not current count)
   std::uint64_t shards_woken_ = 0;
   std::uint64_t parked_core_cycles_ = 0;
-  std::uint64_t last_client_moves_ = 0;  // policy total at last epoch close
+  std::uint64_t last_client_moves_ = 0;  // router total at last epoch close
   int epoch_timer_id_ = -1;
   int epoch_ticker_shard_ = 0;
   EpochMatrix epoch_scratch_;

@@ -10,10 +10,10 @@
 #define NGX_SRC_CORE_NEXTGEN_CONFIG_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/heap_kind.h"
-#include "src/core/tenant_traits.h"
 #include "src/offload/routing.h"
 
 namespace ngx {
@@ -41,6 +41,20 @@ inline constexpr std::uint32_t kNgxRingCapacity = 64;
 inline constexpr std::uint64_t kNgxSpanBytes = 64 * 1024;
 inline constexpr std::uint64_t kNgxSmallMax = 32 * 1024;
 
+// A named tenant (DESIGN.md §15): the client cores it claims and the one
+// contract knob it may set, its remote frees per ring doorbell (1 = unbatched,
+// the low-latency contract; more = deeper batches, the throughput one).
+// kInherit keeps the global NgxConfig::free_batch. The name labels the
+// tenant's telemetry series. Cores no tenant claims run the global knobs
+// with no label.
+struct TenantSpec {
+  static constexpr std::uint32_t kInherit = 0xffffffffu;
+
+  std::string name;
+  std::vector<int> cores;
+  std::uint32_t free_batch = kInherit;
+};
+
 struct NgxConfig {
   // Run malloc/free on a dedicated core via the offload engine. When false,
   // the allocator runs inline on the application cores (MMT-style ablation).
@@ -51,7 +65,9 @@ struct NgxConfig {
   // per-(client, shard) channels. 1 = the paper's single-room prototype.
   int num_shards = 1;
 
-  // How mallocs pick a shard (frees always return to the owning shard).
+  // How mallocs pick a shard (frees always return to the owning shard):
+  // static_by_client, or adaptive, which needs adaptive_routing and is
+  // needed by it (routing.h).
   RoutingKind routing = RoutingKind::kStaticByClient;
 
   // Frees ride the fire-and-forget ring instead of a round trip.
@@ -144,14 +160,14 @@ struct NgxConfig {
   // Adaptive traffic-matrix routing + elastic allocator-core fleet
   // (DESIGN.md §14). When true the fabric tracks a host-side client x shard
   // op matrix; every epoch_cycles cycles of the first server core's clock an
-  // epoch controller (a) hands the matrix to the routing policy's Observe
-  // hook (the `adaptive` policy re-packs client home shards with
-  // hysteresis), and (b) resizes the fleet: a shard whose epoch op count
-  // falls below park_threshold_ops drains -- its recycled granted spans are
-  // returned home via the span protocol -- and parks, releasing its core
-  // from the malloc path; queue-depth pressure wakes parked shards. False
-  // (the default) registers no hooks and no tracking: bit-identical to
-  // pre-adaptive builds regardless of the other fleet knobs. The §3.1.1
+  // epoch controller (a) hands the matrix to the router's Observe, which
+  // re-packs client home shards with hysteresis, and (b) resizes the fleet:
+  // a shard whose epoch op count falls below park_threshold_ops drains --
+  // its recycled granted spans are returned home via the span protocol --
+  // and parks, releasing its core from the malloc path; queue-depth pressure
+  // wakes parked shards. Requires routing = adaptive. False (the default)
+  // registers no hooks and no tracking: bit-identical to pre-adaptive builds
+  // regardless of the other fleet knobs. The §3.1.1
   // break-even economics: an allocator core only earns its room while its op
   // rate covers its cost.
   bool adaptive_routing = false;
@@ -167,14 +183,12 @@ struct NgxConfig {
   // parked shard's own backlog or the busiest active shard's depth reaching
   // this many entries.
   std::uint64_t wake_queue_depth = 16;
-  // Per-tenant traits (DESIGN.md §15): named contracts binding client cores
-  // to preset/override knobs -- stash capacity and refill mark, free_batch,
-  // watermark spans and cluster placement -- resolved at registration
-  // instead of every tenant riding the global values above. Tenants that
-  // share a shard share its one server timeline: a contract sets how a
-  // tenant batches and where it is served, not who is served first. Empty
-  // (the default) keeps the single implicit tenant and is bit-identical to
-  // pre-traits builds; so is a list whose every entry inherits everything.
+  // Tenants (DESIGN.md §15): named client-core groups, each with its own
+  // free_batch, resolved once at construction. Tenants that share a shard
+  // share its one server timeline: a tenant sets how its frees batch, not
+  // who is served first. Empty (the default) keeps the single implicit
+  // tenant; a list whose every entry inherits free_batch changes only the
+  // telemetry labels.
   std::vector<TenantSpec> tenants;
 
   // Server-core placement policy used by MakeNgxSystem's placed overload.

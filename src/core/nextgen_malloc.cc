@@ -51,6 +51,8 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   // Combinations that would otherwise be silently ignored.
   NGX_CHECK(config.routing != RoutingKind::kAdaptive || config.adaptive_routing,
             "routing = adaptive needs adaptive_routing (the epoch controller feeds it)");
+  NGX_CHECK(!config.adaptive_routing || config.routing == RoutingKind::kAdaptive,
+            "adaptive_routing needs routing = adaptive");
   NGX_CHECK(!config.stash_pipeline || config.prediction,
             "stash_pipeline needs prediction: there is no stash to pipeline");
   NGX_CHECK(!config.stash_pipeline || config.stash_refill_mark > 0,
@@ -92,9 +94,9 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
             "span_high_mark must exceed span_low_mark");
   NGX_CHECK(config.span_low_mark == 0 || config.watermark_timer_cycles > 0,
             "watermark rebalancing (span_low_mark) needs watermark_timer_cycles > 0");
-  // Per-tenant traits (DESIGN.md §15) resolve before anything is sized or
-  // constructed from them.
-  plan_ = ResolveTenantPlan(config, machine.num_cores(), machine.config().cluster_cores,
+  // Tenants (DESIGN.md §15) resolve before anything is sized or constructed
+  // from them.
+  plan_ = ResolveTenantPlan(config, machine.num_cores(),
                             fabric != nullptr ? fabric->server_cores() : std::vector<int>{});
   heaps_.reserve(static_cast<std::size_t>(nshards));
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
@@ -117,29 +119,21 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   NGX_CHECK(config.free_batch >= 1 && config.free_batch <= kNgxRingCapacity,
             "free_batch must fit in one async ring");
   if (nshards > 1) {
-    control_ = std::make_unique<ControlPlane>(machine, *fabric, config_, plan_, heaps_);
+    control_ = std::make_unique<ControlPlane>(machine, *fabric, config_, heaps_);
   }
   if (config.prediction) {
     predictor_.emplace(machine.num_cores(), classes_.num_classes(), config.max_predict_batch);
-    // Logical depths follow each core's tenant; slots are laid out for the
-    // deepest stash (or spill stack) in the fleet.
-    std::uint32_t max_cap = 0;
-    std::uint32_t max_spill = 0;
-    for (const CoreContract& core : plan_.cores) {
-      max_cap = std::max(max_cap, core.stash_capacity);
-      max_spill = std::max(max_spill, core.spill_depth);
-    }
     if (config.stash_pipeline) {
       NGX_CHECK(classes_.num_classes() < (1u << 16),
                 "kRefillStash packs the size class into the tagged-ring arg");
       // [half 0][half 1][spill stack], the halves one 64-byte line each:
       // [seq|count][7 entries].
       stash_half_bytes_ = 64;
-      stash_slot_ = 2 * stash_half_bytes_ + AlignUp(8ull * max_spill, 64);
+      stash_slot_ = 2 * stash_half_bytes_ + AlignUp(8ull * plan_.spill_depth, 64);
       pipes_.assign(static_cast<std::size_t>(machine.num_cores()) * classes_.num_classes(),
                     StashPipe{});
     } else {
-      stash_slot_ = AlignUp(IndexStack::FootprintBytes(max_cap), 64);
+      stash_slot_ = AlignUp(IndexStack::FootprintBytes(config.stash_capacity), 64);
     }
     stash_stride_ = AlignUp(stash_slot_ * classes_.num_classes(), kSmallPageBytes);
     stash_provider_ = std::make_unique<PageProvider>(
@@ -159,15 +153,13 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // the server-written tail line per push.
     fabric_->set_producer_index_cache(true);
   }
-  // Home-shard pins and tenant labels on the fabric (DESIGN.md §15).
-  // Unclaimed cores carry the fabric's defaults (no pin, no label); a pin
-  // routes a tenant's mallocs to its contracted shard.
+  // Tenant labels on the fabric (DESIGN.md §15); unclaimed cores carry no
+  // label.
   if (fabric != nullptr) {
     for (int c = 0; c < machine.num_cores(); ++c) {
-      const CoreContract& core = plan_.cores[static_cast<std::size_t>(c)];
-      fabric->set_client_home_shard(c, core.home_shard);
-      if (core.tenant >= 0) {
-        fabric->set_client_label(c, plan_.tenant_names[static_cast<std::size_t>(core.tenant)]);
+      const int tenant = plan_.cores[static_cast<std::size_t>(c)].tenant;
+      if (tenant >= 0) {
+        fabric->set_client_label(c, plan_.tenant_names[static_cast<std::size_t>(tenant)]);
       }
     }
   }
@@ -251,11 +243,10 @@ Addr NgxAllocator::Malloc(Env& env, std::uint64_t size) {
     if (stash.Pop(env, &block)) {
       return StashHit(env, size, cls, block, 0, rec, t0);
     }
-    return FinishMalloc(env, h_malloc_sync_, SyncMalloc(env, size, cls, OffloadOp::kMallocBatch),
-                        rec, t0);
+    return FinishMalloc(env, h_malloc_sync_, SyncMalloc(env, size, OffloadOp::kMallocBatch), rec,
+                        t0);
   }
-  return FinishMalloc(env, h_malloc_sync_,
-                      SyncMalloc(env, size, RouteClassOf(size), OffloadOp::kMalloc), rec, t0);
+  return FinishMalloc(env, h_malloc_sync_, SyncMalloc(env, size, OffloadOp::kMalloc), rec, t0);
 }
 
 Addr NgxAllocator::FinishMalloc(Env& env, Histogram* path, Addr a, bool rec,
@@ -277,12 +268,12 @@ Addr NgxAllocator::StashHit(Env& env, std::uint64_t size, std::uint32_t cls, Add
   return FinishMalloc(env, h_malloc_stash_, block, rec, t0);
 }
 
-Addr NgxAllocator::SyncMalloc(Env& env, std::uint64_t size, std::uint32_t cls, OffloadOp op) {
+Addr NgxAllocator::SyncMalloc(Env& env, std::uint64_t size, OffloadOp op) {
   ++sync_mallocs_;
-  const int shard = fabric_->RouteMalloc(env.core_id(), size, cls);
+  const int shard = fabric_->RouteMalloc(env.core_id());
   if (op == OffloadOp::kMallocBatch) {
     // The reply stocks the stash: its later hits came from this shard.
-    StashShard(env.core_id(), cls) = static_cast<std::int16_t>(shard);
+    StashShard(env.core_id(), classes_.ClassOf(size)) = static_cast<std::int16_t>(shard);
   }
   const Addr a = fabric_->SyncRequest(env, shard, op, size);
   NoteMallocTraffic(env.core_id(), shard, size);
@@ -335,7 +326,7 @@ void NgxAllocator::Free(Env& env, Addr addr) {
     }
   }
   // A block is always returned to the shard owning its heap partition, no
-  // matter which client frees it or which policy routed the malloc.
+  // matter which client frees it or where the router sent the malloc.
   const int shard = ShardOfAddr(addr);
   if (FlightRecorder* frec = Recorder()) {
     frec->matrix().NoteFree(env.core_id(), shard);
@@ -376,9 +367,8 @@ bool NgxAllocator::StashPopActive(Env& env, int core, std::uint32_t cls, Addr* o
 
 bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr) {
   StashPipe& pipe = Pipe(core, cls);
-  const CoreContract& contract = plan_.cores[static_cast<std::size_t>(core)];
   const std::uint32_t count = pipe.count[pipe.active];
-  if (count < contract.pipe_cap) {
+  if (count < plan_.pipe_cap) {
     // One timed store -- the entry itself, at the active half's top, where
     // the very next pop of this class returns it (depth-1 LIFO). The count
     // bump is the register mirror.
@@ -386,7 +376,7 @@ bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr
     pipe.count[pipe.active] = count + 1;
     return true;
   }
-  if (pipe.spill < contract.spill_depth) {
+  if (pipe.spill < plan_.spill_depth) {
     // Active half full (a free burst): retain the block client-side on the
     // spill stack rather than shipping it to the server only to refill it
     // back later. Spill lines are touched by no other core, so this is one
@@ -438,7 +428,7 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
   // Cold stream (or a dry refill): the classic synchronous round trip. The
   // server's kMallocBatch seeds the ACTIVE half, and the predictor warms up
   // exactly as in the non-pipelined path until refills take over.
-  const Addr a = SyncMalloc(env, size, cls, OffloadOp::kMallocBatch);
+  const Addr a = SyncMalloc(env, size, OffloadOp::kMallocBatch);
   // Refresh the register mirror from the seeded header: one load of the
   // line every subsequent pop of this half hits anyway. (Both halves were
   // empty or the sync path would not have run, so only the count changes.)
@@ -450,19 +440,18 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
 void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t remaining) {
   const int core = env.core_id();
   StashPipe& pipe = Pipe(core, cls);
-  const CoreContract& contract = plan_.cores[static_cast<std::size_t>(core)];
-  if (pipe.in_flight || remaining > contract.refill_mark) {
+  if (pipe.in_flight || remaining > config_.stash_refill_mark) {
     return;
   }
   if (pipe.count[pipe.active ^ 1] > 0 || pipe.spill > 0) {
     return;  // client-held blocks remain; they are hotter than any refill
   }
-  const std::uint32_t want = predictor_->RefillSize(core, cls, contract.pipe_cap);
+  const std::uint32_t want = predictor_->RefillSize(core, cls, plan_.pipe_cap);
   if (want == 0) {
     return;  // stream too cold; the next miss pays the sync trip and warms it
   }
   predictor_->OnStashRefill(core, cls);
-  const int shard = fabric_->RouteMalloc(core, classes_.SizeOf(cls), cls);
+  const int shard = fabric_->RouteMalloc(core);
   StashShard(core, cls) = static_cast<std::int16_t>(shard);
   pipe.in_flight = true;
   pipe.filling = pipe.active ^ 1u;
@@ -653,7 +642,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         // client refreshes its register mirror from the header after the
         // trip).
         const Addr base = HalfAddr(client, cls, Pipe(client, cls).active);
-        batch = std::min(batch, plan_.cores[static_cast<std::size_t>(client)].pipe_cap);
+        batch = std::min(batch, plan_.pipe_cap);
         std::uint64_t count = 0;
         for (std::uint32_t i = 0; i < batch; ++i) {
           const Addr b = heap.Malloc(server_env, classes_.SizeOf(cls));
@@ -666,7 +655,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         server_env.Store<std::uint64_t>(base, count);
         return first;
       }
-      batch = std::min(batch, plan_.cores[static_cast<std::size_t>(client)].stash_capacity);
+      batch = std::min(batch, config_.stash_capacity);
       IndexStack stash = Stash(client, cls);
       for (std::uint32_t i = 0; i < batch; ++i) {
         // Preallocate the class size so any request that maps to `cls` can
@@ -813,8 +802,7 @@ NgxSystem MakeNgxSystem(Machine& machine, const NgxConfig& config,
     NGX_CHECK(static_cast<int>(server_cores.size()) == config.num_shards,
               "server core list size must equal config.num_shards");
     sys.fabric = std::make_unique<OffloadFabric>(machine, std::move(server_cores),
-                                                 kChannelBase, kNgxRingCapacity,
-                                                 MakeRoutingPolicy(config.routing));
+                                                 kChannelBase, kNgxRingCapacity);
     machine.address_map().Add(
         Region{kChannelBase,
                OffloadFabric::ChannelRegionBytes(machine, config.num_shards),

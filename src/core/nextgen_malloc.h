@@ -14,14 +14,14 @@
 //    granularity made configurable): each shard owns a dedicated core and a
 //    disjoint ServerHeap partition whose metadata never enters the
 //    application cores' caches (Section 3.1.2), with its lock atomics
-//    removed (Section 3.1.3). Mallocs pick a shard through the fabric's
-//    RoutingPolicy; frees and UsableSize always return to the shard that
+//    removed (Section 3.1.3). Mallocs go to the client's home shard (the
+//    fabric's Router); frees and UsableSize always return to the shard that
 //    owns the block's heap partition.
 //
 // NgxAllocator is the data plane: the client front end and the server
 // request dispatch. Which shard owns which spans, and which shards serve, is
-// the ControlPlane's (control_plane.h), present on multi-shard fabrics; the
-// per-core and per-shard knobs come from the TenantPlan (tenant_plan.h).
+// the ControlPlane's (control_plane.h), present on multi-shard fabrics; each
+// core's tenant and free batch come from the TenantPlan (tenant_plan.h).
 //
 // With config.stash_pipeline (DESIGN.md §9), each (core, class) stash splits
 // into two single-cache-line halves whose header word doubles as a
@@ -95,8 +95,8 @@ class NgxAllocator : public Allocator {
   int ShardOfAddr(Addr addr) const;
 
   const NgxConfig& config() const { return config_; }
-  // Per-core contracts and per-shard watermarks (config.tenants; DESIGN.md
-  // §15), resolved once at construction.
+  // Per-core contracts and the pipelined stash split (config.tenants;
+  // DESIGN.md §15), resolved once at construction.
   const TenantPlan& plan() const { return plan_; }
   // Span economy and fleet controller; null unless the fabric has more than
   // one shard.
@@ -194,14 +194,12 @@ class NgxAllocator : public Allocator {
     int shard_;
   };
 
-  // Per-core capacity: tenants can deepen or shrink their stash inventory.
-  // Slots are laid out at the fleet-wide MAXIMUM capacity, so per-tenant
-  // depths change which entries are used, never where a slot lives (and an
-  // all-default tenant list keeps every address byte-identical).
+  // The (core, class) stash of the unpipelined path: config.stash_capacity
+  // entries.
   IndexStack Stash(int core, std::uint32_t cls) const {
     return IndexStack(stash_base_ + stash_stride_ * static_cast<std::uint32_t>(core) +
                           stash_slot_ * cls,
-                      plan_.cores[static_cast<std::size_t>(core)].stash_capacity);
+                      config_.stash_capacity);
   }
 
   // ---- Stash pipeline (config.stash_pipeline; DESIGN.md §9) ----
@@ -281,10 +279,10 @@ class NgxAllocator : public Allocator {
   // the mark.
   Addr StashHit(Env& env, std::uint64_t size, std::uint32_t cls, Addr block,
                 std::uint64_t remaining, bool rec, std::uint64_t t0);
-  // The synchronous round trip: routes the malloc by `cls`, sends `op`
-  // (kMalloc, or kMallocBatch, whose reply also stocks the stash) and
-  // returns the shard's answer.
-  Addr SyncMalloc(Env& env, std::uint64_t size, std::uint32_t cls, OffloadOp op);
+  // The synchronous round trip: routes the malloc to the client's home
+  // shard, sends `op` (kMalloc, or kMallocBatch, whose reply also stocks the
+  // stash) and returns the shard's answer.
+  Addr SyncMalloc(Env& env, std::uint64_t size, OffloadOp op);
   // Closes a client malloc served by `path` (its latency histogram): records
   // the latency since `t0` and the alloc site when `rec`; returns `a`.
   Addr FinishMalloc(Env& env, Histogram* path, Addr a, bool rec, std::uint64_t t0);
@@ -301,12 +299,6 @@ class NgxAllocator : public Allocator {
   // and publish with a release-store of the expected sequence number.
   std::uint64_t HandleRefillStash(Env& server_env, int shard, int client,
                                   std::uint64_t arg);
-
-  // Host-side class of `size` for routing/stash decisions; sizes above the
-  // class table map to the (otherwise unused) num_classes bucket.
-  std::uint32_t RouteClassOf(std::uint64_t size) const {
-    return size <= classes_.max_size() ? classes_.ClassOf(size) : classes_.num_classes();
-  }
 
   // Carves `size` from `shard`'s partition on its server core; a dry
   // partition falls back to the control plane's inline donation.
@@ -343,7 +335,7 @@ class NgxAllocator : public Allocator {
 
   Machine* machine_;
   NgxConfig config_;
-  SizeClasses classes_;  // client-side class computation for stash/routing
+  SizeClasses classes_;  // client-side class computation for the stash
   std::vector<std::unique_ptr<ServerHeap>> heaps_;  // one partition per shard
   std::vector<std::unique_ptr<ShardServer>> shard_servers_;
   // Fabric-wide hugepage frame refcounts (config.hugepage_packing); shared

@@ -17,9 +17,9 @@
 // window), not with the reserved window: a 512-GiB window costs a 16-KiB
 // top-level array until spans are mapped or moved.
 //
-// Everything here is host-side bookkeeping, like the routing layer's
-// ShardLoad: it models the directory a real implementation would keep in the
-// allocator cores' private memory, and charges no simulated time. The
+// Everything here is host-side bookkeeping, like the router's home shards:
+// it models the directory a real implementation would keep in the allocator
+// cores' private memory, and charges no simulated time. The
 // simulated cost of rebalancing is the kDonateSpan mailbox round trip plus
 // the page mappings it unlocks; lookups on the free path stay free exactly
 // like the old divide did.

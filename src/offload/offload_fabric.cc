@@ -5,13 +5,9 @@
 namespace ngx {
 
 OffloadFabric::OffloadFabric(Machine& machine, std::vector<int> server_cores,
-                             Addr channel_base, std::uint32_t ring_capacity,
-                             std::unique_ptr<RoutingPolicy> routing)
-    : machine_(&machine),
-      server_cores_(std::move(server_cores)),
-      routing_(std::move(routing)) {
+                             Addr channel_base, std::uint32_t ring_capacity)
+    : machine_(&machine), server_cores_(std::move(server_cores)) {
   NGX_CHECK(!server_cores_.empty(), "the fabric needs at least one shard");
-  NGX_CHECK(routing_ != nullptr, "the fabric needs a routing policy");
   for (std::size_t i = 0; i < server_cores_.size(); ++i) {
     for (std::size_t j = i + 1; j < server_cores_.size(); ++j) {
       NGX_CHECK(server_cores_[i] != server_cores_[j],
@@ -26,36 +22,12 @@ OffloadFabric::OffloadFabric(Machine& machine, std::vector<int> server_cores,
         machine, server_cores_[s], channel_base + shard_stride * s, ring_capacity));
     engines_.back()->set_shard_id(static_cast<int>(s));
   }
-  loads_.resize(engines_.size());
   states_.assign(engines_.size(), ShardState::kActive);
-  pinned_home_.assign(static_cast<std::size_t>(machine.num_cores()), -1);
 }
 
 std::uint64_t OffloadFabric::ChannelRegionBytes(const Machine& machine, int num_shards) {
   return kChannelStride * static_cast<std::uint64_t>(machine.num_cores()) *
          static_cast<std::uint64_t>(num_shards);
-}
-
-int OffloadFabric::RouteMalloc(int client, std::uint64_t size, std::uint32_t size_class) {
-  if (engines_.size() == 1) {
-    return 0;  // degenerate case: the paper's single-server prototype
-  }
-  // A tenant placement pin bypasses the policy while its shard serves
-  // mallocs; a parked/draining pin falls through to the policy so the
-  // tenant is never routed into a shard that will not answer.
-  const int pin = pinned_home_[static_cast<std::size_t>(client)];
-  if (pin >= 0 && states_[static_cast<std::size_t>(pin)] == ShardState::kActive) {
-    return pin;
-  }
-  const std::uint64_t client_now = machine_->core(client).now();
-  for (std::size_t s = 0; s < engines_.size(); ++s) {
-    loads_[s].queue_depth = RoutedQueueDepth(static_cast<int>(s), client_now);
-    loads_[s].server_now = machine_->core(server_cores_[s]).now();
-    loads_[s].active = states_[s] == ShardState::kActive;
-  }
-  const int shard = routing_->Route(client, size, size_class, loads_);
-  NGX_CHECK(shard >= 0 && shard < num_shards(), "routing policy returned a bad shard");
-  return shard;
 }
 
 int OffloadFabric::num_active_shards() const {

@@ -1,4 +1,4 @@
-// OffloadFabric: N allocator shards behind one pluggable routing policy.
+// OffloadFabric: N allocator shards behind one home-shard router.
 //
 // The single OffloadEngine gives the allocator one dedicated core -- the
 // paper's 4.2 prototype. The fabric generalizes that to N shards, each with
@@ -13,9 +13,9 @@
 // so every (client, shard) pair has private mailbox lines and no shard's
 // traffic bounces another shard's lines.
 //
-// Mallocs are routed by the policy; frees must be sent to the shard that
-// OWNS the block's heap partition (the caller resolves owner via its
-// address->shard map) -- the fabric itself is ownership-agnostic.
+// Mallocs go to the client's home shard (routing.h); frees must be sent to
+// the shard that OWNS the block's heap partition (the caller resolves owner
+// via its address->shard map) -- the fabric itself is ownership-agnostic.
 #ifndef NGX_SRC_OFFLOAD_OFFLOAD_FABRIC_H_
 #define NGX_SRC_OFFLOAD_OFFLOAD_FABRIC_H_
 
@@ -29,20 +29,6 @@
 
 namespace ngx {
 
-// Lifecycle of an allocator shard under the elastic-fleet epoch controller
-// (NgxConfig::adaptive_routing). An `active` shard serves routed mallocs; a
-// `draining` shard takes no new mallocs while its recycled granted spans are
-// migrated home; a `parked` shard serves only owner-bound traffic (frees of
-// blocks in its partition still arrive via the span directory) and its core
-// is accounted as reclaimable capacity. Waking flips a parked shard straight
-// back to kActive. With the controller disabled every shard stays kActive
-// forever and no code on this path runs.
-enum class ShardState {
-  kActive,
-  kDraining,
-  kParked,
-};
-
 class OffloadFabric {
  public:
   // One shard per entry of `server_cores` (all distinct, all valid core
@@ -50,7 +36,7 @@ class OffloadFabric {
   // `channel_base + s * machine.num_cores() * kChannelStride`; the caller
   // must reserve ChannelRegionBytes(machine, num_shards) bytes there.
   OffloadFabric(Machine& machine, std::vector<int> server_cores, Addr channel_base,
-                std::uint32_t ring_capacity, std::unique_ptr<RoutingPolicy> routing);
+                std::uint32_t ring_capacity);
 
   static std::uint64_t ChannelRegionBytes(const Machine& machine, int num_shards);
 
@@ -58,7 +44,7 @@ class OffloadFabric {
   const std::vector<int>& server_cores() const { return server_cores_; }
   OffloadEngine& shard(int s) { return *engines_[static_cast<std::size_t>(s)]; }
   const OffloadEngine& shard(int s) const { return *engines_[static_cast<std::size_t>(s)]; }
-  RoutingPolicy& routing() { return *routing_; }
+  Router& router() { return router_; }
 
   // Binds shard s's server-side request handler.
   void set_server(int s, OffloadServer* server) { shard(s).set_server(server); }
@@ -86,31 +72,24 @@ class OffloadFabric {
     }
   }
 
-  // ---- Tenants (DESIGN.md §15) -------------------------------------------
-  // Telemetry label for one client's rings on every shard (the default, no
-  // label, records no tenant series).
+  // Telemetry label for one client's rings on every shard (a tenant's name,
+  // DESIGN.md §15; the default, no label, records no tenant series).
   void set_client_label(int client, const std::string& label) {
     for (auto& e : engines_) {
       e->set_client_label(client, label);
     }
   }
-  // Pins a client's mallocs to one shard while that shard is active (a
-  // tenant's placement contract). The policy still decides whenever the
-  // pinned shard is parked or draining, and frees always follow ownership.
-  void set_client_home_shard(int client, int s) {
-    pinned_home_[static_cast<std::size_t>(client)] = s;
-  }
 
-  // Policy decision for a malloc: which shard serves (client, size, class).
-  // Host-side only; charges no simulated time.
-  int RouteMalloc(int client, std::uint64_t size, std::uint32_t size_class);
+  // The shard that serves a malloc from `client` (Router::Route over the
+  // current shard states). Host-side only; charges no simulated time.
+  int RouteMalloc(int client) const { return router_.Route(client, states_); }
 
   // ---- Shard lifecycle (elastic fleet) ----------------------------------
-  // State is host-side bookkeeping owned by the epoch controller in
-  // NgxAllocator; the fabric only gates malloc routing on it (RouteMalloc
-  // marks non-active shards inactive in the ShardLoad snapshot). Frees and
-  // explicit-shard requests are unaffected: a parked shard still drains its
-  // rings and serves owner-bound ops.
+  // State is host-side bookkeeping owned by the epoch controller in the
+  // control plane; the fabric only gates malloc routing on it (the router
+  // sends no malloc to a non-active shard). Frees and explicit-shard
+  // requests are unaffected: a parked shard still drains its rings and
+  // serves owner-bound ops.
   ShardState shard_state(int s) const {
     return states_[static_cast<std::size_t>(s)];
   }
@@ -155,34 +134,14 @@ class OffloadFabric {
   // Drains every client ring of every shard on the shards' server cores.
   void DrainAll();
 
-  // Async entries published to shard s and not yet drained (the LeastLoaded
-  // policy's queue-depth signal). Both counts are the engine's own, so
-  // entries pushed straight on the engine are seen too; staged frees count
-  // once their batch publishes.
+  // Async entries published to shard s and not yet drained (the epoch
+  // controller's wake signal). Both counts are the engine's own, so entries
+  // pushed straight on the engine are seen too; staged frees count once
+  // their batch publishes.
   std::uint64_t QueueDepth(int s) const {
     const OffloadEngineStats& st = shard(s).stats();
     return st.async_enqueued - st.async_ops;
   }
-
-  // Load signal RouteMalloc actually hands to the policy: QueueDepth decayed
-  // by the drain slack an idle server has accumulated. A shard whose ring
-  // filled up and then stopped receiving sync traffic never drains (drains
-  // run on the server's own request path), so its raw depth would repel
-  // least_loaded forever even though the idle server could absorb the
-  // backlog instantly. Every kStaleDepthDecayCycles of server-behind-client
-  // slack forgives one queued entry.
-  std::uint64_t RoutedQueueDepth(int s, std::uint64_t client_now) const {
-    const std::uint64_t raw = QueueDepth(s);
-    const std::uint64_t server_now =
-        machine_->core(server_cores_[static_cast<std::size_t>(s)]).now();
-    if (server_now >= client_now) return raw;
-    const std::uint64_t credit =
-        (client_now - server_now) / kStaleDepthDecayCycles;
-    return raw > credit ? raw - credit : 0;
-  }
-
-  // Approximate per-entry drain cost used to decay stale queue depths.
-  static constexpr std::uint64_t kStaleDepthDecayCycles = 64;
 
   const OffloadEngineStats& shard_stats(int s) const { return shard(s).stats(); }
   // Sum over shards (what the single-engine stats() used to report).
@@ -202,10 +161,8 @@ class OffloadFabric {
   Machine* machine_;
   std::vector<int> server_cores_;
   std::vector<std::unique_ptr<OffloadEngine>> engines_;
-  std::unique_ptr<RoutingPolicy> routing_;
-  std::vector<ShardLoad> loads_;               // scratch for RouteMalloc
+  Router router_;
   std::vector<ShardState> states_;             // per-shard lifecycle
-  std::vector<int> pinned_home_;               // per-client pin (-1 = policy)
   bool epoch_tracking_ = false;
   std::uint64_t epoch_seq_ = 0;
   std::vector<std::uint64_t> epoch_ops_;  // client-major (num_cores x shards)

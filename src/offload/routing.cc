@@ -2,94 +2,34 @@
 
 #include <algorithm>
 
-#include "src/sim/check.h"
-
 namespace ngx {
 
-namespace {
-
-// Index of the k-th active shard (k = key % active count). Falls back to
-// shard 0 if every shard is inactive -- the epoch controller never parks the
-// whole fleet, so this is purely defensive.
-int NthActiveShard(int key, const std::vector<ShardLoad>& loads) {
-  int active = 0;
-  for (const ShardLoad& l : loads) active += l.active ? 1 : 0;
-  if (active == 0) return 0;
-  int idx = key % active;
-  for (int s = 0; s < static_cast<int>(loads.size()); ++s) {
-    if (loads[static_cast<std::size_t>(s)].active && idx-- == 0) return s;
-  }
-  return 0;
-}
-
-class StaticByClientPolicy : public RoutingPolicy {
- public:
-  std::string_view name() const override { return "static_by_client"; }
-  int Route(int client, std::uint64_t /*size*/, std::uint32_t /*size_class*/,
-            const std::vector<ShardLoad>& loads) override {
-    return NthActiveShard(client, loads);
-  }
-};
-
-class BySizeClassPolicy : public RoutingPolicy {
- public:
-  std::string_view name() const override { return "by_size_class"; }
-  int Route(int /*client*/, std::uint64_t /*size*/, std::uint32_t size_class,
-            const std::vector<ShardLoad>& loads) override {
-    return NthActiveShard(static_cast<int>(size_class), loads);
-  }
-};
-
-class LeastLoadedPolicy : public RoutingPolicy {
- public:
-  std::string_view name() const override { return "least_loaded"; }
-  int Route(int /*client*/, std::uint64_t /*size*/, std::uint32_t /*size_class*/,
-            const std::vector<ShardLoad>& loads) override {
-    int best = -1;
-    for (int s = 0; s < static_cast<int>(loads.size()); ++s) {
-      const ShardLoad& a = loads[static_cast<std::size_t>(s)];
-      if (!a.active) continue;
-      if (best < 0) {
-        best = s;
-        continue;
-      }
-      const ShardLoad& b = loads[static_cast<std::size_t>(best)];
-      if (a.queue_depth < b.queue_depth ||
-          (a.queue_depth == b.queue_depth && a.server_now < b.server_now)) {
-        best = s;
-      }
-    }
-    return best < 0 ? 0 : best;
-  }
-};
-
-}  // namespace
-
-AdaptiveRoutingPolicy::AdaptiveRoutingPolicy(int hysteresis_pct)
-    : hysteresis_pct_(hysteresis_pct) {
-  NGX_CHECK(hysteresis_pct >= 0, "hysteresis must be non-negative");
-}
-
-int AdaptiveRoutingPolicy::HomeOf(int client) const {
+int Router::HomeOf(int client) const {
   if (client < 0 || client >= static_cast<int>(home_.size())) return -1;
   return home_[static_cast<std::size_t>(client)];
 }
 
-int AdaptiveRoutingPolicy::Route(int client, std::uint64_t /*size*/,
-                                 std::uint32_t /*size_class*/,
-                                 const std::vector<ShardLoad>& loads) {
+int Router::Route(int client, const std::vector<ShardState>& states) const {
   const int h = HomeOf(client);
-  if (h >= 0 && h < static_cast<int>(loads.size()) &&
-      loads[static_cast<std::size_t>(h)].active) {
+  if (h >= 0 && h < static_cast<int>(states.size()) &&
+      states[static_cast<std::size_t>(h)] == ShardState::kActive) {
     return h;
   }
-  // Unplaced client (before the first epoch) or home shard mid-drain/parked:
-  // spread deterministically over whatever is active until the next Observe
-  // re-homes it.
-  return NthActiveShard(client, loads);
+  // Unplaced client (static routing, or before the first epoch) or home
+  // shard mid-drain/parked: spread deterministically over whatever is active
+  // until the next Observe re-homes it. The epoch controller never parks the
+  // whole fleet, so the shard-0 fallback is purely defensive.
+  const int active = static_cast<int>(
+      std::count(states.begin(), states.end(), ShardState::kActive));
+  if (active == 0) return 0;
+  int idx = client % active;
+  for (int s = 0; s < static_cast<int>(states.size()); ++s) {
+    if (states[static_cast<std::size_t>(s)] == ShardState::kActive && idx-- == 0) return s;
+  }
+  return 0;
 }
 
-void AdaptiveRoutingPolicy::Observe(const EpochMatrix& epoch) {
+void Router::Observe(const EpochMatrix& epoch) {
   if (epoch.num_shards <= 0) return;
   if (static_cast<int>(home_.size()) < epoch.num_clients) {
     home_.resize(static_cast<std::size_t>(epoch.num_clients), -1);
@@ -124,12 +64,11 @@ void AdaptiveRoutingPolicy::Observe(const EpochMatrix& epoch) {
     if (h >= 0 && h < epoch.num_shards && h != best &&
         epoch.active[static_cast<std::size_t>(h)]) {
       // Hysteresis: stay home unless moving beats the home shard's packed
-      // height by more than hysteresis_pct percent.
+      // height by more than kHysteresisPct percent.
       const std::uint64_t cost_home = packed[static_cast<std::size_t>(h)] + t;
       const std::uint64_t cost_best =
           packed[static_cast<std::size_t>(best)] + t;
-      if (cost_home * 100 <=
-          cost_best * static_cast<std::uint64_t>(100 + hysteresis_pct_)) {
+      if (cost_home * 100 <= cost_best * (100 + kHysteresisPct)) {
         chosen = h;
       }
     }
@@ -137,54 +76,6 @@ void AdaptiveRoutingPolicy::Observe(const EpochMatrix& epoch) {
     home_[static_cast<std::size_t>(c)] = chosen;
     packed[static_cast<std::size_t>(chosen)] += t;
   }
-}
-
-std::unique_ptr<RoutingPolicy> MakeRoutingPolicy(RoutingKind kind) {
-  switch (kind) {
-    case RoutingKind::kStaticByClient:
-      return std::make_unique<StaticByClientPolicy>();
-    case RoutingKind::kBySizeClass:
-      return std::make_unique<BySizeClassPolicy>();
-    case RoutingKind::kLeastLoaded:
-      return std::make_unique<LeastLoadedPolicy>();
-    case RoutingKind::kAdaptive:
-      return std::make_unique<AdaptiveRoutingPolicy>();
-  }
-  NGX_CHECK(false, "unknown RoutingKind");
-}
-
-std::string_view RoutingKindName(RoutingKind kind) {
-  switch (kind) {
-    case RoutingKind::kStaticByClient:
-      return "static_by_client";
-    case RoutingKind::kBySizeClass:
-      return "by_size_class";
-    case RoutingKind::kLeastLoaded:
-      return "least_loaded";
-    case RoutingKind::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
-bool ParseRoutingKind(std::string_view name, RoutingKind* out) {
-  if (name == "static_by_client" || name == "static") {
-    *out = RoutingKind::kStaticByClient;
-    return true;
-  }
-  if (name == "by_size_class" || name == "size") {
-    *out = RoutingKind::kBySizeClass;
-    return true;
-  }
-  if (name == "least_loaded" || name == "least") {
-    *out = RoutingKind::kLeastLoaded;
-    return true;
-  }
-  if (name == "adaptive") {
-    *out = RoutingKind::kAdaptive;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace ngx

@@ -1,69 +1,60 @@
-// Pluggable request-routing policies for the sharded offload fabric.
+// Malloc routing for the sharded offload fabric.
 //
 // Section 3.1.1 asks "at what granularity should we provision allocator
 // cores: one per application, per several applications, or per thread
 // group?" -- the fabric makes the question askable by letting N allocator
-// shards serve the same client set, with the malloc->shard mapping factored
-// out into a policy object:
+// shards serve the same client set. The Router picks the shard a malloc goes
+// to, in one of two modes (RoutingKind):
 //
-//  * StaticByClient -- client c always talks to shard c % N. With N = 1 this
-//    is exactly the single-server engine the paper prototypes (4.2); with
-//    N > 1 it models "one allocator core per thread group".
-//  * BySizeClass   -- requests are partitioned by size class, so each shard
-//    owns a disjoint slice of the class spectrum (per-shard heaps stay hot
-//    on fewer classes, at the cost of cross-shard frees).
-//  * LeastLoaded   -- each malloc goes to the shard with the shallowest
-//    pending-work queue (ties broken by the earlier server clock, then the
-//    lower shard id), modelling a work-stealing-style provisioning of the
-//    allocator room.
-//  * Adaptive      -- feedback-driven placement. The fabric's epoch
-//    controller periodically hands the policy the client x shard op-count
-//    matrix observed since the previous epoch (Observe); the policy greedily
-//    re-packs clients onto the active shards by descending traffic, with
-//    hysteresis so an assignment only moves when the best candidate shard is
-//    markedly better than the client's current home. Between epochs every
-//    malloc goes to the client's home shard, so a client's working set stays
+//  * static_by_client -- client c always talks to the (c % active shards)-th
+//    active shard. With N = 1 this is exactly the single-server engine the
+//    paper prototypes (4.2); with N > 1 it models "one allocator core per
+//    thread group".
+//  * adaptive -- the same spread until the fabric's epoch controller hands
+//    the router the client x shard op-count matrix observed over an epoch
+//    (Observe). The router then greedily re-packs client home shards onto
+//    the active shards by descending traffic, with hysteresis so a home only
+//    moves when the best candidate is markedly better. Between epochs every
+//    malloc goes to the client's home, so a client's working set stays
 //    resident in one allocator core's cache.
 //
-// Policies are stateful: Observe() is the feedback edge from the fabric's
-// epoch controller back into placement. The three classic policies keep no
-// state and inherit the no-op Observe.
+// The two modes are one router: homes are placed only by Observe, and only
+// the epoch controller calls it, which NgxConfig ties to routing = adaptive.
 //
-// Frees and UsableSize are NOT routed by policy: a block is always serviced
-// by the shard that owns its heap partition (see NgxAllocator::ShardOfAddr).
+// Frees and UsableSize are NOT routed: a block is always serviced by the
+// shard that owns its heap partition (see NgxAllocator::ShardOfAddr).
 #ifndef NGX_SRC_OFFLOAD_ROUTING_H_
 #define NGX_SRC_OFFLOAD_ROUTING_H_
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 namespace ngx {
 
 enum class RoutingKind {
   kStaticByClient,
-  kBySizeClass,
-  kLeastLoaded,
   kAdaptive,
 };
 
-// Per-shard load snapshot handed to policies on every routed malloc. All
-// fields are host-side bookkeeping -- reading them charges no simulated time
-// (the client stub already pays its dispatch Work; a real implementation
-// would read a shard occupancy word it owns anyway).
-struct ShardLoad {
-  std::uint64_t queue_depth = 0;  // async entries enqueued but not yet drained
-  std::uint64_t server_now = 0;   // the shard server core's current cycle
-  bool active = true;  // false while the shard is draining or parked; policies
-                       // must not route new mallocs to an inactive shard
+// Lifecycle of an allocator shard under the elastic-fleet epoch controller
+// (NgxConfig::adaptive_routing). An `active` shard serves routed mallocs; a
+// `draining` shard takes no new mallocs while its recycled granted spans are
+// migrated home; a `parked` shard serves only owner-bound traffic (frees of
+// blocks in its partition still arrive via the span directory) and its core
+// is accounted as reclaimable capacity. Waking flips a parked shard straight
+// back to kActive. With the controller disabled every shard stays kActive
+// forever and no code on this path runs.
+enum class ShardState {
+  kActive,
+  kDraining,
+  kParked,
 };
 
 // One epoch of observed fabric traffic: ops[c * num_shards + s] counts the
 // requests client core c issued to shard s since the previous epoch. The
 // matrix is host-side bookkeeping accumulated by OffloadFabric and handed to
-// RoutingPolicy::Observe by the epoch controller; it is independent of the
-// flight recorder's telemetry matrix, which is observational only.
+// Router::Observe by the epoch controller; it is independent of the flight
+// recorder's telemetry matrix, which is observational only.
 struct EpochMatrix {
   int num_clients = 0;
   int num_shards = 0;
@@ -89,9 +80,9 @@ struct EpochMatrix {
 };
 
 // One closed epoch of the elastic-fleet controller, as surfaced in
-// RunResult::fleet_timeline and the bench JSON: when the epoch closed (the
-// controller core's clock), how much fabric traffic it saw, and the fleet
-// shape after its park/wake/re-pack decisions.
+// ControlPlane::fleet_timeline() and the bench JSON: when the epoch closed
+// (the controller core's clock), how much fabric traffic it saw, and the
+// fleet shape after its park/wake/re-pack decisions.
 struct FleetEpoch {
   std::uint64_t cycle = 0;         // controller server-core clock at close
   std::uint64_t epoch_ops = 0;     // total fabric ops observed in the epoch
@@ -100,58 +91,33 @@ struct FleetEpoch {
   std::uint64_t client_moves = 0;  // home reassignments made this epoch
 };
 
-class RoutingPolicy {
+// A home shard per client. Host-side only: routing charges no simulated time
+// (the client stub already pays its dispatch Work).
+class Router {
  public:
-  virtual ~RoutingPolicy() = default;
-  virtual std::string_view name() const = 0;
-  // Picks the shard (0 .. loads.size()-1) that should serve a malloc of
-  // `size` bytes in size class `size_class` issued by core `client`.
-  virtual int Route(int client, std::uint64_t size, std::uint32_t size_class,
-                    const std::vector<ShardLoad>& loads) = 0;
-  // Feedback hook: the epoch controller delivers the traffic matrix observed
-  // over the closing epoch. Stateless policies ignore it.
-  virtual void Observe(const EpochMatrix& epoch) { (void)epoch; }
-  // Number of home-shard reassignments the policy has made across all epochs
-  // observed so far (0 for stateless policies).
-  virtual std::uint64_t client_moves() const { return 0; }
-};
+  // A client keeps its home while the home's packed load stays within this
+  // many percent of the best candidate's.
+  static constexpr std::uint64_t kHysteresisPct = 25;
 
-std::unique_ptr<RoutingPolicy> MakeRoutingPolicy(RoutingKind kind);
-
-// The adaptive policy keeps a home shard per client and re-packs on Observe:
-// clients are sorted by descending epoch traffic and greedily placed on the
-// active shard with the smallest packed load; a client only moves when the
-// candidate's resulting load beats its current home's by more than
-// `hysteresis_pct` percent. Exposed concretely so unit tests and the fabric
-// can drive Observe directly.
-class AdaptiveRoutingPolicy : public RoutingPolicy {
- public:
-  explicit AdaptiveRoutingPolicy(int hysteresis_pct = kDefaultHysteresisPct);
-
-  std::string_view name() const override { return "adaptive"; }
-  int Route(int client, std::uint64_t size, std::uint32_t size_class,
-            const std::vector<ShardLoad>& loads) override;
-  void Observe(const EpochMatrix& epoch) override;
-  std::uint64_t client_moves() const override { return client_moves_; }
+  // The shard (an index into `states`) that serves `client`'s mallocs: its
+  // home while that shard is active; otherwise, and before any epoch has
+  // placed it, the (client % active count)-th active shard.
+  int Route(int client, const std::vector<ShardState>& states) const;
+  // Re-packs homes from one closed epoch: clients by descending epoch
+  // traffic, each onto the active shard with the smallest packed load unless
+  // the hysteresis keeps it home. Zero-traffic clients keep their homes.
+  void Observe(const EpochMatrix& epoch);
 
   // Home shard currently assigned to `client`, or -1 before any epoch has
-  // placed it (Route then falls back to client % active shards).
+  // placed it.
   int HomeOf(int client) const;
-
-  static constexpr int kDefaultHysteresisPct = 25;
+  // Home reassignments across all epochs observed so far.
+  std::uint64_t client_moves() const { return client_moves_; }
 
  private:
-  int hysteresis_pct_;
-  std::vector<int> home_;          // per-client home shard, -1 = unassigned
+  std::vector<int> home_;  // per-client home shard, -1 = unassigned
   std::uint64_t client_moves_ = 0;
 };
-
-std::string_view RoutingKindName(RoutingKind kind);
-
-// Parses "static_by_client" / "by_size_class" / "least_loaded" / "adaptive"
-// (and the short forms "static" / "size" / "least"). Returns false on
-// unknown names.
-bool ParseRoutingKind(std::string_view name, RoutingKind* out);
 
 }  // namespace ngx
 

@@ -1,18 +1,16 @@
 // Adaptive traffic-matrix routing + elastic allocator-core fleet tests
 // (DESIGN.md §14):
 //
-//  * AdaptiveRoutingPolicy units: greedy packing by descending epoch
-//    traffic, hysteresis holding marginally-worse homes and releasing
-//    clearly-worse ones, inactive shards excluded from packing and routing,
-//    idle clients keeping their placement;
-//  * the stale-queue-depth regression: a shard whose ring backlog stopped
-//    draining used to repel least_loaded routing forever -- the decayed
-//    RoutedQueueDepth signal must forgive the backlog as idle-server slack
-//    accumulates;
+//  * Router units: greedy packing by descending epoch traffic, the 25%
+//    hysteresis holding marginally-worse homes (up to and including the band
+//    edge) and releasing clearly-worse ones, inactive shards excluded from
+//    packing and routing, idle clients keeping their placement;
 //  * fleet lifecycle end to end: a shard with no epoch traffic drains and
 //    parks (returning its recycled granted spans home first), a parked
 //    shard still serves owner-bound frees and wakes on ring backlog, and
 //    the allocator's books balance through park/wake cycles;
+//  * the packer end to end: the epoch controller re-homes a client whose
+//    shard it shares with a heavier one, and its mallocs follow;
 //  * the fixed fleet floor: with every shard below break-even, one shard
 //    parks per epoch close until one active shard (and the controller on
 //    it) remains;
@@ -33,9 +31,9 @@ namespace {
 constexpr std::uint64_t kSpan = 64 * 1024;
 constexpr std::uint64_t kMiB = 1024 * 1024;
 
-// ---- AdaptiveRoutingPolicy units ----
+// ---- Router units ----
 
-// Builds an epoch whose per-client row totals are `rows` (the policy only
+// Builds an epoch whose per-client row totals are `rows` (the router only
 // consumes RowTotal, so the whole row can sit in column 0).
 EpochMatrix MakeEpoch(int num_shards, const std::vector<std::uint64_t>& rows,
                       std::vector<std::uint8_t> active = {}) {
@@ -52,146 +50,135 @@ EpochMatrix MakeEpoch(int num_shards, const std::vector<std::uint64_t>& rows,
   return m;
 }
 
-std::vector<ShardLoad> ActiveLoads(std::size_t n) { return std::vector<ShardLoad>(n); }
+std::vector<ShardState> ActiveStates(std::size_t n) {
+  return std::vector<ShardState>(n, ShardState::kActive);
+}
 
 TEST(AdaptiveRouting, UnplacedClientSpreadsOverActiveShards) {
-  AdaptiveRoutingPolicy p;
-  EXPECT_EQ(p.HomeOf(0), -1);
-  auto loads = ActiveLoads(3);
-  EXPECT_EQ(p.Route(4, 64, 2, loads), 1) << "client % shards before any epoch";
-  loads[0].active = false;
-  EXPECT_EQ(p.Route(4, 64, 2, loads), 1) << "4 % 2 active -> first active shard";
-  EXPECT_EQ(p.Route(5, 64, 2, loads), 2) << "5 % 2 active -> second active shard";
+  const Router r;
+  EXPECT_EQ(r.HomeOf(0), -1);
+  auto states = ActiveStates(3);
+  EXPECT_EQ(r.Route(4, states), 1) << "client % shards before any epoch";
+  states[0] = ShardState::kParked;
+  EXPECT_EQ(r.Route(4, states), 1) << "4 % 2 active -> first active shard";
+  EXPECT_EQ(r.Route(5, states), 2) << "5 % 2 active -> second active shard";
 }
 
 TEST(AdaptiveRouting, ObserveGreedyPacksByDescendingTraffic) {
-  AdaptiveRoutingPolicy p;
-  p.Observe(MakeEpoch(2, {100, 80, 60, 40}));
+  Router r;
+  r.Observe(MakeEpoch(2, {100, 80, 60, 40}));
   // Placement order 100, 80, 60, 40 onto the least-packed shard:
   // c0->s0 (100|0), c1->s1 (100|80), c2->s1 (100|140), c3->s0 (140|140).
-  EXPECT_EQ(p.HomeOf(0), 0);
-  EXPECT_EQ(p.HomeOf(1), 1);
-  EXPECT_EQ(p.HomeOf(2), 1);
-  EXPECT_EQ(p.HomeOf(3), 0);
-  EXPECT_EQ(p.client_moves(), 0u) << "first placement is not a move";
-  EXPECT_EQ(p.HomeOf(9), -1) << "never-seen client stays unplaced";
-  const auto loads = ActiveLoads(2);
-  EXPECT_EQ(p.Route(2, 64, 2, loads), 1) << "placed client routes to its home";
+  EXPECT_EQ(r.HomeOf(0), 0);
+  EXPECT_EQ(r.HomeOf(1), 1);
+  EXPECT_EQ(r.HomeOf(2), 1);
+  EXPECT_EQ(r.HomeOf(3), 0);
+  EXPECT_EQ(r.client_moves(), 0u) << "first placement is not a move";
+  EXPECT_EQ(r.HomeOf(9), -1) << "never-seen client stays unplaced";
+  EXPECT_EQ(r.Route(2, ActiveStates(2)), 1) << "placed client routes to its home";
 }
 
 TEST(AdaptiveRouting, HysteresisHoldsMarginalHomesAndReleasesClearOnes) {
-  AdaptiveRoutingPolicy p;  // default 25% hysteresis
-  p.Observe(MakeEpoch(2, {100, 100}));
-  ASSERT_EQ(p.HomeOf(0), 0);
-  ASSERT_EQ(p.HomeOf(1), 1);
+  Router r;
+  r.Observe(MakeEpoch(2, {100, 100}));
+  ASSERT_EQ(r.HomeOf(0), 0);
+  ASSERT_EQ(r.HomeOf(1), 1);
 
   // c1 now dominates and its greedy slot would be s0 (empty-shard tie breaks
   // to the lower id), but s0 is no better than its home -- hysteresis holds.
-  p.Observe(MakeEpoch(2, {10, 100}));
-  EXPECT_EQ(p.HomeOf(0), 0);
-  EXPECT_EQ(p.HomeOf(1), 1);
-  EXPECT_EQ(p.client_moves(), 0u);
+  r.Observe(MakeEpoch(2, {10, 100}));
+  EXPECT_EQ(r.HomeOf(0), 0);
+  EXPECT_EQ(r.HomeOf(1), 1);
+  EXPECT_EQ(r.client_moves(), 0u);
 
   // A new heavy client lands on s0 first; staying would cost c0 a 3x taller
   // shard than moving (300 vs 100 > the 25% band), so c0 must move.
-  p.Observe(MakeEpoch(2, {100, 100, 200}));
-  EXPECT_EQ(p.HomeOf(2), 0);
-  EXPECT_EQ(p.HomeOf(0), 1) << "clearly-worse home released";
-  EXPECT_EQ(p.HomeOf(1), 1);
-  EXPECT_EQ(p.client_moves(), 1u);
+  r.Observe(MakeEpoch(2, {100, 100, 200}));
+  EXPECT_EQ(r.HomeOf(2), 0);
+  EXPECT_EQ(r.HomeOf(0), 1) << "clearly-worse home released";
+  EXPECT_EQ(r.HomeOf(1), 1);
+  EXPECT_EQ(r.client_moves(), 1u);
+}
+
+// The band is 25% and inclusive. Client 3 is homed on s1, then three
+// heavier clients fill s0, s1 (with `b` ops) and s2 (100 ops) ahead of it.
+// Staying home costs b + 100 against 200 on s2: within 1.25x at b = 150,
+// outside it at b = 151.
+TEST(AdaptiveRouting, HysteresisBandIsTwentyFivePercentInclusive) {
+  for (const std::uint64_t b : {150u, 151u}) {
+    Router r;
+    r.Observe(MakeEpoch(3, {200, 0, 0, 100}));
+    ASSERT_EQ(r.HomeOf(3), 1);
+    r.Observe(MakeEpoch(3, {200, b, 100, 100}));
+    ASSERT_EQ(r.HomeOf(1), 1);
+    ASSERT_EQ(r.HomeOf(2), 2);
+    EXPECT_EQ(r.HomeOf(3), b == 150 ? 1 : 2) << "s1 carries " << b;
+    EXPECT_EQ(r.client_moves(), b == 150 ? 0u : 1u);
+  }
 }
 
 TEST(AdaptiveRouting, ObserveAndRouteSkipInactiveShards) {
-  AdaptiveRoutingPolicy p;
-  p.Observe(MakeEpoch(2, {50, 50}, {1, 0}));
-  EXPECT_EQ(p.HomeOf(0), 0);
-  EXPECT_EQ(p.HomeOf(1), 0) << "packing never targets an inactive shard";
+  Router r;
+  r.Observe(MakeEpoch(2, {50, 50}, {1, 0}));
+  EXPECT_EQ(r.HomeOf(0), 0);
+  EXPECT_EQ(r.HomeOf(1), 0) << "packing never targets an inactive shard";
 
   // A home that goes inactive between epochs stops attracting mallocs.
-  AdaptiveRoutingPolicy q;
+  Router q;
   q.Observe(MakeEpoch(2, {10, 100}));
   ASSERT_EQ(q.HomeOf(1), 0);
-  auto loads = ActiveLoads(2);
-  loads[0].active = false;
-  EXPECT_EQ(q.Route(1, 64, 2, loads), 1) << "parked home falls back to an active shard";
+  auto states = ActiveStates(2);
+  states[0] = ShardState::kDraining;
+  EXPECT_EQ(q.Route(1, states), 1) << "a draining home falls back to an active shard";
 }
 
 TEST(AdaptiveRouting, IdleClientKeepsItsHome) {
-  AdaptiveRoutingPolicy p;
-  p.Observe(MakeEpoch(2, {100, 40}));
-  ASSERT_EQ(p.HomeOf(1), 1);
-  p.Observe(MakeEpoch(2, {100, 0}));
-  EXPECT_EQ(p.HomeOf(1), 1) << "an idle client must not churn placement";
-  EXPECT_EQ(p.client_moves(), 0u);
+  Router r;
+  r.Observe(MakeEpoch(2, {100, 40}));
+  ASSERT_EQ(r.HomeOf(1), 1);
+  r.Observe(MakeEpoch(2, {100, 0}));
+  EXPECT_EQ(r.HomeOf(1), 1) << "an idle client must not churn placement";
+  EXPECT_EQ(r.client_moves(), 0u);
 }
 
-TEST(AdaptiveRouting, LeastLoadedSkipsInactiveShards) {
-  auto p = MakeRoutingPolicy(RoutingKind::kLeastLoaded);
-  std::vector<ShardLoad> loads(3);
-  loads[0].queue_depth = 0;
-  loads[0].active = false;  // shallowest, but parked
-  loads[1].queue_depth = 5;
-  loads[2].queue_depth = 9;
-  EXPECT_EQ(p->Route(0, 64, 2, loads), 1);
+// A client first seen in a later, wider epoch is placed then; the clients
+// placed earlier keep their homes within the band.
+TEST(AdaptiveRouting, ObservePlacesClientsFirstSeenInALaterEpoch) {
+  Router r;
+  r.Observe(MakeEpoch(2, {100, 100}));
+  ASSERT_EQ(r.HomeOf(3), -1);
+  r.Observe(MakeEpoch(2, {100, 100, 0, 50}));
+  EXPECT_EQ(r.HomeOf(0), 0);
+  EXPECT_EQ(r.HomeOf(1), 1);
+  EXPECT_EQ(r.HomeOf(2), -1) << "a client with no traffic stays unplaced";
+  EXPECT_EQ(r.HomeOf(3), 0) << "the newcomer takes the least-packed shard, ties to the lower id";
+  EXPECT_EQ(r.client_moves(), 0u);
 }
 
-TEST(AdaptiveRouting, ParseRoundTrips) {
-  RoutingKind out;
-  ASSERT_TRUE(ParseRoutingKind("adaptive", &out));
-  EXPECT_EQ(out, RoutingKind::kAdaptive);
-  EXPECT_EQ(RoutingKindName(RoutingKind::kAdaptive), "adaptive");
-  EXPECT_EQ(MakeRoutingPolicy(RoutingKind::kAdaptive)->name(), "adaptive");
+// client_moves counts reassignments, not placements: a client pushed off its
+// home by a heavier newcomer and pushed back later counts twice.
+TEST(AdaptiveRouting, ClientMovesCountEachReassignment) {
+  Router r;
+  r.Observe(MakeEpoch(2, {100, 100}));  // c0 -> s0, c1 -> s1
+  r.Observe(MakeEpoch(2, {100, 0, 400}));  // c2 takes s0, c0 moves to s1
+  ASSERT_EQ(r.HomeOf(0), 1);
+  ASSERT_EQ(r.client_moves(), 1u);
+  r.Observe(MakeEpoch(2, {100, 400}));  // c1 keeps s1, c0 moves back to s0
+  EXPECT_EQ(r.HomeOf(1), 1);
+  EXPECT_EQ(r.HomeOf(0), 0);
+  EXPECT_EQ(r.client_moves(), 2u);
 }
 
-// ---- Stale queue depth regression (least_loaded repulsion) ----
-
-// A shard whose ring backlog stops draining (drains run on the server's own
-// request path, and no more sync traffic arrives) used to keep its raw
-// QueueDepth forever, repelling least_loaded routing from a shard whose
-// server sits idle. RoutedQueueDepth must forgive the backlog as the
-// client's clock pulls ahead of the idle server's.
-TEST(OffloadFabricStaleness, IdleServerSlackDecaysRoutedQueueDepth) {
-  auto machine = MakeMachine(3);
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  cfg.routing = RoutingKind::kLeastLoaded;
-  auto sys = MakeNgxSystem(*machine, cfg);
-  Env app(*machine, 0);
-
-  std::vector<Addr> blocks;
-  for (int i = 0; i < 60; ++i) {
-    const Addr a = sys.allocator->Malloc(app, 64);
-    ASSERT_NE(a, kNullAddr);
-    blocks.push_back(a);
-  }
-  // Free a burst owned by shard 0, then issue no more requests to it: the
-  // backlog stays enqueued (well under the ring capacity, so no stall-drain).
-  std::vector<Addr> rest;
-  int freed_to_0 = 0;
-  for (const Addr a : blocks) {
-    if (sys.allocator->ShardOfAddr(a) == 0 && freed_to_0 < 30) {
-      sys.allocator->Free(app, a);
-      ++freed_to_0;
-    } else {
-      rest.push_back(a);
-    }
-  }
-  ASSERT_GT(freed_to_0, 0);
-  const std::uint64_t raw = sys.fabric->QueueDepth(0);
-  ASSERT_GT(raw, 0u);
-
-  // The client computes on while the backlogged server sits idle.
-  app.Work((raw + 64) * OffloadFabric::kStaleDepthDecayCycles);
-  EXPECT_EQ(sys.fabric->QueueDepth(0), raw) << "the raw counter must not decay";
-  EXPECT_EQ(sys.fabric->RoutedQueueDepth(0, machine->core(0).now()), 0u)
-      << "idle-server slack must forgive the stale backlog";
-
-  for (const Addr a : rest) {
-    sys.allocator->Free(app, a);
-  }
-  sys.allocator->Flush(app);
-  sys.fabric->DrainAll();
-  EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+// An epoch in which no shard serves mallocs leaves every home as it was.
+TEST(AdaptiveRouting, ObserveWithTheWholeFleetInactiveKeepsPlacement) {
+  Router r;
+  r.Observe(MakeEpoch(2, {100, 40}));
+  ASSERT_EQ(r.HomeOf(0), 0);
+  ASSERT_EQ(r.HomeOf(1), 1);
+  r.Observe(MakeEpoch(2, {40, 100}, {0, 0}));
+  EXPECT_EQ(r.HomeOf(0), 0);
+  EXPECT_EQ(r.HomeOf(1), 1);
+  EXPECT_EQ(r.client_moves(), 0u);
 }
 
 // ---- Elastic fleet lifecycle ----
@@ -329,6 +316,93 @@ TEST(AdaptiveFleet, DrainingShardReturnsGrantedSpansHomeBeforeParking) {
   }
   sys.allocator->Flush(app);
   sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+}
+
+// The packer end to end: before any epoch the static spread stacks the two
+// heavy clients 0 and 2 on shard 0; the first epoch close re-homes client 2
+// onto shard 1, and its next malloc goes there.
+TEST(AdaptiveFleet, PackerSeparatesTheHeavyClientsTheSpreadStacks) {
+  auto machine = MakeMachine(6);  // clients 0-3, shards on cores 4-5
+  NgxConfig cfg = AdaptiveConfig();
+  cfg.park_threshold_ops = 0;  // routing only: no shard parks
+  auto sys = MakeNgxSystem(*machine, cfg);
+  ASSERT_EQ(sys.fabric->RouteMalloc(0), 0);
+  ASSERT_EQ(sys.fabric->RouteMalloc(2), 0);
+
+  std::vector<Env> envs;
+  for (int c = 0; c < 4; ++c) {
+    envs.emplace_back(*machine, c);
+  }
+  std::vector<std::vector<Addr>> blocks(4);
+  for (int i = 0; i < 100; ++i) {
+    for (int c = 0; c < 4; ++c) {
+      if (c % 2 == 0 || i < 10) {  // clients 1 and 3 make 10 mallocs each
+        blocks[static_cast<std::size_t>(c)].push_back(sys.allocator->Malloc(envs[c], 64));
+        ASSERT_NE(blocks[static_cast<std::size_t>(c)].back(), kNullAddr);
+      }
+    }
+  }
+  std::uint64_t now = 0;
+  for (const Env& env : envs) {
+    now = std::max(now, env.now());
+  }
+  machine->RunTimerHooks(now);
+  ASSERT_GT(sys.allocator->routing_epochs(), 0u);
+  // Descending traffic: c0 -> s0, c2 -> s1, c1 -> s0 (tie, lower id), c3 -> s1.
+  const Router& router = sys.fabric->router();
+  EXPECT_EQ(router.HomeOf(0), 0);
+  EXPECT_EQ(router.HomeOf(2), 1);
+  EXPECT_EQ(router.HomeOf(1), 0);
+  EXPECT_EQ(router.HomeOf(3), 1);
+  EXPECT_EQ(sys.allocator->control()->client_moves(), 0u) << "first placement is not a move";
+  const Addr a = sys.allocator->Malloc(envs[2], 64);
+  ASSERT_NE(a, kNullAddr);
+  EXPECT_EQ(sys.allocator->ShardOfAddr(a), 1) << "client 2's mallocs follow its new home";
+  blocks[2].push_back(a);
+
+  for (int c = 0; c < 4; ++c) {
+    for (const Addr b : blocks[static_cast<std::size_t>(c)]) {
+      sys.allocator->Free(envs[c], b);
+    }
+    sys.allocator->Flush(envs[c]);
+  }
+  sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+}
+
+// A home that parks stops attracting its client: until the next epoch
+// re-homes it, the client's mallocs take the static spread over the shards
+// still active, and its frees still drain at the owner.
+TEST(AdaptiveFleet, ParkedHomeSendsItsClientToTheActiveSpread) {
+  auto machine = MakeMachine(5);  // clients 0-2, shards on cores 3-4
+  NgxConfig cfg = AdaptiveConfig();
+  cfg.park_threshold_ops = 0;  // this test parks by hand
+  auto sys = MakeNgxSystem(*machine, cfg);
+  Env c0(*machine, 0);
+  Env c1(*machine, 1);
+  std::vector<Addr> heavy;
+  for (int i = 0; i < 40; ++i) {
+    heavy.push_back(sys.allocator->Malloc(c0, 64));
+  }
+  const Addr light = sys.allocator->Malloc(c1, 64);
+  machine->RunTimerHooks(std::max(c0.now(), c1.now()));
+  ASSERT_GT(sys.allocator->routing_epochs(), 0u);
+  ASSERT_EQ(sys.fabric->router().HomeOf(1), 1) << "the light client packs onto shard 1";
+
+  sys.fabric->set_shard_state(1, ShardState::kParked);
+  const Addr a = sys.allocator->Malloc(c1, 64);
+  ASSERT_NE(a, kNullAddr);
+  EXPECT_EQ(sys.allocator->ShardOfAddr(a), 0) << "1 % 1 active shard: the only active one";
+  sys.allocator->Free(c0, light);  // owned by the parked shard
+  sys.allocator->Free(c1, a);
+  for (const Addr b : heavy) {
+    sys.allocator->Free(c0, b);
+  }
+  sys.allocator->Flush(c0);
+  sys.allocator->Flush(c1);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->shard_stats(1).frees, sys.allocator->shard_stats(1).mallocs);
   EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
 }
 

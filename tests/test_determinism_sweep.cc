@@ -426,11 +426,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(HeapKind::kAggregated, HeapKind::kSegment)));
 
-// ---- Per-tenant traits determinism ----
+// ---- Tenant determinism ----
 //
-// The traits layer (DESIGN.md §15) promises two things. First, an inert
-// tenant list -- empty, or one default tenant inheriting every knob -- is
-// BIT-IDENTICAL to the pre-traits build: the pin below replays
+// The tenant layer (DESIGN.md §15) promises two things. First, an inert
+// tenant list -- empty, or one default tenant inheriting free_batch -- is
+// BIT-IDENTICAL to the tenant-free build: the pin below replays
 // bench_table3_nextgen's pipeline row byte for byte and checks the same
 // final-state hash that bench asserts against its recorded value. Second,
 // a heterogeneous tenant mix is still a deterministic simulation: two
@@ -450,7 +450,7 @@ std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
   NgxConfig cfg = bench::Table3PipelineConfig();
   if (with_default_tenant) {
     TenantSpec t;
-    t.name = "default_tenant";  // every knob at kInherit
+    t.name = "default_tenant";  // free_batch at kInherit
     t.cores = {0};
     cfg.tenants = {t};
   }
@@ -468,6 +468,53 @@ TEST(TenantTraitsDeterminism, DefaultTraitsReplayThePinnedPipelineHash) {
       << "the tenant-less pipeline run no longer matches the pinned history";
   EXPECT_EQ(HashedTable3PipelineRun(true), kTable3PipelineHash)
       << "an all-default tenant list must be bit-identical to no tenants";
+}
+
+// The same contract on a multi-shard span economy: tenants that inherit
+// free_batch leave every shard on the global watermarks, so the run replays
+// the tenant-free history bit for bit.
+std::uint64_t HashedSpanEconomyRun(bool with_tenants, std::uint64_t* moves) {
+  Machine machine(MachineConfig::Default(6));
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.hugepage_spans = false;
+  cfg.heap_window = 16 * 1024 * 1024;
+  cfg.span_donation = true;
+  cfg.span_low_mark = 8;
+  cfg.span_high_mark = 16;
+  if (with_tenants) {
+    TenantSpec a;
+    a.name = "a";
+    a.cores = {0, 2};
+    TenantSpec b;
+    b.name = "b";
+    b.cores = {1, 3};
+    cfg.tenants = {a, b};
+  }
+  NgxSystem sys = MakeNgxSystem(machine, cfg, {4, 5});
+  ChurnConfig wl;
+  wl.live_blocks = 60;
+  wl.ops = 400;
+  wl.min_size = 256;
+  wl.max_size = 48 * 1024;
+  Churn workload(wl);
+  RunOptions opt;
+  opt.cores = {0, 1, 2, 3};
+  opt.server_cores = {4, 5};
+  opt.seed = 5;
+  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
+  sys.fabric->DrainAll();
+  *moves = sys.allocator->rebalance_moves();
+  return bench::SimStateHash(r);
+}
+
+TEST(TenantTraitsDeterminism, InheritingTenantsReplayTheTenantFreeSpanEconomy) {
+  std::uint64_t plain_moves = 0;
+  std::uint64_t tenant_moves = 0;
+  const std::uint64_t plain = HashedSpanEconomyRun(false, &plain_moves);
+  EXPECT_EQ(HashedSpanEconomyRun(true, &tenant_moves), plain);
+  EXPECT_GT(plain_moves, 0u) << "the watermark rebalancer must have run";
+  EXPECT_EQ(tenant_moves, plain_moves);
 }
 
 // The bench JSON carries state hashes as HashHex strings next to the
@@ -528,9 +575,9 @@ TEST(HugepageDeterminism, PackedMetadataRunReplaysBitIdentically) {
   EXPECT_EQ(a_stats.oom_failures, base.oom_failures);
 }
 
-// Heterogeneous traits across {1, 2, 4} shards: per-core free batches,
-// stash depths and kicked refills from tenants sharing shards must replay
-// exactly, and the books must balance under every mix.
+// Heterogeneous tenants across {1, 2, 4} shards: per-core free batches and
+// kicked refills from tenants sharing shards must replay exactly, and the
+// books must balance under every mix.
 class TenantShardSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
@@ -546,16 +593,16 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
     cfg.stash_pipeline = true;  // kicked refills ride the shared rings
     TenantSpec fe;
     fe.name = "frontend";
-    fe.traits = MakeTenantTraits("low_latency");
     fe.cores = {0};
+    fe.free_batch = 1;
     TenantSpec an;
     an.name = "analytics";
-    an.traits = MakeTenantTraits("throughput");
     an.cores = {1};
+    an.free_batch = 16;
     TenantSpec ca;
     ca.name = "cache";
-    ca.traits = MakeTenantTraits("ephemeral");
     ca.cores = {2};
+    ca.free_batch = 8;
     cfg.tenants = {fe, an, ca};  // core 3 stays on the implicit default
     std::vector<int> servers;
     for (int s = 0; s < shards; ++s) {
@@ -579,7 +626,7 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
     EXPECT_EQ(s.bytes_live, 0u);
     return bench::SimStateHash(r);
   };
-  EXPECT_EQ(run(), run()) << "traits-on run must replay bit-identically at "
+  EXPECT_EQ(run(), run()) << "tenant run must replay bit-identically at "
                           << shards << " shards";
 }
 

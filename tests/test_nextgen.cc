@@ -71,6 +71,17 @@ TEST(NgxConfigDeath, AdaptivePolicyWithoutTheEpochControllerAborts) {
   EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "adaptive_routing");
 }
 
+// The reverse: the epoch controller's Observe re-packs homes, so running it
+// under static routing would make the static spread adaptive.
+TEST(NgxConfigDeath, EpochControllerWithoutTheAdaptiveRouterAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.adaptive_routing = true;  // routing left at static_by_client
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg),
+                            "adaptive_routing needs routing = adaptive");
+}
+
 TEST(NgxConfigDeath, StashPipelineWithoutPredictionAborts) {
   auto machine = MakeMachine(3);
   NgxConfig cfg;

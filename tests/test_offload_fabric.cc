@@ -1,6 +1,8 @@
-// Offload-fabric tests: routing policies, multi-client contention counter
-// consistency, cross-shard free ownership, shard-count determinism, and the
-// constructor argument checks that must fire in every build type.
+// Offload-fabric tests: the router's static spread and home-shard routing
+// over every pattern of parked shards, multi-client contention counter
+// consistency, cross-shard free ownership, shard-count determinism under
+// adaptive routing, and the constructor argument checks that must fire in
+// every build type.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -14,48 +16,85 @@
 namespace ngx {
 namespace {
 
-// ---- RoutingPolicy units ----
+// ---- Router units ----
 
-std::vector<ShardLoad> FlatLoads(std::size_t n) { return std::vector<ShardLoad>(n); }
+std::vector<ShardState> ActiveStates(std::size_t n) {
+  return std::vector<ShardState>(n, ShardState::kActive);
+}
 
 TEST(Routing, StaticByClientModsClientId) {
-  auto p = MakeRoutingPolicy(RoutingKind::kStaticByClient);
-  const auto loads = FlatLoads(3);
-  EXPECT_EQ(p->Route(0, 64, 2, loads), 0);
-  EXPECT_EQ(p->Route(4, 64, 2, loads), 1);
-  EXPECT_EQ(p->Route(5, 4096, 9, loads), 2);
+  const Router r;
+  const auto states = ActiveStates(3);
+  EXPECT_EQ(r.Route(0, states), 0);
+  EXPECT_EQ(r.Route(4, states), 1);
+  EXPECT_EQ(r.Route(5, states), 2);
 }
 
-TEST(Routing, BySizeClassModsClassId) {
-  auto p = MakeRoutingPolicy(RoutingKind::kBySizeClass);
-  const auto loads = FlatLoads(2);
-  EXPECT_EQ(p->Route(7, 64, 4, loads), 0);
-  EXPECT_EQ(p->Route(7, 96, 5, loads), 1);
-}
-
-TEST(Routing, LeastLoadedPicksShallowestQueueThenEarliestClock) {
-  auto p = MakeRoutingPolicy(RoutingKind::kLeastLoaded);
-  std::vector<ShardLoad> loads(3);
-  loads[0].queue_depth = 5;
-  loads[1].queue_depth = 1;
-  loads[2].queue_depth = 1;
-  loads[1].server_now = 900;
-  loads[2].server_now = 100;
-  EXPECT_EQ(p->Route(0, 64, 2, loads), 2) << "shallowest queue, earliest clock";
-  loads[2].server_now = 900;
-  EXPECT_EQ(p->Route(0, 64, 2, loads), 1) << "full tie breaks to the lower shard id";
-}
-
-TEST(Routing, ParseRoundTrips) {
-  for (const RoutingKind k : {RoutingKind::kStaticByClient, RoutingKind::kBySizeClass,
-                              RoutingKind::kLeastLoaded}) {
-    RoutingKind out;
-    ASSERT_TRUE(ParseRoutingKind(RoutingKindName(k), &out));
-    EXPECT_EQ(out, k);
+// Over every shard count and every pattern of shards that serve no mallocs:
+// an unplaced client lands on the (client % active)-th active shard, so the
+// active shards share the clients round robin; a placed client goes to its
+// home while the home is active and takes that spread otherwise; and with
+// the whole fleet inactive every client falls back to shard 0.
+class RouterSpreadTest : public ::testing::TestWithParam<int> {
+ protected:
+  // Shard states for `mask` (bit s set = shard s active).
+  static std::vector<ShardState> States(int n, unsigned mask) {
+    std::vector<ShardState> states;
+    for (int s = 0; s < n; ++s) {
+      states.push_back(((mask >> s) & 1u) != 0 ? ShardState::kActive : ShardState::kParked);
+    }
+    return states;
   }
-  RoutingKind out;
-  EXPECT_FALSE(ParseRoutingKind("bogus", &out));
+  static int Spread(int client, const std::vector<ShardState>& states) {
+    std::vector<int> active;
+    for (int s = 0; s < static_cast<int>(states.size()); ++s) {
+      if (states[static_cast<std::size_t>(s)] == ShardState::kActive) {
+        active.push_back(s);
+      }
+    }
+    return active.empty() ? 0 : active[static_cast<std::size_t>(client) % active.size()];
+  }
+};
+
+TEST_P(RouterSpreadTest, UnplacedClientsRoundRobinOverActiveShards) {
+  const int n = GetParam();
+  const Router r;
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    const std::vector<ShardState> states = States(n, mask);
+    for (int client = 0; client < 3 * n; ++client) {
+      ASSERT_EQ(r.Route(client, states), Spread(client, states))
+          << "mask " << mask << " client " << client;
+    }
+  }
 }
+
+TEST_P(RouterSpreadTest, PlacedClientsKeepTheirHomeWhileItServes) {
+  const int n = GetParam();
+  // One epoch in which every client has traffic places all of them.
+  EpochMatrix epoch;
+  epoch.num_clients = 2 * n;
+  epoch.num_shards = n;
+  epoch.ops.assign(static_cast<std::size_t>(2 * n * n), 0);
+  epoch.active.assign(static_cast<std::size_t>(n), 1);
+  for (int c = 0; c < 2 * n; ++c) {
+    epoch.ops[static_cast<std::size_t>(c * n)] = static_cast<std::uint64_t>(1000 - c);
+  }
+  Router r;
+  r.Observe(epoch);
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    const std::vector<ShardState> states = States(n, mask);
+    for (int client = 0; client < 2 * n; ++client) {
+      const int home = r.HomeOf(client);
+      ASSERT_TRUE(home >= 0 && home < n) << "client " << client;
+      const int expect =
+          states[static_cast<std::size_t>(home)] == ShardState::kActive ? home
+                                                                        : Spread(client, states);
+      ASSERT_EQ(r.Route(client, states), expect) << "mask " << mask << " client " << client;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RouterSpreadTest, ::testing::Values(1, 2, 3, 4, 8));
 
 // ---- Multi-client contention: the counters must tell one coherent story ----
 
@@ -127,33 +166,29 @@ TEST(OffloadFabric, FreeBurstFillsTheRing) {
 TEST(OffloadFabric, FreesDrainAtOwningShard) {
   auto machine = MakeMachine(4);  // clients 0-1, shards on cores 2-3
   NgxConfig cfg = NgxConfig::PaperPrototype();
-  cfg.num_shards = 2;
-  cfg.routing = RoutingKind::kBySizeClass;
+  cfg.num_shards = 2;  // static_by_client: client c mallocs on shard c
   NgxSystem sys = MakeNgxSystem(*machine, cfg, 2);
-  Env c0(*machine, 0);
-  Env c1(*machine, 1);
+  Env envs[2] = {Env(*machine, 0), Env(*machine, 1)};
 
-  // Client 0 allocates a spread of size classes; BySizeClass scatters them
-  // across both partitions.
+  // Each client allocates a spread of size classes on its own shard.
   std::vector<Addr> owned_by[2];
-  for (int i = 0; i < 40; ++i) {
-    const Addr a = sys.allocator->Malloc(c0, 16 + 16 * static_cast<std::uint64_t>(i % 8));
-    ASSERT_NE(a, kNullAddr);
-    const int shard = sys.allocator->ShardOfAddr(a);
-    ASSERT_TRUE(shard == 0 || shard == 1);
-    owned_by[shard].push_back(a);
+  for (int c = 0; c < 2; ++c) {
+    for (int i = 0; i < 20; ++i) {
+      const Addr a = sys.allocator->Malloc(envs[c], 16 + 16 * static_cast<std::uint64_t>(i % 8));
+      ASSERT_NE(a, kNullAddr);
+      ASSERT_EQ(sys.allocator->ShardOfAddr(a), c) << "static routing sends client c to shard c";
+      owned_by[c].push_back(a);
+    }
   }
-  ASSERT_FALSE(owned_by[0].empty());
-  ASSERT_FALSE(owned_by[1].empty());
   EXPECT_EQ(sys.allocator->shard_stats(0).mallocs, owned_by[0].size());
   EXPECT_EQ(sys.allocator->shard_stats(1).mallocs, owned_by[1].size());
 
-  // Client 1 -- not the allocating client -- frees everything. Each block
-  // must return to the shard owning its heap partition, not to the shard the
-  // routing policy would pick for client 1.
-  for (const std::vector<Addr>& batch : owned_by) {
-    for (const Addr a : batch) {
-      sys.allocator->Free(c1, a);
+  // Each client frees the OTHER client's blocks. Every block must return to
+  // the shard owning its heap partition, not to the shard the router would
+  // pick for the freeing client.
+  for (int c = 0; c < 2; ++c) {
+    for (const Addr a : owned_by[1 - c]) {
+      sys.allocator->Free(envs[c], a);
     }
   }
   sys.fabric->DrainAll();
@@ -163,26 +198,6 @@ TEST(OffloadFabric, FreesDrainAtOwningShard) {
   EXPECT_EQ(sys.fabric->shard_stats(1).async_ops, owned_by[1].size());
 }
 
-TEST(OffloadFabric, LeastLoadedSpreadsWorkAcrossShards) {
-  auto machine = MakeMachine(3);
-  NgxConfig cfg = NgxConfig::PaperPrototype();
-  cfg.num_shards = 2;
-  cfg.routing = RoutingKind::kLeastLoaded;
-  NgxSystem sys = MakeNgxSystem(*machine, cfg, 1);
-  Env app(*machine, 0);
-  std::vector<Addr> blocks;
-  for (int i = 0; i < 100; ++i) {
-    blocks.push_back(sys.allocator->Malloc(app, 64));
-  }
-  EXPECT_GT(sys.allocator->shard_stats(0).mallocs, 0u);
-  EXPECT_GT(sys.allocator->shard_stats(1).mallocs, 0u);
-  for (const Addr a : blocks) {
-    sys.allocator->Free(app, a);
-  }
-  sys.fabric->DrainAll();
-  EXPECT_EQ(sys.allocator->stats().frees, 100u);
-}
-
 // ---- Determinism: identical seeds give identical PMU totals per shard count ----
 
 class ShardDeterminismTest : public ::testing::TestWithParam<int> {};
@@ -190,11 +205,17 @@ class ShardDeterminismTest : public ::testing::TestWithParam<int> {};
 TEST_P(ShardDeterminismTest, SameSeedSameTotalPmu) {
   const int shards = GetParam();
   constexpr int kClients = 4;
+  std::uint64_t epochs = 0;
   auto run = [&] {
     Machine machine(MachineConfig::Default(kClients + shards));
     NgxConfig cfg = NgxConfig::PaperPrototype();
     cfg.num_shards = shards;
-    cfg.routing = RoutingKind::kLeastLoaded;  // the most state-dependent policy
+    // The most state-dependent routing: the packer re-homes clients at every
+    // epoch close and the controller parks and wakes shards.
+    cfg.routing = RoutingKind::kAdaptive;
+    cfg.adaptive_routing = true;
+    cfg.epoch_cycles = 20000;
+    cfg.park_threshold_ops = 50;
     NgxSystem sys = MakeNgxSystem(machine, cfg, kClients);
     XmallocConfig c;
     c.ops_per_thread = 500;
@@ -207,6 +228,7 @@ TEST_P(ShardDeterminismTest, SameSeedSameTotalPmu) {
     opt.seed = 42;
     RunWorkload(machine, *sys.allocator, workload, opt);
     sys.fabric->DrainAll();
+    epochs = sys.allocator->routing_epochs();
     PmuCounters total;
     for (int core = 0; core < machine.num_cores(); ++core) {
       total += machine.core(core).pmu();
@@ -215,6 +237,9 @@ TEST_P(ShardDeterminismTest, SameSeedSameTotalPmu) {
   };
   const PmuCounters a = run();
   const PmuCounters b = run();
+  if (shards > 1) {
+    EXPECT_GT(epochs, 0u) << "the epoch controller must have fed the router";
+  }
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.instructions, b.instructions);
   EXPECT_EQ(a.loads, b.loads);
@@ -245,11 +270,15 @@ TEST(OffloadFabricDeath, RingCapacityBeyondStrideAborts) {
       "ring capacity");
 }
 
+TEST(OffloadFabricDeath, EmptyShardListAborts) {
+  auto machine = MakeMachine(2);
+  EXPECT_DEATH_IF_SUPPORTED(OffloadFabric(*machine, {}, kChannelBase, 16), "at least one shard");
+}
+
 TEST(OffloadFabricDeath, DuplicateShardCoresAbort) {
   auto machine = MakeMachine(3);
   EXPECT_DEATH_IF_SUPPORTED(
-      OffloadFabric(*machine, {1, 1}, kChannelBase, 16,
-                    MakeRoutingPolicy(RoutingKind::kStaticByClient)),
+      OffloadFabric(*machine, {1, 1}, kChannelBase, 16),
       "distinct");
 }
 

@@ -357,8 +357,8 @@ TEST(BatchedFrees, OtherPushesPublishTheStagedBatchFirst) {
   cfg.stash_pipeline = true;
   TenantSpec batched;
   batched.name = "batched";
-  batched.traits.free_batch = 8;
   batched.cores = {0};
+  batched.free_batch = 8;
   cfg.tenants = {batched};
   auto sys = MakeNgxSystem(*machine, cfg);
   NgxAllocator& alloc = *sys.allocator;

@@ -423,32 +423,24 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(param_info.param));
     });
 
-// ---- The same stress under heterogeneous per-tenant traits ----
+// ---- The same stress under heterogeneous tenants ----
 //
-// The traits layer (DESIGN.md §15) must not bend a single span-economy
-// invariant: with the two clients running OPPOSITE contracts -- client 0
-// low-latency (unbatched frees) and client 1 throughput (deep free
-// batches, its home shard's watermarks widened) -- the directory auditor
-// and the shadow-heap exerciser must hold exactly as they do for the
-// homogeneous sweep, and the books must still balance after the final
-// flush.
+// Tenants (DESIGN.md §15) must not bend a single span-economy invariant:
+// with the two clients running OPPOSITE contracts -- client 0 unbatched
+// frees, client 1 deep free batches -- the directory auditor and the
+// shadow-heap exerciser must hold exactly as they do for the homogeneous
+// sweep, and the books must still balance after the final flush.
 
 NgxConfig TenantRebalanceConfig(int shards) {
   NgxConfig cfg = RebalanceConfig(shards);
   TenantSpec fe;
   fe.name = "frontend";
-  fe.traits = MakeTenantTraits("low_latency");
   fe.cores = {0};
+  fe.free_batch = 1;
   TenantSpec an;
   an.name = "analytics";
-  an.traits = MakeTenantTraits("throughput");
-  an.traits.free_batch = 8;
-  // Widen the watermark band of the shard this tenant homes on (its static
-  // route, shard 1): heterogeneous per-shard marks must rebalance cleanly
-  // against the global band on every other shard.
-  an.traits.span_low_mark = 4;
-  an.traits.span_high_mark = 24;
   an.cores = {1};
+  an.free_batch = 8;
   cfg.tenants = {fe, an};
   return cfg;
 }
@@ -461,7 +453,7 @@ TEST_P(TenantSpanRebalanceFabricStress, HeterogeneousTraitsKeepTheDirectoryConsi
   auto machine = MakeMachine(shards + 2);
   auto sys = MakeNgxSystem(*machine, TenantRebalanceConfig(shards));
   ASSERT_TRUE(sys.allocator->control()->rebalancing());
-  ASSERT_EQ(sys.allocator->plan().shards[1].low, 4u);
+  ASSERT_EQ(sys.allocator->plan().cores[1].free_batch, 8u);
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {
     for (int core = 0; core < 2; ++core) {

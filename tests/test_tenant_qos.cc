@@ -1,26 +1,21 @@
-// Per-tenant traits tests (DESIGN.md §15):
+// Tenant tests (DESIGN.md §15):
 //
-//  * preset contract units: every TenantPreset parses/round-trips and fills
-//    exactly the knobs its contract implies (explicit overrides win);
-//  * the tenant plan (ResolveTenantPlan, no machine or fabric): presets and
-//    overrides land on the claimed cores, unclaimed cores keep the global
-//    NgxConfig contract, watermark overrides bind to the home shard, and
-//    pipelined cores split their capacity into halves and spill; on a full
-//    system, numa_local and explicit home-shard pins route mallocs to the
-//    contracted shard;
-//  * low_latency and throughput resolve to the global contract but for
-//    free_batch, and a free_batch of one whole ring fits it;
-//  * NGX_CHECK death tests for malformed traits, on the resolver: stash
-//    capacity below the pipeline's two-half minimum or zero, a free_batch of
-//    0 or beyond one ring, unknown preset, unnamed and duplicate tenants,
-//    one-sided, inverted and conflicting watermark overrides, an
-//    out-of-range home shard, double-claimed cores and claimed server cores;
+//  * the tenant plan (ResolveTenantPlan, no machine or fabric): free_batch
+//    overrides land on the claimed cores, inheriting tenants and unclaimed
+//    cores keep the global free_batch, and a pipelined stash splits the
+//    global capacity into halves and spill on every core;
+//  * a free_batch of one whole ring fits it;
+//  * NGX_CHECK death tests for malformed tenants, on the resolver: a
+//    free_batch of 0 or beyond one ring, unnamed and duplicate tenants,
+//    out-of-range, double-claimed and server cores, and a pipelined stash
+//    of zero capacity;
 //  * a shared shard at the engine: one server clock, so DrainAll serves the
 //    tenants' rings in client order, whoever published first, and a sync
 //    request sent during another tenant's service waits for that service
 //    and no longer;
-//  * a shared shard on the full system: the low_latency tenant rings one
-//    doorbell per free, the throughput tenant one per sixteen;
+//  * a shared shard on the full system: an unbatched tenant rings one
+//    doorbell per free, a free_batch-16 tenant one per sixteen, and an
+//    inheriting tenant one per global batch;
 //  * per-tenant SLO plumbing: RunResult carries one sync-latency digest per
 //    configured tenant, in NgxConfig::tenants order.
 #include <gtest/gtest.h>
@@ -32,7 +27,6 @@
 
 #include "src/core/nextgen_malloc.h"
 #include "src/core/tenant_plan.h"
-#include "src/core/tenant_traits.h"
 #include "src/offload/offload_engine.h"
 #include "src/workload/churn.h"
 #include "src/workload/runner.h"
@@ -41,99 +35,33 @@
 namespace ngx {
 namespace {
 
-constexpr std::uint64_t kMiB = 1024 * 1024;
-
-// ---- Preset contract units ----
-
-TEST(TenantTraitsUnit, PresetNamesRoundTrip) {
-  for (const TenantPreset p :
-       {TenantPreset::kDefault, TenantPreset::kLowLatency, TenantPreset::kThroughput,
-        TenantPreset::kEphemeral, TenantPreset::kNumaLocal}) {
-    TenantPreset out;
-    ASSERT_TRUE(ParseTenantPreset(TenantPresetName(p), &out)) << TenantPresetName(p);
-    EXPECT_EQ(out, p);
-  }
-  TenantPreset out;
-  EXPECT_FALSE(ParseTenantPreset("turbo", &out));
-  EXPECT_FALSE(ParseTenantPreset("", &out));
-}
-
-TEST(TenantTraitsUnit, LowLatencyContractFreesUnbatched) {
-  const TenantTraits t = MakeTenantTraits("low_latency");
-  EXPECT_EQ(t.preset, TenantPreset::kLowLatency);
-  EXPECT_EQ(t.free_batch, 1u);
-  EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit);
-  EXPECT_EQ(t.span_low_mark, TenantTraits::kInherit64);
-  EXPECT_EQ(t.home_shard, -1);
-}
-
-TEST(TenantTraitsUnit, ThroughputContractBatchesDeep) {
-  const TenantTraits t = MakeTenantTraits("throughput");
-  EXPECT_EQ(t.free_batch, 16u);
-  EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit);
-}
-
-TEST(TenantTraitsUnit, EphemeralContractDeepensTheStash) {
-  const TenantTraits t = MakeTenantTraits("ephemeral");
-  EXPECT_EQ(t.stash_capacity, 32u);
-  EXPECT_EQ(t.free_batch, 8u);
-}
-
-TEST(TenantTraitsUnit, DefaultAndNumaLocalInheritEveryKnob) {
-  for (const char* name : {"default", "numa_local"}) {
-    const TenantTraits t = MakeTenantTraits(name);
-    EXPECT_EQ(t.stash_capacity, TenantTraits::kInherit) << name;
-    EXPECT_EQ(t.stash_refill_mark, TenantTraits::kInherit) << name;
-    EXPECT_EQ(t.free_batch, TenantTraits::kInherit) << name;
-    EXPECT_EQ(t.span_low_mark, TenantTraits::kInherit64) << name;
-    EXPECT_EQ(t.span_high_mark, TenantTraits::kInherit64) << name;
-    EXPECT_EQ(t.home_shard, -1) << name;
-  }
-}
-
-TEST(TenantTraitsDeath, UnknownPresetAborts) {
-  EXPECT_DEATH_IF_SUPPORTED((void)MakeTenantTraits("turbo"), "unknown tenant preset");
-}
-
 // ---- Registration-time resolution ----
 
-// The four-tenant mix the QoS ablation uses, at test scale: a latency
-// tenant and an overridden throughput tenant share shard 0, an ephemeral
-// tenant rides shard 1, and core 1 stays on the implicit default contract.
+// The four-tenant mix the QoS ablation uses, at test scale: an unbatched
+// tenant and a free_batch-32 tenant share shard 0, a free_batch-8 tenant
+// rides shard 1, and core 1 stays on the implicit default tenant.
 NgxConfig TenantMixConfig() {
   NgxConfig cfg;  // offloaded, async frees, segregated metadata
   cfg.num_shards = 2;
   TenantSpec fe;
   fe.name = "frontend";
-  fe.traits = MakeTenantTraits("low_latency");
   fe.cores = {0};
+  fe.free_batch = 1;
   TenantSpec an;
   an.name = "analytics";
-  an.traits = MakeTenantTraits("throughput");
-  an.traits.free_batch = 32;  // explicit override beats the preset's 16
   an.cores = {2};
+  an.free_batch = 32;
   TenantSpec ca;
   ca.name = "cache";
-  ca.traits = MakeTenantTraits("ephemeral");
   ca.cores = {3};
+  ca.free_batch = 8;
   cfg.tenants = {fe, an, ca};
   return cfg;
 }
 
-// A two-shard config with the global rebalance protocol on (low 8, high
-// 16), for tests of watermark overrides and of the marks tenants keep.
-NgxConfig WatermarkConfig() {
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  cfg.span_donation = true;
-  cfg.span_low_mark = 8;
-  cfg.span_high_mark = 16;
-  return cfg;
-}
-
-TEST(TenantResolution, PresetsAndOverridesLandOnTheClaimedCores) {
+TEST(TenantResolution, FreeBatchesLandOnTheClaimedCores) {
   const TenantPlan plan = ResolveTenantPlan(TenantMixConfig(), /*num_cores=*/6,
-                                            /*cluster_cores=*/0, /*server_cores=*/{4, 5});
+                                            /*server_cores=*/{4, 5});
   ASSERT_EQ(plan.tenant_names.size(), 3u);
   EXPECT_EQ(plan.tenant_names[0], "frontend");
   EXPECT_EQ(plan.tenant_names[1], "analytics");
@@ -142,165 +70,73 @@ TEST(TenantResolution, PresetsAndOverridesLandOnTheClaimedCores) {
   EXPECT_EQ(plan.cores[2].tenant, 1);
   EXPECT_EQ(plan.cores[3].tenant, 2);
   EXPECT_EQ(plan.cores[0].free_batch, 1u);
-  EXPECT_EQ(plan.cores[2].free_batch, 32u) << "explicit override must beat the preset";
-  EXPECT_EQ(plan.cores[3].stash_capacity, 32u) << "ephemeral deepens the stash";
+  EXPECT_EQ(plan.cores[2].free_batch, 32u);
   EXPECT_EQ(plan.cores[3].free_batch, 8u);
 }
 
 TEST(TenantResolution, UnclaimedCoresKeepTheGlobalContract) {
-  const NgxConfig cfg = TenantMixConfig();
-  const TenantPlan plan = ResolveTenantPlan(cfg, 6, 0, {4, 5});
+  NgxConfig cfg = TenantMixConfig();
+  cfg.free_batch = 4;
+  const TenantPlan plan = ResolveTenantPlan(cfg, 6, {4, 5});
   EXPECT_EQ(plan.cores[1].tenant, -1) << "core 1 runs the implicit default tenant";
-  EXPECT_EQ(plan.cores[1].free_batch, cfg.free_batch);
-  EXPECT_EQ(plan.cores[1].stash_capacity, cfg.stash_capacity);
-  EXPECT_EQ(plan.cores[1].home_shard, -1);
+  EXPECT_EQ(plan.cores[1].free_batch, 4u);
+  EXPECT_EQ(plan.cores[4].free_batch, 4u) << "server cores keep the global value too";
 }
 
+// A tenant that leaves free_batch at kInherit batches at the global value,
+// whatever that value is, exactly like an unclaimed core.
 TEST(TenantResolution, AllDefaultTenantListMatchesTheNoTenantResolution) {
-  NgxConfig plain;
-  plain.num_shards = 2;
-  NgxConfig listed = plain;
-  TenantSpec t;
-  t.name = "default_tenant";
-  t.cores = {0, 1};  // all knobs at kInherit
-  listed.tenants = {t};
-  const TenantPlan plan_plain = ResolveTenantPlan(plain, 4, 0, {2, 3});
-  const TenantPlan plan_listed = ResolveTenantPlan(listed, 4, 0, {2, 3});
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(plan_plain.cores[c].stash_capacity, plan_listed.cores[c].stash_capacity);
-    EXPECT_EQ(plan_plain.cores[c].free_batch, plan_listed.cores[c].free_batch);
-    EXPECT_EQ(plan_plain.cores[c].home_shard, plan_listed.cores[c].home_shard);
+  for (const std::uint32_t global : {1u, 8u, kNgxRingCapacity}) {
+    NgxConfig plain;
+    plain.num_shards = 2;
+    plain.free_batch = global;
+    NgxConfig listed = plain;
+    TenantSpec t;
+    t.name = "default_tenant";
+    t.cores = {0, 1};  // free_batch at kInherit
+    listed.tenants = {t};
+    const TenantPlan plan_plain = ResolveTenantPlan(plain, 4, {2, 3});
+    const TenantPlan plan_listed = ResolveTenantPlan(listed, 4, {2, 3});
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(plan_listed.cores[c].tenant, 0);
+      EXPECT_EQ(plan_listed.cores[c].free_batch, global);
+      EXPECT_EQ(plan_plain.cores[c].free_batch, global);
+    }
+    EXPECT_EQ(plan_plain.pipe_cap, plan_listed.pipe_cap);
+    EXPECT_EQ(plan_plain.spill_depth, plan_listed.spill_depth);
   }
 }
 
-TEST(TenantResolution, NumaLocalPinsTheHomeShardIntoTheClientsCluster) {
-  MachineConfig mc = MachineConfig::Default(4);
-  mc.cluster_cores = 2;  // clusters {0,1} and {2,3}
-  Machine machine(mc);
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  TenantSpec near;
-  near.name = "pinned";
-  near.traits = MakeTenantTraits("numa_local");
-  near.cores = {2};  // shares cluster 1 with server core 3 (shard 1)
-  cfg.tenants = {near};
-  auto sys = MakeNgxSystem(machine, cfg, {1, 3});
-  EXPECT_EQ(sys.allocator->plan().cores[2].home_shard, 1)
-      << "numa_local must resolve to the shard whose server shares the cluster";
-  // The pin routes this tenant's mallocs to its contracted shard.
-  Env env(machine, 2);
-  const Addr a = sys.allocator->Malloc(env, 64);
-  ASSERT_NE(a, kNullAddr);
-  EXPECT_EQ(sys.allocator->ShardOfAddr(a), 1);
-  sys.allocator->Free(env, a);
-  sys.allocator->Flush(env);
-  sys.fabric->DrainAll();
-  EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
-}
-
-TEST(TenantResolution, ExplicitHomeShardPinWins) {
-  auto machine = MakeMachine(4);
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  TenantSpec t;
-  t.name = "pinned";
-  t.traits.home_shard = 1;
-  t.cores = {0};  // static route would be shard 0
-  cfg.tenants = {t};
-  auto sys = MakeNgxSystem(*machine, cfg, {2, 3});
-  EXPECT_EQ(sys.allocator->plan().cores[0].home_shard, 1);
-  Env env(*machine, 0);
-  const Addr a = sys.allocator->Malloc(env, 64);
-  ASSERT_NE(a, kNullAddr);
-  EXPECT_EQ(sys.allocator->ShardOfAddr(a), 1);
-  sys.allocator->Free(env, a);
-  sys.allocator->Flush(env);
-  sys.fabric->DrainAll();
-}
-
-TEST(TenantResolution, WatermarkOverridesBindToTheHomeShard) {
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  cfg.hugepage_spans = false;
-  cfg.heap_window = 16 * kMiB;
-  cfg.span_donation = true;
-  cfg.span_low_mark = 8;
-  cfg.span_high_mark = 16;
-  TenantSpec t;
-  t.name = "greedy";
-  t.traits.span_low_mark = 24;
-  t.traits.span_high_mark = 48;
-  t.cores = {1};  // static route: shard 1
-  cfg.tenants = {t};
-  const TenantPlan plan = ResolveTenantPlan(cfg, 4, 0, {2, 3});
-  EXPECT_EQ(plan.shards[0].low, 8u);
-  EXPECT_EQ(plan.shards[0].high, 16u);
-  EXPECT_EQ(plan.shards[1].low, 24u);
-  EXPECT_EQ(plan.shards[1].high, 48u);
-}
-
-// A pipelined core uses at most one line's worth of each half and keeps the
-// rest of its capacity as a client-only spill stack; a core whose capacity
-// fits inside the halves has no spill, and without the pipeline neither
-// depth exists.
+// A pipelined stash uses at most one line's worth of each half and keeps
+// the rest of the global capacity as a client-only spill stack; a capacity
+// that fits inside the halves has no spill, and without the pipeline
+// neither depth exists. Tenants do not change the split.
 TEST(TenantPlan, PipelinedCoresSplitTheirCapacityIntoHalvesAndSpill) {
   NgxConfig cfg;
   cfg.prediction = true;
   cfg.stash_pipeline = true;
+  cfg.stash_capacity = 40;
+  TenantSpec batched;
+  batched.name = "batched";
+  batched.cores = {0};
+  batched.free_batch = 8;
+  cfg.tenants = {batched};
+  const TenantPlan plan = ResolveTenantPlan(cfg, 3, {2});
+  EXPECT_EQ(plan.pipe_cap, kPipeHalfCap);
+  EXPECT_EQ(plan.spill_depth, 40u - 2 * kPipeHalfCap);
   cfg.stash_capacity = 2 * kPipeHalfCap;  // exactly the two halves
-  TenantSpec deep;
-  deep.name = "deep";
-  deep.traits = MakeTenantTraits("ephemeral");
-  deep.traits.stash_capacity = 40;
-  deep.cores = {0};
-  cfg.tenants = {deep};
-  const TenantPlan plan = ResolveTenantPlan(cfg, 3, 0, {2});
-  EXPECT_EQ(plan.cores[0].pipe_cap, kPipeHalfCap);
-  EXPECT_EQ(plan.cores[0].spill_depth, 40u - 2 * kPipeHalfCap);
-  EXPECT_EQ(plan.cores[1].pipe_cap, kPipeHalfCap);
-  EXPECT_EQ(plan.cores[1].spill_depth, 0u);
+  const TenantPlan halves = ResolveTenantPlan(cfg, 3, {2});
+  EXPECT_EQ(halves.pipe_cap, kPipeHalfCap);
+  EXPECT_EQ(halves.spill_depth, 0u);
+  cfg.stash_capacity = 4;  // less than one half
+  const TenantPlan shallow = ResolveTenantPlan(cfg, 3, {2});
+  EXPECT_EQ(shallow.pipe_cap, 4u);
+  EXPECT_EQ(shallow.spill_depth, 0u);
+  cfg.stash_capacity = 40;
   cfg.stash_pipeline = false;
-  const TenantPlan unpipelined = ResolveTenantPlan(cfg, 3, 0, {2});
-  EXPECT_EQ(unpipelined.cores[0].pipe_cap, 0u);
-  EXPECT_EQ(unpipelined.cores[0].spill_depth, 0u);
-  EXPECT_EQ(unpipelined.cores[0].stash_capacity, 40u);
-}
-
-// The latency and throughput presets are free-batching contracts and
-// nothing else: their cores resolve to the unclaimed core's stash, refill,
-// pipeline and home-shard knobs, and their shards keep the global marks.
-TEST(TenantResolution, LatencyAndThroughputPresetsChangeOnlyFreeBatch) {
-  NgxConfig cfg = WatermarkConfig();
-  cfg.prediction = true;
-  cfg.stash_pipeline = true;
-  cfg.free_batch = 4;
-  TenantSpec fe;
-  fe.name = "frontend";
-  fe.traits = MakeTenantTraits("low_latency");
-  fe.cores = {0};
-  TenantSpec an;
-  an.name = "analytics";
-  an.traits = MakeTenantTraits("throughput");
-  an.cores = {1};
-  cfg.tenants = {fe, an};
-  const TenantPlan plan = ResolveTenantPlan(cfg, 5, 0, {3, 4});
-  const CoreContract& plain = plan.cores[2];
-  EXPECT_EQ(plain.tenant, -1);
-  EXPECT_EQ(plain.free_batch, 4u);
-  EXPECT_EQ(plan.cores[0].free_batch, 1u);
-  EXPECT_EQ(plan.cores[1].free_batch, 16u);
-  for (const int c : {0, 1}) {
-    const CoreContract& core = plan.cores[static_cast<std::size_t>(c)];
-    EXPECT_EQ(core.stash_capacity, plain.stash_capacity) << "core " << c;
-    EXPECT_EQ(core.refill_mark, plain.refill_mark) << "core " << c;
-    EXPECT_EQ(core.pipe_cap, plain.pipe_cap) << "core " << c;
-    EXPECT_EQ(core.spill_depth, plain.spill_depth) << "core " << c;
-    EXPECT_EQ(core.home_shard, plain.home_shard) << "core " << c;
-  }
-  for (const ShardWatermarks& marks : plan.shards) {
-    EXPECT_EQ(marks.low, 8u);
-    EXPECT_EQ(marks.high, 16u);
-  }
+  const TenantPlan unpipelined = ResolveTenantPlan(cfg, 3, {2});
+  EXPECT_EQ(unpipelined.pipe_cap, 0u);
+  EXPECT_EQ(unpipelined.spill_depth, 0u);
 }
 
 // The largest free_batch the resolver accepts fills the ring exactly: the
@@ -310,8 +146,8 @@ TEST(TenantResolution, WholeRingFreeBatchPublishesWithoutAStall) {
   NgxConfig cfg;
   TenantSpec t;
   t.name = "bulk";
-  t.traits.free_batch = kNgxRingCapacity;
   t.cores = {0};
+  t.free_batch = kNgxRingCapacity;
   cfg.tenants = {t};
   auto sys = MakeNgxSystem(*machine, cfg, {2});
   EXPECT_EQ(sys.allocator->plan().cores[0].free_batch, kNgxRingCapacity);
@@ -334,28 +170,16 @@ TEST(TenantResolution, WholeRingFreeBatchPublishesWithoutAStall) {
   EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
 }
 
-// ---- Malformed-traits death tests ----
-
-TEST(TenantConfigDeath, StashBelowThePipelineTwoHalfMinimumAborts) {
-  NgxConfig cfg;
-  cfg.prediction = true;
-  cfg.stash_pipeline = true;  // stash layout needs two kPipeHalfCap halves
-  TenantSpec t;
-  t.name = "tiny";
-  t.traits.stash_capacity = 2 * kPipeHalfCap - 1;
-  t.cores = {0};
-  cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "two-half minimum");
-}
+// ---- Malformed-tenant death tests ----
 
 TEST(TenantConfigDeath, ZeroFreeBatchAborts) {
   NgxConfig cfg;
   TenantSpec t;
   t.name = "stuck";
-  t.traits.free_batch = 0;
   t.cores = {0};
+  t.free_batch = 0;
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}),
                             "tenant free_batch must fit in one async ring");
 }
 
@@ -368,7 +192,7 @@ TEST(TenantConfigDeath, DuplicateTenantNameAborts) {
   b.name = "twin";
   b.cores = {1};
   cfg.tenants = {a, b};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "duplicate tenant name");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}), "duplicate tenant name");
 }
 
 TEST(TenantConfigDeath, CoreClaimedByTwoTenantsAborts) {
@@ -380,7 +204,7 @@ TEST(TenantConfigDeath, CoreClaimedByTwoTenantsAborts) {
   b.name = "second";
   b.cores = {0};
   cfg.tenants = {a, b};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "claimed by two tenants");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}), "claimed by two tenants");
 }
 
 TEST(TenantConfigDeath, ClaimingAServerCoreAborts) {
@@ -389,29 +213,26 @@ TEST(TenantConfigDeath, ClaimingAServerCoreAborts) {
   t.name = "greedy";
   t.cores = {2};  // the shard server core
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "server core");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}), "server core");
 }
 
-TEST(TenantConfigDeath, ZeroStashCapacityAborts) {
+TEST(TenantConfigDeath, CoreBeyondTheMachineAborts) {
   NgxConfig cfg;
-  cfg.prediction = true;  // unpipelined: no two-half minimum applies
   TenantSpec t;
-  t.name = "empty";
-  t.traits.stash_capacity = 0;
-  t.cores = {0};
+  t.name = "lost";
+  t.cores = {3};  // a three-core machine
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
-                            "tenant stash capacity must be nonzero");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}), "tenant core out of range");
 }
 
 TEST(TenantConfigDeath, FreeBatchBeyondOneRingAborts) {
   NgxConfig cfg;
   TenantSpec t;
   t.name = "overflow";
-  t.traits.free_batch = kNgxRingCapacity + 1;
   t.cores = {0};
+  t.free_batch = kNgxRingCapacity + 1;
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}),
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}),
                             "tenant free_batch must fit in one async ring");
 }
 
@@ -420,60 +241,16 @@ TEST(TenantConfigDeath, UnnamedTenantAborts) {
   TenantSpec t;  // empty name: nothing to label its SLO series with
   t.cores = {0};
   cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, 0, {2}), "tenant needs a name");
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}), "tenant needs a name");
 }
 
-TEST(TenantConfigDeath, OneSidedWatermarkOverrideAborts) {
-  NgxConfig cfg = WatermarkConfig();
-  TenantSpec t;
-  t.name = "half";
-  t.traits.span_low_mark = 24;  // no high mark
-  t.cores = {0};
-  cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
-                            "must set both marks or neither");
-}
-
-TEST(TenantConfigDeath, InvertedWatermarkOverrideAborts) {
-  NgxConfig cfg = WatermarkConfig();
-  TenantSpec t;
-  t.name = "inverted";
-  t.traits.span_low_mark = 48;
-  t.traits.span_high_mark = 24;
-  t.cores = {0};
-  cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
-                            "span_high_mark must exceed span_low_mark");
-}
-
-TEST(TenantConfigDeath, ConflictingWatermarksOnOneShardAborts) {
-  NgxConfig cfg = WatermarkConfig();
-  TenantSpec a;
-  a.name = "first";
-  a.traits.span_low_mark = 24;
-  a.traits.span_high_mark = 48;
-  a.cores = {0};
-  TenantSpec b;
-  b.name = "second";
-  b.traits.span_low_mark = 32;
-  b.traits.span_high_mark = 64;
-  b.traits.home_shard = 0;  // core 1's static route would be shard 1
-  b.cores = {1};
-  cfg.tenants = {a, b};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
-                            "conflicting watermarks");
-}
-
-TEST(TenantConfigDeath, HomeShardOutOfRangeAborts) {
+TEST(TenantConfigDeath, PipelinedStashOfZeroCapacityAborts) {
   NgxConfig cfg;
-  cfg.num_shards = 2;
-  TenantSpec t;
-  t.name = "lost";
-  t.traits.home_shard = 2;
-  t.cores = {0};
-  cfg.tenants = {t};
-  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 4, 0, {2, 3}),
-                            "home_shard out of range");
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_capacity = 0;
+  EXPECT_DEATH_IF_SUPPORTED((void)ResolveTenantPlan(cfg, 3, {2}),
+                            "pipelined stash needs a nonzero capacity");
 }
 
 // ---- A shared shard at the engine ----
@@ -586,10 +363,11 @@ TEST(TenantSharedShard, SyncSentAfterAnotherTenantsServiceIsNotDelayed) {
 
 // ---- A shared shard on the full system ----
 
-// A low_latency tenant (core 0) and a throughput tenant (core 1) on one
-// shard (server core 2), over a global free_batch of 8 that neither keeps.
+// An unbatched tenant (core 0), a free_batch-16 tenant (core 1) and an
+// inheriting tenant (core 2) on one shard (server core 3), over a global
+// free_batch of 8.
 struct SharedShardSystem {
-  std::unique_ptr<Machine> machine = MakeMachine(3);
+  std::unique_ptr<Machine> machine = MakeMachine(4);
   NgxSystem sys;
 
   SharedShardSystem() {
@@ -597,14 +375,17 @@ struct SharedShardSystem {
     cfg.free_batch = 8;
     TenantSpec fe;
     fe.name = "frontend";
-    fe.traits = MakeTenantTraits("low_latency");
     fe.cores = {0};
+    fe.free_batch = 1;
     TenantSpec an;
     an.name = "analytics";
-    an.traits = MakeTenantTraits("throughput");
     an.cores = {1};
-    cfg.tenants = {fe, an};
-    sys = MakeNgxSystem(*machine, cfg, {2});
+    an.free_batch = 16;
+    TenantSpec wk;
+    wk.name = "worker";
+    wk.cores = {2};
+    cfg.tenants = {fe, an, wk};
+    sys = MakeNgxSystem(*machine, cfg, {3});
   }
 
   std::vector<Addr> MallocBlocks(Env& env, int n) {
@@ -655,6 +436,46 @@ TEST(TenantSharedShard, ThroughputTenantRingsOneDoorbellPerSixteenFrees) {
   EXPECT_EQ(s.stats().free_batches - before.free_batches, 1u);
   EXPECT_EQ(s.stats().async_enqueued - before.async_enqueued, 16u);
   s.Finish(an);
+}
+
+// Batches are per client ring: an unbatched tenant's frees publish at once
+// while another tenant's staged batch on the same shard stays unpublished.
+TEST(TenantSharedShard, UnbatchedFreesPublishPastAnotherTenantsStagedBatch) {
+  SharedShardSystem s;
+  Env fe(*s.machine, 0);
+  Env an(*s.machine, 1);
+  const std::vector<Addr> fe_blocks = s.MallocBlocks(fe, 3);
+  const std::vector<Addr> an_blocks = s.MallocBlocks(an, 5);
+  const OffloadEngineStats before = s.stats();
+  for (const Addr a : an_blocks) {
+    s.sys.allocator->Free(an, a);
+  }
+  for (const Addr a : fe_blocks) {
+    s.sys.allocator->Free(fe, a);
+  }
+  EXPECT_EQ(s.stats().staged_frees - before.staged_frees, 5u);
+  EXPECT_EQ(s.stats().free_batches, before.free_batches) << "analytics' batch is not full";
+  EXPECT_EQ(s.stats().ring_doorbells - before.ring_doorbells, 3u);
+  EXPECT_EQ(s.stats().async_enqueued - before.async_enqueued, 3u)
+      << "only the unbatched frees are visible to the shard";
+  s.sys.allocator->Flush(an);
+  EXPECT_EQ(s.stats().free_batches - before.free_batches, 1u)
+      << "Flush publishes the partial batch";
+  s.Finish(fe);
+}
+
+TEST(TenantSharedShard, InheritingTenantRingsOneDoorbellPerGlobalBatch) {
+  SharedShardSystem s;
+  Env wk(*s.machine, 2);
+  const std::vector<Addr> blocks = s.MallocBlocks(wk, 16);
+  const OffloadEngineStats before = s.stats();
+  for (const Addr a : blocks) {
+    s.sys.allocator->Free(wk, a);
+  }
+  EXPECT_EQ(s.stats().staged_frees - before.staged_frees, 16u);
+  EXPECT_EQ(s.stats().ring_doorbells - before.ring_doorbells, 2u) << "16 frees, batches of 8";
+  EXPECT_EQ(s.stats().free_batches - before.free_batches, 2u);
+  s.Finish(wk);
 }
 
 // ---- Per-tenant SLO plumbing ----
