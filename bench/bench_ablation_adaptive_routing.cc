@@ -69,42 +69,6 @@ Churn SkewedSpanMix() {
                ChurnDrain::kNewestFirst);
 }
 
-// Times every malloc on the calling core's clock, as the repository
-// benchmark's harness does, so the skew case reports exact client latencies
-// rather than a log histogram's bucket edges. Reading the clock costs no
-// simulated time.
-class MallocClock : public Allocator {
- public:
-  explicit MallocClock(Allocator& inner) : inner_(&inner) {}
-  std::string_view name() const override { return inner_->name(); }
-  Addr Malloc(Env& env, std::uint64_t size) override {
-    const std::uint64_t t0 = env.now();
-    const Addr a = inner_->Malloc(env, size);
-    cycles_.push_back(env.now() - t0);
-    return a;
-  }
-  void Free(Env& env, Addr addr) override { inner_->Free(env, addr); }
-  std::uint64_t UsableSize(Env& env, Addr addr) override {
-    return inner_->UsableSize(env, addr);
-  }
-  void Flush(Env& env) override { inner_->Flush(env); }
-  AllocatorStats stats() const override { return inner_->stats(); }
-
-  // Nearest-rank 99th percentile of every malloc timed so far.
-  std::uint64_t P99() {
-    if (cycles_.empty()) {
-      return 0;
-    }
-    std::sort(cycles_.begin(), cycles_.end());
-    const std::size_t rank = (cycles_.size() * 99 + 99) / 100;
-    return cycles_[rank - 1];
-  }
-
- private:
-  Allocator* inner_;
-  std::vector<std::uint64_t> cycles_;
-};
-
 struct CasePoint {
   std::string variant;
   std::uint64_t wall = 0;
@@ -243,7 +207,7 @@ SkewPoint RunSkewCase(Variant v) {
   SkewPoint out;
   out.variant = VariantName(v);
   out.wall = r.wall_cycles;
-  out.malloc_p99 = clock.P99();
+  out.malloc_p99 = clock.Quantile(99);
   out.mapped_bytes = sys.allocator->map_mapped_bytes();
   out.client_moves = sys.allocator->control()->client_moves();
   out.partition_ooms = sys.allocator->partition_oom_failures();

@@ -150,10 +150,11 @@ struct PlacementPoint {
 };
 
 // 8 cores in 2-core clusters; clients on cores 0 and 3 so the two shards'
-// natural homes sit in different clusters. kPerCluster puts each server next
-// to its client (cores 1 and 2); kContiguous banishes both to the far
-// clusters (cores 6 and 7), making every mailbox transfer cross-cluster.
-PlacementPoint RunPlacement(BenchCli& cli, PlacementKind kind) {
+// natural homes sit in different clusters. ChooseServerCores puts each
+// server next to its client (cores 1 and 2); MakeNgxSystem's default, the
+// machine's last cores, banishes both to the far clusters (cores 6 and 7),
+// making every mailbox transfer cross-cluster.
+PlacementPoint RunPlacement(BenchCli& cli, bool per_cluster) {
   MachineConfig mc = MachineConfig::Default(8);
   mc.cluster_cores = 2;
   mc.same_cluster_transfer_latency = 30;
@@ -161,9 +162,10 @@ PlacementPoint RunPlacement(BenchCli& cli, PlacementKind kind) {
   cli.EnableTelemetry(machine, /*allow_trace=*/false);
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.num_shards = 2;
-  cfg.placement = kind;
   const std::vector<int> client_cores = {0, 3};
-  NgxSystem sys = MakeNgxSystemPlaced(machine, cfg, client_cores);
+  NgxSystem sys = per_cluster
+                      ? MakeNgxSystem(machine, cfg, ChooseServerCores(machine, cfg, client_cores))
+                      : MakeNgxSystem(machine, cfg);
 
   ChurnConfig wl_cfg;
   wl_cfg.live_blocks = 600;
@@ -281,8 +283,8 @@ int main(int argc, char** argv) {
             << "4 KiB-backed sweep's zero.\n\n";
 
   std::cout << "--- cluster-aware shard placement (2-core clusters, 2 shards) ---\n";
-  const PlacementPoint contiguous = RunPlacement(cli, PlacementKind::kContiguous);
-  const PlacementPoint per_cluster = RunPlacement(cli, PlacementKind::kPerCluster);
+  const PlacementPoint contiguous = RunPlacement(cli, /*per_cluster=*/false);
+  const PlacementPoint per_cluster = RunPlacement(cli, /*per_cluster=*/true);
   TextTable pt({"placement", "server cores", "wall cycles", "sync p99 (max shard)"});
   pt.AddRow({"contiguous", CoreList(contiguous.server_cores),
              FormatSci(static_cast<double>(contiguous.wall)),

@@ -8,11 +8,13 @@
 //    fills into the inactive half during its drain window and publishes
 //    with one release-store -- the client keeps allocating underneath.
 //
-// The sweep crosses refill mark x stash capacity x allocation intensity and
-// reports the two claims the pipeline makes: the sync-residue share (cold
-// mallocs that still pay a round trip) falls below the kMallocBatch
-// baseline, and a whole refill batch costs the client at most ONE stash
-// line transfer (the flip's acquire-read) -- flips never exceed refills.
+// The sweep crosses refill mark x allocation intensity, each pipeline row at
+// capacity 2 * kPipeHalfCap = 14 (the two halves are all a pipelined stash
+// holds), and reports the two claims the pipeline makes: the sync-residue
+// share (cold mallocs that still pay a round trip) falls below the
+// kMallocBatch baseline, and a whole refill batch costs the client at most
+// ONE stash line transfer (the flip's acquire-read) -- flips never exceed
+// refills.
 #include "bench/bench_common.h"
 
 using namespace ngx;
@@ -106,11 +108,9 @@ int main(int argc, char** argv) {
     rows.push_back(RunCase(cli, Mode::kBatch, 0, 0, intensity));
     best_pipe_at[i] = rows.size();
     for (const std::uint32_t mark : {1u, 2u, 4u}) {
-      for (const std::uint32_t cap : {14u, 32u}) {
-        rows.push_back(RunCase(cli, Mode::kPipeline, mark, cap, intensity));
-        if (rows.back().wall < rows[best_pipe_at[i]].wall) {
-          best_pipe_at[i] = rows.size() - 1;
-        }
+      rows.push_back(RunCase(cli, Mode::kPipeline, mark, 2 * kPipeHalfCap, intensity));
+      if (rows.back().wall < rows[best_pipe_at[i]].wall) {
+        best_pipe_at[i] = rows.size() - 1;
       }
     }
   }

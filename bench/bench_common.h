@@ -4,6 +4,7 @@
 #ifndef NGX_BENCH_BENCH_COMMON_H_
 #define NGX_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -260,7 +261,7 @@ inline MachineConfig Table3Machine() {
 // PMU counters and the allocator's own books. Two runs that agree here went
 // through the same simulated history as far as any reported number can
 // tell -- the bit-identity oracle behind "the flight recorder is purely
-// observational" and "an all-default tenant list changes nothing".
+// observational".
 inline std::uint64_t SimStateHash(const RunResult& r) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
@@ -293,11 +294,8 @@ inline std::uint64_t SimStateHash(const RunResult& r) {
 
 // Table 3's pipeline rung: the paper prototype on the same no-THP 4-KiB
 // spans as the Mimalloc anchor, plus §3.3.2 prediction and the pipelined
-// stash with refill mark 2. Total inventory is the two 7-entry halves with
-// no spill stack: the stash-pipeline ablation shows deeper client-side
-// retention buys nothing on this workload (the phased alloc/free structure
-// frees in bursts the spill can't re-serve before the phase ends; cap 32
-// lands within 0.1% of cap 14).
+// stash with refill mark 2. Total inventory is the two 7-entry halves, all
+// a pipelined stash holds (a larger stash_capacity runs the same way).
 inline NgxConfig Table3PipelineConfig() {
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.hugepage_spans = false;
@@ -310,10 +308,9 @@ inline NgxConfig Table3PipelineConfig() {
 
 // SimStateHash of RunXalanc(Table3Machine(), {}, NextGen{Table3PipelineConfig()},
 // XalancTable3Config()): bench_table3_nextgen's pipeline rung. The
-// determinism sweep, the tenant-QoS ablation's all-default tenant replay and
-// the hugepage ablation's off-knob cell all check against this one value,
-// so a deliberate change to simulated history re-pins it here, once, with a
-// before/after table in EXPERIMENTS.md.
+// determinism sweep and the hugepage ablation's off-knob cell both check
+// against this one value, so a deliberate change to simulated history
+// re-pins it here, once, with a before/after table in EXPERIMENTS.md.
 inline constexpr std::uint64_t kTable3PipelineHash = 0x5b6ede7a394975ceull;
 
 // A state hash as the 16-digit lowercase hex string the bench JSON carries.
@@ -322,6 +319,56 @@ inline std::string HashHex(std::uint64_t h) {
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
   return buf;
 }
+
+// Times every malloc on the calling core's clock, as the repository
+// benchmark's harness does, so a bench reports exact client latencies rather
+// than a log histogram's bucket edges. Reading the clock costs no simulated
+// time. Each call keeps its core, so a quantile covers one core's mallocs or
+// every core's.
+class MallocClock : public Allocator {
+ public:
+  static constexpr int kAllCores = -1;
+
+  explicit MallocClock(Allocator& inner) : inner_(&inner) {}
+  std::string_view name() const override { return inner_->name(); }
+  Addr Malloc(Env& env, std::uint64_t size) override {
+    const std::uint64_t t0 = env.now();
+    const Addr a = inner_->Malloc(env, size);
+    calls_.push_back({env.core_id(), env.now() - t0});
+    return a;
+  }
+  void Free(Env& env, Addr addr) override { inner_->Free(env, addr); }
+  std::uint64_t UsableSize(Env& env, Addr addr) override {
+    return inner_->UsableSize(env, addr);
+  }
+  void Flush(Env& env) override { inner_->Flush(env); }
+  AllocatorStats stats() const override { return inner_->stats(); }
+
+  // Nearest-rank `pct`-th percentile (1-100) of the mallocs timed on `core`,
+  // or on every core; 0 when there are none.
+  std::uint64_t Quantile(std::uint32_t pct, int core = kAllCores) const {
+    std::vector<std::uint64_t> cycles;
+    for (const Call& c : calls_) {
+      if (core == kAllCores || c.core == core) {
+        cycles.push_back(c.cycles);
+      }
+    }
+    if (cycles.empty()) {
+      return 0;
+    }
+    std::sort(cycles.begin(), cycles.end());
+    const std::size_t rank = std::max<std::size_t>((cycles.size() * pct + 99) / 100, 1);
+    return cycles[rank - 1];
+  }
+
+ private:
+  struct Call {
+    int core;
+    std::uint64_t cycles;
+  };
+  Allocator* inner_;
+  std::vector<Call> calls_;
+};
 
 // NextGen-Malloc under a xalanc run, with its shards on `server_cores`
 // (unused when config.offload is false and the heap runs inline).

@@ -131,36 +131,6 @@ def print_snapshot(doc):
         print("  (slab walk truncated at its cap; counts are lower bounds)")
 
 
-def print_tenants(doc):
-    """Per-tenant sync-latency SLO quantiles from any case carrying a
-    tenant_sync_latency map (bench_ablation_tenant_qos): one row per
-    (case, tenant) that actually recorded round trips."""
-    cases = doc.get("cases")
-    if not isinstance(cases, list):
-        return
-    rows = []
-    for case in cases:
-        tenants = case.get("tenant_sync_latency")
-        if not isinstance(tenants, dict):
-            continue
-        label = case.get("label", case.get("name", "?"))
-        for tenant, s in tenants.items():
-            if not s.get("count"):
-                continue
-            rows.append([
-                label,
-                tenant,
-                f"{s.get('count', 0):,}",
-                fmt(s.get("p50", 0)),
-                fmt(s.get("p95", 0)),
-                fmt(s.get("p99", 0)),
-                f"{s.get('max', 0):,}",
-            ])
-    if rows:
-        print("\nper-tenant sync latency (cycles):")
-        print(table(rows, ["case", "tenant", "syncs", "p50", "p95", "p99", "max"]))
-
-
 def print_dtlb_regions(doc):
     """Per-region dTLB table from any case carrying a dtlb_regions map
     (bench_ablation_hugepage, bench_table3_nextgen): one row per
@@ -237,7 +207,6 @@ def report(path):
     print_attribution(doc)
     print_matrix(doc)
     print_snapshot(doc)
-    print_tenants(doc)
     print_dtlb_regions(doc)
     print_fleet(doc)
 

@@ -506,11 +506,7 @@ void ControlPlane::EpochTick(Env& env) {
 
   // 4. Feed the router the closed matrix against the post-decision fleet, so
   // re-packing only targets shards that will actually serve mallocs.
-  for (int s = 0; s < nsh; ++s) {
-    epoch_scratch_.active[static_cast<std::size_t>(s)] =
-        fabric_->shard_state(s) == ShardState::kActive ? 1 : 0;
-  }
-  fabric_->router().Observe(epoch_scratch_);
+  fabric_->ObserveEpoch(epoch_scratch_);
   const std::uint64_t moves_total = fabric_->router().client_moves();
   const std::uint64_t epoch_moves = moves_total - last_client_moves_;
   last_client_moves_ = moves_total;

@@ -10,50 +10,25 @@
 #define NGX_SRC_CORE_NEXTGEN_CONFIG_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/core/heap_kind.h"
 #include "src/offload/routing.h"
 
 namespace ngx {
 
-// Where MakeNgxSystem places shard server cores (and with them the shard's
-// mailbox lines, which is what the machine model prices).
-enum class PlacementKind {
-  // Shards occupy the machine's last num_shards cores (the historical
-  // default).
-  kContiguous,
-  // Each shard's server core is picked inside the cluster holding the
-  // majority of the clients it serves under static_by_client routing
-  // (requires MachineConfig::cluster_cores > 0), falling back to the lowest
-  // free core when the cluster is fully occupied by clients.
-  kPerCluster,
-};
-
-// Async ring slots per (client, shard) channel MakeNgxSystem builds; a
-// free_batch (global or per tenant) must fit in one ring.
+// Async ring slots per (client, shard) channel MakeNgxSystem builds;
+// free_batch must fit in one ring.
 inline constexpr std::uint32_t kNgxRingCapacity = 64;
+
+// Entries per pipelined stash half: one 64-byte line holds the publish word
+// and seven block pointers.
+inline constexpr std::uint32_t kPipeHalfCap = 7;
 
 // Heap geometry every shard shares: page-granular 64-KiB spans (reuse
 // locality; also the unit of span ownership) and size classes up to 32 KiB,
 // above which a request maps a region of its own.
 inline constexpr std::uint64_t kNgxSpanBytes = 64 * 1024;
 inline constexpr std::uint64_t kNgxSmallMax = 32 * 1024;
-
-// A named tenant (DESIGN.md §15): the client cores it claims and the one
-// contract knob it may set, its remote frees per ring doorbell (1 = unbatched,
-// the low-latency contract; more = deeper batches, the throughput one).
-// kInherit keeps the global NgxConfig::free_batch. The name labels the
-// tenant's telemetry series. Cores no tenant claims run the global knobs
-// with no label.
-struct TenantSpec {
-  static constexpr std::uint32_t kInherit = 0xffffffffu;
-
-  std::string name;
-  std::vector<int> cores;
-  std::uint32_t free_batch = kInherit;
-};
 
 struct NgxConfig {
   // Run malloc/free on a dedicated core via the offload engine. When false,
@@ -107,7 +82,11 @@ struct NgxConfig {
   bool hugepage_metadata = false;
 
   // Section 3.3.2: server-side run prediction + batch preallocation into a
-  // per-client stash.
+  // per-client stash of stash_capacity entries per (core, class). The
+  // pipelined stash below keeps min(stash_capacity, kPipeHalfCap) entries in
+  // each of its two one-line halves and nothing beyond them, so a capacity
+  // past 2 * kPipeHalfCap runs exactly as 2 * kPipeHalfCap does; it must be
+  // nonzero there.
   bool prediction = false;
   std::uint32_t max_predict_batch = 16;
   std::uint32_t stash_capacity = 32;
@@ -139,7 +118,8 @@ struct NgxConfig {
   // The shard drains published batches in its idle windows, entry by entry,
   // only until the next sync request is due (malloc-first, DESIGN.md §7).
   // 1 = the unbatched path, one doorbell per free, drained before the
-  // freeing client's own sync requests. Must not exceed kNgxRingCapacity.
+  // freeing client's own sync requests. Every client core runs the same
+  // value. Must be 1 to kNgxRingCapacity.
   std::uint32_t free_batch = 1;
   // A shard whose partition runs dry requests whole free spans from the
   // donor with the most free spans via OffloadOp::kDonateSpan (needs
@@ -183,16 +163,6 @@ struct NgxConfig {
   // parked shard's own backlog or the busiest active shard's depth reaching
   // this many entries.
   std::uint64_t wake_queue_depth = 16;
-  // Tenants (DESIGN.md §15): named client-core groups, each with its own
-  // free_batch, resolved once at construction. Tenants that share a shard
-  // share its one server timeline: a tenant sets how its frees batch, not
-  // who is served first. Empty (the default) keeps the single implicit
-  // tenant; a list whose every entry inherits free_batch changes only the
-  // telemetry labels.
-  std::vector<TenantSpec> tenants;
-
-  // Server-core placement policy used by MakeNgxSystem's placed overload.
-  PlacementKind placement = PlacementKind::kContiguous;
   // Total heap window carved into shard slices. 0 = the full kHeapWindow;
   // tests and benches shrink it so partition exhaustion is reachable.
   std::uint64_t heap_window = 0;

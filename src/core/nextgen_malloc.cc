@@ -58,6 +58,8 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   NGX_CHECK(!config.stash_pipeline || config.stash_refill_mark > 0,
             "stash_pipeline needs stash_refill_mark > 0; turn the pipeline off with "
             "stash_pipeline = false");
+  NGX_CHECK(!config.stash_pipeline || config.stash_capacity > 0,
+            "pipelined stash needs a nonzero capacity");
   NGX_CHECK(!config.prediction || config.offload,
             "prediction needs offload: the inline allocator never reads the stash");
   ServerHeapConfig hc;
@@ -94,10 +96,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
             "span_high_mark must exceed span_low_mark");
   NGX_CHECK(config.span_low_mark == 0 || config.watermark_timer_cycles > 0,
             "watermark rebalancing (span_low_mark) needs watermark_timer_cycles > 0");
-  // Tenants (DESIGN.md §15) resolve before anything is sized or constructed
-  // from them.
-  plan_ = ResolveTenantPlan(config, machine.num_cores(),
-                            fabric != nullptr ? fabric->server_cores() : std::vector<int>{});
   heaps_.reserve(static_cast<std::size_t>(nshards));
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
   for (int s = 0; s < nshards; ++s) {
@@ -126,10 +124,12 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     if (config.stash_pipeline) {
       NGX_CHECK(classes_.num_classes() < (1u << 16),
                 "kRefillStash packs the size class into the tagged-ring arg");
-      // [half 0][half 1][spill stack], the halves one 64-byte line each:
-      // [seq|count][7 entries].
+      // [half 0][half 1], one 64-byte line each: [seq|count][7 entries]. A
+      // refill batch beyond one line would cost a transfer per extra line
+      // and hand out ever-colder server blocks, so the line caps the half.
       stash_half_bytes_ = 64;
-      stash_slot_ = 2 * stash_half_bytes_ + AlignUp(8ull * plan_.spill_depth, 64);
+      stash_slot_ = 2 * stash_half_bytes_;
+      pipe_cap_ = std::min(config.stash_capacity, kPipeHalfCap);
       pipes_.assign(static_cast<std::size_t>(machine.num_cores()) * classes_.num_classes(),
                     StashPipe{});
     } else {
@@ -152,16 +152,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // idiom): a remote free costs its entry store alone, not a re-read of
     // the server-written tail line per push.
     fabric_->set_producer_index_cache(true);
-  }
-  // Tenant labels on the fabric (DESIGN.md §15); unclaimed cores carry no
-  // label.
-  if (fabric != nullptr) {
-    for (int c = 0; c < machine.num_cores(); ++c) {
-      const int tenant = plan_.cores[static_cast<std::size_t>(c)].tenant;
-      if (tenant >= 0) {
-        fabric->set_client_label(c, plan_.tenant_names[static_cast<std::size_t>(tenant)]);
-      }
-    }
   }
   // Flight-recorder wiring (host-side only; inert until the recorder is
   // enabled). The snapshot source lets Machine's periodic cadence and the
@@ -332,11 +322,10 @@ void NgxAllocator::Free(Env& env, Addr addr) {
     frec->matrix().NoteFree(env.core_id(), shard);
   }
   if (config_.async_free) {
-    const std::uint32_t batch = plan_.cores[static_cast<std::size_t>(env.core_id())].free_batch;
-    if (batch > 1) {
-      // Staged straight into the ring; every batch-th free of this tenant
-      // publishes the batch with one doorbell (DESIGN.md §7).
-      fabric_->StageFree(env, shard, addr, batch);
+    if (config_.free_batch > 1) {
+      // Staged straight into the ring; every free_batch-th free of this
+      // client publishes the batch with one doorbell (DESIGN.md §7).
+      fabric_->StageFree(env, shard, addr, config_.free_batch);
     } else {
       fabric_->AsyncRequest(env, shard, OffloadOp::kFree, addr);
     }
@@ -368,24 +357,15 @@ bool NgxAllocator::StashPopActive(Env& env, int core, std::uint32_t cls, Addr* o
 bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr) {
   StashPipe& pipe = Pipe(core, cls);
   const std::uint32_t count = pipe.count[pipe.active];
-  if (count < plan_.pipe_cap) {
-    // One timed store -- the entry itself, at the active half's top, where
-    // the very next pop of this class returns it (depth-1 LIFO). The count
-    // bump is the register mirror.
-    env.Store<std::uint64_t>(HalfAddr(core, cls, pipe.active) + 8 * (count + 1), addr);
-    pipe.count[pipe.active] = count + 1;
-    return true;
+  if (count >= pipe_cap_) {
+    return false;  // inventory bounded; the free takes the ring to its shard
   }
-  if (pipe.spill < plan_.spill_depth) {
-    // Active half full (a free burst): retain the block client-side on the
-    // spill stack rather than shipping it to the server only to refill it
-    // back later. Spill lines are touched by no other core, so this is one
-    // local store with no coherence traffic at all.
-    env.Store<std::uint64_t>(SpillAddr(core, cls, pipe.spill), addr);
-    ++pipe.spill;
-    return true;
-  }
-  return false;  // inventory bounded; the free takes the ring to its shard
+  // One timed store -- the entry itself, at the active half's top, where the
+  // very next pop of this class returns it (depth-1 LIFO). The count bump is
+  // the register mirror.
+  env.Store<std::uint64_t>(HalfAddr(core, cls, pipe.active) + 8 * (count + 1), addr);
+  pipe.count[pipe.active] = count + 1;
+  return true;
 }
 
 Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t cls,
@@ -396,16 +376,6 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
   std::uint64_t remaining = 0;
   if (StashPopActive(env, core, cls, &block, &remaining)) {
     return StashHit(env, size, cls, block, remaining, rec, t0);
-  }
-  if (pipe.spill > 0) {
-    // Active half dry but the spill stack holds recycled frees: one local
-    // load, LIFO -- the most recently freed block of this class, likeliest
-    // still warm in this core's cache. Spill blocks are consumed before any
-    // refill is posted (they are hotter than anything the server could
-    // send).
-    --pipe.spill;
-    block = env.Load<std::uint64_t>(SpillAddr(core, cls, pipe.spill));
-    return StashHit(env, size, cls, block, pipe.spill, rec, t0);
   }
   if (pipe.in_flight) {
     // The active half ran dry with a refill outstanding: consume it and keep
@@ -443,10 +413,10 @@ void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t re
   if (pipe.in_flight || remaining > config_.stash_refill_mark) {
     return;
   }
-  if (pipe.count[pipe.active ^ 1] > 0 || pipe.spill > 0) {
+  if (pipe.count[pipe.active ^ 1] > 0) {
     return;  // client-held blocks remain; they are hotter than any refill
   }
-  const std::uint32_t want = predictor_->RefillSize(core, cls, plan_.pipe_cap);
+  const std::uint32_t want = predictor_->RefillSize(core, cls, pipe_cap_);
   if (want == 0) {
     return;  // stream too cold; the next miss pays the sync trip and warms it
   }
@@ -599,11 +569,6 @@ void NgxAllocator::Flush(Env& env) {
           env.Store<std::uint64_t>(base, 0);
           pipe.count[half] = 0;
         }
-        while (pipe.spill > 0) {
-          --pipe.spill;
-          block = env.Load<std::uint64_t>(SpillAddr(env.core_id(), cls, pipe.spill));
-          fabric_->AsyncRequest(env, ShardOfAddr(block), OffloadOp::kFree, block);
-        }
         pipe.in_flight = false;
       } else {
         IndexStack stash = Stash(env.core_id(), cls);
@@ -642,7 +607,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         // client refreshes its register mirror from the header after the
         // trip).
         const Addr base = HalfAddr(client, cls, Pipe(client, cls).active);
-        batch = std::min(batch, plan_.pipe_cap);
+        batch = std::min(batch, pipe_cap_);
         std::uint64_t count = 0;
         for (std::uint32_t i = 0; i < batch; ++i) {
           const Addr b = heap.Malloc(server_env, classes_.SizeOf(cls));
@@ -824,20 +789,11 @@ std::vector<int> ChooseServerCores(const Machine& machine, const NgxConfig& conf
     NGX_CHECK(c >= 0 && c < ncores, "client core out of range");
     taken[static_cast<std::size_t>(c)] = true;
   }
+  const int k = machine.config().cluster_cores;
+  NGX_CHECK(k > 0, "cluster-aware placement needs MachineConfig::cluster_cores");
+  const int nclusters = (ncores + k - 1) / k;
   std::vector<int> cores;
   cores.reserve(static_cast<std::size_t>(config.num_shards));
-  if (config.placement == PlacementKind::kContiguous) {
-    for (int s = 0; s < config.num_shards; ++s) {
-      const int core = ncores - config.num_shards + s;
-      NGX_CHECK(core >= 0 && !taken[static_cast<std::size_t>(core)],
-                "contiguous placement collides with a client core");
-      cores.push_back(core);
-    }
-    return cores;
-  }
-  const int k = machine.config().cluster_cores;
-  NGX_CHECK(k > 0, "per_cluster placement needs MachineConfig::cluster_cores");
-  const int nclusters = (ncores + k - 1) / k;
   for (int s = 0; s < config.num_shards; ++s) {
     // The clients static_by_client routing sends to shard s, bucketed by
     // cluster; majority wins, ties to the lower cluster.
@@ -873,14 +829,6 @@ std::vector<int> ChooseServerCores(const Machine& machine, const NgxConfig& conf
     cores.push_back(chosen);
   }
   return cores;
-}
-
-NgxSystem MakeNgxSystemPlaced(Machine& machine, const NgxConfig& config,
-                              const std::vector<int>& client_cores) {
-  if (!config.offload) {
-    return MakeNgxSystem(machine, config, std::vector<int>{});
-  }
-  return MakeNgxSystem(machine, config, ChooseServerCores(machine, config, client_cores));
 }
 
 NgxSystem MakeNgxSystem(Machine& machine, const NgxConfig& config, int first_server_core) {

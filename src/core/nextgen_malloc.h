@@ -20,8 +20,7 @@
 //
 // NgxAllocator is the data plane: the client front end and the server
 // request dispatch. Which shard owns which spans, and which shards serve, is
-// the ControlPlane's (control_plane.h), present on multi-shard fabrics; each
-// core's tenant and free batch come from the TenantPlan (tenant_plan.h).
+// the ControlPlane's (control_plane.h), present on multi-shard fabrics.
 //
 // With config.stash_pipeline (DESIGN.md §9), each (core, class) stash splits
 // into two single-cache-line halves whose header word doubles as a
@@ -35,8 +34,8 @@
 // straight into the active half after a one-load local classification
 // (ServerHeap::ClassifyForRecycle), so in steady state blocks bounce between
 // the app and its own stash at depth-1 LIFO and neither the ring nor the
-// server sees them. The sync kMallocBatch round trip remains as the cold
-// path.
+// server sees them; a free that finds the active half full rides the ring.
+// The sync kMallocBatch round trip remains as the cold path.
 //
 // Set config.offload = false for the MMT-style inline ablation: the same
 // heap runs on the calling core (the lock must then be kept when several
@@ -57,7 +56,6 @@
 #include "src/core/nextgen_config.h"
 #include "src/core/server_heap.h"
 #include "src/core/span_directory.h"
-#include "src/core/tenant_plan.h"
 #include "src/offload/offload_fabric.h"
 #include "src/offload/prediction.h"
 #include "src/telemetry/flight_recorder.h"
@@ -95,9 +93,6 @@ class NgxAllocator : public Allocator {
   int ShardOfAddr(Addr addr) const;
 
   const NgxConfig& config() const { return config_; }
-  // Per-core contracts and the pipelined stash split (config.tenants;
-  // DESIGN.md §15), resolved once at construction.
-  const TenantPlan& plan() const { return plan_; }
   // Span economy and fleet controller; null unless the fabric has more than
   // one shard.
   const ControlPlane* control() const { return control_.get(); }
@@ -221,9 +216,6 @@ class NgxAllocator : public Allocator {
     // word in simulated memory is written only at protocol boundaries
     // (publish, sync seed, flush), never per pop or per recycle.
     std::uint32_t count[2] = {0, 0};
-    // Entries in the client-only spill stack behind the halves (see
-    // SpillAddr); always client-owned, count lives here.
-    std::uint32_t spill = 0;
     std::uint64_t expected_seq = 0;  // publish-word value that commits the fill
     std::uint64_t post_time = 0;     // client clock at the doorbell
     std::uint64_t fill_start = 0;    // server clock when the fill began
@@ -242,17 +234,6 @@ class NgxAllocator : public Allocator {
     return stash_base_ + stash_stride_ * static_cast<std::uint64_t>(core) +
            stash_slot_ * cls + stash_half_bytes_ * static_cast<std::uint64_t>(half);
   }
-  // Client-only spill stack behind the two halves: recycled frees that do
-  // not fit the active half stay HERE -- on lines only this client ever
-  // touches -- instead of riding the ring to the server, and pop back LIFO
-  // when the active half runs dry (mimalloc's thread-cache retention, which
-  // the two line-sized halves alone are too shallow to provide during free
-  // bursts). Holds stash_capacity - 2*kPipeHalfCap entries (0 when the
-  // configured capacity fits inside the halves).
-  Addr SpillAddr(int core, std::uint32_t cls, std::uint32_t index) const {
-    return HalfAddr(core, cls, 0) + 2 * stash_half_bytes_ +
-           8 * static_cast<std::uint64_t>(index);
-  }
   StashPipe& Pipe(int core, std::uint32_t cls) {
     return pipes_[static_cast<std::size_t>(core) * classes_.num_classes() + cls];
   }
@@ -263,10 +244,11 @@ class NgxAllocator : public Allocator {
   bool StashPopActive(Env& env, int core, std::uint32_t cls, Addr* out,
                       std::uint64_t* remaining);
   // Free fast path: pushes a just-freed block of `cls` back onto the ACTIVE
-  // half when it has room. The block never leaves the client -- no ring
-  // entry, no server work, and the next malloc of `cls` reuses it while its
-  // data lines are still in this core's cache (depth-1 LIFO, the same reuse
-  // locality the synchronous path gets from the server's free stacks).
+  // half when it has room (pipe_cap_ entries; a full half sends the free to
+  // the ring). The block never leaves the client -- no ring entry, no
+  // server work, and the next malloc of `cls` reuses it while its data lines
+  // are still in this core's cache (depth-1 LIFO, the same reuse locality
+  // the synchronous path gets from the server's free stacks).
   bool StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr);
 
   // Client fast path when the pipeline is on: pop the active half, post a
@@ -341,7 +323,6 @@ class NgxAllocator : public Allocator {
   // Fabric-wide hugepage frame refcounts (config.hugepage_packing); shared
   // by every shard's span provider so donated spans stay on backed frames.
   std::unique_ptr<HugepageLedger> hugepage_ledger_;
-  TenantPlan plan_;
   // Declared after heaps_: destroyed first, it clears the observers it set
   // on their span providers.
   std::unique_ptr<ControlPlane> control_;
@@ -355,6 +336,9 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_hits_ = 0;
   std::uint64_t sync_mallocs_ = 0;
   std::uint64_t stash_half_bytes_ = 0;  // one cache line per half
+  // Entries used per pipelined half, min(stash_capacity, kPipeHalfCap); 0
+  // without the pipeline.
+  std::uint32_t pipe_cap_ = 0;
   std::vector<StashPipe> pipes_;     // (core, class) pipeline state
   std::uint64_t stash_refills_ = 0;
   std::uint64_t refill_blocks_ = 0;
@@ -395,18 +379,15 @@ struct NgxSystem {
 NgxSystem MakeNgxSystem(Machine& machine, const NgxConfig& config,
                         std::vector<int> server_cores);
 
-// Server cores chosen by config.placement for the given application cores:
-// kContiguous = the machine's last num_shards cores; kPerCluster = for each
+// Cluster-aware server cores for the given application cores: for each
 // shard, the lowest free core inside the cluster (MachineConfig::
-// cluster_cores) holding the majority of the clients static_by_client
-// routing sends to it (ties to the lowest cluster; lowest free core anywhere
-// when that cluster has no core to spare).
+// cluster_cores, which must be set) holding the majority of the clients
+// static_by_client routing sends to it (ties to the lowest cluster; lowest
+// free core anywhere when that cluster has no core to spare). Pass the
+// result to MakeNgxSystem; its default puts the shards on the machine's last
+// num_shards cores instead.
 std::vector<int> ChooseServerCores(const Machine& machine, const NgxConfig& config,
                                    const std::vector<int>& client_cores);
-
-// Convenience: ChooseServerCores + MakeNgxSystem.
-NgxSystem MakeNgxSystemPlaced(Machine& machine, const NgxConfig& config,
-                              const std::vector<int>& client_cores);
 
 // Shards occupy cores first_server_core .. first_server_core+num_shards-1;
 // -1 places them on the machine's last num_shards cores. With num_shards = 1

@@ -67,8 +67,6 @@ OffloadEngine::OffloadEngine(Machine& machine, int server_core, Addr channel_bas
   }
   seq_.assign(n, 0);
   prod_cache_.assign(static_cast<std::size_t>(n), ProducerIndexCache{});
-  labels_.assign(static_cast<std::size_t>(n), std::string());
-  h_tenant_latency_.assign(static_cast<std::size_t>(n), nullptr);
 }
 
 std::uint64_t OffloadEngine::CachedPushReserve(Env& client_env, int client,
@@ -108,15 +106,6 @@ void OffloadEngine::BindInstruments() {
   h_drain_batch_ = &m.GetHistogram("offload.drain_batch", {{"shard", shard}});
   h_ring_occupancy_ = &m.GetHistogram("offload.ring_occupancy", {{"shard", shard}});
   h_free_batch_ = &m.GetHistogram("offload.free_batch", {{"shard", shard}});
-  // Tenant SLO series: one histogram per labeled client, labeled by tenant
-  // only (no shard/op) so HistogramTotal({{"tenant", name}}) sums one
-  // tenant's sync latency across every shard it talks to.
-  for (std::size_t c = 0; c < labels_.size(); ++c) {
-    if (!labels_[c].empty()) {
-      h_tenant_latency_[c] =
-          &m.GetHistogram("offload.sync_latency", {{"tenant", labels_[c]}});
-    }
-  }
   instruments_bound_ = true;
 }
 
@@ -261,9 +250,6 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   ++stats_.sync_requests;
   if (Recording()) {
     h_sync_latency_[static_cast<int>(op)]->Record(client_env.now() - t0);
-    if (Histogram* ht = h_tenant_latency_[static_cast<std::size_t>(client)]) {
-      ht->Record(client_env.now() - t0);
-    }
     h_queue_wait_->Record(queue_wait);
     Telemetry& tel = machine_->telemetry();
     if (tel.tracing()) {

@@ -3,9 +3,9 @@
 //
 // Timing model: one server clock per engine. The server core runs one handler
 // at a time and serves requests in the order they reach it, whichever client
-// or tenant sent them; the scheduler's step contract (src/sim/scheduler.h)
-// makes that send order. A sync request's service starts at max(server clock,
-// client send time): a request sent while a handler runs waits for it to end,
+// sent them; the scheduler's step contract (src/sim/scheduler.h) makes that
+// send order. A sync request's service starts at max(server clock, client
+// send time): a request sent while a handler runs waits for it to end,
 // and the client waits until the response is published. Before the service,
 // the window drains this client's ring and runs the post-drain hook, from the
 // server's own clock -- with no lower bound at each entry's push, so an
@@ -26,7 +26,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/offload/channel.h"
@@ -159,13 +158,6 @@ class OffloadEngine {
   // pipeline enables it.
   void set_producer_index_cache(bool on) { producer_cache_ = on; }
 
-  // Tenant label for this client's telemetry: when non-empty, sync latency
-  // is additionally recorded into offload.sync_latency{tenant=<label>}, the
-  // per-tenant SLO series RunResult surfaces.
-  void set_client_label(int client, std::string label) {
-    labels_[static_cast<std::size_t>(client)] = std::move(label);
-  }
-
  private:
   Env ServerEnv() { return Env(*machine_, server_core_); }
   // Drains `client`'s ring on the server clock. A `deadline` makes it a
@@ -242,7 +234,6 @@ class OffloadEngine {
   int shard_id_ = 0;
   OffloadServer* server_ = nullptr;
   std::uint32_t eager_drain_at_ = 0;
-  std::vector<std::string> labels_;  // per-client tenant label ("" = none)
   bool producer_cache_ = false;
   std::vector<ProducerIndexCache> prod_cache_;  // one per client core
   std::vector<Channel> channels_;
@@ -265,8 +256,6 @@ class OffloadEngine {
   // Sync latency is split per op; index = static_cast<int>(OffloadOp).
   bool instruments_bound_ = false;
   Histogram* h_sync_latency_[kOffloadOpCount] = {};
-  // Per-client tenant SLO series (null for unlabeled clients).
-  std::vector<Histogram*> h_tenant_latency_;
   Histogram* h_queue_wait_ = nullptr;
   Histogram* h_drain_batch_ = nullptr;
   Histogram* h_ring_occupancy_ = nullptr;

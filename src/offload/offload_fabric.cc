@@ -59,11 +59,7 @@ std::uint64_t OffloadFabric::TakeEpoch(EpochMatrix* out) {
   out->num_shards = num_shards();
   out->epoch = epoch_seq_;
   out->ops = epoch_ops_;
-  out->active.assign(engines_.size(), 0);
   std::uint64_t total = 0;
-  for (std::size_t s = 0; s < engines_.size(); ++s) {
-    out->active[s] = states_[s] == ShardState::kActive ? 1 : 0;
-  }
   for (std::uint64_t v : epoch_ops_) total += v;
   epoch_ops_.assign(epoch_ops_.size(), 0);
   return total;

@@ -72,17 +72,12 @@ class OffloadFabric {
     }
   }
 
-  // Telemetry label for one client's rings on every shard (a tenant's name,
-  // DESIGN.md §15; the default, no label, records no tenant series).
-  void set_client_label(int client, const std::string& label) {
-    for (auto& e : engines_) {
-      e->set_client_label(client, label);
-    }
-  }
-
   // The shard that serves a malloc from `client` (Router::Route over the
   // current shard states). Host-side only; charges no simulated time.
   int RouteMalloc(int client) const { return router_.Route(client, states_); }
+  // Re-packs the router's homes from a closed epoch against the current
+  // shard states (Router::Observe).
+  void ObserveEpoch(const EpochMatrix& epoch) { router_.Observe(epoch, states_); }
 
   // ---- Shard lifecycle (elastic fleet) ----------------------------------
   // State is host-side bookkeeping owned by the epoch controller in the
@@ -101,10 +96,10 @@ class OffloadFabric {
   // ---- Epoch traffic matrix ---------------------------------------------
   // When tracking is enabled (the adaptive controller turns it on), every
   // request entry point counts one op against (client core, shard) in a
-  // host-side matrix. TakeEpoch snapshots the matrix (plus the per-shard
-  // active flags) into `out`, resets the accumulators, and returns the total
-  // op count of the closing epoch. Independent of the flight recorder's
-  // telemetry-gated traffic matrix, which stays observational.
+  // host-side matrix. TakeEpoch snapshots the matrix into `out`, resets the
+  // accumulators, and returns the total op count of the closing epoch.
+  // Independent of the flight recorder's telemetry-gated traffic matrix,
+  // which stays observational.
   void set_epoch_tracking(bool on);
   bool epoch_tracking() const { return epoch_tracking_; }
   std::uint64_t TakeEpoch(EpochMatrix* out);

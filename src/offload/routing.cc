@@ -29,8 +29,11 @@ int Router::Route(int client, const std::vector<ShardState>& states) const {
   return 0;
 }
 
-void Router::Observe(const EpochMatrix& epoch) {
+void Router::Observe(const EpochMatrix& epoch, const std::vector<ShardState>& states) {
   if (epoch.num_shards <= 0) return;
+  const auto active = [&states](int s) {
+    return states[static_cast<std::size_t>(s)] == ShardState::kActive;
+  };
   if (static_cast<int>(home_.size()) < epoch.num_clients) {
     home_.resize(static_cast<std::size_t>(epoch.num_clients), -1);
   }
@@ -52,7 +55,7 @@ void Router::Observe(const EpochMatrix& epoch) {
     const std::uint64_t t = epoch.RowTotal(c);
     int best = -1;
     for (int s = 0; s < epoch.num_shards; ++s) {
-      if (!epoch.active[static_cast<std::size_t>(s)]) continue;
+      if (!active(s)) continue;
       if (best < 0 || packed[static_cast<std::size_t>(s)] <
                           packed[static_cast<std::size_t>(best)]) {
         best = s;
@@ -61,8 +64,7 @@ void Router::Observe(const EpochMatrix& epoch) {
     if (best < 0) return;  // whole fleet inactive; leave placement alone
     int chosen = best;
     const int h = home_[static_cast<std::size_t>(c)];
-    if (h >= 0 && h < epoch.num_shards && h != best &&
-        epoch.active[static_cast<std::size_t>(h)]) {
+    if (h >= 0 && h < epoch.num_shards && h != best && active(h)) {
       // Hysteresis: stay home unless moving beats the home shard's packed
       // height by more than kHysteresisPct percent.
       const std::uint64_t cost_home = packed[static_cast<std::size_t>(h)] + t;

@@ -60,7 +60,6 @@ struct EpochMatrix {
   int num_shards = 0;
   std::uint64_t epoch = 0;             // epoch sequence number (1-based)
   std::vector<std::uint64_t> ops;      // client-major, num_clients*num_shards
-  std::vector<std::uint8_t> active;    // per-shard: eligible for new mallocs
 
   std::uint64_t Ops(int client, int shard) const {
     return ops[static_cast<std::size_t>(client) *
@@ -104,9 +103,10 @@ class Router {
   // placed it, the (client % active count)-th active shard.
   int Route(int client, const std::vector<ShardState>& states) const;
   // Re-packs homes from one closed epoch: clients by descending epoch
-  // traffic, each onto the active shard with the smallest packed load unless
-  // the hysteresis keeps it home. Zero-traffic clients keep their homes.
-  void Observe(const EpochMatrix& epoch);
+  // traffic, each onto the shard with the smallest packed load among those
+  // `states` marks active, unless the hysteresis keeps it home. Zero-traffic
+  // clients keep their homes.
+  void Observe(const EpochMatrix& epoch, const std::vector<ShardState>& states);
 
   // Home shard currently assigned to `client`, or -1 before any epoch has
   // placed it.

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "src/core/nextgen_malloc.h"
-
 namespace ngx {
 
 std::vector<int> FirstCores(int n) {
@@ -81,17 +79,6 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
       result.shard_sync_latency.push_back(h.Summary());
     }
     result.free_flush_occupancy = m.HistogramTotal("offload.free_batch", {}).Summary();
-    if (const auto* ngx = dynamic_cast<const NgxAllocator*>(&alloc)) {
-      // Per-tenant SLO quantiles (DESIGN.md §15): each labeled tenant's sync
-      // round-trip latency summed across every shard it talked to. The
-      // series carries only the tenant label, so the subset match cannot
-      // also pick up the per-(shard, op) series above.
-      for (const std::string& name : ngx->plan().tenant_names) {
-        result.tenant_names.push_back(name);
-        result.tenant_sync_latency.push_back(
-            m.HistogramTotal("offload.sync_latency", {{"tenant", name}}).Summary());
-      }
-    }
   }
   if (machine.telemetry().recording()) {
     FlightRecorder& rec = machine.telemetry().recorder();

@@ -35,11 +35,6 @@ struct RunResult {
   // RunOptions::server_cores), aggregated over ops. Populated only when the
   // machine's telemetry was enabled; units are simulated cycles.
   std::vector<HistogramSummary> shard_sync_latency;
-  // Per-tenant sync-latency SLO digests (telemetry-enabled NgxAllocator runs
-  // with a configured tenant list only; DESIGN.md §15). Parallel vectors in
-  // NgxConfig::tenants order, each digest aggregated across all shards.
-  std::vector<std::string> tenant_names;
-  std::vector<HistogramSummary> tenant_sync_latency;
   // Entries per published remote-free batch (telemetry-enabled runs only,
   // like shard_sync_latency).
   HistogramSummary free_flush_occupancy;

@@ -35,15 +35,11 @@ constexpr std::uint64_t kMiB = 1024 * 1024;
 
 // Builds an epoch whose per-client row totals are `rows` (the router only
 // consumes RowTotal, so the whole row can sit in column 0).
-EpochMatrix MakeEpoch(int num_shards, const std::vector<std::uint64_t>& rows,
-                      std::vector<std::uint8_t> active = {}) {
+EpochMatrix MakeEpoch(int num_shards, const std::vector<std::uint64_t>& rows) {
   EpochMatrix m;
   m.num_clients = static_cast<int>(rows.size());
   m.num_shards = num_shards;
   m.ops.assign(rows.size() * static_cast<std::size_t>(num_shards), 0);
-  m.active = active.empty()
-                 ? std::vector<std::uint8_t>(static_cast<std::size_t>(num_shards), 1)
-                 : std::move(active);
   for (std::size_t c = 0; c < rows.size(); ++c) {
     m.ops[c * static_cast<std::size_t>(num_shards)] = rows[c];
   }
@@ -66,7 +62,7 @@ TEST(AdaptiveRouting, UnplacedClientSpreadsOverActiveShards) {
 
 TEST(AdaptiveRouting, ObserveGreedyPacksByDescendingTraffic) {
   Router r;
-  r.Observe(MakeEpoch(2, {100, 80, 60, 40}));
+  r.Observe(MakeEpoch(2, {100, 80, 60, 40}), ActiveStates(2));
   // Placement order 100, 80, 60, 40 onto the least-packed shard:
   // c0->s0 (100|0), c1->s1 (100|80), c2->s1 (100|140), c3->s0 (140|140).
   EXPECT_EQ(r.HomeOf(0), 0);
@@ -80,20 +76,20 @@ TEST(AdaptiveRouting, ObserveGreedyPacksByDescendingTraffic) {
 
 TEST(AdaptiveRouting, HysteresisHoldsMarginalHomesAndReleasesClearOnes) {
   Router r;
-  r.Observe(MakeEpoch(2, {100, 100}));
+  r.Observe(MakeEpoch(2, {100, 100}), ActiveStates(2));
   ASSERT_EQ(r.HomeOf(0), 0);
   ASSERT_EQ(r.HomeOf(1), 1);
 
   // c1 now dominates and its greedy slot would be s0 (empty-shard tie breaks
   // to the lower id), but s0 is no better than its home -- hysteresis holds.
-  r.Observe(MakeEpoch(2, {10, 100}));
+  r.Observe(MakeEpoch(2, {10, 100}), ActiveStates(2));
   EXPECT_EQ(r.HomeOf(0), 0);
   EXPECT_EQ(r.HomeOf(1), 1);
   EXPECT_EQ(r.client_moves(), 0u);
 
   // A new heavy client lands on s0 first; staying would cost c0 a 3x taller
   // shard than moving (300 vs 100 > the 25% band), so c0 must move.
-  r.Observe(MakeEpoch(2, {100, 100, 200}));
+  r.Observe(MakeEpoch(2, {100, 100, 200}), ActiveStates(2));
   EXPECT_EQ(r.HomeOf(2), 0);
   EXPECT_EQ(r.HomeOf(0), 1) << "clearly-worse home released";
   EXPECT_EQ(r.HomeOf(1), 1);
@@ -107,9 +103,9 @@ TEST(AdaptiveRouting, HysteresisHoldsMarginalHomesAndReleasesClearOnes) {
 TEST(AdaptiveRouting, HysteresisBandIsTwentyFivePercentInclusive) {
   for (const std::uint64_t b : {150u, 151u}) {
     Router r;
-    r.Observe(MakeEpoch(3, {200, 0, 0, 100}));
+    r.Observe(MakeEpoch(3, {200, 0, 0, 100}), ActiveStates(3));
     ASSERT_EQ(r.HomeOf(3), 1);
-    r.Observe(MakeEpoch(3, {200, b, 100, 100}));
+    r.Observe(MakeEpoch(3, {200, b, 100, 100}), ActiveStates(3));
     ASSERT_EQ(r.HomeOf(1), 1);
     ASSERT_EQ(r.HomeOf(2), 2);
     EXPECT_EQ(r.HomeOf(3), b == 150 ? 1 : 2) << "s1 carries " << b;
@@ -119,13 +115,13 @@ TEST(AdaptiveRouting, HysteresisBandIsTwentyFivePercentInclusive) {
 
 TEST(AdaptiveRouting, ObserveAndRouteSkipInactiveShards) {
   Router r;
-  r.Observe(MakeEpoch(2, {50, 50}, {1, 0}));
+  r.Observe(MakeEpoch(2, {50, 50}), {ShardState::kActive, ShardState::kParked});
   EXPECT_EQ(r.HomeOf(0), 0);
   EXPECT_EQ(r.HomeOf(1), 0) << "packing never targets an inactive shard";
 
   // A home that goes inactive between epochs stops attracting mallocs.
   Router q;
-  q.Observe(MakeEpoch(2, {10, 100}));
+  q.Observe(MakeEpoch(2, {10, 100}), ActiveStates(2));
   ASSERT_EQ(q.HomeOf(1), 0);
   auto states = ActiveStates(2);
   states[0] = ShardState::kDraining;
@@ -134,9 +130,9 @@ TEST(AdaptiveRouting, ObserveAndRouteSkipInactiveShards) {
 
 TEST(AdaptiveRouting, IdleClientKeepsItsHome) {
   Router r;
-  r.Observe(MakeEpoch(2, {100, 40}));
+  r.Observe(MakeEpoch(2, {100, 40}), ActiveStates(2));
   ASSERT_EQ(r.HomeOf(1), 1);
-  r.Observe(MakeEpoch(2, {100, 0}));
+  r.Observe(MakeEpoch(2, {100, 0}), ActiveStates(2));
   EXPECT_EQ(r.HomeOf(1), 1) << "an idle client must not churn placement";
   EXPECT_EQ(r.client_moves(), 0u);
 }
@@ -145,9 +141,9 @@ TEST(AdaptiveRouting, IdleClientKeepsItsHome) {
 // placed earlier keep their homes within the band.
 TEST(AdaptiveRouting, ObservePlacesClientsFirstSeenInALaterEpoch) {
   Router r;
-  r.Observe(MakeEpoch(2, {100, 100}));
+  r.Observe(MakeEpoch(2, {100, 100}), ActiveStates(2));
   ASSERT_EQ(r.HomeOf(3), -1);
-  r.Observe(MakeEpoch(2, {100, 100, 0, 50}));
+  r.Observe(MakeEpoch(2, {100, 100, 0, 50}), ActiveStates(2));
   EXPECT_EQ(r.HomeOf(0), 0);
   EXPECT_EQ(r.HomeOf(1), 1);
   EXPECT_EQ(r.HomeOf(2), -1) << "a client with no traffic stays unplaced";
@@ -159,11 +155,11 @@ TEST(AdaptiveRouting, ObservePlacesClientsFirstSeenInALaterEpoch) {
 // home by a heavier newcomer and pushed back later counts twice.
 TEST(AdaptiveRouting, ClientMovesCountEachReassignment) {
   Router r;
-  r.Observe(MakeEpoch(2, {100, 100}));  // c0 -> s0, c1 -> s1
-  r.Observe(MakeEpoch(2, {100, 0, 400}));  // c2 takes s0, c0 moves to s1
+  r.Observe(MakeEpoch(2, {100, 100}), ActiveStates(2));  // c0 -> s0, c1 -> s1
+  r.Observe(MakeEpoch(2, {100, 0, 400}), ActiveStates(2));  // c2 takes s0, c0 moves to s1
   ASSERT_EQ(r.HomeOf(0), 1);
   ASSERT_EQ(r.client_moves(), 1u);
-  r.Observe(MakeEpoch(2, {100, 400}));  // c1 keeps s1, c0 moves back to s0
+  r.Observe(MakeEpoch(2, {100, 400}), ActiveStates(2));  // c1 keeps s1, c0 moves back to s0
   EXPECT_EQ(r.HomeOf(1), 1);
   EXPECT_EQ(r.HomeOf(0), 0);
   EXPECT_EQ(r.client_moves(), 2u);
@@ -172,10 +168,10 @@ TEST(AdaptiveRouting, ClientMovesCountEachReassignment) {
 // An epoch in which no shard serves mallocs leaves every home as it was.
 TEST(AdaptiveRouting, ObserveWithTheWholeFleetInactiveKeepsPlacement) {
   Router r;
-  r.Observe(MakeEpoch(2, {100, 40}));
+  r.Observe(MakeEpoch(2, {100, 40}), ActiveStates(2));
   ASSERT_EQ(r.HomeOf(0), 0);
   ASSERT_EQ(r.HomeOf(1), 1);
-  r.Observe(MakeEpoch(2, {40, 100}, {0, 0}));
+  r.Observe(MakeEpoch(2, {40, 100}), {ShardState::kDraining, ShardState::kParked});
   EXPECT_EQ(r.HomeOf(0), 0);
   EXPECT_EQ(r.HomeOf(1), 1);
   EXPECT_EQ(r.client_moves(), 0u);

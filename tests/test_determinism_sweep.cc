@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/alloc/registry.h"
@@ -426,16 +429,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(HeapKind::kAggregated, HeapKind::kSegment)));
 
-// ---- Tenant determinism ----
-//
-// The tenant layer (DESIGN.md §15) promises two things. First, an inert
-// tenant list -- empty, or one default tenant inheriting free_batch -- is
-// BIT-IDENTICAL to the tenant-free build: the pin below replays
-// bench_table3_nextgen's pipeline row byte for byte and checks the same
-// final-state hash that bench asserts against its recorded value. Second,
-// a heterogeneous tenant mix is still a deterministic simulation: two
-// identical runs agree on every clock, PMU stream and book entry, across
-// shard counts.
+// ---- The pinned Table 3 history ----
 
 // Runs `cfg` through the recipe bench_table3_nextgen hashes (machine,
 // workload, seed), so a regression that shifts one cycle fails in ctest,
@@ -446,75 +440,15 @@ RunResult Table3Run(const NgxConfig& cfg) {
       .result;
 }
 
-std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
-  NgxConfig cfg = bench::Table3PipelineConfig();
-  if (with_default_tenant) {
-    TenantSpec t;
-    t.name = "default_tenant";  // free_batch at kInherit
-    t.cores = {0};
-    cfg.tenants = {t};
-  }
-  return bench::SimStateHash(Table3Run(cfg));
-}
-
 // bench::kTable3PipelineHash is the pinned history. If this fails, something
-// changed simulated history for tenant-less runs: either an unintended timing
-// regression, or a deliberate model change -- in which case re-pin the
-// constant in bench_common.h.
+// changed simulated history: either an unintended timing regression, or a
+// deliberate model change -- in which case re-pin the constant in
+// bench_common.h.
 using bench::kTable3PipelineHash;
 
-TEST(TenantTraitsDeterminism, DefaultTraitsReplayThePinnedPipelineHash) {
-  EXPECT_EQ(HashedTable3PipelineRun(false), kTable3PipelineHash)
-      << "the tenant-less pipeline run no longer matches the pinned history";
-  EXPECT_EQ(HashedTable3PipelineRun(true), kTable3PipelineHash)
-      << "an all-default tenant list must be bit-identical to no tenants";
-}
-
-// The same contract on a multi-shard span economy: tenants that inherit
-// free_batch leave every shard on the global watermarks, so the run replays
-// the tenant-free history bit for bit.
-std::uint64_t HashedSpanEconomyRun(bool with_tenants, std::uint64_t* moves) {
-  Machine machine(MachineConfig::Default(6));
-  NgxConfig cfg;
-  cfg.num_shards = 2;
-  cfg.hugepage_spans = false;
-  cfg.heap_window = 16 * 1024 * 1024;
-  cfg.span_donation = true;
-  cfg.span_low_mark = 8;
-  cfg.span_high_mark = 16;
-  if (with_tenants) {
-    TenantSpec a;
-    a.name = "a";
-    a.cores = {0, 2};
-    TenantSpec b;
-    b.name = "b";
-    b.cores = {1, 3};
-    cfg.tenants = {a, b};
-  }
-  NgxSystem sys = MakeNgxSystem(machine, cfg, {4, 5});
-  ChurnConfig wl;
-  wl.live_blocks = 60;
-  wl.ops = 400;
-  wl.min_size = 256;
-  wl.max_size = 48 * 1024;
-  Churn workload(wl);
-  RunOptions opt;
-  opt.cores = {0, 1, 2, 3};
-  opt.server_cores = {4, 5};
-  opt.seed = 5;
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
-  sys.fabric->DrainAll();
-  *moves = sys.allocator->rebalance_moves();
-  return bench::SimStateHash(r);
-}
-
-TEST(TenantTraitsDeterminism, InheritingTenantsReplayTheTenantFreeSpanEconomy) {
-  std::uint64_t plain_moves = 0;
-  std::uint64_t tenant_moves = 0;
-  const std::uint64_t plain = HashedSpanEconomyRun(false, &plain_moves);
-  EXPECT_EQ(HashedSpanEconomyRun(true, &tenant_moves), plain);
-  EXPECT_GT(plain_moves, 0u) << "the watermark rebalancer must have run";
-  EXPECT_EQ(tenant_moves, plain_moves);
+TEST(PinnedHash, Table3PipelineRunReplaysThePinnedHash) {
+  EXPECT_EQ(bench::SimStateHash(Table3Run(bench::Table3PipelineConfig())), kTable3PipelineHash)
+      << "the pipeline run no longer matches the pinned history";
 }
 
 // The bench JSON carries state hashes as HashHex strings next to the
@@ -527,6 +461,77 @@ TEST(PinnedHash, HashHexPrintsSixteenLowercaseDigits) {
   const std::string pinned = bench::HashHex(kTable3PipelineHash);
   ASSERT_EQ(pinned.size(), 16u);
   EXPECT_EQ(std::stoull(pinned, nullptr, 16), kTable3PipelineHash);
+}
+
+// ---- The benches' malloc clock ----
+
+// An allocator whose mallocs on core c take the next of costs[c] cycles.
+class ScriptedCostAllocator : public Allocator {
+ public:
+  explicit ScriptedCostAllocator(std::vector<std::vector<std::uint64_t>> costs)
+      : costs_(std::move(costs)) {}
+  std::string_view name() const override { return "scripted"; }
+  Addr Malloc(Env& env, std::uint64_t /*size*/) override {
+    std::vector<std::uint64_t>& left = costs_[static_cast<std::size_t>(env.core_id())];
+    env.machine().core(env.core_id()).AdvanceTo(env.now() + left.front());
+    left.erase(left.begin());
+    return kWorkloadBase;
+  }
+  void Free(Env& /*env*/, Addr /*addr*/) override {}
+  std::uint64_t UsableSize(Env& /*env*/, Addr /*addr*/) override { return 0; }
+  AllocatorStats stats() const override { return {}; }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> costs_;
+};
+
+TEST(MallocClock, QuantilesAreNearestRankPerCoreAndOverAllCores) {
+  Machine machine(MachineConfig::Default(3));
+  ScriptedCostAllocator inner({{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, {200, 100}});
+  bench::MallocClock clock(inner);
+  EXPECT_EQ(clock.Quantile(99), 0u) << "no mallocs timed yet";
+  Env c0(machine, 0);
+  Env c1(machine, 1);
+  for (int i = 0; i < 10; ++i) {
+    clock.Malloc(c0, 64);
+  }
+  clock.Malloc(c1, 64);
+  clock.Malloc(c1, 64);
+  EXPECT_EQ(clock.Quantile(1, 0), 1u);
+  EXPECT_EQ(clock.Quantile(50, 0), 5u);
+  EXPECT_EQ(clock.Quantile(99, 0), 10u);
+  EXPECT_EQ(clock.Quantile(50, 1), 100u);
+  EXPECT_EQ(clock.Quantile(99, 1), 200u);
+  EXPECT_EQ(clock.Quantile(50), 6u) << "rank 6 of the 12 calls";
+  EXPECT_EQ(clock.Quantile(90), 100u) << "rank 11 of the 12 calls";
+  EXPECT_EQ(clock.Quantile(99), 200u);
+  EXPECT_EQ(clock.Quantile(99, 2), 0u) << "a core that made no malloc";
+}
+
+// Reading the clock costs no simulated time: a run through the decorator
+// replays the undecorated run bit for bit.
+TEST(MallocClock, TimedRunReplaysTheUntimedRun) {
+  auto run = [](bool timed) {
+    Machine machine(MachineConfig::Default(3));
+    NgxSystem sys = MakeNgxSystem(machine, NgxConfig::PaperPrototype(), 2);
+    bench::MallocClock clock(*sys.allocator);
+    ChurnConfig wl;
+    wl.live_blocks = 60;
+    wl.ops = 400;
+    Churn workload(wl);
+    RunOptions opt;
+    opt.cores = {0, 1};
+    opt.server_cores = {2};
+    opt.seed = 3;
+    Allocator& alloc = timed ? static_cast<Allocator&>(clock) : *sys.allocator;
+    const RunResult r = RunWorkload(machine, alloc, workload, opt);
+    sys.fabric->DrainAll();
+    if (timed) {
+      EXPECT_GT(clock.Quantile(50), 0u);
+    }
+    return bench::SimStateHash(r);
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 // ---- Hugepage knob determinism (DESIGN.md §16) ----
@@ -575,13 +580,13 @@ TEST(HugepageDeterminism, PackedMetadataRunReplaysBitIdentically) {
   EXPECT_EQ(a_stats.oom_failures, base.oom_failures);
 }
 
-// Heterogeneous tenants across {1, 2, 4} shards: per-core free batches and
-// kicked refills from tenants sharing shards must replay exactly, and the
-// books must balance under every mix.
-class TenantShardSweepTest : public ::testing::TestWithParam<int> {};
+// A four-client pipelined fabric across {1, 2, 4} shards and free_batch
+// {1, 8}: batched frees and kicked refills from clients sharing shards must
+// replay exactly, and the books must balance under every mix.
+class ShardSweepTest : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {};
 
-TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
-  const int shards = GetParam();
+TEST_P(ShardSweepTest, PipelinedFabricIsDeterministic) {
+  const auto [shards, free_batch] = GetParam();
   auto run = [&] {
     const int clients = 4;
     Machine machine(MachineConfig::Default(clients + shards));
@@ -591,19 +596,7 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
     cfg.heap_window = static_cast<std::uint64_t>(shards) * 8 * 1024 * 1024;
     cfg.prediction = true;
     cfg.stash_pipeline = true;  // kicked refills ride the shared rings
-    TenantSpec fe;
-    fe.name = "frontend";
-    fe.cores = {0};
-    fe.free_batch = 1;
-    TenantSpec an;
-    an.name = "analytics";
-    an.cores = {1};
-    an.free_batch = 16;
-    TenantSpec ca;
-    ca.name = "cache";
-    ca.cores = {2};
-    ca.free_batch = 8;
-    cfg.tenants = {fe, an, ca};  // core 3 stays on the implicit default
+    cfg.free_batch = free_batch;
     std::vector<int> servers;
     for (int s = 0; s < shards; ++s) {
       servers.push_back(clients + s);
@@ -624,13 +617,22 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsAreDeterministic) {
     const AllocatorStats s = sys.allocator->stats();
     EXPECT_EQ(s.mallocs, s.frees) << shards << " shards";
     EXPECT_EQ(s.bytes_live, 0u);
+    if (free_batch > 1) {
+      EXPECT_GT(sys.allocator->free_flushes(), 0u) << "the batched path must have run";
+    }
     return bench::SimStateHash(r);
   };
-  EXPECT_EQ(run(), run()) << "tenant run must replay bit-identically at "
-                          << shards << " shards";
+  EXPECT_EQ(run(), run()) << "the run must replay bit-identically at " << shards
+                          << " shards, free_batch " << free_batch;
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, TenantShardSweepTest, ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(
+    ShardsByFreeBatch, ShardSweepTest,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1u, 8u)),
+    [](const ::testing::TestParamInfo<std::tuple<int, std::uint32_t>>& param_info) {
+      return "shards" + std::to_string(std::get<0>(param_info.param)) + "_batch" +
+             std::to_string(std::get<1>(param_info.param));
+    });
 
 class ThreadSweepTest : public ::testing::TestWithParam<int> {};
 

@@ -4,6 +4,8 @@
 // under prediction, metadata isolation from the app core).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/analytical_model.h"
 #include "src/core/nextgen_malloc.h"
 #include "src/offload/prediction.h"
@@ -106,6 +108,82 @@ TEST(NgxConfigDeath, PredictionWithoutOffloadAborts) {
   cfg.offload = false;
   cfg.prediction = true;  // the inline path never reads the stash
   EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "prediction needs offload");
+}
+
+// A pipelined half holds min(stash_capacity, kPipeHalfCap) entries, so a
+// zero capacity would leave both halves with no room at all.
+TEST(NgxConfigDeath, PipelinedStashOfZeroCapacityAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_capacity = 0;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "pipelined stash needs a nonzero capacity");
+}
+
+// free_batch is every client's frees per doorbell: 0 would never publish,
+// and a batch past the ring capacity could not fit in one ring.
+TEST(NgxConfigDeath, ZeroFreeBatchAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.free_batch = 0;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "free_batch must fit in one async ring");
+}
+
+TEST(NgxConfigDeath, FreeBatchBeyondOneRingAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.free_batch = kNgxRingCapacity + 1;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "free_batch must fit in one async ring");
+}
+
+TEST(NgxConfigDeath, HugepagePackingWithoutHugepageSpansAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.hugepage_spans = false;
+  cfg.hugepage_packing = true;  // nothing to pack
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "hugepage_packing packs hugepage spans");
+}
+
+TEST(NgxConfigDeath, WatermarksWithoutDonationAbort) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.span_low_mark = 4;  // span_donation left off: no protocol to refill with
+  cfg.span_high_mark = 8;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg), "requires span_donation");
+}
+
+TEST(NgxConfigDeath, HighMarkNotAboveLowMarkAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.span_donation = true;
+  cfg.span_low_mark = 8;
+  cfg.span_high_mark = 8;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg),
+                            "span_high_mark must exceed span_low_mark");
+}
+
+TEST(NgxConfigDeath, HeapWindowThatDoesNotSplitEvenlyAborts) {
+  auto machine = MakeMachine(5);
+  NgxConfig cfg;
+  cfg.num_shards = 3;
+  cfg.heap_window = 64ull << 20;  // 64 MiB has no three equal slices
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg),
+                            "heap window must split evenly across shards");
+}
+
+TEST(NgxConfigDeath, ServerCoreListOfTheWrongSizeAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, std::vector<int>{3}),
+                            "server core list size must equal config.num_shards");
 }
 
 TEST(NextGen, ServerHeapRunsOnServerCoreOnly) {

@@ -75,12 +75,11 @@ TEST_P(RouterSpreadTest, PlacedClientsKeepTheirHomeWhileItServes) {
   epoch.num_clients = 2 * n;
   epoch.num_shards = n;
   epoch.ops.assign(static_cast<std::size_t>(2 * n * n), 0);
-  epoch.active.assign(static_cast<std::size_t>(n), 1);
   for (int c = 0; c < 2 * n; ++c) {
     epoch.ops[static_cast<std::size_t>(c * n)] = static_cast<std::uint64_t>(1000 - c);
   }
   Router r;
-  r.Observe(epoch);
+  r.Observe(epoch, std::vector<ShardState>(static_cast<std::size_t>(n), ShardState::kActive));
   for (unsigned mask = 0; mask < (1u << n); ++mask) {
     const std::vector<ShardState> states = States(n, mask);
     for (int client = 0; client < 2 * n; ++client) {

@@ -355,11 +355,7 @@ TEST(BatchedFrees, OtherPushesPublishTheStagedBatchFirst) {
   NgxConfig cfg;
   cfg.prediction = true;
   cfg.stash_pipeline = true;
-  TenantSpec batched;
-  batched.name = "batched";
-  batched.cores = {0};
-  batched.free_batch = 8;
-  cfg.tenants = {batched};
+  cfg.free_batch = 8;
   auto sys = MakeNgxSystem(*machine, cfg);
   NgxAllocator& alloc = *sys.allocator;
   Env env(*machine, 0);
@@ -407,6 +403,32 @@ TEST(BatchedFrees, OtherPushesPublishTheStagedBatchFirst) {
   EXPECT_EQ(books.bytes_live, 0u);
 }
 
+// The largest free_batch the constructor accepts fills the ring exactly: the
+// batch publishes with one doorbell and never stalls on a full ring.
+TEST(BatchedFrees, WholeRingBatchPublishesWithoutAStall) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.free_batch = kNgxRingCapacity;
+  auto sys = MakeNgxSystem(*machine, cfg, 2);
+  Env env(*machine, 0);
+  std::vector<Addr> blocks;
+  for (std::uint32_t i = 0; i < kNgxRingCapacity; ++i) {
+    blocks.push_back(sys.allocator->Malloc(env, 64));
+    ASSERT_NE(blocks.back(), kNullAddr);
+  }
+  for (const Addr a : blocks) {
+    sys.allocator->Free(env, a);
+  }
+  const OffloadEngineStats& st = sys.fabric->shard_stats(0);
+  EXPECT_EQ(st.free_batches, 1u);
+  EXPECT_EQ(st.staged_frees, kNgxRingCapacity);
+  EXPECT_EQ(st.async_enqueued, kNgxRingCapacity);
+  EXPECT_EQ(st.ring_full_stalls, 0u);
+  sys.allocator->Flush(env);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+}
+
 // Queue depth is the engine's own published-minus-drained count, so entries
 // pushed straight on an engine (bypassing the fabric) drain back to zero.
 TEST(FabricQueueDepth, ClampsAtZeroWhenDrainsOutrunEnqueues) {
@@ -434,16 +456,28 @@ TEST(Placement, PerClusterPutsServersWithTheirClients) {
   Machine machine(mc);
   NgxConfig cfg;
   cfg.num_shards = 2;
-  cfg.placement = PlacementKind::kPerCluster;
   // Clients 0 and 3: static_by_client sends client 0 to shard 0 and client 3
   // to shard 1. Their clusters ({0,1} and {2,3}) each have one free core.
   const std::vector<int> cores = ChooseServerCores(machine, cfg, {0, 3});
   ASSERT_EQ(cores.size(), 2u);
   EXPECT_EQ(cores[0], 1) << "shard 0 lands in client 0's cluster";
   EXPECT_EQ(cores[1], 2) << "shard 1 lands in client 3's cluster";
-  cfg.placement = PlacementKind::kContiguous;
-  const std::vector<int> tail = ChooseServerCores(machine, cfg, {0, 3});
-  EXPECT_EQ(tail, (std::vector<int>{6, 7}));
+}
+
+// The chosen cores are a plain server-core list for MakeNgxSystem; without
+// one, MakeNgxSystem puts the shards on the machine's last cores.
+TEST(Placement, ChosenCoresAndTheDefaultBothBuildTheFabric) {
+  MachineConfig mc = MachineConfig::Default(8);
+  mc.cluster_cores = 2;
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  Machine placed_machine(mc);
+  const NgxSystem placed =
+      MakeNgxSystem(placed_machine, cfg, ChooseServerCores(placed_machine, cfg, {0, 3}));
+  EXPECT_EQ(placed.fabric->server_cores(), (std::vector<int>{1, 2}));
+  Machine tail_machine(mc);
+  const NgxSystem tail = MakeNgxSystem(tail_machine, cfg);
+  EXPECT_EQ(tail.fabric->server_cores(), (std::vector<int>{6, 7}));
 }
 
 TEST(Placement, PerClusterFallsBackWhenTheClusterIsFull) {
@@ -452,12 +486,27 @@ TEST(Placement, PerClusterFallsBackWhenTheClusterIsFull) {
   Machine machine(mc);
   NgxConfig cfg;
   cfg.num_shards = 1;
-  cfg.placement = PlacementKind::kPerCluster;
   // Both cores of the majority cluster {0,1} are clients; the shard takes
   // the lowest free core elsewhere.
   const std::vector<int> cores = ChooseServerCores(machine, cfg, {0, 1});
   ASSERT_EQ(cores.size(), 1u);
   EXPECT_EQ(cores[0], 2);
+}
+
+TEST(PlacementDeath, NoFreeCoreForAShardAborts) {
+  MachineConfig mc = MachineConfig::Default(4);
+  mc.cluster_cores = 2;
+  Machine machine(mc);
+  NgxConfig cfg;
+  EXPECT_DEATH_IF_SUPPORTED((void)ChooseServerCores(machine, cfg, {0, 1, 2, 3}),
+                            "not enough free cores for the shard servers");
+}
+
+TEST(PlacementDeath, MachineWithoutClustersAborts) {
+  Machine machine(MachineConfig::Default(4));  // cluster_cores = 0
+  NgxConfig cfg;
+  EXPECT_DEATH_IF_SUPPORTED((void)ChooseServerCores(machine, cfg, {0}),
+                            "cluster-aware placement needs MachineConfig::cluster_cores");
 }
 
 TEST(Placement, SameClusterTransfersAreCheaper) {

@@ -8,7 +8,8 @@
 //    8 seeds x {2, 4, 8} shards of 96 spans, and over 8 seeds x 3 shards
 //    whose slices straddle the directory's chunk boundaries;
 //  * the same invariants audited after a randomized malloc/free stress run
-//    through the real fabric with watermarks armed;
+//    through the real fabric with watermarks armed, with unbatched frees and
+//    with batches of 8;
 //  * NGX_CHECK death tests for double-return, returning a mapped span and a
 //    low mark without the periodic timer;
 //  * unit tests for the kRequestSpans / kOfferSpans / kReturnSpan wire
@@ -379,17 +380,20 @@ NgxConfig RebalanceConfig(int shards) {
 }
 
 class SpanRebalanceFabricStress
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, std::uint32_t>> {};
 
 // Two clients hammer a watermarked fabric with a size mix whose large tail
 // (> the 32 KiB small-class ceiling) keeps spans mapping and unmapping, so
 // refills, offers and returns all fire while the shadow heap checks block
-// integrity. At the end, every directory invariant must still hold and the
-// allocator must balance its books.
+// integrity -- with frees unbatched and in batches of 8. At the end, every
+// directory invariant must still hold and the allocator must balance its
+// books.
 TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsistent) {
-  const auto [seed, shards] = GetParam();
+  const auto [seed, shards, free_batch] = GetParam();
   auto machine = MakeMachine(shards + 2);
-  auto sys = MakeNgxSystem(*machine, RebalanceConfig(shards));
+  NgxConfig cfg = RebalanceConfig(shards);
+  cfg.free_batch = free_batch;
+  auto sys = MakeNgxSystem(*machine, cfg);
   ASSERT_TRUE(sys.allocator->control()->rebalancing());
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {
@@ -411,79 +415,21 @@ TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsiste
   EXPECT_EQ(stats.mallocs, stats.frees);
   EXPECT_EQ(stats.bytes_live, 0u);
   EXPECT_EQ(sys.allocator->partition_oom_failures(), 0u);
+  EXPECT_EQ(sys.allocator->free_flushes() > 0, free_batch > 1);
 }
 
+// Unbatched cases keep their seed/shard names; batched ones add _batch8.
 INSTANTIATE_TEST_SUITE_P(
     SeedsByShards, SpanRebalanceFabricStress,
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
                                                         0xfeedface),
-                       ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& param_info) {
+                       ::testing::Values(2, 4, 8), ::testing::Values(1u, 8u)),
+    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int, std::uint32_t>>&
+           param_info) {
+      const std::uint32_t batch = std::get<2>(param_info.param);
       return "seed" + std::to_string(std::get<0>(param_info.param)) + "_shards" +
-             std::to_string(std::get<1>(param_info.param));
-    });
-
-// ---- The same stress under heterogeneous tenants ----
-//
-// Tenants (DESIGN.md §15) must not bend a single span-economy invariant:
-// with the two clients running OPPOSITE contracts -- client 0 unbatched
-// frees, client 1 deep free batches -- the directory auditor and the
-// shadow-heap exerciser must hold exactly as they do for the homogeneous
-// sweep, and the books must still balance after the final flush.
-
-NgxConfig TenantRebalanceConfig(int shards) {
-  NgxConfig cfg = RebalanceConfig(shards);
-  TenantSpec fe;
-  fe.name = "frontend";
-  fe.cores = {0};
-  fe.free_batch = 1;
-  TenantSpec an;
-  an.name = "analytics";
-  an.cores = {1};
-  an.free_batch = 8;
-  cfg.tenants = {fe, an};
-  return cfg;
-}
-
-class TenantSpanRebalanceFabricStress
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
-
-TEST_P(TenantSpanRebalanceFabricStress, HeterogeneousTraitsKeepTheDirectoryConsistent) {
-  const auto [seed, shards] = GetParam();
-  auto machine = MakeMachine(shards + 2);
-  auto sys = MakeNgxSystem(*machine, TenantRebalanceConfig(shards));
-  ASSERT_TRUE(sys.allocator->control()->rebalancing());
-  ASSERT_EQ(sys.allocator->plan().cores[1].free_batch, 8u);
-  ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
-  for (int round = 0; round < 2; ++round) {
-    for (int core = 0; core < 2; ++core) {
-      ex.Run(core, 500, 40, 64, 48 * 1024);
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-  }
-  ex.FreeAll(0);
-  for (int core = 0; core < 2; ++core) {
-    Env env(*machine, core);
-    sys.allocator->Flush(env);
-  }
-  sys.fabric->DrainAll();
-  AuditDirectoryConsistency(*sys.allocator->directory());
-  const AllocatorStats stats = sys.allocator->stats();
-  EXPECT_EQ(stats.mallocs, stats.frees);
-  EXPECT_EQ(stats.bytes_live, 0u);
-  EXPECT_EQ(sys.allocator->partition_oom_failures(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByShards, TenantSpanRebalanceFabricStress,
-    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
-                                                        0xfeedface),
-                       ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& param_info) {
-      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_shards" +
-             std::to_string(std::get<1>(param_info.param));
+             std::to_string(std::get<1>(param_info.param)) +
+             (batch > 1 ? "_batch" + std::to_string(batch) : "");
     });
 
 // ---- Death tests: the return protocol's fatal bookkeeping guards ----

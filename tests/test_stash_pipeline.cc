@@ -4,14 +4,16 @@
 //    pipeline {on, off} x seeds, two client cores -- audited by the shadow
 //    heap (no double-hand-out, no overlap, live data intact) and by the
 //    heap-level balance identity: after Flush has returned every stashed
-//    block (both halves, the spill stack, and any unconsumed in-flight
-//    refill) and the rings drain, server-heap mallocs == frees;
+//    block (both halves and any unconsumed in-flight refill) and the rings
+//    drain, server-heap mallocs == frees;
 //  * counter invariants tying the protocol together: every flip consumes at
 //    most one refill, refill batches never exceed the single-line half, and
 //    a starvation stall implies a flip;
-//  * a deterministic spill-stack test: a free burst deeper than the two
-//    halves parks blocks in the client-only spill, and Flush still returns
-//    every one of them;
+//  * deterministic flush tests: a free burst deeper than the active half
+//    recycles at most one half (min(stash_capacity, kPipeHalfCap) entries)
+//    and sends the rest to the ring, and Flush still returns every stashed
+//    block; a capacity past the two halves replays the halves-only run bit
+//    for bit;
 //  * the pipeline keeps serving correct class sizes after a Flush cleared
 //    the halves (the sync fallback reseeds).
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/core/nextgen_malloc.h"
 #include "tests/test_util.h"
 
@@ -74,7 +77,7 @@ TEST_P(StashPipelineMatrixTest, RandomInterleavingsKeepTheHeapBalanced) {
     }
   }
   ex.FreeAll(0);
-  // Flush is per calling core: each client returns its own halves + spill.
+  // Flush is per calling core: each client returns its own halves.
   for (int core = 0; core < 2; ++core) {
     Env env(*machine, core);
     sys.allocator->Flush(env);
@@ -82,7 +85,7 @@ TEST_P(StashPipelineMatrixTest, RandomInterleavingsKeepTheHeapBalanced) {
   sys.fabric->DrainAll();
   const AllocatorStats s = sys.allocator->stats();
   EXPECT_EQ(s.mallocs, s.frees)
-      << "a stashed block was lost (halves, spill, or an in-flight refill)";
+      << "a stashed block was lost (a half, or an in-flight refill)";
   EXPECT_EQ(s.oom_failures, 0u);
   if (c.pipeline) {
     EXPECT_GT(sys.allocator->stash_hits(), 0u);
@@ -106,51 +109,101 @@ INSTANTIATE_TEST_SUITE_P(
              (c.pipeline ? "_pipe" : "_sync");
     });
 
-// A free burst deeper than the two halves (2 x 7 entries) must park the
-// excess in the client-only spill stack -- and Flush must return every spill
-// entry to the server, or the heap leaks.
-TEST(StashPipelineSpill, FreeBurstSpillsAndFlushReturnsAll) {
+// Mallocs 48 blocks of one class on a one-shard pipelined stash of
+// `capacity`, then frees them all; returns how many frees the active half
+// recycled and how many rode the ring. Afterwards malloc/free pairs must pop
+// the recycled blocks with no sync trip, and Flush must return every block
+// still stashed, or the heap leaks.
+struct FreeBurst {
+  std::uint64_t recycled = 0;
+  std::uint64_t ring = 0;
+};
+
+FreeBurst RunFreeBurst(std::uint32_t capacity) {
   auto machine = MakeMachine(2);
   NgxConfig cfg = PipelineConfig(1, true);
-  cfg.stash_capacity = 32;  // 14 in the halves + 18 in the spill stack
+  cfg.stash_capacity = capacity;
   NgxSystem sys = MakeNgxSystem(*machine, cfg, 1);
   Env app(*machine, 0);
-  // Warm the predictor and collect one class worth of blocks.
   std::vector<Addr> blocks;
   for (int i = 0; i < 48; ++i) {
     const Addr a = sys.allocator->Malloc(app, 128);
-    ASSERT_NE(a, kNullAddr);
+    EXPECT_NE(a, kNullAddr);
     blocks.push_back(a);
   }
   std::sort(blocks.begin(), blocks.end());
-  ASSERT_EQ(std::adjacent_find(blocks.begin(), blocks.end()), blocks.end())
+  EXPECT_EQ(std::adjacent_find(blocks.begin(), blocks.end()), blocks.end())
       << "a block was handed out twice";
-  // Free them all: the first recycles fill the active half, the next 18 the
-  // spill stack, the rest ride the ring.
+  const std::uint64_t recycled_before = sys.allocator->stash_recycled_frees();
+  const std::uint64_t enqueued_before = sys.fabric->TotalStats().async_enqueued;
   for (const Addr a : blocks) {
     sys.allocator->Free(app, a);
   }
-  EXPECT_GE(sys.allocator->stash_recycled_frees(), 18u)
-      << "the spill stack absorbed fewer frees than its depth";
-  // Popping again must serve the spilled blocks LIFO without server traffic.
+  FreeBurst out;
+  out.recycled = sys.allocator->stash_recycled_frees() - recycled_before;
+  out.ring = sys.fabric->TotalStats().async_enqueued - enqueued_before;
   const std::uint64_t sync_before = sys.allocator->sync_mallocs();
   for (int i = 0; i < 20; ++i) {
     const Addr a = sys.allocator->Malloc(app, 128);
-    ASSERT_NE(a, kNullAddr);
+    EXPECT_NE(a, kNullAddr);
     sys.allocator->Free(app, a);
   }
   EXPECT_EQ(sys.allocator->sync_mallocs(), sync_before)
-      << "recycled inventory should have served the whole run";
+      << "the recycled blocks should have served the whole run";
   sys.allocator->Flush(app);
   sys.fabric->DrainAll();
   const AllocatorStats s = sys.allocator->stats();
-  EXPECT_EQ(s.mallocs, s.frees) << "Flush lost a spilled or stashed block";
+  EXPECT_EQ(s.mallocs, s.frees) << "Flush lost a stashed block";
   AuditPipelineCounters(*sys.allocator);
+  return out;
+}
+
+// The active half takes recycled frees until it is full; every later free
+// of the burst rides the ring to its shard.
+TEST(StashPipelineFlush, FreeBurstRidesTheRingAndFlushReturnsAll) {
+  const FreeBurst burst = RunFreeBurst(32);
+  EXPECT_GT(burst.recycled, 0u);
+  EXPECT_LE(burst.recycled, kPipeHalfCap) << "only the active half takes recycled frees";
+  EXPECT_EQ(burst.recycled + burst.ring, 48u) << "every other free rides the ring";
+}
+
+// A capacity below one line caps each half at that capacity.
+TEST(StashPipelineFlush, ShallowCapacityCapsEachHalf) {
+  const FreeBurst burst = RunFreeBurst(4);
+  EXPECT_GT(burst.recycled, 0u);
+  EXPECT_LE(burst.recycled, 4u);
+  EXPECT_EQ(burst.recycled + burst.ring, 48u);
+}
+
+// The two halves are all a pipelined stash holds: a capacity past
+// 2 * kPipeHalfCap replays the halves-only run bit for bit.
+TEST(StashPipelineFlush, CapacityPastTheHalvesRunsAsTheHalves) {
+  auto run = [](std::uint32_t capacity) {
+    Machine machine(MachineConfig::Default(3));
+    NgxConfig cfg = PipelineConfig(1, true);
+    cfg.stash_capacity = capacity;
+    NgxSystem sys = MakeNgxSystem(machine, cfg, 2);
+    ChurnConfig wl;
+    wl.live_blocks = 120;
+    wl.ops = 1200;
+    Churn workload(wl);
+    RunOptions opt;
+    opt.cores = {0, 1};
+    opt.server_cores = {2};
+    opt.seed = 9;
+    const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
+    sys.fabric->DrainAll();
+    EXPECT_GT(sys.allocator->stash_recycled_frees(), 0u);
+    return bench::SimStateHash(r);
+  };
+  const std::uint64_t halves = run(2 * kPipeHalfCap);
+  EXPECT_EQ(run(32), halves);
+  EXPECT_EQ(run(1000), halves);
 }
 
 // After Flush empties the halves, the next malloc takes the sync fallback,
 // reseeds the active half, and keeps returning correctly-classed blocks.
-TEST(StashPipelineSpill, PipelineRecoversAfterFlush) {
+TEST(StashPipelineFlush, PipelineRecoversAfterFlush) {
   auto machine = MakeMachine(2);
   NgxSystem sys = MakeNgxSystem(*machine, PipelineConfig(1, true), 1);
   Env app(*machine, 0);

@@ -600,7 +600,9 @@ TEST(TelemetryBooks, CountsDoNotDependOnTelemetry) {
        "sync_requests", "async_ops", "carve_cycles", "donated_spans", "returned_spans",
        "client_moves", "fleet_timeline.epochs", "slab_reuses", "slab_fresh"});
 
-  // One shard behind a pipelined stash, on packed hugepage spans.
+  // Two clients sharing one shard behind a pipelined stash, on packed
+  // hugepage spans: the shared server publishes some refills after a client
+  // drained its half, so starvation stalls are exercised too.
   NgxConfig pipelined;
   pipelined.prediction = true;
   pipelined.stash_pipeline = true;
@@ -610,7 +612,7 @@ TEST(TelemetryBooks, CountsDoNotDependOnTelemetry) {
   small.live_blocks = 200;
   small.ops = 3000;
   ExpectBooksIgnoreTelemetry(
-      pipelined, 1, small,
+      pipelined, 2, small,
       {"stash_hits", "sync_mallocs", "stash_refills", "refill_overlap_cycles",
        "stash_starvation_stalls", "stash_recycled_frees", "map_mapped_bytes",
        "map_requested_bytes", "map_waste_bytes", "hugepage_backed_bytes", "sync_requests",
