@@ -346,8 +346,11 @@ bool ControlPlane::ReturnRunHome(Env& server_env, int shard, std::uint64_t max_u
   if (base == kNullAddr) {
     return false;
   }
+  // Ownership moves here, and the spans stay kUngranted until the home
+  // grafts them, so nothing can hand them out in between: the post needs
+  // no reply, and the home grafts in its next idle window.
   directory_.ReturnRange(base, n, shard);
-  fabric_->SyncRequest(server_env, home, OffloadOp::kReturnSpan, PackRun(base, n));
+  fabric_->Post(server_env, home, OffloadOp::kReturnSpan, PackRun(base, n));
   NoteSpanMove(server_env, /*returned=*/true);
   return true;
 }

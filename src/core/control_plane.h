@@ -123,9 +123,10 @@ class ControlPlane {
   void WatermarkTick(Env& server_env, int shard);
   bool TryRefill(Env& server_env, int shard, std::uint64_t free);
   bool TryReturnHome(Env& server_env, int shard);
-  // Sends one fully-recycled away run of `shard` (at most `max_units` grant
-  // units, all with one home) back to its home shard over kReturnSpan.
-  // False when no such run exists.
+  // Posts one fully-recycled away run of `shard` (at most `max_units` grant
+  // units, all with one home) back to its home shard as a one-way
+  // kReturnSpan, which the home grafts in a later drain. False when no such
+  // run exists.
   bool ReturnRunHome(Env& server_env, int shard, std::uint64_t max_units);
   bool TryOfferSurplus(Env& server_env, int shard, std::uint64_t free);
   bool TryRestockLocal(Env& server_env, int shard);

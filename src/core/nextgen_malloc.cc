@@ -148,10 +148,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // spinning server also pick up a half-full free ring in the background
     // (no client stall) so backpressure stalls stay the rare case.
     fabric_->set_eager_drain_at(kNgxRingCapacity / 2);
-    // Ring pushes keep a copy of the server's tail in a register (SPSC
-    // idiom): a remote free costs its entry store alone, not a re-read of
-    // the server-written tail line per push.
-    fabric_->set_producer_index_cache(true);
   }
   // Flight-recorder wiring (host-side only; inert until the recorder is
   // enabled). The snapshot source lets Machine's periodic cadence and the
@@ -219,6 +215,9 @@ Addr NgxAllocator::Malloc(Env& env, std::uint64_t size) {
   const std::uint64_t t0 = env.now();
   if (!config_.offload) {
     const Addr a = heaps_[0]->Malloc(env, size);
+    if (a == kNullAddr) {
+      oom_bytes_ += size;
+    }
     NoteMallocTraffic(env.core_id(), 0, size);
     return FinishMalloc(env, h_malloc_inline_, a, rec, t0);
   }
@@ -592,6 +591,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
       const Addr first = ServerMalloc(server_env, shard, arg);
       if (first == kNullAddr) {
         ++partition_ooms_;
+        oom_bytes_ += arg;
       }
       if (first == kNullAddr || op == OffloadOp::kMalloc || !config_.prediction) {
         return first;
@@ -735,12 +735,13 @@ AllocatorStats NgxAllocator::stats() const {
   }
   // Offloaded, a failed heap attempt is the caller's only when the malloc
   // returned null (a partition OOM); inline donation retries and stash
-  // prefills cut short stay inside the server. Inline, every heap call is a
-  // caller's malloc.
+  // prefills cut short stay inside the server, in mallocs and in bytes.
+  // Inline, every heap call is a caller's malloc.
   if (config_.offload) {
     total.oom_failures = partition_ooms_;
   }
   total.mallocs += total.oom_failures;
+  total.bytes_requested += oom_bytes_;
   return total;
 }
 

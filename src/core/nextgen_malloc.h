@@ -327,6 +327,9 @@ class NgxAllocator : public Allocator {
   // on their span providers.
   std::unique_ptr<ControlPlane> control_;
   std::uint64_t partition_ooms_ = 0;
+  // Sizes of the mallocs whose caller got null (the heaps count only the
+  // carves that succeeded).
+  std::uint64_t oom_bytes_ = 0;
   OffloadFabric* fabric_;
   std::optional<AllocationPredictor> predictor_;
   std::unique_ptr<PageProvider> stash_provider_;

@@ -96,13 +96,15 @@ void SegmentHeap::BindInstruments() {
 
 Addr SegmentHeap::Malloc(Env& env, std::uint64_t size) {
   ++stats_.mallocs;
-  stats_.bytes_requested += size;
   MaybeLock(env);
   Addr r;
   if (size > config_.small_max) {
     r = MallocLarge(env, size);
   } else {
     r = MallocSmall(env, size);
+  }
+  if (r != kNullAddr) {
+    stats_.bytes_requested += size;
   }
   MaybeUnlock(env);
   return r;

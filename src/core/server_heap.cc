@@ -43,7 +43,6 @@ class AggregatedHeap : public ServerHeap {
 
   Addr Malloc(Env& env, std::uint64_t size) override {
     ++stats_.mallocs;
-    stats_.bytes_requested += size;
     MaybeLock(env);
     Addr r;
     if (size > config_.small_max) {
@@ -70,6 +69,9 @@ class AggregatedHeap : public ServerHeap {
         ++stats_.oom_failures;
         r = kNullAddr;
       }
+    }
+    if (r != kNullAddr) {
+      stats_.bytes_requested += size;
     }
     MaybeUnlock(env);
     return r;

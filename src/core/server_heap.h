@@ -39,6 +39,8 @@ class ServerHeap {
   // variant reads the block's inline header, a line the freeing client owns
   // anyway.
   virtual std::int64_t ClassifyForRecycle(Env& env, Addr addr) = 0;
+  // bytes_requested sums the sizes of the carves that succeeded; a failed
+  // attempt counts in mallocs and oom_failures only.
   virtual AllocatorStats stats() const = 0;
   // Untimed occupancy walk for the flight recorder (see HeapOccupancy).
   virtual HeapOccupancy Inspect() const = 0;

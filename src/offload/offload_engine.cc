@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <string>
 
 #include "src/sim/check.h"
@@ -117,20 +118,18 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint64_t deadlin
           server_env.Work(kPollWork);
         }
         // Tag 0 = the historical raw-address kFree encoding; other tags carry
-        // the op in the top byte (currently only kRefillStash rides tagged).
+        // the op in the top byte (kRefillStash kicks, kReturnSpan posts).
         const std::uint64_t tag = entry >> 56;
-        const std::uint64_t c0 = server_env.now();
-        if (tag == 0) {
-          server_->HandleRequest(server_env, client, OffloadOp::kFree, entry);
-        } else {
-          if (static_cast<OffloadOp>(tag) == OffloadOp::kRefillStash) {
-            ++stats_.refill_ops;
-          }
-          server_->HandleRequest(server_env, client, static_cast<OffloadOp>(tag),
-                                 entry & kRingArgMask);
+        const OffloadOp op = tag == 0 ? OffloadOp::kFree : static_cast<OffloadOp>(tag);
+        if (op == OffloadOp::kRefillStash) {
+          ++stats_.refill_ops;
         }
-        // Every drained entry is a free or a refill, both carve-path work.
-        NoteCarveCycles(server_env.now() - c0);
+        const std::uint64_t c0 = server_env.now();
+        server_->HandleRequest(server_env, client, op, entry & kRingArgMask);
+        // Frees and refills are carve-path work; a span graft is not.
+        if (IsCarveOp(op)) {
+          NoteCarveCycles(server_env.now() - c0);
+        }
         ++stats_.async_ops;
       };
   const std::uint32_t n = channels_[client].ServerDrainRing(
@@ -148,6 +147,19 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint64_t deadlin
       tel.tracer().Complete("drain", server_core_, t0, server_env.now() - t0);
     }
   }
+}
+
+void OffloadEngine::QueueDoorbell(int client, std::uint64_t at, bool post) {
+  std::erase_if(doorbells_, [client](const Doorbell& d) { return d.client == client; });
+  // Walk back past every later doorbell, except that a client batch stays
+  // behind the batches queued before it: the scheduler publishes them in
+  // send order, each from the middle of its step, so their times need not
+  // be monotone.
+  auto pos = doorbells_.end();
+  while (pos != doorbells_.begin() && std::prev(pos)->at > at && (post || std::prev(pos)->post)) {
+    --pos;
+  }
+  doorbells_.insert(pos, {client, at, post});
 }
 
 void OffloadEngine::DrainDoorbells(Env& server_env, std::uint64_t deadline) {
@@ -276,23 +288,14 @@ std::uint64_t OffloadEngine::PushEntry(Env& client_env, int client, std::uint64_
   // publish them first, so nothing is overwritten and ring order is program
   // order.
   PublishStaged(client_env);
-  Channel& ch = channels_[client];
   ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-  std::uint64_t occupancy;
-  if (producer_cache_) {
-    CachedPushReserve(client_env, client, 1);
-    // The eager-drain policy is the SERVER noticing its ring filling during
-    // its poll loop, so it keys off the true occupancy, not the producer's
-    // deliberately stale view.
-    occupancy = Published(client);
-  } else {
-    occupancy = pc.head - ch.RingTail(client_env);
-    if (occupancy == ch.ring_capacity()) {
-      StallOnFullRing(client_env, client);
-    }
-  }
+  CachedPushReserve(client_env, client, 1);
+  // The eager-drain policy is the SERVER noticing its ring filling during
+  // its poll loop, so it keys off the true occupancy, not the producer's
+  // deliberately stale view.
+  const std::uint64_t occupancy = Published(client);
   // A run of one: the entry's store is its publish.
-  ch.RingPublish(client_env, pc.head, entry);
+  channels_[client].RingPublish(client_env, pc.head, entry);
   ++pc.head;
   ++stats_.ring_doorbells;
   ++stats_.async_enqueued;
@@ -316,6 +319,21 @@ void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t ar
     // background -- the client walks away after the push.
     Kick(client_env, client);
   }
+}
+
+void OffloadEngine::PushTagged(Env& client_env, OffloadOp op, std::uint64_t arg) {
+  assert(server_ != nullptr);
+  NGX_CHECK((arg & ~kRingArgMask) == 0, "tagged ring arg must fit below the publication bits");
+  const int client = client_env.core_id();
+  if (FlightRecorder* rec = Recorder()) {
+    rec->matrix().NoteAsync(client, shard_id_, 1);
+  }
+  PushEntry(client_env, client, RingEntryWord(op, arg));
+}
+
+void OffloadEngine::Post(Env& client_env, OffloadOp op, std::uint64_t arg) {
+  PushTagged(client_env, op, arg);
+  QueueDoorbell(client_env.core_id(), client_env.now(), /*post=*/true);
 }
 
 std::uint32_t OffloadEngine::StageFree(Env& client_env, std::uint64_t addr,
@@ -368,26 +386,18 @@ std::uint32_t OffloadEngine::PublishStaged(Env& client_env) {
     Kick(client_env, client);
   } else {
     // Malloc-first: the batch waits for the server's idle windows
-    // (SyncRequest). A queued doorbell of this client is stale -- its
-    // ring is empty -- so the one below takes its place.
-    std::erase_if(doorbells_, [client](const Doorbell& d) { return d.client == client; });
-    doorbells_.push_back({client, client_env.now()});
+    // (SyncRequest).
+    QueueDoorbell(client, client_env.now(), /*post=*/false);
   }
   return n;
 }
 
 std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
                                                 std::uint64_t arg) {
-  assert(server_ != nullptr);
-  NGX_CHECK((arg & ~kRingArgMask) == 0, "tagged ring arg must fit below the publication bits");
-  const int client = client_env.core_id();
-  if (FlightRecorder* rec = Recorder()) {
-    rec->matrix().NoteAsync(client, shard_id_, 1);
-  }
-  PushEntry(client_env, client, RingEntryWord(op, arg));
+  PushTagged(client_env, op, arg);
   // The kick: the whole service overlaps with the client's subsequent work,
   // which is the point of the stash pipeline.
-  return Kick(client_env, client);
+  return Kick(client_env, client_env.core_id());
 }
 
 void OffloadEngine::StallOnFullRing(Env& client_env, int client) {

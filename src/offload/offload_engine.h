@@ -10,10 +10,13 @@
 // the window drains this client's ring and runs the post-drain hook, from the
 // server's own clock -- with no lower bound at each entry's push, so an
 // unbatched free whose push is later than the server clock is served before
-// it was pushed, the one exception to send order. Async frees ride a
-// per-client ring, so clients only stall on a full ring. The ring has no head
-// index (channel.h): a drain costs the server the entry lines it consumes and
-// no index line. The shard is malloc-first: a published free batch queues
+// it was pushed, the one exception to send order. Messages nobody answers
+// ride a per-client ring, so their sender only stalls on a full ring. Every
+// producer keeps a copy of the server's tail in a register: a push is its
+// entry store alone, and the tail line is re-read only when that copy says
+// the ring is full. The ring has no head index (channel.h): a drain
+// costs the server the entry lines it consumes and no index line. The shard
+// is malloc-first: a published free batch, or a posted span return, queues
 // with its doorbell time and drains in the server's idle windows, entry by
 // entry, only while the server clock is before the next sync request's send
 // time -- a malloc waits out at most the one entry in progress, and a drain
@@ -93,6 +96,16 @@ class OffloadEngine {
   // Fire-and-forget (used for free). Stalls only when the ring is full.
   void AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0);
 
+  // One-way tagged message that waits for the server's idle windows (the
+  // control plane's kReturnSpan): pushes one tagged entry on the client's
+  // ring and queues the ring's doorbell at the push, like a published free
+  // batch. The server handles it at the first idle window that reaches the
+  // doorbell, at this client's next sync request, or at DrainAll -- not on
+  // another client's kick, which would run its clock ahead. The sender
+  // waits only on a full ring, whose backpressure drain, like any push's,
+  // takes the ring whole.
+  void Post(Env& client_env, OffloadOp op, std::uint64_t arg);
+
   // Batched fire-and-forget free (DESIGN.md §7): stores `addr` straight into
   // the next slot of the client's ring, past its register-held head, without
   // publishing it. The `batch`-th staged entry publishes the batch
@@ -147,26 +160,20 @@ class OffloadEngine {
   // the historical stall-only behaviour bit-identical.
   void set_eager_drain_at(std::uint32_t n) { eager_drain_at_ = n; }
 
-  // Producer-side index cache (the standard SPSC ring idiom; DESIGN.md §9):
-  // every client keeps its own head index in a register, and with this on
-  // also a cached copy of the server's tail, so a push is just the entry
-  // store. The tail line -- which the server rewrites on every drain and
-  // would otherwise transfer back on every push's occupancy check -- is
-  // re-read only when the cached copy says the ring is full (at most one
-  // stale-full false positive per capacity pushes, since the real tail only
-  // ever advances). Off by default (each push reads the tail); the stash
-  // pipeline enables it.
-  void set_producer_index_cache(bool on) { producer_cache_ = on; }
-
  private:
   Env ServerEnv() { return Env(*machine_, server_core_); }
   // Drains `client`'s ring on the server clock. A `deadline` makes it a
   // malloc-first idle window: each entry first pays a kPollWork mailbox
   // check, and no entry starts once the clock reaches the deadline.
   void DrainRing(Env& server_env, int client, std::uint64_t deadline = kNoDeadline);
-  // Works through the queued free batches, oldest doorbell first, in the
-  // idle window that ends at `deadline` (see SyncRequest).
+  // Works through the queued doorbells, oldest first, in the idle window
+  // that ends at `deadline` (see SyncRequest).
   void DrainDoorbells(Env& server_env, std::uint64_t deadline);
+  // Queues `client`'s doorbell at time `at` -- a Post's, or else a free
+  // batch's -- in time order. Its ring's earlier doorbell is dropped: the
+  // drain that reaches the new one takes the ring whole, so no entry drains
+  // before its push.
+  void QueueDoorbell(int client, std::uint64_t at, bool post);
   // Entries published on `client`'s ring and not yet drained (an untimed
   // host read standing in for the server's own polling).
   std::uint64_t Published(int client) const;
@@ -178,6 +185,9 @@ class OffloadEngine {
   // doorbell store and the client is not advanced to the finish. Returns
   // the server clock after the window.
   std::uint64_t Kick(Env& client_env, int client);
+  // Pushes one tagged entry (the op in its top byte) on the client's ring,
+  // booked as one async op in the traffic matrix.
+  void PushTagged(Env& client_env, OffloadOp op, std::uint64_t arg);
   // Pushes one entry (publishing any staged frees first), stalling while the
   // ring is full. Returns the true ring occupancy the push found.
   std::uint64_t PushEntry(Env& client_env, int client, std::uint64_t entry);
@@ -202,22 +212,26 @@ class OffloadEngine {
     return tel.recording() ? &tel.recorder() : nullptr;
   }
 
-  // Per-client producer registers (host-side mirrors of simulated state).
-  // `head` ends the last published run, whatever the push path -- the ring
-  // keeps no head in memory, and a drain reads the entries below it;
-  // `cached_tail` lags the server's true tail, which is safe because a
-  // stale tail only UNDER-estimates free space, never over (the index-cache
-  // pushes and StageFree consult it); `staged` counts entries stored past
-  // `head` and not yet published, the newest of them `last_staged`, whose
-  // slot the publish store marks.
+  // Per-client producer registers (host-side mirrors of simulated state;
+  // the standard SPSC ring idiom, DESIGN.md §7). `head` ends the last
+  // published run, whatever the push path -- the ring keeps no head in
+  // memory, and a drain reads the entries below it; `cached_tail` lags the
+  // server's true tail, which is safe because a stale tail only
+  // UNDER-estimates free space, never over; `staged` counts entries stored
+  // past `head` and not yet published, the newest of them `last_staged`,
+  // whose slot the publish store marks.
   struct ProducerIndexCache {
     std::uint64_t head = 0;
     std::uint64_t cached_tail = 0;
     std::uint32_t staged = 0;
     std::uint64_t last_staged = 0;
   };
-  // Space check + stale-tail refresh + stall for an n-entry cached push;
-  // returns the pre-push ring occupancy from the producer's view.
+  // Space check for an n-entry push against the cached tail: the tail line
+  // -- which the server rewrites on every drain -- is re-read only when the
+  // cached copy says the ring is full (at most one stale-full false positive
+  // per capacity pushes, since the real tail only ever advances), and a
+  // ring that is really full stalls. Returns the pre-push ring occupancy
+  // from the producer's view.
   std::uint64_t CachedPushReserve(Env& client_env, int client, std::uint32_t n);
 
   // Host-side accounting of server cycles spent in carve-path handlers.
@@ -234,19 +248,20 @@ class OffloadEngine {
   int shard_id_ = 0;
   OffloadServer* server_ = nullptr;
   std::uint32_t eager_drain_at_ = 0;
-  bool producer_cache_ = false;
   std::vector<ProducerIndexCache> prod_cache_;  // one per client core
   std::vector<Channel> channels_;
   std::vector<std::uint64_t> seq_;  // per-client request sequence numbers
-  // Published free batches waiting for an idle window, in doorbell order:
-  // at most one per client, since a doorbell that finds its ring still
-  // holding entries drains the ring whole. An entry whose ring another
+  // Published free batches and posts waiting for an idle window, in time
+  // order, so a post from a server clock that runs ahead never blocks the
+  // client batches behind it: at most one per client, since the drain that
+  // reaches a doorbell takes its ring whole. An entry whose ring another
   // drain emptied is skipped when reached. A vector, not a deque: it stops
   // allocating once it has held every client, where a deque's push/pop
   // churn allocates nodes for the whole run.
   struct Doorbell {
     int client;
-    std::uint64_t at;  // client clock at the publish store
+    std::uint64_t at;  // sender clock at the publish store
+    bool post;         // a Post; otherwise a free batch
   };
   std::vector<Doorbell> doorbells_;
   OffloadEngineStats stats_;

@@ -93,6 +93,12 @@ void OffloadFabric::PublishStaged(Env& client_env, int s) {
   }
 }
 
+void OffloadFabric::Post(Env& client_env, int s, OffloadOp op, std::uint64_t arg) {
+  NoteEpochOp(client_env.core_id(), s);
+  shard(s).Post(client_env, op, arg);
+  RecordQueueDepth(client_env, s);
+}
+
 std::uint64_t OffloadFabric::AsyncRequestKicked(Env& client_env, int s, OffloadOp op,
                                                 std::uint64_t arg) {
   NoteEpochOp(client_env.core_id(), s);
@@ -124,6 +130,17 @@ void OffloadFabric::RecordQueueDepth(Env& client_env, int s) {
 void OffloadFabric::DrainAll() {
   for (auto& e : engines_) {
     e->DrainAll();
+  }
+  // A drain's post-drain tick can post to a shard this pass already
+  // drained; drain those again until every ring is empty. Each post moves
+  // spans home, so the ticks run out of posts.
+  for (int s = 0; s < num_shards();) {
+    if (QueueDepth(s) > 0) {
+      shard(s).DrainAll();
+      s = 0;
+    } else {
+      ++s;
+    }
   }
 }
 

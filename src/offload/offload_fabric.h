@@ -64,14 +64,6 @@ class OffloadFabric {
     }
   }
 
-  // Enables the producer-side ring index cache on every shard (see
-  // OffloadEngine::set_producer_index_cache; off keeps the seed protocol).
-  void set_producer_index_cache(bool on) {
-    for (auto& e : engines_) {
-      e->set_producer_index_cache(on);
-    }
-  }
-
   // The shard that serves a malloc from `client` (Router::Route over the
   // current shard states). Host-side only; charges no simulated time.
   int RouteMalloc(int client) const { return router_.Route(client, states_); }
@@ -119,6 +111,10 @@ class OffloadFabric {
   void StageFree(Env& client_env, int s, std::uint64_t addr, std::uint32_t batch);
   void PublishStaged(Env& client_env, int s);
 
+  // One-way tagged message to shard s, handled in the shard's idle windows
+  // (OffloadEngine::Post): the control plane's span returns.
+  void Post(Env& client_env, int s, OffloadOp op, std::uint64_t arg);
+
   // Non-blocking tagged op to shard s, served eagerly in the shard's drain
   // window on its own clock (the stash pipeline's kRefillStash; see
   // OffloadEngine::AsyncRequestKicked). Returns the shard clock after the
@@ -126,7 +122,9 @@ class OffloadFabric {
   std::uint64_t AsyncRequestKicked(Env& client_env, int s, OffloadOp op,
                                    std::uint64_t arg);
 
-  // Drains every client ring of every shard on the shards' server cores.
+  // Drains every client ring of every shard on the shards' server cores and
+  // leaves no published entry behind, though a shard's post-drain tick may
+  // post a span return to a shard drained before it.
   void DrainAll();
 
   // Async entries published to shard s and not yet drained (the epoch

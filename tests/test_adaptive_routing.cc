@@ -313,6 +313,15 @@ TEST(AdaptiveFleet, DrainingShardReturnsGrantedSpansHomeBeforeParking) {
   sys.allocator->Flush(app);
   sys.fabric->DrainAll();
   EXPECT_EQ(sys.allocator->stats().mallocs, sys.allocator->stats().frees);
+  // The return rode shard 0's ring one-way; by DrainAll at the latest the
+  // home grafted it, so every span the directory keeps ungranted at home is
+  // back in its provider window.
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(sys.fabric->QueueDepth(s), 0u) << "shard " << s;
+    EXPECT_EQ((d.free_spans(s) - d.recycled_spans(s)) * kSpan,
+              sys.allocator->heap(s).span_provider().FreeBytes())
+        << "shard " << s;
+  }
 }
 
 // The packer end to end: before any epoch the static spread stacks the two

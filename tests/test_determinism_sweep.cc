@@ -13,6 +13,7 @@
 #include "src/core/nextgen_malloc.h"
 #include "src/workload/churn.h"
 #include "src/workload/runner.h"
+#include "src/workload/trace.h"
 #include "src/workload/xalanc.h"
 #include "src/workload/xmalloc.h"
 #include "tests/test_util.h"
@@ -71,18 +72,25 @@ struct RebalanceRunState {
   std::uint64_t returned = 0;
   std::uint64_t doorbells = 0;
   std::uint64_t async_ops = 0;
+  std::uint64_t inline_fallbacks = 0;
   AllocatorStats stats;
+  // What the workload's own successful Malloc calls asked for.
+  std::uint64_t caller_mallocs = 0;
+  std::uint64_t caller_bytes = 0;
 };
 
-RebalanceRunState RunRebalancingChurn(std::uint64_t seed, std::uint32_t free_batch) {
+// `low_mark` 0 turns the watermark rebalancer off, leaving the inline
+// donation as the only span source.
+RebalanceRunState RunRebalancingChurn(std::uint64_t seed, std::uint32_t free_batch,
+                                      std::uint64_t low_mark = 16) {
   Machine machine(MachineConfig::Default(6));
   NgxConfig cfg;
   cfg.num_shards = 2;
   cfg.hugepage_spans = false;          // 64 KiB grants: donation reachable
   cfg.heap_window = 32 * 1024 * 1024;  // 256 spans per shard
   cfg.span_donation = true;
-  cfg.span_low_mark = 16;
-  cfg.span_high_mark = 32;
+  cfg.span_low_mark = low_mark;
+  cfg.span_high_mark = 2 * low_mark;
   cfg.free_batch = free_batch;
   NgxSystem sys = MakeNgxSystem(machine, cfg, {4, 5});
   ChurnConfig wl;
@@ -95,9 +103,17 @@ RebalanceRunState RunRebalancingChurn(std::uint64_t seed, std::uint32_t free_bat
   opt.cores = {0, 1, 2, 3};
   opt.server_cores = {4, 5};
   opt.seed = seed;
-  const RunResult r = RunWorkload(machine, *sys.allocator, workload, opt);
+  TraceRecordingAllocator calls(*sys.allocator);
+  const RunResult r = RunWorkload(machine, calls, workload, opt);
   sys.fabric->DrainAll();
   RebalanceRunState out;
+  for (const TraceOp& op : calls.TakeTrace().ops) {
+    if (op.kind == TraceOp::Kind::kMalloc) {
+      ++out.caller_mallocs;
+      out.caller_bytes += op.size;
+    }
+  }
+  out.inline_fallbacks = sys.allocator->inline_donation_fallbacks();
   out.per_server = r.per_server;
   const SpanDirectory& d = *sys.allocator->directory();
   for (int s = 0; s < cfg.num_shards; ++s) {
@@ -147,13 +163,26 @@ TEST_P(SeedSweepTest, FreeBatchChangesOnlyTheDoorbellCount) {
   EXPECT_GT(b1.doorbells, b8.doorbells) << "batching must amortize doorbells";
 }
 
+// The books count what callers asked for. Without watermarks, hundreds of
+// this churn's mallocs take the inline donation, each after a heap attempt
+// that fails inside the server: that attempt adds neither a malloc nor its
+// bytes.
+TEST_P(SeedSweepTest, InlineDonationRetriesAddNoRequestedBytes) {
+  const RebalanceRunState r = RunRebalancingChurn(GetParam(), 8, /*low_mark=*/0);
+  ASSERT_GT(r.inline_fallbacks, 0u);
+  ASSERT_EQ(r.stats.oom_failures, 0u) << "every caller malloc succeeded";
+  EXPECT_EQ(r.stats.mallocs, r.caller_mallocs);
+  EXPECT_EQ(r.stats.bytes_requested, r.caller_bytes);
+}
+
 // ---- Stash pipeline determinism ----
 //
 // The pipelined stash adds client/server overlap bookkeeping (kicked ring
 // drains on the server's own clock, seqlock publishes, register-resident
-// count mirrors, the producer-side ring index cache): the newest candidate
-// source of nondeterminism. Two identical pipeline-on runs must agree on
-// every PMU stream, clock, and protocol counter.
+// count mirrors, and the eager background drain at half a ring; the cached
+// ring tail every push keeps is shared with every other configuration): the
+// newest candidate source of nondeterminism. Two identical pipeline-on runs
+// must agree on every PMU stream, clock, and protocol counter.
 TEST_P(SeedSweepTest, StashPipelineDeterministicPerSeed) {
   struct PipeRun {
     RunResult r;

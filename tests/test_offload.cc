@@ -28,6 +28,10 @@ class EchoServer : public OffloadServer {
       freed.push_back(arg);
       return 0;
     }
+    if (op == OffloadOp::kReturnSpan) {
+      posted.push_back(arg);
+      return 0;
+    }
     return arg + 2;
   }
 
@@ -35,6 +39,7 @@ class EchoServer : public OffloadServer {
   int last_client = -1;
   OffloadOp last_op = OffloadOp::kMalloc;
   std::vector<std::uint64_t> freed;
+  std::vector<std::uint64_t> posted;  // args of the Posts handled
   std::vector<std::uint64_t> started;  // server clock at each handler entry
 };
 
@@ -161,6 +166,71 @@ TEST_F(OffloadEngineTest, MailboxLinesActuallyTransfer) {
             0u);
   EXPECT_GT(machine_->core(2).pmu().remote_hitm + machine_->core(2).pmu().invalidations_sent,
             0u);
+}
+
+// ---- One push path: the producer keeps the server's tail in a register ----
+
+// After a drain the server has rewritten the tail line. An unbatched free
+// that follows costs its client the entry store alone, with no load of that
+// line: a twin machine that only makes the same store into the same slot
+// shows the same clock and the same coherence traffic.
+TEST_F(OffloadEngineTest, UnbatchedFreeAfterADrainCostsItsEntryStoreAlone) {
+  auto twin = MakeMachine(3);
+  twin->address_map().Add(
+      Region{kTestChannelBase, kChannelStride * 3, PageKind::kSmall4K, "chan"});
+  OffloadEngine twin_engine(*twin, /*server_core=*/2, kTestChannelBase, /*ring_capacity=*/8);
+  EchoServer twin_server;
+  twin_engine.set_server(&twin_server);
+  for (const auto& [m, e] : {std::pair{machine_.get(), engine_.get()},
+                             std::pair{twin.get(), &twin_engine}}) {
+    Env env(*m, 0);
+    e->AsyncRequest(env, OffloadOp::kFree, 0x100);
+    e->DrainAll();
+    m->core(0).AdvanceTo(m->core(2).now());
+  }
+  Env env(*machine_, 0);
+  Env twin_env(*twin, 0);
+  ASSERT_EQ(env.now(), twin_env.now());
+  const std::uint64_t t0 = env.now();
+  const PmuCounters before = machine_->core(0).pmu();
+  const PmuCounters twin_before = twin->core(0).pmu();
+
+  engine_->AsyncRequest(env, OffloadOp::kFree, 0x108);
+  twin_env.AtomicStore(kTestChannelBase + kRingEntriesOff + 8,
+                       kRingLapBit | kRingRunEnd | 0x108);
+
+  const PmuCounters& after = machine_->core(0).pmu();
+  const PmuCounters& twin_after = twin->core(0).pmu();
+  EXPECT_EQ(env.now() - t0, twin_env.now() - t0) << "the push costs more than its store";
+  EXPECT_EQ(after.loads, before.loads) << "the push loaded the tail line";
+  EXPECT_EQ(after.remote_hitm - before.remote_hitm,
+            twin_after.remote_hitm - twin_before.remote_hitm);
+  EXPECT_EQ(after.remote_hitm, before.remote_hitm) << "the push transferred the tail line";
+  engine_->DrainAll();
+  EXPECT_EQ(server_.freed, (std::vector<std::uint64_t>{0x100, 0x108}));
+}
+
+// The cached tail only lags the server's. A producer that filled the ring
+// and saw it drained re-reads the tail line once, on the first push whose
+// cached copy says the ring is full, and then fills the ring again with no
+// further load.
+TEST_F(OffloadEngineTest, CachedTailIsReReadOnceWhenItSaysTheRingIsFull) {
+  Env env(*machine_, 0);
+  for (std::uint64_t i = 0; i < 8; ++i) {  // capacity is 8
+    engine_->AsyncRequest(env, OffloadOp::kFree, 0x100 + 8 * i);
+  }
+  engine_->DrainAll();
+  machine_->core(0).AdvanceTo(machine_->core(2).now());
+  const PmuCounters before = machine_->core(0).pmu();
+  for (std::uint64_t i = 8; i < 16; ++i) {
+    engine_->AsyncRequest(env, OffloadOp::kFree, 0x100 + 8 * i);
+  }
+  const PmuCounters& after = machine_->core(0).pmu();
+  EXPECT_EQ(after.loads - before.loads, 1u) << "one re-read of the tail line, not one per push";
+  EXPECT_EQ(after.remote_hitm - before.remote_hitm, 1u) << "the server rewrote the tail line";
+  EXPECT_EQ(engine_->stats().ring_full_stalls, 0u) << "the re-read found the ring drained";
+  engine_->DrainAll();
+  EXPECT_EQ(server_.freed.size(), 16u);
 }
 
 // ---- Malloc-first shards: published free batches yield to sync requests ----
@@ -536,6 +606,55 @@ TEST_F(SendOrderTraceTest, BusyServerWindowStartsWhereThePreviousEnded) {
   const Tracer::Event& op = *mallocs_[1];
   EXPECT_EQ(drain.ts, busy.ts + busy.dur) << "the window starts where client 1's ended";
   EXPECT_EQ(op.ts + op.dur, server_core().now()) << "the service ends at the server clock";
+}
+
+// ---- Posts: one-way messages handled in the server's idle windows ----
+
+// A post is handled in the first idle window that reaches its doorbell, no
+// earlier than its push. Another client's kick does not handle it: a kick
+// runs the server clock ahead of the windows still to come.
+TEST_F(SendOrderTest, PostWaitsForAnIdleWindowNotAKick) {
+  Warm({0, 1, 3});
+  ASSERT_LT(machine_->core(3).now(), 5000u);
+  machine_->core(3).AdvanceTo(5000);
+  Env poster(*machine_, 3);
+  const std::uint64_t t0 = poster.now();
+  engine_->Post(poster, OffloadOp::kReturnSpan, 0x40);
+  EXPECT_LT(poster.now() - t0, UnloadedRoundTrip(1)) << "the poster waited for a reply";
+  EXPECT_TRUE(server_.posted.empty());
+  EXPECT_EQ(engine_->stats().async_enqueued - engine_->stats().async_ops, 1u);
+
+  machine_->core(0).AdvanceTo(6000);
+  Env kicker(*machine_, 0);
+  engine_->AsyncRequestKicked(kicker, OffloadOp::kRefillStash, 1);
+  EXPECT_TRUE(server_.posted.empty()) << "a kick handled another client's post";
+
+  const std::size_t handled = server_.started.size();
+  SyncAt(1, 20000);
+  ASSERT_EQ(server_.posted, std::vector<std::uint64_t>{0x40});
+  EXPECT_GE(server_.started[handled], t0) << "the post was handled before its push";
+  EXPECT_EQ(engine_->stats().async_enqueued, engine_->stats().async_ops);
+}
+
+// Doorbells queue in time order: a post from a clock far ahead of every
+// client queues behind the free batch published after it, which the next
+// idle window drains; DrainAll handles the post.
+TEST_F(SendOrderTest, PostFromAClockAheadDoesNotBlockLaterBatches) {
+  Warm({0, 1, 3});
+  machine_->core(3).AdvanceTo(1000000);
+  Env poster(*machine_, 3);
+  engine_->Post(poster, OffloadOp::kReturnSpan, 0x40);
+  machine_->core(0).AdvanceTo(10000);
+  Env producer(*machine_, 0);
+  engine_->StageFree(producer, 0x100, 2);
+  engine_->StageFree(producer, 0x108, 2);  // publishes the batch
+  SyncAt(1, 50000);
+  EXPECT_EQ(server_.freed, (std::vector<std::uint64_t>{0x100, 0x108}))
+      << "the post ahead blocked the batch behind it";
+  EXPECT_TRUE(server_.posted.empty()) << "the post ran before its push";
+  EXPECT_LT(server_core().now(), 1000000u);
+  engine_->DrainAll();
+  EXPECT_EQ(server_.posted, std::vector<std::uint64_t>{0x40});
 }
 
 TEST_F(SendOrderTest, RelayedRequestSentFirstFinishesFirst) {

@@ -366,6 +366,23 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::uint64_t>(SpanDirectory::kChunkSpans + 37)),
     StressName);
 
+// Bytes of `shard`'s spans still waiting in a provider window: owned, free
+// and not recycled.
+std::uint64_t UngrantedBytes(const SpanDirectory& d, int shard) {
+  return (d.free_spans(shard) - d.recycled_spans(shard)) * d.span_bytes();
+}
+
+// The directory and the providers agree once every ring is empty: each
+// shard's ungranted spans are exactly its provider's unconsumed window.
+void ExpectBooksBalance(const NgxSystem& sys) {
+  const SpanDirectory& d = *sys.allocator->directory();
+  for (int s = 0; s < sys.fabric->num_shards(); ++s) {
+    EXPECT_EQ(sys.fabric->QueueDepth(s), 0u) << "an entry was left in shard " << s << "'s rings";
+    EXPECT_EQ(UngrantedBytes(d, s), sys.allocator->heap(s).span_provider().FreeBytes())
+        << "shard " << s;
+  }
+}
+
 // ---- Randomized stress through the real fabric ----
 
 NgxConfig RebalanceConfig(int shards) {
@@ -411,6 +428,7 @@ TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsiste
   }
   sys.fabric->DrainAll();
   AuditDirectoryConsistency(*sys.allocator->directory());
+  ExpectBooksBalance(sys);
   const AllocatorStats stats = sys.allocator->stats();
   EXPECT_EQ(stats.mallocs, stats.frees);
   EXPECT_EQ(stats.bytes_live, 0u);
@@ -528,18 +546,183 @@ TEST(SpanRebalanceProtocol, ReturnSpanGraftsAtTheHomeShard) {
   ASSERT_EQ(d.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n), base);
   EXPECT_EQ(home, 1);
   EXPECT_EQ(n, 2u);
-  // Sender side first (ownership moves before the message), then the wire op
-  // grafts the range at home.
+  // Sender side first (ownership moves before the message), then the posted
+  // wire op grafts the range at home once a drain reaches it.
   ASSERT_EQ(d.ReturnRange(base, n, 0), home);
   const std::uint64_t before = sys.allocator->heap(1).span_provider().FreeBytes();
   Env env(*machine, 0);
-  EXPECT_EQ(sys.fabric->SyncRequest(env, home, OffloadOp::kReturnSpan, base | n), 1u);
+  sys.fabric->Post(env, home, OffloadOp::kReturnSpan, base | n);
+  EXPECT_EQ(sys.allocator->heap(1).span_provider().FreeBytes(), before) << "grafted on push";
+  sys.fabric->DrainAll();
   EXPECT_EQ(sys.allocator->heap(1).span_provider().FreeBytes(), before + n * kSpan);
   EXPECT_EQ(d.away_spans(0), 0u);
   EXPECT_EQ(d.returned_out(0), 2u);
   EXPECT_EQ(d.returned_in(1), 2u);
   EXPECT_EQ(d.total_returned(), 2u);
   AuditDirectoryConsistency(d);
+}
+
+// ---- One-way returns: a return needs no reply (DESIGN.md §8) ----
+
+// Two shards on cores 2 and 3, watermarks armed; clients 0 and 1 route to
+// shards 0 and 1. The holder keeps two of the other shard's spans, mapped
+// and fully recycled when `recycled` (the protocol tests' idiom), which
+// lifts it above its high mark: its next tick posts them home. No timer
+// fires: the tests drive Envs directly.
+struct PendingReturn {
+  std::unique_ptr<Machine> machine;
+  NgxSystem sys;
+  int holder = 0;
+  int home = 1;
+  Addr base = kNullAddr;  // the run's first span
+
+  // Maps and fully recycles the run at the holder: it becomes returnable.
+  void Recycle() {
+    SpanDirectory& d = *sys.allocator->directory();
+    d.NoteMapped(holder, base, 2 * kSpan);
+    d.NoteUnmapped(holder, base, 2 * kSpan);
+  }
+
+  PageProvider& home_provider() { return sys.allocator->heap(home).span_provider(); }
+  // The holder's server core, the return's sender.
+  int sender_core() const { return 2 + holder; }
+};
+
+PendingReturn MakePendingReturn(int holder, bool recycled = true) {
+  PendingReturn p;
+  p.machine = MakeMachine(4);
+  NgxConfig cfg = DonationOnlyConfig();
+  cfg.span_low_mark = 8;
+  cfg.span_high_mark = 16;
+  p.sys = MakeNgxSystem(*p.machine, cfg);
+  p.holder = holder;
+  p.home = 1 - holder;
+  p.base = p.home_provider().TrimTail(2 * kSpan, kSpan);
+  EXPECT_NE(p.base, kNullAddr);
+  p.sys.allocator->directory()->TransferRange(p.base, 2, p.home, holder);
+  if (recycled) {
+    p.Recycle();
+  }
+  return p;
+}
+
+// The holder's tick posts the return and moves on: the post costs its
+// server the entry store, less than the mailbox round trip an answer from
+// the home would take.
+TEST(SpanReturn, PostCostsTheSenderLessThanARoundTrip) {
+  // The holder's drain and tick, without a run to return; then a round trip
+  // from its server core to the home, over lines as cold as a return's.
+  PendingReturn idle = MakePendingReturn(0, /*recycled=*/false);
+  Core& idle_sender = idle.machine->core(idle.sender_core());
+  idle.sys.fabric->shard(0).DrainAll();
+  const std::uint64_t idle_tick = idle_sender.now();
+  ASSERT_EQ(idle.sys.allocator->directory()->total_returned(), 0u);
+  Env idle_env(*idle.machine, idle.sender_core());
+  idle.sys.fabric->SyncRequest(idle_env, 1, OffloadOp::kFlush, 0);
+  const std::uint64_t round_trip = idle_sender.now() - idle_tick;
+
+  PendingReturn p = MakePendingReturn(0);
+  p.sys.fabric->shard(0).DrainAll();
+  const std::uint64_t tick = p.machine->core(p.sender_core()).now();
+  ASSERT_EQ(p.sys.allocator->directory()->returned_out(0), 2u);
+  EXPECT_LT(tick - idle_tick, round_trip) << "the return waited for a reply";
+  EXPECT_EQ(p.sys.fabric->QueueDepth(1), 1u) << "the return is not in the home's ring";
+}
+
+// The home grafts the range in its next idle window -- here a request from
+// its own client, sent after the post -- or at DrainAll at the latest; until
+// then the range sits in neither provider, and the directory keeps it
+// ungranted at home. The recorder books the return as an async op and the
+// graft as no carve work.
+TEST(SpanReturn, HomeGraftsInItsNextIdleWindowOrAtDrainAll) {
+  for (const bool window : {true, false}) {
+    SCOPED_TRACE(window ? "idle window" : "DrainAll");
+    PendingReturn p = MakePendingReturn(0);
+    TelemetryConfig tc;
+    tc.enabled = true;
+    tc.recorder = true;
+    p.machine->EnableTelemetry(tc);
+    const FlightRecorder& rec = p.machine->telemetry().recorder();
+    const std::uint64_t before = p.home_provider().FreeBytes();
+    p.sys.fabric->shard(0).DrainAll();
+    ASSERT_EQ(p.sys.fabric->QueueDepth(1), 1u);
+    EXPECT_EQ(p.home_provider().FreeBytes(), before) << "grafted before the home drained";
+    EXPECT_EQ(UngrantedBytes(*p.sys.allocator->directory(), 1), before + 2 * kSpan);
+    const std::uint64_t carve = p.sys.fabric->shard_stats(1).carve_cycles;
+    const std::uint64_t carve_bucket = rec.cycles(FlightRecorder::kServerCarve);
+    if (window) {
+      p.machine->core(1).AdvanceTo(p.machine->core(p.sender_core()).now());
+      Env c1(*p.machine, 1);
+      p.sys.fabric->SyncRequest(c1, 1, OffloadOp::kFlush, 0);
+    } else {
+      p.sys.fabric->DrainAll();
+    }
+    EXPECT_EQ(p.sys.fabric->QueueDepth(1), 0u);
+    EXPECT_EQ(p.home_provider().FreeBytes(), before + 2 * kSpan);
+    ExpectBooksBalance(p.sys);
+    EXPECT_EQ(p.sys.fabric->shard_stats(1).carve_cycles, carve) << "a graft is not carve work";
+    EXPECT_EQ(rec.cycles(FlightRecorder::kServerCarve), carve_bucket);
+    const TrafficCell* cell = rec.matrix().CellOrNull(p.sender_core(), 1);
+    ASSERT_NE(cell, nullptr);
+    EXPECT_EQ(cell->async_ops, 1u);
+    EXPECT_EQ(cell->sync_ops, 0u) << "the return waited for a reply";
+  }
+}
+
+// A Flush whose windows end before the post leaves the return in the home's
+// ring. The allocator's books and the directory balance all the same; the
+// home's provider catches up at DrainAll.
+TEST(SpanReturn, BooksBalanceAcrossAFlushWithAReturnInARing) {
+  // Shard 1 holds shard 0's run, and it becomes returnable only after the
+  // clients' traffic, whose windows would tick the holder early.
+  PendingReturn p = MakePendingReturn(/*holder=*/1, /*recycled=*/false);
+  Env c0(*p.machine, 0);
+  Env c1(*p.machine, 1);
+  std::vector<std::pair<Env*, Addr>> blocks;
+  for (int i = 0; i < 20; ++i) {
+    for (Env* env : {&c0, &c1}) {
+      const Addr a = p.sys.allocator->Malloc(*env, 256 + 512 * i);
+      ASSERT_NE(a, kNullAddr);
+      blocks.emplace_back(env, a);
+    }
+  }
+  for (const auto& [env, a] : blocks) {
+    p.sys.allocator->Free(*env, a);
+  }
+  p.Recycle();
+  // The holder's server runs far ahead of both clients, as after a burst.
+  // Each Flush reaches shard 0 first, from a client clock behind the post.
+  Core& sender = p.machine->core(p.sender_core());
+  sender.AdvanceTo(sender.now() + 1000000);
+  p.sys.fabric->shard(1).DrainAll();
+  ASSERT_EQ(p.sys.allocator->directory()->returned_out(1), 2u);
+  p.sys.allocator->Flush(c0);
+  p.sys.allocator->Flush(c1);
+  ASSERT_EQ(p.sys.fabric->QueueDepth(0), 1u) << "the Flush's windows reached the post";
+  const SpanDirectory& d = *p.sys.allocator->directory();
+  AuditDirectoryConsistency(d);
+  const AllocatorStats stats = p.sys.allocator->stats();
+  EXPECT_EQ(stats.mallocs, stats.frees);
+  EXPECT_EQ(stats.bytes_live, 0u);
+  EXPECT_EQ(UngrantedBytes(d, 0), p.home_provider().FreeBytes() + 2 * kSpan)
+      << "the range in flight is booked home and grafted nowhere";
+  p.sys.fabric->DrainAll();
+  ExpectBooksBalance(p.sys);
+  AuditDirectoryConsistency(d);
+}
+
+// DrainAll drains the shards in order, and the last shard's post-drain tick
+// posts a return to shard 0, which this pass already drained: DrainAll
+// still leaves no entry behind.
+TEST(SpanReturn, DrainAllLeavesNoEntryWhenTheLastShardPostsToShardZero) {
+  PendingReturn p = MakePendingReturn(/*holder=*/1);
+  const std::uint64_t before = p.home_provider().FreeBytes();
+  p.sys.fabric->DrainAll();
+  EXPECT_EQ(p.sys.allocator->directory()->returned_in(0), 2u);
+  EXPECT_EQ(p.home_provider().FreeBytes(), before + 2 * kSpan);
+  ExpectBooksBalance(p.sys);
+  const OffloadEngineStats st = p.sys.fabric->TotalStats();
+  EXPECT_EQ(st.async_ops, st.async_enqueued);
 }
 
 // ---- End-to-end watermark behaviour ----
