@@ -4,109 +4,76 @@
 
 namespace ngx {
 
-Cache::Cache(const CacheConfig& config, std::string name)
+SetAssoc::SetAssoc(std::uint64_t entries, std::uint32_t ways)
+    : ways_(ways), slots_(entries) {
+  NGX_CHECK(ways > 0 && entries > 0 && entries % ways == 0,
+            "set-associative array: entries must be a positive multiple of ways");
+  NGX_CHECK(IsPow2(entries / ways), "set-associative array: set count must be a power of two");
+  set_mask_ = entries / ways - 1;
+}
+
+std::size_t SetAssoc::Victim(std::uint64_t key) const {
+  const std::size_t base = static_cast<std::size_t>(key & set_mask_) * ways_;
+  std::size_t victim = base;
+  for (std::size_t s = base; s < base + ways_; ++s) {
+    if (slots_[s].key == 0) {
+      return s;
+    }
+    if (slots_[s].stamp < slots_[victim].stamp) {
+      victim = s;
+    }
+  }
+  return victim;
+}
+
+Cache::Cache(const CacheConfig& config)
     : config_(config),
-      name_(std::move(name)),
-      sets_(static_cast<std::uint32_t>(config.size_bytes / config.line_bytes / config.ways)),
-      lines_(static_cast<std::size_t>(sets_) * config.ways),
-      repl_(config.replacement, sets_, config.ways) {
-  assert(IsPow2(sets_) && "cache set count must be a power of two");
-  assert(IsPow2(config.line_bytes));
-}
+      tags_(config.size_bytes / kCacheLineBytes, config.ways),
+      states_(tags_.size()) {}
 
-Cache::Line* Cache::FindLine(Addr line) {
-  const std::uint32_t set = SetOf(line);
-  const Addr tag = TagOf(line);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      return &base[w];
-    }
-  }
-  return nullptr;
-}
-
-const Cache::Line* Cache::FindLine(Addr line) const {
-  return const_cast<Cache*>(this)->FindLine(line);
-}
-
-bool Cache::Access(Addr line, bool mark_dirty) {
-  Line* l = FindLine(line);
-  if (l == nullptr) {
-    ++misses_;
-    return false;
-  }
-  ++hits_;
-  if (mark_dirty) {
-    l->dirty = true;
-  }
-  const std::uint32_t set = SetOf(line);
-  const std::uint32_t way = static_cast<std::uint32_t>(
-      l - &lines_[static_cast<std::size_t>(set) * config_.ways]);
-  repl_.OnAccess(set, way);
-  return true;
-}
-
-bool Cache::Contains(Addr line) const { return FindLine(line) != nullptr; }
-
-Cache::Eviction Cache::Insert(Addr line, bool dirty) {
-  assert(FindLine(line) == nullptr && "inserting a line that is already present");
-  const std::uint32_t set = SetOf(line);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  std::uint32_t way = config_.ways;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (!base[w].valid) {
-      way = w;
-      break;
-    }
-  }
+Cache::Eviction Cache::Insert(Addr line, LineState init) {
+  const std::uint64_t key = line / kCacheLineBytes;
+  assert(tags_.Find(key) == SetAssoc::kNone && "inserting a line that is already present");
+  const std::size_t slot = tags_.Victim(key);
   Eviction ev;
-  if (way == config_.ways) {
-    way = repl_.Victim(set);
-    ev.valid = true;
-    ev.line = LineAddr(base[way].tag, set);
-    ev.dirty = base[way].dirty;
+  if (tags_.valid(slot)) {
+    ev = Eviction{true, tags_.key(slot) * kCacheLineBytes, states_[slot].dirty,
+                  states_[slot].sharers};
   }
-  base[way] = Line{TagOf(line), true, dirty};
-  repl_.OnInsert(set, way);
+  tags_.Fill(slot, key);
+  states_[slot] = init;
   return ev;
 }
 
 bool Cache::Invalidate(Addr line, bool* was_dirty) {
-  Line* l = FindLine(line);
-  if (l == nullptr) {
+  const std::size_t slot = tags_.Find(line / kCacheLineBytes);
+  if (slot == SetAssoc::kNone) {
     return false;
   }
   if (was_dirty != nullptr) {
-    *was_dirty = l->dirty;
+    *was_dirty = states_[slot].dirty;
   }
-  l->valid = false;
-  l->dirty = false;
+  tags_.Erase(slot);
   return true;
 }
 
 void Cache::CleanLine(Addr line) {
-  Line* l = FindLine(line);
-  if (l != nullptr) {
-    l->dirty = false;
+  if (LineState* s = Find(line)) {
+    s->dirty = false;
   }
 }
 
 void Cache::MarkDirty(Addr line) {
-  Line* l = FindLine(line);
-  if (l != nullptr) {
-    l->dirty = true;
+  if (LineState* s = Find(line)) {
+    s->dirty = true;
   }
 }
 
 std::vector<Addr> Cache::ValidLines() const {
   std::vector<Addr> out;
-  for (std::uint32_t set = 0; set < sets_; ++set) {
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      const Line& l = lines_[static_cast<std::size_t>(set) * config_.ways + w];
-      if (l.valid) {
-        out.push_back(LineAddr(l.tag, set));
-      }
+  for (std::size_t s = 0; s < tags_.size(); ++s) {
+    if (tags_.valid(s)) {
+      out.push_back(tags_.key(s) * kCacheLineBytes);
     }
   }
   return out;

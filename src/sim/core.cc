@@ -10,7 +10,7 @@ CoreConfig CoreConfig::NearMemory() {
   c.cpi = 1.0;
   c.load_overlap = 0.0;
   c.store_overlap = 0.0;
-  c.l1d = CacheConfig{16 * 1024, 4, kCacheLineBytes, ReplacementKind::kLru, 2};
+  c.l1d = CacheConfig{16 * 1024, 4, 2};
   c.has_l2 = false;
   c.tlb.l1_small_entries = 32;
   c.tlb.l1_huge_entries = 16;
@@ -31,8 +31,8 @@ CoreConfig CoreConfig::InOrder() {
 Core::Core(const CoreConfig& config, int id)
     : config_(config),
       id_(id),
-      l1d_(config.l1d, "l1d"),
-      l2_(config.has_l2 ? std::make_unique<Cache>(config.l2, "l2") : nullptr),
+      l1d_(config.l1d),
+      l2_(config.has_l2 ? std::make_unique<Cache>(config.l2) : nullptr),
       tlb_(config.tlb) {}
 
 void Core::AdvanceTo(std::uint64_t t) {

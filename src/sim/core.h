@@ -28,9 +28,9 @@ struct CoreConfig {
   double cpi = 0.5;             // cycles per non-memory instruction
   double load_overlap = 0.60;   // fraction of load latency hidden (OoO only)
   double store_overlap = 0.85;  // fraction of store latency hidden (OoO only)
-  CacheConfig l1d{32 * 1024, 8, kCacheLineBytes, ReplacementKind::kLru, 4};
+  CacheConfig l1d{32 * 1024, 8, 4};
   bool has_l2 = true;
-  CacheConfig l2{256 * 1024, 8, kCacheLineBytes, ReplacementKind::kLru, 12};
+  CacheConfig l2{256 * 1024, 8, 12};
   TlbConfig tlb;
   // If nonzero, overrides the machine DRAM latency for this core's misses
   // (used by near-memory cores).

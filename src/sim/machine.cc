@@ -1,8 +1,10 @@
 #include "src/sim/machine.h"
 
+#include <bit>
 #include <cassert>
 
 #include "src/alloc/layout.h"
+#include "src/sim/check.h"
 
 namespace ngx {
 
@@ -49,14 +51,14 @@ MachineConfig MachineConfig::ScaledWorkstation(int num_cores) {
   c.tlb.l1_huge_entries = 16;
   c.tlb.l2_entries = 256;
   m.cores.assign(static_cast<std::size_t>(num_cores), c);
-  m.llc = CacheConfig{1024 * 1024, 16, kCacheLineBytes, ReplacementKind::kLru, 40};
+  m.llc = CacheConfig{1024 * 1024, 16, 40};
   m.mem_latency = 260;
   return m;
 }
 
-Machine::Machine(const MachineConfig& config)
-    : config_(config), llc_(config.llc, "llc") {
-  assert(!config.cores.empty());
+Machine::Machine(const MachineConfig& config) : config_(config), llc_(config.llc) {
+  NGX_CHECK(!config.cores.empty() && config.cores.size() <= 8 * sizeof(Cache::LineState::sharers),
+            "a machine has 1 to 32 cores: one bit each in the directory's sharer mask");
   cores_.reserve(config.cores.size());
   for (std::size_t i = 0; i < config.cores.size(); ++i) {
     cores_.push_back(std::make_unique<Core>(config.cores[i], static_cast<int>(i)));
@@ -120,18 +122,13 @@ void Machine::MaybeRecorderSnapshot(int core_id) {
   }
 }
 
-const Machine::DirEntry* Machine::FindDir(Addr line) const {
-  auto it = directory_.find(line);
-  return it == directory_.end() ? nullptr : &it->second;
-}
-
 int Machine::OwnerOf(Addr line) const {
-  const DirEntry* e = FindDir(LineBase(line));
-  return e == nullptr ? -1 : e->owner;
+  const Cache::LineState* e = llc_.Find(LineBase(line));
+  return e != nullptr && e->modified ? std::countr_zero(e->sharers) : -1;
 }
 
 std::uint32_t Machine::SharersOf(Addr line) const {
-  const DirEntry* e = FindDir(LineBase(line));
+  const Cache::LineState* e = llc_.Find(LineBase(line));
   return e == nullptr ? 0 : e->sharers;
 }
 
@@ -222,24 +219,28 @@ std::uint64_t Machine::AccessLine(int core_id, Addr line, AccessType type) {
   const std::uint32_t my_bit = 1u << core_id;
   std::uint64_t lat = c.l1d().config().hit_latency;
 
-  auto upgrade_if_needed = [&]() {
-    DirEntry& e = Dir(line);
-    if (is_write && (e.owner != core_id || e.sharers != my_bit)) {
-      const int dropped = InvalidateOthers(core_id, line);
-      if (dropped > 0) {
-        lat += config_.invalidate_latency;
-        if (type == AccessType::kAtomicRmw) {
-          lat += config_.atomic_remote_extra;
-        }
-      }
-      e.owner = core_id;
-      e.sharers = my_bit;
+  // A write makes this core the owner and the only sharer. A read hit in the
+  // private hierarchy never changes the directory.
+  auto take_ownership = [&](Cache::LineState& e) {
+    if (e.modified && e.sharers == my_bit) {
+      return;
     }
+    if (InvalidateOthers(core_id, line, e) > 0) {
+      lat += config_.invalidate_latency;
+      if (type == AccessType::kAtomicRmw) {
+        lat += config_.atomic_remote_extra;
+      }
+    }
+    e.modified = true;
+    e.sharers = my_bit;
   };
 
   // L1 hit path.
-  if (c.l1d().Access(line, is_write)) {
-    upgrade_if_needed();
+  if (Cache::LineState* l1 = c.l1d().Access(line)) {
+    if (is_write) {
+      l1->dirty = true;
+      take_ownership(LlcLine(line));
+    }
     return lat;
   }
   if (type == AccessType::kLoad) {
@@ -251,8 +252,10 @@ std::uint64_t Machine::AccessLine(int core_id, Addr line, AccessType type) {
   // L2 hit path.
   if (c.has_l2()) {
     lat += c.l2()->config().hit_latency;
-    if (c.l2()->Access(line, false)) {
-      upgrade_if_needed();
+    if (c.l2()->Access(line) != nullptr) {
+      if (is_write) {
+        take_ownership(LlcLine(line));
+      }
       FillPrivate(core_id, line, is_write);
       return lat;
     }
@@ -263,16 +266,17 @@ std::uint64_t Machine::AccessLine(int core_id, Addr line, AccessType type) {
     }
   }
 
-  // Beyond the private hierarchy: consult the directory and the shared LLC.
-  DirEntry& e = Dir(line);
-  const bool remote_modified = e.owner != -1 && e.owner != core_id;
-  if (remote_modified) {
+  // Beyond the private hierarchy: the shared LLC and the directory in its
+  // lines. This core holds no copy, so a modified line has a remote owner.
+  Cache::LineState* e = llc_.Find(line);
+  if (e != nullptr && e->modified) {
     // Served cache-to-cache from the remote owner (HITM). Counts as an LLC
     // miss, as perf reports it. Transfers inside one core cluster are
     // cheaper when the config models clustered interconnects.
+    const int owner = std::countr_zero(e->sharers);
     const bool same_cluster =
         config_.cluster_cores > 0 && config_.same_cluster_transfer_latency > 0 &&
-        core_id / config_.cluster_cores == e.owner / config_.cluster_cores;
+        core_id / config_.cluster_cores == owner / config_.cluster_cores;
     lat += same_cluster ? config_.same_cluster_transfer_latency
                         : config_.remote_transfer_latency;
     if (type == AccessType::kAtomicRmw) {
@@ -283,36 +287,27 @@ std::uint64_t Machine::AccessLine(int core_id, Addr line, AccessType type) {
       if (config_.count_hitm_as_llc_miss) {
         ++c.pmu().llc_load_misses;
       }
-      DowngradeOwner(e.owner, line);
-      e.owner = -1;
-      e.sharers |= my_bit;
+      DowngradeOwner(owner, line);
+      e->modified = false;
+      e->sharers |= my_bit;
     } else {
       if (config_.count_hitm_as_llc_miss) {
         ++c.pmu().llc_store_misses;
       }
-      const int old_owner = e.owner;
-      if (DropFromPrivate(old_owner, line)) {
-        WritebackToLlc(line);
+      if (DropFromPrivate(owner, line)) {
+        e->dirty = true;
       }
-      ++core(old_owner).pmu().invalidations_received;
+      ++core(owner).pmu().invalidations_received;
       ++c.pmu().invalidations_sent;
-      e.owner = core_id;
-      e.sharers = my_bit;
+      e->sharers = my_bit;  // still modified, now by this core
     }
-  } else if (llc_.Access(line, false)) {
+  } else if (e != nullptr) {
+    llc_.Touch(e);
     lat += config_.llc.hit_latency;
     if (is_write) {
-      const int dropped = InvalidateOthers(core_id, line);
-      if (dropped > 0) {
-        lat += config_.invalidate_latency;
-        if (type == AccessType::kAtomicRmw) {
-          lat += config_.atomic_remote_extra;
-        }
-      }
-      Dir(line).owner = core_id;
-      Dir(line).sharers = my_bit;
+      take_ownership(*e);
     } else {
-      Dir(line).sharers |= my_bit;
+      e->sharers |= my_bit;
     }
   } else {
     // DRAM fill.
@@ -327,18 +322,7 @@ std::uint64_t Machine::AccessLine(int core_id, Addr line, AccessType type) {
     } else {
       ++c.pmu().llc_store_misses;
     }
-    HandleLlcEviction(llc_.Insert(line, false));
-    DirEntry& e2 = Dir(line);  // directory may have rehashed on eviction
-    if (is_write) {
-      // Any stale sharers were back-invalidated by inclusion already;
-      // whatever remains must be invalidated for ownership.
-      InvalidateOthers(core_id, line);
-      e2.owner = core_id;
-      e2.sharers = my_bit;
-    } else {
-      e2.sharers |= my_bit;
-      e2.owner = -1;
-    }
+    HandleLlcEviction(llc_.Insert(line, {false, is_write, my_bit}));
   }
 
   FillPrivate(core_id, line, is_write);
@@ -350,38 +334,30 @@ void Machine::PrefetchLine(int core_id, Addr line) {
   if (c.l1d().Contains(line) || (c.has_l2() && c.l2()->Contains(line))) {
     return;
   }
-  const DirEntry* e = FindDir(line);
-  if (e != nullptr && e->owner != -1 && e->owner != core_id) {
+  const std::uint32_t my_bit = 1u << core_id;
+  Cache::LineState* e = llc_.Find(line);
+  if (e == nullptr) {
+    HandleLlcEviction(llc_.Insert(line, {false, false, my_bit}));
+  } else if (e->modified) {
     return;  // never steal remotely-owned lines speculatively
-  }
-  if (!llc_.Contains(line)) {
-    HandleLlcEviction(llc_.Insert(line, false));
   } else {
-    llc_.Access(line, false);
+    llc_.Touch(e);
+    e->sharers |= my_bit;
   }
   FillPrivate(core_id, line, false);
-  Dir(line).sharers |= 1u << core_id;
 }
 
 void Machine::FillPrivate(int core_id, Addr line, bool dirty) {
   Core& c = core(core_id);
-  if (c.has_l2()) {
-    if (!c.l2()->Contains(line)) {
-      HandlePrivateEviction(core_id, c.l2()->Insert(line, false), /*outer_level=*/true);
-    }
-    if (!c.l1d().Contains(line)) {
-      HandlePrivateEviction(core_id, c.l1d().Insert(line, dirty), /*outer_level=*/false);
-    } else if (dirty) {
-      c.l1d().MarkDirty(line);
-    }
-  } else {
-    if (!c.l1d().Contains(line)) {
-      HandlePrivateEviction(core_id, c.l1d().Insert(line, dirty), /*outer_level=*/true);
-    } else if (dirty) {
-      c.l1d().MarkDirty(line);
-    }
+  if (c.has_l2() && !c.l2()->Contains(line)) {
+    HandlePrivateEviction(core_id, c.l2()->Insert(line, {}), /*outer_level=*/true);
   }
-  Dir(line).sharers |= 1u << core_id;
+  if (!c.l1d().Contains(line)) {
+    HandlePrivateEviction(core_id, c.l1d().Insert(line, {dirty, false, 0}),
+                          /*outer_level=*/!c.has_l2());
+  } else if (dirty) {
+    c.l1d().MarkDirty(line);
+  }
 }
 
 void Machine::HandlePrivateEviction(int core_id, const Cache::Eviction& ev, bool outer_level) {
@@ -408,18 +384,13 @@ void Machine::HandlePrivateEviction(int core_id, const Cache::Eviction& ev, bool
       dirty |= l1_dirty;
     }
   }
-  auto it = directory_.find(ev.line);
-  if (it != directory_.end()) {
-    it->second.sharers &= ~(1u << core_id);
-    if (it->second.owner == core_id) {
-      it->second.owner = -1;
-    }
-  }
+  Cache::LineState& e = LlcLine(ev.line);
+  e.sharers &= ~(1u << core_id);
+  e.modified = e.modified && e.sharers != 0;  // an owner is the only sharer
   if (dirty) {
     ++c.pmu().writebacks;
-    WritebackToLlc(ev.line);
+    e.dirty = true;
   }
-  DropDirEntryIfDead(ev.line);
 }
 
 bool Machine::DropFromPrivate(int core_id, Addr line) {
@@ -431,13 +402,6 @@ bool Machine::DropFromPrivate(int core_id, Addr line) {
   }
   if (c.has_l2() && c.l2()->Invalidate(line, &d)) {
     dirty |= d;
-  }
-  auto it = directory_.find(line);
-  if (it != directory_.end()) {
-    it->second.sharers &= ~(1u << core_id);
-    if (it->second.owner == core_id) {
-      it->second.owner = -1;
-    }
   }
   return dirty;
 }
@@ -454,40 +418,27 @@ void Machine::DowngradeOwner(int owner, Addr line) {
   WritebackToLlc(line);
 }
 
-int Machine::InvalidateOthers(int keep_core, Addr line) {
-  auto it = directory_.find(line);
-  if (it == directory_.end()) {
-    return 0;
-  }
+int Machine::InvalidateOthers(int keep_core, Addr line, Cache::LineState& e) {
   int dropped = 0;
-  const std::uint32_t keep_bit = 1u << keep_core;
-  std::uint32_t others = it->second.sharers & ~keep_bit;
+  std::uint32_t others = e.sharers & ~(1u << keep_core);
   for (int o = 0; others != 0; ++o, others >>= 1) {
     if ((others & 1u) == 0) {
       continue;
     }
     if (DropFromPrivate(o, line)) {
-      WritebackToLlc(line);
+      e.dirty = true;
     }
     ++core(o).pmu().invalidations_received;
     ++dropped;
   }
-  if (dropped > 0) {
-    core(keep_core).pmu().invalidations_sent += static_cast<std::uint64_t>(dropped);
-    it = directory_.find(line);  // DropFromPrivate may erase nothing, but be safe
-    if (it != directory_.end()) {
-      it->second.sharers &= keep_bit;
-    }
-  }
+  core(keep_core).pmu().invalidations_sent += static_cast<std::uint64_t>(dropped);
   return dropped;
 }
 
-void Machine::WritebackToLlc(Addr line) {
-  if (llc_.Contains(line)) {
-    llc_.MarkDirty(line);
-    return;
-  }
-  HandleLlcEviction(llc_.Insert(line, true));
+Cache::LineState& Machine::LlcLine(Addr line) {
+  Cache::LineState* e = llc_.Find(line);
+  assert(e != nullptr && "inclusion: every privately cached line is in the LLC");
+  return *e;
 }
 
 void Machine::HandleLlcEviction(const Cache::Eviction& ev) {
@@ -496,27 +447,15 @@ void Machine::HandleLlcEviction(const Cache::Eviction& ev) {
   }
   // Inclusive LLC: back-invalidate every private copy of the evicted line.
   bool dirty = ev.dirty;
-  auto it = directory_.find(ev.line);
-  if (it != directory_.end()) {
-    std::uint32_t sharers = it->second.sharers;
-    for (int o = 0; sharers != 0; ++o, sharers >>= 1) {
-      if ((sharers & 1u) != 0) {
-        dirty |= DropFromPrivate(o, ev.line);
-        ++core(o).pmu().invalidations_received;
-      }
+  std::uint32_t sharers = ev.sharers;
+  for (int o = 0; sharers != 0; ++o, sharers >>= 1) {
+    if ((sharers & 1u) != 0) {
+      dirty |= DropFromPrivate(o, ev.line);
+      ++core(o).pmu().invalidations_received;
     }
-    directory_.erase(ev.line);
   }
   if (dirty) {
     ++mem_writes_;
-  }
-}
-
-void Machine::DropDirEntryIfDead(Addr line) {
-  auto it = directory_.find(line);
-  if (it != directory_.end() && it->second.sharers == 0 && it->second.owner == -1 &&
-      !llc_.Contains(line)) {
-    directory_.erase(it);
   }
 }
 

@@ -1,5 +1,6 @@
-// The simulated machine: cores with private caches, a shared inclusive LLC,
-// a MESI-style coherence directory, two-level dTLBs and a flat DRAM model.
+// The simulated machine: cores with private caches, a shared inclusive LLC
+// whose lines hold the MESI-style coherence directory, two-level dTLBs and a
+// flat DRAM model.
 //
 // Machine::Access is the single timed entry point. It walks the hierarchy,
 // maintains coherence (invalidations, remote-HITM transfers, write-backs) and
@@ -11,7 +12,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/address_map.h"
@@ -26,7 +26,7 @@ namespace ngx {
 
 struct MachineConfig {
   std::vector<CoreConfig> cores;
-  CacheConfig llc{2 * 1024 * 1024, 16, kCacheLineBytes, ReplacementKind::kLru, 40};
+  CacheConfig llc{2 * 1024 * 1024, 16, 40};
   std::uint64_t mem_latency = 200;             // DRAM access, cycles
   std::uint64_t remote_transfer_latency = 110;  // cache-to-cache (HITM) service
   // Core-cluster topology: cores [i*k, (i+1)*k) form cluster i. When
@@ -61,6 +61,8 @@ struct MachineConfig {
 
 class Machine {
  public:
+  // Dies unless the config has 1 to 32 cores: the directory's sharer mask
+  // has one bit per core.
   explicit Machine(const MachineConfig& config);
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -158,10 +160,6 @@ class Machine {
   std::uint64_t memory_writes() const { return mem_writes_; }
 
  private:
-  struct DirEntry {
-    std::uint32_t sharers = 0;  // presence bitmask over cores' private caches
-    int owner = -1;             // core holding the line modified, or -1
-  };
   struct TimerHook {
     int id;
     int core_id;
@@ -188,25 +186,24 @@ class Machine {
   void FillPrivate(int core_id, Addr line, bool dirty);
   void HandlePrivateEviction(int core_id, const Cache::Eviction& ev, bool outer_level);
   // Drops the line from a core's private hierarchy; returns true if any
-  // private copy was dirty.
+  // private copy was dirty. Leaves the directory to the caller.
   bool DropFromPrivate(int core_id, Addr line);
   // Downgrades a remote modified owner on a read: write back, keep shared.
   void DowngradeOwner(int owner, Addr line);
-  // Invalidates all private copies except `keep_core`; returns number dropped.
-  int InvalidateOthers(int keep_core, Addr line);
-  void WritebackToLlc(Addr line);
+  // Invalidates the private copies of every sharer in `e` except
+  // `keep_core`; returns the number dropped.
+  int InvalidateOthers(int keep_core, Addr line, Cache::LineState& e);
+  // The LLC state of a privately cached line, which inclusion keeps in the
+  // LLC: its directory entry and the LLC's dirty bit.
+  Cache::LineState& LlcLine(Addr line);
+  void WritebackToLlc(Addr line) { LlcLine(line).dirty = true; }
   void HandleLlcEviction(const Cache::Eviction& ev);
-  void DropDirEntryIfDead(Addr line);
-
-  DirEntry& Dir(Addr line) { return directory_[line]; }
-  const DirEntry* FindDir(Addr line) const;
 
   MachineConfig config_;
   SimMemory memory_;
   AddressMap address_map_;
   std::vector<std::unique_ptr<Core>> cores_;
-  Cache llc_;
-  std::unordered_map<Addr, DirEntry> directory_;
+  Cache llc_;  // inclusive; its lines hold the coherence directory
   std::uint64_t mem_reads_ = 0;
   std::uint64_t mem_writes_ = 0;
   Telemetry telemetry_;

@@ -1,61 +1,12 @@
 #include "src/sim/tlb.h"
 
-#include <cassert>
-
 namespace ngx {
-
-namespace {
-std::uint32_t SetCount(std::uint32_t entries, std::uint32_t ways) {
-  std::uint32_t sets = entries / ways;
-  assert(sets > 0 && IsPow2(sets));
-  return sets;
-}
-}  // namespace
-
-Tlb::Array::Array(std::uint32_t entries, std::uint32_t ways_in, std::uint64_t seed)
-    : sets(SetCount(entries, ways_in)),
-      ways(ways_in),
-      tags(static_cast<std::size_t>(sets) * ways_in, 0),
-      repl(ReplacementKind::kLru, sets, ways_in, seed) {}
-
-bool Tlb::Array::Access(std::uint64_t vpn) {
-  const std::uint32_t set = static_cast<std::uint32_t>(vpn & (sets - 1));
-  std::uint64_t* base = &tags[static_cast<std::size_t>(set) * ways];
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if (base[w] == vpn + 1) {
-      repl.OnAccess(set, w);
-      return true;
-    }
-  }
-  return false;
-}
-
-void Tlb::Array::Insert(std::uint64_t vpn) {
-  const std::uint32_t set = static_cast<std::uint32_t>(vpn & (sets - 1));
-  std::uint64_t* base = &tags[static_cast<std::size_t>(set) * ways];
-  std::uint32_t way = ways;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if (base[w] == 0) {
-      way = w;
-      break;
-    }
-  }
-  if (way == ways) {
-    way = repl.Victim(set);
-  }
-  base[way] = vpn + 1;
-  repl.OnInsert(set, way);
-}
-
-void Tlb::Array::Clear() {
-  std::fill(tags.begin(), tags.end(), 0);
-}
 
 Tlb::Tlb(const TlbConfig& config)
     : config_(config),
-      l1_small_(config.l1_small_entries, config.l1_small_ways, 0x1111),
-      l1_huge_(config.l1_huge_entries, config.l1_huge_ways, 0x2222),
-      l2_(config.l2_entries, config.l2_ways, 0x3333) {}
+      l1_small_(config.l1_small_entries, config.l1_small_ways),
+      l1_huge_(config.l1_huge_entries, config.l1_huge_ways),
+      l2_(config.l2_entries, config.l2_ways) {}
 
 Tlb::Result Tlb::Lookup(Addr vaddr, std::uint64_t page_bytes) {
   Result r;
@@ -64,27 +15,20 @@ Tlb::Result Tlb::Lookup(Addr vaddr, std::uint64_t page_bytes) {
   const std::uint64_t vpn = vaddr / page_bytes;
   const std::uint64_t l2_vpn = vpn | (huge ? (1ull << 57) : 0);
 
-  Array& l1 = huge ? l1_huge_ : l1_small_;
-  if (l1.Access(vpn)) {
+  SetAssoc& l1 = huge ? l1_huge_ : l1_small_;
+  if (l1.Hit(vpn) != SetAssoc::kNone) {
     return r;
   }
   r.l1_miss = true;
-  if (l2_.Access(l2_vpn)) {
+  if (l2_.Hit(l2_vpn) != SetAssoc::kNone) {
     r.extra_cycles = config_.l2_hit_latency;
-    l1.Insert(vpn);
-    return r;
+  } else {
+    r.walk = true;
+    r.extra_cycles = config_.l2_hit_latency + config_.walk_latency;
+    l2_.Fill(l2_.Victim(l2_vpn), l2_vpn);
   }
-  r.walk = true;
-  r.extra_cycles = config_.l2_hit_latency + config_.walk_latency;
-  l2_.Insert(l2_vpn);
-  l1.Insert(vpn);
+  l1.Fill(l1.Victim(vpn), vpn);
   return r;
-}
-
-void Tlb::Flush() {
-  l1_small_.Clear();
-  l1_huge_.Clear();
-  l2_.Clear();
 }
 
 }  // namespace ngx

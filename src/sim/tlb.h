@@ -7,9 +7,8 @@
 #define NGX_SRC_SIM_TLB_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "src/sim/replacement.h"
+#include "src/sim/cache.h"
 #include "src/sim/types.h"
 
 namespace ngx {
@@ -38,28 +37,13 @@ class Tlb {
   // Translates the page containing `vaddr`, backed by `page_bytes` pages.
   Result Lookup(Addr vaddr, std::uint64_t page_bytes);
 
-  void Flush();
-
   const TlbConfig& config() const { return config_; }
 
  private:
-  // A tiny set-associative array of VPN tags.
-  struct Array {
-    Array(std::uint32_t entries, std::uint32_t ways_in, std::uint64_t seed);
-    bool Access(std::uint64_t vpn);
-    void Insert(std::uint64_t vpn);
-    void Clear();
-
-    std::uint32_t sets;
-    std::uint32_t ways;
-    std::vector<std::uint64_t> tags;  // vpn + 1; 0 = invalid
-    ReplacementState repl;
-  };
-
   TlbConfig config_;
-  Array l1_small_;
-  Array l1_huge_;
-  Array l2_;
+  SetAssoc l1_small_;
+  SetAssoc l1_huge_;
+  SetAssoc l2_;
 };
 
 }  // namespace ngx

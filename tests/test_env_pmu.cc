@@ -138,19 +138,21 @@ TEST(Machine, ScaledWorkstationIsSmallerThanDefault) {
   EXPECT_LT(scaled.cores[0].tlb.l2_entries, def.cores[0].tlb.l2_entries);
 }
 
-TEST(Machine, RandomReplacementCachesStillCoherent) {
+TEST(Machine, TinyCachesStillCoherent) {
+  // Both private levels evict constantly, so LRU evictions race the other
+  // core's invalidations.
   MachineConfig cfg = MachineConfig::Default(2);
   for (auto& c : cfg.cores) {
-    c.l1d.replacement = ReplacementKind::kRandom;
-    c.l2.replacement = ReplacementKind::kFifo;
+    c.l1d = CacheConfig{1024, 2, 4};
+    c.l2 = CacheConfig{4096, 2, 12};
   }
   Machine machine(cfg);
-  std::uint64_t shadow[64] = {};
+  std::uint64_t shadow[128] = {};
   std::uint64_t x = 7;
   for (int i = 0; i < 4000; ++i) {
     x = x * 6364136223846793005ull + 1;
     const int core = static_cast<int>(x % 2);
-    const std::size_t slot = (x >> 8) % 64;
+    const std::size_t slot = (x >> 8) % 128;
     Env env(machine, core);
     if ((x >> 16) & 1) {
       shadow[slot] = x;

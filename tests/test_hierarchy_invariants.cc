@@ -31,10 +31,81 @@ TEST(Hierarchy, L1IsSubsetOfL2) {
   }
 }
 
+// The coherence directory lives in the LLC's lines, so the inclusive LLC must
+// hold every privately cached line with exactly its holders as sharers.
+TEST(Hierarchy, LlcHoldsEveryPrivateLineAndItsSharers) {
+  MachineConfig cfg = MachineConfig::Default(4);
+  for (CoreConfig& c : cfg.cores) {
+    c.l1d.size_bytes = 1024;
+    c.l1d.ways = 2;
+    c.l2.size_bytes = 4096;
+    c.l2.ways = 2;
+  }
+  cfg.cores[3] = CoreConfig::NearMemory();  // no L2
+  cfg.next_line_prefetch = true;
+  cfg.llc.size_bytes = 16 * 1024;  // 256 lines against a 1,024-line working set
+  cfg.llc.ways = 4;
+  Machine m(cfg);
+  constexpr Addr kBase = 0x40000;
+  constexpr std::size_t kLines = 1024;
+  auto check = [&]() {
+    for (int id = 0; id < m.num_cores(); ++id) {
+      Core& c = m.core(id);
+      std::vector<Addr> lines = c.l1d().ValidLines();
+      if (c.has_l2()) {
+        const std::vector<Addr> l2 = c.l2()->ValidLines();
+        lines.insert(lines.end(), l2.begin(), l2.end());
+      }
+      for (const Addr line : lines) {
+        ASSERT_TRUE(m.LlcContains(line)) << "core " << id << " line " << line;
+        ASSERT_NE(m.SharersOf(line) & (1u << id), 0u) << "core " << id << " line " << line;
+      }
+    }
+    // The prefetcher also reaches the line after the working set.
+    for (Addr line = kBase; line <= kBase + kLines * 64; line += 64) {
+      std::uint32_t holders = 0;
+      for (int id = 0; id < m.num_cores(); ++id) {
+        Core& c = m.core(id);
+        if (c.l1d().Contains(line) || (c.has_l2() && c.l2()->Contains(line))) {
+          holders |= 1u << id;
+        }
+      }
+      ASSERT_EQ(m.SharersOf(line), holders) << "line " << line;
+      const int owner = m.OwnerOf(line);
+      if (owner != -1) {
+        ASSERT_EQ(holders, 1u << owner) << "an owner is the only sharer, line " << line;
+      }
+    }
+  };
+  std::vector<std::uint64_t> shadow(kLines, 0);
+  std::uint64_t x = 2024;
+  for (int i = 1; i <= 20000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t slot = (x >> 8) % kLines;
+    const Addr a = kBase + slot * 64;
+    Env env(m, static_cast<int>((x >> 33) % 4));
+    switch ((x >> 40) % 3) {
+      case 0:
+        ASSERT_EQ(env.Load<std::uint64_t>(a), shadow[slot]);
+        break;
+      case 1:
+        shadow[slot] = x;
+        env.Store<std::uint64_t>(a, x);
+        break;
+      default:
+        ASSERT_EQ(env.AtomicFetchAdd(a, 1), shadow[slot]++);
+        break;
+    }
+    if (i % 500 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check()) << "after op " << i;
+    }
+  }
+}
+
 TEST(Hierarchy, LlcEvictionBackInvalidatesPrivateCopies) {
   // Tiny LLC so evictions are easy to force.
   MachineConfig cfg = MachineConfig::Default(2);
-  cfg.llc = CacheConfig{8 * 1024, 2, kCacheLineBytes, ReplacementKind::kLru, 40};
+  cfg.llc = CacheConfig{8 * 1024, 2, 40};
   Machine m(cfg);
   Env e0(m, 0);
   e0.Store<std::uint64_t>(0x1000, 7);
@@ -59,7 +130,7 @@ TEST(Hierarchy, DirtyDataSurvivesFullEvictionChain) {
   cfg.cores[0].l1d.ways = 2;
   cfg.cores[0].l2.size_bytes = 4096;
   cfg.cores[0].l2.ways = 2;
-  cfg.llc = CacheConfig{16 * 1024, 2, kCacheLineBytes, ReplacementKind::kLru, 40};
+  cfg.llc = CacheConfig{16 * 1024, 2, 40};
   Machine m(cfg);
   Env env(m, 0);
   // Write a sequence far larger than every cache, then verify all of it.

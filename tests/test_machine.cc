@@ -117,6 +117,14 @@ TEST(Machine, CoherentDataUnderRandomTraffic) {
   }
 }
 
+TEST(MachineDeath, MoreCoresThanSharerMaskBitsDies) {
+  Machine m32(MachineConfig::Default(32));
+  Env e31(m32, 31);
+  e31.Store<std::uint64_t>(0x1000, 1);
+  EXPECT_EQ(m32.SharersOf(0x1000), 1u << 31);
+  EXPECT_DEATH_IF_SUPPORTED({ Machine m33(MachineConfig::Default(33)); }, "sharer mask");
+}
+
 TEST(Machine, AtomicRmwCostsMoreThanPlainStore) {
   Machine ma(MachineConfig::Default(1));
   Machine mb(MachineConfig::Default(1));

@@ -1,40 +1,13 @@
-// Tests for replacement policies, TLB, address map, core timing, scheduler.
+// Tests for the TLB, address map, core timing, scheduler.
 #include <gtest/gtest.h>
 
 #include "src/sim/address_map.h"
 #include "src/sim/core.h"
-#include "src/sim/replacement.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/tlb.h"
 
 namespace ngx {
 namespace {
-
-TEST(Replacement, LruPicksOldest) {
-  ReplacementState r(ReplacementKind::kLru, 1, 4);
-  for (std::uint32_t w = 0; w < 4; ++w) {
-    r.OnInsert(0, w);
-  }
-  r.OnAccess(0, 0);  // 1 is now the oldest
-  EXPECT_EQ(r.Victim(0), 1u);
-}
-
-TEST(Replacement, FifoIgnoresAccesses) {
-  ReplacementState r(ReplacementKind::kFifo, 1, 4);
-  for (std::uint32_t w = 0; w < 4; ++w) {
-    r.OnInsert(0, w);
-  }
-  r.OnAccess(0, 0);  // should not matter
-  EXPECT_EQ(r.Victim(0), 0u);
-}
-
-TEST(Replacement, RandomIsDeterministicPerSeed) {
-  ReplacementState a(ReplacementKind::kRandom, 1, 8, 42);
-  ReplacementState b(ReplacementKind::kRandom, 1, 8, 42);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(a.Victim(0), b.Victim(0));
-  }
-}
 
 TEST(Tlb, HitAfterFill) {
   Tlb tlb(TlbConfig{});
@@ -66,13 +39,6 @@ TEST(Tlb, HugeAndSmallPagesAreSeparate) {
   EXPECT_TRUE(huge.walk);
   const Tlb::Result again = tlb.Lookup(0x20'0000 + 64 * 1024, kHugePageBytes);
   EXPECT_FALSE(again.walk) << "same 2 MiB page";
-}
-
-TEST(Tlb, FlushClearsEverything) {
-  Tlb tlb(TlbConfig{});
-  tlb.Lookup(0x1000, kSmallPageBytes);
-  tlb.Flush();
-  EXPECT_TRUE(tlb.Lookup(0x1000, kSmallPageBytes).walk);
 }
 
 TEST(AddressMap, FindAndPageSize) {
